@@ -3,32 +3,40 @@
 //!
 //! The executor commits through the statically guarded path
 //! (`if wpc(T, α) then T else abort`); the audit replays the committed
-//! history through the run-time check-and-rollback path
-//! ([`RuntimeChecked`]) and demands that the two agree everywhere:
+//! history through the [replay kernel](crate::replay), which re-runs every
+//! commit on the run-time check-and-rollback path ([`RuntimeChecked`]), and
+//! demands that the two agree everywhere:
 //!
 //! * commit versions are gapless and in log order — the log order *is* a
 //!   serialization, and replaying it must reproduce every recorded root
 //!   hash and the final state;
 //! * every replayed commit passes the deferred `α` check (so `α` holds at
 //!   every committed version — zero constraint violations);
-//! * every commit's write set matches its program's declared writes;
+//! * every commit's write set matches its program's writes;
+//!
+//! all of which the kernel checks, and, on top of it:
+//!
 //! * every commit's recorded prepared-statement provenance — the shape id
-//!   and binding vector threaded through the pipeline — instantiates back
-//!   to exactly the program the client submitted;
+//!   and binding vector threaded through the pipeline — is what the client
+//!   submitted (when the submitted programs are known) and what its
+//!   `Begin` recorded;
 //! * every commit was preceded by a passing guard evaluation at the
 //!   version it validated against, and every abort's failing guard agrees
 //!   with check-and-rollback at the version it observed.
 //!
-//! A tampered history — a reordered commit, a forged hash, a commit the
+//! The audit collects every fault instead of stopping at the first. A
+//! tampered history — a reordered commit, a forged hash, a commit the
 //! guard never passed, a forged binding — is rejected with a concrete
 //! complaint.
 
-use crate::history::{root_hash, Event};
+use crate::history::Event;
+use crate::replay::{self, Recovered, RecoveryError, Replayer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::path::Path;
 use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::{holds, Omega};
-use vpdt_logic::Formula;
+use vpdt_logic::{Elem, Formula};
 use vpdt_structure::Database;
 use vpdt_tx::program::{Program, ProgramTransaction};
 use vpdt_tx::template::Template;
@@ -49,6 +57,13 @@ impl AuditReport {
     /// Whether the history verified.
     pub fn ok(&self) -> bool {
         self.problems.is_empty()
+    }
+
+    fn check_final(&mut self, replayed: &Database, final_db: &Database) {
+        if replayed != final_db {
+            self.problems
+                .push("replayed final state differs from the store's final state".to_string());
+        }
     }
 }
 
@@ -115,235 +130,25 @@ pub fn audit_from(
     programs: &BTreeMap<u64, Program>,
     templates: &BTreeMap<u64, Template>,
 ) -> AuditReport {
-    let mut problems = Vec::new();
-    let mut commits_checked = 0;
-    let mut aborts_checked = 0;
-
-    match holds(initial, omega, alpha) {
-        Ok(true) => {}
-        Ok(false) => problems.push("initial state violates the constraint".to_string()),
-        Err(e) => problems.push(format!(
-            "constraint does not evaluate on the initial state: {e}"
-        )),
-    }
-
-    // Replay commits in log order; remember every version's state so abort
-    // events can be cross-checked against the snapshot they observed.
-    let mut states: Vec<Database> = vec![initial.clone()];
-    let mut passed_guards: BTreeSet<(u64, u64)> = BTreeSet::new();
-
-    for event in events {
-        match event {
-            Event::GuardEval { tx, version, pass } => {
-                if *pass {
-                    passed_guards.insert((*tx, *version));
-                }
-            }
-            Event::Commit {
-                tx,
-                based_on,
-                version,
-                writes,
-                shape,
-                bindings,
-                root_hash: recorded_hash,
-            } => {
-                commits_checked += 1;
-                let expected = base_version + states.len() as u64;
-                if *version != expected {
-                    problems.push(format!(
-                        "commit of tx {tx} has version {version}, expected {expected} \
-                         (reordered or dropped commit)"
-                    ));
-                    continue;
-                }
-                let Some(program) = programs.get(tx) else {
-                    problems.push(format!("commit of unknown tx {tx}"));
-                    continue;
-                };
-                // Provenance: the submitted program must canonicalize to
-                // exactly the recorded (shape, bindings), so a log with
-                // forged bindings or a swapped statement shape cannot
-                // masquerade as the original run.
-                check_provenance(
-                    &mut problems,
-                    programs,
-                    templates,
-                    "commit",
-                    *tx,
-                    *shape,
-                    bindings,
-                );
-                // A commit based at or below the floor may have recorded
-                // its guard evaluation before the floor offset (guard
-                // events are written outside the commit critical section)
-                // — evidence the retention pass legitimately deleted. Only
-                // demand the pairing when nothing was retired
-                // (`base_version == 0`: the full log) or the evaluation
-                // must postdate the floor.
-                let evidence_retired = base_version > 0 && *based_on <= base_version;
-                if !passed_guards.contains(&(*tx, *based_on)) && !evidence_retired {
-                    problems.push(format!(
-                        "tx {tx} committed at version {version} without a passing guard \
-                         evaluation at its base version {based_on}"
-                    ));
-                }
-                if program
-                    .touched_relations()
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    != *writes
-                {
-                    problems.push(format!(
-                        "tx {tx} recorded writes {writes:?} but its program touches {:?}",
-                        program.touched_relations()
-                    ));
-                }
-                // The cross-check: the deferred check-and-rollback path
-                // must accept the same transaction at the same point.
-                replay_one(
-                    &mut problems,
-                    &mut states,
-                    alpha,
-                    omega,
-                    *tx,
-                    *version,
-                    program,
-                    *recorded_hash,
-                );
-            }
-            Event::Cross {
-                tx,
-                version,
-                writes,
-                shape,
-                bindings,
-                root_hash: recorded_hash,
-                ..
-            } => {
-                // A cross-shard branch commit replays like any commit: its
-                // recorded `(shape, bindings)` provenance reconstructs the
-                // shard-local delta program, which must re-derive the
-                // recorded root and pass the deferred constraint check.
-                // What it does *not* need is a paired `GuardEval` — the
-                // global guard ran on the coordinator's union snapshot, and
-                // its evidence lives in the decision log, cross-checked by
-                // the sharded audit (`shard::cold_audit_sharded`).
-                commits_checked += 1;
-                let expected = base_version + states.len() as u64;
-                if *version != expected {
-                    problems.push(format!(
-                        "cross commit of tx {tx} has version {version}, expected {expected} \
-                         (reordered or dropped commit)"
-                    ));
-                    continue;
-                }
-                let Some(template) = templates.get(shape) else {
-                    problems.push(format!(
-                        "cross commit of tx {tx} references unknown statement shape {shape}"
-                    ));
-                    continue;
-                };
-                let program = match template.instantiate(bindings) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        problems.push(format!(
-                            "cross commit of tx {tx}: bindings do not fit shape {shape}: {e}"
-                        ));
-                        continue;
-                    }
-                };
-                if program
-                    .touched_relations()
-                    .iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    != *writes
-                {
-                    problems.push(format!(
-                        "cross tx {tx} recorded writes {writes:?} but its delta touches {:?}",
-                        program.touched_relations()
-                    ));
-                }
-                replay_one(
-                    &mut problems,
-                    &mut states,
-                    alpha,
-                    omega,
-                    *tx,
-                    *version,
-                    &program,
-                    *recorded_hash,
-                );
-            }
-            Event::Abort { tx, version, .. } => {
-                // The guard said "would violate α". If we know the state it
-                // observed (versions below the floor are gone), the
-                // check-and-rollback path must agree.
-                let state = version
-                    .checked_sub(base_version)
-                    .and_then(|i| states.get(i as usize));
-                if let (Some(program), Some(state)) = (programs.get(tx), state) {
-                    aborts_checked += 1;
-                    let checked = RuntimeChecked::new(
-                        ProgramTransaction::new("audit", program.clone(), omega.clone()),
-                        alpha.clone(),
-                        omega.clone(),
-                    );
-                    match checked.apply(state) {
-                        Err(TxError::Aborted(_)) => {}
-                        Ok(_) => problems.push(format!(
-                            "tx {tx} aborted at version {version}, but check-and-rollback \
-                             accepts it there (guard and rollback paths disagree)"
-                        )),
-                        Err(e) => problems.push(format!(
-                            "tx {tx} fails to replay its abort at version {version}: {e}"
-                        )),
-                    }
-                }
-            }
-            Event::Begin {
-                tx,
-                shape,
-                bindings,
-                ..
-            } => {
-                // Begin provenance is checked too, so a forged binding on a
-                // transaction that went on to *abort* is also caught.
-                check_provenance(
-                    &mut problems,
-                    programs,
-                    templates,
-                    "begin",
-                    *tx,
-                    *shape,
-                    bindings,
-                );
-            }
-        }
-    }
-
-    if states.last().expect("states never empty") != final_db {
-        problems.push("replayed final state differs from the store's final state".to_string());
-    }
-
-    AuditReport {
-        problems,
-        commits_checked,
-        aborts_checked,
-    }
+    let (mut report, replay) = pass(
+        alpha,
+        omega,
+        base_version,
+        initial,
+        events,
+        templates,
+        Some(programs),
+    );
+    report.check_final(&replay.db, final_db);
+    report
 }
 
 /// Audits a *cold* history — one read back from a persisted log, with no
-/// live clients to supply the tx-id → program map. The map is derived from
-/// the events' own `(shape, bindings)` provenance instead (two events of
-/// one transaction that derive different programs draw a complaint), then
-/// the full [`audit`] replay runs: gapless serialization, `α` at every
-/// version, root hashes, write sets, guard/rollback agreement. The
-/// derived programs make the *provenance* sub-check tautological — what
-/// still bites is everything replay-based, which is exactly what a cold
-/// log can prove.
+/// live clients to supply the submitted programs. Every commit replays
+/// from its own recorded `(shape, bindings)` provenance, exactly as in
+/// [`audit`]; the provenance checks that need the submitted program are
+/// left out, and aborts are cross-checked against the program their
+/// `Begin` recorded.
 ///
 /// `initial` is the genesis state (offset-0 checkpoint) and `final_db` the
 /// recovered state; [`wal::recover`](crate::wal::recover) supplies both.
@@ -373,150 +178,224 @@ pub fn cold_audit_from(
     events: &[Event],
     templates: &BTreeMap<u64, Template>,
 ) -> AuditReport {
+    let (mut report, replay) = pass(alpha, omega, base_version, initial, events, templates, None);
+    report.check_final(&replay.db, final_db);
+    report
+}
+
+/// Cold-audits the log in `dir` in one pass: recovery's checkpoint/log
+/// consistency checks first (fail-fast, a typed error), then every
+/// surviving commit from the floor checkpoint replayed once, collecting
+/// every fault. Returns the recovery the pass reconstructed — its state
+/// is the replayed one, trustworthy only when the report is
+/// [`ok`](AuditReport::ok) — and the report.
+pub fn cold_audit_dir(
+    dir: impl AsRef<Path>,
+    omega: &Omega,
+) -> Result<(Recovered, AuditReport), RecoveryError> {
+    let (mut rec, _) = replay::open(dir.as_ref(), true)?;
+    let (report, replay) = pass(
+        &rec.alpha,
+        omega,
+        rec.base_version,
+        &rec.initial,
+        &rec.events,
+        &rec.templates,
+        None,
+    );
+    rec.settle(replay);
+    Ok((rec, report))
+}
+
+/// The collect-all pass: every commit through [`Replayer::commit`], plus
+/// the audit-only guard-pairing, provenance and abort cross-checks.
+/// `submitted` holds the clients' programs when they are known.
+fn pass(
+    alpha: &Formula,
+    omega: &Omega,
+    base_version: u64,
+    initial: &Database,
+    events: &[Event],
+    templates: &BTreeMap<u64, Template>,
+    submitted: Option<&BTreeMap<u64, Program>>,
+) -> (AuditReport, Replayer) {
     let mut problems = Vec::new();
-    let mut programs: BTreeMap<u64, Program> = BTreeMap::new();
+    let mut commits_checked = 0;
+    let mut aborts_checked = 0;
+
+    match holds(initial, omega, alpha) {
+        Ok(true) => {}
+        Ok(false) => problems.push("initial state violates the constraint".to_string()),
+        Err(e) => problems.push(format!(
+            "constraint does not evaluate on the initial state: {e}"
+        )),
+    }
+
+    let mut replay = Replayer::new(alpha.clone(), omega.clone(), initial.clone(), base_version);
+    // Every version's state, so abort events can be cross-checked against
+    // the snapshot they observed.
+    let mut states: Vec<Database> = vec![initial.clone()];
+    let mut passed_guards: BTreeSet<(u64, u64)> = BTreeSet::new();
+    let mut begun: BTreeMap<u64, (u64, &[Elem])> = BTreeMap::new();
+
     for event in events {
-        let (tx, shape, bindings) = match event {
+        match event {
+            Event::GuardEval { tx, version, pass } => {
+                if *pass {
+                    passed_guards.insert((*tx, *version));
+                }
+            }
             Event::Begin {
                 tx,
                 shape,
                 bindings,
                 ..
+            } => {
+                // Begin provenance is checked too, so a forged binding on a
+                // transaction that went on to *abort* is also caught.
+                check_provenance(
+                    &mut problems,
+                    submitted,
+                    templates,
+                    "begin",
+                    *tx,
+                    *shape,
+                    bindings,
+                );
+                begun.insert(*tx, (*shape, bindings.as_slice()));
             }
-            | Event::Commit {
-                tx,
-                shape,
-                bindings,
-                ..
-            }
-            | Event::Cross {
-                tx,
-                shape,
-                bindings,
-                ..
-            } => (*tx, *shape, bindings),
-            Event::GuardEval { .. } | Event::Abort { .. } => continue,
-        };
-        let Some(template) = templates.get(&shape) else {
-            problems.push(format!(
-                "tx {tx} references statement shape {shape}, which no checkpoint or shape \
-                 record declares"
-            ));
-            continue;
-        };
-        match template.instantiate(bindings) {
-            Ok(ground) => {
-                if let Some(prev) = programs.get(&tx) {
-                    if prev != &ground {
-                        problems.push(format!(
-                            "tx {tx}'s events derive two different programs from their \
-                             recorded provenance"
-                        ));
-                    }
-                } else {
-                    programs.insert(tx, ground);
+            Event::Commit { .. } | Event::Cross { .. } => {
+                commits_checked += 1;
+                if let Err(fault) = replay.commit(event, templates) {
+                    problems.push(fault.to_string());
+                }
+                states.push(replay.db.clone());
+                // A cross-shard branch has no submitted program, Begin or
+                // paired `GuardEval` here: the global guard ran on the
+                // coordinator's union snapshot, and its evidence lives in
+                // the decision log, cross-checked by the sharded audit
+                // (`shard::cold_audit_sharded`).
+                let Event::Commit {
+                    tx,
+                    based_on,
+                    version,
+                    shape,
+                    bindings,
+                    ..
+                } = event
+                else {
+                    continue;
+                };
+                if submitted.is_some_and(|p| !p.contains_key(tx)) {
+                    problems.push(format!("commit of unknown tx {tx}"));
+                }
+                check_provenance(
+                    &mut problems,
+                    submitted,
+                    templates,
+                    "commit",
+                    *tx,
+                    *shape,
+                    bindings,
+                );
+                if begun
+                    .get(tx)
+                    .is_some_and(|&(s, b)| s != *shape || b != bindings.as_slice())
+                {
+                    problems.push(format!(
+                        "tx {tx}'s begin and commit record different statements"
+                    ));
+                }
+                // A commit based at or below the floor may have recorded
+                // its guard evaluation before the floor offset (guard
+                // events are written outside the commit critical section)
+                // — evidence the retention pass legitimately deleted. Only
+                // demand the pairing when nothing was retired
+                // (`base_version == 0`: the full log) or the evaluation
+                // must postdate the floor.
+                let evidence_retired = base_version > 0 && *based_on <= base_version;
+                if !passed_guards.contains(&(*tx, *based_on)) && !evidence_retired {
+                    problems.push(format!(
+                        "tx {tx} committed at version {version} without a passing guard \
+                         evaluation at its base version {based_on}"
+                    ));
                 }
             }
-            Err(e) => problems.push(format!("tx {tx}'s bindings do not fit shape {shape}: {e}")),
-        }
-    }
-    let mut report = audit_from(
-        alpha,
-        omega,
-        base_version,
-        initial,
-        final_db,
-        events,
-        &programs,
-        templates,
-    );
-    report.problems.splice(0..0, problems);
-    report
-}
-
-/// Replays one committed program at `version` through the deferred
-/// check-and-rollback path, verifying acceptance and the recorded root
-/// hash, and advancing `states` (a rejected or unreplayable commit keeps
-/// the previous state so later versions still line up).
-#[allow(clippy::too_many_arguments)]
-fn replay_one(
-    problems: &mut Vec<String>,
-    states: &mut Vec<Database>,
-    alpha: &Formula,
-    omega: &Omega,
-    tx: u64,
-    version: u64,
-    program: &Program,
-    recorded_hash: u64,
-) {
-    let prev = states.last().expect("states never empty");
-    let checked = RuntimeChecked::new(
-        ProgramTransaction::new("audit", program.clone(), omega.clone()),
-        alpha.clone(),
-        omega.clone(),
-    );
-    match checked.apply(prev) {
-        Ok(next) => {
-            if root_hash(&next) != recorded_hash {
-                problems.push(format!(
-                    "replaying tx {tx} at version {version} produces root hash \
-                     {:#x}, history records {recorded_hash:#x} (reordered or \
-                     tampered history)",
-                    root_hash(&next)
-                ));
+            Event::Abort { tx, version, .. } => {
+                // The guard said "would violate α". If we know the state it
+                // observed (versions below the floor are gone) and the
+                // program its Begin recorded, check-and-rollback must agree.
+                let state = version
+                    .checked_sub(base_version)
+                    .and_then(|i| states.get(i as usize));
+                let (Some(state), Some(&(shape, bindings))) = (state, begun.get(tx)) else {
+                    continue;
+                };
+                let program = match replay::program_of(templates, *tx, shape, bindings) {
+                    Ok(program) => program,
+                    Err(fault) => {
+                        problems.push(fault.to_string());
+                        continue;
+                    }
+                };
+                aborts_checked += 1;
+                let checked = RuntimeChecked::new(
+                    ProgramTransaction::new("audit", program, omega.clone()),
+                    alpha.clone(),
+                    omega.clone(),
+                );
+                match checked.apply(state) {
+                    Err(TxError::Aborted(_)) => {}
+                    Ok(_) => problems.push(format!(
+                        "tx {tx} aborted at version {version}, but check-and-rollback \
+                         accepts it there (guard and rollback paths disagree)"
+                    )),
+                    Err(e) => problems.push(format!(
+                        "tx {tx} fails to replay its abort at version {version}: {e}"
+                    )),
+                }
             }
-            states.push(next);
-        }
-        Err(TxError::Aborted(reason)) => {
-            problems.push(format!(
-                "tx {tx} committed at version {version}, but check-and-rollback \
-                 aborts it there: {reason}"
-            ));
-            states.push(prev.clone());
-        }
-        Err(e) => {
-            problems.push(format!("tx {tx} fails to replay at version {version}: {e}"));
-            states.push(prev.clone());
         }
     }
+
+    let report = AuditReport {
+        problems,
+        commits_checked,
+        aborts_checked,
+    };
+    (report, replay)
 }
 
 /// Checks one event's recorded `(shape, bindings)` provenance against the
-/// submitted program: the statement shape must be known and the submitted
-/// program must canonicalize to exactly that `(shape, bindings)` pair.
-/// Comparing canonical forms (rather than instantiations) makes the check
-/// insensitive to the α-renaming `canonicalize` performs while still
-/// refusing forged bindings or a swapped shape. Unknown transaction ids
-/// are skipped here — commits of unknown txs draw their own complaint.
+/// submitted program: the submitted program must canonicalize to exactly
+/// that statement. Comparing canonical forms (rather than instantiations)
+/// makes the check insensitive to the α-renaming `canonicalize` performs
+/// while still refusing forged bindings or a swapped shape. Skipped when
+/// the submitted program is unknown.
 fn check_provenance(
     problems: &mut Vec<String>,
-    programs: &BTreeMap<u64, Program>,
+    submitted: Option<&BTreeMap<u64, Program>>,
     templates: &BTreeMap<u64, Template>,
     what: &str,
     tx: u64,
     shape: u64,
-    bindings: &[vpdt_logic::Elem],
+    bindings: &[Elem],
 ) {
-    let Some(program) = programs.get(&tx) else {
+    let Some(program) = submitted.and_then(|p| p.get(&tx)) else {
         return;
     };
-    match templates.get(&shape) {
-        None => problems.push(format!(
-            "{what} of tx {tx} references unknown statement shape {shape}"
-        )),
-        Some(template) => match vpdt_tx::template::canonicalize(program) {
-            Ok((canonical, ground_bindings)) => {
-                if &canonical != template || ground_bindings != bindings {
-                    problems.push(format!(
-                        "tx {tx}'s {what} records statement (shape {shape}, bindings \
-                         {bindings:?}), but the submitted program {program:?} \
-                         canonicalizes to ({canonical}, {ground_bindings:?})"
-                    ));
-                }
+    match vpdt_tx::template::canonicalize(program) {
+        Ok((canonical, ground_bindings)) => {
+            if templates.get(&shape) != Some(&canonical) || ground_bindings != bindings {
+                problems.push(format!(
+                    "tx {tx}'s {what} records statement (shape {shape}, bindings \
+                     {bindings:?}), but the submitted program {program:?} canonicalizes \
+                     to ({canonical}, {ground_bindings:?})"
+                ));
             }
-            Err(e) => problems.push(format!(
-                "tx {tx}'s {what}: submitted program does not canonicalize: {e}"
-            )),
-        },
+        }
+        Err(e) => problems.push(format!(
+            "tx {tx}'s {what}: submitted program does not canonicalize: {e}"
+        )),
     }
 }

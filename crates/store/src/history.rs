@@ -172,29 +172,13 @@ impl History {
     /// A log seeded with recovered events (the durable-recovery path: the
     /// resumed server's history continues where the on-disk log ends).
     pub(crate) fn with_events(events: Vec<Event>) -> Self {
-        let mut roots = Vec::new();
-        let mut root_base = 0;
+        let mut inner = Inner::default();
         for e in &events {
-            if let Event::Commit {
-                version, root_hash, ..
-            }
-            | Event::Cross {
-                version, root_hash, ..
-            } = e
-            {
-                if roots.is_empty() {
-                    root_base = version - 1;
-                }
-                roots.push(*root_hash);
-            }
+            inner.index_root(e);
         }
+        inner.events = events;
         History {
-            inner: Mutex::new(Inner {
-                events,
-                durable: None,
-                roots,
-                root_base,
-            }),
+            inner: Mutex::new(inner),
         }
     }
 
@@ -206,18 +190,8 @@ impl History {
         inner.durable = Some(log);
     }
 
-    /// Detaches and returns the write-ahead log (shutdown takes it back to
-    /// write the clean checkpoint).
-    pub(crate) fn detach_wal(&self) -> Option<DurableLog> {
-        self.inner
-            .lock()
-            .expect("history lock poisoned")
-            .durable
-            .take()
-    }
-
     /// Runs `f` with exclusive access to the attached log, if any — the
-    /// mid-run checkpoint path. While `f` runs no event can be recorded,
+    /// checkpoint path. While `f` runs no event can be recorded,
     /// so the log offset it observes is exact.
     pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
         let mut inner = self.inner.lock().expect("history lock poisoned");

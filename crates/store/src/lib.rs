@@ -84,6 +84,8 @@
 //!   record fsync'd by a shared group-commit flusher, which batches all
 //!   concurrently published commits into one fsync and only then resolves
 //!   their tickets — see [`GroupCommitPolicy`]);
+//! * [`replay`] — the one replay kernel every recorded commit is
+//!   re-verified through, and crash recovery built on it;
 //! * [`audit`] — replays a history through the *rollback* path
 //!   ([`vpdt_core::safe::RuntimeChecked`]), checking that the commit order
 //!   is a gapless serialization, that `α` holds at every committed version,
@@ -107,6 +109,7 @@ pub mod exec;
 pub mod guard;
 pub mod history;
 pub mod metrics;
+pub mod replay;
 pub mod server;
 pub mod session;
 pub mod shard;
@@ -114,7 +117,7 @@ pub mod snapshot;
 pub mod wal;
 pub mod workload;
 
-pub use audit::{audit, audit_from, cold_audit, cold_audit_from, AuditReport};
+pub use audit::{audit, audit_from, cold_audit, cold_audit_dir, cold_audit_from, AuditReport};
 pub use exec::{run_jobs, run_serial_rollback, ExecReport, Job, Submitter, TxOutcome, TxStatus};
 pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
 pub use history::{Event, History};

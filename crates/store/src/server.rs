@@ -17,17 +17,17 @@
 
 use crate::exec::{self, ExecReport, OutcomeSink, TxOutcome, WorkItem, WorkQueue};
 use crate::guard::{CacheStats, GuardCache};
-use crate::history::{root_hash, state_hash, Event, History};
+use crate::history::{Event, History};
 use crate::metrics::StoreMetrics;
 use crate::session::{Session, TicketState, TxTicket};
 use crate::snapshot::{Snapshot, VersionedStore};
 use crate::wal::{
-    self, DurableLog, FlushStats, GroupCommitFlusher, RecoveryError, RecoveryOptions, WalOptions,
-    WalWriter,
+    self, DurableLog, FlushStats, GroupCommitFlusher, Recovered, RecoveryError, RecoveryOptions,
+    WalOptions, WalWriter,
 };
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -112,10 +112,12 @@ enum Source {
         initial: Database,
         alpha: Formula,
     },
-    /// Recover state, constraint, shape identities and history from `dir`,
-    /// then resume appending to its log.
+    /// Recover state, constraint, shape identities and history from `dir`
+    /// (unless `recovered` already holds that recovery), then resume
+    /// appending to its log.
     Recover {
         dir: PathBuf,
+        recovered: Option<Box<Recovered>>,
     },
 }
 
@@ -139,17 +141,7 @@ pub struct StoreBuilder {
 impl StoreBuilder {
     /// A builder over `initial` (ingested as version 0) guarding `α`.
     pub fn new(initial: Database, alpha: Formula) -> Self {
-        StoreBuilder {
-            source: Source::Fresh { initial, alpha },
-            omega: Omega::empty(),
-            cache_capacity: crate::guard::DEFAULT_CAPACITY,
-            workers: 4,
-            retry: RetryPolicy::unbounded(),
-            retain_outcomes: true,
-            persist_dir: None,
-            wal_opts: WalOptions::default(),
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        Self::with_source(Source::Fresh { initial, alpha })
     }
 
     /// A builder that recovers a persisted server from `dir` and resumes
@@ -161,8 +153,25 @@ impl StoreBuilder {
     /// tail. Set the same Ω interpretation the original server ran with
     /// ([`omega`](StoreBuilder::omega)) before building.
     pub fn recover(dir: impl Into<PathBuf>) -> Self {
+        Self::with_source(Source::Recover {
+            dir: dir.into(),
+            recovered: None,
+        })
+    }
+
+    /// A builder that resumes `dir` from a recovery already performed on
+    /// it, so the log is not replayed a second time (the sharded
+    /// roll-forward path).
+    pub(crate) fn resume(dir: &Path, recovered: Recovered) -> Self {
+        Self::with_source(Source::Recover {
+            dir: dir.to_path_buf(),
+            recovered: Some(Box::new(recovered)),
+        })
+    }
+
+    fn with_source(source: Source) -> Self {
         StoreBuilder {
-            source: Source::Recover { dir: dir.into() },
+            source,
             omega: Omega::empty(),
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
             workers: 4,
@@ -296,34 +305,24 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let mut flusher = None;
                 if let Some(dir) = self.persist_dir {
-                    let writer = WalWriter::create(&dir, self.wal_opts)?;
-                    let snap = store.snapshot();
-                    wal::write_checkpoint(
-                        writer.dir(),
-                        &wal::Checkpoint {
-                            offset: 0,
-                            version: 0,
-                            next_tx: 0,
-                            state_hash: state_hash(&snap.db),
-                            root_hash: root_hash(&snap.db),
-                            alpha: cache.alpha().clone(),
-                            schema: store.schema().clone(),
-                            db: (*snap.db).clone(),
-                            templates: BTreeMap::new(),
-                        },
-                    )?;
-                    obs.checkpoints.inc();
                     flusher = group(wants_flusher);
                     store.history().attach_wal(DurableLog::new(
-                        writer,
+                        WalWriter::create(&dir, self.wal_opts)?,
+                        BTreeSet::new(),
                         BTreeSet::new(),
                         flusher.clone(),
                     ));
+                    // The genesis checkpoint: recovery's first floor.
+                    store.checkpoint_now(cache.templates(), 0, cache.alpha())?;
+                    obs.checkpoints.inc();
                 }
                 (store, cache, 0, flusher)
             }
-            Source::Recover { dir } => {
-                let recovered = wal::recover(&dir, &self.omega, RecoveryOptions::default())?;
+            Source::Recover { dir, recovered } => {
+                let recovered = match recovered {
+                    Some(r) => *r,
+                    None => wal::recover(&dir, &self.omega, RecoveryOptions::default())?,
+                };
                 for (i, id) in recovered.templates.keys().enumerate() {
                     if *id != i as u64 {
                         return Err(StoreError::Recovery(RecoveryError::Divergence {
@@ -351,9 +350,12 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let (writer, logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
                 let flusher = group(wants_flusher);
-                store
-                    .history()
-                    .attach_wal(DurableLog::new(writer, logged_shapes, flusher.clone()));
+                store.history().attach_wal(DurableLog::new(
+                    writer,
+                    logged_shapes,
+                    recovered.cross_decisions,
+                    flusher.clone(),
+                ));
                 (store, cache, recovered.next_tx, flusher)
             }
         };
@@ -402,6 +404,25 @@ impl StoreBuilder {
             next_session: AtomicU64::new(1),
         })
     }
+}
+
+/// Checkpoints `shared`'s store (see [`StoreServer::checkpoint`]) and
+/// counts the checkpoint and what its retention pass deleted.
+fn checkpoint(shared: &Shared, next_tx: u64) -> Result<u64, wal::WalError> {
+    let gc =
+        shared
+            .store
+            .checkpoint_now(shared.cache.templates(), next_tx, shared.cache.alpha())?;
+    shared.obs.checkpoints.inc();
+    shared
+        .obs
+        .wal_segments_deleted
+        .add(gc.segments_deleted as u64);
+    shared
+        .obs
+        .checkpoint_files_deleted
+        .add(gc.checkpoints_deleted as u64);
+    Ok(gc.offset)
 }
 
 /// State shared between the server handle, its worker threads, and the
@@ -579,25 +600,7 @@ impl StoreServer {
     /// replay only the tail. `Err(StoreError::Wal(WalError::NotDurable))`
     /// when the server is not persisted.
     pub fn checkpoint(&self) -> Result<u64, StoreError> {
-        let gc = self
-            .shared
-            .store
-            .checkpoint_now(
-                self.shared.cache.templates(),
-                self.next_tx.load(Ordering::Relaxed),
-                self.shared.cache.alpha(),
-            )
-            .map_err(StoreError::Wal)?;
-        self.shared.obs.checkpoints.inc();
-        self.shared
-            .obs
-            .wal_segments_deleted
-            .add(gc.segments_deleted as u64);
-        self.shared
-            .obs
-            .checkpoint_files_deleted
-            .add(gc.checkpoints_deleted as u64);
-        Ok(gc.offset)
+        checkpoint(&self.shared, self.next_tx.load(Ordering::Relaxed)).map_err(StoreError::Wal)
     }
 
     /// A point-in-time snapshot of every metric the server keeps —
@@ -683,43 +686,8 @@ impl StoreServer {
         let shared = Arc::clone(&self.shared);
         drop(self); // Drop sees an empty worker list and an already-closed queue
         let shared = Arc::into_inner(shared).expect("workers joined, no other owners");
-        if let Some(mut log) = shared.store.history().detach_wal() {
-            log.writer
-                .sync()
-                .expect("write-ahead log flush at shutdown failed");
-            let offset = log.writer.offset();
-            let snap = shared.store.snapshot();
-            wal::write_checkpoint(
-                log.writer.dir(),
-                &wal::Checkpoint {
-                    offset,
-                    version: snap.version,
-                    next_tx,
-                    state_hash: state_hash(&snap.db),
-                    root_hash: root_hash(&snap.db),
-                    alpha: shared.cache.alpha().clone(),
-                    schema: shared.store.schema().clone(),
-                    db: (*snap.db).clone(),
-                    templates: shared.cache.templates(),
-                },
-            )
-            .expect("clean checkpoint at shutdown failed");
-            shared.obs.checkpoints.inc();
-            // Best-effort, unlike the sync and checkpoint above: state and
-            // log are already fully durable, and a segment or checkpoint
-            // that survives a failed unlink breaks nothing — the next
-            // checkpoint (or `vpdtool wal gc`) simply retries.
-            if !log.writer.options().retain_segments {
-                if let Ok(deleted) = wal::gc_segments(log.writer.dir(), offset) {
-                    shared.obs.wal_segments_deleted.add(deleted.len() as u64);
-                }
-                if let Ok(deleted) = wal::gc_checkpoints(log.writer.dir()) {
-                    shared
-                        .obs
-                        .checkpoint_files_deleted
-                        .add(deleted.len() as u64);
-                }
-            }
+        if shared.store.history().is_durable() {
+            checkpoint(&shared, next_tx).expect("clean checkpoint at shutdown failed");
         }
         // Every counter in the report — cache, WAL, pipeline — is a
         // **server-lifetime total**: `prepare` warm-ups count, and nothing

@@ -52,14 +52,15 @@
 //! |                                  | present ones verified as-is        |
 //! | after all shard commits          | nothing to do                      |
 //!
-//! Roll-forward re-applies the decision's ground delta program to the
-//! recovered shard state and appends the missing [`Event::Cross`] (plus
-//! any unseen shape declaration) to the shard's log; the subsequent
-//! [`StoreBuilder::recover`] then replays and hash-verifies the appended
-//! records like any other tail — a rolled-forward branch passes the same
-//! cold audit as a live one. Roll-forward is safe to append at the log's
-//! end because a decision's holds release only after its shard append:
-//! no later commit conflicting with the missing branch can exist.
+//! Roll-forward recovers each shard once, re-applies each missing
+//! decision's ground delta program to the recovered state, verifies the
+//! resulting [`Event::Cross`] through the [replay kernel](crate::replay)
+//! like any recorded commit, and appends it (plus any unseen shape
+//! declaration) to the shard's log. The shard server then resumes from
+//! that recovery without replaying its log again — a rolled-forward branch
+//! passes the same checks as a live one. Roll-forward is safe to append at
+//! the log's end because a decision's holds release only after its shard
+//! append: no later commit conflicting with the missing branch can exist.
 //!
 //! Pending decisions replay in decision-log **append** order, not id
 //! order: ids are allocated before the prepare loop, so a coordinator
@@ -68,20 +69,26 @@
 //! released — the real conflict order — and replaying any other order
 //! could reconstruct a state the coordinators never decided.
 //!
-//! The `decisions/applied-through` watermark (written at clean shutdown,
+//! A decision counts as applied on a shard when its `Cross` record
+//! survives in the shard's log *or* a shard checkpoint lists it: every
+//! checkpoint carries the ids of the decisions applied at or before it, so
+//! segment retention can never make an applied decision look pending. The
+//! `decisions/applied-through` watermark (written at clean shutdown,
 //! *before* the shard checkpoints GC their segments) records the decision
-//! id below which every branch is known applied, so recovery never
-//! re-examines decisions whose `Cross` records have been retired by
-//! checkpoint retention.
+//! id below which every branch is known applied; recovery never
+//! re-examines those, and resumed shards stop listing them. A missing
+//! watermark means 0; an unreadable or unparsable one is a typed error.
 
-use crate::audit::{cold_audit_from, AuditReport};
+use crate::audit::{cold_audit_dir, AuditReport};
 use crate::guard::PreparedTx;
 use crate::history::{root_hash, Event};
+use crate::replay::Replayer;
 use crate::server::{RetryPolicy, ServerReport, StoreBuilder, StoreServer};
 use crate::session::TxTicket;
 use crate::snapshot::{CommitRequest, Snapshot};
 use crate::wal::{
-    self, DecisionBranch, DecisionRecord, Record, RecoveryOptions, WalOptions, WalWriter,
+    self, DecisionBranch, DecisionRecord, Record, Recovered, RecoveryOptions, WalError, WalOptions,
+    WalWriter,
 };
 use crate::{metrics::names, AbortReason, GuardCache, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -201,20 +208,12 @@ impl ShardedBuilder {
     /// A builder partitioning `initial` (and the conjuncts of `alpha`)
     /// across `shards` stores by round-robin relation striping.
     pub fn new(initial: Database, alpha: Formula, shards: usize) -> Self {
-        ShardedBuilder {
-            source: ShardSource::Fresh {
-                initial,
-                alpha,
-                shards: shards.max(1),
-                persist_root: None,
-            },
-            omega: Omega::empty(),
-            workers_per_shard: 4,
-            cache_capacity: crate::guard::DEFAULT_CAPACITY,
-            retry: RetryPolicy::unbounded(),
-            wal_opts: WalOptions::default(),
-            trace_capacity: 0,
-        }
+        Self::with_source(ShardSource::Fresh {
+            initial,
+            alpha,
+            shards: shards.max(1),
+            persist_root: None,
+        })
     }
 
     /// A builder that recovers a persisted sharded store from `root`
@@ -224,8 +223,12 @@ impl ShardedBuilder {
     /// before the shard recovers — see the module docs' crash-window
     /// table.
     pub fn recover(root: impl Into<PathBuf>) -> Self {
+        Self::with_source(ShardSource::Recover { root: root.into() })
+    }
+
+    fn with_source(source: ShardSource) -> Self {
         ShardedBuilder {
-            source: ShardSource::Recover { root: root.into() },
+            source,
             omega: Omega::empty(),
             workers_per_shard: 4,
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
@@ -309,11 +312,8 @@ impl ShardedBuilder {
         }
     }
 
-    fn shard_builder(&self, initial_or_dir: Result<(Database, Formula), &Path>) -> StoreBuilder {
-        let b = match initial_or_dir {
-            Ok((db, alpha)) => StoreBuilder::new(db, alpha),
-            Err(dir) => StoreBuilder::recover(dir),
-        };
+    /// Applies the per-shard knobs to `b`.
+    fn shard_builder(&self, b: StoreBuilder) -> StoreBuilder {
         b.omega(self.omega.clone())
             .workers(self.workers_per_shard)
             .guard_cache_capacity(self.cache_capacity)
@@ -354,7 +354,7 @@ impl ShardedBuilder {
                 db.set_rel_handle(rel, initial.rel_handle(rel));
             }
             let db = normalize_domain(db);
-            let mut builder = self.shard_builder(Ok((db, shard_alpha)));
+            let mut builder = self.shard_builder(StoreBuilder::new(db, shard_alpha));
             if let Some(root) = &persist_root {
                 builder = builder.persist(root.join(format!("shard-{s}")));
             }
@@ -385,14 +385,17 @@ impl ShardedBuilder {
         let dirs = shard_dirs(&root)?;
         let decisions_dir = root.join("decisions");
         let decisions = read_decisions(&decisions_dir)?;
-        let watermark = read_watermark(&decisions_dir);
+        let watermark = read_watermark(&decisions_dir)?;
         let pending: Vec<&DecisionRecord> =
             decisions.iter().filter(|d| d.id >= watermark).collect();
 
         let mut servers = Vec::with_capacity(dirs.len());
         for (s, dir) in dirs.iter().enumerate() {
-            roll_forward_shard(dir, s as u32, &pending, &self.omega, &self.wal_opts)?;
-            servers.push(self.shard_builder(Err(dir)).build()?);
+            let mut rec = roll_forward_shard(dir, s as u32, &pending, &self.omega, &self.wal_opts)?;
+            // Decisions below the watermark are applied everywhere; the
+            // shard's checkpoints need not carry them any further.
+            rec.cross_decisions.retain(|&d| d >= watermark);
+            servers.push(self.shard_builder(StoreBuilder::resume(dir, rec)).build()?);
         }
 
         // Reconstruct the global view from the recovered shards: the
@@ -1068,11 +1071,22 @@ fn read_decisions(dir: &Path) -> Result<Vec<DecisionRecord>, StoreError> {
         .collect())
 }
 
-fn read_watermark(dir: &Path) -> u64 {
-    std::fs::read_to_string(dir.join(WATERMARK_FILE))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+/// The applied-through watermark: 0 when the file does not exist (no
+/// clean shutdown yet), a typed error when it cannot be read or parsed —
+/// a silent 0 would reopen every decision for roll-forward.
+fn read_watermark(dir: &Path) -> Result<u64, StoreError> {
+    let path = dir.join(WATERMARK_FILE);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(wal::io_err(&path, e).into()),
+    };
+    text.trim().parse().map_err(|e| {
+        StoreError::Wal(WalError::BadCheckpoint {
+            path: path.display().to_string(),
+            detail: format!("not a decision id: {e}"),
+        })
+    })
 }
 
 /// Atomically (write + fsync + rename + dir fsync) records that every
@@ -1086,93 +1100,86 @@ fn write_watermark(dir: &Path, through: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Rolls decided-but-unapplied branches forward into `shard`'s log:
-/// replays the recovered state, applies each missing decision's ground
+/// Recovers `shard`'s log and rolls decided-but-unapplied branches
+/// forward into it, in one replay: applies each missing decision's ground
 /// delta in decision-log **append order** (the order the decisions' holds
 /// released — see [`read_decisions`]; id order can invert it and would
-/// reconstruct a state the coordinators never decided), and appends the
-/// corresponding [`Event::Cross`] (and any unseen shape declaration).
-/// Appending at the tail is sound because the decision's holds blocked
-/// every conflicting commit until the branch applied — a branch missing
-/// from the log has no successor that contradicts it. Returns how many
-/// branches were rolled forward.
+/// reconstruct a state the coordinators never decided), verifies the
+/// resulting [`Event::Cross`] through the replay kernel, and appends it
+/// (and any unseen shape declaration). Appending at the tail is sound
+/// because the decision's holds blocked every conflicting commit until the
+/// branch applied — a branch missing from the log has no successor that
+/// contradicts it. Returns the recovery extended by the rolled-forward
+/// commits, for the shard server to resume from.
 fn roll_forward_shard(
     dir: &Path,
     shard: u32,
     pending: &[&DecisionRecord],
     omega: &Omega,
     wal_opts: &WalOptions,
-) -> Result<usize, StoreError> {
-    let rec = wal::recover(dir, omega, RecoveryOptions::default())?;
-    let applied: BTreeSet<u64> = rec
-        .events
+) -> Result<Recovered, StoreError> {
+    let mut rec = wal::recover(dir, omega, RecoveryOptions::default())?;
+    let todo: Vec<(u64, &DecisionBranch)> = pending
         .iter()
-        .filter_map(|e| match e {
-            Event::Cross { decision, .. } => Some(*decision),
-            _ => None,
-        })
-        .collect();
-    let todo: Vec<(&DecisionRecord, &DecisionBranch)> = pending
-        .iter()
-        .filter(|d| !applied.contains(&d.id))
+        .filter(|d| !rec.cross_decisions.contains(&d.id))
         .filter_map(|d| {
             d.branches
                 .iter()
                 .find(|b| b.shard == shard)
-                .map(|b| (*d, b))
+                .map(|b| (d.id, b))
         })
         .collect();
     if todo.is_empty() {
-        return Ok(0);
+        return Ok(rec);
     }
 
     let (mut writer, _logged_shapes) = WalWriter::resume(dir, wal_opts.clone())?;
-    let mut shape_ids: BTreeMap<String, u64> =
-        rec.templates.iter().map(|(id, t)| (t.key(), *id)).collect();
-    let mut next_shape = rec.templates.len() as u64;
-    let mut db = rec.db;
-    let rolled = todo.len();
-    for (version, (d, branch)) in (rec.version + 1..).zip(todo) {
+    let mut replay = Replayer::new(
+        rec.alpha.clone(),
+        omega.clone(),
+        rec.db.clone(),
+        rec.version,
+    );
+    for (decision, branch) in todo {
         let (template, bindings) = canonicalize(&branch.program).map_err(StoreError::Tx)?;
-        let key = template.key();
-        let shape = match shape_ids.get(&key) {
-            Some(&id) => id,
+        let shape = match rec.templates.iter().find(|(_, t)| **t == template) {
+            Some((&id, _)) => id,
             None => {
-                let id = next_shape;
-                next_shape += 1;
+                let id = rec.templates.len() as u64;
                 writer.append(&Record::Shape {
                     id,
                     template: template.clone(),
                 })?;
-                shape_ids.insert(key, id);
+                rec.templates.insert(id, template);
                 id
             }
         };
-        let new_db = branch
+        let post = branch
             .program
-            .run(&db, omega)
+            .run(&replay.db, omega)
             .map(normalize_domain)
             .map_err(|e| StoreError::Unshardable {
                 detail: format!(
-                    "decision {} branch for shard {shard} no longer applies: {e}",
-                    d.id
+                    "decision {decision} branch for shard {shard} no longer applies: {e}"
                 ),
             })?;
-        let hash = root_hash(&new_db);
-        writer.append(&Record::Event(Event::Cross {
+        let event = Event::Cross {
             tx: branch.tx,
-            decision: d.id,
+            decision,
             based_on: branch.based_on,
-            version,
+            version: replay.version + 1,
             writes: branch.program.touched_relations().into_iter().collect(),
             shape,
             bindings,
-            root_hash: hash,
-        }))?;
-        db = new_db;
+            root_hash: root_hash(&post),
+        };
+        replay.commit(&event, &rec.templates)?;
+        writer.append(&Record::Event(event.clone()))?;
+        rec.push(event);
     }
     writer.sync()?;
-    Ok(rolled)
+    rec.settle(replay);
+    Ok(rec)
 }
 
 // --- sharded cold audit ----------------------------------------------------
@@ -1201,17 +1208,18 @@ impl ShardedAuditReport {
 }
 
 /// Cold-audits a persisted sharded store: every shard's log is replayed
-/// and verified on its own (the per-shard [`AuditReport`]s), then the
-/// coordinator's decision log is cross-checked against the shards'
-/// `Cross` records — every `Cross` must reference a durable decision
-/// whose branch matches it (tx, based_on, and the delta program's
-/// canonical provenance), and every decided branch at or above the
-/// watermark must have applied.
+/// once and verified on its own ([`cold_audit_dir`], the per-shard
+/// [`AuditReport`]s), then the coordinator's decision log is cross-checked
+/// against the shards' `Cross` records — every `Cross` must reference a
+/// durable decision whose branch matches it (tx, based_on, and the delta
+/// program's canonical provenance), and every decided branch at or above
+/// the watermark must have applied (its `Cross` record survives, or a
+/// shard checkpoint records it as covered).
 pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditReport, StoreError> {
     let dirs = shard_dirs(root)?;
     let decisions_dir = root.join("decisions");
     let decisions = read_decisions(&decisions_dir)?;
-    let watermark = read_watermark(&decisions_dir);
+    let watermark = read_watermark(&decisions_dir)?;
     let by_id: BTreeMap<u64, &DecisionRecord> = decisions.iter().map(|d| (d.id, d)).collect();
 
     let mut problems = Vec::new();
@@ -1219,16 +1227,11 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
     let mut cross_events = 0usize;
     let mut applied: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
     for (s, dir) in dirs.iter().enumerate() {
-        let rec = wal::recover(dir, omega, RecoveryOptions::default())?;
-        shard_reports.push(cold_audit_from(
-            &rec.alpha,
-            omega,
-            rec.base_version,
-            &rec.initial,
-            &rec.db,
-            &rec.events,
-            &rec.templates,
-        ));
+        let (rec, report) = cold_audit_dir(dir, omega)?;
+        shard_reports.push(report);
+        for &d in &rec.cross_decisions {
+            applied.entry(d).or_default().insert(s as u32);
+        }
         for e in &rec.events {
             let Event::Cross {
                 tx,
@@ -1242,7 +1245,6 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
                 continue;
             };
             cross_events += 1;
-            applied.entry(*decision).or_default().insert(s as u32);
             let Some(d) = by_id.get(decision) else {
                 problems.push(format!(
                     "shard {s}: Cross record for tx {tx} references decision {decision}, \

@@ -414,7 +414,7 @@ impl VersionedStore {
             .with_wal(|log| {
                 log.writer.sync()?;
                 let offset = log.writer.offset();
-                crate::wal::write_checkpoint(
+                crate::wal::write_checkpoint_covering(
                     log.writer.dir(),
                     &crate::wal::Checkpoint {
                         offset,
@@ -427,6 +427,7 @@ impl VersionedStore {
                         db: (*s.db).clone(),
                         templates,
                     },
+                    &log.cross_decisions,
                 )?;
                 // Retention: segments the fresh checkpoint fully covers are
                 // dead weight — recovery will never read them again — and

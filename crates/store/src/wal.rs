@@ -32,25 +32,27 @@
 //!   process kill but not necessarily power loss).
 //! * **Checkpoints.** A checkpoint file is one checksummed record holding
 //!   the full database encoding, the guard cache's shape identities, the
-//!   constraint, and the log offset it covers. One is written at genesis
-//!   (so recovery always has a floor), on demand
+//!   constraint, the log offset it covers, and the ids of the cross-shard
+//!   decisions whose `Cross` records it covers (so retention may delete
+//!   those records without the decisions looking unapplied). One is
+//!   written at genesis (so recovery always has a floor), on demand
 //!   ([`StoreServer::checkpoint`](crate::StoreServer::checkpoint)), and at
 //!   clean shutdown.
-//! * **Recovery is a cold audit.** [`recover`] loads a checkpoint and
-//!   replays the log tail through the *rollback* path
-//!   ([`RuntimeChecked`]): every replayed commit must re-derive from its
-//!   recorded provenance, pass the deferred constraint check, and
-//!   reproduce its recorded root hash. A torn tail (a record the crash
-//!   cut short) is detected by checksum and cleanly discarded; a corrupt
-//!   *interior* record is a hard, typed [`WalError::Corrupt`] — that log
-//!   was tampered with or the disk is lying, and no prefix of it should be
-//!   trusted silently.
+//! * **Recovery is a cold audit.** [`recover`] (in
+//!   [`replay`](crate::replay), re-exported here) loads a checkpoint and
+//!   replays the log tail through the replay kernel: every replayed commit
+//!   must re-derive from its recorded provenance, pass the deferred
+//!   constraint check, and reproduce its recorded root hash. A torn tail
+//!   (a record the crash cut short) is detected by checksum and cleanly
+//!   discarded; a corrupt *interior* record is a hard, typed
+//!   [`WalError::Corrupt`] — that log was tampered with or the disk is
+//!   lying, and no prefix of it should be trusted silently.
 
 use crate::exec::TxOutcome;
-use crate::history::{fnv1a_64, root_hash, state_hash, Event};
+use crate::history::{fnv1a_64, Event};
 use crate::metrics::{names, StoreMetrics};
+pub use crate::replay::{recover, Recovered, RecoveryError, RecoveryOptions};
 use crate::session::TicketState;
-use crate::snapshot::VersionedStore;
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -59,23 +61,22 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vpdt_core::safe::RuntimeChecked;
-use vpdt_eval::Omega;
 use vpdt_logic::{Elem, Formula, Schema};
 use vpdt_obs::TraceStage;
 use vpdt_structure::Database;
 use vpdt_tx::codec::{self, CodecError, Cursor};
-use vpdt_tx::program::{Program, ProgramTransaction};
+use vpdt_tx::program::Program;
 use vpdt_tx::template::Template;
-use vpdt_tx::traits::{Transaction, TxError};
+use vpdt_tx::traits::TxError;
 
 /// On-disk format version; bumped on any incompatible change. Version 2
 /// redefined the commit hash: commit records (and checkpoint anchors) now
 /// carry the per-relation commitment [root hash](crate::history::root_hash)
 /// instead of the monolithic full-encoding hash, so version-1 artifacts are
 /// rejected with a typed [`WalError::Version`] rather than silently
-/// re-interpreted.
-pub const FORMAT_VERSION: u32 = 2;
+/// re-interpreted. Version 3 appended to every checkpoint the ids of the
+/// cross-shard decisions whose `Cross` records it covers.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of record framing: `u32` length + `u64` checksum.
 const FRAME_HEADER: usize = 12;
@@ -134,7 +135,8 @@ pub enum WalError {
         /// The directory scanned.
         dir: String,
     },
-    /// A checkpoint file fails its checksum or does not decode.
+    /// A checkpoint file — or the decision log's applied-through
+    /// watermark — fails its checksum or does not decode.
     BadCheckpoint {
         /// The checkpoint file.
         path: String,
@@ -179,120 +181,10 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-fn io_err(path: &Path, e: std::io::Error) -> WalError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> WalError {
     WalError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
-    }
-}
-
-/// Why a recovery refused the on-disk state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecoveryError {
-    /// The log itself is unreadable.
-    Wal(WalError),
-    /// Snapshot and log disagree: the checkpoint points past the end of the
-    /// log, its recorded hash does not match the commit record it claims to
-    /// cover, its own state does not hash to what it recorded, or two
-    /// declarations of one shape id differ.
-    Divergence {
-        /// What diverged.
-        detail: String,
-    },
-    /// A replayed event references a statement shape no checkpoint or
-    /// shape record declares.
-    UnknownShape {
-        /// The transaction whose event referenced it.
-        tx: u64,
-        /// The unknown shape id.
-        shape: u64,
-    },
-    /// A recorded `(shape, bindings)` provenance does not instantiate.
-    Provenance {
-        /// The transaction with bad provenance.
-        tx: u64,
-        /// What was wrong.
-        detail: String,
-    },
-    /// Replaying a committed transaction produced a different root hash
-    /// than the log recorded — a tampered or reordered log.
-    HashMismatch {
-        /// The transaction.
-        tx: u64,
-        /// Its commit version.
-        version: u64,
-        /// The hash the log recorded.
-        recorded: u64,
-        /// The hash the replay produced.
-        computed: u64,
-    },
-    /// The deferred check-and-rollback path rejects a commit the log claims
-    /// happened: the constraint would have been violated.
-    Rejected {
-        /// The transaction.
-        tx: u64,
-        /// Its commit version.
-        version: u64,
-        /// The rollback path's reason.
-        reason: String,
-    },
-    /// A committed transaction fails to re-execute at all.
-    Replay {
-        /// The transaction.
-        tx: u64,
-        /// Its commit version.
-        version: u64,
-        /// The execution error.
-        detail: String,
-    },
-}
-
-impl fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryError::Wal(e) => write!(f, "{e}"),
-            RecoveryError::Divergence { detail } => {
-                write!(f, "snapshot/log divergence: {detail}")
-            }
-            RecoveryError::UnknownShape { tx, shape } => {
-                write!(f, "tx {tx} references undeclared statement shape {shape}")
-            }
-            RecoveryError::Provenance { tx, detail } => {
-                write!(f, "tx {tx} has unusable provenance: {detail}")
-            }
-            RecoveryError::HashMismatch {
-                tx,
-                version,
-                recorded,
-                computed,
-            } => write!(
-                f,
-                "replaying tx {tx} at version {version} produces state hash {computed:#x}, \
-                 log records {recorded:#x}"
-            ),
-            RecoveryError::Rejected {
-                tx,
-                version,
-                reason,
-            } => write!(
-                f,
-                "log commits tx {tx} at version {version}, but check-and-rollback rejects \
-                 it there: {reason}"
-            ),
-            RecoveryError::Replay {
-                tx,
-                version,
-                detail,
-            } => write!(f, "tx {tx} fails to replay at version {version}: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {}
-
-impl From<WalError> for RecoveryError {
-    fn from(e: WalError) -> Self {
-        RecoveryError::Wal(e)
     }
 }
 
@@ -927,11 +819,15 @@ fn open_segment(dir: &Path, seq: u64, base_offset: u64) -> Result<(File, u64), W
 
 /// The durable attachment a persisted [`History`](crate::History) carries:
 /// the writer plus the bookkeeping of which shapes are already declared on
-/// disk and how commits reach stable storage.
+/// disk, which cross-shard decisions the log has applied, and how commits
+/// reach stable storage.
 #[derive(Debug)]
 pub(crate) struct DurableLog {
     pub(crate) writer: WalWriter,
     logged_shapes: BTreeSet<u64>,
+    /// Ids of the decisions whose `Cross` records this log holds (or held
+    /// before retention): what the next checkpoint records as covered.
+    pub(crate) cross_decisions: BTreeSet<u64>,
     fsync_commits: bool,
     /// The durable phase, when one is configured: commit appends tell the
     /// flusher how far the log has grown so its next fsync knows what it
@@ -943,12 +839,14 @@ impl DurableLog {
     pub(crate) fn new(
         writer: WalWriter,
         logged_shapes: BTreeSet<u64>,
+        cross_decisions: BTreeSet<u64>,
         flusher: Option<Arc<GroupCommitFlusher>>,
     ) -> Self {
         let fsync_commits = writer.opts.fsync_commits;
         DurableLog {
             writer,
             logged_shapes,
+            cross_decisions,
             fsync_commits,
             flusher,
         }
@@ -965,6 +863,9 @@ impl DurableLog {
     /// a [`Record`].
     pub(crate) fn append_event(&mut self, e: &Event) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(&encode_event(e))?;
+        if let Event::Cross { decision, .. } = e {
+            self.cross_decisions.insert(*decision);
+        }
         if matches!(e, Event::Commit { .. }) {
             if let Some(flusher) = &self.flusher {
                 flusher.note_append(
@@ -1818,8 +1719,20 @@ fn checkpoint_path(dir: &Path, offset: u64) -> PathBuf {
 }
 
 /// Writes a checkpoint file atomically (temp + fsync + rename) and returns
-/// its path.
+/// its path. It records no covered cross-shard decisions — right for a
+/// genesis checkpoint; a serving store records the decisions its log has
+/// applied.
 pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> Result<PathBuf, WalError> {
+    write_checkpoint_covering(dir, ck, &BTreeSet::new())
+}
+
+/// [`write_checkpoint`], recording `cross_decisions` — the ids of the
+/// cross-shard decisions applied at or before the checkpoint — as covered.
+pub(crate) fn write_checkpoint_covering(
+    dir: &Path,
+    ck: &Checkpoint,
+    cross_decisions: &BTreeSet<u64>,
+) -> Result<PathBuf, WalError> {
     let mut payload = vec![TAG_CHECKPOINT];
     codec::put_u32(&mut payload, FORMAT_VERSION);
     codec::put_u64(&mut payload, ck.offset);
@@ -1834,6 +1747,10 @@ pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> Result<PathBuf, WalError
     for (id, t) in &ck.templates {
         codec::put_u64(&mut payload, *id);
         codec::encode_program(t.shape(), &mut payload);
+    }
+    codec::put_u32(&mut payload, cross_decisions.len() as u32);
+    for id in cross_decisions {
+        codec::put_u64(&mut payload, *id);
     }
     let framed = frame(&payload);
 
@@ -1855,7 +1772,13 @@ pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> Result<PathBuf, WalError
 
 /// Reads and verifies one checkpoint file.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
-    let path = path.as_ref();
+    read_checkpoint_covering(path.as_ref()).map(|(ck, _)| ck)
+}
+
+/// [`read_checkpoint`], plus the cross-shard decision ids it covers.
+pub(crate) fn read_checkpoint_covering(
+    path: &Path,
+) -> Result<(Checkpoint, BTreeSet<u64>), WalError> {
     let bad = |detail: String| WalError::BadCheckpoint {
         path: path.display().to_string(),
         detail,
@@ -1892,7 +1815,7 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
             expected: FORMAT_VERSION,
         });
     }
-    (|| -> Result<Checkpoint, String> {
+    (|| -> Result<(Checkpoint, BTreeSet<u64>), String> {
         let offset = c.u64("offset").map_err(|e| e.to_string())?;
         let version = c.u64("version").map_err(|e| e.to_string())?;
         let next_tx = c.u64("next_tx").map_err(|e| e.to_string())?;
@@ -1912,8 +1835,13 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
             let t = Template::from_shape(shape).map_err(|e: TxError| e.to_string())?;
             templates.insert(id, t);
         }
+        let n = c.count("decision count").map_err(|e| e.to_string())?;
+        let cross_decisions = (0..n)
+            .map(|_| c.u64("decision id"))
+            .collect::<Result<BTreeSet<u64>, _>>()
+            .map_err(|e| e.to_string())?;
         c.finish().map_err(|e| e.to_string())?;
-        Ok(Checkpoint {
+        let ck = Checkpoint {
             offset,
             version,
             next_tx,
@@ -1923,7 +1851,8 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
             schema,
             db,
             templates,
-        })
+        };
+        Ok((ck, cross_decisions))
     })()
     .map_err(bad)
 }
@@ -1962,416 +1891,10 @@ pub fn read_genesis(dir: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
     }
 }
 
-// --- recovery --------------------------------------------------------------
-
-/// Knobs of [`recover`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecoveryOptions {
-    /// Ignore later checkpoints and replay the entire surviving log from
-    /// the *floor* checkpoint — the genesis for a full log, the oldest
-    /// checkpoint that still covers the first surviving record after
-    /// segment retention. Slower; used by audits and by the property test
-    /// that pins `recover(checkpoint + tail)` to the full replay.
-    pub from_genesis: bool,
-}
-
-/// What a successful recovery reconstructed and verified.
-#[derive(Clone, Debug)]
-pub struct Recovered {
-    /// The recovered state.
-    pub db: Database,
-    /// The recovered store version.
-    pub version: u64,
-    /// FNV-1a hash of the recovered state's full encoding (the
-    /// [`state_hash`](crate::history::state_hash) self-check value).
-    pub state_hash: u64,
-    /// [Root hash](crate::history::root_hash) of the recovered state —
-    /// matches the last durable commit's recorded `root_hash`.
-    pub root_hash: u64,
-    /// The next transaction id a resumed server should assign.
-    pub next_tx: u64,
-    /// Every statement shape declared by checkpoint or log, by id.
-    pub templates: BTreeMap<u64, Template>,
-    /// The event history from the floor checkpoint onward (shape records
-    /// excluded) — the full history from genesis unless segment retention
-    /// deleted a covered prefix.
-    pub events: Vec<Event>,
-    /// The constraint recorded at the checkpoint.
-    pub alpha: Formula,
-    /// The schema recorded at the checkpoint.
-    pub schema: Schema,
-    /// The floor checkpoint's state — what a cold audit replays
-    /// [`events`](Recovered::events) from (the genesis state for a full
-    /// log).
-    pub initial: Database,
-    /// The floor checkpoint's version: `initial` is the store at this
-    /// version, and the first event in [`events`](Recovered::events)
-    /// commits at `base_version + 1`. Zero for a full log.
-    pub base_version: u64,
-    /// Each relation's last-writer version, reconstructed from the
-    /// replayed commit footprints (relations not written since the floor
-    /// checkpoint carry `base_version`) — what a resumed store seeds its
-    /// conflict validation with, so the first post-recovery disjoint
-    /// commits validate against real history instead of a coarse
-    /// recovery-point stamp.
-    pub rel_versions: BTreeMap<String, u64>,
-    /// Commits replayed (and verified) from the log tail.
-    pub commits_replayed: usize,
-    /// Log offset of the checkpoint recovery started from.
-    pub checkpoint_offset: u64,
-    /// Torn bytes discarded from the tail (0 = the log ended cleanly).
-    pub torn_bytes: u64,
-}
-
-/// Recovers the store state from `dir`: loads the newest checkpoint
-/// (or genesis, under [`RecoveryOptions::from_genesis`]), then replays the
-/// log tail — verifying, for every commit, that its `(shape, bindings)`
-/// provenance instantiates, that the deferred check-and-rollback path
-/// accepts it, and that it reproduces the recorded state hash. Recovery
-/// *is* a cold audit of the tail; [`crate::audit::cold_audit`] extends the
-/// same verification to the whole log.
-///
-/// `omega` is the Ω interpretation programs run under — interpretations
-/// are code, not data, so the caller supplies the same one the original
-/// server ran with.
-pub fn recover(
-    dir: impl AsRef<Path>,
-    omega: &Omega,
-    opts: RecoveryOptions,
-) -> Result<Recovered, RecoveryError> {
-    let dir = dir.as_ref();
-    let scan = scan_log(dir)?;
-    let cks = list_checkpoints(dir)?;
-    let (_, latest_path) = cks.last().ok_or_else(|| WalError::NoCheckpoint {
-        dir: dir.display().to_string(),
-    })?;
-    // The *floor* checkpoint: the oldest one that can serve as a replay
-    // base for the surviving log — genesis for a full log, the oldest
-    // checkpoint at or past the first surviving record after segment
-    // retention.
-    let (_, floor_path) = cks
-        .iter()
-        .find(|(off, _)| *off >= scan.base_offset)
-        .ok_or_else(|| RecoveryError::Divergence {
-            detail: format!(
-                "the log starts at offset {} but no checkpoint covers that far",
-                scan.base_offset
-            ),
-        })?;
-    let floor = read_checkpoint(floor_path)?;
-    if scan.base_offset == 0 {
-        if floor.offset != 0 {
-            return Err(WalError::NoCheckpoint {
-                dir: dir.display().to_string(),
-            }
-            .into());
-        }
-        if floor.version != 0 {
-            return Err(RecoveryError::Divergence {
-                detail: "genesis checkpoint does not describe version 0 at offset 0".to_string(),
-            });
-        }
-    }
-    let ck = if opts.from_genesis || latest_path == floor_path {
-        // Re-reading (and re-decoding the full database of) the same
-        // checkpoint file would double recovery's startup cost.
-        floor.clone()
-    } else {
-        read_checkpoint(latest_path)?
-    };
-
-    // Every checkpoint in play must be internally consistent: the full
-    // encoding hash (snapshot integrity) and the commitment root (the
-    // anchor value commits record) must both match its state.
-    for c in [&floor, &ck] {
-        if state_hash(&c.db) != c.state_hash {
-            return Err(RecoveryError::Divergence {
-                detail: format!(
-                    "checkpoint at offset {} records state hash {:#x} but its state hashes \
-                     to {:#x}",
-                    c.offset,
-                    c.state_hash,
-                    state_hash(&c.db)
-                ),
-            });
-        }
-        if root_hash(&c.db) != c.root_hash {
-            return Err(RecoveryError::Divergence {
-                detail: format!(
-                    "checkpoint at offset {} records root hash {:#x} but its state's root \
-                     is {:#x}",
-                    c.offset,
-                    c.root_hash,
-                    root_hash(&c.db)
-                ),
-            });
-        }
-    }
-    // ...within the surviving log's extent...
-    let log_end = scan.base_offset + scan.records.len() as u64;
-    if ck.offset < scan.base_offset || ck.offset > log_end {
-        return Err(RecoveryError::Divergence {
-            detail: format!(
-                "checkpoint covers {} records but the log holds only offsets {}..{}",
-                ck.offset, scan.base_offset, log_end
-            ),
-        });
-    }
-    // ...and anchored to the commit record it claims to cover.
-    let last_commit_covered = scan.records[..(ck.offset - scan.base_offset) as usize]
-        .iter()
-        .rev()
-        .find_map(|r| match &r.record {
-            Record::Event(
-                Event::Commit {
-                    version, root_hash, ..
-                }
-                | Event::Cross {
-                    version, root_hash, ..
-                },
-            ) => Some((*version, *root_hash)),
-            _ => None,
-        });
-    match last_commit_covered {
-        Some((v, h)) => {
-            if v != ck.version || h != ck.root_hash {
-                return Err(RecoveryError::Divergence {
-                    detail: format!(
-                        "checkpoint claims version {} (root hash {:#x}) but the last covered \
-                         commit is version {v} (root hash {h:#x})",
-                        ck.version, ck.root_hash
-                    ),
-                });
-            }
-        }
-        None => {
-            // No covered commit survives. On a full log that means the
-            // checkpoint must be genesis-shaped; after retention the
-            // covering commits may simply have been deleted, and the
-            // self-hash check above remains the anchor.
-            if scan.base_offset == 0 && ck.version != 0 {
-                return Err(RecoveryError::Divergence {
-                    detail: format!(
-                        "checkpoint claims version {} but covers no commit records",
-                        ck.version
-                    ),
-                });
-            }
-        }
-    }
-
-    // Shape identities: checkpointed templates plus every declaration in
-    // the log. Conflicting declarations of one id are tampering.
-    let mut templates = floor.templates.clone();
-    for (id, template) in &ck.templates {
-        if let Some(prev) = templates.get(id) {
-            if prev != template {
-                return Err(RecoveryError::Divergence {
-                    detail: format!("shape {id} is declared twice with different templates"),
-                });
-            }
-        } else {
-            templates.insert(*id, template.clone());
-        }
-    }
-    for r in &scan.records {
-        if let Record::Shape { id, template } = &r.record {
-            if let Some(prev) = templates.get(id) {
-                if prev != template {
-                    return Err(RecoveryError::Divergence {
-                        detail: format!("shape {id} is declared twice with different templates"),
-                    });
-                }
-            } else {
-                templates.insert(*id, template.clone());
-            }
-        }
-    }
-
-    // Replay the tail, verifying as we go: recovery is a cold audit.
-    let mut db = ck.db.clone();
-    let mut version = ck.version;
-    let mut commits_replayed = 0usize;
-    for r in &scan.records[(ck.offset - scan.base_offset) as usize..] {
-        // A `Cross` record replays exactly like a `Commit`: its
-        // `(shape, bindings)` provenance reconstructs the shard-local
-        // delta program, which must re-derive, pass check-and-rollback,
-        // and reproduce the recorded root — the decision id it carries is
-        // cross-checked against the decision log by the sharded recovery.
-        let Record::Event(
-            Event::Commit {
-                tx,
-                version: v,
-                shape,
-                bindings,
-                root_hash: recorded,
-                ..
-            }
-            | Event::Cross {
-                tx,
-                version: v,
-                shape,
-                bindings,
-                root_hash: recorded,
-                ..
-            },
-        ) = &r.record
-        else {
-            continue;
-        };
-        if *v != version + 1 {
-            return Err(RecoveryError::Divergence {
-                detail: format!(
-                    "commit of tx {tx} has version {v}, expected {} (reordered or dropped \
-                     commit)",
-                    version + 1
-                ),
-            });
-        }
-        let template = templates.get(shape).ok_or(RecoveryError::UnknownShape {
-            tx: *tx,
-            shape: *shape,
-        })?;
-        let program = template
-            .instantiate(bindings)
-            .map_err(|e| RecoveryError::Provenance {
-                tx: *tx,
-                detail: e.to_string(),
-            })?;
-        let checked = RuntimeChecked::new(
-            ProgramTransaction::new("recovery", program, omega.clone()),
-            ck.alpha.clone(),
-            omega.clone(),
-        );
-        match checked.apply(&db) {
-            Ok(next) => {
-                let computed = root_hash(&next);
-                if computed != *recorded {
-                    return Err(RecoveryError::HashMismatch {
-                        tx: *tx,
-                        version: *v,
-                        recorded: *recorded,
-                        computed,
-                    });
-                }
-                db = next;
-                version = *v;
-                commits_replayed += 1;
-            }
-            Err(TxError::Aborted(reason)) => {
-                return Err(RecoveryError::Rejected {
-                    tx: *tx,
-                    version: *v,
-                    reason,
-                })
-            }
-            Err(e) => {
-                return Err(RecoveryError::Replay {
-                    tx: *tx,
-                    version: *v,
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-
-    let events: Vec<Event> = scan
-        .records
-        .iter()
-        .filter(|r| r.offset >= floor.offset)
-        .filter_map(|r| match &r.record {
-            Record::Event(e) => Some(e.clone()),
-            Record::Shape { .. } | Record::Decision(_) => None,
-        })
-        .collect();
-    let max_tx = events
-        .iter()
-        .map(|e| match e {
-            Event::Begin { tx, .. }
-            | Event::GuardEval { tx, .. }
-            | Event::Commit { tx, .. }
-            | Event::Abort { tx, .. }
-            | Event::Cross { tx, .. } => *tx,
-        })
-        .max();
-    let next_tx = ck
-        .next_tx
-        .max(floor.next_tx)
-        .max(max_tx.map_or(0, |t| t + 1));
-
-    // Each relation's actual last writer, reconstructed from the commit
-    // footprints since the floor — finer than stamping every relation with
-    // the recovery point, so the first post-recovery disjoint commits
-    // validate against real history. Relations unwritten since the floor
-    // carry the floor version (their true last writer is at or below it,
-    // and every post-resume snapshot is above it, so the seed can only be
-    // exact-or-conservative).
-    let mut rel_versions: BTreeMap<String, u64> = ck
-        .schema
-        .iter()
-        .map(|(name, _)| (name.to_string(), floor.version))
-        .collect();
-    for e in &events {
-        if let Event::Commit {
-            version: v, writes, ..
-        }
-        | Event::Cross {
-            version: v, writes, ..
-        } = e
-        {
-            for w in writes {
-                let slot = rel_versions.entry(w.clone()).or_insert(0);
-                *slot = (*slot).max(*v);
-            }
-        }
-    }
-
-    Ok(Recovered {
-        state_hash: state_hash(&db),
-        root_hash: root_hash(&db),
-        db,
-        version,
-        next_tx,
-        templates,
-        events,
-        alpha: ck.alpha,
-        schema: ck.schema,
-        initial: floor.db,
-        base_version: floor.version,
-        rel_versions,
-        commits_replayed,
-        checkpoint_offset: ck.offset,
-        torn_bytes: scan.torn_bytes,
-    })
-}
-
-impl VersionedStore {
-    /// Recovers a store from a persisted directory: the durable analogue of
-    /// [`VersionedStore::new`] (the crate re-exports `VersionedStore` as
-    /// [`Store`](crate::Store)). Replays snapshot + log tail with full
-    /// hash and provenance verification — see [`recover`] — and returns
-    /// the live store (history seeded with the recovered events) together
-    /// with the recovery report. To resume *serving*, hand the directory to
-    /// [`StoreBuilder::recover`](crate::StoreBuilder::recover) instead.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        omega: &Omega,
-    ) -> Result<(VersionedStore, Recovered), RecoveryError> {
-        let r = recover(dir, omega, RecoveryOptions::default())?;
-        let store = VersionedStore::resume(
-            r.db.clone(),
-            r.version,
-            crate::history::History::with_events(r.events.clone()),
-            r.rel_versions.clone(),
-        );
-        Ok((store, r))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpdt_tx::program::Program;
+    use crate::history::{root_hash, state_hash};
     use vpdt_tx::template::canonicalize;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -2596,6 +2119,35 @@ mod tests {
             read_checkpoint(&path),
             Err(WalError::BadCheckpoint { .. })
         ));
+    }
+
+    /// A checkpoint carries the cross-shard decisions it covers, so a
+    /// decision whose `Cross` record retention deletes still reads as
+    /// applied; the public writer records none.
+    #[test]
+    fn checkpoints_carry_their_covered_decisions() {
+        let dir = tmp_dir("ckpt-decisions");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let db = Database::graph([(0, 1)]);
+        let ck = Checkpoint {
+            offset: 0,
+            version: 0,
+            next_tx: 0,
+            state_hash: state_hash(&db),
+            root_hash: root_hash(&db),
+            alpha: Formula::True,
+            schema: db.schema().clone(),
+            db,
+            templates: BTreeMap::new(),
+        };
+        let path = write_checkpoint(&dir, &ck).expect("writes");
+        let (_, covered) = read_checkpoint_covering(&path).expect("reads");
+        assert!(covered.is_empty());
+        let decisions = BTreeSet::from([3, 9, 40]);
+        let path = write_checkpoint_covering(&dir, &ck, &decisions).expect("writes");
+        let (back, covered) = read_checkpoint_covering(&path).expect("reads");
+        assert_eq!(covered, decisions);
+        assert_eq!(back.db, ck.db);
     }
 
     /// A checkpoint written by an older format (for instance the version-1

@@ -831,16 +831,15 @@ fn run_net_drive(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Recovers a persisted directory and runs the full cold audit over it —
-/// from the genesis state when the whole log survives, from the floor
-/// checkpoint when segment retention has deleted a covered prefix.
+/// Cold-audits a persisted directory in one pass — every surviving commit
+/// replayed once, from the genesis state when the whole log survives,
+/// from the floor checkpoint when segment retention has deleted a covered
+/// prefix.
 fn cold_audit_dir(dir: &str, omega: &Omega) -> Result<vpdt::store::AuditReport, String> {
-    use vpdt::store::wal::{self, RecoveryOptions};
-    let recovered = wal::recover(dir, omega, RecoveryOptions::default())
+    let (recovered, verdict) = vpdt::store::cold_audit_dir(dir, omega)
         .map_err(|e| format!("recovery of {dir} failed: {e}"))?;
     println!(
-        "cold log {dir}: recovered version {} (root hash {:#018x}), {} events{}, \
-         {} commits replayed from the latest checkpoint{}",
+        "cold log {dir}: replayed to version {} (root hash {:#018x}), {} events{}{}",
         recovered.version,
         recovered.root_hash,
         recovered.events.len(),
@@ -852,22 +851,13 @@ fn cold_audit_dir(dir: &str, omega: &Omega) -> Result<vpdt::store::AuditReport, 
         } else {
             String::new()
         },
-        recovered.commits_replayed,
         if recovered.torn_bytes > 0 {
             format!(", {} torn tail bytes discarded", recovered.torn_bytes)
         } else {
             String::new()
         }
     );
-    Ok(vpdt::store::cold_audit_from(
-        &recovered.alpha,
-        omega,
-        recovered.base_version,
-        &recovered.initial,
-        &recovered.db,
-        &recovered.events,
-        &recovered.templates,
-    ))
+    Ok(verdict)
 }
 
 /// `vpdtool wal gc DIR`: the standalone retention pass — delete every log

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::store::wal::{self, RecoveryOptions, WalError};
 use vpdt::store::{
-    cold_audit, workload, Event, RecoveryError, Store, StoreBuilder, StoreError, TxOutcome,
-    WalOptions,
+    cold_audit, cold_audit_dir, cold_audit_from, workload, Event, RecoveryError, Store,
+    StoreBuilder, StoreError, TxOutcome, WalOptions,
 };
 
 const RELS: usize = 3;
@@ -571,4 +571,113 @@ fn undeclared_shape_is_typed() {
 
 fn record_len(bytes: &[u8], start: usize) -> usize {
     u32::from_le_bytes(bytes[start..start + 4].try_into().expect("4 bytes")) as usize
+}
+
+/// Writes `events` (and the shape declarations they need) as a fresh log
+/// in `dir` over `genesis` — a tampered copy of a real run's log, framed
+/// with valid checksums.
+fn write_log(dir: &Path, genesis: &wal::Checkpoint, r: &wal::Recovered, events: &[Event]) {
+    let mut writer = wal::WalWriter::create(dir, fast_wal()).expect("creates");
+    wal::write_checkpoint(dir, genesis).expect("writes genesis");
+    let shapes = r.templates.iter().map(|(id, template)| wal::Record::Shape {
+        id: *id,
+        template: template.clone(),
+    });
+    for record in shapes.chain(events.iter().cloned().map(wal::Record::Event)) {
+        writer.append(&record).expect("appends");
+    }
+    writer.sync().expect("syncs");
+}
+
+/// The fail-fast path (recovery) and the collect-all path (cold audit)
+/// share one replay kernel, so every tampering recovery refuses must also
+/// fail the cold audit — with the very same fault, naming the same tx.
+#[test]
+fn recovery_and_cold_audit_agree_on_every_tamper() {
+    let dir = tmp_dir("tamper-source");
+    persisted_run(&dir, 21, 1, 12, false);
+    let omega = Omega::empty();
+    let genesis = wal::read_genesis(&dir).expect("genesis");
+    let clean =
+        wal::recover(&dir, &omega, RecoveryOptions { from_genesis: true }).expect("recovers");
+    // Tamper with commits that changed the state: forging a no-op commit
+    // may leave the history it claims equally valid.
+    let mut root = vpdt::store::history::root_hash(&genesis.db);
+    let mut commits = Vec::new();
+    for (i, e) in clean.events.iter().enumerate() {
+        if let Event::Commit { root_hash, .. } = e {
+            if std::mem::replace(&mut root, *root_hash) != *root_hash {
+                commits.push(i);
+            }
+        }
+    }
+    assert!(
+        commits.len() >= 2,
+        "need at least two state-changing commits"
+    );
+    let (first, second) = (commits[0], commits[1]);
+
+    type Tamper = fn(&mut Vec<Event>, usize, usize);
+    let cases: [(&str, Tamper); 4] = [
+        ("forged root", |events, first, _| {
+            if let Event::Commit { root_hash, .. } = &mut events[first] {
+                *root_hash ^= 0xffff;
+            }
+        }),
+        ("reordered commit", |events, first, second| {
+            // Swap two commits' payloads but keep the versions in
+            // sequence: a different serialization.
+            events.swap(first, second);
+            let (Event::Commit { version: a, .. }, Event::Commit { version: b, .. }) =
+                (events[first].clone(), events[second].clone())
+            else {
+                unreachable!("both are commits")
+            };
+            if let Event::Commit { version, .. } = &mut events[first] {
+                *version = b;
+            }
+            if let Event::Commit { version, .. } = &mut events[second] {
+                *version = a;
+            }
+        }),
+        ("unknown shape", |events, first, _| {
+            if let Event::Commit { shape, .. } = &mut events[first] {
+                *shape = 999;
+            }
+        }),
+        ("forged binding", |events, first, _| {
+            if let Event::Commit { bindings, .. } = &mut events[first] {
+                bindings[0] = vpdt::logic::Elem(bindings[0].0 + 1);
+            }
+        }),
+    ];
+    for (name, tamper) in cases {
+        let mut events = clean.events.clone();
+        tamper(&mut events, first, second);
+        let tampered = tmp_dir("tampered");
+        write_log(&tampered, &genesis, &clean, &events);
+
+        let fault = wal::recover(&tampered, &omega, RecoveryOptions { from_genesis: true })
+            .expect_err(name)
+            .to_string();
+        let verdict = cold_audit_from(
+            &clean.alpha,
+            &omega,
+            0,
+            &genesis.db,
+            &clean.db,
+            &events,
+            &clean.templates,
+        );
+        assert!(!verdict.ok(), "{name}: the cold audit accepted it");
+        assert!(
+            verdict.problems.contains(&fault),
+            "{name}: recovery says `{fault}` but the cold audit says {verdict}"
+        );
+        let (_, verdict) = cold_audit_dir(&tampered, &omega).expect(name);
+        assert!(
+            verdict.problems.contains(&fault),
+            "{name}: recovery says `{fault}` but the one-pass audit says {verdict}"
+        );
+    }
 }

@@ -22,11 +22,12 @@
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::logic::Elem;
+use vpdt::store::replay;
 use vpdt::store::shard::{CrossCrashPoint, ROUTED_SESSION};
-use vpdt::store::wal::{DecisionBranch, DecisionRecord, Record, WalWriter};
+use vpdt::store::wal::{self, DecisionBranch, DecisionRecord, Record, WalError, WalWriter};
 use vpdt::store::{
     cold_audit_sharded, workload, CrossOutcome, Event, Routed, ShardedBuilder, ShardedStore,
-    StoreError, WalOptions,
+    StoreError, TxOutcome, WalOptions,
 };
 use vpdt::tx::program::Program;
 
@@ -292,4 +293,151 @@ fn acknowledged_cross_commits_survive_an_unclean_exit() {
     }
     recovered.shutdown();
     audit_ok(&dir);
+}
+
+/// Retention must not resurrect what a later commit undid. A cross commit
+/// inserts `R0(10, 11)`, a shard-0 commit deletes it again, and a shard-0
+/// checkpoint then deletes the segment holding the decision's `Cross`
+/// record. No clean shutdown follows, so no watermark covers the
+/// decision: recovery must still see it as applied (the checkpoint
+/// records it) instead of rolling it forward a second time.
+#[test]
+fn checkpoint_retention_does_not_resurrect_an_applied_cross_branch() {
+    let dir = tmp_dir("retention-resurrect");
+    let wal = WalOptions {
+        fsync_commits: false,
+        retain_segments: false,
+        segment_bytes: 256,
+        ..WalOptions::default()
+    };
+    let initial = workload::sharded_initial(11, RELS, 6, 0.0);
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let store = ShardedBuilder::new(initial, alpha, SHARDS)
+        .workers_per_shard(1)
+        .persist_with(&dir, wal.clone())
+        .build()
+        .expect("sharded store builds");
+    let routed = store
+        .submit(ROUTED_SESSION, cross(10, 11, 12, 13))
+        .expect("cross commit");
+    assert!(matches!(
+        routed,
+        Routed::Cross(CrossOutcome::Committed { .. })
+    ));
+    let single = |program: Program| match store.submit(ROUTED_SESSION, program) {
+        Ok(Routed::Single { ticket, .. }) => ticket.wait(),
+        other => panic!("expected a single-shard submission, got {other:?}"),
+    };
+    assert!(matches!(
+        single(Program::delete_consts("R0", [10, 11])),
+        TxOutcome::Committed { .. }
+    ));
+    for i in 0..20u64 {
+        assert!(matches!(
+            single(Program::insert_consts("R0", [100 + i, 0])),
+            TxOutcome::Committed { .. }
+        ));
+    }
+    store.shard(0).checkpoint().expect("shard 0 checkpoints");
+    let survivors = wal::recover(dir.join("shard-0"), &Omega::empty(), Default::default())
+        .expect("shard 0 recovers");
+    assert!(
+        !survivors
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::Cross { .. })),
+        "the checkpoint must have retired the segment holding the Cross record"
+    );
+    drop(store); // no shutdown: no watermark
+
+    let recovered = ShardedBuilder::recover(&dir)
+        .workers_per_shard(1)
+        .wal_options(wal)
+        .build()
+        .expect("sharded store recovers");
+    assert!(
+        !recovered.shard(0).snapshot().db.contains("R0", &t(10, 11)),
+        "a deleted tuple came back: the applied branch was rolled forward again"
+    );
+    assert!(recovered.shard(1).snapshot().db.contains("R1", &t(12, 13)));
+    assert_eq!(recovered.shard(0).version(), 22, "nothing was re-applied");
+    recovered.shutdown();
+    audit_ok(&dir);
+}
+
+/// Only a missing watermark means "nothing applied yet"; one that cannot
+/// be read or parsed is a typed error, not a silent 0 that would reopen
+/// every decision for roll-forward.
+#[test]
+fn corrupt_watermark_is_a_typed_error() {
+    let dir = tmp_dir("bad-watermark");
+    let store = fresh(&dir);
+    store
+        .submit(ROUTED_SESSION, cross(1, 2, 3, 4))
+        .expect("cross commit");
+    store.shutdown();
+    let watermark = dir.join("decisions").join("applied-through");
+    assert!(watermark.is_file(), "clean shutdown writes the watermark");
+
+    std::fs::write(&watermark, "not a number\n").expect("corrupts");
+    match ShardedBuilder::recover(&dir).build() {
+        Err(StoreError::Wal(WalError::BadCheckpoint { .. })) => {}
+        other => panic!("expected BadCheckpoint, got {other:?}"),
+    }
+    match cold_audit_sharded(&dir, &Omega::empty()) {
+        Err(StoreError::Wal(WalError::BadCheckpoint { .. })) => {}
+        other => panic!("expected BadCheckpoint, got {other:?}"),
+    }
+
+    // An unreadable watermark (here: a directory in its place) is an I/O
+    // error.
+    std::fs::remove_file(&watermark).expect("removes");
+    std::fs::create_dir(&watermark).expect("mkdir");
+    match ShardedBuilder::recover(&dir).build() {
+        Err(StoreError::Wal(WalError::Io { .. })) => {}
+        other => panic!("expected Io, got {other:?}"),
+    }
+    match cold_audit_sharded(&dir, &Omega::empty()) {
+        Err(StoreError::Wal(WalError::Io { .. })) => {}
+        other => panic!("expected Io, got {other:?}"),
+    }
+
+    // A missing one means nothing is known applied: recovery rolls
+    // nothing forward twice and the audit passes.
+    std::fs::remove_dir(&watermark).expect("rmdir");
+    recover(&dir).shutdown();
+    audit_ok(&dir);
+}
+
+/// Sharded recovery replays each shard's log once (roll-forward hands its
+/// recovery to the shard server), and the sharded cold audit makes one
+/// pass per log. Recovery and audit replay on the calling thread, so the
+/// thread's replay counter measures exactly this test's replays.
+#[test]
+fn each_shard_log_is_replayed_once() {
+    let dir = tmp_dir("replay-once");
+    let store = fresh(&dir);
+    for i in 0..5u64 {
+        store
+            .submit(ROUTED_SESSION, cross(2 * i, 2 * i + 1, 2 * i, 2 * i + 1))
+            .expect("cross commit");
+    }
+    store.debug_set_crash_point(CrossCrashPoint::AfterDecision);
+    let err = store
+        .submit(ROUTED_SESSION, cross(50, 51, 52, 53))
+        .unwrap_err();
+    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
+    drop(store); // no checkpoint: every commit is in the log tail
+
+    // Five logged commits per shard plus one rolled-forward branch each.
+    let before = replay::commits_replayed_on_this_thread();
+    let recovered = recover(&dir);
+    assert_eq!(replay::commits_replayed_on_this_thread() - before, 12);
+    assert_eq!(recovered.shard(0).version(), 6);
+    assert_eq!(recovered.shard(1).version(), 6);
+    drop(recovered);
+
+    let before = replay::commits_replayed_on_this_thread();
+    audit_ok(&dir);
+    assert_eq!(replay::commits_replayed_on_this_thread() - before, 12);
 }
