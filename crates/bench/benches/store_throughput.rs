@@ -1,13 +1,11 @@
-//! Store throughput: guarded-concurrent pipeline vs serial
+//! Store throughput: the guarded session front door vs serial
 //! check-and-rollback on the same deterministic sharded workload, plus the
 //! marginal cost of one guarded transaction with a warm cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use vpdt_eval::Omega;
-use vpdt_store::{
-    run_jobs, run_serial_rollback, workload, GuardCache, StoreBuilder, VersionedStore,
-};
+use vpdt_store::{run_serial_rollback, workload, GuardCache, StoreBuilder};
 
 const RELS: usize = 8;
 const UNIVERSE: u64 = 6;
@@ -23,28 +21,9 @@ fn bench_pipelines(c: &mut Criterion) {
     let initial = workload::sharded_initial(SEED, RELS, UNIVERSE, 0.5);
     let jobs = workload::sharded_jobs(SEED, 4, 100, RELS, UNIVERSE);
 
-    for threads in [1usize, 4] {
-        // One warm cache per configuration: compilation is a one-time cost
-        // by design, the bench measures the steady state.
-        let cache = GuardCache::new(initial.schema().clone(), alpha.clone(), omega.clone());
-        for job in &jobs {
-            cache.get_or_compile(&job.program).expect("compiles");
-        }
-        g.bench_with_input(
-            BenchmarkId::new("guarded_concurrent", threads),
-            &jobs,
-            |b, jobs| {
-                b.iter(|| {
-                    let store = VersionedStore::new(initial.clone());
-                    run_jobs(&store, &cache, std::hint::black_box(jobs), threads)
-                });
-            },
-        );
-    }
     // The session front door, server lifecycle included: build (spawning
     // the pool), serve the whole workload from 4 concurrent sessions,
-    // shutdown. Overhead over `guarded_concurrent` is the price of the
-    // resident queue + tickets.
+    // shutdown.
     g.bench_with_input(BenchmarkId::new("guarded_sessions", 4), &jobs, |b, jobs| {
         b.iter(|| {
             let server = StoreBuilder::new(initial.clone(), alpha.clone())
@@ -58,7 +37,7 @@ fn bench_pipelines(c: &mut Criterion) {
                     scope.spawn(move || {
                         let tickets: Vec<_> = chunk
                             .iter()
-                            .map(|job| session.submit(job.program.clone()))
+                            .map(|program| session.submit(program.clone()))
                             .collect();
                         for ticket in &tickets {
                             ticket.wait();

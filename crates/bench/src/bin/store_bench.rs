@@ -1,6 +1,6 @@
 //! `store_bench` — the acceptance benchmark for `vpdt-store`.
 //!
-//! Runs one deterministic multi-relation workload three ways:
+//! Runs one deterministic multi-relation workload several ways:
 //!
 //! * **guarded-sessions** — the front door: a resident `StoreServer`, one
 //!   concurrent `Session` per client (windowed pipelining), cached `wpc`
@@ -8,9 +8,6 @@
 //!   come from the server's own metrics registry (`store_tx_total_us` and
 //!   the per-stage histograms), measured over the serving window via
 //!   `MetricsSnapshot::delta` against a post-warm-up baseline;
-//! * **guarded-batch** — the legacy closed-batch wrapper (`run_jobs`) over
-//!   the same worker loop, as the regression reference for the session
-//!   path;
 //! * **rollback-serial** — the baseline the paper's programme displaces:
 //!   one thread, run each transaction, test `α` on the result, roll back
 //!   on violation;
@@ -35,8 +32,9 @@
 //! check-and-rollback path) and writes `BENCH_store.json`. Exit code is
 //! non-zero if the audit fails, a constraint violation is observed, the
 //! run falls short of the acceptance thresholds (≥ 10_000 commits across
-//! ≥ 4 workers), the session path falls more than 10% behind the batch
-//! path, or the persisted run fails to recover to its reported state.
+//! ≥ 4 workers, faster than the serial baseline), or the persisted run
+//! fails to recover to its reported state. The report is rendered with
+//! [`vpdt_bench::json`], each key written next to its value.
 //!
 //! With `--scale`, an extra in-memory pass runs over a much larger store
 //! (32 relations, universe 96, thousands of resident tuples, one-relation
@@ -85,11 +83,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
+use vpdt_bench::json::Json;
+use vpdt_bench::obj;
 use vpdt_net::{names as net_names, NetClient, NetError, NetOptions, NetServer, WireOutcome};
 use vpdt_store::metrics::names;
 use vpdt_store::{
-    audit, run_jobs, run_serial_rollback, workload, GroupCommitPolicy, GuardCache, MetricsSnapshot,
-    StoreBuilder, VersionedStore, WalOptions,
+    audit, run_serial_rollback, workload, GroupCommitPolicy, MetricsSnapshot, StoreBuilder,
+    WalOptions,
 };
 use vpdt_tx::program::Program;
 
@@ -204,18 +204,14 @@ fn parse_args() -> Result<Config, String> {
     let mut i = 0;
     while i < args.len() {
         let flag = &args[i];
-        if flag == "--smoke" {
-            cfg.smoke = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--scale" {
-            cfg.scale = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--net" {
-            cfg.net = true;
+        let switch = match flag.as_str() {
+            "--smoke" => Some(&mut cfg.smoke),
+            "--scale" => Some(&mut cfg.scale),
+            "--net" => Some(&mut cfg.net),
+            _ => None,
+        };
+        if let Some(switch) = switch {
+            *switch = true;
             i += 1;
             continue;
         }
@@ -298,9 +294,9 @@ fn quantiles(snap: &MetricsSnapshot, name: &str) -> (f64, f64, f64) {
     }
 }
 
-/// The per-stage latency breakdown of one pass, rendered as a JSON object
-/// for the `stage_latencies` section of the bench report.
-fn stage_latencies_json(serving: &MetricsSnapshot) -> String {
+/// The per-stage latency breakdown of one pass, for the
+/// `stage_latencies` section of the bench report.
+fn stage_latencies_json(serving: &MetricsSnapshot) -> Json {
     let stages = [
         ("queue_wait_us", names::STAGE_QUEUE_WAIT),
         ("guard_eval_us", names::STAGE_GUARD_EVAL),
@@ -308,14 +304,19 @@ fn stage_latencies_json(serving: &MetricsSnapshot) -> String {
         ("publish_to_durable_us", names::STAGE_PUBLISH_TO_DURABLE),
         ("total_us", names::TX_TOTAL),
     ];
-    let entries: Vec<String> = stages
-        .iter()
-        .map(|(label, name)| {
-            let (p50, p95, p99) = quantiles(serving, name);
-            format!("\"{label}\": {{ \"p50\": {p50:.1}, \"p95\": {p95:.1}, \"p99\": {p99:.1} }}")
-        })
-        .collect();
-    format!("{{ {} }}", entries.join(", "))
+    let stage = |name| {
+        let (p50, p95, p99) = quantiles(serving, name);
+        obj! {
+            "p50" => Json::fixed(p50, 1),
+            "p95" => Json::fixed(p95, 1),
+            "p99" => Json::fixed(p99, 1),
+        }
+    };
+    Json::Obj(
+        stages
+            .map(|(label, name)| (label.to_string(), stage(name)))
+            .into(),
+    )
 }
 
 /// One measured pass of the session front door: a fresh server over
@@ -335,7 +336,7 @@ fn run_sessions_once(
     alpha: &vpdt_logic::Formula,
     omega: &vpdt_eval::Omega,
     initial: &vpdt_structure::Database,
-    jobs: &[vpdt_store::Job],
+    jobs: &[Program],
     persist: Option<(&std::path::Path, WalOptions)>,
 ) -> Result<SessionsRun, String> {
     let mut builder = StoreBuilder::new(initial.clone(), alpha.clone())
@@ -360,8 +361,8 @@ fn run_sessions_once(
     // whole ground menu collapses to O(shapes) compilations, so this cost
     // is independent of the universe size.
     let compile_start = Instant::now();
-    for job in jobs {
-        server.prepare(&job.program).map_err(|e| e.to_string())?;
+    for program in jobs {
+        server.prepare(program).map_err(|e| e.to_string())?;
     }
     let compile_secs = compile_start.elapsed().as_secs_f64();
     // Baseline the metrics registry so the reported counters and
@@ -387,7 +388,7 @@ fn run_sessions_once(
             scope.spawn(move || {
                 let mut ids = Vec::with_capacity(chunk.len());
                 let mut in_flight: VecDeque<vpdt_store::TxTicket> = VecDeque::new();
-                for (i, job) in chunk.iter().enumerate() {
+                for (i, program) in chunk.iter().enumerate() {
                     if in_flight.len() >= PIPELINE_WINDOW {
                         // Block for the oldest, then drain everything that
                         // already resolved — one wakeup amortizes over the
@@ -402,7 +403,7 @@ fn run_sessions_once(
                             in_flight.pop_front();
                         }
                     }
-                    let ticket = session.submit(job.program.clone());
+                    let ticket = session.submit(program.clone());
                     ids.push((ticket.id(), i));
                     in_flight.push_back(ticket);
                 }
@@ -418,15 +419,11 @@ fn run_sessions_once(
     for (c, ids) in client_logs.into_inner().expect("client log lock") {
         let chunk = &jobs[c * cfg.per_client.max(1)..];
         for (tx, i) in ids {
-            programs.insert(tx, chunk[i].program.clone());
+            programs.insert(tx, chunk[i].clone());
         }
     }
-    let mut report = server.shutdown();
+    let report = server.shutdown();
     let serving = report.metrics.delta(&warm);
-    // The exec report's cache counters are lifetime totals too (satellite
-    // view of the same registry); narrow them to the serving window.
-    report.exec.guard_hits = serving.counter(names::GUARD_CACHE_HITS);
-    report.exec.guard_misses = serving.counter(names::GUARD_CACHE_MISSES);
     Ok(SessionsRun {
         report,
         programs,
@@ -434,32 +431,6 @@ fn run_sessions_once(
         secs,
         compile_secs,
     })
-}
-
-/// One measured pass of the legacy closed-batch path over a fresh store,
-/// warm cache. Returns the report and the measured seconds.
-fn run_batch_once(
-    cfg: &Config,
-    alpha: &vpdt_logic::Formula,
-    omega: &vpdt_eval::Omega,
-    initial: &vpdt_structure::Database,
-    jobs: &[vpdt_store::Job],
-) -> Result<(vpdt_store::ExecReport, f64), String> {
-    let store = VersionedStore::new(initial.clone());
-    let cache = GuardCache::with_capacity(
-        store.schema().clone(),
-        alpha.clone(),
-        omega.clone(),
-        cfg.cache_cap,
-    );
-    for job in jobs {
-        cache
-            .get_or_compile(&job.program)
-            .map_err(|e| e.to_string())?;
-    }
-    let t = Instant::now();
-    let report = run_jobs(&store, &cache, jobs, cfg.workers);
-    Ok((report, t.elapsed().as_secs_f64()))
 }
 
 /// One measured pass of the network front door: the identical session
@@ -489,7 +460,7 @@ fn run_networked_once(
     alpha: &vpdt_logic::Formula,
     omega: &vpdt_eval::Omega,
     initial: &vpdt_structure::Database,
-    jobs: &[vpdt_store::Job],
+    jobs: &[Program],
 ) -> Result<NetRun, String> {
     let server = StoreBuilder::new(initial.clone(), alpha.clone())
         .omega(omega.clone())
@@ -500,8 +471,8 @@ fn run_networked_once(
         .map_err(|e| format!("server refused to start: {e}"))?;
     // Same warm-up discipline as the in-process pass: the measured
     // window starts with every statement shape already compiled.
-    for job in jobs {
-        server.prepare(&job.program).map_err(|e| e.to_string())?;
+    for program in jobs {
+        server.prepare(program).map_err(|e| e.to_string())?;
     }
     let net = NetServer::bind(server, "127.0.0.1:0", NetOptions::default())
         .map_err(|e| format!("binding loopback listener: {e}"))?;
@@ -593,20 +564,20 @@ fn os_thread_count() -> Option<u64> {
 fn drive_net_client(
     addr: std::net::SocketAddr,
     c: usize,
-    chunk: &[vpdt_store::Job],
+    chunk: &[Program],
 ) -> Result<(u64, u64, u64, Vec<u64>), NetError> {
     let mut client = NetClient::connect(addr, &format!("store_bench client {c}"))?;
     let (mut committed, mut aborted, mut failed) = (0u64, 0u64, 0u64);
     let mut latencies = Vec::with_capacity(chunk.len());
     let mut starts: VecDeque<Instant> = VecDeque::new();
-    for job in chunk {
+    for program in chunk {
         if client.inflight() >= PIPELINE_WINDOW {
             let (_, _, outcome) = client.next_outcome()?;
             let started = starts.pop_front().expect("window non-empty");
             latencies.push(started.elapsed().as_micros() as u64);
             tally_wire(&outcome, &mut committed, &mut aborted, &mut failed);
         }
-        client.submit(&job.program)?;
+        client.submit(program)?;
         starts.push_back(Instant::now());
     }
     while client.inflight() > 0 {
@@ -666,7 +637,7 @@ fn run_sharded_once(
     alpha: &vpdt_logic::Formula,
     omega: &vpdt_eval::Omega,
     initial: &vpdt_structure::Database,
-    jobs: &[vpdt_store::Job],
+    jobs: &[Program],
     persist: Option<(&std::path::Path, WalOptions)>,
 ) -> Result<ShardedPass, String> {
     let mut builder = vpdt_store::ShardedBuilder::new(initial.clone(), alpha.clone(), shards)
@@ -681,22 +652,20 @@ fn run_sharded_once(
         .map_err(|e| format!("sharded store refused to start: {e}"))?;
     // Warm the router and the single-shard guard caches so the measured
     // section is the steady state, as in the session passes.
-    for job in jobs {
-        store.prepare(&job.program).map_err(|e| e.to_string())?;
+    for program in jobs {
+        store.prepare(program).map_err(|e| e.to_string())?;
     }
     let t0 = Instant::now();
     let drive = workload::serve_sharded_chunked(&store, jobs, cfg.per_client.max(1));
     let secs = t0.elapsed().as_secs_f64();
     let report = store.shutdown();
-    let committed = report
-        .shards
-        .iter()
-        .map(|s| s.exec.committed)
-        .sum::<usize>() as u64
-        + report.coordinator.counter(names::CROSS_COMMITTED);
-    let aborted = report.shards.iter().map(|s| s.exec.aborted).sum::<usize>() as u64
-        + report.coordinator.counter(names::CROSS_ABORTED);
-    let failed = report.shards.iter().map(|s| s.exec.failed).sum::<usize>() as u64 + drive.errors;
+    let shards_total = |count: fn(&vpdt_store::ExecReport) -> usize| {
+        report.shards.iter().map(|s| count(&s.exec)).sum::<usize>() as u64
+    };
+    let committed =
+        shards_total(|e| e.committed) + report.coordinator.counter(names::CROSS_COMMITTED);
+    let aborted = shards_total(|e| e.aborted) + report.coordinator.counter(names::CROSS_ABORTED);
+    let failed = shards_total(|e| e.failed) + drive.errors;
     Ok(ShardedPass {
         report,
         drive,
@@ -719,9 +688,7 @@ fn run(cfg: Config) -> Result<bool, String> {
         cfg.universe,
     );
     // Throughput on small shared machines is scheduling-noisy, so the
-    // session/batch comparison is gated on the median of *paired* per-round
-    // ratios over interleaved rounds — adjacent runs see the same machine
-    // conditions, so slow drift cancels out of the ratio.
+    // in-process session rate is the median over several rounds.
     let rounds = if cfg.smoke { 1 } else { 5 };
     println!(
         "workload: {} transactions over {} relations (universe {}), {} workers, {} sessions, \
@@ -734,31 +701,18 @@ fn run(cfg: Config) -> Result<bool, String> {
         rounds,
     );
 
-    // --- guarded-sessions vs guarded-batch, interleaved ---------------------
+    // --- guarded-sessions ---------------------------------------------------
     let mut session_runs: Vec<SessionsRun> = Vec::new();
-    let mut batch_runs: Vec<(vpdt_store::ExecReport, f64)> = Vec::new();
     for _ in 0..rounds {
         session_runs.push(run_sessions_once(
             &cfg, &alpha, &omega, &initial, &jobs, None,
         )?);
-        batch_runs.push(run_batch_once(&cfg, &alpha, &omega, &initial, &jobs)?);
     }
     let mut session_tpss: Vec<f64> = session_runs
         .iter()
         .map(|r| r.report.exec.committed as f64 / r.secs)
         .collect();
-    let mut batch_tpss: Vec<f64> = batch_runs
-        .iter()
-        .map(|(r, secs)| r.committed as f64 / secs)
-        .collect();
-    let mut paired_ratios: Vec<f64> = session_tpss
-        .iter()
-        .zip(&batch_tpss)
-        .map(|(s, b)| s / b)
-        .collect();
-    let session_vs_batch = median(&mut paired_ratios);
     let sessions_tps = median(&mut session_tpss);
-    let batch_tps = median(&mut batch_tpss);
 
     // The audited artifacts come from the last session round.
     let SessionsRun {
@@ -768,12 +722,11 @@ fn run(cfg: Config) -> Result<bool, String> {
         secs: sessions_secs,
         compile_secs,
     } = session_runs.pop().expect("at least one round");
-    let (batch, batch_secs) = batch_runs.pop().expect("at least one round");
-    let compile_secs_per_shape = if report.cache.shapes > 0 {
-        compile_secs / report.cache.shapes as f64
-    } else {
-        0.0
-    };
+    // Cache counters narrowed to the serving window (the report's are
+    // server-lifetime totals, warm-up compilations included).
+    let guard_hits = serving.counter(names::GUARD_CACHE_HITS);
+    let guard_misses = serving.counter(names::GUARD_CACHE_MISSES);
+    let compile_secs_per_shape = compile_secs / report.cache.shapes.max(1) as f64;
     // End-to-end latency percentiles from the server's own registry
     // (enqueue → ticket resolution), µs histograms reported in ms.
     let (p50, p95, p99) = {
@@ -790,19 +743,14 @@ fn run(cfg: Config) -> Result<bool, String> {
         sessions_secs,
         sessions_tps,
         report.exec.conflicts,
-        report.exec.guard_hits,
-        report.exec.guard_misses,
+        guard_hits,
+        guard_misses,
         report.cache.shapes,
         compile_secs,
         compile_secs_per_shape * 1e3,
         p50,
         p95,
         p99,
-    );
-    println!(
-        "guarded-batch:      {} committed / {} aborted / {} failed in {:.3}s \
-         (median {:.0} commits/s)",
-        batch.committed, batch.aborted, batch.failed, batch_secs, batch_tps,
     );
 
     // --- rollback-serial ----------------------------------------------------
@@ -900,11 +848,7 @@ fn run(cfg: Config) -> Result<bool, String> {
         .flush
         .clone()
         .ok_or("group-commit run reports no flush stats")?;
-    let fsyncs_per_commit = if group.report.exec.committed > 0 {
-        flush.fsyncs as f64 / group.report.exec.committed as f64
-    } else {
-        0.0
-    };
+    let fsyncs_per_commit = flush.fsyncs as f64 / group.report.exec.committed.max(1) as f64;
     let group_vs_persisted = group_tps / persisted_tps;
     let (gp50, gp95, gp99) = {
         let (a, b, c) = quantiles(&group.serving, names::TX_TOTAL);
@@ -1019,20 +963,13 @@ fn run(cfg: Config) -> Result<bool, String> {
         } else {
             (SCALED_CLIENTS, SCALED_PER_CLIENT)
         };
+        // A session pass reads only the pool, cache and chunk settings.
         let sc_cfg = Config {
             workers: cfg.workers,
+            cache_cap: cfg.cache_cap,
             clients: sc_clients,
             per_client: sc_per_client,
-            rels: SCALED_RELS,
-            universe: SCALED_UNIVERSE,
-            seed: cfg.seed,
-            cache_cap: cfg.cache_cap,
-            smoke: cfg.smoke,
-            scale: true,
-            net: false,
-            shards: 0,
-            out: cfg.out.clone(),
-            persist: None,
+            ..Config::default()
         };
         let sc_alpha = workload::sharded_fd_constraint(SCALED_RELS);
         let sc_initial =
@@ -1119,8 +1056,9 @@ fn run(cfg: Config) -> Result<bool, String> {
         let sh_initial = workload::sharded_initial(cfg.seed, sh_rels, cfg.universe, 0.5);
         let sh_jobs =
             workload::scaled_jobs(cfg.seed, cfg.clients, cfg.per_client, sh_rels, cfg.universe);
-        // Interleaved rounds, median of paired per-round ratios — the same
-        // machine-noise discipline as the session/batch comparison.
+        // Interleaved rounds, median of paired per-round ratios: adjacent
+        // runs see the same machine conditions, so slow drift cancels out
+        // of the ratio.
         let sh_rounds = if cfg.smoke { 1 } else { 3 };
         let mut baselines: Vec<ShardedPass> = Vec::new();
         let mut disjoints: Vec<ShardedPass> = Vec::new();
@@ -1322,9 +1260,6 @@ fn run(cfg: Config) -> Result<bool, String> {
     let enough_commits = cfg.smoke || report.exec.committed >= 10_000;
     let enough_workers = cfg.smoke || cfg.workers >= 4;
     let beats_baseline = cfg.smoke || sessions_tps > serial_tps;
-    // The session front door must not tax the pipeline: within 10% of the
-    // closed-batch path over the identical workload.
-    let sessions_keep_up = cfg.smoke || session_vs_batch >= 0.9;
     // The O(shapes) claim: the cache may never hold more compilations than
     // there are statement shapes (2 per relation for this workload's menu),
     // however large the universe.
@@ -1373,7 +1308,6 @@ fn run(cfg: Config) -> Result<bool, String> {
         && enough_commits
         && enough_workers
         && beats_baseline
-        && sessions_keep_up
         && shape_bound
         && persisted_ok
         && group_ok
@@ -1381,288 +1315,209 @@ fn run(cfg: Config) -> Result<bool, String> {
         && networked_ok
         && sharded_ok;
 
-    let batch_hist = {
-        let entries: Vec<String> = flush
-            .batch_sizes
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", entries.join(", "))
-    };
-
-    let scaled_json = match &scaled {
-        None => "null".to_string(),
-        Some(s) => {
-            let vs_monolithic = if SCALED_BASELINE_MONOLITHIC_TPS > 0.0 {
-                s.tps / SCALED_BASELINE_MONOLITHIC_TPS
-            } else {
-                0.0
-            };
-            format!(
-                "{{\n    \"transactions\": {},\n    \"relations\": {},\n    \
-                 \"universe\": {},\n    \"resident_tuples\": {},\n    \
-                 \"committed\": {},\n    \"aborted\": {},\n    \"failed\": {},\n    \
-                 \"conflicts\": {},\n    \"secs\": {:.6},\n    \
-                 \"commits_per_sec\": {:.1},\n    \
-                 \"baseline_monolithic_commits_per_sec\": {:.1},\n    \
-                 \"vs_monolithic\": {:.2},\n    \
-                 \"publish_lock_p50_us\": {:.1},\n    \"publish_lock_p95_us\": {:.1},\n    \
-                 \"publish_lock_p99_us\": {:.1},\n    \
-                 \"publish_lock_p99_bound_us\": {:.1},\n    \"lock_bounded\": {}\n  }}",
-                s.jobs,
-                SCALED_RELS,
-                SCALED_UNIVERSE,
-                s.resident,
-                s.run.report.exec.committed,
-                s.run.report.exec.aborted,
-                s.run.report.exec.failed,
-                s.run.report.exec.conflicts,
-                s.run.secs,
-                s.tps,
-                SCALED_BASELINE_MONOLITHIC_TPS,
-                vs_monolithic,
-                s.lock_p50,
-                s.lock_p95,
-                s.lock_p99,
-                SCALED_LOCK_P99_BOUND_US,
-                s.lock_p99 <= SCALED_LOCK_P99_BOUND_US,
-            )
+    // The report: each key next to its value; absent passes render null.
+    let secs = |x: f64| Json::fixed(x, 6);
+    let tps = |x: f64| Json::fixed(x, 1);
+    let ms = |x: f64| Json::fixed(x, 4);
+    let us = |x: f64| Json::fixed(x, 1);
+    let ratio = |x: f64| Json::fixed(x, 3);
+    let scaled_json = scaled.as_ref().map(|s| {
+        let exec = &s.run.report.exec;
+        obj! {
+            "transactions" => s.jobs,
+            "relations" => SCALED_RELS,
+            "universe" => SCALED_UNIVERSE,
+            "resident_tuples" => s.resident,
+            "committed" => exec.committed,
+            "aborted" => exec.aborted,
+            "failed" => exec.failed,
+            "conflicts" => exec.conflicts,
+            "secs" => secs(s.run.secs),
+            "commits_per_sec" => tps(s.tps),
+            "baseline_monolithic_commits_per_sec" => tps(SCALED_BASELINE_MONOLITHIC_TPS),
+            "vs_monolithic" => Json::fixed(s.tps / SCALED_BASELINE_MONOLITHIC_TPS, 2),
+            "publish_lock_p50_us" => us(s.lock_p50),
+            "publish_lock_p95_us" => us(s.lock_p95),
+            "publish_lock_p99_us" => us(s.lock_p99),
+            "publish_lock_p99_bound_us" => us(SCALED_LOCK_P99_BOUND_US),
+            "lock_bounded" => s.lock_p99 <= SCALED_LOCK_P99_BOUND_US,
         }
-    };
+    });
 
-    let networked_json = match &networked {
-        None => "null".to_string(),
-        Some(n) => {
-            // Threads-per-connection from the idle-fleet probe; null
-            // where the platform offers no thread count.
-            let (delta_json, per_conn_json) = match n.run.scaling_thread_delta {
-                Some(delta) => (
-                    delta.to_string(),
-                    format!(
-                        "{:.4}",
-                        delta as f64 / n.run.scaling_idle_conns.max(1) as f64
-                    ),
-                ),
-                None => ("null".to_string(), "null".to_string()),
-            };
-            format!(
-                "{{\n    \"clients\": {},\n    \"pipeline_window\": {},\n    \
-                 \"committed\": {},\n    \"aborted\": {},\n    \"failed\": {},\n    \
-                 \"secs\": {:.6},\n    \"commits_per_sec\": {:.1},\n    \
-                 \"vs_sessions\": {:.3},\n    \"vs_sessions_floor\": {:.2},\n    \
-                 \"latency_p50_ms\": {:.4},\n    \"latency_p95_ms\": {:.4},\n    \
-                 \"latency_p99_ms\": {:.4},\n    \"connections\": {},\n    \
-                 \"bytes_in\": {},\n    \"bytes_out\": {},\n    \"frame_errors\": {},\n    \
-                 \"connection_scaling\": {{\n      \"idle_connections\": {},\n      \
-                 \"thread_delta\": {},\n      \"threads_per_connection\": {}\n    }}\n  }}",
-                cfg.clients,
-                PIPELINE_WINDOW,
-                n.run.committed,
-                n.run.aborted,
-                n.run.failed,
-                n.run.secs,
-                n.tps,
-                n.vs_sessions,
-                NET_VS_SESSIONS_FLOOR,
-                sample_quantile_ms(&n.run.latencies_us, 0.50),
-                sample_quantile_ms(&n.run.latencies_us, 0.95),
-                sample_quantile_ms(&n.run.latencies_us, 0.99),
-                n.run
-                    .report
-                    .metrics
-                    .counter(net_names::NET_CONNECTIONS_TOTAL),
-                n.run.report.metrics.counter(net_names::NET_BYTES_IN_TOTAL),
-                n.run.report.metrics.counter(net_names::NET_BYTES_OUT_TOTAL),
-                n.run
-                    .report
-                    .metrics
-                    .counter(net_names::NET_FRAME_ERRORS_TOTAL),
-                n.run.scaling_idle_conns,
-                delta_json,
-                per_conn_json,
-            )
+    let networked_json = networked.as_ref().map(|n| {
+        let wire = &n.run.report.metrics;
+        let lat = &n.run.latencies_us;
+        // Threads-per-connection from the idle-fleet probe; null where the
+        // platform offers no thread count.
+        let idle = n.run.scaling_idle_conns;
+        let per_conn = n
+            .run
+            .scaling_thread_delta
+            .map(|delta| Json::fixed(delta as f64 / idle.max(1) as f64, 4));
+        obj! {
+            "clients" => cfg.clients,
+            "pipeline_window" => PIPELINE_WINDOW,
+            "committed" => n.run.committed,
+            "aborted" => n.run.aborted,
+            "failed" => n.run.failed,
+            "secs" => secs(n.run.secs),
+            "commits_per_sec" => tps(n.tps),
+            "vs_sessions" => ratio(n.vs_sessions),
+            "vs_sessions_floor" => Json::fixed(NET_VS_SESSIONS_FLOOR, 2),
+            "latency_p50_ms" => ms(sample_quantile_ms(lat, 0.50)),
+            "latency_p95_ms" => ms(sample_quantile_ms(lat, 0.95)),
+            "latency_p99_ms" => ms(sample_quantile_ms(lat, 0.99)),
+            "connections" => wire.counter(net_names::NET_CONNECTIONS_TOTAL),
+            "bytes_in" => wire.counter(net_names::NET_BYTES_IN_TOTAL),
+            "bytes_out" => wire.counter(net_names::NET_BYTES_OUT_TOTAL),
+            "frame_errors" => wire.counter(net_names::NET_FRAME_ERRORS_TOTAL),
+            "connection_scaling" => obj! {
+                "idle_connections" => idle,
+                "thread_delta" => n.run.scaling_thread_delta,
+                "threads_per_connection" => per_conn,
+            },
         }
-    };
+    });
 
-    let sharded_json = match &sharded {
-        None => "null".to_string(),
-        Some(s) => {
-            let pass = |p: &ShardedPass, tps: f64| {
-                format!(
-                    "{{ \"transactions\": {}, \"single\": {}, \"cross\": {}, \
-                     \"committed\": {}, \"aborted\": {}, \"failed\": {}, \
-                     \"secs\": {:.6}, \"commits_per_sec\": {:.1} }}",
-                    p.drive.single + p.drive.cross,
-                    p.drive.single,
-                    p.drive.cross,
-                    p.committed,
-                    p.aborted,
-                    p.failed,
-                    p.secs,
-                    tps,
-                )
-            };
-            let coord = &s.mixed.report.coordinator;
-            let (cp50, cp95, cp99) = quantiles(coord, names::CROSS_TOTAL);
-            let (pp50, pp95, pp99) = quantiles(coord, names::CROSS_STAGE_PREPARE);
-            let (dp50, dp95, dp99) = quantiles(coord, names::CROSS_STAGE_DECIDE);
-            format!(
-                "{{\n    \"shards\": {},\n    \"relations\": {},\n    \
-                 \"transactions\": {},\n    \"cores\": {},\n    \
-                 \"single_shard_baseline\": {},\n    \"disjoint\": {},\n    \
-                 \"scaling_efficiency\": {:.3},\n    \"scaling_floor\": {:.2},\n    \
-                 \"scaling_gated\": {},\n    \"cross_mix\": {{\n      \
-                 \"cross_fraction\": {:.3},\n      \"pass\": {},\n      \
-                 \"cross_committed\": {},\n      \"cross_aborted\": {},\n      \
-                 \"prepare_retries\": {},\n      \"decision_records\": {},\n      \
-                 \"cross_total_p50_ms\": {:.4},\n      \"cross_total_p95_ms\": {:.4},\n      \
-                 \"cross_total_p99_ms\": {:.4},\n      \"prepare_p50_us\": {:.1},\n      \
-                 \"prepare_p95_us\": {:.1},\n      \"prepare_p99_us\": {:.1},\n      \
-                 \"decide_p50_us\": {:.1},\n      \"decide_p95_us\": {:.1},\n      \
-                 \"decide_p99_us\": {:.1}\n    }},\n    \
-                 \"recovered_ok\": {},\n    \"cold_audit_ok\": {},\n    \
-                 \"cold_audit_problems\": {}\n  }}",
-                s.shards,
-                s.rels,
-                s.jobs,
-                s.cores,
-                pass(&s.baseline, s.baseline_tps),
-                pass(&s.disjoint, s.disjoint_tps),
-                s.scaling_efficiency,
-                SHARD_SCALING_FLOOR,
-                s.scaling_gated,
-                SHARD_CROSS_FRACTION,
-                pass(&s.mixed, s.mixed_tps),
-                coord.counter(names::CROSS_COMMITTED),
-                coord.counter(names::CROSS_ABORTED),
-                coord.counter(names::CROSS_PREPARE_RETRIES),
-                s.mixed.report.decisions,
-                cp50 / 1e3,
-                cp95 / 1e3,
-                cp99 / 1e3,
-                pp50,
-                pp95,
-                pp99,
-                dp50,
-                dp95,
-                dp99,
-                s.recovered_ok,
-                s.audit_ok,
-                s.audit_problems,
-            )
+    let sharded_json = sharded.as_ref().map(|s| {
+        let pass = |p: &ShardedPass, rate: f64| {
+            obj! {
+                "transactions" => p.drive.single + p.drive.cross,
+                "single" => p.drive.single,
+                "cross" => p.drive.cross,
+                "committed" => p.committed,
+                "aborted" => p.aborted,
+                "failed" => p.failed,
+                "secs" => secs(p.secs),
+                "commits_per_sec" => tps(rate),
+            }
+        };
+        let coord = &s.mixed.report.coordinator;
+        let (cp50, cp95, cp99) = quantiles(coord, names::CROSS_TOTAL);
+        let (pp50, pp95, pp99) = quantiles(coord, names::CROSS_STAGE_PREPARE);
+        let (dp50, dp95, dp99) = quantiles(coord, names::CROSS_STAGE_DECIDE);
+        obj! {
+            "shards" => s.shards,
+            "relations" => s.rels,
+            "transactions" => s.jobs,
+            "cores" => s.cores,
+            "single_shard_baseline" => pass(&s.baseline, s.baseline_tps),
+            "disjoint" => pass(&s.disjoint, s.disjoint_tps),
+            "scaling_efficiency" => ratio(s.scaling_efficiency),
+            "scaling_floor" => Json::fixed(SHARD_SCALING_FLOOR, 2),
+            "scaling_gated" => s.scaling_gated,
+            "cross_mix" => obj! {
+                "cross_fraction" => ratio(SHARD_CROSS_FRACTION),
+                "pass" => pass(&s.mixed, s.mixed_tps),
+                "cross_committed" => coord.counter(names::CROSS_COMMITTED),
+                "cross_aborted" => coord.counter(names::CROSS_ABORTED),
+                "prepare_retries" => coord.counter(names::CROSS_PREPARE_RETRIES),
+                "decision_records" => s.mixed.report.decisions,
+                "cross_total_p50_ms" => ms(cp50 / 1e3),
+                "cross_total_p95_ms" => ms(cp95 / 1e3),
+                "cross_total_p99_ms" => ms(cp99 / 1e3),
+                "prepare_p50_us" => us(pp50),
+                "prepare_p95_us" => us(pp95),
+                "prepare_p99_us" => us(pp99),
+                "decide_p50_us" => us(dp50),
+                "decide_p95_us" => us(dp95),
+                "decide_p99_us" => us(dp99),
+            },
+            "recovered_ok" => s.recovered_ok,
+            "cold_audit_ok" => s.audit_ok,
+            "cold_audit_problems" => s.audit_problems,
         }
-    };
+    });
 
-    let json = format!(
-        "{{\n  \"workload\": {{\n    \"transactions\": {},\n    \"relations\": {},\n    \
-         \"universe\": {},\n    \"workers\": {},\n    \"clients\": {},\n    \"seed\": {},\n    \
-         \"cache_capacity\": {},\n    \"smoke\": {}\n  }},\n  \
-         \"guarded_sessions\": {{\n    \"sessions\": {},\n    \"pipeline_window\": {},\n    \
-         \"committed\": {},\n    \"aborted\": {},\n    \
-         \"failed\": {},\n    \"conflicts\": {},\n    \"guard_cache_hits\": {},\n    \
-         \"guard_cache_misses\": {},\n    \"statement_shapes\": {},\n    \
-         \"cache_entries\": {},\n    \"evictions\": {},\n    \"compile_secs\": {:.6},\n    \
-         \"compile_secs_per_shape\": {:.6},\n    \"secs\": {:.6},\n    \
-         \"commits_per_sec\": {:.1},\n    \"latency_p50_ms\": {:.4},\n    \
-         \"latency_p95_ms\": {:.4},\n    \"latency_p99_ms\": {:.4}\n  }},\n  \
-         \"guarded_batch\": {{\n    \"committed\": {},\n    \"aborted\": {},\n    \
-         \"failed\": {},\n    \"conflicts\": {},\n    \"secs\": {:.6},\n    \
-         \"commits_per_sec\": {:.1}\n  }},\n  \"rollback_serial\": {{\n    \"committed\": {},\n    \
-         \"aborted\": {},\n    \"secs\": {:.6},\n    \"commits_per_sec\": {:.1}\n  }},\n  \
-         \"persisted\": {{\n    \"committed\": {},\n    \"aborted\": {},\n    \"failed\": {},\n    \
-         \"fsync\": true,\n    \"group_commit\": false,\n    \"secs\": {:.6},\n    \
-         \"commits_per_sec\": {:.1},\n    \
-         \"vs_memory\": {:.3},\n    \"recovered_ok\": {}\n  }},\n  \
-         \"group_commit\": {{\n    \"committed\": {},\n    \"aborted\": {},\n    \
-         \"failed\": {},\n    \"fsync\": true,\n    \"max_batch\": {},\n    \
-         \"secs\": {:.6},\n    \"commits_per_sec\": {:.1},\n    \
-         \"vs_persisted\": {:.3},\n    \"vs_memory\": {:.3},\n    \"fsyncs\": {},\n    \
-         \"fsyncs_per_commit\": {:.6},\n    \"batch_sizes\": {},\n    \
-         \"latency_p50_ms\": {:.4},\n    \"latency_p95_ms\": {:.4},\n    \
-         \"latency_p99_ms\": {:.4},\n    \"recovered_ok\": {}\n  }},\n  \
-         \"networked\": {},\n  \"scaled\": {},\n  \"sharded\": {},\n  \
-         \"stage_latencies\": {{\n    \"in_memory\": {},\n    \"persisted\": {},\n    \
-         \"group_commit\": {}\n  }},\n  \
-         \"speedup\": {:.3},\n  \"sessions_vs_batch\": {:.3},\n  \
-         \"constraint_violations\": {},\n  \"audit_ok\": {},\n  \
-         \"audit_commits_checked\": {},\n  \"audit_aborts_checked\": {},\n  \"accepted\": {}\n}}\n",
-        jobs.len(),
-        cfg.rels,
-        cfg.universe,
-        cfg.workers,
-        cfg.clients,
-        cfg.seed,
-        cfg.cache_cap,
-        cfg.smoke,
-        cfg.clients,
-        PIPELINE_WINDOW,
-        report.exec.committed,
-        report.exec.aborted,
-        report.exec.failed,
-        report.exec.conflicts,
-        report.exec.guard_hits,
-        report.exec.guard_misses,
-        report.cache.shapes,
-        report.cache.entries,
-        report.cache.evictions,
-        compile_secs,
-        compile_secs_per_shape,
-        sessions_secs,
-        sessions_tps,
-        p50,
-        p95,
-        p99,
-        batch.committed,
-        batch.aborted,
-        batch.failed,
-        batch.conflicts,
-        batch_secs,
-        batch_tps,
-        serial.committed,
-        serial.aborted,
-        serial_secs,
-        serial_tps,
-        persisted.report.exec.committed,
-        persisted.report.exec.aborted,
-        persisted.report.exec.failed,
-        persisted.secs,
-        persisted_tps,
-        persisted_vs_memory,
-        recovered_ok,
-        group.report.exec.committed,
-        group.report.exec.aborted,
-        group.report.exec.failed,
-        vpdt_store::GroupCommitPolicy::default().max_batch,
-        group.secs,
-        group_tps,
-        group_vs_persisted,
-        group_tps / sessions_tps,
-        flush.fsyncs,
-        fsyncs_per_commit,
-        batch_hist,
-        gp50,
-        gp95,
-        gp99,
-        group_recovered_ok,
-        networked_json,
-        scaled_json,
-        sharded_json,
-        stage_latencies_json(&serving),
-        stage_latencies_json(&persisted.serving),
-        stage_latencies_json(&group.serving),
-        speedup,
-        session_vs_batch,
-        violations,
-        verdict.ok(),
-        verdict.commits_checked,
-        verdict.aborts_checked,
-        ok,
-    );
+    let batch_sizes = flush
+        .batch_sizes
+        .iter()
+        .map(|(k, v)| (k.to_string(), Json::from(*v)))
+        .collect();
+    let json = obj! {
+        "workload" => obj! {
+            "transactions" => jobs.len(),
+            "relations" => cfg.rels,
+            "universe" => cfg.universe,
+            "workers" => cfg.workers,
+            "clients" => cfg.clients,
+            "seed" => cfg.seed,
+            "cache_capacity" => cfg.cache_cap,
+            "smoke" => cfg.smoke,
+        },
+        "guarded_sessions" => obj! {
+            "sessions" => cfg.clients,
+            "pipeline_window" => PIPELINE_WINDOW,
+            "committed" => report.exec.committed,
+            "aborted" => report.exec.aborted,
+            "failed" => report.exec.failed,
+            "conflicts" => report.exec.conflicts,
+            "guard_cache_hits" => guard_hits,
+            "guard_cache_misses" => guard_misses,
+            "statement_shapes" => report.cache.shapes,
+            "cache_entries" => report.cache.entries,
+            "evictions" => report.cache.evictions,
+            "compile_secs" => secs(compile_secs),
+            "compile_secs_per_shape" => secs(compile_secs_per_shape),
+            "secs" => secs(sessions_secs),
+            "commits_per_sec" => tps(sessions_tps),
+            "latency_p50_ms" => ms(p50),
+            "latency_p95_ms" => ms(p95),
+            "latency_p99_ms" => ms(p99),
+        },
+        "rollback_serial" => obj! {
+            "committed" => serial.committed,
+            "aborted" => serial.aborted,
+            "secs" => secs(serial_secs),
+            "commits_per_sec" => tps(serial_tps),
+        },
+        "persisted" => obj! {
+            "committed" => persisted.report.exec.committed,
+            "aborted" => persisted.report.exec.aborted,
+            "failed" => persisted.report.exec.failed,
+            "fsync" => true,
+            "group_commit" => false,
+            "secs" => secs(persisted.secs),
+            "commits_per_sec" => tps(persisted_tps),
+            "vs_memory" => ratio(persisted_vs_memory),
+            "recovered_ok" => recovered_ok,
+        },
+        "group_commit" => obj! {
+            "committed" => group.report.exec.committed,
+            "aborted" => group.report.exec.aborted,
+            "failed" => group.report.exec.failed,
+            "fsync" => true,
+            "max_batch" => GroupCommitPolicy::default().max_batch,
+            "secs" => secs(group.secs),
+            "commits_per_sec" => tps(group_tps),
+            "vs_persisted" => ratio(group_vs_persisted),
+            "vs_memory" => ratio(group_tps / sessions_tps),
+            "fsyncs" => flush.fsyncs,
+            "fsyncs_per_commit" => Json::fixed(fsyncs_per_commit, 6),
+            "batch_sizes" => Json::Obj(batch_sizes),
+            "latency_p50_ms" => ms(gp50),
+            "latency_p95_ms" => ms(gp95),
+            "latency_p99_ms" => ms(gp99),
+            "recovered_ok" => group_recovered_ok,
+        },
+        "networked" => networked_json,
+        "scaled" => scaled_json,
+        "sharded" => sharded_json,
+        "stage_latencies" => obj! {
+            "in_memory" => stage_latencies_json(&serving),
+            "persisted" => stage_latencies_json(&persisted.serving),
+            "group_commit" => stage_latencies_json(&group.serving),
+        },
+        "speedup" => ratio(speedup),
+        "constraint_violations" => violations,
+        "audit_ok" => verdict.ok(),
+        "audit_commits_checked" => verdict.commits_checked,
+        "audit_aborts_checked" => verdict.aborts_checked,
+        "accepted" => ok,
+    }
+    .render();
     std::fs::write(&cfg.out, &json).map_err(|e| format!("writing {}: {e}", cfg.out))?;
-    println!(
-        "speedup (sessions vs serial): {speedup:.2}x, sessions/batch: {session_vs_batch:.2} -> {}",
-        cfg.out
-    );
+    println!("speedup (sessions vs serial): {speedup:.2}x -> {}", cfg.out);
 
     if !enough_commits {
         eprintln!(
@@ -1673,12 +1528,6 @@ fn run(cfg: Config) -> Result<bool, String> {
     if !beats_baseline {
         eprintln!(
             "ACCEPTANCE: sessions ({sessions_tps:.0}/s) did not beat serial ({serial_tps:.0}/s)"
-        );
-    }
-    if !sessions_keep_up {
-        eprintln!(
-            "ACCEPTANCE: sessions ({sessions_tps:.0}/s) fell more than 10% behind the \
-             batch path ({batch_tps:.0}/s)"
         );
     }
     if !shape_bound {

@@ -69,9 +69,6 @@ fn spawn_server(
 /// constraint — some commit, some guard-abort).
 fn programs(seed: u64, n: usize) -> Vec<Program> {
     workload::sharded_jobs(seed, 1, n, RELS, UNIVERSE)
-        .into_iter()
-        .map(|j| j.program)
-        .collect()
 }
 
 #[test]

@@ -66,9 +66,6 @@ fn spawn_server(
 
 fn programs(seed: u64, n: usize) -> Vec<Program> {
     workload::sharded_jobs(seed, 1, n, RELS, UNIVERSE)
-        .into_iter()
-        .map(|j| j.program)
-        .collect()
 }
 
 /// The `Threads:` field of `/proc/self/status` — every OS thread in

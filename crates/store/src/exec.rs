@@ -1,10 +1,10 @@
-//! The execution core: submit, guard, commit — one worker loop, two front
-//! doors.
+//! The execution core: submit, guard, commit — one worker loop, one front
+//! door.
 //!
-//! The resident [`StoreServer`](crate::StoreServer) worker pool and the
-//! batch-compatibility wrapper [`run_jobs`] drive the *same* internal loop
-//! ([`worker_loop`]): work items arrive over an MPMC submission queue and
-//! each worker, per transaction:
+//! The resident [`StoreServer`](crate::StoreServer) worker pool runs
+//! [`worker_loop`]: work items arrive from
+//! [`Session::submit`](crate::Session::submit) over an MPMC submission
+//! queue and each worker, per transaction:
 //!
 //! 1. pulls a fresh [`Snapshot`](crate::Snapshot) (lock-free reads of an
 //!    `Arc`),
@@ -24,7 +24,7 @@
 //! the group-commit flusher, which fsyncs once for every pending commit
 //! and resolves all the tickets the flush covers (the **durable** phase).
 //! Aborts, failures, and in-memory servers have no durable phase: the
-//! worker resolves those tickets on the spot, exactly as before.
+//! worker resolves those tickets on the spot.
 //!
 //! Every one of these resolution paths — worker, flusher, and the
 //! drop-guard on a dying work item — funnels through the ticket's
@@ -48,7 +48,6 @@ use crate::snapshot::{CommitOutcome, CommitRequest, VersionedStore};
 use crate::wal::{GroupCommitFlusher, PendingAck};
 use crate::{AbortReason, StoreError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::{holds, Omega};
@@ -57,47 +56,6 @@ use vpdt_obs::TraceStage;
 use vpdt_structure::Database;
 use vpdt_tx::program::{Program, ProgramTransaction};
 use vpdt_tx::traits::{normalize_domain, Transaction, TxError};
-
-/// The session id recorded for transactions that did not come through a
-/// [`Session`](crate::Session) — the batch-compatibility path.
-pub const BATCH_SESSION: u64 = 0;
-
-/// A transaction queued for execution.
-#[derive(Clone, Debug)]
-pub struct Job {
-    /// Unique transaction id (assigned by [`Submitter`]).
-    pub id: u64,
-    /// The update program to run.
-    pub program: Program,
-}
-
-/// Assigns transaction ids and accumulates a batch of jobs — the legacy
-/// closed-batch front door, kept for the benches' batch comparison. New
-/// code should hold a [`Session`](crate::Session) on a
-/// [`StoreServer`](crate::StoreServer) instead.
-#[derive(Debug, Default)]
-pub struct Submitter {
-    jobs: Vec<Job>,
-}
-
-impl Submitter {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Submitter::default()
-    }
-
-    /// Queues a program; returns its transaction id.
-    pub fn submit(&mut self, program: Program) -> u64 {
-        let id = self.jobs.len() as u64;
-        self.jobs.push(Job { id, program });
-        id
-    }
-
-    /// The queued jobs.
-    pub fn into_jobs(self) -> Vec<Job> {
-        self.jobs
-    }
-}
 
 /// How one transaction ended — fully typed: aborts carry an
 /// [`AbortReason`], failures a [`StoreError`], so clients branch on the
@@ -122,10 +80,6 @@ pub enum TxOutcome {
     },
 }
 
-/// The historical name of [`TxOutcome`], kept as an alias so batch-era
-/// call sites read unchanged.
-pub type TxStatus = TxOutcome;
-
 /// Per-transaction outcomes plus pipeline counters.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
@@ -140,49 +94,16 @@ pub struct ExecReport {
     /// Commit offers rejected by footprint validation (each one cost a
     /// guard re-evaluation).
     pub conflicts: u64,
-    /// Guard-cache hits.
-    pub guard_hits: u64,
-    /// Guard-cache misses (compilations).
-    pub guard_misses: u64,
-}
-
-impl ExecReport {
-    /// Builds a report from raw outcomes (sorted by id here) and counters.
-    pub(crate) fn from_outcomes(
-        mut outcomes: Vec<(u64, TxOutcome)>,
-        conflicts: u64,
-        guard_hits: u64,
-        guard_misses: u64,
-    ) -> Self {
-        outcomes.sort_by_key(|(id, _)| *id);
-        let committed = outcomes
-            .iter()
-            .filter(|(_, s)| matches!(s, TxOutcome::Committed { .. }))
-            .count();
-        let aborted = outcomes
-            .iter()
-            .filter(|(_, s)| matches!(s, TxOutcome::Aborted { .. }))
-            .count();
-        let failed = outcomes.len() - committed - aborted;
-        ExecReport {
-            outcomes,
-            committed,
-            aborted,
-            failed,
-            conflicts,
-            guard_hits,
-            guard_misses,
-        }
-    }
 }
 
 /// One unit of work on the submission queue: a transaction plus the ticket
-/// (if any) to resolve with its outcome.
+/// to resolve with its outcome.
 pub(crate) struct WorkItem {
     pub tx: u64,
     pub session: u64,
     pub program: Program,
-    /// `None` on the batch path — outcomes are only collected in the report.
+    /// `None` only once the worker has taken it to settle, which disarms
+    /// the drop guard below.
     pub ticket: Option<Arc<TicketState>>,
     /// When the item entered the queue (registry ns) — the birth stamp
     /// queue-wait and end-to-end latency measure from.
@@ -272,71 +193,52 @@ impl WorkQueue {
     }
 }
 
-/// Where worker outcomes land: always the aggregate counters; the
-/// per-transaction list only when `retain` is set. A resident server
-/// serving unbounded traffic can turn retention off
-/// ([`StoreBuilder::retain_outcomes`](crate::StoreBuilder::retain_outcomes))
-/// — clients already get each outcome through their ticket, so the list is
-/// pure duplication held until shutdown.
+/// Where worker outcomes land when the server retains them
+/// ([`StoreBuilder::retain_outcomes`](crate::StoreBuilder::retain_outcomes)).
+/// A resident server serving unbounded traffic can turn retention off —
+/// clients already get each outcome through their ticket, and the
+/// aggregate counts live in [`StoreMetrics`] either way.
 pub(crate) struct OutcomeSink {
-    retain: bool,
-    outcomes: Mutex<Vec<(u64, TxOutcome)>>,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    failed: AtomicU64,
+    outcomes: Option<Mutex<Vec<(u64, TxOutcome)>>>,
 }
 
 impl OutcomeSink {
-    pub(crate) fn new(retain: bool, capacity: usize) -> Self {
+    pub(crate) fn new(retain: bool) -> Self {
         OutcomeSink {
-            retain,
-            outcomes: Mutex::new(Vec::with_capacity(if retain { capacity } else { 0 })),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
+            outcomes: retain.then(Mutex::default),
         }
     }
 
     fn record(&self, tx: u64, outcome: TxOutcome) {
-        match &outcome {
-            TxOutcome::Committed { .. } => &self.committed,
-            TxOutcome::Aborted { .. } => &self.aborted,
-            TxOutcome::Failed { .. } => &self.failed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        if self.retain {
-            self.outcomes
+        if let Some(outcomes) = &self.outcomes {
+            outcomes
                 .lock()
                 .expect("outcome sink poisoned")
                 .push((tx, outcome));
         }
     }
 
-    /// Drains the sink into a report (outcomes sorted by id; empty when
-    /// retention was off — the counters are authoritative either way).
-    pub(crate) fn into_report(
-        self,
-        conflicts: u64,
-        guard_hits: u64,
-        guard_misses: u64,
-    ) -> ExecReport {
-        let mut outcomes = self.outcomes.into_inner().expect("outcome sink poisoned");
+    /// Drains the sink into a report: outcomes sorted by id (empty when
+    /// retention was off), totals read from the server's counters.
+    pub(crate) fn into_report(self, obs: &StoreMetrics) -> ExecReport {
+        let mut outcomes = self
+            .outcomes
+            .map(|o| o.into_inner().expect("outcome sink poisoned"))
+            .unwrap_or_default();
         outcomes.sort_by_key(|(id, _)| *id);
         ExecReport {
             outcomes,
-            committed: self.committed.load(Ordering::Relaxed) as usize,
-            aborted: self.aborted.load(Ordering::Relaxed) as usize,
-            failed: self.failed.load(Ordering::Relaxed) as usize,
-            conflicts,
-            guard_hits,
-            guard_misses,
+            committed: obs.committed.get() as usize,
+            aborted: obs.aborted.get() as usize,
+            failed: obs.failed.get() as usize,
+            conflicts: obs.conflicts.get(),
         }
     }
 }
 
-/// The worker loop both front doors run: drain the queue, execute each
-/// item, settle its ticket, record its outcome. Returns when the queue is
-/// closed and empty (server shutdown, or the batch fully drained).
+/// The worker loop: drain the queue, execute each item, settle its ticket,
+/// record its outcome. Returns when the queue is closed and empty (server
+/// shutdown).
 ///
 /// Ticket settlement is two-phased where durability demands it: a commit
 /// on a server with a `group` flusher is only *published* here — the
@@ -370,10 +272,8 @@ pub(crate) fn worker_loop(
             (TxOutcome::Committed { version }, Some(offset), Some(flusher)) => {
                 // Take the ticket out of the item so the item's drop guard
                 // cannot mistake the durability wait for a lost worker.
-                let ticket = item.ticket.take();
-                if let Some(ticket) = &ticket {
-                    ticket.mark_applied(*version);
-                }
+                let ticket = item.ticket.take().expect("ticket settles once");
+                ticket.mark_applied(*version);
                 // End-to-end latency for the durable path is observed by
                 // the flusher when the covering fsync resolves the ticket.
                 flusher.enqueue(PendingAck {
@@ -566,23 +466,6 @@ pub(crate) fn execute_one(
     }
 }
 
-/// Fails every job with the same error — the fail-fast path when the
-/// soundness base case cannot be established.
-pub(crate) fn fail_all(jobs: &[Job], error: StoreError) -> ExecReport {
-    let outcomes = jobs
-        .iter()
-        .map(|j| {
-            (
-                j.id,
-                TxOutcome::Failed {
-                    error: error.clone(),
-                },
-            )
-        })
-        .collect();
-    ExecReport::from_outcomes(outcomes, 0, 0, 0)
-}
-
 /// Checks the guard-soundness base case: `α` must hold on the store's
 /// current state (the Section 6 guards are only sound on consistent
 /// states).
@@ -603,107 +486,76 @@ pub(crate) fn check_base_case(
     }
 }
 
-/// Runs a closed batch across `threads` workers against the store — the
-/// legacy front door, now a thin wrapper over the same worker loop the
-/// resident [`StoreServer`](crate::StoreServer) pool runs: the jobs are
-/// enqueued on a temporary submission queue, scoped workers drain it, and
-/// the report is assembled exactly as
-/// [`StoreServer::shutdown`](crate::StoreServer::shutdown) would.
-/// Outcomes are returned in job order; counters aggregate the whole run.
-///
-/// The guards are only sound on states satisfying `α` (that is the whole
-/// point of the Section 6 reduction), so the base case is established
-/// here: if the store's current state violates `α` — or `α` fails to
-/// evaluate — every job fails fast and nothing commits. (A resident
-/// server establishes the same base case once, in
-/// [`StoreBuilder::build`](crate::StoreBuilder::build).)
-pub fn run_jobs(
-    store: &VersionedStore,
-    cache: &GuardCache,
-    jobs: &[Job],
-    threads: usize,
-) -> ExecReport {
-    if let Err(error) = check_base_case(store, cache) {
-        return fail_all(jobs, error);
-    }
-
-    let retry = RetryPolicy::unbounded();
-    // A batch run is ephemeral: it gets its own registry (no tracing) so
-    // its counters don't leak into any resident server's.
-    let obs = StoreMetrics::new(0);
-    let sink = OutcomeSink::new(true, jobs.len());
-    let workers = threads.clamp(1, jobs.len().max(1));
-    let (hits0, misses0) = cache.stats();
-
-    let queue = WorkQueue::new();
-    for job in jobs {
-        queue
-            .push(WorkItem {
-                tx: job.id,
-                session: BATCH_SESSION,
-                program: job.program.clone(),
-                ticket: None,
-                enqueued_at_ns: obs.now_ns(),
-            })
-            .unwrap_or_else(|_| unreachable!("queue not yet closed"));
-    }
-    // The whole batch is enqueued: closing turns the queue into a drain,
-    // so the workers exit when it is empty.
-    queue.close();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker_loop(store, cache, &retry, &queue, &sink, &obs, None));
-        }
-    });
-
-    let (hits1, misses1) = cache.stats();
-    sink.into_report(obs.conflicts.get(), hits1 - hits0, misses1 - misses0)
-}
-
-/// The deferred-checking baseline: one thread applies each job in order via
-/// [`RuntimeChecked`] (run, test `α` on the result, roll back on violation).
-/// Returns the final state and the per-job outcomes, shaped like
-/// [`run_jobs`]'s report for direct comparison.
+/// The deferred-checking baseline: one thread applies each program in
+/// order via [`RuntimeChecked`] (run, test `α` on the result, roll back on
+/// violation). Returns the final state and the per-program outcomes, keyed
+/// by position; each commit's version counts the commits before it, as a
+/// served store's would.
 pub fn run_serial_rollback(
     initial: Database,
-    jobs: &[Job],
+    programs: &[Program],
     alpha: &Formula,
     omega: &Omega,
 ) -> (Database, ExecReport) {
     let mut state = initial;
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let tx = ProgramTransaction::new("serial", job.program.clone(), omega.clone());
+    let mut report = ExecReport {
+        outcomes: Vec::with_capacity(programs.len()),
+        committed: 0,
+        aborted: 0,
+        failed: 0,
+        conflicts: 0,
+    };
+    for (id, program) in (0u64..).zip(programs) {
+        let tx = ProgramTransaction::new("serial", program.clone(), omega.clone());
         let checked = RuntimeChecked::new(tx, alpha.clone(), omega.clone());
-        match checked.apply(&state) {
+        let outcome = match checked.apply(&state) {
             Ok(next) => {
                 state = next;
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Committed {
-                        version: i as u64 + 1,
-                    },
-                ));
+                report.committed += 1;
+                TxOutcome::Committed {
+                    version: report.committed as u64,
+                }
             }
             Err(TxError::Aborted(reason)) => {
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Aborted {
-                        reason: AbortReason::RolledBack { reason },
-                    },
-                ));
+                report.aborted += 1;
+                TxOutcome::Aborted {
+                    reason: AbortReason::RolledBack { reason },
+                }
             }
             Err(e) => {
-                outcomes.push((
-                    job.id,
-                    TxOutcome::Failed {
-                        error: StoreError::Tx(e),
-                    },
-                ));
+                report.failed += 1;
+                TxOutcome::Failed {
+                    error: StoreError::Tx(e),
+                }
             }
-        }
+        };
+        report.outcomes.push((id, outcome));
     }
-    let report = ExecReport::from_outcomes(outcomes, 0, 0, 0);
     (state, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vpdt_logic::parse_formula;
+
+    #[test]
+    fn serial_rollback_numbers_versions_by_commits() {
+        let alpha = parse_formula("forall x y z. E(x, y) & E(x, z) -> y = z").unwrap();
+        let programs = [
+            // E(0, 1) is already present: E(0, 2) violates the fd.
+            Program::insert_consts("E", [0, 2]),
+            Program::insert_consts("E", [1, 2]),
+        ];
+        let (state, report) = run_serial_rollback(
+            Database::graph([(0, 1)]),
+            &programs,
+            &alpha,
+            &Omega::empty(),
+        );
+        assert!(matches!(report.outcomes[0].1, TxOutcome::Aborted { .. }));
+        assert_eq!(report.outcomes[1].1, TxOutcome::Committed { version: 1 });
+        assert_eq!((report.committed, report.aborted, report.failed), (1, 1, 0));
+        assert_eq!(state, Database::graph([(0, 1), (1, 2)]));
+    }
 }

@@ -44,8 +44,8 @@ pub enum Event {
     Begin {
         /// Transaction id.
         tx: u64,
-        /// Id of the client session that submitted it
-        /// (`exec::BATCH_SESSION` = 0 for the legacy batch path).
+        /// Id of the client session that submitted it (sessions start
+        /// at 1).
         session: u64,
         /// Snapshot version first observed.
         version: u64,

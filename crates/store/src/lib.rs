@@ -72,9 +72,9 @@
 //!   LRU eviction — so compilation cost is O(statement shapes), independent
 //!   of the universe. Two sessions submitting the same statement shape share
 //!   one compilation;
-//! * [`exec`] — the internal worker loop both front doors drive (the
-//!   resident server pool, and the [`run_jobs`] batch-compatibility
-//!   wrapper), plus the serial check-and-rollback baseline it displaces;
+//! * [`exec`] — the one worker loop behind the one front door (the
+//!   resident server pool every [`Session`] submits to), plus the serial
+//!   check-and-rollback baseline it displaces;
 //! * [`history`] — a begin/guard-eval/commit/abort event log with snapshot
 //!   versions, per-relation commitment root hashes, and per-transaction
 //!   session provenance;
@@ -118,7 +118,7 @@ pub mod wal;
 pub mod workload;
 
 pub use audit::{audit, audit_from, cold_audit, cold_audit_dir, cold_audit_from, AuditReport};
-pub use exec::{run_jobs, run_serial_rollback, ExecReport, Job, Submitter, TxOutcome, TxStatus};
+pub use exec::{run_serial_rollback, ExecReport, TxOutcome};
 pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
 pub use history::{Event, History};
 pub use metrics::StoreMetrics;

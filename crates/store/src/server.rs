@@ -366,7 +366,7 @@ impl StoreBuilder {
             cache,
             retry: self.retry,
             queue: WorkQueue::new(),
-            sink: OutcomeSink::new(self.retain_outcomes, 0),
+            sink: OutcomeSink::new(self.retain_outcomes),
             obs,
             group,
         });
@@ -463,8 +463,7 @@ pub struct StoreServer {
 
 impl StoreServer {
     /// Opens a new client session. Sessions are independent and cheap; ids
-    /// start at 1 (0 is the [`BATCH_SESSION`](crate::exec::BATCH_SESSION)
-    /// provenance of the legacy batch path).
+    /// start at 1.
     pub fn session(&self) -> Session<'_> {
         Session::new(self, self.next_session.fetch_add(1, Ordering::Relaxed))
     }
@@ -694,10 +693,7 @@ impl StoreServer {
         // resets between reads. Callers measuring a serving window should
         // take a [`StoreServer::metrics`] snapshot at the window's start
         // and [`MetricsSnapshot::delta`] the final one against it.
-        let (hits, misses) = shared.cache.stats();
-        let exec = shared
-            .sink
-            .into_report(shared.obs.conflicts.get(), hits, misses);
+        let exec = shared.sink.into_report(&shared.obs);
         let snap = shared.store.snapshot();
         // Snapshot metrics last so the clean checkpoint and GC above are
         // included in the report's counters.

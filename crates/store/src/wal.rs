@@ -944,9 +944,8 @@ pub(crate) struct PendingAck {
     pub(crate) offset: u64,
     /// The version the publish phase produced.
     pub(crate) version: u64,
-    /// The ticket to resolve durable (absent on ticketless paths; the
-    /// commit still counts toward the batch it is flushed with).
-    pub(crate) ticket: Option<Arc<TicketState>>,
+    /// The ticket to resolve durable.
+    pub(crate) ticket: Arc<TicketState>,
     /// The transaction id, for trace events.
     pub(crate) tx: u64,
     /// When the transaction entered the submission queue (registry ns) —
@@ -1079,7 +1078,7 @@ impl GroupCommitFlusher {
 
     /// Resolve one ack durable: observe the publish→durable and
     /// end-to-end stage latencies, trace the `durable` event, then
-    /// resolve the ticket (if any). Callers invoke this *after* dropping
+    /// resolve the ticket. Callers invoke this *after* dropping
     /// the flusher's batch lock — resolution may fire a completion
     /// registered with [`TxTicket::on_resolve`](crate::TxTicket::on_resolve)
     /// on this thread, and that callback must never run under the lock
@@ -1098,15 +1097,13 @@ impl GroupCommitFlusher {
                 version: ack.version,
             },
         );
-        if let Some(ticket) = ack.ticket {
-            ticket.resolve(TxOutcome::Committed {
-                version: ack.version,
-            });
-        }
+        ack.ticket.resolve(TxOutcome::Committed {
+            version: ack.version,
+        });
     }
 
     /// Resolve one ack failed (flush error, fail-stop): trace the
-    /// `failed` event and resolve the ticket (if any).
+    /// `failed` event and resolve the ticket.
     fn resolve_failed(&self, ack: PendingAck, error: &StoreError) {
         self.obs.trace(
             ack.tx,
@@ -1114,11 +1111,9 @@ impl GroupCommitFlusher {
                 reason: error.code().to_string(),
             },
         );
-        if let Some(ticket) = ack.ticket {
-            ticket.resolve(TxOutcome::Failed {
-                error: error.clone(),
-            });
-        }
+        ack.ticket.resolve(TxOutcome::Failed {
+            error: error.clone(),
+        });
     }
 
     /// Advances the append watermark — called by the publish phase, under
@@ -1273,22 +1268,10 @@ impl GroupCommitFlusher {
                     // all now rather than making already-durable commits
                     // wait for (and trigger) another flush.
                     let durable = g.durable;
-                    let mut covered: Vec<PendingAck> = Vec::new();
-                    g.pending.retain_mut(|ack| {
-                        if ack.offset < durable {
-                            covered.push(PendingAck {
-                                offset: ack.offset,
-                                version: ack.version,
-                                ticket: ack.ticket.take(),
-                                tx: ack.tx,
-                                enqueued_at_ns: ack.enqueued_at_ns,
-                                published_at_ns: ack.published_at_ns,
-                            });
-                            false
-                        } else {
-                            true
-                        }
-                    });
+                    let covered: Vec<PendingAck> = g
+                        .pending
+                        .extract_if(.., |ack| ack.offset < durable)
+                        .collect();
                     if g.pending.is_empty() {
                         g.first_at = None;
                     }

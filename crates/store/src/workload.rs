@@ -5,7 +5,6 @@
 //! ambient randomness anywhere in the store, so every benchmark run and
 //! every audited history is reproducible bit-for-bit.
 
-use crate::exec::{Job, Submitter};
 use crate::server::StoreServer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,29 +61,28 @@ pub fn statement_menu(rels: usize, universe: u64) -> Vec<Program> {
     menu
 }
 
-/// A deterministic batch: `clients × per_client` jobs, each client drawing
-/// from the statement menu with its own derived seed.
+/// A deterministic batch: `clients × per_client` programs, each client
+/// drawing from the statement menu with its own derived seed.
 pub fn sharded_jobs(
     base_seed: u64,
     clients: u64,
     per_client: usize,
     rels: usize,
     universe: u64,
-) -> Vec<Job> {
+) -> Vec<Program> {
     let menu = statement_menu(rels, universe);
-    let mut submitter = Submitter::new();
+    let mut jobs = Vec::with_capacity(clients as usize * per_client);
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
-            let pick = rng.gen_range(0..menu.len());
-            submitter.submit(menu[pick].clone());
+            jobs.push(menu[rng.gen_range(0..menu.len())].clone());
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
 /// A deterministic batch for **large** configurations: `clients ×
-/// per_client` jobs sampled directly (relation, pair, insert-or-delete)
+/// per_client` programs sampled directly (relation, pair, insert-or-delete)
 /// from each client's derived stream, without materializing the
 /// `2 · rels · universe²` statement menu [`sharded_jobs`] picks from. The
 /// distribution is the same uniform one; only the generation cost changes
@@ -97,8 +95,8 @@ pub fn scaled_jobs(
     per_client: usize,
     rels: usize,
     universe: u64,
-) -> Vec<Job> {
-    let mut submitter = Submitter::new();
+) -> Vec<Program> {
+    let mut jobs = Vec::with_capacity(clients as usize * per_client);
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
@@ -110,13 +108,13 @@ pub fn scaled_jobs(
             } else {
                 Program::delete_consts(rel, [a, b])
             };
-            submitter.submit(program);
+            jobs.push(program);
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
-/// The canonical way to drive a job list through a running server: one
+/// The canonical way to drive a program list through a running server: one
 /// session per `per_client`-sized chunk, each submitting from its own
 /// thread (pipelined — every ticket first, then every wait, so the worker
 /// pool really interleaves sessions). Returns the tx-id → program map a
@@ -127,7 +125,7 @@ pub fn scaled_jobs(
 /// drive sessions by hand instead.
 pub fn serve_chunked(
     server: &StoreServer,
-    jobs: &[Job],
+    jobs: &[Program],
     per_client: usize,
 ) -> BTreeMap<u64, Program> {
     let programs = Mutex::new(BTreeMap::new());
@@ -138,12 +136,12 @@ pub fn serve_chunked(
             scope.spawn(move || {
                 let tickets: Vec<_> = chunk
                     .iter()
-                    .map(|job| session.submit(job.program.clone()))
+                    .map(|program| session.submit(program.clone()))
                     .collect();
                 {
                     let mut map = programs.lock().expect("programs lock poisoned");
-                    for (ticket, job) in tickets.iter().zip(chunk) {
-                        map.insert(ticket.id(), job.program.clone());
+                    for (ticket, program) in tickets.iter().zip(chunk) {
+                        map.insert(ticket.id(), program.clone());
                     }
                 }
                 for ticket in &tickets {
@@ -170,9 +168,9 @@ pub fn cross_mix_jobs(
     rels: usize,
     universe: u64,
     cross_fraction: f64,
-) -> Vec<Job> {
+) -> Vec<Program> {
     assert!(rels >= 2, "a cross mix needs at least two relations");
-    let mut submitter = Submitter::new();
+    let mut jobs = Vec::with_capacity(clients as usize * per_client);
     for client in 0..clients {
         let mut rng = StdRng::seed_from_u64(client_seed(base_seed, client));
         for _ in 0..per_client {
@@ -199,24 +197,24 @@ pub fn cross_mix_jobs(
             } else {
                 Program::delete_consts(format!("R{r}"), [a, b])
             };
-            submitter.submit(program);
+            jobs.push(program);
         }
     }
-    submitter.into_jobs()
+    jobs
 }
 
 /// How a [`serve_sharded_chunked`] run split between the two paths.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardedDrive {
-    /// Jobs routed to a single shard's ordinary pipeline.
+    /// Programs routed to a single shard's ordinary pipeline.
     pub single: u64,
-    /// Jobs that took the cross-shard two-phase-commit path.
+    /// Programs that took the cross-shard two-phase-commit path.
     pub cross: u64,
     /// Submissions refused by the router or coordinator with an error.
     pub errors: u64,
 }
 
-/// The sharded analogue of [`serve_chunked`]: drives a job list through
+/// The sharded analogue of [`serve_chunked`]: drives a program list through
 /// the router, one session per `per_client`-sized chunk on its own thread,
 /// pipelining single-shard tickets (submit everything, then wait) while
 /// cross-shard jobs resolve inline. Outcome totals land in the per-shard
@@ -224,7 +222,7 @@ pub struct ShardedDrive {
 /// this returns just the routing split.
 pub fn serve_sharded_chunked(
     store: &crate::ShardedStore,
-    jobs: &[Job],
+    jobs: &[Program],
     per_client: usize,
 ) -> ShardedDrive {
     use crate::Routed;
@@ -236,8 +234,8 @@ pub fn serve_sharded_chunked(
             scope.spawn(move || {
                 let mut local = ShardedDrive::default();
                 let mut tickets = Vec::new();
-                for job in chunk {
-                    match store.submit(session, job.program.clone()) {
+                for program in chunk {
+                    match store.submit(session, program.clone()) {
                         Ok(Routed::Single { ticket, .. }) => {
                             local.single += 1;
                             tickets.push(ticket);
@@ -295,9 +293,9 @@ mod tests {
         let a = sharded_jobs(42, 3, 5, 4, 3);
         let b = sharded_jobs(42, 3, 5, 4, 3);
         assert_eq!(a.len(), 15);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.program == y.program));
+        assert_eq!(a, b);
         let c = sharded_jobs(43, 3, 5, 4, 3);
-        assert!(a.iter().zip(&c).any(|(x, y)| x.program != y.program));
+        assert!(a.iter().zip(&c).any(|(x, y)| x != y));
     }
 
     #[test]
@@ -314,19 +312,17 @@ mod tests {
         let a = cross_mix_jobs(7, 4, 50, 4, 8, 0.25);
         let b = cross_mix_jobs(7, 4, 50, 4, 8, 0.25);
         assert_eq!(a.len(), 200);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.program == y.program));
+        assert_eq!(a, b);
         let crosses = a
             .iter()
-            .filter(|j| j.program.touched_relations().len() == 2)
+            .filter(|p| p.touched_relations().len() == 2)
             .count();
         assert!(
             (20..=80).contains(&crosses),
             "~25% of 200 jobs should span two relations, got {crosses}"
         );
         let none = cross_mix_jobs(7, 4, 50, 4, 8, 0.0);
-        assert!(none
-            .iter()
-            .all(|j| j.program.touched_relations().len() == 1));
+        assert!(none.iter().all(|p| p.touched_relations().len() == 1));
     }
 
     #[test]

@@ -43,8 +43,8 @@ fn main() {
     // prepared-statement shape, and only distinct *shapes* compile —
     // O(statements), independent of the universe size.
     let tc = Instant::now();
-    for job in &jobs {
-        server.prepare(&job.program).expect("compiles");
+    for program in &jobs {
+        server.prepare(program).expect("compiles");
     }
     println!(
         "compiled {} statement shapes (from {} programs) in {:.1?}",
@@ -67,21 +67,18 @@ fn main() {
         report.exec.aborted,
         concurrent,
         report.exec.conflicts,
-        report.exec.guard_hits,
-        report.exec.guard_misses
+        report.cache.hits,
+        report.cache.misses
     );
 
-    // The baseline the paper displaces: serial check-and-rollback.
-    let jobs_for_serial: Vec<vpdt::store::Job> = programs
-        .iter()
-        .map(|(id, p)| vpdt::store::Job {
-            id: *id,
-            program: p.clone(),
-        })
-        .collect();
+    // The baseline the paper displaces: serial check-and-rollback, over the
+    // same programs in transaction-id order.
+    let serial_programs: Vec<_> = programs.values().cloned().collect();
     let t1 = Instant::now();
-    let (_, serial) = run_serial_rollback(initial.clone(), &jobs_for_serial, &alpha, &omega);
+    let (_, serial) = run_serial_rollback(initial.clone(), &serial_programs, &alpha, &omega);
     let serial_time = t1.elapsed();
+    assert_eq!(serial.failed, 0, "the baseline never errors, it rolls back");
+    assert_eq!(serial.committed + serial.aborted, jobs.len());
     println!(
         "rollback-serial:    {} committed, {} aborted in {:.1?}",
         serial.committed, serial.aborted, serial_time

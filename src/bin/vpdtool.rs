@@ -403,8 +403,8 @@ fn run_store(args: &[String]) -> Result<(), String> {
         report.exec.failed,
         report.final_version,
         report.exec.conflicts,
-        report.exec.guard_hits,
-        report.exec.guard_misses,
+        report.cache.hits,
+        report.cache.misses,
     );
     // A persisted run is audited *cold*, from the files it left behind —
     // that also covers history from before a --recover. In-memory runs
@@ -783,13 +783,13 @@ fn run_net_drive(args: &[String]) -> Result<(), String> {
                                 eprintln!("drive-{c}: transaction failed [{code}] {detail}");
                             }
                         };
-                        for job in *chunk {
+                        for program in *chunk {
                             if client.inflight() >= window {
                                 let (_req, _tx, outcome) =
                                     client.next_outcome().map_err(|e| e.to_string())?;
                                 tally(outcome);
                             }
-                            client.submit(&job.program).map_err(|e| e.to_string())?;
+                            client.submit(program).map_err(|e| e.to_string())?;
                         }
                         client
                             .sync(|_req, _tx, outcome| tally(outcome))

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use vpdt::core::safe::compile_guard;
 use vpdt::eval::{holds, Omega};
 use vpdt::logic::{Elem, Formula, Schema};
-use vpdt::store::{audit, run_jobs, workload, Event, GuardCache, Submitter, VersionedStore};
+use vpdt::store::{audit, workload, Event, StoreBuilder, TxOutcome};
 use vpdt::structure::Database;
 use vpdt::tx::program::{Program, ProgramTransaction};
 use vpdt::tx::template::canonicalize;
@@ -109,10 +109,9 @@ proptest! {
     }
 }
 
-/// Fill the cache past its LRU bound through the real executor: evicted
-/// shapes recompile (and the per-shape stats say so), and the audit still
-/// verifies the history even though most compilations are long gone —
-/// shape *identities* are never evicted.
+/// Fill the cache past its LRU bound through a served run: evicted shapes
+/// recompile, and the audit still verifies the history even though most
+/// compilations are long gone — shape *identities* are never evicted.
 #[test]
 fn eviction_recompiles_and_audit_survives() {
     const RELS: usize = 4;
@@ -120,15 +119,20 @@ fn eviction_recompiles_and_audit_survives() {
     let alpha = workload::sharded_fd_constraint(RELS);
     let omega = Omega::empty();
     let initial = workload::sharded_initial(3, RELS, UNIVERSE, 0.5);
-    let store = VersionedStore::new(initial.clone());
     // the menu has 2 shapes per relation = 8 shapes; cap the cache at 3
-    let cache = GuardCache::with_capacity(store.schema().clone(), alpha.clone(), omega.clone(), 3);
+    let server = StoreBuilder::new(initial.clone(), alpha.clone())
+        .omega(omega.clone())
+        .guard_cache_capacity(3)
+        .workers(4)
+        .build()
+        .expect("initial state satisfies the constraint");
     let jobs = workload::sharded_jobs(3, 4, 60, RELS, UNIVERSE);
-    let report = run_jobs(&store, &cache, &jobs, 4);
-    assert_eq!(report.failed, 0, "{report:?}");
-    assert!(report.committed > 0);
+    let programs = workload::serve_chunked(&server, &jobs, 60);
+    let report = server.shutdown();
+    assert_eq!(report.exec.failed, 0, "{:?}", report.exec);
+    assert!(report.exec.committed > 0);
 
-    let stats = cache.cache_stats();
+    let stats = report.cache;
     assert_eq!(stats.shapes, 2 * RELS, "every menu shape was seen");
     assert!(stats.entries <= 3, "LRU bound holds: {stats:?}");
     assert!(stats.evictions > 0, "the bound forced evictions: {stats:?}");
@@ -136,28 +140,20 @@ fn eviction_recompiles_and_audit_survives() {
         stats.misses > stats.shapes as u64,
         "evicted shapes recompiled: {stats:?}"
     );
-    let recompiled = cache
-        .per_shape_stats()
-        .iter()
-        .filter(|s| s.compiles > 1)
-        .count();
-    assert!(recompiled > 0, "per-shape stats count recompilations");
 
     // identities survive eviction: the audit resolves every shape
-    let templates = cache.templates();
-    assert_eq!(templates.len(), 2 * RELS);
-    let programs: BTreeMap<u64, Program> = jobs.iter().map(|j| (j.id, j.program.clone())).collect();
+    assert_eq!(report.templates.len(), 2 * RELS);
     let verdict = audit(
         &alpha,
         &omega,
         &initial,
-        &store.snapshot().db,
-        &store.history().events(),
+        &report.final_db,
+        &report.events,
         &programs,
-        &templates,
+        &report.templates,
     );
     assert!(verdict.ok(), "{verdict}");
-    assert_eq!(verdict.commits_checked, report.committed);
+    assert_eq!(verdict.commits_checked, report.exec.committed);
 }
 
 /// Forged statement provenance is rejected: a commit whose recorded
@@ -168,18 +164,26 @@ fn audit_rejects_forged_provenance() {
     let alpha = workload::sharded_fd_constraint(2);
     let omega = Omega::empty();
     let initial = workload::sharded_initial(5, 2, 4, 0.4);
-    let store = VersionedStore::new(initial.clone());
-    let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
-    let mut submitter = Submitter::new();
-    submitter.submit(Program::insert_consts("R0", [3, 3]));
-    submitter.submit(Program::insert_consts("R1", [2, 0]));
-    let jobs = submitter.into_jobs();
-    let report = run_jobs(&store, &cache, &jobs, 1);
-    assert!(report.committed > 0, "{report:?}");
-    let programs: BTreeMap<u64, Program> = jobs.iter().map(|j| (j.id, j.program.clone())).collect();
+    let server = StoreBuilder::new(initial.clone(), alpha.clone())
+        .omega(omega.clone())
+        .workers(1)
+        .build()
+        .expect("initial state satisfies the constraint");
+    let session = server.session();
+    let mut programs = BTreeMap::new();
+    for program in [
+        Program::insert_consts("R0", [3, 3]),
+        Program::insert_consts("R1", [2, 0]),
+    ] {
+        let ticket = session.submit(program.clone());
+        ticket.wait();
+        programs.insert(ticket.id(), program);
+    }
+    let report = server.shutdown();
+    assert!(report.exec.committed > 0, "{:?}", report.exec);
 
     // forge the bindings of the first commit
-    let mut events = store.history().events();
+    let mut events = report.events.clone();
     let pos = events
         .iter()
         .position(|e| matches!(e, Event::Commit { .. }))
@@ -191,10 +195,10 @@ fn audit_rejects_forged_provenance() {
         &alpha,
         &omega,
         &initial,
-        &store.snapshot().db,
+        &report.final_db,
         &events,
         &programs,
-        &cache.templates(),
+        &report.templates,
     );
     assert!(!verdict.ok(), "forged bindings must not verify");
     assert!(
@@ -207,7 +211,7 @@ fn audit_rejects_forged_provenance() {
 
     // forged provenance on a *Begin* event is caught too (this covers
     // transactions that abort and therefore never reach a commit check)
-    let mut events = store.history().events();
+    let mut events = report.events.clone();
     let begin_pos = events
         .iter()
         .position(|e| matches!(e, Event::Begin { .. }))
@@ -219,15 +223,15 @@ fn audit_rejects_forged_provenance() {
         &alpha,
         &omega,
         &initial,
-        &store.snapshot().db,
+        &report.final_db,
         &events,
         &programs,
-        &cache.templates(),
+        &report.templates,
     );
     assert!(!verdict.ok(), "forged begin provenance must not verify");
 
     // an unknown shape id is caught too
-    let mut events = store.history().events();
+    let mut events = report.events.clone();
     if let Event::Commit { shape, .. } = &mut events[pos] {
         *shape = 999;
     }
@@ -235,10 +239,10 @@ fn audit_rejects_forged_provenance() {
         &alpha,
         &omega,
         &initial,
-        &store.snapshot().db,
+        &report.final_db,
         &events,
         &programs,
-        &cache.templates(),
+        &report.templates,
     );
     assert!(!verdict.ok(), "unknown shapes must not verify");
     assert!(verdict
@@ -247,27 +251,28 @@ fn audit_rejects_forged_provenance() {
         .any(|p| p.contains("unknown statement shape")));
 }
 
-/// Relation-sharded storage under the executor: committing a transaction
-/// that writes only R0 leaves the new version's R1 the *same `Arc`* as the
-/// previous version's — copy-on-write cloning and the commit path never
-/// copy an untouched relation's tuples. (The stale-but-disjoint merge path
-/// asserts the same pointer sharing in `snapshot.rs`'s unit tests.)
+/// Relation-sharded storage under a served commit: committing a
+/// transaction that writes only R0 leaves the new version's R1 the *same
+/// `Arc`* as the previous version's — copy-on-write cloning and the commit
+/// path never copy an untouched relation's tuples. (The stale-but-disjoint
+/// merge path asserts the same pointer sharing in `snapshot.rs`'s unit
+/// tests.)
 #[test]
 fn disjoint_merges_swap_pointers_under_the_executor() {
     let alpha = workload::sharded_fd_constraint(2);
-    let omega = Omega::empty();
     let mut initial = Database::empty(workload::sharded_schema(2));
     initial.insert("R0", vec![Elem(0), Elem(1)]);
     initial.insert("R1", vec![Elem(2), Elem(3)]);
-    let store = VersionedStore::new(initial.clone());
-    let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
-    let mut submitter = Submitter::new();
-    submitter.submit(Program::insert_consts("R0", [4, 0]));
-    let jobs = submitter.into_jobs();
-    let before = store.snapshot();
-    let report = run_jobs(&store, &cache, &jobs, 1);
-    assert_eq!(report.committed, 1, "{report:?}");
-    let after = store.snapshot();
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(1)
+        .build()
+        .expect("initial state satisfies the constraint");
+    let before = server.snapshot();
+    let outcome = server
+        .session()
+        .submit_sync(Program::insert_consts("R0", [4, 0]));
+    assert_eq!(outcome, TxOutcome::Committed { version: 1 });
+    let after = server.snapshot();
     // R1 was not written: the new version's R1 is the old version's R1
     assert!(after.db.shares_rel(&before.db, "R1"));
     assert!(!after.db.shares_rel(&before.db, "R0"));

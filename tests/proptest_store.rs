@@ -273,7 +273,7 @@ proptest! {
     fn templates_roundtrip_through_the_codec(seed in 0u64..10_000) {
         for job in workload::sharded_jobs(seed, 1, 8, RELS, UNIVERSE) {
             let (template, bindings) =
-                vpdt::tx::template::canonicalize(&job.program).expect("canonicalizes");
+                vpdt::tx::template::canonicalize(&job).expect("canonicalizes");
             let bytes = vpdt::tx::codec::program_to_bytes(template.shape());
             let shape = vpdt::tx::codec::decode_program_exact(&bytes).expect("decodes");
             let back = vpdt::tx::template::Template::from_shape(shape).expect("rebuilds");

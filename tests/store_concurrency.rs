@@ -5,9 +5,7 @@
 use std::collections::BTreeMap;
 use vpdt::core::safe::RuntimeChecked;
 use vpdt::eval::{holds, Omega};
-use vpdt::store::{
-    audit, workload, Event, ServerReport, StoreBuilder, StoreError, TxOutcome, TxStatus,
-};
+use vpdt::store::{audit, workload, Event, ServerReport, StoreBuilder, StoreError, TxOutcome};
 use vpdt::tx::program::{Program, ProgramTransaction};
 use vpdt::tx::traits::{Transaction, TxError};
 
@@ -137,32 +135,6 @@ fn inconsistent_initial_state_fails_to_build() {
     assert!(err.to_string().contains("violates the constraint"));
 }
 
-/// The batch compatibility wrapper keeps the legacy fail-fast behaviour:
-/// run_jobs over an inconsistent store fails every job with the typed
-/// error.
-#[test]
-fn inconsistent_initial_state_fails_fast_in_batch_mode() {
-    use vpdt::store::{run_jobs, GuardCache, VersionedStore};
-    let alpha = workload::sharded_fd_constraint(2);
-    let schema = workload::sharded_schema(2);
-    let mut bad = vpdt::structure::Database::empty(schema.clone());
-    bad.insert("R0", vec![vpdt::logic::Elem(0), vpdt::logic::Elem(1)]);
-    bad.insert("R0", vec![vpdt::logic::Elem(0), vpdt::logic::Elem(2)]);
-    let store = VersionedStore::new(bad);
-    let cache = GuardCache::new(schema, alpha, Omega::empty());
-    let jobs = workload::sharded_jobs(1, 1, 5, 2, 3);
-    let report = run_jobs(&store, &cache, &jobs, 2);
-    assert_eq!(report.committed, 0);
-    assert_eq!(report.failed, jobs.len());
-    assert_eq!(store.version(), 0, "nothing may commit");
-    assert!(matches!(
-        &report.outcomes[0].1,
-        TxStatus::Failed {
-            error: StoreError::GuardUnsound { version: 0 }
-        }
-    ));
-}
-
 /// The audit accepts the history the server actually produced.
 #[test]
 fn audit_accepts_real_histories() {
@@ -268,10 +240,7 @@ fn guard_path_agrees_with_rollback_path_serially() {
     {
         let session = server.session();
         for job in &jobs {
-            outcomes.push((
-                job.program.clone(),
-                session.submit_sync(job.program.clone()),
-            ));
+            outcomes.push((job.clone(), session.submit_sync(job.clone())));
         }
     }
     let report = server.shutdown();

@@ -140,9 +140,7 @@ fn drop_mid_batch_loses_no_resolved_ticket() {
     // ends with this block, the tickets live on.
     let tickets: Vec<_> = {
         let session = server.session();
-        jobs.iter()
-            .map(|job| session.submit(job.program.clone()))
-            .collect()
+        jobs.iter().map(|job| session.submit(job.clone())).collect()
     };
     // Wait for only the first third — the rest are mid-flight (queued,
     // published, or awaiting their covering fsync) when the server drops.

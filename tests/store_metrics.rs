@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::store::metrics::names;
-use vpdt::store::{wal, workload, StoreBuilder, TraceStage, WalOptions};
+use vpdt::store::{wal, workload, StoreBuilder, TraceStage, TxOutcome, WalOptions};
 
 const RELS: usize = 2;
 const UNIVERSE: u64 = 4;
@@ -88,11 +88,11 @@ fn counters_are_lifetime_totals_and_delta_gives_windows() {
     let mid = {
         let session = server.session();
         for job in &batch_a {
-            session.submit(job.program.clone()).wait();
+            session.submit(job.clone()).wait();
         }
         let mid = server.metrics();
         for job in &batch_b {
-            session.submit(job.program.clone()).wait();
+            session.submit(job.clone()).wait();
         }
         mid
     };
@@ -154,6 +154,43 @@ fn report_counters_and_exposition_agree() {
     assert_eq!(text, m.render_prometheus(), "exposition is deterministic");
 }
 
+/// The exec report's totals are the registry's counters whether or not the
+/// server retains per-transaction outcomes — and, when it does, they match
+/// the retained list.
+#[test]
+fn exec_totals_are_the_registry_counters_with_and_without_retention() {
+    for retain in [true, false] {
+        let alpha = workload::sharded_fd_constraint(RELS);
+        let initial = workload::sharded_initial(17, RELS, UNIVERSE, 0.4);
+        let server = StoreBuilder::new(initial, alpha)
+            .workers(2)
+            .retain_outcomes(retain)
+            .build()
+            .expect("consistent initial state");
+        let jobs = workload::sharded_jobs(17, 3, 40, RELS, UNIVERSE);
+        workload::serve_chunked(&server, &jobs, 40);
+        let report = server.shutdown();
+        let m = &report.metrics;
+        let exec = &report.exec;
+        assert_eq!(m.counter(names::TX_COMMITTED), exec.committed as u64);
+        assert_eq!(m.counter(names::TX_ABORTED), exec.aborted as u64);
+        assert_eq!(m.counter(names::TX_FAILED), exec.failed as u64);
+        assert_eq!(exec.committed + exec.aborted + exec.failed, jobs.len());
+        assert!(exec.committed > 0 && exec.aborted > 0, "{exec:?}");
+        if retain {
+            let committed = exec
+                .outcomes
+                .iter()
+                .filter(|(_, o)| matches!(o, TxOutcome::Committed { .. }))
+                .count();
+            assert_eq!(exec.outcomes.len(), jobs.len());
+            assert_eq!(committed, exec.committed);
+        } else {
+            assert!(exec.outcomes.is_empty());
+        }
+    }
+}
+
 /// Checkpoint-file GC: once segments rotate and later checkpoints cover
 /// the log, superseded checkpoint files are deleted (the recovery floor
 /// and the newest survive), recovery still works, and the deletions are
@@ -179,7 +216,7 @@ fn checkpoint_gc_deletes_superseded_files() {
         for round in 0..4u64 {
             let jobs = workload::sharded_jobs(20 + round, 1, 30, RELS, UNIVERSE);
             for job in &jobs {
-                session.submit(job.program.clone()).wait();
+                session.submit(job.clone()).wait();
             }
             server.checkpoint().expect("serving checkpoint");
             checkpoints_taken += 1;

@@ -65,7 +65,7 @@ fn persisted_run(dir: &Path, seed: u64, clients: u64, per_client: usize, clean: 
                 scope.spawn(move || {
                     let tickets: Vec<_> = chunk
                         .iter()
-                        .map(|job| session.submit(job.program.clone()))
+                        .map(|job| session.submit(job.clone()))
                         .collect();
                     tickets
                         .iter()
@@ -252,11 +252,9 @@ fn truncation_at_every_byte_boundary_recovers_a_consistent_prefix() {
                 .workers(1)
                 .build()
                 .expect("resumes after truncation");
-            let outcome = server.session().submit_sync(
-                workload::sharded_jobs(7, 1, 1, RELS, UNIVERSE)[0]
-                    .program
-                    .clone(),
-            );
+            let outcome = server
+                .session()
+                .submit_sync(workload::sharded_jobs(7, 1, 1, RELS, UNIVERSE)[0].clone());
             assert!(
                 !matches!(outcome, TxOutcome::Failed { .. }),
                 "cut {cut}: resumed server must execute, got {outcome:?}"

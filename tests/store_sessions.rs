@@ -321,7 +321,7 @@ fn retention_off_keeps_counters_and_tickets_exact() {
     {
         let session = server.session();
         for job in &jobs {
-            match session.submit_sync(job.program.clone()) {
+            match session.submit_sync(job.clone()) {
                 TxOutcome::Committed { .. } => committed += 1,
                 TxOutcome::Aborted { .. } => aborted += 1,
                 TxOutcome::Failed { error } => panic!("unexpected failure: {error}"),
@@ -336,7 +336,7 @@ fn retention_off_keeps_counters_and_tickets_exact() {
     let programs: BTreeMap<u64, Program> = jobs
         .iter()
         .enumerate()
-        .map(|(i, job)| (i as u64, job.program.clone()))
+        .map(|(i, job)| (i as u64, job.clone()))
         .collect();
     let verdict = audit(
         &alpha,
