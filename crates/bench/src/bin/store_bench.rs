@@ -629,6 +629,9 @@ struct ShardedPass {
     aborted: u64,
     failed: u64,
     secs: f64,
+    /// The largest fast guard (formula nodes) among the router's
+    /// cross-shard shapes; 0 when no cross-shard shape was compiled.
+    cross_guard_max_nodes: usize,
 }
 
 fn run_sharded_once(
@@ -658,6 +661,12 @@ fn run_sharded_once(
     let t0 = Instant::now();
     let drive = workload::serve_sharded_chunked(&store, jobs, cfg.per_client.max(1));
     let secs = t0.elapsed().as_secs_f64();
+    let cross_guard_max_nodes = store
+        .router_shape_stats()
+        .iter()
+        .filter_map(|s| s.fast_nodes)
+        .max()
+        .unwrap_or(0);
     let report = store.shutdown();
     let shards_total = |count: fn(&vpdt_store::ExecReport) -> usize| {
         report.shards.iter().map(|s| count(&s.exec)).sum::<usize>() as u64
@@ -673,6 +682,7 @@ fn run_sharded_once(
         aborted,
         failed,
         secs,
+        cross_guard_max_nodes,
     })
 }
 
@@ -1190,7 +1200,8 @@ fn run(cfg: Config) -> Result<bool, String> {
         println!(
             "sharded cross-mix ({:.0}% cross): {} single / {} cross routed, {} committed / \
              {} aborted / {} failed in {:.3}s ({mixed_tps:.0} commits/s, 2PC total \
-             p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms, recovery {}, cold audit {})",
+             p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms, largest cross guard {} nodes, \
+             recovery {}, cold audit {})",
             SHARD_CROSS_FRACTION * 100.0,
             mixed.drive.single,
             mixed.drive.cross,
@@ -1201,6 +1212,7 @@ fn run(cfg: Config) -> Result<bool, String> {
             cp50 / 1e3,
             cp95 / 1e3,
             cp99 / 1e3,
+            mixed.cross_guard_max_nodes,
             if sh_recovered_ok { "OK" } else { "MISMATCH" },
             if sh_audit_ok { "OK" } else { "PROBLEMS" },
         );
@@ -1412,6 +1424,7 @@ fn run(cfg: Config) -> Result<bool, String> {
                 "cross_committed" => coord.counter(names::CROSS_COMMITTED),
                 "cross_aborted" => coord.counter(names::CROSS_ABORTED),
                 "prepare_retries" => coord.counter(names::CROSS_PREPARE_RETRIES),
+                "cross_guard_max_nodes" => s.mixed.cross_guard_max_nodes,
                 "decision_records" => s.mixed.report.decisions,
                 "cross_total_p50_ms" => ms(cp50 / 1e3),
                 "cross_total_p95_ms" => ms(cp95 / 1e3),

@@ -170,11 +170,16 @@ pub struct GuardCompilation {
     /// exactly those conjuncts `αᵢ` of `α` the transaction can disturb.
     /// Sound only on states already satisfying `α` (see [`compile_guard`]).
     pub reduced: Formula,
-    /// The cheapest guard — the Δ of Section 6 where one is derivable
-    /// (Nicolas-style insertion residues, anti-monotone deletions), the
-    /// `wpc` conjunct otherwise. Equivalent to [`reduced`](Self::reduced)
-    /// (and hence to [`wpc`](Self::wpc)) on states satisfying `α`; this is
-    /// what a server should evaluate per transaction.
+    /// The cheapest guard — per kept conjunct, the Δ of Section 6 where
+    /// one is derivable (Nicolas-style insertion residues, anti-monotone
+    /// deletions), the `wpc` conjunct otherwise. Δs compose across a
+    /// `Seq` of tuple-level updates: a domain-independent conjunct written
+    /// by exactly one step gets that step's Δ, so a multi-statement
+    /// transaction such as a cross-shard move keeps a guard the size of a
+    /// single insert's (see `fast_guard_for` for the rule and its three
+    /// gates). Equivalent to [`reduced`](Self::reduced) (and hence to
+    /// [`wpc`](Self::wpc)) on states satisfying `α`; this is what a server
+    /// should evaluate per transaction.
     pub fast: Formula,
     /// Relations whose old contents the guard or the program consult.
     pub reads: BTreeSet<String>,
@@ -221,6 +226,14 @@ impl GuardCompilation {
 ///
 /// * `D ⊨ wpc  ⟺  T(D) ⊨ α` (exact, any `D`), and
 /// * if `D ⊨ α` then `D ⊨ reduced ⟺ T(D) ⊨ α`.
+///
+/// The fast guard replaces a kept conjunct's wpc by a Δ when the program
+/// flattens into inserts of constants/placeholders and conditional deletes
+/// and (1) the conjunct is domain-independent, (2) exactly one step writes
+/// one of its relations, and (3) that step's residue reads only the
+/// conjunct's relations (an insert's Nicolas residue; `true` for a delete
+/// the conjunct is anti-monotone in). It shares the reduced guard's
+/// contract: if `D ⊨ α` then `D ⊨ fast ⟺ T(D) ⊨ α`.
 pub fn compile_guard(
     label: impl Into<String>,
     program: &Program,
@@ -232,7 +245,7 @@ pub fn compile_guard(
     let pre = compile_program(label, program, schema, omega)?;
 
     let writes = program.touched_relations();
-    let single = as_single_update(program);
+    let steps = as_update_steps(program);
     let mut full = Vec::new();
     let mut kept = Vec::new();
     let mut fast_parts = Vec::new();
@@ -254,7 +267,7 @@ pub fn compile_guard(
             continue;
         }
         let w = wpc_sentence(&pre, conjunct)?;
-        fast_parts.push(fast_guard_for(conjunct, &w, single.as_ref(), independent));
+        fast_parts.push(fast_guard_for(conjunct, &w, steps.as_deref(), independent));
         kept.push(w.clone());
         // The conjunct's own relations — not its wpc's. The wpc
         // mentions every relation through Γ-relativization of its
@@ -327,61 +340,113 @@ pub fn compile_guard_template(
     compile_guard(label, template.shape(), alpha, schema, omega)
 }
 
-/// A program that is a single tuple-level update, for which the Δ
-/// machinery of [`crate::simplify`] applies directly.
-enum SingleUpdate<'a> {
-    /// One insert of constants and/or placeholders (the two symbolic ground
+/// One tuple-level step of a straight-line update program, for which the
+/// Δ machinery of [`crate::simplify`] applies directly.
+enum UpdateStep<'a> {
+    /// An insert of constants and/or placeholders (the two symbolic ground
     /// forms [`delta_for_insert_terms`] can unify statically).
-    Insert { rel: &'a str, tuple: Vec<Term> },
-    /// One conditional delete (pure shrinkage of `rel`).
+    Insert { rel: &'a str, tuple: &'a [Term] },
+    /// A conditional delete (pure shrinkage of `rel`).
     Delete { rel: &'a str },
 }
 
-fn as_single_update(p: &Program) -> Option<SingleUpdate<'_>> {
-    match p {
-        Program::Insert { rel, tuple } => tuple
-            .iter()
-            .all(|t| matches!(t, Term::Const(_)) || t.as_param().is_some())
-            .then(|| SingleUpdate::Insert {
-                rel,
-                tuple: tuple.clone(),
-            }),
-        Program::DeleteWhere { rel, .. } => Some(SingleUpdate::Delete { rel }),
-        Program::Seq(ps) if ps.len() == 1 => as_single_update(&ps[0]),
-        _ => None,
+impl UpdateStep<'_> {
+    fn rel(&self) -> &str {
+        match self {
+            UpdateStep::Insert { rel, .. } | UpdateStep::Delete { rel } => rel,
+        }
     }
 }
 
-/// The cheapest sound guard for one kept conjunct: a Section 6 Δ when the
-/// program is a single update of a supported shape, the conjunct's wpc
-/// otherwise. Both options satisfy `α → (guard ↔ wpc(T, conjunct))`.
+/// Flattens `program` (through nested `Seq`s) into its update steps, in
+/// execution order; `None` when any part of it is not an insert of
+/// constants/placeholders or a conditional delete.
+fn as_update_steps(program: &Program) -> Option<Vec<UpdateStep<'_>>> {
+    fn collect<'a>(p: &'a Program, out: &mut Vec<UpdateStep<'a>>) -> Option<()> {
+        match p {
+            Program::Insert { rel, tuple }
+                if tuple
+                    .iter()
+                    .all(|t| matches!(t, Term::Const(_)) || t.as_param().is_some()) =>
+            {
+                out.push(UpdateStep::Insert { rel, tuple })
+            }
+            Program::DeleteWhere { rel, .. } => out.push(UpdateStep::Delete { rel }),
+            Program::Seq(ps) => {
+                for p in ps {
+                    collect(p, out)?;
+                }
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+    let mut steps = Vec::new();
+    collect(program, &mut steps)?;
+    Some(steps)
+}
+
+/// The cheapest sound guard for one kept conjunct `c`: a Section 6 Δ when
+/// the program is a sequence of tuple-level updates of which exactly one
+/// can disturb `c`, the conjunct's wpc otherwise. Both options satisfy
+/// `α → (guard ↔ wpc(T, c))`.
 ///
-/// The Δ shortcuts are gated on the conjunct's domain independence: the
-/// residue argument accounts for the inserted/deleted *tuples*, not for
-/// the domain growth/shrinkage that comes with them, so for a
-/// domain-dependent conjunct (e.g. `∀x. F(x, x)`, broken by any insert
-/// that enlarges the domain) only the exact wpc is sound.
+/// Residue composition (after Qian): the Δ of step `k` stands in for the
+/// whole program's wpc conjunct when
+///
+/// 1. `c` is domain-independent,
+/// 2. step `k` is the only step that writes a relation of `rel(c)`, and
+/// 3. for an insert, its residue mentions only relations of `rel(c)` (a
+///    delete's residue is `true` when [`deletion_preserves`] holds).
+///
+/// Soundness, for a state `D ⊨ α` with intermediate states
+/// `D = D₀, D₁, …, Dₙ = T(D)`: steps before `k` leave `rel(c)` as it is in
+/// `D`, so `D_{k-1}` agrees with `D` on `rel(c)` and, `c` being
+/// domain-independent, `D_{k-1} ⊨ c`. Steps after `k` do not touch
+/// `rel(c)` either, so `T(D) ⊨ c ⟺ D_k ⊨ c ⟺ D_{k-1} ⊨ Δ`. Finally `D`
+/// and `D_{k-1}` agree on every relation Δ mentions (gate 3), and two
+/// `c`-states that agree there but differ in their domain give the same Δ
+/// verdict: each verdict equals `c` after the same insert, and `c` is
+/// domain-independent. Hence `D ⊨ Δ ⟺ T(D) ⊨ c`. Note that Δ itself need
+/// not be *syntactically* domain-independent (the functional-dependency
+/// residue `∀z (R(?0,z) ∨ z=?1 → ?1=z)` is not), so the gate is on `c`.
+///
+/// The domain-independence gate matters even for one step: the residue
+/// argument accounts for the inserted/deleted *tuples*, not for the domain
+/// growth/shrinkage that comes with them, so for a domain-dependent
+/// conjunct (e.g. `∀x. F(x, x)`, broken by any insert that enlarges the
+/// domain) only the exact wpc is sound. A conjunct written by two or more
+/// steps (delete-then-reinsert, or a cross-relation conjunct spanning both
+/// halves of a move) keeps its wpc too.
 fn fast_guard_for(
     conjunct: &Formula,
     wpc: &Formula,
-    single: Option<&SingleUpdate<'_>>,
+    steps: Option<&[UpdateStep<'_>]>,
     domain_independent: bool,
 ) -> Formula {
     if !domain_independent {
         return wpc.clone();
     }
-    match single {
-        Some(SingleUpdate::Insert { rel, tuple }) => {
-            delta_for_insert_terms(conjunct, rel, tuple).unwrap_or_else(|_| wpc.clone())
-        }
-        Some(SingleUpdate::Delete { rel }) => {
+    let rels = conjunct.relations_used();
+    let mut writers = steps
+        .into_iter()
+        .flatten()
+        .filter(|step| rels.contains(step.rel()));
+    let (Some(step), None) = (writers.next(), writers.next()) else {
+        return wpc.clone();
+    };
+    match step {
+        UpdateStep::Insert { rel, tuple } => match delta_for_insert_terms(conjunct, rel, tuple) {
+            Ok(delta) if delta.relations_used().is_subset(&rels) => delta,
+            _ => wpc.clone(),
+        },
+        UpdateStep::Delete { rel } => {
             if deletion_preserves(conjunct, rel) {
                 Formula::True
             } else {
                 wpc.clone()
             }
         }
-        None => wpc.clone(),
     }
 }
 
@@ -676,6 +741,86 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `α` = one functional dependency per relation `R0..R{k-1}` — the
+    /// partitionable constraint the sharded store serves.
+    fn fd_constraint(k: usize) -> (vpdt_logic::Schema, Formula) {
+        let schema = vpdt_logic::Schema::new((0..k).map(|i| (format!("R{i}"), 2)));
+        let alpha = Formula::and((0..k).map(|i| {
+            parse_formula(&format!("forall x y z. R{i}(x, y) & R{i}(x, z) -> y = z"))
+                .expect("parses")
+        }));
+        (schema, alpha)
+    }
+
+    /// The template of `program`, compiled.
+    fn compile_shape(program: &Program, alpha: &Formula, schema: &Schema) -> GuardCompilation {
+        let (template, _) = vpdt_tx::template::canonicalize(program).expect("canonicalizes");
+        compile_guard_template("tpl", &template, alpha, schema, &Omega::empty()).expect("compiles")
+    }
+
+    /// A cross-shard move — delete from `R0`, insert the same tuple into
+    /// `R1` — composes the per-step Δs: the `R0` conjunct gets the
+    /// delete's `true`, the `R1` conjunct the insert's residue, so the
+    /// whole fast guard is within a few nodes of a single insert's
+    /// (instead of the Γ-relativized wpc conjunct, over a hundred thousand
+    /// nodes under this schema).
+    #[test]
+    fn seq_move_fast_guard_is_single_insert_sized() {
+        let (schema, alpha) = fd_constraint(8);
+        let single = compile_shape(&Program::insert_consts("R1", [3, 4]), &alpha, &schema);
+        let mv = compile_shape(
+            &Program::seq([
+                Program::delete_consts("R0", [3, 4]),
+                Program::insert_consts("R1", [3, 4]),
+            ]),
+            &alpha,
+            &schema,
+        );
+        assert!(
+            mv.fast.size() <= single.fast.size() + 4,
+            "move fast guard has {} nodes, single insert {}",
+            mv.fast.size(),
+            single.fast.size()
+        );
+        assert!(mv.fast.size() * 100 < mv.reduced.size());
+        assert_eq!(mv.fast.relations_used(), BTreeSet::from(["R1".to_string()]));
+    }
+
+    /// Composition keeps the exact wpc conjunct when more than one step
+    /// writes the conjunct's relations, or when the conjunct is
+    /// domain-dependent.
+    #[test]
+    fn seq_composition_keeps_wpc_when_a_gate_fails() {
+        let schema = vpdt_logic::Schema::new([("R0", 2), ("R1", 2)]);
+        let mv = Program::seq([
+            Program::delete_consts("R0", [3, 4]),
+            Program::insert_consts("R1", [3, 4]),
+        ]);
+        for (alpha, program) in [
+            // delete then re-insert into the same relation: two writers
+            (
+                "forall x y z. R0(x, y) & R0(x, z) -> y = z",
+                Program::seq([
+                    Program::delete_consts("R0", [3, 4]),
+                    Program::insert_consts("R0", [3, 5]),
+                ]),
+            ),
+            // a cross-relation conjunct written by both halves of a move
+            ("forall x y. R0(x, y) -> R1(x, y)", mv.clone()),
+            // domain-dependent: the insert grows the domain
+            ("forall x. R1(x, x)", mv.clone()),
+        ] {
+            let alpha = parse_formula(alpha).expect("parses");
+            let (template, _) = vpdt_tx::template::canonicalize(&program).expect("canonicalizes");
+            let g = compile_guard_template("tpl", &template, &alpha, &schema, &Omega::empty())
+                .expect("compiles");
+            let pre = compile_program("tpl", template.shape(), &schema, &Omega::empty())
+                .expect("compiles");
+            let w = wpc_sentence(&pre, &alpha).expect("translates");
+            assert_eq!(g.fast, w, "{alpha} under {program:?}");
         }
     }
 

@@ -16,7 +16,9 @@
 //!    [`VersionedStore::try_commit`]; a relation-footprint conflict loops
 //!    back to step 1 under the server's
 //!    [`RetryPolicy`](crate::RetryPolicy) (the guard re-evaluates in tens
-//!    of microseconds; the compilation never re-runs).
+//!    of microseconds; the compilation never re-runs). A conflict on a
+//!    relation held by a cross-shard prepare first blocks until the 2PC
+//!    decision releases it, and does not count as a retry.
 //!
 //! `try_commit` returns the **publish**-phase outcome: on a durable server
 //! that fsyncs commits, the worker does *not* resolve the ticket — it
@@ -443,6 +445,13 @@ pub(crate) fn execute_one(
             CommitOutcome::Conflict { version } => {
                 obs.conflicts.inc();
                 obs.trace(item.tx, TraceStage::ConflictRetried { version });
+                // A relation held by an in-flight cross-shard prepare is
+                // not a lost race: wait for the decision to release it,
+                // then re-validate without spending a retry.
+                let footprint = prepared.reads().iter().chain(prepared.writes());
+                if store.wait_unheld(footprint, || obs.hold_waits.inc()) {
+                    continue;
+                }
                 if !retry.may_retry(retries) {
                     return (
                         TxOutcome::Failed {

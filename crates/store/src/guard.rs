@@ -14,6 +14,13 @@
 //! the domain — and entries are bounded by an LRU budget with per-shape
 //! hit/compile statistics.
 //!
+//! The instantiated guard is the compilation's *fast* guard: per conjunct
+//! of `α`, the Section 6 residue Δ where one is derivable — including for
+//! multi-statement shapes, whose per-step Δs compose when exactly one step
+//! writes the conjunct's relations — and the exact wpc conjunct otherwise.
+//! Its size is what a cache hit pays twice (substitution, then
+//! evaluation), so each shape's [`ShapeStat::fast_nodes`] is reported.
+//!
 //! Shape *identities* (ids and templates) are never evicted: they are what
 //! the history log records and the audit replays, so an audit must be able
 //! to resolve shapes whose compilations have long been evicted.
@@ -21,7 +28,7 @@
 use crate::metrics::names;
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use vpdt_core::safe::{compile_guard_template, GuardCompilation};
 use vpdt_eval::Omega;
@@ -118,6 +125,11 @@ pub struct ShapeStat {
     /// Times this shape was compiled (> 1 means it was evicted and came
     /// back, or raced on first sight).
     pub compiles: u64,
+    /// Size ([`Formula::size`]) of the shape's fast guard — what each
+    /// transaction instantiates and evaluates; `None` until the shape is
+    /// compiled (a recovered registry seeds identities only). A
+    /// deterministic proxy for per-transaction guard cost.
+    pub fast_nodes: Option<usize>,
 }
 
 /// The permanent shape registry: ids, templates and per-shape statistics.
@@ -130,6 +142,8 @@ struct Registry {
     /// counted without taking the registry lock.
     hits: Vec<Arc<AtomicU64>>,
     compiles: Vec<AtomicU64>,
+    /// Fast-guard size per shape; 0 until first compiled.
+    fast_nodes: Vec<AtomicUsize>,
 }
 
 struct Entry {
@@ -248,6 +262,7 @@ impl GuardCache {
                 key: t.key(),
                 hits: reg.hits[i].load(Ordering::Relaxed),
                 compiles: reg.compiles[i].load(Ordering::Relaxed),
+                fast_nodes: Some(reg.fast_nodes[i].load(Ordering::Relaxed)).filter(|&n| n > 0),
             })
             .collect()
     }
@@ -287,6 +302,7 @@ impl GuardCache {
             reg.templates.push(template.clone());
             reg.hits.push(Arc::new(AtomicU64::new(0)));
             reg.compiles.push(AtomicU64::new(0));
+            reg.fast_nodes.push(AtomicUsize::new(0));
         }
     }
 
@@ -343,6 +359,7 @@ impl GuardCache {
         {
             let reg = self.registry.read().expect("shape registry poisoned");
             reg.compiles[id as usize].fetch_add(1, Ordering::Relaxed);
+            reg.fast_nodes[id as usize].store(compiled.fast.size(), Ordering::Relaxed);
         }
         let reads = if compiled.domain_independent {
             compiled.reads.clone()
@@ -404,6 +421,7 @@ impl GuardCache {
         reg.templates.push(template.clone());
         reg.hits.push(Arc::clone(&hits));
         reg.compiles.push(AtomicU64::new(0));
+        reg.fast_nodes.push(AtomicUsize::new(0));
         (id, hits)
     }
 }
@@ -487,6 +505,12 @@ mod tests {
         );
         let per_shape = c.per_shape_stats();
         assert_eq!(per_shape.len(), 3);
+        assert!(
+            per_shape
+                .iter()
+                .all(|s| s.fast_nodes.is_some_and(|n| n > 0)),
+            "every compiled shape reports its fast-guard size: {per_shape:?}"
+        );
         assert!(
             per_shape.iter().any(|s| s.compiles > 1),
             "some shape was compiled more than once: {per_shape:?}"

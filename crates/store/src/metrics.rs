@@ -26,6 +26,10 @@ pub mod names {
     pub const TX_FAILED: &str = "store_tx_failed_total";
     /// Footprint-validation conflicts that forced a re-run.
     pub const TX_CONFLICTS: &str = "store_tx_conflicts_total";
+    /// Conflicts on a relation held by a cross-shard prepare, each waited
+    /// out until the 2PC decision released the hold (a subset of
+    /// [`TX_CONFLICTS`]; such waits do not count against the retry bound).
+    pub const TX_HOLD_WAITS: &str = "store_tx_hold_waits_total";
     /// Guard-cache lookups served by a live compiled shape.
     pub const GUARD_CACHE_HITS: &str = "store_guard_cache_hits_total";
     /// Guard-cache lookups that had to compile.
@@ -103,6 +107,8 @@ pub struct StoreMetrics {
     pub failed: Counter,
     /// [`names::TX_CONFLICTS`].
     pub conflicts: Counter,
+    /// [`names::TX_HOLD_WAITS`].
+    pub hold_waits: Counter,
     /// [`names::WAL_FSYNCS`].
     pub wal_fsyncs: Counter,
     /// [`names::WAL_FLUSHED_COMMITS`].
@@ -147,6 +153,7 @@ impl StoreMetrics {
             aborted: registry.counter(names::TX_ABORTED),
             failed: registry.counter(names::TX_FAILED),
             conflicts: registry.counter(names::TX_CONFLICTS),
+            hold_waits: registry.counter(names::TX_HOLD_WAITS),
             wal_fsyncs: registry.counter(names::WAL_FSYNCS),
             wal_flushed_commits: registry.counter(names::WAL_FLUSHED_COMMITS),
             wal_flush_failures: registry.counter(names::WAL_FLUSH_FAILURES),

@@ -58,8 +58,10 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// Retry forever, immediately — the classical optimistic loop (and the
-    /// default). Progress is guaranteed: a conflict means some *other*
-    /// transaction committed.
+    /// default). Progress is guaranteed: a counted conflict means some
+    /// *other* transaction committed. A conflict on a relation held by a
+    /// cross-shard prepare is not a retry under any policy: the worker
+    /// waits for the 2PC decision to release the hold, then re-validates.
     pub fn unbounded() -> Self {
         RetryPolicy {
             max_retries: None,
@@ -69,6 +71,7 @@ impl RetryPolicy {
 
     /// Give up (with [`StoreError::RetriesExhausted`]) after `max_retries`
     /// failed re-validations, sleeping `attempt × backoff` between them.
+    /// Waits on cross-shard holds are not counted.
     pub fn bounded(max_retries: u32, backoff: Duration) -> Self {
         RetryPolicy {
             max_retries: Some(max_retries),

@@ -20,7 +20,11 @@
 //!   the union snapshot, run the program, append one durable
 //!   [`DecisionRecord`] to the coordinator's decision log), then commit a
 //!   shard-local delta on each written shard (an atomic
-//!   [`Event::Cross`] record carrying the decision id).
+//!   [`Event::Cross`] record carrying the decision id). A single-shard
+//!   commit that meets a held relation blocks until the decision releases
+//!   it; the coordinator itself never waits on a hold (it releases what it
+//!   took, backs off and retries), and never waits on a shard worker while
+//!   it holds, so the blocking cannot deadlock.
 //!
 //! ## Why the split is sound
 //!
@@ -90,7 +94,7 @@ use crate::wal::{
     self, DecisionBranch, DecisionRecord, Record, Recovered, RecoveryOptions, WalError, WalOptions,
     WalWriter,
 };
-use crate::{metrics::names, AbortReason, GuardCache, StoreError};
+use crate::{metrics::names, AbortReason, GuardCache, ShapeStat, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -257,7 +261,9 @@ impl ShardedBuilder {
     }
 
     /// The conflict [`RetryPolicy`], used by every shard's workers *and*
-    /// by the coordinator's prepare loop when a footprint is held.
+    /// by the coordinator's prepare loop when a footprint is held. A shard
+    /// worker whose commit meets a hold waits for its release instead,
+    /// without spending a retry.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -620,6 +626,13 @@ impl ShardedStore {
     /// ([`StoreServer::metrics`]).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
+    }
+
+    /// Per-shape statistics of the router's global guard cache — the
+    /// cross-shard statement shapes, each with its hit/compile counts and
+    /// its fast-guard size ([`ShapeStat::fast_nodes`]).
+    pub fn router_shape_stats(&self) -> Vec<ShapeStat> {
+        self.router.per_shape_stats()
     }
 
     /// Warm-up: compiles `program`'s guard where [`submit`](Self::submit)
@@ -1478,6 +1491,76 @@ mod tests {
         assert!(versions.is_empty());
         assert_eq!(store.shard(0).version(), 0);
         assert_eq!(store.shard(1).version(), 0);
+        store.shutdown();
+    }
+
+    /// A single-shard commit that runs into a 2PC hold waits for the
+    /// release instead of spending its retry budget: with one retry and
+    /// no backoff, a spinning worker would exhaust the bound long before
+    /// the decision lands.
+    #[test]
+    fn hold_conflicts_wait_without_spending_retries() {
+        let (initial, alpha) = fd2();
+        let store = ShardedBuilder::new(initial, alpha, 2)
+            .workers_per_shard(1)
+            .retry_policy(RetryPolicy::bounded(1, std::time::Duration::ZERO))
+            .build()
+            .expect("builds");
+        let decision = 77;
+        store
+            .shard(0)
+            .store()
+            .prepare_hold(decision, &BTreeSet::from(["R0".to_string()]))
+            .expect("R0 is free");
+        let Routed::Single { ticket, .. } = store
+            .submit(ROUTED_SESSION, Program::insert_consts("R0", [500, 501]))
+            .expect("routes")
+        else {
+            panic!("single-relation program must route to one shard");
+        };
+        // The counter ticks just before the worker blocks on the hold.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while store.shard(0).metrics().counter(names::TX_HOLD_WAITS) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker never waited on the hold"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        store.shard(0).store().abort_prepared(decision);
+        assert!(
+            matches!(ticket.wait(), TxOutcome::Committed { .. }),
+            "a hold must not exhaust the retry bound"
+        );
+        assert!(store
+            .shard(0)
+            .snapshot()
+            .db
+            .contains("R0", &[Elem(500), Elem(501)]));
+        let report = store.shutdown();
+        assert_eq!(report.shards[0].metrics.counter(names::TX_HOLD_WAITS), 1);
+        assert_eq!(report.shards[0].exec.failed, 0);
+    }
+
+    /// The router reports each cross-shard shape's fast-guard size: a
+    /// move composes its per-step residues into a guard the size of one
+    /// insert's.
+    #[test]
+    fn router_reports_constant_size_cross_guards() {
+        let (initial, alpha) = fd2();
+        let store = ShardedBuilder::new(initial, alpha, 2)
+            .workers_per_shard(1)
+            .build()
+            .expect("builds");
+        let mv = Program::seq([
+            Program::delete_consts("R0", [1, 2]),
+            Program::insert_consts("R1", [1, 2]),
+        ]);
+        store.prepare(&mv).expect("compiles");
+        let stats = store.router_shape_stats();
+        assert_eq!(stats.len(), 1, "{stats:?}");
+        let nodes = stats[0].fast_nodes.expect("compiled");
+        assert!(nodes <= 64, "move fast guard has {nodes} nodes");
         store.shutdown();
     }
 

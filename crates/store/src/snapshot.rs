@@ -26,7 +26,7 @@
 
 use crate::history::{root_hash, state_hash, Event, History};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use vpdt_logic::Schema;
 use vpdt_structure::Database;
 use vpdt_tx::traits::normalize_domain;
@@ -97,11 +97,11 @@ struct State {
     rel_versions: BTreeMap<String, u64>,
     /// Relations held by in-flight cross-shard prepares, by decision id.
     /// A held relation blocks every ordinary commit that touches it
-    /// (reported as a [`CommitOutcome::Conflict`], so the worker's retry
-    /// loop re-validates after the hold releases) and blocks a second
-    /// prepare from holding it. Holds are in-memory only: a crash drops
-    /// them, which is exactly presumed-abort — an undecided prepare must
-    /// leak nothing durable.
+    /// (reported as a [`CommitOutcome::Conflict`]; the worker then waits
+    /// for the release in [`VersionedStore::wait_unheld`] before it
+    /// re-validates) and blocks a second prepare from holding it. Holds
+    /// are in-memory only: a crash drops them, which is exactly
+    /// presumed-abort — an undecided prepare must leak nothing durable.
     held: BTreeMap<String, u64>,
 }
 
@@ -110,6 +110,11 @@ pub struct VersionedStore {
     schema: Schema,
     state: RwLock<State>,
     history: History,
+    /// Hold-release generation: bumped (and broadcast) each time a
+    /// cross-shard decision releases its holds, so workers blocked on a
+    /// held relation wake to re-check instead of spinning.
+    releases: Mutex<u64>,
+    released: Condvar,
 }
 
 impl VersionedStore {
@@ -129,6 +134,8 @@ impl VersionedStore {
                 held: BTreeMap::new(),
             }),
             history: History::new(),
+            releases: Mutex::new(0),
+            released: Condvar::new(),
         }
     }
 
@@ -163,6 +170,8 @@ impl VersionedStore {
                 held: BTreeMap::new(),
             }),
             history,
+            releases: Mutex::new(0),
+            released: Condvar::new(),
         }
     }
 
@@ -385,14 +394,64 @@ impl VersionedStore {
             encoded,
         );
         s.held.retain(|_, d| *d != decision);
+        drop(s);
+        self.signal_release();
         (version, wal_offset)
     }
 
     /// Phase two, abort side: releases every relation held by `decision`
     /// without touching the state. Idempotent.
     pub(crate) fn abort_prepared(&self, decision: u64) {
-        let mut s = self.state.write().expect("store lock poisoned");
-        s.held.retain(|_, d| *d != decision);
+        self.state
+            .write()
+            .expect("store lock poisoned")
+            .held
+            .retain(|_, d| *d != decision);
+        self.signal_release();
+    }
+
+    /// Wakes every worker waiting in [`wait_unheld`](Self::wait_unheld).
+    /// Called after the state lock is dropped, so a woken worker can
+    /// re-check the holds at once.
+    fn signal_release(&self) {
+        *self.releases.lock().expect("release signal poisoned") += 1;
+        self.released.notify_all();
+    }
+
+    /// Blocks until no relation of `footprint` is held by a cross-shard
+    /// prepare. Returns `false` at once when none was held on entry, and
+    /// `true` when the call had to wait — the caller's conflict was then a
+    /// hold, not a lost race with another commit; `on_wait` runs once,
+    /// just before the first wait. The release generation is locked
+    /// *before* `held` is read, so a release landing between the check
+    /// and the wait still wakes the waiter. Cannot deadlock: a coordinator
+    /// holding relations never waits on a shard worker.
+    pub(crate) fn wait_unheld<'a>(
+        &self,
+        footprint: impl Iterator<Item = &'a String> + Clone,
+        on_wait: impl FnOnce(),
+    ) -> bool {
+        let is_held = || {
+            let s = self.state.read().expect("store lock poisoned");
+            !s.held.is_empty() && footprint.clone().any(|rel| s.held.contains_key(rel))
+        };
+        let mut generation = self.releases.lock().expect("release signal poisoned");
+        if !is_held() {
+            return false;
+        }
+        on_wait();
+        loop {
+            let seen = *generation;
+            while *generation == seen {
+                generation = self
+                    .released
+                    .wait(generation)
+                    .expect("release signal poisoned");
+            }
+            if !is_held() {
+                return true;
+            }
+        }
     }
 
     /// Writes a snapshot checkpoint of the *current* state to the attached

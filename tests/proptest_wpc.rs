@@ -6,16 +6,19 @@
 //!   operational program semantics produce identical databases;
 //! * symbolic composition = sequential application;
 //! * `Guarded(T, wpc(T,α))` and `RuntimeChecked(T, α)` accept exactly the
-//!   same states and produce identical results.
+//!   same states and produce identical results;
+//! * Δ composition across a `Seq` of tuple updates: on every `α`-state the
+//!   compiled fast guard of a multi-statement program decides like
+//!   `T(D) ⊨ α`, for the template and the ground compilation alike.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use vpdt::core::prerelations::compile_program;
-use vpdt::core::safe::{Guarded, RuntimeChecked};
+use vpdt::core::safe::{compile_guard, compile_guard_template, Guarded, RuntimeChecked};
 use vpdt::core::workload::{random_batch, random_sentence};
 use vpdt::core::wpc::{compose, wpc_sentence};
 use vpdt::eval::{holds, Omega};
-use vpdt::logic::Schema;
+use vpdt::logic::{parse_formula, Elem, Formula, Schema};
 use vpdt::structure::{families, Database};
 use vpdt::tx::program::{Program, ProgramTransaction};
 use vpdt::tx::traits::{Transaction, TxError};
@@ -30,9 +33,60 @@ fn graph(seed: u64, n: usize) -> Database {
     families::random_graph(n, 0.4, &mut rng)
 }
 
-fn sentence(seed: u64, depth: usize) -> vpdt::logic::Formula {
+fn sentence(seed: u64, depth: usize) -> Formula {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x51f1);
     random_sentence(&mut rng, depth)
+}
+
+/// Three binary relations under a functional dependency each, plus the
+/// cross-relation exclusion `R0 ∩ R1 = ∅`.
+fn fd_schema_and_alpha() -> (Schema, Formula) {
+    let schema = Schema::new([("R0", 2), ("R1", 2), ("R2", 2)]);
+    let alpha = parse_formula(
+        "(forall x y z. R0(x, y) & R0(x, z) -> y = z) \
+         & (forall x y z. R1(x, y) & R1(x, z) -> y = z) \
+         & (forall x y z. R2(x, y) & R2(x, z) -> y = z) \
+         & (forall x y. R0(x, y) -> !R1(x, y))",
+    )
+    .expect("parses");
+    (schema, alpha)
+}
+
+/// A ground program of `steps` tuple inserts and deletes over the three
+/// relations, with constants drawn from `0..6` — wider than the states'
+/// `0..4`, so some bindings fall outside the active domain.
+fn update_steps(seed: u64, steps: usize) -> Program {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5e9);
+    Program::seq((0..steps).map(|_| {
+        let rel = format!("R{}", rng.gen_range(0..3));
+        let tuple = [rng.gen_range(0..6u64), rng.gen_range(0..6u64)];
+        if rng.gen_bool(0.5) {
+            Program::insert_consts(rel, tuple)
+        } else {
+            Program::delete_consts(rel, tuple)
+        }
+    }))
+}
+
+/// A sparse random state over the three relations and values `0..4`,
+/// sometimes with an isolated domain element beyond the active domain.
+fn fd_state(seed: u64, schema: &Schema) -> Database {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xfd);
+    let mut db = Database::empty(schema.clone());
+    for rel in ["R0", "R1", "R2"] {
+        for _ in 0..rng.gen_range(0..4) {
+            db.insert(
+                rel,
+                vec![Elem(rng.gen_range(0..4)), Elem(rng.gen_range(0..4))],
+            );
+        }
+    }
+    if rng.gen_bool(0.3) {
+        db.add_domain_elem(Elem(rng.gen_range(4..8)));
+    }
+    db
 }
 
 proptest! {
@@ -105,6 +159,48 @@ proptest! {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(TxError::Aborted(_)), Err(TxError::Aborted(_))) => {}
             other => prop_assert!(false, "strategies diverged: {:?}", other),
+        }
+    }
+
+}
+
+proptest! {
+    // Each case compiles two multi-statement guards (template and
+    // ground); the full wpc of a two-step program over this schema costs
+    // about a second unoptimized, and a third step multiplies that by ~40,
+    // so the programs stay at two steps — one before and one after the
+    // step each conjunct's residue comes from.
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Residue composition across a `Seq`: for random two-step update
+    /// programs, the template's instantiated fast guard agrees with the
+    /// ground fast guard and with `T(D) ⊨ α` on every `α`-state, and the
+    /// template's wpc stays exact on every state.
+    #[test]
+    fn seq_fast_guard_decides_like_the_post_state(pseed in 0u64..5000, dseed in 0u64..5000) {
+        let (schema, alpha) = fd_schema_and_alpha();
+        let omega = Omega::empty();
+        let ground = update_steps(pseed, 2);
+        let (template, bindings) =
+            vpdt::tx::template::canonicalize(&ground).expect("canonicalizes");
+        let shape = compile_guard_template("tpl", &template, &alpha, &schema, &omega)
+            .expect("template compiles");
+        let direct = compile_guard("gnd", &ground, &alpha, &schema, &omega).expect("compiles");
+        let fast = shape.instantiate_fast(&bindings);
+        let wpc = shape.instantiate_wpc(&bindings);
+        for i in 0..16 {
+            let db = fd_state(dseed.wrapping_mul(16).wrapping_add(i), &schema);
+            let post = ground.run(&db, &omega).expect("program runs");
+            let expect = holds(&post, &omega, &alpha).expect("alpha evaluates");
+            prop_assert_eq!(holds(&db, &omega, &wpc).expect("wpc evaluates"), expect,
+                "wpc of {:?} on {:?}", ground, db);
+            if !holds(&db, &omega, &alpha).expect("alpha evaluates") {
+                continue;
+            }
+            prop_assert_eq!(holds(&db, &omega, &fast).expect("fast evaluates"), expect,
+                "template fast guard {} of {:?} on {:?}", fast, ground, db);
+            prop_assert_eq!(holds(&db, &omega, &direct.fast).expect("fast evaluates"), expect,
+                "ground fast guard {} of {:?} on {:?}", direct.fast, ground, db);
         }
     }
 }
