@@ -34,7 +34,10 @@
 //! run falls short of the acceptance thresholds (≥ 10_000 commits across
 //! ≥ 4 workers, faster than the serial baseline), or the persisted run
 //! fails to recover to its reported state. The report is rendered with
-//! [`vpdt_bench::json`], each key written next to its value.
+//! [`vpdt_bench::json`], each key written next to its value. Its `env`
+//! section records the machine: `cores` (`available_parallelism`) and the
+//! p50/p99 of a 4 KiB append + fsync probe on the WAL directory's file
+//! system, so the fsync-bound passes can be read against the disk.
 //!
 //! With `--scale`, an extra in-memory pass runs over a much larger store
 //! (32 relations, universe 96, thousands of resident tuples, one-relation
@@ -42,7 +45,9 @@
 //! the `store_publish_critical_section_us` lock-hold percentiles, and the
 //! ratio against the recorded pre-commitment-scheme baseline. Gated on
 //! the lock p99 staying bounded — publish work must be proportional to
-//! the footprint, not the database.
+//! the footprint, not the database — and on the pass's history auditing
+//! clean (`scaled.audit_ok`, with the replay's wall time in
+//! `scaled.audit_secs`).
 //!
 //! With `--net`, the session workload runs once more through the
 //! `vpdt-net` loopback front door: a resident `NetServer` on a TCP
@@ -606,6 +611,58 @@ fn sample_quantile_ms(sorted_us: &[u64], q: f64) -> f64 {
     }
 }
 
+/// Timed writes behind the fsync figures of the report's `env` section.
+const FSYNC_PROBE_SAMPLES: usize = 1000;
+/// Bytes per probe write: one WAL-record-sized block.
+const FSYNC_PROBE_BYTES: usize = 4096;
+
+/// The machine the run measured on, for the report's `env` section: the
+/// core count (`available_parallelism`) and the p50/p99 latency of a
+/// 4 KiB append + `sync_data` on the file system of `wal_dir`, written
+/// to a scratch file beside it (removed again), so fsync-bound figures
+/// can be read against the disk that produced them.
+fn probe_env(wal_dir: &std::path::Path) -> Result<Json, String> {
+    use std::io::Write;
+    let cores = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    let mut path = wal_dir.as_os_str().to_owned();
+    path.push(".fsync-probe");
+    let path = std::path::PathBuf::from(path);
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)
+            .map_err(|e| format!("creating {}: {e}", parent.display()))?;
+    }
+    let probe_err = |e: std::io::Error| format!("fsync probe at {}: {e}", path.display());
+    let mut file = std::fs::File::create(&path).map_err(probe_err)?;
+    let block = [0xa5u8; FSYNC_PROBE_BYTES];
+    let mut us = Vec::with_capacity(FSYNC_PROBE_SAMPLES);
+    for _ in 0..FSYNC_PROBE_SAMPLES {
+        let t = Instant::now();
+        file.write_all(&block).map_err(probe_err)?;
+        file.sync_data().map_err(probe_err)?;
+        us.push(t.elapsed().as_micros() as u64);
+    }
+    drop(file);
+    std::fs::remove_file(&path).map_err(probe_err)?;
+    us.sort_unstable();
+    let (p50, p99) = (
+        sample_quantile_ms(&us, 0.50) * 1e3,
+        sample_quantile_ms(&us, 0.99) * 1e3,
+    );
+    println!(
+        "env: {cores} cores; {FSYNC_PROBE_BYTES}-byte append + fsync on the WAL's file system \
+         p50 {p50:.1}µs p99 {p99:.1}µs ({FSYNC_PROBE_SAMPLES} samples)"
+    );
+    Ok(obj! {
+        "cores" => cores,
+        "fsync_probe_bytes" => FSYNC_PROBE_BYTES,
+        "fsync_probe_samples" => FSYNC_PROBE_SAMPLES,
+        "fsync_p50_us" => Json::fixed(p50, 1),
+        "fsync_p99_us" => Json::fixed(p99, 1),
+    })
+}
+
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     if xs.is_empty() {
@@ -806,6 +863,7 @@ fn run(cfg: Config) -> Result<bool, String> {
     };
     let _ = std::fs::remove_dir_all(&persist_dir);
     let _ = std::fs::remove_dir_all(&group_dir);
+    let env = probe_env(&persist_dir)?;
 
     // Recover a persisted pass and demand the recovered version, root
     // hash, and full-encoding state hash match what the live server
@@ -955,9 +1013,8 @@ fn run(cfg: Config) -> Result<bool, String> {
     // relations, universe SCALED_UNIVERSE, thousands of resident tuples)
     // with single-relation footprints. What it proves: commit throughput
     // and publish-lock hold time depend on the *footprint*, not on |DB|.
-    // Not audited (the check-and-rollback replay evaluates α on the full
-    // state per commit, which is exactly the O(|DB|) cost this pass
-    // exists to exclude from the serving path).
+    // Audited like the standard pass, off the serving clock: the replay
+    // re-checks α on every committed state.
     struct Scaled {
         jobs: usize,
         resident: usize,
@@ -966,6 +1023,8 @@ fn run(cfg: Config) -> Result<bool, String> {
         lock_p50: f64,
         lock_p95: f64,
         lock_p99: f64,
+        audit_ok: bool,
+        audit_secs: f64,
     }
     let scaled: Option<Scaled> = if cfg.scale {
         let (sc_clients, sc_per_client) = if cfg.smoke {
@@ -999,10 +1058,24 @@ fn run(cfg: Config) -> Result<bool, String> {
         let run = run_sessions_once(&sc_cfg, &sc_alpha, &omega, &sc_initial, &sc_jobs, None)?;
         let tps = run.report.exec.committed as f64 / run.secs;
         let (lock_p50, lock_p95, lock_p99) = quantiles(&run.serving, names::STAGE_PUBLISH_LOCK);
+        let audit_start = Instant::now();
+        let sc_verdict = audit(
+            &sc_alpha,
+            &omega,
+            &sc_initial,
+            &run.report.final_db,
+            &run.report.events,
+            &run.programs,
+            &run.report.templates,
+        );
+        let audit_secs = audit_start.elapsed().as_secs_f64();
+        for problem in sc_verdict.problems.iter().take(5) {
+            eprintln!("scaled audit: {problem}");
+        }
         println!(
             "scaled ({} rels, universe {}, {} resident tuples): {} committed / {} aborted / \
              {} failed in {:.3}s ({:.0} commits/s, publish-lock p50 {:.1}µs p95 {:.1}µs \
-             p99 {:.1}µs)",
+             p99 {:.1}µs); {sc_verdict} ({audit_secs:.3}s)",
             SCALED_RELS,
             SCALED_UNIVERSE,
             resident,
@@ -1023,6 +1096,8 @@ fn run(cfg: Config) -> Result<bool, String> {
             lock_p50,
             lock_p95,
             lock_p99,
+            audit_ok: sc_verdict.ok(),
+            audit_secs,
         })
     } else {
         None
@@ -1285,12 +1360,14 @@ fn run(cfg: Config) -> Result<bool, String> {
     // The scaled pass gates on the lock-hold bound: publish work must be
     // footprint-proportional, and a bounded p99 at a |DB| two orders of
     // magnitude above the standard workload is the observable form of
-    // that claim. (The vs_monolithic ratio is reported, not gated — it
-    // compares against a constant measured on a different machine.)
+    // that claim. Its history must audit clean like the standard pass's.
+    // (The vs_monolithic ratio is reported, not gated — it compares
+    // against a constant measured on a different machine.)
     let scaled_ok = scaled.as_ref().is_none_or(|s| {
         s.run.report.exec.failed == 0
             && s.run.report.exec.committed > 0
             && s.lock_p99 <= SCALED_LOCK_P99_BOUND_US
+            && s.audit_ok
     });
     // The networked pass gates on the throughput ratio (smoke runs are
     // too small to amortize connection setup, so there only failures
@@ -1353,6 +1430,8 @@ fn run(cfg: Config) -> Result<bool, String> {
             "publish_lock_p99_us" => us(s.lock_p99),
             "publish_lock_p99_bound_us" => us(SCALED_LOCK_P99_BOUND_US),
             "lock_bounded" => s.lock_p99 <= SCALED_LOCK_P99_BOUND_US,
+            "audit_ok" => s.audit_ok,
+            "audit_secs" => secs(s.audit_secs),
         }
     });
 
@@ -1448,6 +1527,7 @@ fn run(cfg: Config) -> Result<bool, String> {
         .map(|(k, v)| (k.to_string(), Json::from(*v)))
         .collect();
     let json = obj! {
+        "env" => env,
         "workload" => obj! {
             "transactions" => jobs.len(),
             "relations" => cfg.rels,
@@ -1569,12 +1649,14 @@ fn run(cfg: Config) -> Result<bool, String> {
     if !scaled_ok {
         let s = scaled.as_ref().expect("scaled gate only fails when run");
         eprintln!(
-            "ACCEPTANCE: scaled pass must stay footprint-proportional \
-             ({} failed, {} committed, publish-lock p99 {:.1}µs vs bound {:.1}µs)",
+            "ACCEPTANCE: scaled pass must stay footprint-proportional and audit clean \
+             ({} failed, {} committed, publish-lock p99 {:.1}µs vs bound {:.1}µs, \
+             audit OK: {})",
             s.run.report.exec.failed,
             s.run.report.exec.committed,
             s.lock_p99,
-            SCALED_LOCK_P99_BOUND_US
+            SCALED_LOCK_P99_BOUND_US,
+            s.audit_ok
         );
     }
     if !networked_ok {

@@ -10,6 +10,20 @@
 //! * monadic Σ¹₁, by exhaustive search over interpretations of the unary
 //!   set variables (exponential, with an explicit budget).
 //!
+//! First-sort quantifiers are *range-restricted* ([`fo`]): before looping,
+//! `∃v. φ` asks `φ`'s own atoms for the elements where `φ` can be true
+//! (`∀v. φ`: where it can be false) — the matching column of a guarding
+//! relation atom, the value of an equation `v = t` — and visits only
+//! those, falling back to the whole domain when the matrix names none.
+//! Elements outside that superset cannot change the verdict and every
+//! candidate is a domain element, so verdicts are exactly the
+//! whole-domain reading's on every database, with no domain-independence
+//! precondition; a functional dependency `∀x y z (R(x,y) ∧ R(x,z) → y = z)`
+//! becomes an index join over `R` instead of |dom|³ lookups. The
+//! whole-domain evaluator itself is kept, unchanged, as
+//! [`fo::reference`]: the oracle the property tests compare against, with
+//! no production caller.
+//!
 //! Interpretations of Ω-symbols ("a recursive collection of recursive
 //! functions and predicates over U") are Rust closures registered in
 //! [`Omega`]; [`Omega::nat_order`] provides the order of type ω used in

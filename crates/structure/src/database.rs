@@ -15,6 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 use vpdt_logic::{Elem, Schema};
 
@@ -115,6 +116,19 @@ impl Relation {
     /// Iterates over tuples in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Vec<Elem>> {
         self.tuples.iter()
+    }
+
+    /// The tuples whose leading positions equal `prefix`, in sorted order:
+    /// a `BTreeSet` range seeked directly to `prefix` (slices order
+    /// lexicographically, so every extension of `prefix` sits in one
+    /// contiguous run starting there), with no allocation. Cost is
+    /// O(log |R| + matches). An empty prefix yields every tuple. Callers
+    /// whose fixed positions are not a leading prefix range over the
+    /// leading part they do fix and filter the rest.
+    pub fn prefix_range<'a>(&'a self, prefix: &'a [Elem]) -> impl Iterator<Item = &'a Vec<Elem>> {
+        self.tuples
+            .range::<[Elem], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |t| t.starts_with(prefix))
     }
 
     /// All elements appearing in some tuple. Served from the incremental
@@ -262,6 +276,23 @@ impl Database {
         }
     }
 
+    /// Whether `e` is in the domain, without materializing a deferred
+    /// active-domain view: an explicit or already materialized set answers
+    /// directly, and an unread view probes each relation's incremental
+    /// active-domain cache — O(relations × log distinct elements) instead
+    /// of the O(distinct elements) set construction
+    /// [`domain`](Database::domain) would pay on a fresh state. The
+    /// evaluator's equality candidates (`∃x. x = c`) rely on it.
+    pub fn domain_contains(&self, e: &Elem) -> bool {
+        match &self.domain {
+            DomainRepr::Explicit(set) => set.contains(e),
+            DomainRepr::Active(cell) => match cell.get() {
+                Some(set) => set.contains(e),
+                None => self.rels.iter().any(|r| r.adom.contains_key(e)),
+            },
+        }
+    }
+
     /// The domain as an explicit, mutable set — materializing it first if it
     /// is currently the deferred active-domain view.
     fn domain_mut(&mut self) -> &mut BTreeSet<Elem> {
@@ -337,6 +368,11 @@ impl Database {
 
     /// Inserts a tuple into `name`, extending the domain with its elements.
     ///
+    /// O(tuple) on either domain representation: inserting keeps
+    /// "domain = active domain" true, so a deferred view stays deferred
+    /// (its cached set, if some reader already materialized it, is
+    /// extended in place) instead of being pinned to an explicit set.
+    ///
     /// # Panics
     /// Panics if `name` is not in the schema or on arity mismatch.
     pub fn insert(&mut self, name: &str, tuple: Vec<Elem>) -> bool {
@@ -344,7 +380,13 @@ impl Database {
             .schema
             .index_of(name)
             .unwrap_or_else(|| panic!("relation {name} not in schema"));
-        self.domain_mut().extend(tuple.iter().copied());
+        let cached = match &mut self.domain {
+            DomainRepr::Explicit(set) => Some(set),
+            DomainRepr::Active(cell) => cell.get_mut(),
+        };
+        if let Some(set) = cached {
+            set.extend(tuple.iter().copied());
+        }
         Arc::make_mut(&mut self.rels[i]).insert(tuple)
     }
 
@@ -729,6 +771,66 @@ mod tests {
             i.domain(),
             &BTreeSet::from([Elem(0), Elem(1), Elem(5), Elem(6)])
         );
+        // ...including into an already materialized cached set
+        i.insert("E", vec![Elem(7), Elem(0)]);
+        assert!(i.domain_excess().is_empty());
+        assert_eq!(i.domain(), &i.active_domain());
+        // insert, remove, shrink on a view no reader has materialized: the
+        // insert keeps the view deferred, the removal pins the domain with
+        // the inserted elements, and the shrink drops what became isolated
+        let mut v = Database::graph([(0, 1)]);
+        v.shrink_domain_to_active();
+        v.insert("E", vec![Elem(2), Elem(3)]);
+        assert!(matches!(&v.domain, DomainRepr::Active(c) if c.get().is_none()));
+        assert!(v.domain_excess().is_empty());
+        assert!(v.domain_contains(&Elem(3)) && !v.domain_contains(&Elem(4)));
+        v.remove("E", &[Elem(2), Elem(3)]);
+        assert_eq!(v.domain_excess(), BTreeSet::from([Elem(2), Elem(3)]));
+        assert!(v.domain_contains(&Elem(3)));
+        v.shrink_domain_to_active();
+        assert!(!v.domain_contains(&Elem(3)));
+        assert_eq!(v.domain(), &BTreeSet::from([Elem(0), Elem(1)]));
+    }
+
+    /// `domain_contains` agrees with `domain().contains` on every
+    /// representation, and answers a deferred view without materializing
+    /// it.
+    #[test]
+    fn domain_contains_matches_the_domain() {
+        let explicit = Database::graph_with_domain([9], [(1, 2)]);
+        let mut deferred = Database::graph([(1, 2), (2, 3)]);
+        deferred.shrink_domain_to_active();
+        let materialized = deferred.clone();
+        for e in (0..12).map(Elem) {
+            assert_eq!(explicit.domain_contains(&e), explicit.domain().contains(&e));
+            let probed = deferred.domain_contains(&e);
+            assert!(matches!(&deferred.domain, DomainRepr::Active(c) if c.get().is_none()));
+            assert_eq!(probed, materialized.domain().contains(&e));
+            assert_eq!(probed, materialized.domain_contains(&e));
+        }
+    }
+
+    /// `prefix_range` yields exactly the tuples extending the prefix, for
+    /// empty, partial and full prefixes, and nothing for an absent key.
+    #[test]
+    fn prefix_range_is_a_filtered_scan() {
+        let mut r = Relation::empty(3);
+        for t in [[1, 1, 1], [1, 2, 0], [1, 2, 5], [2, 0, 0], [0, 9, 9]] {
+            r.insert(t.iter().copied().map(Elem).collect());
+        }
+        for prefix in [
+            vec![],
+            vec![1],
+            vec![1, 2],
+            vec![1, 2, 5],
+            vec![3],
+            vec![0, 8],
+        ] {
+            let prefix: Vec<Elem> = prefix.into_iter().map(Elem).collect();
+            let ranged: Vec<_> = r.prefix_range(&prefix).collect();
+            let scanned: Vec<_> = r.iter().filter(|t| t.starts_with(&prefix)).collect();
+            assert_eq!(ranged, scanned, "prefix {prefix:?}");
+        }
     }
 
     /// Relation handles swap by pointer, and copy-on-write keeps sharing
