@@ -4,7 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
+use vpdt_core::prerelations::compile_program;
+use vpdt_core::safe::exact_wpc;
+use vpdt_core::wpc::wpc_sentence;
 use vpdt_eval::Omega;
+use vpdt_logic::Formula;
 use vpdt_store::{run_serial_rollback, workload, GuardCache, StoreBuilder};
 
 const RELS: usize = 8;
@@ -65,11 +69,16 @@ fn bench_guard_eval(c: &mut Criterion) {
     let cache = GuardCache::new(initial.schema().clone(), alpha.clone(), omega.clone());
     let program = vpdt_tx::program::Program::insert_consts("R0", [0, 3]);
     let prepared = cache.get_or_compile(&program).expect("compiles");
-    let reduced = prepared
-        .shape
-        .compiled
-        .instantiate_reduced(&prepared.bindings);
-    let wpc = prepared.shape.compiled.instantiate_wpc(&prepared.bindings);
+    // the wpc of the one conjunct the insert disturbs, and of all of α
+    let pre = compile_program("ins", &program, initial.schema(), &omega).expect("compiles");
+    let reduced = Formula::and(
+        alpha
+            .conjuncts()
+            .into_iter()
+            .filter(|c| c.relations_used().contains("R0"))
+            .map(|c| wpc_sentence(&pre, c).expect("translates")),
+    );
+    let wpc = exact_wpc(&program, &alpha, initial.schema(), &omega).expect("translates");
 
     // instantiation: the per-transaction cost of a warm prepared statement
     g.bench_with_input(BenchmarkId::new("instantiate", RELS), &program, |b, p| {

@@ -15,9 +15,9 @@
 //! an end-to-end check of the wpc algorithms — but their *costs* differ,
 //! which is what the `guard_vs_rollback` bench measures.
 
-use crate::prerelations::{compile_program, CompileError, Prerelation};
+use crate::prerelations::{compile_program, CompileError};
 use crate::simplify::{deletion_preserves, delta_for_insert_terms};
-use crate::wpc::{wpc_sentence, WpcError};
+use crate::wpc::{check_translatable, wpc_sentence, WpcError};
 use std::collections::BTreeSet;
 use vpdt_eval::{holds, Omega};
 use vpdt_logic::domain::{is_domain_independent, is_domain_independent_parametric};
@@ -153,33 +153,20 @@ impl From<WpcError> for GuardError {
     }
 }
 
-/// A transaction compiled once into everything a server needs to run it
-/// statically guarded: the prerelation description, the full `wpc(T, α)`
-/// sentence, the invariant-reduced guard of Section 6, and the read/write
-/// relation footprints used for conflict detection.
+/// A transaction compiled once into what a server needs to run it
+/// statically guarded: the guard it evaluates per transaction and the
+/// read/write relation footprints used for conflict detection.
 ///
 /// Produced by [`compile_guard`]; consumed by `vpdt-store`'s guard cache.
+/// The exact `wpc(T, α)` of Theorem 8 is [`exact_wpc`].
 #[derive(Clone, Debug)]
 pub struct GuardCompilation {
-    /// The prerelation description of the transaction.
-    pub pre: Prerelation,
-    /// The full weakest precondition `wpc(T, α)` (Theorem 8): exact on
-    /// every state.
-    pub wpc: Formula,
-    /// The invariant-reduced guard: the conjunction of `wpc(T, αᵢ)` over
-    /// exactly those conjuncts `αᵢ` of `α` the transaction can disturb.
-    /// Sound only on states already satisfying `α` (see [`compile_guard`]).
-    pub reduced: Formula,
-    /// The cheapest guard — per kept conjunct, the Δ of Section 6 where
-    /// one is derivable (Nicolas-style insertion residues, anti-monotone
-    /// deletions), the `wpc` conjunct otherwise. Δs compose across a
-    /// `Seq` of tuple-level updates: a domain-independent conjunct written
-    /// by exactly one step gets that step's Δ, so a multi-statement
-    /// transaction such as a cross-shard move keeps a guard the size of a
-    /// single insert's (see `fast_guard_for` for the rule and its three
-    /// gates). Equivalent to [`reduced`](Self::reduced) (and hence to
-    /// [`wpc`](Self::wpc)) on states satisfying `α`; this is what a server
-    /// should evaluate per transaction.
+    /// The guard: per conjunct of `α` the transaction can disturb, the Δ
+    /// of Section 6 where one is derivable (Nicolas-style insertion
+    /// residues, anti-monotone deletions, composed across a `Seq` of tuple
+    /// updates — a cross-shard move keeps a single insert's guard size),
+    /// that conjunct's `wpc` otherwise. Equivalent to [`exact_wpc`] on
+    /// states satisfying `α` (see [`compile_guard`]).
     pub fast: Formula,
     /// Relations whose old contents the guard or the program consult.
     pub reads: BTreeSet<String>,
@@ -195,45 +182,24 @@ pub struct GuardCompilation {
 }
 
 impl GuardCompilation {
-    /// Instantiates the cheapest guard ([`fast`](Self::fast)) with a
-    /// prepared statement's bindings — the per-transaction step of a
-    /// template compilation. One structural walk; no recompilation.
+    /// Instantiates the guard ([`fast`](Self::fast)) with a prepared
+    /// statement's bindings — the per-transaction step of a template
+    /// compilation. One structural walk; no recompilation.
     pub fn instantiate_fast(&self, bindings: &[Elem]) -> Formula {
         instantiate_params(&self.fast, bindings)
-    }
-
-    /// Instantiates the full wpc sentence with bindings (audits and tests).
-    pub fn instantiate_wpc(&self, bindings: &[Elem]) -> Formula {
-        instantiate_params(&self.wpc, bindings)
-    }
-
-    /// Instantiates the invariant-reduced guard with bindings.
-    pub fn instantiate_reduced(&self, bindings: &[Elem]) -> Formula {
-        instantiate_params(&self.reduced, bindings)
     }
 }
 
 /// Compiles `program` once into a [`GuardCompilation`] for the constraint
 /// `α` — the static-verification analogue of preparing a statement.
 ///
-/// The reduced guard implements the invariant-aware simplification of
-/// Section 6 (after Nicolas and Qian): on a state already satisfying `α`,
-/// a conjunct `αᵢ` whose relations the transaction does not write — and
-/// which is domain-independent, so the transaction's incidental domain
-/// changes cannot flip it — is preserved automatically, and its `wpc`
-/// conjunct can be dropped from the guard. Conjuncts that fail either test
-/// are kept. Consequently:
-///
-/// * `D ⊨ wpc  ⟺  T(D) ⊨ α` (exact, any `D`), and
-/// * if `D ⊨ α` then `D ⊨ reduced ⟺ T(D) ⊨ α`.
-///
-/// The fast guard replaces a kept conjunct's wpc by a Δ when the program
-/// flattens into inserts of constants/placeholders and conditional deletes
-/// and (1) the conjunct is domain-independent, (2) exactly one step writes
-/// one of its relations, and (3) that step's residue reads only the
-/// conjunct's relations (an insert's Nicolas residue; `true` for a delete
-/// the conjunct is anti-monotone in). It shares the reduced guard's
-/// contract: if `D ⊨ α` then `D ⊨ fast ⟺ T(D) ⊨ α`.
+/// The invariant-aware simplification of Section 6 (after Nicolas and
+/// Qian), per conjunct `αᵢ` of `α`: an untouched domain-independent
+/// conjunct gets no guard (see `preserved_untouched`), one a Δ covers gets
+/// the Δ (see `fast_guard_for` for the three gates), and only the rest get
+/// `wpc(T, αᵢ)`, compiling `T`'s prerelation once, on first use. Hence if
+/// `D ⊨ α` then `D ⊨ fast ⟺ T(D) ⊨ α`. Refuses exactly what [`exact_wpc`]
+/// refuses, with the same error, whether or not a Δ covers the conjunct.
 pub fn compile_guard(
     label: impl Into<String>,
     program: &Program,
@@ -242,57 +208,63 @@ pub fn compile_guard(
     omega: &Omega,
 ) -> Result<GuardCompilation, GuardError> {
     assert!(alpha.is_sentence(), "a constraint must be a sentence");
-    let pre = compile_program(label, program, schema, omega)?;
+    let label = label.into();
+    let compile = || compile_program(label.as_str(), program, schema, omega);
+    let steps = as_update_steps(program);
+    // No Δ applies to a program that does not flatten into steps. A flat
+    // one is compiled only for a conjunct without a Δ; until then, refuse
+    // what compiling it would: a relation outside the schema, and a delete
+    // condition the translation rejects where a `Seq` composes the steps.
+    let mut pre = match &steps {
+        None => Some(compile()?),
+        Some(steps) => {
+            let composed = matches!(program, Program::Seq(_));
+            for step in steps {
+                if !schema.contains(step.rel()) {
+                    let e = CompileError(format!("unknown relation {}", step.rel()));
+                    return Err(e.into());
+                }
+                if let (true, UpdateStep::Delete { cond, .. }) = (composed, step) {
+                    check_translatable(schema, cond).map_err(|e| CompileError(e.to_string()))?;
+                }
+            }
+            None
+        }
+    };
 
     let writes = program.touched_relations();
-    let steps = as_update_steps(program);
-    let mut full = Vec::new();
-    let mut kept = Vec::new();
     let mut fast_parts = Vec::new();
     let mut reads: BTreeSet<String> = program.read_relations();
     let mut all_conjuncts_independent = true;
     for conjunct in alpha.conjuncts() {
         let independent = is_domain_independent(conjunct);
         all_conjuncts_independent &= independent;
-        if independent && conjunct.relations_used().is_disjoint(&writes) {
-            // Untouched and domain-independent: `T(D)` agrees with `D` on
-            // the conjunct's relations, and the conjunct's truth ignores
-            // the ambient domain, so `wpc(T, αᵢ) ≡ αᵢ` on *every* state —
-            // the conjunct itself is the exact translation. Skipping the
-            // `WPC[γ]` pass here is load-bearing: for multi-statement
-            // programs its output grows steeply, and a wide constraint
-            // would pay that cost once per conjunct it cannot even
-            // disturb.
-            full.push(conjunct.clone());
+        if preserved_untouched(conjunct, independent, &writes) {
             continue;
         }
-        let w = wpc_sentence(&pre, conjunct)?;
-        fast_parts.push(fast_guard_for(conjunct, &w, steps.as_deref(), independent));
-        kept.push(w.clone());
-        // The conjunct's own relations — not its wpc's. The wpc
-        // mentions every relation through Γ-relativization of its
-        // quantifiers, but by exactness its verdict only depends on
-        // the conjunct's relations in the transaction's output.
+        check_translatable(schema, conjunct)?;
+        let delta = fast_guard_for(conjunct, steps.as_deref(), independent);
+        let guard = match (delta, &mut pre) {
+            (Some(delta), _) => delta,
+            (None, Some(pre)) => wpc_sentence(pre, conjunct)?,
+            (None, slot) => wpc_sentence(slot.insert(compile()?), conjunct)?,
+        };
+        fast_parts.push(guard);
+        // The conjunct's own relations — not its wpc's, which mentions
+        // every relation through Γ-relativization but by exactness only
+        // depends on the conjunct's relations in the transaction's output.
         reads.extend(conjunct.relations_used());
-        full.push(w);
     }
-    // wpc distributes over conjunction (both sides say "α's conjuncts all
-    // hold in T(D)"), so the exact full guard is the conjunction of the
-    // per-conjunct translations.
-    let wpc = Formula::and(full);
-    let reduced = Formula::and(kept);
     let fast = Formula::and(fast_parts);
     reads.extend(writes.iter().cloned());
 
-    // The guard `wpc(T, αᵢ)` is *exact* — `D ⊨ wpc(T, αᵢ) ⟺ T(D) ⊨ αᵢ` —
-    // so evaluating it against a snapshot that agrees on `reads` is decided
-    // by `αᵢ` on the transaction's output, which agrees across such
-    // snapshots exactly when every αᵢ is domain-independent and the
-    // program itself never consults the domain. The check therefore runs on
-    // the constraint's conjuncts, never on the (Γ-relativized) wpc output.
-    // Program conditions may contain prepared-statement placeholders (the
-    // constraint α never does), so their analysis runs parametrically: a
-    // `true` verdict covers every binding of the template.
+    // On `α`-states the guard decides `T(D) ⊨ αᵢ` for each kept conjunct,
+    // so on snapshots agreeing on `reads` its verdict agrees exactly when
+    // every αᵢ is domain-independent and the program never consults the
+    // domain. Hence the check runs on α's conjuncts, never on a wpc. Program
+    // conditions may contain prepared-statement placeholders (α never
+    // does), so their analysis runs parametrically: a `true` verdict covers
+    // every binding of the template.
     let domain_independent = all_conjuncts_independent
         && !program.enumerates_domain()
         && program
@@ -301,9 +273,6 @@ pub fn compile_guard(
             .all(|c| is_domain_independent_parametric(c));
 
     Ok(GuardCompilation {
-        pre,
-        wpc,
-        reduced,
         fast,
         reads,
         writes,
@@ -311,11 +280,43 @@ pub fn compile_guard(
     })
 }
 
-/// Compiles a statement *template* once for all its instantiations: the
-/// prerelations, the wpc, the reduced guard, and the Δ are derived over the
-/// shape's placeholder terms, and a concrete transaction's guard is obtained
-/// by [`GuardCompilation::instantiate_fast`] — a substitution whose cost is
-/// the size of the (small) guard, independent of the domain.
+/// `wpc(T, α)` of Theorem 8 — `D ⊨ wpc ⟺ T(D) ⊨ α` on every `D` — as the
+/// conjunction of the per-conjunct translations, where an untouched
+/// domain-independent conjunct is its own (see `preserved_untouched`). The
+/// oracle [`compile_guard`]'s guard is tested against; no server runs it.
+pub fn exact_wpc(
+    program: &Program,
+    alpha: &Formula,
+    schema: &Schema,
+    omega: &Omega,
+) -> Result<Formula, GuardError> {
+    assert!(alpha.is_sentence(), "a constraint must be a sentence");
+    let pre = compile_program("wpc", program, schema, omega)?;
+    let writes = program.touched_relations();
+    let parts = alpha.conjuncts().into_iter().map(|conjunct| {
+        if preserved_untouched(conjunct, is_domain_independent(conjunct), &writes) {
+            Ok(conjunct.clone())
+        } else {
+            wpc_sentence(&pre, conjunct)
+        }
+    });
+    Ok(Formula::and(parts.collect::<Result<Vec<_>, _>>()?))
+}
+
+/// Whether `wpc(T, αᵢ) ≡ αᵢ` on every state because `T` writes none of the
+/// conjunct's relations and, the conjunct being domain-independent, its
+/// incidental domain changes cannot flip it. Skipping the `WPC[γ]` pass
+/// there matters: its output grows steeply with the program's steps.
+fn preserved_untouched(conjunct: &Formula, independent: bool, writes: &BTreeSet<String>) -> bool {
+    independent && conjunct.relations_used().is_disjoint(writes)
+}
+
+/// Compiles a statement *template* once for all its instantiations: each
+/// disturbed conjunct's Δ (or, where none applies, the prerelations and its
+/// wpc) is derived over the shape's placeholder terms, and a concrete
+/// transaction's guard is obtained by
+/// [`GuardCompilation::instantiate_fast`] — a substitution whose cost is the
+/// size of the (small) guard, independent of the domain.
 ///
 /// **Why the one compilation covers every binding.** The pipeline treats
 /// placeholders as opaque ground terms end to end: prerelation construction
@@ -347,13 +348,13 @@ enum UpdateStep<'a> {
     /// forms [`delta_for_insert_terms`] can unify statically).
     Insert { rel: &'a str, tuple: &'a [Term] },
     /// A conditional delete (pure shrinkage of `rel`).
-    Delete { rel: &'a str },
+    Delete { rel: &'a str, cond: &'a Formula },
 }
 
 impl UpdateStep<'_> {
     fn rel(&self) -> &str {
         match self {
-            UpdateStep::Insert { rel, .. } | UpdateStep::Delete { rel } => rel,
+            UpdateStep::Insert { rel, .. } | UpdateStep::Delete { rel, .. } => rel,
         }
     }
 }
@@ -371,7 +372,7 @@ fn as_update_steps(program: &Program) -> Option<Vec<UpdateStep<'_>>> {
             {
                 out.push(UpdateStep::Insert { rel, tuple })
             }
-            Program::DeleteWhere { rel, .. } => out.push(UpdateStep::Delete { rel }),
+            Program::DeleteWhere { rel, cond, .. } => out.push(UpdateStep::Delete { rel, cond }),
             Program::Seq(ps) => {
                 for p in ps {
                     collect(p, out)?;
@@ -386,10 +387,10 @@ fn as_update_steps(program: &Program) -> Option<Vec<UpdateStep<'_>>> {
     Some(steps)
 }
 
-/// The cheapest sound guard for one kept conjunct `c`: a Section 6 Δ when
-/// the program is a sequence of tuple-level updates of which exactly one
-/// can disturb `c`, the conjunct's wpc otherwise. Both options satisfy
-/// `α → (guard ↔ wpc(T, c))`.
+/// The Section 6 Δ for one disturbed conjunct `c`, when the program is a
+/// sequence of tuple-level updates of which exactly one can disturb `c`;
+/// `None` when only the conjunct's wpc will do. A Δ satisfies
+/// `α → (Δ ↔ wpc(T, c))`.
 ///
 /// Residue composition (after Qian): the Δ of step `k` stands in for the
 /// whole program's wpc conjunct when
@@ -420,32 +421,23 @@ fn as_update_steps(program: &Program) -> Option<Vec<UpdateStep<'_>>> {
 /// halves of a move) keeps its wpc too.
 fn fast_guard_for(
     conjunct: &Formula,
-    wpc: &Formula,
     steps: Option<&[UpdateStep<'_>]>,
     domain_independent: bool,
-) -> Formula {
+) -> Option<Formula> {
     if !domain_independent {
-        return wpc.clone();
+        return None;
     }
     let rels = conjunct.relations_used();
-    let mut writers = steps
-        .into_iter()
-        .flatten()
-        .filter(|step| rels.contains(step.rel()));
+    let mut writers = steps?.iter().filter(|step| rels.contains(step.rel()));
     let (Some(step), None) = (writers.next(), writers.next()) else {
-        return wpc.clone();
+        return None;
     };
     match step {
-        UpdateStep::Insert { rel, tuple } => match delta_for_insert_terms(conjunct, rel, tuple) {
-            Ok(delta) if delta.relations_used().is_subset(&rels) => delta,
-            _ => wpc.clone(),
-        },
-        UpdateStep::Delete { rel } => {
-            if deletion_preserves(conjunct, rel) {
-                Formula::True
-            } else {
-                wpc.clone()
-            }
+        UpdateStep::Insert { rel, tuple } => delta_for_insert_terms(conjunct, rel, tuple)
+            .ok()
+            .filter(|delta| delta.relations_used().is_subset(&rels)),
+        UpdateStep::Delete { rel, .. } => {
+            deletion_preserves(conjunct, rel).then_some(Formula::True)
         }
     }
 }
@@ -453,7 +445,7 @@ fn fast_guard_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prerelations::compile_program;
+    use crate::prerelations::{compile_program, Prerelation};
     use crate::wpc::wpc_sentence;
     use vpdt_logic::parse_formula;
     use vpdt_structure::families;
@@ -526,11 +518,11 @@ mod tests {
         }
     }
 
-    /// The reduced guard drops exactly the conjuncts over relations the
-    /// transaction does not write, and agrees with the full wpc on
+    /// The guard drops exactly the conjuncts over relations the
+    /// transaction does not write, and agrees with the exact wpc on
     /// consistent states.
     #[test]
-    fn reduced_guard_prunes_untouched_conjuncts() {
+    fn guard_prunes_untouched_conjuncts() {
         let schema = vpdt_logic::Schema::new([("E", 2), ("F", 2)]);
         let omega = Omega::empty();
         // fd on E ∧ fd on F; the transaction writes only E
@@ -548,12 +540,19 @@ mod tests {
         )
         .expect("compiles");
         assert!(g.domain_independent);
-        // the F conjunct was pruned: the reduced guard is strictly smaller
-        assert!(g.reduced.size() < g.wpc.size());
+        // the F conjunct was pruned
+        assert_eq!(g.fast.relations_used(), BTreeSet::from(["E".to_string()]));
         assert_eq!(g.writes.iter().collect::<Vec<_>>(), [&"E".to_string()]);
         assert!(g.reads.contains("E") && !g.reads.contains("F"));
+        let wpc = exact_wpc(
+            &Program::insert_consts("E", [0, 3]),
+            &alpha,
+            &schema,
+            &omega,
+        )
+        .expect("translates");
 
-        // on consistent states the reduced guard decides exactly like wpc
+        // on consistent states the guard decides exactly like wpc
         for edges in [vec![], vec![(0, 1)], vec![(9, 8), (0, 3)]] {
             let mut db = Database::empty(schema.clone());
             for (a, b) in edges {
@@ -565,8 +564,8 @@ mod tests {
                 "state consistent"
             );
             assert_eq!(
-                holds(&db, &omega, &g.reduced).expect("evaluates"),
-                holds(&db, &omega, &g.wpc).expect("evaluates"),
+                holds(&db, &omega, &g.fast).expect("evaluates"),
+                holds(&db, &omega, &wpc).expect("evaluates"),
                 "on {db:?}"
             );
         }
@@ -589,13 +588,13 @@ mod tests {
             &Omega::empty(),
         )
         .expect("compiles");
-        assert!(g.reduced.relations_used().contains("F"));
+        assert!(g.fast.relations_used().contains("F"));
         assert!(g.reads.contains("F"));
         assert!(!g.domain_independent);
     }
 
-    /// The fast guard (Δ where derivable) decides exactly like the reduced
-    /// and full wpc guards on consistent states, and is far smaller.
+    /// The fast guard (Δ where derivable) decides exactly like the exact
+    /// wpc on consistent states, and is no larger.
     #[test]
     fn fast_guard_agrees_and_is_small() {
         let schema = vpdt_logic::Schema::new([("E", 2), ("F", 2)]);
@@ -611,11 +610,12 @@ mod tests {
             Program::delete_consts("E", [0, 1]),
         ] {
             let g = compile_guard("u", &program, &alpha, &schema, &omega).expect("compiles");
+            let wpc = exact_wpc(&program, &alpha, &schema, &omega).expect("translates");
             assert!(
-                g.fast.size() <= g.reduced.size(),
-                "fast ({}) should not exceed reduced ({}) for {program:?}",
+                g.fast.size() <= wpc.size(),
+                "fast ({}) should not exceed wpc ({}) for {program:?}",
                 g.fast.size(),
-                g.reduced.size()
+                wpc.size()
             );
             for edges in [
                 vec![],
@@ -632,10 +632,8 @@ mod tests {
                     continue;
                 }
                 let by_fast = holds(&db, &omega, &g.fast).expect("evaluates");
-                let by_reduced = holds(&db, &omega, &g.reduced).expect("evaluates");
-                let by_wpc = holds(&db, &omega, &g.wpc).expect("evaluates");
-                assert_eq!(by_fast, by_reduced, "{program:?} on {db:?}");
-                assert_eq!(by_reduced, by_wpc, "{program:?} on {db:?}");
+                let by_wpc = holds(&db, &omega, &wpc).expect("evaluates");
+                assert_eq!(by_fast, by_wpc, "{program:?} on {db:?}");
             }
         }
     }
@@ -653,21 +651,16 @@ mod tests {
         let alpha =
             parse_formula("(forall x y z. E(x, y) & E(x, z) -> y = z) & (forall x. F(x, x))")
                 .expect("parses");
-        let g = compile_guard(
-            "ins",
-            &Program::insert_consts("E", [5, 6]),
-            &alpha,
-            &schema,
-            &omega,
-        )
-        .expect("compiles");
+        let insert = Program::insert_consts("E", [5, 6]);
+        let g = compile_guard("ins", &insert, &alpha, &schema, &omega).expect("compiles");
         assert!(!g.domain_independent);
+        let wpc = exact_wpc(&insert, &alpha, &schema, &omega).expect("translates");
         let mut db = Database::empty(schema);
         db.insert("F", vec![vpdt_logic::Elem(0), vpdt_logic::Elem(0)]);
         assert!(holds(&db, &omega, &alpha).expect("evaluates"));
         assert_eq!(
             holds(&db, &omega, &g.fast).expect("evaluates"),
-            holds(&db, &omega, &g.wpc).expect("evaluates"),
+            holds(&db, &omega, &wpc).expect("evaluates"),
             "fast guard must agree with wpc"
         );
         assert!(!holds(&db, &omega, &g.fast).expect("evaluates"));
@@ -690,8 +683,8 @@ mod tests {
     }
 
     /// Compile-once-per-shape: the template compilation, instantiated with
-    /// a binding, decides exactly like compiling the ground program — on
-    /// fast, reduced, and full-wpc guards alike — and preserves the
+    /// a binding, decides exactly like compiling the ground program — for
+    /// the fast guard and the exact wpc alike — and preserves the
     /// footprints and the domain-independence verdict.
     #[test]
     fn template_compilation_agrees_with_ground_compilation() {
@@ -712,6 +705,9 @@ mod tests {
             let shape = compile_guard_template("tpl", &template, &alpha, &schema, &omega)
                 .expect("template compiles");
             let direct = compile_guard("gnd", &ground, &alpha, &schema, &omega).expect("compiles");
+            let shape_wpc =
+                exact_wpc(template.shape(), &alpha, &schema, &omega).expect("translates");
+            let direct_wpc = exact_wpc(&ground, &alpha, &schema, &omega).expect("translates");
             assert_eq!(shape.reads, direct.reads, "{ground:?}");
             assert_eq!(shape.writes, direct.writes, "{ground:?}");
             assert_eq!(
@@ -731,8 +727,7 @@ mod tests {
                 db.insert("F", vec![Elem(1), Elem(4)]);
                 for (inst, ground_guard) in [
                     (shape.instantiate_fast(&bindings), &direct.fast),
-                    (shape.instantiate_reduced(&bindings), &direct.reduced),
-                    (shape.instantiate_wpc(&bindings), &direct.wpc),
+                    (instantiate_params(&shape_wpc, &bindings), &direct_wpc),
                 ] {
                     assert_eq!(
                         holds(&db, &omega, &inst).expect("evaluates"),
@@ -761,6 +756,12 @@ mod tests {
         compile_guard_template("tpl", &template, alpha, schema, &Omega::empty()).expect("compiles")
     }
 
+    /// The exact wpc of `program`'s template.
+    fn shape_wpc(program: &Program, alpha: &Formula, schema: &Schema) -> Formula {
+        let (template, _) = vpdt_tx::template::canonicalize(program).expect("canonicalizes");
+        exact_wpc(template.shape(), alpha, schema, &Omega::empty()).expect("translates")
+    }
+
     /// A cross-shard move — delete from `R0`, insert the same tuple into
     /// `R1` — composes the per-step Δs: the `R0` conjunct gets the
     /// delete's `true`, the `R1` conjunct the insert's residue, so the
@@ -771,21 +772,18 @@ mod tests {
     fn seq_move_fast_guard_is_single_insert_sized() {
         let (schema, alpha) = fd_constraint(8);
         let single = compile_shape(&Program::insert_consts("R1", [3, 4]), &alpha, &schema);
-        let mv = compile_shape(
-            &Program::seq([
-                Program::delete_consts("R0", [3, 4]),
-                Program::insert_consts("R1", [3, 4]),
-            ]),
-            &alpha,
-            &schema,
-        );
+        let program = Program::seq([
+            Program::delete_consts("R0", [3, 4]),
+            Program::insert_consts("R1", [3, 4]),
+        ]);
+        let mv = compile_shape(&program, &alpha, &schema);
         assert!(
             mv.fast.size() <= single.fast.size() + 4,
             "move fast guard has {} nodes, single insert {}",
             mv.fast.size(),
             single.fast.size()
         );
-        assert!(mv.fast.size() * 100 < mv.reduced.size());
+        assert!(mv.fast.size() * 100 < shape_wpc(&program, &alpha, &schema).size());
         assert_eq!(mv.fast.relations_used(), BTreeSet::from(["R1".to_string()]));
     }
 
@@ -821,6 +819,124 @@ mod tests {
                 .expect("compiles");
             let w = wpc_sentence(&pre, &alpha).expect("translates");
             assert_eq!(g.fast, w, "{alpha} under {program:?}");
+        }
+    }
+
+    /// An eight-step `Seq`, one tuple update per FD relation, compiles
+    /// without a wpc: its guard is the per-step Δs conjoined, and decides
+    /// like the post-state on consistent states.
+    #[test]
+    fn eight_step_seq_guard_is_the_per_step_deltas() {
+        let (schema, alpha) = fd_constraint(8);
+        let omega = Omega::empty();
+        let steps: Vec<Program> = (0..8u64)
+            .map(|i| {
+                let rel = format!("R{i}");
+                if i % 3 == 1 {
+                    Program::delete_consts(rel, [i % 4, 2])
+                } else {
+                    Program::insert_consts(rel, [i % 4, i % 3])
+                }
+            })
+            .collect();
+        let per_step = Formula::and(
+            steps
+                .iter()
+                .map(|step| compile_shape(step, &alpha, &schema).fast),
+        );
+        let ground = Program::seq(steps);
+        let (template, bindings) = vpdt_tx::template::canonicalize(&ground).expect("canonicalizes");
+        let g =
+            compile_guard_template("tpl", &template, &alpha, &schema, &omega).expect("compiles");
+        assert!(
+            g.fast.size() <= per_step.size(),
+            "eight-step guard has {} nodes, the per-step Δs {}",
+            g.fast.size(),
+            per_step.size()
+        );
+        let guard = g.instantiate_fast(&bindings);
+        for seed in 0..16u64 {
+            let mut db = Database::empty(schema.clone());
+            for i in 0..8u64 {
+                // a function R_i: x ↦ x + i + seed, over x < seed % 4
+                for x in 0..seed % 4 {
+                    db.insert(&format!("R{i}"), vec![Elem(x), Elem(x + i + seed)]);
+                }
+            }
+            assert!(holds(&db, &omega, &alpha).expect("evaluates"));
+            let post = ground.run(&db, &omega).expect("runs");
+            assert_eq!(
+                holds(&db, &omega, &guard).expect("evaluates"),
+                holds(&post, &omega, &alpha).expect("evaluates"),
+                "on {db:?}"
+            );
+        }
+    }
+
+    /// Residue-first compilation refuses exactly what the full translation
+    /// refuses, with the same error, whether or not a Δ would cover the
+    /// offending conjunct.
+    #[test]
+    fn compile_guard_refuses_what_exact_wpc_refuses() {
+        let schema = vpdt_logic::Schema::new([("E", 2), ("F", 2)]);
+        let omega = Omega::empty();
+        let fd = parse_formula("forall x y z. E(x, y) & E(x, z) -> y = z").expect("parses");
+        let with = |extra: &str| Formula::and([fd.clone(), parse_formula(extra).expect("parses")]);
+        let x = vpdt_logic::Var::new("x");
+        let counting = Formula::and([
+            fd.clone(),
+            Formula::CountGe(
+                vpdt_logic::NumTerm::Lit(2),
+                x.clone(),
+                Box::new(Formula::rel("E", [Term::Var(x.clone()), Term::Var(x)])),
+            ),
+        ]);
+        let counting_delete = Program::DeleteWhere {
+            rel: "F".into(),
+            vars: vec![vpdt_logic::Var::new("x"), vpdt_logic::Var::new("y")],
+            cond: counting.conjuncts()[1].clone(),
+        };
+        let insert = Program::insert_consts("E", [0, 3]);
+        let cases = [
+            // a step on a relation outside the schema, alone and composed
+            (Program::insert_consts("Z", [1, 2]), fd.clone(), "compile"),
+            (
+                Program::seq([
+                    Program::delete_consts("E", [0, 1]),
+                    Program::insert_consts("Z", [1, 2]),
+                ]),
+                fd.clone(),
+                "compile",
+            ),
+            // a disturbed conjunct over a relation outside the schema
+            (
+                insert.clone(),
+                with("forall x y. G(x, y) -> E(x, y)"),
+                "wpc",
+            ),
+            // ... which an untouched one is not
+            (insert.clone(), with("forall x y. G(x, y) -> x = y"), "ok"),
+            // a counting conjunct the insert disturbs
+            (insert.clone(), counting.clone(), "wpc"),
+            // a counting delete condition: composed in a Seq it is refused,
+            // alone it is never translated
+            (
+                Program::seq([counting_delete.clone(), insert.clone()]),
+                fd.clone(),
+                "compile",
+            ),
+            (counting_delete, fd.clone(), "ok"),
+        ];
+        for (program, alpha, expect) in cases {
+            let got = compile_guard("g", &program, &alpha, &schema, &omega).map(|g| g.fast);
+            let exact = exact_wpc(&program, &alpha, &schema, &omega);
+            match (&got, expect) {
+                (Err(GuardError::Compile(_)), "compile") | (Err(GuardError::Wpc(_)), "wpc") => {
+                    assert_eq!(got.clone().err(), exact.err(), "{program:?} under {alpha}")
+                }
+                (Ok(_), "ok") => assert!(exact.is_ok(), "{program:?} under {alpha}"),
+                _ => panic!("{program:?} under {alpha}: expected {expect}, got {got:?}"),
+            }
         }
     }
 

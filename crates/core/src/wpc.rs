@@ -35,7 +35,7 @@ use crate::prerelations::Prerelation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use vpdt_logic::subst::{fresh_var, substitute_many};
-use vpdt_logic::{Formula, Term, Var};
+use vpdt_logic::{Formula, Schema, Term, Var};
 use vpdt_tx::traits::Transaction;
 
 /// Errors from the WPC translation.
@@ -75,8 +75,30 @@ pub fn wpc_sentence(pre: &Prerelation, gamma: &Formula) -> Result<Formula, WpcEr
 /// constant-equality folding alone collapses most of the Γ fan-out that
 /// ground terms introduce.
 pub fn wpc_formula(pre: &Prerelation, gamma: &Formula) -> Result<Formula, WpcError> {
+    check_translatable(pre.schema(), gamma)?;
     let ctx = Ctx::new(pre, gamma);
-    Ok(vpdt_logic::simplify::normalize(&ctx.translate(gamma)?))
+    Ok(vpdt_logic::simplify::normalize(&ctx.translate(gamma)))
+}
+
+/// What the translation refuses, without translating: the first counting
+/// construct or atom of a relation outside `schema`, in preorder — the
+/// error `wpc_formula` gives under a prerelation over `schema`.
+pub(crate) fn check_translatable(schema: &Schema, gamma: &Formula) -> Result<(), WpcError> {
+    let mut first = Ok(());
+    gamma.visit(&mut |f| match f {
+        _ if first.is_err() => {}
+        Formula::Rel(name, _) if !schema.contains(name) => {
+            first = Err(WpcError::UnknownRelation(name.clone()))
+        }
+        Formula::CountGe(..)
+        | Formula::NumExists(..)
+        | Formula::NumForall(..)
+        | Formula::NumLe(..)
+        | Formula::NumEq(..)
+        | Formula::Bit(..) => first = Err(WpcError::CountingUnsupported),
+        _ => {}
+    });
+    first
 }
 
 /// Builds `t ∈ Γ(D)`: `⋁_{τ∈Γ} ∃z̄. t = τ(z̄)` with `z̄` ranging over the
@@ -127,24 +149,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn translate(&self, f: &Formula) -> Result<Formula, WpcError> {
+    /// The translation of a formula [`check_translatable`] accepted.
+    fn translate(&self, f: &Formula) -> Formula {
         match f {
-            Formula::True | Formula::False => Ok(f.clone()),
-            Formula::Eq(..) | Formula::Pred(..) => Ok(f.clone()),
+            Formula::True | Formula::False | Formula::Eq(..) | Formula::Pred(..) => f.clone(),
             Formula::Rel(name, args) => self.translate_atom(name, args),
-            Formula::Not(g) => Ok(Formula::not(self.translate(g)?)),
-            Formula::And(gs) => Ok(Formula::And(
-                gs.iter()
-                    .map(|g| self.translate(g))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Formula::Or(gs) => Ok(Formula::Or(
-                gs.iter()
-                    .map(|g| self.translate(g))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Formula::Implies(a, b) => Ok(Formula::implies(self.translate(a)?, self.translate(b)?)),
-            Formula::Iff(a, b) => Ok(Formula::iff(self.translate(a)?, self.translate(b)?)),
+            Formula::Not(g) => Formula::not(self.translate(g)),
+            Formula::And(gs) => Formula::And(gs.iter().map(|g| self.translate(g)).collect()),
+            Formula::Or(gs) => Formula::Or(gs.iter().map(|g| self.translate(g)).collect()),
+            Formula::Implies(a, b) => Formula::implies(self.translate(a), self.translate(b)),
+            Formula::Iff(a, b) => Formula::iff(self.translate(a), self.translate(b)),
             Formula::Exists(v, g) => self.translate_quantifier(v, g, true),
             Formula::Forall(v, g) => self.translate_quantifier(v, g, false),
             Formula::CountGe(..)
@@ -152,15 +166,12 @@ impl<'a> Ctx<'a> {
             | Formula::NumForall(..)
             | Formula::NumLe(..)
             | Formula::NumEq(..)
-            | Formula::Bit(..) => Err(WpcError::CountingUnsupported),
+            | Formula::Bit(..) => unreachable!("check_translatable rejects counting"),
         }
     }
 
     /// `R(t̄) ↦ ⋀ᵢ t_i ∈ Γ(D) ∧ pre_R(t̄)`.
-    fn translate_atom(&self, name: &str, args: &[Term]) -> Result<Formula, WpcError> {
-        if !self.pre.schema().contains(name) {
-            return Err(WpcError::UnknownRelation(name.to_string()));
-        }
+    fn translate_atom(&self, name: &str, args: &[Term]) -> Formula {
         let p = self.pre.pre(name);
         let mut parts: Vec<Formula> = args
             .iter()
@@ -168,19 +179,14 @@ impl<'a> Ctx<'a> {
             .collect();
         let map: BTreeMap<Var, Term> = p.vars.iter().cloned().zip(args.iter().cloned()).collect();
         parts.push(substitute_many(&p.formula, &map));
-        Ok(Formula::and(parts))
+        Formula::and(parts)
     }
 
     /// `∃x.φ ↦ ⋁_τ ∃z̄ (newadom(τ(z̄)) ∧ W[φ][x:=τ(z̄)])` and the `∀` dual
     /// `⋀_τ ∀z̄ (newadom(τ(z̄)) → W[φ][x:=τ(z̄)])`.
-    fn translate_quantifier(
-        &self,
-        v: &Var,
-        body: &Formula,
-        existential: bool,
-    ) -> Result<Formula, WpcError> {
+    fn translate_quantifier(&self, v: &Var, body: &Formula, existential: bool) -> Formula {
         // simplify bottom-up so intermediate formulas stay small
-        let w_body = vpdt_logic::simplify::normalize(&self.translate(body)?);
+        let w_body = vpdt_logic::simplify::normalize(&self.translate(body));
         let mut avoid = self.avoid.clone();
         avoid.extend(w_body.all_vars());
         let mut cases = Vec::new();
@@ -199,7 +205,7 @@ impl<'a> Ctx<'a> {
                     Formula::forall_many(zs, instantiated)
                 }
             } else {
-                let membership = vpdt_logic::simplify::normalize(&self.new_adom(&tau2, &avoid)?);
+                let membership = vpdt_logic::simplify::normalize(&self.new_adom(&tau2, &avoid));
                 if existential {
                     Formula::exists_many(zs, Formula::and([membership, instantiated]))
                 } else {
@@ -208,18 +214,18 @@ impl<'a> Ctx<'a> {
             };
             cases.push(case);
         }
-        Ok(if existential {
+        if existential {
             Formula::or(cases)
         } else {
             Formula::and(cases)
-        })
+        }
     }
 
     /// `newadom(t)`: `t` occurs in some tuple of some new relation —
     /// `⋁_{R,i} ⊔Γ u₁ … ⊔Γ u_{n−1}. pre_R(u₁,…,t at i,…,u_{n−1})`,
     /// where `⊔Γ u. ψ` abbreviates `⋁_τ ∃z̄. ψ[u := τ(z̄)]` (the other
     /// components also range over the candidate space Γ(D)).
-    fn new_adom(&self, t: &Term, avoid: &BTreeSet<Var>) -> Result<Formula, WpcError> {
+    fn new_adom(&self, t: &Term, avoid: &BTreeSet<Var>) -> Formula {
         let mut cases = Vec::new();
         for (_rel, p) in self.pre.pres() {
             let arity = p.vars.len();
@@ -249,7 +255,7 @@ impl<'a> Ctx<'a> {
                 cases.push(body);
             }
         }
-        Ok(Formula::or(cases))
+        Formula::or(cases)
     }
 
     /// `⊔Γ u. ψ  =  ⋁_τ ∃z̄. ψ[u := τ(z̄)]`.

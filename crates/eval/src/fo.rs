@@ -166,6 +166,55 @@ pub fn eval(db: &Database, omega: &Omega, f: &Formula, env: &mut Env) -> Result<
     eval_checked(db, omega, f, env)
 }
 
+/// A condition over the free variables `vars`, evaluated at many tuples —
+/// [`eval`] per tuple without repeating its work per tuple.
+///
+/// The well-formedness walk depends on the schema and on *which*
+/// variables are bound, never on their values, so it runs once, at the
+/// first tuple: a condition never tested never errs, as with [`eval`].
+/// One [`Env`] is reused throughout.
+pub struct TupleCondition<'a> {
+    db: &'a Database,
+    omega: &'a Omega,
+    cond: &'a Formula,
+    vars: &'a [Var],
+    env: Option<Env>,
+}
+
+impl<'a> TupleCondition<'a> {
+    /// `cond`, with free variables `vars`, over `db`.
+    pub fn new(db: &'a Database, omega: &'a Omega, cond: &'a Formula, vars: &'a [Var]) -> Self {
+        TupleCondition {
+            db,
+            omega,
+            cond,
+            vars,
+            env: None,
+        }
+    }
+
+    /// Whether the condition holds with `vars` bound, position by
+    /// position, to `tuple`.
+    pub fn holds_at(&mut self, tuple: &[Elem]) -> Result<bool, EvalError> {
+        let env = match &mut self.env {
+            Some(env) => {
+                // drop whatever a failed evaluation left pushed
+                env.elems.truncate(self.vars.len());
+                for (slot, e) in env.elems.iter_mut().zip(tuple) {
+                    slot.1 = *e;
+                }
+                env
+            }
+            None => {
+                let env = Env::of(self.vars.iter().cloned().zip(tuple.iter().copied()));
+                check(self.db, self.cond, &env, &mut Vec::new(), &mut Vec::new())?;
+                self.env.insert(env)
+            }
+        };
+        eval_checked(self.db, self.omega, self.cond, env)
+    }
+}
+
 /// The well-formedness walk behind [`eval`]: `elems` and `nums` are the
 /// variables bound by quantifiers enclosing the current subformula.
 fn check<'f>(

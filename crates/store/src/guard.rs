@@ -1,12 +1,11 @@
 //! The shape-keyed guard cache: compile once per *statement shape*,
 //! instantiate everywhere.
 //!
-//! Guard compilation — program → prerelations → `wpc` → invariant-reduced
-//! guard → Δ — is the expensive step of the pipeline. Keying it by ground
-//! program (the previous design) made the cache hold one entry per distinct
-//! constant tuple: O(universe²) entries for a binary-insert workload, all
-//! sharing a handful of statement shapes. This cache keys by the program's
-//! canonicalized [`Template`] instead: a lookup splits the ground program
+//! Guard compilation — a Δ per conjunct, with prerelations and `wpc` only
+//! as the fallback — is work worth sharing. Keyed by ground
+//! program, a binary-insert workload would compile O(universe²) entries
+//! sharing a handful of shapes, so this cache keys by the program's
+//! canonicalized [`Template`]: a lookup splits the ground program
 //! into `(shape, bindings)`, compiles the shape once (placeholder terms flow
 //! through the whole pipeline, see `vpdt_core::safe::compile_guard_template`),
 //! and instantiates the compiled guard per transaction by a cheap binding
@@ -15,9 +14,10 @@
 //! hit/compile statistics.
 //!
 //! The instantiated guard is the compilation's *fast* guard: per conjunct
-//! of `α`, the Section 6 residue Δ where one is derivable — including for
-//! multi-statement shapes, whose per-step Δs compose when exactly one step
-//! writes the conjunct's relations — and the exact wpc conjunct otherwise.
+//! of `α` the shape can disturb, the Section 6 residue Δ where one is
+//! derivable — including for multi-statement shapes, whose per-step Δs
+//! compose when exactly one step writes the conjunct's relations — and,
+//! only where none is, the exact wpc conjunct.
 //! Its size is what a cache hit pays twice (substitution, then
 //! evaluation), so each shape's [`ShapeStat::fast_nodes`] is reported.
 //!

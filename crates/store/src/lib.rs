@@ -66,8 +66,8 @@
 //! * [`guard::GuardCache`] — canonicalizes each program into a prepared
 //!   statement (`vpdt_tx::template`: a constant-free *shape* plus bindings),
 //!   compiles each distinct **shape** once into a
-//!   [`vpdt_core::safe::GuardCompilation`] (prerelations + `wpc` + the
-//!   invariant-reduced guard Δ of Section 6), instantiates guards per
+//!   [`vpdt_core::safe::GuardCompilation`] (the Section 6 Δ per conjunct,
+//!   `wpc` only where none applies), instantiates guards per
 //!   transaction by binding substitution, and bounds live compilations with
 //!   LRU eviction — so compilation cost is O(statement shapes), independent
 //!   of the universe. Two sessions submitting the same statement shape share
@@ -99,10 +99,10 @@
 //! committed history is equivalent to the serial execution in commit-version
 //! order — which is exactly what the audit replays. Guards evaluated on a
 //! snapshot that is stale only *outside* the footprint are still exact
-//! because `wpc` is exact and the kept constraint conjuncts are
-//! domain-independent (see [`vpdt_core::safe::compile_guard`]); guards that
-//! cannot establish that property fall back to whole-store footprints and
-//! hence serial validation.
+//! because on `α`-states a guard decides like the exact `wpc`, and the
+//! kept constraint conjuncts are domain-independent (see
+//! [`vpdt_core::safe::compile_guard`]); guards that cannot establish that
+//! property fall back to whole-store footprints and hence serial validation.
 
 pub mod audit;
 pub mod exec;

@@ -34,8 +34,8 @@
 //! (a)+(b), a transaction that touches only shard `S` can neither change
 //! the truth of another shard's conjuncts (their relations are untouched,
 //! and by (b) their truth does not depend on the ambient domain) nor needs
-//! them in its own guard (the invariant-reduced guard of an untouched,
-//! invariant conjunct is `true`), so the shard-local guard over shard-local
+//! them in its own guard (an untouched, domain-independent conjunct gets
+//! no guard at all), so the shard-local guard over shard-local
 //! state decides exactly what the global guard over global state would.
 //! Cross-shard transactions do evaluate the full global guard — on a union
 //! snapshot assembled from the prepared shards' relation handles, which

@@ -7,7 +7,8 @@
 //! the two semantics is property-tested there.
 
 use crate::traits::{normalize_domain, Transaction, TxError};
-use vpdt_eval::{eval, eval_term, holds, Env, Omega};
+use vpdt_eval::fo::TupleCondition;
+use vpdt_eval::{eval_term, holds, Env, Omega};
 use vpdt_logic::{Formula, Term, Var};
 use vpdt_structure::Database;
 
@@ -119,14 +120,10 @@ impl Program {
             Program::DeleteWhere { rel, vars, cond } => {
                 check_cond(vars, cond)?;
                 let mut out = db.clone();
-                let tuples: Vec<Vec<vpdt_logic::Elem>> = db.rel(rel).iter().cloned().collect();
-                for t in tuples {
-                    let mut env = Env::new();
-                    for (v, e) in vars.iter().zip(t.iter()) {
-                        env.push_elem(v.clone(), *e);
-                    }
-                    if eval(db, omega, cond, &mut env)? {
-                        out.remove(rel, &t);
+                let mut cond = TupleCondition::new(db, omega, cond, vars);
+                for t in db.rel(rel).iter() {
+                    if cond.holds_at(t)? {
+                        out.remove(rel, t);
                     }
                 }
                 Ok(out)
@@ -134,12 +131,9 @@ impl Program {
             Program::InsertWhere { rel, vars, cond } => {
                 check_cond(vars, cond)?;
                 let mut out = db.clone();
+                let mut cond = TupleCondition::new(db, omega, cond, vars);
                 for t in all_tuples(db, vars.len()) {
-                    let mut env = Env::new();
-                    for (v, e) in vars.iter().zip(t.iter()) {
-                        env.push_elem(v.clone(), *e);
-                    }
-                    if eval(db, omega, cond, &mut env)? {
+                    if cond.holds_at(&t)? {
                         out.insert(rel, t);
                     }
                 }
@@ -152,12 +146,9 @@ impl Program {
                 for t in old {
                     out.remove(rel, &t);
                 }
+                let mut body = TupleCondition::new(db, omega, body, vars);
                 for t in all_tuples(db, vars.len()) {
-                    let mut env = Env::new();
-                    for (v, e) in vars.iter().zip(t.iter()) {
-                        env.push_elem(v.clone(), *e);
-                    }
-                    if eval(db, omega, body, &mut env)? {
+                    if body.holds_at(&t)? {
                         out.insert(rel, t);
                     }
                 }
@@ -399,6 +390,43 @@ mod tests {
         };
         let out = pt(p).apply(&db).expect("applies");
         assert_eq!(out, families::chain(3));
+    }
+
+    /// A condition is checked at its first tuple: an ill-formed one errs
+    /// as soon as there is a tuple to test it on, and never on an empty
+    /// relation (or, for the domain loops, an empty domain).
+    #[test]
+    fn ill_formed_conditions_err_only_when_tested() {
+        let vars = vec![Var::new("x"), Var::new("y")];
+        for cond in ["Q(x, y)", "E(x)", "exists z. E(x, z) & F(z)"] {
+            let cond = parse_formula(cond).expect("parses");
+            for p in [
+                Program::DeleteWhere {
+                    rel: "E".into(),
+                    vars: vars.clone(),
+                    cond: cond.clone(),
+                },
+                Program::InsertWhere {
+                    rel: "E".into(),
+                    vars: vars.clone(),
+                    cond: cond.clone(),
+                },
+                Program::Assign {
+                    rel: "E".into(),
+                    vars: vars.clone(),
+                    body: cond.clone(),
+                },
+            ] {
+                assert!(pt(p.clone()).apply(&Database::graph([])).is_ok(), "{p:?}");
+                assert!(
+                    matches!(
+                        pt(p.clone()).apply(&families::chain(3)),
+                        Err(TxError::Eval(_))
+                    ),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

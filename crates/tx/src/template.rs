@@ -2,8 +2,8 @@
 //!
 //! A ground program like `insert E(3, 4)` differs from `insert E(5, 1)`
 //! only in its constants; everything the guard compiler produces for one —
-//! prerelations, the `wpc` translation, the invariant-reduced guard, the
-//! Section-6 Δ — has the same *shape* for the other. [`canonicalize`] makes
+//! the Section-6 Δ, or the prerelations and `wpc` translation where no Δ
+//! applies — has the same *shape* for the other. [`canonicalize`] makes
 //! that sharing explicit: it lifts every constant occurring in a program to
 //! a placeholder term ([`Term::param`]) in first-occurrence order, yielding
 //! a constant-free [`Template`] plus the binding vector of lifted values.

@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vpdt::core::safe::compile_guard;
+use vpdt::core::safe::{compile_guard, exact_wpc};
 use vpdt::eval::{holds, Omega};
+use vpdt::logic::subst::instantiate_params;
 use vpdt::logic::{Elem, Formula, Schema};
 use vpdt::store::{audit, workload, Event, StoreBuilder, TxOutcome};
 use vpdt::structure::Database;
@@ -87,11 +88,15 @@ proptest! {
         let shape = vpdt::core::safe::compile_guard_template("tpl", &template, &alpha, &schema, &omega)
             .expect("template compiles");
         let fast = shape.instantiate_fast(&bindings);
-        let wpc = shape.instantiate_wpc(&bindings);
+        let wpc = instantiate_params(
+            &exact_wpc(template.shape(), &alpha, &schema, &omega).expect("translates"),
+            &bindings,
+        );
+        let ground_wpc = exact_wpc(&program, &alpha, &schema, &omega).expect("translates");
         for db in &dbs {
             // full wpc: exact on every state
             let by_template = holds(db, &omega, &wpc).expect("evaluates");
-            let by_ground = holds(db, &omega, &ground.wpc).expect("evaluates");
+            let by_ground = holds(db, &omega, &ground_wpc).expect("evaluates");
             let out = ProgramTransaction::new("t", program.clone(), omega.clone())
                 .apply(db)
                 .expect("applies");

@@ -9,15 +9,17 @@
 //!   same states and produce identical results;
 //! * Δ composition across a `Seq` of tuple updates: on every `α`-state the
 //!   compiled fast guard of a multi-statement program decides like
-//!   `T(D) ⊨ α`, for the template and the ground compilation alike.
+//!   `T(D) ⊨ α`, for the template and the ground compilation alike, and
+//!   the exact wpc (`exact_wpc`) does so on every state.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use vpdt::core::prerelations::compile_program;
-use vpdt::core::safe::{compile_guard, compile_guard_template, Guarded, RuntimeChecked};
+use vpdt::core::safe::{compile_guard, compile_guard_template, exact_wpc, Guarded, RuntimeChecked};
 use vpdt::core::workload::{random_batch, random_sentence};
 use vpdt::core::wpc::{compose, wpc_sentence};
 use vpdt::eval::{holds, Omega};
+use vpdt::logic::subst::instantiate_params;
 use vpdt::logic::{parse_formula, Elem, Formula, Schema};
 use vpdt::structure::{families, Database};
 use vpdt::tx::program::{Program, ProgramTransaction};
@@ -69,13 +71,32 @@ fn update_steps(seed: u64, steps: usize) -> Program {
     }))
 }
 
-/// A sparse random state over the three relations and values `0..4`,
+/// A ground program of one tuple insert or delete per relation
+/// `R0..R{rels-1}`, in a random order, with constants drawn from `0..6`.
+fn one_step_per_relation(seed: u64, rels: usize) -> Program {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x4e1);
+    let mut order: Vec<usize> = (0..rels).collect();
+    for i in (1..rels).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    Program::seq(order.into_iter().map(|r| {
+        let tuple = [rng.gen_range(0..6u64), rng.gen_range(0..6u64)];
+        if rng.gen_bool(0.5) {
+            Program::insert_consts(format!("R{r}"), tuple)
+        } else {
+            Program::delete_consts(format!("R{r}"), tuple)
+        }
+    }))
+}
+
+/// A sparse random state over the schema's relations and values `0..4`,
 /// sometimes with an isolated domain element beyond the active domain.
 fn fd_state(seed: u64, schema: &Schema) -> Database {
     use rand::Rng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xfd);
     let mut db = Database::empty(schema.clone());
-    for rel in ["R0", "R1", "R2"] {
+    for (rel, _) in schema.iter() {
         for _ in 0..rng.gen_range(0..4) {
             db.insert(
                 rel,
@@ -165,17 +186,18 @@ proptest! {
 }
 
 proptest! {
-    // Each case compiles two multi-statement guards (template and
-    // ground); the full wpc of a two-step program over this schema costs
-    // about a second unoptimized, and a third step multiplies that by ~40,
-    // so the programs stay at two steps — one before and one after the
-    // step each conjunct's residue comes from.
+    // Each case builds the template's exact wpc as the oracle; that costs
+    // about a second unoptimized for a two-step program over this schema,
+    // and a third step multiplies it by ~40, so the programs stay at two
+    // steps — one before and one after the step each conjunct's residue
+    // comes from.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Residue composition across a `Seq`: for random two-step update
     /// programs, the template's instantiated fast guard agrees with the
     /// ground fast guard and with `T(D) ⊨ α` on every `α`-state, and the
-    /// template's wpc stays exact on every state.
+    /// template's exact wpc, instantiated, and the ground program's are
+    /// exact on every state.
     #[test]
     fn seq_fast_guard_decides_like_the_post_state(pseed in 0u64..5000, dseed in 0u64..5000) {
         let (schema, alpha) = fd_schema_and_alpha();
@@ -187,16 +209,68 @@ proptest! {
             .expect("template compiles");
         let direct = compile_guard("gnd", &ground, &alpha, &schema, &omega).expect("compiles");
         let fast = shape.instantiate_fast(&bindings);
-        let wpc = shape.instantiate_wpc(&bindings);
+        let wpc = instantiate_params(
+            &exact_wpc(template.shape(), &alpha, &schema, &omega).expect("translates"),
+            &bindings,
+        );
+        let ground_wpc = exact_wpc(&ground, &alpha, &schema, &omega).expect("translates");
         for i in 0..16 {
             let db = fd_state(dseed.wrapping_mul(16).wrapping_add(i), &schema);
             let post = ground.run(&db, &omega).expect("program runs");
             let expect = holds(&post, &omega, &alpha).expect("alpha evaluates");
             prop_assert_eq!(holds(&db, &omega, &wpc).expect("wpc evaluates"), expect,
                 "wpc of {:?} on {:?}", ground, db);
+            prop_assert_eq!(holds(&db, &omega, &ground_wpc).expect("wpc evaluates"), expect,
+                "ground wpc of {:?} on {:?}", ground, db);
             if !holds(&db, &omega, &alpha).expect("alpha evaluates") {
                 continue;
             }
+            prop_assert_eq!(holds(&db, &omega, &fast).expect("fast evaluates"), expect,
+                "template fast guard {} of {:?} on {:?}", fast, ground, db);
+            prop_assert_eq!(holds(&db, &omega, &direct.fast).expect("fast evaluates"), expect,
+                "ground fast guard {} of {:?} on {:?}", direct.fast, ground, db);
+        }
+    }
+}
+
+/// A functional dependency on each of `R0..R{rels-1}`.
+fn fd_only_schema_and_alpha(rels: usize) -> (Schema, Formula) {
+    let schema = Schema::new((0..rels).map(|i| (format!("R{i}"), 2)));
+    let alpha = Formula::and((0..rels).map(|i| {
+        parse_formula(&format!("forall x y z. R{i}(x, y) & R{i}(x, z) -> y = z")).expect("parses")
+    }));
+    (schema, alpha)
+}
+
+proptest! {
+    // No wpc is built here: every conjunct is written by exactly one step,
+    // so each gets that step's Δ and compilation is residue-only. A wpc
+    // oracle for four steps would be out of reach (see above); the
+    // post-state is the oracle instead.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Four-step programs writing four different relations: the template's
+    /// instantiated fast guard and the ground fast guard both decide
+    /// `T(D) ⊨ α` on every `α`-state.
+    #[test]
+    fn four_step_fast_guard_decides_like_the_post_state(pseed in 0u64..5000,
+                                                        dseed in 0u64..5000) {
+        let (schema, alpha) = fd_only_schema_and_alpha(4);
+        let omega = Omega::empty();
+        let ground = one_step_per_relation(pseed, 4);
+        let (template, bindings) =
+            vpdt::tx::template::canonicalize(&ground).expect("canonicalizes");
+        let shape = compile_guard_template("tpl", &template, &alpha, &schema, &omega)
+            .expect("template compiles");
+        let direct = compile_guard("gnd", &ground, &alpha, &schema, &omega).expect("compiles");
+        let fast = shape.instantiate_fast(&bindings);
+        for i in 0..16 {
+            let db = fd_state(dseed.wrapping_mul(16).wrapping_add(i), &schema);
+            if !holds(&db, &omega, &alpha).expect("alpha evaluates") {
+                continue;
+            }
+            let post = ground.run(&db, &omega).expect("program runs");
+            let expect = holds(&post, &omega, &alpha).expect("alpha evaluates");
             prop_assert_eq!(holds(&db, &omega, &fast).expect("fast evaluates"), expect,
                 "template fast guard {} of {:?} on {:?}", fast, ground, db);
             prop_assert_eq!(holds(&db, &omega, &direct.fast).expect("fast evaluates"), expect,
