@@ -438,6 +438,33 @@ fn run_sessions_once(
     })
 }
 
+/// Bytes the in-memory history holds per transaction (the
+/// `store_history_bytes` gauge over the job count) after serving `jobs`
+/// from one session on one worker. Untimed and deterministic: one worker
+/// draining one submitter's FIFO records the same events on every run.
+fn history_bytes_per_tx(
+    alpha: &vpdt_logic::Formula,
+    omega: &vpdt_eval::Omega,
+    initial: &vpdt_structure::Database,
+    jobs: &[Program],
+) -> Result<f64, String> {
+    let server = StoreBuilder::new(initial.clone(), alpha.clone())
+        .omega(omega.clone())
+        .workers(1)
+        .trace_capacity(0)
+        .retain_outcomes(false)
+        .build()
+        .map_err(|e| format!("server refused to start: {e}"))?;
+    let session = server.session();
+    let tickets: Vec<_> = jobs.iter().map(|p| session.submit(p.clone())).collect();
+    for ticket in tickets {
+        ticket.wait();
+    }
+    let bytes = server.metrics().gauge(names::HISTORY_BYTES);
+    drop(server.shutdown());
+    Ok(bytes as f64 / jobs.len().max(1) as f64)
+}
+
 /// One measured pass of the network front door: the identical session
 /// workload, but every submission crosses a loopback TCP connection as
 /// a checksummed frame and every outcome returns with the committed
@@ -829,6 +856,10 @@ fn run(cfg: Config) -> Result<bool, String> {
         "rollback-serial:    {} committed / {} aborted in {:.3}s ({:.0} commits/s)",
         serial.committed, serial.aborted, serial_secs, serial_tps,
     );
+
+    // --- history footprint ---------------------------------------------------
+    let history_per_tx = history_bytes_per_tx(&alpha, &omega, &initial, &jobs)?;
+    println!("history:            {history_per_tx:.1} bytes per transaction (one worker)");
 
     // --- guarded-sessions, persisted (WAL + one fsync per commit) -----------
     // Both persisted passes retain every segment: the kept artifacts are
@@ -1602,6 +1633,7 @@ fn run(cfg: Config) -> Result<bool, String> {
             "group_commit" => stage_latencies_json(&group.serving),
         },
         "speedup" => ratio(speedup),
+        "history_bytes_per_tx" => Json::fixed(history_per_tx, 1),
         "constraint_violations" => violations,
         "audit_ok" => verdict.ok(),
         "audit_commits_checked" => verdict.commits_checked,

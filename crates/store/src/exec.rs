@@ -289,12 +289,9 @@ pub(crate) fn worker_loop(
             }
             _ => {
                 if let TxOutcome::Failed { error } = &outcome {
-                    obs.trace(
-                        item.tx,
-                        TraceStage::Failed {
-                            reason: error.code().to_string(),
-                        },
-                    );
+                    obs.trace_with(item.tx, || TraceStage::Failed {
+                        reason: error.code().to_string(),
+                    });
                 }
                 obs.tx_total.observe(obs.us_since(item.enqueued_at_ns));
                 if let Some(ticket) = item.ticket.take() {
@@ -374,17 +371,10 @@ pub(crate) fn execute_one(
                 version: snap.version,
                 shape: prepared.shape.id,
             };
-            history.record(Event::Abort {
-                tx: item.tx,
-                version: snap.version,
+            history.record_abort(item.tx, snap.version, &reason);
+            obs.trace_with(item.tx, || TraceStage::Aborted {
                 reason: reason.to_string(),
             });
-            obs.trace(
-                item.tx,
-                TraceStage::Aborted {
-                    reason: reason.to_string(),
-                },
-            );
             return (TxOutcome::Aborted { reason }, None);
         }
         // Direct operational semantics on the ground program the item
@@ -404,22 +394,8 @@ pub(crate) fn execute_one(
                 )
             }
         };
-        // Pre-encode the commit's WAL payload here, outside the store's
-        // write lock: every field except the assigned version and the root
-        // hash is already known, and those two are 16 fixed bytes the lock
-        // patches in place. Re-encoded per attempt (based_on changes on
-        // retry); skipped entirely for in-memory stores.
-        let encoded = history.is_durable().then(|| {
-            crate::wal::encode_event(&Event::Commit {
-                tx: item.tx,
-                based_on: snap.version,
-                version: 0,
-                writes: prepared.writes().iter().cloned().collect(),
-                shape: prepared.shape.id,
-                bindings: prepared.bindings.clone(),
-                root_hash: 0,
-            })
-        });
+        // The store encodes the commit record before it takes its write
+        // lock (re-encoded per attempt: `based_on` changes on retry).
         let req = CommitRequest {
             tx: item.tx,
             based_on: snap.version,
@@ -428,7 +404,7 @@ pub(crate) fn execute_one(
             shape: prepared.shape.id,
             bindings: prepared.bindings.clone(),
             new_db,
-            encoded,
+            encoded: None,
         };
         let publish_started_ns = obs.now_ns();
         let (outcome, lock_held) = store.try_commit_timed(req);

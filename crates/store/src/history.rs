@@ -8,12 +8,29 @@
 //! commitments — which is what lets the audit detect a tampered or
 //! reordered log without re-encoding the whole database on every commit.
 //!
+//! **Representation: one codec for memory and disk.** The log does not
+//! keep [`Event`] values. It keeps each event as its write-ahead-log
+//! payload ([`crate::wal::encode_event_into`]), appended to a byte arena:
+//! payloads are self-delimiting (a tag, fixed-width fields, counted
+//! write sets and bindings, length-prefixed strings), so they are simply
+//! concatenated, with no per-event length or allocation. The arena grows
+//! in chunks of 256 KiB; a full chunk is sealed behind an `Arc`
+//! and never written again. A transaction costs ~130 bytes this way,
+//! against ~430 as a `Vec<Event>` of enums with their own heap
+//! allocations — and the audit, which replays the whole history, needs
+//! every byte of it kept. [`History::events`] decodes on demand:
+//! under the lock it only clones the sealed chunks' handles and copies the
+//! open chunk. Commit root hashes are also indexed by version as they are
+//! appended, so [`History::commit_root`] never decodes.
+//!
 //! A history can be made *durable* by attaching a write-ahead log
 //! ([`History::attach_wal`], done by
 //! [`StoreBuilder::persist`](crate::StoreBuilder::persist)): every event is
 //! then appended to disk inside the same critical section that appends it
-//! to memory, so the on-disk order equals the in-memory order equals (for
-//! commits) the serialization order. That append is the **publish** phase
+//! to memory — the very bytes just written to the arena are framed onto
+//! disk, so nothing is encoded twice — and the on-disk order equals the
+//! in-memory order equals (for commits) the serialization order. That
+//! append is the **publish** phase
 //! of the two-phase commit pipeline: `record` returns the record's log
 //! offset and does **not** fsync — the **durable** phase (the fsync, and
 //! only then the ticket resolution) belongs to the group-commit flusher
@@ -24,8 +41,9 @@
 //! dropping events silently; a failed *flush* is reported to every covered
 //! ticket as a typed [`StoreError::Wal`](crate::StoreError::Wal) instead.
 
-use crate::wal::DurableLog;
-use std::sync::Mutex;
+use crate::wal::{self, DurableLog};
+use std::fmt::Display;
+use std::sync::{Arc, Mutex, MutexGuard};
 use vpdt_logic::Elem;
 use vpdt_structure::Database;
 use vpdt_tx::template::Template;
@@ -120,9 +138,26 @@ pub enum Event {
     },
 }
 
+/// Bytes an open arena chunk holds before it is sealed. Small enough that
+/// [`History::events`] copies at most this much under the lock, large
+/// enough that a long history is a few hundred chunks.
+const CHUNK_BYTES: usize = 256 * 1024;
+/// Room a fresh chunk reserves past [`CHUNK_BYTES`], so the event that
+/// crosses the line does not reallocate it.
+const CHUNK_SLACK: usize = 16 * 1024;
+
 #[derive(Debug, Default)]
 struct Inner {
-    events: Vec<Event>,
+    /// Full arena chunks: concatenated event payloads, never written
+    /// again, shared with [`History::events`] readers by reference count.
+    sealed: Vec<Arc<Vec<u8>>>,
+    /// Total length of the sealed chunks.
+    sealed_bytes: usize,
+    /// The chunk events are appended to. An event never straddles two
+    /// chunks, so each chunk decodes on its own.
+    open: Vec<u8>,
+    /// Number of events in the arena.
+    count: usize,
     durable: Option<DurableLog>,
     /// Commit root hashes by version: `roots[i]` is the root hash recorded
     /// at version `root_base + 1 + i`. Commit versions are gapless, so a
@@ -135,29 +170,46 @@ struct Inner {
 }
 
 impl Inner {
-    /// Index a commit's root hash for O(1) lookup by version. Commit
-    /// versions are assigned gaplessly under the exec lock, so each new
-    /// commit lands exactly one past the end of the index.
-    fn index_root(&mut self, e: &Event) {
-        if let Event::Commit {
-            version, root_hash, ..
-        }
-        | Event::Cross {
-            version, root_hash, ..
-        } = e
-        {
+    /// Appends one event: `encode` writes its WAL payload at the end of
+    /// the open chunk; the same bytes then index the commit root, go to
+    /// the attached log (if any), and stay in memory. Returns the
+    /// record's log offset on a durable history.
+    ///
+    /// # Panics
+    /// Panics if the attached log fails to append (fail-stop).
+    fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+        let start = self.open.len();
+        encode(&mut self.open);
+        let payload = &self.open[start..];
+        // Commit versions are assigned gaplessly under the exec lock, so
+        // each new commit lands exactly one past the end of the index.
+        if let Some((version, root)) = wal::commit_stamp(payload) {
             if self.roots.is_empty() {
                 self.root_base = version - 1;
             }
-            debug_assert_eq!(*version, self.root_base + self.roots.len() as u64 + 1);
-            self.roots.push(*root_hash);
+            debug_assert_eq!(version, self.root_base + self.roots.len() as u64 + 1);
+            self.roots.push(root);
         }
+        let offset = self.durable.as_mut().map(|log| {
+            log.append_event(payload)
+                .expect("write-ahead log append failed; refusing to continue non-durably")
+        });
+        self.count += 1;
+        if self.open.len() >= CHUNK_BYTES {
+            let full = std::mem::replace(
+                &mut self.open,
+                Vec::with_capacity(CHUNK_BYTES + CHUNK_SLACK),
+            );
+            self.sealed_bytes += full.len();
+            self.sealed.push(Arc::new(full));
+        }
+        offset
     }
 }
 
 /// An append-only, thread-safe event log, optionally backed by a
-/// write-ahead log on disk (see the module docs for the ordering and
-/// durability contract).
+/// write-ahead log on disk (see the module docs for the representation,
+/// the ordering and the durability contract).
 #[derive(Debug, Default)]
 pub struct History {
     inner: Mutex<Inner>,
@@ -169,14 +221,17 @@ impl History {
         History::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("history lock poisoned")
+    }
+
     /// A log seeded with recovered events (the durable-recovery path: the
     /// resumed server's history continues where the on-disk log ends).
     pub(crate) fn with_events(events: Vec<Event>) -> Self {
         let mut inner = Inner::default();
         for e in &events {
-            inner.index_root(e);
+            inner.append(|out| wal::encode_event_into(e, out));
         }
-        inner.events = events;
         History {
             inner: Mutex::new(inner),
         }
@@ -185,7 +240,7 @@ impl History {
     /// Attaches a write-ahead log: every subsequent [`History::record`]
     /// appends to disk before it returns.
     pub(crate) fn attach_wal(&self, log: DurableLog) {
-        let mut inner = self.inner.lock().expect("history lock poisoned");
+        let mut inner = self.lock();
         debug_assert!(inner.durable.is_none(), "a history has at most one log");
         inner.durable = Some(log);
     }
@@ -194,8 +249,7 @@ impl History {
     /// checkpoint path. While `f` runs no event can be recorded,
     /// so the log offset it observes is exact.
     pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
-        let mut inner = self.inner.lock().expect("history lock poisoned");
-        inner.durable.as_mut().map(f)
+        self.lock().durable.as_mut().map(f)
     }
 
     /// Appends an event — durably first, when a log is attached. Returns
@@ -206,40 +260,29 @@ impl History {
     /// Panics if the attached log fails to append (fail-stop: see the
     /// module docs).
     pub fn record(&self, e: Event) -> Option<u64> {
-        let mut inner = self.inner.lock().expect("history lock poisoned");
-        let offset = inner.durable.as_mut().map(|log| {
-            log.append_event(&e)
-                .expect("write-ahead log append failed; refusing to continue non-durably")
-        });
-        inner.index_root(&e);
-        inner.events.push(e);
-        offset
+        self.lock().append(|out| wal::encode_event_into(&e, out))
     }
 
-    /// Appends a commit event whose WAL payload was already encoded
-    /// *outside* the commit critical section. When a log is attached and
-    /// `encoded` is present, the pre-built payload is framed and appended
-    /// as-is — the lock never pays the encoding cost; the caller must have
-    /// patched the payload's version and root-hash fields to match `e`
-    /// (see [`crate::wal::patch_commit_payload`]). Falls back to
-    /// [`History::record`] semantics otherwise.
+    /// Appends an [`Event::Abort`] whose reason is formatted straight into
+    /// the arena — the abort path never renders its reason to a `String`.
+    pub(crate) fn record_abort(&self, tx: u64, version: u64, reason: &dyn Display) -> Option<u64> {
+        self.lock()
+            .append(|out| wal::encode_abort_into(tx, version, reason, out))
+    }
+
+    /// Appends a commit (or cross-shard commit) event given as its WAL
+    /// payload, already encoded *outside* the commit critical section and
+    /// patched with its version and root hash (see
+    /// [`crate::wal::patch_commit_payload`]): the lock only copies the
+    /// bytes into the arena and, when a log is attached, frames them onto
+    /// disk.
     ///
     /// # Panics
     /// Panics if the attached log fails to append (fail-stop: see the
     /// module docs).
-    pub fn record_commit(&self, e: Event, encoded: Option<Vec<u8>>) -> Option<u64> {
-        debug_assert!(matches!(e, Event::Commit { .. } | Event::Cross { .. }));
-        let mut inner = self.inner.lock().expect("history lock poisoned");
-        let offset = inner.durable.as_mut().map(|log| {
-            match &encoded {
-                Some(payload) => log.append_commit_payload(payload),
-                None => log.append_event(&e),
-            }
-            .expect("write-ahead log append failed; refusing to continue non-durably")
-        });
-        inner.index_root(&e);
-        inner.events.push(e);
-        offset
+    pub(crate) fn record_commit(&self, payload: &[u8]) -> Option<u64> {
+        debug_assert!(wal::commit_stamp(payload).is_some(), "not a commit payload");
+        self.lock().append(|out| out.extend_from_slice(payload))
     }
 
     /// The [root hash](root_hash) the commit at `version` recorded — the
@@ -249,19 +292,14 @@ impl History {
     /// server. O(1): commit versions are gapless, so the index is a flat
     /// vector.
     pub fn commit_root(&self, version: u64) -> Option<u64> {
-        let inner = self.inner.lock().expect("history lock poisoned");
+        let inner = self.lock();
         let idx = version.checked_sub(inner.root_base + 1)?;
         inner.roots.get(idx as usize).copied()
     }
 
-    /// Whether a write-ahead log is attached — commits then benefit from
-    /// pre-encoding their WAL payload before entering the critical section.
+    /// Whether a write-ahead log is attached.
     pub fn is_durable(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("history lock poisoned")
-            .durable
-            .is_some()
+        self.lock().durable.is_some()
     }
 
     /// Declares a statement shape ahead of its first durable use, so a cold
@@ -272,34 +310,42 @@ impl History {
     /// # Panics
     /// Panics if the attached log fails to append (fail-stop).
     pub(crate) fn declare_shape(&self, id: u64, template: &Template) {
-        let mut inner = self.inner.lock().expect("history lock poisoned");
-        if let Some(log) = inner.durable.as_mut() {
+        if let Some(log) = self.lock().durable.as_mut() {
             log.declare_shape(id, template)
                 .expect("write-ahead log append failed; refusing to continue non-durably");
         }
     }
 
-    /// A point-in-time copy of the log.
+    /// A point-in-time copy of the log, decoded. Under the lock this only
+    /// clones the sealed chunks' handles and copies the open chunk; the
+    /// decoding runs after the lock is released.
     pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .lock()
-            .expect("history lock poisoned")
-            .events
-            .clone()
+        let (sealed, open, count) = {
+            let inner = self.lock();
+            (inner.sealed.clone(), inner.open.clone(), inner.count)
+        };
+        let mut out = Vec::with_capacity(count);
+        for chunk in sealed.iter().map(|c| c.as_slice()).chain([open.as_slice()]) {
+            wal::decode_events(chunk, &mut out).expect("the history arena holds whole payloads");
+        }
+        out
     }
 
-    /// Number of events recorded so far.
+    /// Number of events recorded so far. O(1).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("history lock poisoned")
-            .events
-            .len()
+        self.lock().count
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes the in-memory log occupies: the total length of its event
+    /// payloads (what `store_history_bytes` reports).
+    pub fn bytes(&self) -> usize {
+        let inner = self.lock();
+        inner.sealed_bytes + inner.open.len()
     }
 }
 
@@ -424,6 +470,244 @@ mod tests {
         });
         assert_eq!(h.len(), 2);
         assert!(matches!(h.events()[0], Event::Begin { tx: 1, .. }));
+    }
+
+    /// Every variant, with the edge cases the codec must carry: empty and
+    /// multi-relation write sets, empty bindings, a long non-ASCII abort
+    /// reason, and `u64::MAX` in every id field.
+    fn every_variant() -> Vec<Event> {
+        use vpdt_logic::Elem;
+        let max = u64::MAX;
+        vec![
+            Event::Begin {
+                tx: max,
+                session: max,
+                version: max,
+                shape: max,
+                bindings: vec![Elem(0), Elem(max)],
+            },
+            Event::Begin {
+                tx: 0,
+                session: 1,
+                version: 0,
+                shape: 0,
+                bindings: vec![],
+            },
+            Event::GuardEval {
+                tx: max,
+                version: max,
+                pass: true,
+            },
+            Event::GuardEval {
+                tx: 2,
+                version: 0,
+                pass: false,
+            },
+            Event::Abort {
+                tx: max,
+                version: max,
+                reason: "Schutzbedingung verletzt — α ⊭ ∀x∃y E(x, y) ".repeat(400),
+            },
+            Event::Abort {
+                tx: 3,
+                version: 0,
+                reason: String::new(),
+            },
+            Event::Commit {
+                tx: max,
+                based_on: max - 1,
+                version: 1,
+                writes: vec![],
+                shape: max,
+                bindings: vec![],
+                root_hash: max,
+            },
+            Event::Commit {
+                tx: 4,
+                based_on: 1,
+                version: 2,
+                writes: vec!["R0".into(), "Relation ✓".into(), "S".into()],
+                shape: 7,
+                bindings: vec![Elem(5), Elem(max)],
+                root_hash: 0xdead_beef,
+            },
+            Event::Cross {
+                tx: max,
+                decision: max,
+                based_on: 2,
+                version: 3,
+                writes: vec!["E".into()],
+                shape: max,
+                bindings: vec![Elem(max)],
+                root_hash: max,
+            },
+            Event::Cross {
+                tx: 5,
+                decision: 0,
+                based_on: 3,
+                version: 4,
+                writes: vec![],
+                shape: 0,
+                bindings: vec![],
+                root_hash: 1,
+            },
+        ]
+    }
+
+    fn root_of(e: &Event) -> Option<(u64, u64)> {
+        match e {
+            Event::Commit {
+                version, root_hash, ..
+            }
+            | Event::Cross {
+                version, root_hash, ..
+            } => Some((*version, *root_hash)),
+            _ => None,
+        }
+    }
+
+    fn assert_holds(h: &History, events: &[Event]) {
+        assert_eq!(h.events(), events);
+        assert_eq!(h.len(), events.len());
+        assert_eq!(
+            h.bytes(),
+            events
+                .iter()
+                .map(|e| wal::encode_event(e).len())
+                .sum::<usize>()
+        );
+        for (version, root) in events.iter().filter_map(root_of) {
+            assert_eq!(h.commit_root(version), Some(root), "root of v{version}");
+        }
+        assert_eq!(h.commit_root(0), None);
+        assert_eq!(h.commit_root(5), None);
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_record() {
+        let events = every_variant();
+        let h = History::new();
+        for e in &events {
+            assert_eq!(h.record(e.clone()), None, "in-memory: no log offset");
+        }
+        assert_holds(&h, &events);
+    }
+
+    #[test]
+    fn commits_round_trip_through_record_commit() {
+        let events = every_variant();
+        let h = History::new();
+        for e in &events {
+            match e {
+                // A stub encoded before the lock, then patched under it —
+                // the store's commit path.
+                Event::Commit {
+                    tx,
+                    based_on,
+                    version,
+                    writes,
+                    shape,
+                    bindings,
+                    root_hash,
+                }
+                | Event::Cross {
+                    tx,
+                    based_on,
+                    version,
+                    writes,
+                    shape,
+                    bindings,
+                    root_hash,
+                    ..
+                } => {
+                    let decision = match e {
+                        Event::Cross { decision, .. } => Some(*decision),
+                        _ => None,
+                    };
+                    let writes = writes.iter().cloned().collect();
+                    let mut payload = wal::encode_commit_stub(
+                        *tx, decision, *based_on, *shape, &writes, bindings,
+                    );
+                    wal::patch_commit_payload(&mut payload, *version, *root_hash);
+                    h.record_commit(&payload);
+                }
+                Event::Abort {
+                    tx,
+                    version,
+                    reason,
+                } => {
+                    h.record_abort(*tx, *version, reason);
+                }
+                other => {
+                    h.record(other.clone());
+                }
+            }
+        }
+        assert_holds(&h, &events);
+        // The stub path writes exactly the bytes the direct encoding does.
+        let direct = History::new();
+        for e in &events {
+            direct.record(e.clone());
+        }
+        assert_eq!(direct.bytes(), h.bytes());
+    }
+
+    #[test]
+    fn with_events_round_trips() {
+        let events = every_variant();
+        let h = History::with_events(events.clone());
+        assert_holds(&h, &events);
+        // and keeps appending where the seed ended
+        let next = Event::GuardEval {
+            tx: 9,
+            version: 4,
+            pass: true,
+        };
+        h.record(next.clone());
+        assert_eq!(h.events().last(), Some(&next));
+        assert_eq!(h.len(), events.len() + 1);
+    }
+
+    #[test]
+    fn events_survive_chunk_sealing_in_order() {
+        let h = History::new();
+        let mut expected = Vec::new();
+        let mut version = 0;
+        while h.bytes() < 3 * CHUNK_BYTES {
+            for e in every_variant() {
+                let e = match e {
+                    Event::Commit {
+                        tx,
+                        based_on,
+                        writes,
+                        shape,
+                        bindings,
+                        root_hash,
+                        ..
+                    } => {
+                        version += 1;
+                        Event::Commit {
+                            tx,
+                            based_on,
+                            version,
+                            writes,
+                            shape,
+                            bindings,
+                            root_hash: root_hash ^ version,
+                        }
+                    }
+                    Event::Cross { .. } => continue,
+                    e => e,
+                };
+                h.record(e.clone());
+                expected.push(e);
+            }
+        }
+        assert!(h.lock().sealed.len() >= 2, "the test must cross chunks");
+        assert_eq!(h.events(), expected);
+        assert_eq!(h.len(), expected.len());
+        assert_eq!(h.commit_root(version), Some(0xdead_beef ^ version));
+        assert_eq!(h.commit_root(1), Some(u64::MAX ^ 1));
     }
 
     #[test]

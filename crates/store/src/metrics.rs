@@ -57,6 +57,8 @@ pub mod names {
     pub const GUARD_CACHE_ENTRIES: &str = "store_guard_cache_entries";
     /// Distinct statement shapes ever seen.
     pub const GUARD_CACHE_SHAPES: &str = "store_guard_cache_shapes";
+    /// Bytes of the in-memory history: its events' WAL payloads.
+    pub const HISTORY_BYTES: &str = "store_history_bytes";
     /// Submit → dequeue wait, µs.
     pub const STAGE_QUEUE_WAIT: &str = "store_stage_queue_wait_us";
     /// Guard instantiation + evaluation, µs (per attempt).
@@ -127,6 +129,8 @@ pub struct StoreMetrics {
     pub cache_entries: Gauge,
     /// [`names::GUARD_CACHE_SHAPES`].
     pub cache_shapes: Gauge,
+    /// [`names::HISTORY_BYTES`].
+    pub history_bytes: Gauge,
     /// [`names::STAGE_QUEUE_WAIT`].
     pub queue_wait: Histogram,
     /// [`names::STAGE_GUARD_EVAL`].
@@ -163,6 +167,7 @@ impl StoreMetrics {
             version: registry.gauge(names::VERSION),
             cache_entries: registry.gauge(names::GUARD_CACHE_ENTRIES),
             cache_shapes: registry.gauge(names::GUARD_CACHE_SHAPES),
+            history_bytes: registry.gauge(names::HISTORY_BYTES),
             queue_wait: registry.histogram(names::STAGE_QUEUE_WAIT),
             guard_eval: registry.histogram(names::STAGE_GUARD_EVAL),
             publish: registry.histogram(names::STAGE_PUBLISH),
@@ -190,11 +195,18 @@ impl StoreMetrics {
     /// disabled.
     #[inline]
     pub fn trace(&self, tx: u64, stage: TraceStage) {
+        self.trace_with(tx, || stage);
+    }
+
+    /// [`trace`](Self::trace) for a stage that costs something to build
+    /// (a formatted reason): `stage` runs only when tracing is enabled.
+    #[inline]
+    pub fn trace_with(&self, tx: u64, stage: impl FnOnce() -> TraceStage) {
         if self.trace.enabled() {
             self.trace.record(TraceEvent {
                 tx,
                 at_ns: self.registry.now_ns(),
-                stage,
+                stage: stage(),
             });
         }
     }

@@ -564,9 +564,16 @@ impl StoreServer {
         self.shared.store.version()
     }
 
-    /// A point-in-time copy of the history log.
+    /// A point-in-time copy of the history log, decoded from its in-memory
+    /// WAL payloads.
     pub fn history_events(&self) -> Vec<Event> {
         self.shared.store.history().events()
+    }
+
+    /// Number of events in the history log — O(1), unlike
+    /// `history_events().len()`, which copies and decodes the whole log.
+    pub fn history_len(&self) -> usize {
+        self.shared.store.history().len()
     }
 
     /// The root hash the commit at `version` recorded — the per-relation
@@ -630,6 +637,8 @@ impl StoreServer {
         let cache = self.shared.cache.cache_stats();
         self.shared.obs.cache_entries.set(cache.entries as u64);
         self.shared.obs.cache_shapes.set(cache.shapes as u64);
+        let history = self.shared.store.history().bytes();
+        self.shared.obs.history_bytes.set(history as u64);
     }
 
     /// Counters of the durable phase — fsyncs issued, commits resolved

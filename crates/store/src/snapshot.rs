@@ -24,7 +24,7 @@
 //! across workers by the [`GroupCommitFlusher`](crate::wal), and only then
 //! the ticket resolution) happens outside the critical section.
 
-use crate::history::{root_hash, state_hash, Event, History};
+use crate::history::{root_hash, state_hash, History};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use vpdt_logic::Schema;
@@ -58,12 +58,11 @@ pub struct CommitRequest {
     pub bindings: Vec<vpdt_logic::Elem>,
     /// The computed post-state (its `writes` relations are authoritative).
     pub new_db: Database,
-    /// The commit's WAL payload, pre-encoded *outside* the critical
-    /// section with placeholder `version`/`root_hash` fields (zeros);
-    /// the store patches those 16 bytes under the lock and appends the
-    /// payload as-is. `None` makes the append encode under the lock — the
-    /// correct-but-slower path for in-memory stores and embeddings that
-    /// do not pre-encode.
+    /// The commit's WAL payload, already encoded with placeholder
+    /// `version`/`root_hash` fields (zeros); the store patches those 16
+    /// bytes under the lock and records the payload as-is. `None` (what
+    /// the executor passes) has the store encode it from the fields above
+    /// before it takes the lock — the same single path either way.
     pub encoded: Option<Vec<u8>>,
 }
 
@@ -224,8 +223,14 @@ impl VersionedStore {
             shape,
             bindings,
             new_db,
-            mut encoded,
+            encoded,
         } = req;
+        // Every field of the commit record but the version and the root
+        // hash is known now, before the lock: encode it here and let the
+        // lock patch 16 bytes.
+        let mut payload = encoded.unwrap_or_else(|| {
+            crate::wal::encode_commit_stub(tx, None, based_on, shape, &writes, &bindings)
+        });
         let mut s = self.state.write().expect("store lock poisoned");
         let held = std::time::Instant::now();
         // A relation held by an in-flight cross-shard prepare conflicts
@@ -281,23 +286,8 @@ impl VersionedStore {
         // mutation time, outside this lock.
         let hash = root_hash(&merged);
         s.db = Arc::new(merged);
-        // With a pre-encoded payload the append is a 16-byte patch plus a
-        // buffered write; otherwise the history encodes under the lock.
-        if let Some(payload) = encoded.as_mut() {
-            crate::wal::patch_commit_payload(payload, version, hash);
-        }
-        let wal_offset = self.history.record_commit(
-            Event::Commit {
-                tx,
-                based_on,
-                version,
-                writes: writes.into_iter().collect(),
-                shape,
-                bindings,
-                root_hash: hash,
-            },
-            encoded,
-        );
+        crate::wal::patch_commit_payload(&mut payload, version, hash);
+        let wal_offset = self.history.record_commit(&payload);
         let outcome = CommitOutcome::Committed {
             version,
             wal_offset,
@@ -335,10 +325,11 @@ impl VersionedStore {
     /// [`prepare_hold`](Self::prepare_hold)), so validation cannot fail —
     /// holds blocked every conflicting commit since `based_on` — and the
     /// merge is the same disjoint pointer-swap as
-    /// [`try_commit`](Self::try_commit). Records an [`Event::Cross`]
-    /// carrying the decision id (one atomic record: commit and decision
-    /// reference can never be torn apart), then releases every relation
-    /// the decision held. Returns the new version plus the record's log
+    /// [`try_commit`](Self::try_commit). Records an
+    /// [`Event::Cross`](crate::history::Event::Cross) carrying the
+    /// decision id (one atomic record: commit and decision reference can
+    /// never be torn apart), then releases every relation the decision
+    /// held. Returns the new version plus the record's log
     /// offset.
     pub(crate) fn commit_prepared(&self, decision: u64, req: CommitRequest) -> (u64, Option<u64>) {
         let CommitRequest {
@@ -351,6 +342,9 @@ impl VersionedStore {
             new_db,
             encoded,
         } = req;
+        let mut payload = encoded.unwrap_or_else(|| {
+            crate::wal::encode_commit_stub(tx, Some(decision), based_on, shape, &writes, &bindings)
+        });
         let mut s = self.state.write().expect("store lock poisoned");
         debug_assert!(
             writes.iter().all(|rel| s.held.get(rel) == Some(&decision)),
@@ -380,19 +374,8 @@ impl VersionedStore {
         }
         let hash = root_hash(&merged);
         s.db = Arc::new(merged);
-        let wal_offset = self.history.record_commit(
-            Event::Cross {
-                tx,
-                decision,
-                based_on,
-                version,
-                writes: writes.into_iter().collect(),
-                shape,
-                bindings,
-                root_hash: hash,
-            },
-            encoded,
-        );
+        crate::wal::patch_commit_payload(&mut payload, version, hash);
+        let wal_offset = self.history.record_commit(&payload);
         s.held.retain(|_, d| *d != decision);
         drop(s);
         self.signal_release();
@@ -529,6 +512,7 @@ pub(crate) struct CheckpointGc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::Event;
     use vpdt_logic::Elem;
 
     fn store2() -> VersionedStore {

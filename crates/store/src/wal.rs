@@ -275,6 +275,15 @@ fn decode_decision(bytes: &[u8]) -> Result<DecisionRecord, String> {
 /// re-encoding a decoded event reproduces the bytes.
 pub fn encode_event(e: &Event) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_event_into(e, &mut out);
+    out
+}
+
+/// Appends an event payload to `out` — the in-place form of
+/// [`encode_event`], which the in-memory history uses to grow its byte
+/// arena without a buffer per event. Payloads are self-delimiting, so
+/// concatenated payloads decode back one by one ([`decode_events`]).
+pub fn encode_event_into(e: &Event, out: &mut Vec<u8>) {
     match e {
         Event::Begin {
             tx,
@@ -284,16 +293,16 @@ pub fn encode_event(e: &Event) -> Vec<u8> {
             bindings,
         } => {
             out.push(TAG_BEGIN);
-            codec::put_u64(&mut out, *tx);
-            codec::put_u64(&mut out, *session);
-            codec::put_u64(&mut out, *version);
-            codec::put_u64(&mut out, *shape);
-            put_bindings(&mut out, bindings);
+            codec::put_u64(out, *tx);
+            codec::put_u64(out, *session);
+            codec::put_u64(out, *version);
+            codec::put_u64(out, *shape);
+            put_bindings(out, bindings);
         }
         Event::GuardEval { tx, version, pass } => {
             out.push(TAG_GUARD_EVAL);
-            codec::put_u64(&mut out, *tx);
-            codec::put_u64(&mut out, *version);
+            codec::put_u64(out, *tx);
+            codec::put_u64(out, *version);
             out.push(u8::from(*pass));
         }
         Event::Commit {
@@ -306,27 +315,16 @@ pub fn encode_event(e: &Event) -> Vec<u8> {
             root_hash,
         } => {
             out.push(TAG_COMMIT);
-            codec::put_u64(&mut out, *tx);
-            codec::put_u64(&mut out, *based_on);
-            codec::put_u64(&mut out, *version);
-            codec::put_u64(&mut out, *shape);
-            codec::put_u64(&mut out, *root_hash);
-            codec::put_u32(&mut out, writes.len() as u32);
-            for w in writes {
-                codec::put_str(&mut out, w);
-            }
-            put_bindings(&mut out, bindings);
+            codec::put_u64(out, *tx);
+            put_commit_body(
+                out, *based_on, *version, *shape, *root_hash, writes, bindings,
+            );
         }
         Event::Abort {
             tx,
             version,
             reason,
-        } => {
-            out.push(TAG_ABORT);
-            codec::put_u64(&mut out, *tx);
-            codec::put_u64(&mut out, *version);
-            codec::put_str(&mut out, reason);
-        }
+        } => encode_abort_into(*tx, *version, reason, out),
         Event::Cross {
             tx,
             decision,
@@ -338,33 +336,125 @@ pub fn encode_event(e: &Event) -> Vec<u8> {
             root_hash,
         } => {
             out.push(TAG_CROSS);
-            codec::put_u64(&mut out, *tx);
-            codec::put_u64(&mut out, *decision);
-            codec::put_u64(&mut out, *based_on);
-            codec::put_u64(&mut out, *version);
-            codec::put_u64(&mut out, *shape);
-            codec::put_u64(&mut out, *root_hash);
-            codec::put_u32(&mut out, writes.len() as u32);
-            for w in writes {
-                codec::put_str(&mut out, w);
-            }
-            put_bindings(&mut out, bindings);
+            codec::put_u64(out, *tx);
+            codec::put_u64(out, *decision);
+            put_commit_body(
+                out, *based_on, *version, *shape, *root_hash, writes, bindings,
+            );
         }
     }
+}
+
+/// The fields a `Commit` and a `Cross` payload share, after the ids:
+/// `based_on`, `version`, `shape`, `root_hash`, the write set, the
+/// bindings.
+fn put_commit_body<S: AsRef<str>>(
+    out: &mut Vec<u8>,
+    based_on: u64,
+    version: u64,
+    shape: u64,
+    root_hash: u64,
+    writes: impl IntoIterator<Item = S, IntoIter: ExactSizeIterator>,
+    bindings: &[Elem],
+) {
+    codec::put_u64(out, based_on);
+    codec::put_u64(out, version);
+    codec::put_u64(out, shape);
+    codec::put_u64(out, root_hash);
+    let writes = writes.into_iter();
+    codec::put_u32(out, writes.len() as u32);
+    for w in writes {
+        codec::put_str(out, w.as_ref());
+    }
+    put_bindings(out, bindings);
+}
+
+/// Appends an `Abort` payload whose reason is formatted straight into
+/// `out` — the store records an abort without first rendering its typed
+/// reason into a `String`. Byte-identical to encoding
+/// `Event::Abort { reason: reason.to_string(), .. }`.
+pub(crate) fn encode_abort_into(
+    tx: u64,
+    version: u64,
+    reason: &dyn fmt::Display,
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_ABORT);
+    codec::put_u64(out, tx);
+    codec::put_u64(out, version);
+    let len_at = out.len();
+    codec::put_u32(out, 0);
+    write!(out, "{reason}").expect("formatting into a Vec cannot fail");
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Encodes a commit payload — a `Cross` payload when `decision` is given —
+/// with placeholder zeros for the two fields only the commit critical
+/// section knows, `version` and `root_hash`; the store stamps them in
+/// with [`patch_commit_payload`].
+pub(crate) fn encode_commit_stub(
+    tx: u64,
+    decision: Option<u64>,
+    based_on: u64,
+    shape: u64,
+    writes: &BTreeSet<String>,
+    bindings: &[Elem],
+) -> Vec<u8> {
+    // Tag, three ids, version, shape, root hash, two counts; then the
+    // variable parts.
+    let fixed = 1 + 6 * 8 + 2 * 4;
+    let mut out = Vec::with_capacity(
+        fixed + writes.iter().map(|w| 4 + w.len()).sum::<usize>() + 8 * bindings.len(),
+    );
+    match decision {
+        None => {
+            out.push(TAG_COMMIT);
+            codec::put_u64(&mut out, tx);
+        }
+        Some(decision) => {
+            out.push(TAG_CROSS);
+            codec::put_u64(&mut out, tx);
+            codec::put_u64(&mut out, decision);
+        }
+    }
+    put_commit_body(&mut out, based_on, 0, shape, 0, writes, bindings);
     out
 }
 
-/// Byte offset of the `version` field inside an encoded commit payload:
-/// tag (1) + tx (8) + based_on (8).
-const COMMIT_VERSION_OFFSET: usize = 17;
-/// Byte offset of the `root_hash` field inside an encoded commit payload:
-/// [`COMMIT_VERSION_OFFSET`] + version (8) + shape (8).
-const COMMIT_ROOT_HASH_OFFSET: usize = 33;
+/// Byte offset of the decision id inside a `Cross` payload: tag (1) + tx
+/// (8).
+const CROSS_DECISION_OFFSET: usize = 9;
+
+/// Byte offset of the `version` field inside an encoded commit payload —
+/// tag (1) + tx (8) + based_on (8), plus the decision id (8) of a
+/// `Cross` payload. `root_hash` follows 16 bytes later (after `shape`).
+/// `None` for every other payload.
+fn commit_version_offset(payload: &[u8]) -> Option<usize> {
+    match payload.first() {
+        Some(&TAG_COMMIT) => Some(17),
+        Some(&TAG_CROSS) => Some(25),
+        _ => None,
+    }
+}
+
+/// The `(version, root_hash)` a commit or cross-shard commit payload
+/// records; `None` for every other payload (and for a truncated one).
+pub(crate) fn commit_stamp(payload: &[u8]) -> Option<(u64, u64)> {
+    let at = commit_version_offset(payload)?;
+    let field = |at: usize| {
+        payload
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    Some((field(at)?, field(at + 16)?))
+}
 
 /// Stamps the two commit-time fields — `version` and `root_hash` — into a
-/// commit payload that was pre-encoded *outside* the commit critical
-/// section (with placeholder zeros). Every other field of a commit record
-/// is known before the store's write lock is taken; these two exist only
+/// commit (or cross-shard commit) payload that was encoded *outside* the
+/// commit critical section with placeholder zeros
+/// ([`encode_commit_stub`]). Every other field of a commit record is
+/// known before the store's write lock is taken; these two exist only
 /// once the commit wins validation, so the lock patches 16 bytes instead
 /// of encoding the whole record.
 ///
@@ -372,15 +462,9 @@ const COMMIT_ROOT_HASH_OFFSET: usize = 33;
 /// Panics if `payload` is not a commit payload (wrong tag or too short) —
 /// that is a caller bug, not an I/O condition.
 pub(crate) fn patch_commit_payload(payload: &mut [u8], version: u64, root_hash: u64) {
-    assert_eq!(
-        payload.first(),
-        Some(&TAG_COMMIT),
-        "patching a non-commit payload"
-    );
-    payload[COMMIT_VERSION_OFFSET..COMMIT_VERSION_OFFSET + 8]
-        .copy_from_slice(&version.to_le_bytes());
-    payload[COMMIT_ROOT_HASH_OFFSET..COMMIT_ROOT_HASH_OFFSET + 8]
-        .copy_from_slice(&root_hash.to_le_bytes());
+    let at = commit_version_offset(payload).expect("patching a non-commit payload");
+    payload[at..at + 8].copy_from_slice(&version.to_le_bytes());
+    payload[at + 16..at + 24].copy_from_slice(&root_hash.to_le_bytes());
 }
 
 /// Decodes an event payload: the exact inverse of [`encode_event`].
@@ -389,6 +473,16 @@ pub fn decode_event(bytes: &[u8]) -> Result<Event, CodecError> {
     let e = decode_event_body(&mut c)?;
     c.finish()?;
     Ok(e)
+}
+
+/// Decodes a concatenation of event payloads (what
+/// [`encode_event_into`] builds up) onto `out`, in order.
+pub fn decode_events(bytes: &[u8], out: &mut Vec<Event>) -> Result<(), CodecError> {
+    let mut c = Cursor::new(bytes);
+    while !c.is_done() {
+        out.push(decode_event_body(&mut c)?);
+    }
+    Ok(())
 }
 
 fn put_bindings(out: &mut Vec<u8>, bindings: &[Elem]) {
@@ -852,49 +946,36 @@ impl DurableLog {
         }
     }
 
-    /// Appends an event and returns its global offset — the **publish**
-    /// half of durability: this runs inside the commit critical section
-    /// and never fsyncs there. A commit event instead advances the
-    /// flusher's append watermark, so the durable phase knows which fsync
-    /// will cover it. (Without a flusher — an embedding that attaches a
-    /// log but runs no durable phase — `fsync_commits` falls back to the
-    /// old inline flush so the option's contract still holds.) Encodes
-    /// the borrowed event directly — no clone is taken just to wrap it in
-    /// a [`Record`].
-    pub(crate) fn append_event(&mut self, e: &Event) -> Result<u64, WalError> {
-        let offset = self.writer.append_payload(&encode_event(e))?;
-        if let Event::Cross { decision, .. } = e {
-            self.cross_decisions.insert(*decision);
-        }
-        if matches!(e, Event::Commit { .. }) {
-            if let Some(flusher) = &self.flusher {
-                flusher.note_append(
-                    self.writer.current_file(),
-                    self.writer.current_path(),
-                    self.writer.offset(),
-                );
-            } else if self.fsync_commits {
-                self.writer.sync()?;
-            }
-        }
-        Ok(offset)
-    }
-
-    /// Appends a commit record whose payload was pre-encoded (and patched,
-    /// see [`patch_commit_payload`]) outside the critical section — the
-    /// same publish contract as [`DurableLog::append_event`] for a commit,
-    /// minus the encoding cost under the lock.
-    pub(crate) fn append_commit_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        debug_assert_eq!(payload.first(), Some(&TAG_COMMIT));
+    /// Appends an encoded event payload and returns its global offset —
+    /// the **publish** half of durability: this runs inside the commit
+    /// critical section and never fsyncs there. The payload is the very
+    /// bytes the in-memory history just appended to its arena, so nothing
+    /// is encoded twice. A commit record instead advances the flusher's
+    /// append watermark, so the durable phase knows which fsync will cover
+    /// it. (Without a flusher — an embedding that attaches a log but runs
+    /// no durable phase — `fsync_commits` falls back to the old inline
+    /// flush so the option's contract still holds.) A cross-shard commit
+    /// records its decision id as applied.
+    pub(crate) fn append_event(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(payload)?;
-        if let Some(flusher) = &self.flusher {
-            flusher.note_append(
-                self.writer.current_file(),
-                self.writer.current_path(),
-                self.writer.offset(),
-            );
-        } else if self.fsync_commits {
-            self.writer.sync()?;
+        match payload.first() {
+            Some(&TAG_CROSS) => {
+                let decision = &payload[CROSS_DECISION_OFFSET..CROSS_DECISION_OFFSET + 8];
+                self.cross_decisions
+                    .insert(u64::from_le_bytes(decision.try_into().expect("8 bytes")));
+            }
+            Some(&TAG_COMMIT) => {
+                if let Some(flusher) = &self.flusher {
+                    flusher.note_append(
+                        self.writer.current_file(),
+                        self.writer.current_path(),
+                        self.writer.offset(),
+                    );
+                } else if self.fsync_commits {
+                    self.writer.sync()?;
+                }
+            }
+            _ => {}
         }
         Ok(offset)
     }
@@ -1105,12 +1186,9 @@ impl GroupCommitFlusher {
     /// Resolve one ack failed (flush error, fail-stop): trace the
     /// `failed` event and resolve the ticket.
     fn resolve_failed(&self, ack: PendingAck, error: &StoreError) {
-        self.obs.trace(
-            ack.tx,
-            TraceStage::Failed {
-                reason: error.code().to_string(),
-            },
-        );
+        self.obs.trace_with(ack.tx, || TraceStage::Failed {
+            reason: error.code().to_string(),
+        });
         ack.ticket.resolve(TxOutcome::Failed {
             error: error.clone(),
         });
@@ -1965,6 +2043,42 @@ mod tests {
         let mut pre = encode_event(&placeholder);
         patch_commit_payload(&mut pre, 5, 0x1234_5678_9abc_def0);
         assert_eq!(pre, encode_event(&direct));
+        assert_eq!(commit_stamp(&pre), Some((5, 0x1234_5678_9abc_def0)));
+        // The stub the store encodes before its lock is the same bytes,
+        // for a commit and for a cross-shard commit.
+        let writes: BTreeSet<String> = ["E".into(), "R17".into()].into();
+        let mut stub = encode_commit_stub(9, None, 4, 2, &writes, &[Elem(1), Elem(7)]);
+        assert_eq!(stub, encode_event(&placeholder));
+        patch_commit_payload(&mut stub, 5, 0x1234_5678_9abc_def0);
+        assert_eq!(stub, pre);
+        let cross = Event::Cross {
+            tx: 9,
+            decision: 3,
+            based_on: 4,
+            version: 5,
+            writes: vec!["E".into(), "R17".into()],
+            shape: 2,
+            bindings: vec![Elem(1), Elem(7)],
+            root_hash: 0x1234_5678_9abc_def0,
+        };
+        let mut stub = encode_commit_stub(9, Some(3), 4, 2, &writes, &[Elem(1), Elem(7)]);
+        patch_commit_payload(&mut stub, 5, 0x1234_5678_9abc_def0);
+        assert_eq!(stub, encode_event(&cross));
+        assert_eq!(commit_stamp(&stub), Some((5, 0x1234_5678_9abc_def0)));
+        // An abort formatted in place is the bytes of its rendered reason.
+        let reason = crate::AbortReason::GuardFailed {
+            version: 12,
+            shape: 4,
+        };
+        let mut abort = Vec::new();
+        encode_abort_into(7, 12, &reason, &mut abort);
+        let rendered = Event::Abort {
+            tx: 7,
+            version: 12,
+            reason: reason.to_string(),
+        };
+        assert_eq!(abort, encode_event(&rendered));
+        assert_eq!(commit_stamp(&abort), None);
     }
 
     #[test]

@@ -365,7 +365,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
         println!(
             "recovered {dir} at store version {} ({} history events)",
             server.version(),
-            server.history_events().len()
+            server.history_len()
         );
         (server, None)
     } else {
@@ -626,7 +626,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         println!(
             "recovered {dir} at store version {} ({} history events)",
             server.version(),
-            server.history_events().len()
+            server.history_len()
         );
         server
     } else {

@@ -154,6 +154,39 @@ fn report_counters_and_exposition_agree() {
     assert_eq!(text, m.render_prometheus(), "exposition is deterministic");
 }
 
+/// `store_history_bytes` samples the in-memory history's size: non-zero
+/// once anything ran, growing with every further commit, and equal to
+/// the events' encoded payloads.
+#[test]
+fn history_bytes_gauge_grows_with_commits() {
+    let server = traced_server(19, 2);
+    let jobs = workload::sharded_jobs(19, 2, 40, RELS, UNIVERSE);
+    workload::serve_chunked(&server, &jobs[..40], 40);
+    let first = server.metrics();
+    workload::serve_chunked(&server, &jobs[40..], 40);
+    let report = server.shutdown();
+    let (before, after) = (
+        first.gauge(names::HISTORY_BYTES),
+        report.metrics.gauge(names::HISTORY_BYTES),
+    );
+    assert!(before > 0, "the history holds the first batch");
+    assert!(
+        report.metrics.counter(names::TX_COMMITTED) > first.counter(names::TX_COMMITTED),
+        "the second batch commits something"
+    );
+    assert!(after > before, "history bytes {before} -> {after}");
+    let encoded: usize = report
+        .events
+        .iter()
+        .map(|e| wal::encode_event(e).len())
+        .sum();
+    assert_eq!(after, encoded as u64);
+    assert!(report
+        .metrics
+        .render_prometheus()
+        .contains(&format!("{} {after}\n", names::HISTORY_BYTES)));
+}
+
 /// The exec report's totals are the registry's counters whether or not the
 /// server retains per-transaction outcomes — and, when it does, they match
 /// the retained list.

@@ -679,3 +679,34 @@ fn recovery_and_cold_audit_agree_on_every_tamper() {
         );
     }
 }
+
+/// The in-memory history and the write-ahead log hold the same events:
+/// a persisted server's `history_events()` (decoded from its in-memory
+/// payload arena) equals what a genesis recovery decodes from disk —
+/// commits, cross-checked guard evaluations and aborts alike.
+#[test]
+fn in_memory_history_equals_the_recovered_log() {
+    let dir = tmp_dir("arena");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(29, RELS, UNIVERSE, 0.5);
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(2)
+        .persist_with(&dir, fast_wal())
+        .build()
+        .expect("persisted server starts");
+    let jobs = workload::sharded_jobs(29, 4, 60, RELS, UNIVERSE);
+    workload::serve_chunked(&server, &jobs, 60);
+    let events = server.history_events();
+    assert_eq!(server.history_len(), events.len());
+    assert!(events.iter().any(|e| matches!(e, Event::Commit { .. })));
+    assert!(events.iter().any(|e| matches!(e, Event::Abort { .. })));
+    drop(server);
+    let recovered = wal::recover(
+        &dir,
+        &Omega::empty(),
+        RecoveryOptions { from_genesis: true },
+    )
+    .expect("genesis recovery");
+    assert_eq!(recovered.events, events);
+    let _ = std::fs::remove_dir_all(&dir);
+}
