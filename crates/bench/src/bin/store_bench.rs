@@ -917,17 +917,23 @@ fn run(cfg: Config) -> Result<bool, String> {
         Some((&persist_dir, per_commit_opts)),
     )?;
     let persisted_tps = persisted.report.exec.committed as f64 / persisted.secs;
+    // Untimed and deterministic: the log writes a transaction's records at
+    // its terminal one, so this is one per transaction whatever the
+    // interleaving (one write per record would be about three).
+    let wal_writes_per_tx =
+        persisted.report.metrics.counter(names::WAL_WRITES) as f64 / jobs.len().max(1) as f64;
     let recovered_ok = verify_recovery(&persist_dir, &persisted)?;
     let persisted_vs_memory = persisted_tps / sessions_tps;
     println!(
         "guarded-sessions (persisted, fsync/commit): {} committed / {} aborted / {} failed \
-         in {:.3}s ({:.0} commits/s, {:.2}x of in-memory, recovery {})",
+         in {:.3}s ({:.0} commits/s, {:.2}x of in-memory, {:.3} WAL writes/tx, recovery {})",
         persisted.report.exec.committed,
         persisted.report.exec.aborted,
         persisted.report.exec.failed,
         persisted.secs,
         persisted_tps,
         persisted_vs_memory,
+        wal_writes_per_tx,
         if recovered_ok { "OK" } else { "MISMATCH" },
     );
 
@@ -1604,6 +1610,7 @@ fn run(cfg: Config) -> Result<bool, String> {
             "secs" => secs(persisted.secs),
             "commits_per_sec" => tps(persisted_tps),
             "vs_memory" => ratio(persisted_vs_memory),
+            "wal_writes_per_tx" => Json::fixed(wal_writes_per_tx, 3),
             "recovered_ok" => recovered_ok,
         },
         "group_commit" => obj! {

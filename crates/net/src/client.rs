@@ -13,15 +13,34 @@
 //! so a pipelining client needs no reordering buffer: `next_outcome`
 //! returns outcomes exactly in the order `submit` assigned request ids.
 //!
+//! Requests are framed into an outgoing buffer, not written one by one:
+//! a submit is **sent when the client next waits** for a response (every
+//! blocking call — [`next_outcome`], [`submit_sync`], [`sync`], the RPCs,
+//! [`goodbye`] — writes the buffer first), when it is [`flush`]ed, when
+//! the buffer passes 64 KiB, or when the client is dropped. A burst of
+//! submits therefore costs one `send`, and the server reads it in one
+//! go. A caller that pipelines without waiting and needs the requests
+//! on the wire now (say, to observe the server while they run) calls
+//! [`flush`]. A send error surfaces at that write, not at `submit`.
+//!
 //! [`submit_sync`]: NetClient::submit_sync
 //! [`submit`]: NetClient::submit
 //! [`next_outcome`]: NetClient::next_outcome
+//! [`sync`]: NetClient::sync
+//! [`goodbye`]: NetClient::goodbye
+//! [`flush`]: NetClient::flush
 
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::{frame_into, FrameReader};
 use crate::proto::{NetError, Request, Response, WireOutcome, PROTOCOL_VERSION};
 use std::collections::VecDeque;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use vpdt_tx::program::Program;
+
+/// Outgoing bytes past which [`NetClient`] writes without waiting for
+/// its next blocking call, bounding the buffer of a client that
+/// pipelines a long way ahead.
+const OUTGOING_FLUSH_BYTES: usize = 64 * 1024;
 
 /// A connected remote session.
 #[derive(Debug)]
@@ -33,6 +52,10 @@ pub struct NetClient {
     next_request: u64,
     /// Request ids submitted but not yet answered, oldest first.
     inflight: VecDeque<u64>,
+    /// Framed requests not yet written to the socket.
+    outgoing: Vec<u8>,
+    /// One request's payload, reused across requests.
+    payload: Vec<u8>,
 }
 
 impl NetClient {
@@ -48,6 +71,8 @@ impl NetClient {
             store_version: 0,
             next_request: 1,
             inflight: VecDeque::new(),
+            outgoing: Vec::new(),
+            payload: Vec::new(),
         };
         me.send(&Request::Hello {
             version: PROTOCOL_VERSION,
@@ -86,17 +111,30 @@ impl NetClient {
         self.inflight.len()
     }
 
-    /// Pipelined submit: sends the program and returns its request id
-    /// without waiting. Collect outcomes with [`NetClient::next_outcome`].
+    /// Pipelined submit: queues the program and returns its request id
+    /// without waiting. It goes out with the next blocking call (or
+    /// [`NetClient::flush`]); collect outcomes with
+    /// [`NetClient::next_outcome`].
     pub fn submit(&mut self, program: &Program) -> Result<u64, NetError> {
         let request_id = self.next_request;
         self.next_request += 1;
-        self.send(&Request::Submit {
-            request_id,
-            program: program.clone(),
-        })?;
+        self.payload.clear();
+        Request::encode_submit(request_id, program, &mut self.payload);
+        self.queue_payload()?;
         self.inflight.push_back(request_id);
         Ok(request_id)
+    }
+
+    /// Writes every queued request to the socket in one write. Blocking
+    /// calls do this themselves; call it to put a pipelined burst on the
+    /// wire without waiting for a response.
+    pub fn flush(&mut self) -> Result<(), NetError> {
+        if self.outgoing.is_empty() {
+            return Ok(());
+        }
+        let written = (&self.stream).write_all(&self.outgoing);
+        self.outgoing.clear();
+        written.map_err(NetError::io)
     }
 
     /// Blocks for the oldest in-flight submission's outcome, returning
@@ -233,15 +271,35 @@ impl NetClient {
         extract(resp).ok_or_else(|| NetError::Protocol(format!("unexpected response to {what}")))
     }
 
+    /// Queues one request (see the module docs for when it is written).
     fn send(&mut self, req: &Request) -> Result<(), NetError> {
-        let mut payload = Vec::new();
-        req.encode(&mut payload);
-        write_frame(&mut self.stream, &payload)
+        self.payload.clear();
+        req.encode(&mut self.payload);
+        self.queue_payload()
     }
 
+    /// Frames the encoded `payload` into the outgoing buffer.
+    fn queue_payload(&mut self) -> Result<(), NetError> {
+        frame_into(&mut self.outgoing, &self.payload);
+        if self.outgoing.len() >= OUTGOING_FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes what is queued, then blocks for the next response.
     fn next_response(&mut self) -> Result<Response, NetError> {
+        self.flush()?;
         let payload = self.reader.next_frame(&mut self.stream)?;
         Ok(Response::decode(&payload)?)
+    }
+}
+
+/// A dropped client still sends what it queued (best effort), so a
+/// fire-and-forget caller's submits reach the server as before.
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 

@@ -28,6 +28,7 @@
 use crate::proto::NetError;
 use std::io::{ErrorKind, Read, Write};
 use vpdt_store::history::fnv1a_64;
+pub use vpdt_store::wal::frame_into;
 
 /// Bytes of framing before each payload: `u32` length + `u64` FNV-1a.
 pub const FRAME_HEADER: usize = 12;
@@ -37,13 +38,14 @@ pub const FRAME_HEADER: usize = 12;
 /// client must never size the server's allocations.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
+/// Room a [`FrameReader`] keeps free for one socket read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Frames `payload` and writes it in one buffered write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_into(&mut out, payload);
     w.write_all(&out).map_err(NetError::io)?;
     w.flush().map_err(NetError::io)
 }
@@ -65,9 +67,18 @@ pub enum FramePoll {
 /// Keeps partially received bytes across [`poll`](FrameReader::poll)
 /// calls, so short reads and read timeouts never lose data. One reader
 /// per connection direction.
+///
+/// A frame already buffered is returned without touching the stream.
+/// Reads land directly in the buffer's free tail; extracted frames only
+/// advance a cursor, and the consumed prefix is dropped once per read,
+/// so a burst of frames read at once costs one read and one compaction.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received bytes in `buf[start..end]`; `buf[end..]` is zeroed room
+    /// for the next read (zeroed once, when the buffer grows).
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
@@ -82,23 +93,23 @@ impl FrameReader {
     /// [`FramePoll::Frame`] or [`FramePoll::Eof`]; with a timeout it
     /// returns [`FramePoll::Pending`] when the deadline passes first.
     pub fn poll(&mut self, r: &mut impl Read) -> Result<FramePoll, NetError> {
-        let mut scratch = [0u8; 16 * 1024];
         loop {
             if let Some(payload) = self.try_extract()? {
                 return Ok(FramePoll::Frame(payload));
             }
-            match r.read(&mut scratch) {
+            match self.fill(r) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    let got = self.end - self.start;
+                    return if got == 0 {
                         Ok(FramePoll::Eof)
                     } else {
                         Err(NetError::Truncated {
-                            got: self.buf.len(),
+                            got,
                             want: self.want(),
                         })
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     return Ok(FramePoll::Pending);
@@ -124,12 +135,34 @@ impl FrameReader {
         }
     }
 
+    /// Compacts the unconsumed bytes to the front, makes room for one
+    /// read, and reads once into it.
+    fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The received, not yet extracted bytes.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
     /// Total bytes the frame being accumulated needs (header included),
     /// or the header size while the length prefix itself is incomplete.
     fn want(&self) -> usize {
-        if self.buf.len() >= 4 {
+        let pending = self.pending();
+        if pending.len() >= 4 {
             let len =
-                u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes present")) as usize;
+                u32::from_le_bytes(pending[0..4].try_into().expect("4 bytes present")) as usize;
             FRAME_HEADER + len
         } else {
             FRAME_HEADER
@@ -140,8 +173,9 @@ impl FrameReader {
     /// Validates the length prefix (before buffering is sized by it) and
     /// the checksum.
     fn try_extract(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        if self.buf.len() >= 4 {
-            let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes present"));
+        let pending = self.pending();
+        if pending.len() >= 4 {
+            let len = u32::from_le_bytes(pending[0..4].try_into().expect("4 bytes present"));
             if len > MAX_FRAME_LEN {
                 return Err(NetError::Oversized {
                     len,
@@ -149,23 +183,23 @@ impl FrameReader {
                 });
             }
         }
-        if self.buf.len() < FRAME_HEADER {
+        if pending.len() < FRAME_HEADER {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes present")) as usize;
-        let sum = u64::from_le_bytes(self.buf[4..12].try_into().expect("8 bytes present"));
-        if self.buf.len() < FRAME_HEADER + len {
+        let len = u32::from_le_bytes(pending[0..4].try_into().expect("4 bytes present")) as usize;
+        let sum = u64::from_le_bytes(pending[4..12].try_into().expect("8 bytes present"));
+        let Some(body) = pending.get(FRAME_HEADER..FRAME_HEADER + len) else {
             return Ok(None);
-        }
-        let payload = self.buf[FRAME_HEADER..FRAME_HEADER + len].to_vec();
-        let found = fnv1a_64(&payload);
+        };
+        let found = fnv1a_64(body);
         if found != sum {
             return Err(NetError::Corrupt {
                 expected: sum,
                 found,
             });
         }
-        self.buf.drain(..FRAME_HEADER + len);
+        let payload = body.to_vec();
+        self.start += FRAME_HEADER + len;
         Ok(Some(payload))
     }
 }
@@ -230,6 +264,55 @@ mod tests {
                 other => panic!("flip at {pos}: expected typed error, got {other:?}"),
             }
         }
+    }
+
+    /// A `Read` that counts its calls.
+    struct CountingReads<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for CountingReads<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    /// Frames that arrived in one read are extracted without touching
+    /// the stream again, including one larger than a read chunk.
+    #[test]
+    fn a_buffered_burst_is_extracted_without_further_reads() {
+        let big = vec![7u8; READ_CHUNK + 100];
+        let mut bytes = Vec::new();
+        for p in [&b"one"[..], b"two", b"", b"four"] {
+            frame_into(&mut bytes, p);
+        }
+        let mut src = CountingReads {
+            inner: Cursor::new(bytes),
+            reads: 0,
+        };
+        let mut r = FrameReader::new();
+        for want in [&b"one"[..], b"two", b"", b"four"] {
+            match r.poll(&mut src).expect("frame") {
+                FramePoll::Frame(p) => assert_eq!(p, want),
+                other => panic!("expected frame, got {other:?}"),
+            }
+        }
+        assert_eq!(src.reads, 1, "one read delivered the whole burst");
+        assert!(matches!(r.poll(&mut src).expect("eof"), FramePoll::Eof));
+
+        let mut r = FrameReader::new();
+        let mut bytes = framed(&big);
+        bytes.extend_from_slice(&framed(b"tail"));
+        let mut src = Cursor::new(bytes);
+        for want in [&big[..], b"tail"] {
+            match r.poll(&mut src).expect("frame") {
+                FramePoll::Frame(p) => assert_eq!(p, want),
+                other => panic!("expected frame, got {other:?}"),
+            }
+        }
+        assert!(matches!(r.poll(&mut src).expect("eof"), FramePoll::Eof));
     }
 
     #[test]

@@ -189,6 +189,15 @@ const REQ_GOODBYE: u8 = 6;
 const REQ_SHUTDOWN: u8 = 7;
 
 impl Request {
+    /// Appends the encoding of a `Submit` of a borrowed `program` to
+    /// `out` — the same bytes as [`Request::encode`], without cloning the
+    /// program into a `Request` first.
+    pub fn encode_submit(request_id: u64, program: &Program, out: &mut Vec<u8>) {
+        out.push(REQ_SUBMIT);
+        put_u64(out, request_id);
+        encode_program(program, out);
+    }
+
     /// Appends the tagged encoding of this request to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -200,11 +209,7 @@ impl Request {
             Request::Submit {
                 request_id,
                 program,
-            } => {
-                out.push(REQ_SUBMIT);
-                put_u64(out, *request_id);
-                encode_program(program, out);
-            }
+            } => Request::encode_submit(*request_id, program, out),
             Request::Wait => out.push(REQ_WAIT),
             Request::Checkpoint => out.push(REQ_CHECKPOINT),
             Request::Stats => out.push(REQ_STATS),

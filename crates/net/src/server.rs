@@ -14,7 +14,9 @@
 //!   Every response is stamped into the connection's sequence-numbered
 //!   **outbox** — a slot per request, reserved at decode time in request
 //!   order — and a writer flushes each outbox's *ready prefix* strictly
-//!   in sequence order.
+//!   in sequence order: the whole prefix is framed into one buffer and
+//!   written with **one** socket write, so a burst of resolved outcomes
+//!   wakes the client once, not once per response.
 //!
 //! The bridge between them is completion-driven: a `Submit`'s
 //! [`TxTicket`](vpdt_store::TxTicket) gets an
@@ -30,7 +32,9 @@
 //! durable by construction**. `Wait` barriers, checkpoint offsets, and
 //! sync versions are *evaluated at write time*, after every earlier
 //! response on that connection has been written, which is exactly the
-//! barrier the protocol promises.
+//! barrier the protocol promises: when a writer meets such a deferred
+//! entry in a prefix, it first writes the responses framed before it,
+//! then realizes the entry and goes on framing.
 //!
 //! A malformed frame (truncated, oversized, corrupt, undecodable) tears
 //! down *that connection only*: a typed [`Response::Error`] is stamped at
@@ -46,7 +50,7 @@
 //! response, then shuts the store down — the final [`ServerReport`]
 //! covers everything the front door acknowledged.
 
-use crate::frame::{write_frame, FramePoll, FrameReader};
+use crate::frame::{frame_into, FramePoll, FrameReader};
 use crate::proto::{NetError, Request, Response, WireOutcome, PROTOCOL_VERSION};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -105,6 +109,7 @@ struct NetMetrics {
     outbox_pending: Gauge,
     bytes_in: Counter,
     bytes_out: Counter,
+    socket_writes: Counter,
     frame_errors: Counter,
     request_us: Histogram,
     requests: Vec<(&'static str, Counter)>,
@@ -129,6 +134,9 @@ pub mod names {
     pub const NET_BYTES_IN_TOTAL: &str = "net_bytes_in_total";
     /// Counter: payload + framing bytes sent.
     pub const NET_BYTES_OUT_TOTAL: &str = "net_bytes_out_total";
+    /// Counter: socket `write` calls by the writer pool — about one per
+    /// ready prefix, however many responses it holds.
+    pub const NET_SOCKET_WRITES_TOTAL: &str = "net_socket_writes_total";
     /// Counter: frames rejected as truncated/oversized/corrupt/undecodable.
     pub const NET_FRAME_ERRORS_TOTAL: &str = "net_frame_errors_total";
     /// Histogram: microseconds from request decode to response write.
@@ -158,6 +166,7 @@ impl NetMetrics {
             outbox_pending: registry.gauge(names::NET_OUTBOX_PENDING),
             bytes_in: registry.counter(names::NET_BYTES_IN_TOTAL),
             bytes_out: registry.counter(names::NET_BYTES_OUT_TOTAL),
+            socket_writes: registry.counter(names::NET_SOCKET_WRITES_TOTAL),
             frame_errors: registry.counter(names::NET_FRAME_ERRORS_TOTAL),
             request_us: registry.histogram(names::NET_REQUEST_US),
             requests: kinds
@@ -403,6 +412,9 @@ impl WriterPool {
 
 /// One writer: pop an outbox with a ready prefix, flush it, repeat.
 fn writer_loop(pool: &WriterPool, store: &StoreServer, metrics: &NetMetrics) {
+    // Reused across outboxes: the framed burst and one response payload.
+    let mut frames = Vec::new();
+    let mut payload = Vec::new();
     loop {
         let outbox = {
             let mut q = pool.queue.lock().expect("writer queue poisoned");
@@ -423,17 +435,25 @@ fn writer_loop(pool: &WriterPool, store: &StoreServer, metrics: &NetMetrics) {
             }
         };
         match outbox {
-            Some(outbox) => drain_outbox(&outbox, store, metrics),
+            Some(outbox) => drain_outbox(&outbox, store, metrics, &mut frames, &mut payload),
             None => return,
         }
     }
 }
 
-/// Flushes one outbox's ready prefix in sequence order. Deferred
+/// Flushes one outbox's ready prefix in sequence order, framing the
+/// whole prefix into `frames` and writing it with one call. Deferred
 /// entries (`Synced`, `Checkpoint`, `Stats`) are realized *here*, after
-/// every earlier response on the connection has been written — that is
-/// what makes them barriers.
-fn drain_outbox(outbox: &Arc<Outbox>, store: &StoreServer, metrics: &NetMetrics) {
+/// every earlier response on the connection has been written — the
+/// bytes framed before one go out first — which is what makes them
+/// barriers.
+fn drain_outbox(
+    outbox: &Arc<Outbox>,
+    store: &StoreServer,
+    metrics: &NetMetrics,
+    frames: &mut Vec<u8>,
+    payload: &mut Vec<u8>,
+) {
     loop {
         let batch = {
             let mut g = outbox.inner.lock().expect("outbox lock poisoned");
@@ -457,27 +477,38 @@ fn drain_outbox(outbox: &Arc<Outbox>, store: &StoreServer, metrics: &NetMetrics)
             }
             batch
         };
+        // `batch[..written]` is on the wire; `batch[written..framed]` is
+        // framed into `frames`, waiting for the next write.
         let mut written = 0usize;
-        let mut broken = false;
-        for slot in &batch {
-            let resp = realize(store, &slot.entry);
-            if outbox.write_response(&resp).is_err() {
-                broken = true;
-                break;
+        for (framed, slot) in batch.iter().enumerate() {
+            if slot.entry.is_deferred() && framed > written {
+                if outbox.write_frames(frames).is_err() {
+                    outbox.kill((batch.len() - written) as u64);
+                    return;
+                }
+                settle(outbox, metrics, &batch[written..framed]);
+                written = framed;
             }
-            written += 1;
-            outbox.pending.dec();
-            if let Some(started) = slot.started {
-                metrics
-                    .request_us
-                    .observe(started.elapsed().as_micros() as u64);
-            }
+            payload.clear();
+            realize(store, &slot.entry).encode(payload);
+            frame_into(frames, payload);
         }
-        if broken {
-            let abandoned = (batch.len() - written) as u64;
-            outbox.kill(abandoned);
+        if outbox.write_frames(frames).is_err() {
+            outbox.kill((batch.len() - written) as u64);
             return;
         }
+        settle(outbox, metrics, &batch[written..]);
+    }
+}
+
+/// Accounts for responses just written: no longer pending, and their
+/// request latency observed.
+fn settle(outbox: &Outbox, metrics: &NetMetrics, slots: &[Slot]) {
+    outbox.pending.sub(slots.len() as u64);
+    for started in slots.iter().filter_map(|slot| slot.started) {
+        metrics
+            .request_us
+            .observe(started.elapsed().as_micros() as u64);
     }
 }
 
@@ -554,6 +585,14 @@ enum Entry {
     Stats,
 }
 
+impl Entry {
+    /// Whether the response depends on when it is realized (a barrier):
+    /// everything before it on the connection must be written first.
+    fn is_deferred(&self) -> bool {
+        matches!(self, Entry::Synced | Entry::Checkpoint | Entry::Stats)
+    }
+}
+
 struct Slot {
     entry: Entry,
     /// Decode time, for the request latency histogram (handshake and
@@ -577,6 +616,7 @@ struct Outbox {
     /// The shared `net_outbox_pending` gauge (reserved, not yet written).
     pending: Gauge,
     bytes_out: Counter,
+    socket_writes: Counter,
 }
 
 #[derive(Default)]
@@ -611,6 +651,7 @@ impl Outbox {
             pool,
             pending: metrics.outbox_pending.clone(),
             bytes_out: metrics.bytes_out.clone(),
+            socket_writes: metrics.socket_writes.clone(),
         }
     }
 
@@ -697,18 +738,19 @@ impl Outbox {
         self.inner.lock().expect("outbox lock poisoned").closed
     }
 
-    /// Encodes and writes one frame, riding out `WouldBlock` (the
-    /// socket is nonblocking — it is shared with the read side) up to
-    /// the write timeout.
-    fn write_response(&self, resp: &Response) -> Result<(), NetError> {
-        let mut payload = Vec::new();
-        resp.encode(&mut payload);
+    /// Writes the framed responses in `frames` with one `write_all`,
+    /// riding out `WouldBlock` (the socket is nonblocking — it is shared
+    /// with the read side) up to the write timeout, and empties `frames`.
+    fn write_frames(&self, frames: &mut Vec<u8>) -> Result<(), NetError> {
         let mut w = PatientWriter {
             stream: &self.stream,
             deadline: Instant::now() + self.write_timeout,
             bytes_out: &self.bytes_out,
+            writes: &self.socket_writes,
         };
-        write_frame(&mut w, &payload)
+        let written = w.write_all(frames);
+        frames.clear();
+        written.map_err(NetError::io)
     }
 }
 
@@ -718,6 +760,8 @@ struct PatientWriter<'a> {
     stream: &'a TcpStream,
     deadline: Instant,
     bytes_out: &'a Counter,
+    /// `net_socket_writes_total`: one per successful `write` call.
+    writes: &'a Counter,
 }
 
 impl Write for PatientWriter<'_> {
@@ -727,6 +771,7 @@ impl Write for PatientWriter<'_> {
             match stream.write(buf) {
                 Ok(n) => {
                     self.bytes_out.add(n as u64);
+                    self.writes.inc();
                     return Ok(n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

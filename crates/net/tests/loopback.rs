@@ -337,3 +337,148 @@ fn killed_mid_pipeline_no_acknowledged_commit_is_lost() {
     );
     recovered.shutdown();
 }
+
+/// Frames `requests` back to back — a burst the client writes with one
+/// `write_all`.
+fn burst(requests: &[Request]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut payload = Vec::new();
+    for req in requests {
+        payload.clear();
+        req.encode(&mut payload);
+        vpdt_net::frame::frame_into(&mut out, &payload);
+    }
+    out
+}
+
+/// Reads responses until the server closes the connection.
+fn read_to_eof(stream: &mut TcpStream) -> Vec<Response> {
+    let mut reader = FrameReader::new();
+    let mut responses = Vec::new();
+    loop {
+        match reader.poll(stream).expect("response stream") {
+            FramePoll::Frame(p) => responses.push(Response::decode(&p).expect("decodes")),
+            FramePoll::Eof => return responses,
+            FramePoll::Pending => {}
+        }
+    }
+}
+
+fn submits(ids: std::ops::Range<u64>, batch: &[Program]) -> Vec<Request> {
+    ids.zip(batch)
+        .map(|(request_id, program)| Request::Submit {
+            request_id,
+            program: program.clone(),
+        })
+        .collect()
+}
+
+/// The writer frames a whole ready prefix into one socket write, but a
+/// barrier still answers in its FIFO slot and is evaluated only after
+/// every earlier response went out: each `Synced.version` covers every
+/// commit acknowledged before it, and each `Stats` counts them.
+#[test]
+fn pipelined_barriers_keep_fifo_order_and_cover_earlier_commits() {
+    let (handle, thread) = spawn_server(None, false);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    let batch = programs(29, 18);
+    let mut requests = vec![Request::Hello {
+        version: PROTOCOL_VERSION,
+        client: "barriers".into(),
+    }];
+    requests.extend(submits(1..7, &batch[0..6]));
+    requests.push(Request::Stats);
+    requests.extend(submits(7..13, &batch[6..12]));
+    requests.push(Request::Wait);
+    requests.extend(submits(13..19, &batch[12..18]));
+    requests.push(Request::Wait);
+    requests.push(Request::Stats);
+    requests.push(Request::Goodbye);
+    stream.write_all(&burst(&requests)).expect("one burst");
+
+    let mut kinds = String::new();
+    let mut ids = Vec::new();
+    let (mut commits, mut newest) = (0u64, 0u64);
+    let mut barriers = 0;
+    for resp in read_to_eof(&mut stream) {
+        match resp {
+            Response::Welcome { .. } => kinds.push('W'),
+            Response::Outcome {
+                request_id,
+                outcome,
+                ..
+            } => {
+                kinds.push('o');
+                ids.push(request_id);
+                if let WireOutcome::Committed { version, .. } = outcome {
+                    commits += 1;
+                    newest = newest.max(version);
+                }
+            }
+            Response::Synced { version } => {
+                kinds.push('S');
+                barriers += 1;
+                assert!(
+                    version >= newest,
+                    "Synced at {version} precedes acknowledged commit {newest}"
+                );
+            }
+            Response::StatsText { text } => {
+                kinds.push('T');
+                barriers += 1;
+                let counted: u64 = text
+                    .lines()
+                    .find_map(|l| l.strip_prefix("store_tx_committed_total "))
+                    .expect("exposition counts commits")
+                    .parse()
+                    .expect("a count");
+                assert!(
+                    counted >= commits,
+                    "Stats counted {counted} commits after {commits} were acknowledged"
+                );
+            }
+            Response::Bye => kinds.push('B'),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert_eq!(kinds, "WooooooTooooooSooooooSTB");
+    assert_eq!(ids, (1..19).collect::<Vec<u64>>());
+    assert_eq!(barriers, 4);
+    assert!(commits > 0, "the window commits");
+    handle.stop();
+    thread.join().expect("serve thread");
+}
+
+/// A client that writes a 32-request burst in a single write (the way
+/// `NetClient` now sends a pipelined window) gets 32 outcomes, in
+/// request order.
+#[test]
+fn single_write_burst_of_32_submits_gets_32_ordered_outcomes() {
+    let dir = tmp_dir("burst");
+    let (handle, thread) = spawn_server(Some(&dir), false);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    let mut requests = vec![Request::Hello {
+        version: PROTOCOL_VERSION,
+        client: "burst".into(),
+    }];
+    requests.extend(submits(1..33, &programs(31, 32)));
+    requests.push(Request::Goodbye);
+    stream.write_all(&burst(&requests)).expect("one burst");
+
+    let responses = read_to_eof(&mut stream);
+    assert_eq!(responses.len(), 34, "welcome, 32 outcomes, bye");
+    assert!(matches!(responses[0], Response::Welcome { .. }));
+    assert!(matches!(responses[33], Response::Bye));
+    let ids: Vec<u64> = responses[1..33]
+        .iter()
+        .map(|r| match r {
+            Response::Outcome { request_id, .. } => *request_id,
+            other => panic!("expected an outcome, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(ids, (1..33).collect::<Vec<u64>>());
+    handle.stop();
+    let report = thread.join().expect("serve thread");
+    assert_eq!(report.exec.committed + report.exec.aborted, 32);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -101,11 +101,13 @@ fn idle_connections_cost_no_threads() {
         .map(|i| NetClient::connect(addr, &format!("active-{i}")).expect("active connects"))
         .collect();
     // Pipeline a window on every active client before draining any —
-    // 8 clients × 12 in-flight transactions at peak.
+    // 8 clients × 12 in-flight transactions at peak. Submits are queued
+    // until the client waits, so flush each window onto the wire.
     for (i, client) in active.iter_mut().enumerate() {
         for p in programs(20 + i as u64, 12) {
             client.submit(&p).expect("pipelined submit");
         }
+        client.flush().expect("window sent");
     }
     let during = thread_count();
     assert!(

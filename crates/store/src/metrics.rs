@@ -42,6 +42,9 @@ pub mod names {
     pub const WAL_FLUSHED_COMMITS: &str = "store_wal_flushed_commits_total";
     /// Flush errors (fail-stop: the flusher stops serving after the first).
     pub const WAL_FLUSH_FAILURES: &str = "store_wal_flush_failures_total";
+    /// Segment `write(2)` calls of staged WAL records — about one per
+    /// transaction, since a burst is written at its terminal record.
+    pub const WAL_WRITES: &str = "store_wal_writes_total";
     /// Flush batches by exact size; rendered as
     /// `store_wal_flush_batches_total{size="k"}`.
     pub const WAL_FLUSH_BATCHES: &str = "store_wal_flush_batches_total";
@@ -117,6 +120,8 @@ pub struct StoreMetrics {
     pub wal_flushed_commits: Counter,
     /// [`names::WAL_FLUSH_FAILURES`].
     pub wal_flush_failures: Counter,
+    /// [`names::WAL_WRITES`].
+    pub wal_writes: Counter,
     /// [`names::CHECKPOINTS`].
     pub checkpoints: Counter,
     /// [`names::WAL_SEGMENTS_DELETED`].
@@ -161,6 +166,7 @@ impl StoreMetrics {
             wal_fsyncs: registry.counter(names::WAL_FSYNCS),
             wal_flushed_commits: registry.counter(names::WAL_FLUSHED_COMMITS),
             wal_flush_failures: registry.counter(names::WAL_FLUSH_FAILURES),
+            wal_writes: registry.counter(names::WAL_WRITES),
             checkpoints: registry.counter(names::CHECKPOINTS),
             wal_segments_deleted: registry.counter(names::WAL_SEGMENTS_DELETED),
             checkpoint_files_deleted: registry.counter(names::CHECKPOINT_FILES_DELETED),

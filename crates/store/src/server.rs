@@ -314,6 +314,7 @@ impl StoreBuilder {
                         BTreeSet::new(),
                         BTreeSet::new(),
                         flusher.clone(),
+                        obs.wal_writes.clone(),
                     ));
                     // The genesis checkpoint: recovery's first floor.
                     store.checkpoint_now(cache.templates(), 0, cache.alpha())?;
@@ -358,6 +359,7 @@ impl StoreBuilder {
                     logged_shapes,
                     recovered.cross_decisions,
                     flusher.clone(),
+                    obs.wal_writes.clone(),
                 ));
                 (store, cache, recovered.next_tx, flusher)
             }

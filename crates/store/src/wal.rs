@@ -30,6 +30,14 @@
 //!   commit; `fsync_commits: false` skips the durable phase entirely
 //!   (tickets resolve at publish; acknowledged commits then survive a
 //!   process kill but not necessarily power loss).
+//! * **One write per transaction.** Appending only *stages* a record in
+//!   the writer's buffer; a transaction's `Begin`/`GuardEval` records (and
+//!   any first-use shape declaration) reach the segment together with its
+//!   terminal `Commit`, `Cross` or `Abort` record, in one `write(2)`. The
+//!   write happens at publish, before the flusher learns of the commit,
+//!   and every sync, rotation, checkpoint and drop writes what is staged
+//!   first — so the durability contract above is unchanged, and so are
+//!   the bytes on disk and their order.
 //! * **Checkpoints.** A checkpoint file is one checksummed record holding
 //!   the full database encoding, the guard cache's shape identities, the
 //!   constraint, the log offset it covers, and the ids of the cross-shard
@@ -62,7 +70,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use vpdt_logic::{Elem, Formula, Schema};
-use vpdt_obs::TraceStage;
+use vpdt_obs::{Counter, TraceStage};
 use vpdt_structure::Database;
 use vpdt_tx::codec::{self, CodecError, Cursor};
 use vpdt_tx::program::Program;
@@ -606,11 +614,20 @@ fn decode_record(bytes: &[u8]) -> Result<Record, String> {
     }
 }
 
+/// Appends `payload`, framed as `[u32 length][u64 FNV-1a][payload]`, to
+/// `out`. The one framing routine of both the log and the wire
+/// (`vpdt_net` re-exports it): a burst of records or responses is framed
+/// back to back into one buffer and written with one call.
+pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(FRAME_HEADER + payload.len());
+    codec::put_u32(out, payload.len() as u32);
+    codec::put_u64(out, fnv1a_64(payload));
+    out.extend_from_slice(payload);
+}
+
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    codec::put_u32(&mut out, payload.len() as u32);
-    codec::put_u64(&mut out, fnv1a_64(payload));
-    out.extend_from_slice(payload);
+    frame_into(&mut out, payload);
     out
 }
 
@@ -713,8 +730,18 @@ pub struct WalWriter {
     /// publish.
     file: Arc<File>,
     seg_seq: u64,
+    /// Bytes of the current segment, staged records included.
     seg_len: u64,
     next_offset: u64,
+    /// Framed records appended but not yet written to the segment. They
+    /// reach the file in one `write(2)` at the next terminal record
+    /// ([`DurableLog::append_event`]), [`sync`](WalWriter::sync),
+    /// rotation or drop — so it holds at most the shape, begin and
+    /// guard-evaluation records of transactions still in flight.
+    staged: Vec<u8>,
+    /// Counts segment writes of staged bytes (`store_wal_writes_total`)
+    /// when the writer serves a store.
+    writes: Option<Counter>,
 }
 
 impl WalWriter {
@@ -748,6 +775,8 @@ impl WalWriter {
             seg_seq: 0,
             seg_len,
             next_offset: 0,
+            staged: Vec::new(),
+            writes: None,
         })
     }
 
@@ -799,6 +828,8 @@ impl WalWriter {
                 seg_seq: scan.last_seg_seq,
                 seg_len,
                 next_offset,
+                staged: Vec::new(),
+                writes: None,
             },
             shapes,
         ))
@@ -832,32 +863,53 @@ impl WalWriter {
         segment_path(&self.dir, self.seg_seq)
     }
 
-    /// Appends one record, rotating segments at the size budget. Returns
-    /// the record's global offset. Does not fsync.
+    /// Appends one record, rotating segments at the size budget, and
+    /// writes it (with anything staged before it) to the segment before
+    /// returning — a reader scanning the directory sees it at once.
+    /// Returns the record's global offset. Does not fsync.
     pub fn append(&mut self, record: &Record) -> Result<u64, WalError> {
-        self.append_payload(&encode_record(record))
+        let offset = self.append_payload(&encode_record(record))?;
+        self.write_staged()?;
+        Ok(offset)
     }
 
-    /// Appends one already-encoded record payload — the hot path, which
+    /// Stages one already-encoded record payload — the hot path, which
     /// runs inside the commit critical section and must not clone events
-    /// just to wrap them.
+    /// just to wrap them. The framed record is only copied into the
+    /// staging buffer; [`write_staged`](Self::write_staged) puts it on
+    /// the segment.
     pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         if self.seg_len >= self.opts.segment_bytes {
             self.rotate()?;
         }
-        let framed = frame(payload);
-        let path = segment_path(&self.dir, self.seg_seq);
-        (&*self.file)
-            .write_all(&framed)
-            .map_err(|e| io_err(&path, e))?;
-        self.seg_len += framed.len() as u64;
+        let before = self.staged.len();
+        frame_into(&mut self.staged, payload);
+        self.seg_len += (self.staged.len() - before) as u64;
         let offset = self.next_offset;
         self.next_offset += 1;
         Ok(offset)
     }
 
-    /// Flushes appended records to stable storage.
+    /// Writes every staged record to the current segment in one
+    /// `write(2)`. The buffer is emptied even when the write fails: a
+    /// failed append is fail-stop, and re-writing a partly written burst
+    /// later would only damage the log further.
+    pub(crate) fn write_staged(&mut self) -> Result<(), WalError> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = (&*self.file).write_all(&self.staged);
+        self.staged.clear();
+        if let Some(writes) = &self.writes {
+            writes.inc();
+        }
+        written.map_err(|e| io_err(&self.current_path(), e))
+    }
+
+    /// Writes the staged records, then flushes everything appended to
+    /// stable storage.
     pub fn sync(&mut self) -> Result<(), WalError> {
+        self.write_staged()?;
         let path = segment_path(&self.dir, self.seg_seq);
         self.file.sync_data().map_err(|e| io_err(&path, e))
     }
@@ -872,6 +924,16 @@ impl WalWriter {
         self.file = Arc::new(file);
         self.seg_len = seg_len;
         Ok(())
+    }
+}
+
+/// A writer dropped with staged records (say, a server dropped without
+/// shutdown while a transaction was between its guard evaluation and its
+/// terminal record) still writes them, so every record it accepted
+/// reaches the file. Best effort — no fsync.
+impl Drop for WalWriter {
+    fn drop(&mut self) {
+        let _ = self.write_staged();
     }
 }
 
@@ -931,11 +993,13 @@ pub(crate) struct DurableLog {
 
 impl DurableLog {
     pub(crate) fn new(
-        writer: WalWriter,
+        mut writer: WalWriter,
         logged_shapes: BTreeSet<u64>,
         cross_decisions: BTreeSet<u64>,
         flusher: Option<Arc<GroupCommitFlusher>>,
+        writes: Counter,
     ) -> Self {
+        writer.writes = Some(writes);
         let fsync_commits = writer.opts.fsync_commits;
         DurableLog {
             writer,
@@ -950,14 +1014,22 @@ impl DurableLog {
     /// the **publish** half of durability: this runs inside the commit
     /// critical section and never fsyncs there. The payload is the very
     /// bytes the in-memory history just appended to its arena, so nothing
-    /// is encoded twice. A commit record instead advances the flusher's
-    /// append watermark, so the durable phase knows which fsync will cover
-    /// it. (Without a flusher — an embedding that attaches a log but runs
-    /// no durable phase — `fsync_commits` falls back to the old inline
-    /// flush so the option's contract still holds.) A cross-shard commit
-    /// records its decision id as applied.
+    /// is encoded twice. A `Begin` or `GuardEval` record is only staged;
+    /// a terminal record (`Commit`, `Cross`, `Abort`) writes everything
+    /// staged so far in one `write(2)`, so a transaction costs one write,
+    /// and every commit is in the file (page cache) once it publishes —
+    /// what `fsync_commits: false` promises against a process kill. A
+    /// commit record then advances the flusher's append watermark, so the
+    /// durable phase knows which fsync will cover it. (Without a flusher —
+    /// an embedding that attaches a log but runs no durable phase —
+    /// `fsync_commits` falls back to the old inline flush so the option's
+    /// contract still holds.) A cross-shard commit records its decision id
+    /// as applied.
     pub(crate) fn append_event(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(payload)?;
+        if matches!(payload.first(), Some(&(TAG_COMMIT | TAG_CROSS | TAG_ABORT))) {
+            self.writer.write_staged()?;
+        }
         match payload.first() {
             Some(&TAG_CROSS) => {
                 let decision = &payload[CROSS_DECISION_OFFSET..CROSS_DECISION_OFFSET + 8];
@@ -2368,5 +2440,128 @@ mod tests {
                 expected: FORMAT_VERSION
             })
         );
+    }
+
+    /// Events in `dir`'s log, in log order.
+    fn logged_events(dir: &Path) -> Vec<Event> {
+        scan_log(dir)
+            .expect("scans")
+            .records
+            .into_iter()
+            .filter_map(|r| match r.record {
+                Record::Event(e) => Some(e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn staging_log(dir: &Path, opts: WalOptions) -> (DurableLog, Counter) {
+        let writes = vpdt_obs::MetricsRegistry::new().counter(names::WAL_WRITES);
+        let writer = WalWriter::create(dir, opts).expect("creates");
+        let log = DurableLog::new(
+            writer,
+            BTreeSet::new(),
+            BTreeSet::new(),
+            None,
+            writes.clone(),
+        );
+        (log, writes)
+    }
+
+    /// `Begin` and `GuardEval` are only staged; the transaction's terminal
+    /// record writes all three in one `write(2)`, in append order.
+    #[test]
+    fn staged_records_reach_the_file_at_a_terminal_record() {
+        let dir = tmp_dir("stage-terminal");
+        let opts = WalOptions {
+            fsync_commits: false,
+            ..WalOptions::default()
+        };
+        let (mut log, writes) = staging_log(&dir, opts);
+        let menu = event_menu();
+        // Begin(1), GuardEval(1), GuardEval(2): nothing terminal yet.
+        for e in &menu[..3] {
+            log.append_event(&encode_event(e)).expect("stages");
+        }
+        assert!(
+            logged_events(&dir).is_empty(),
+            "nothing written before a terminal record"
+        );
+        assert_eq!(writes.get(), 0);
+        // Commit(1) writes the burst.
+        log.append_event(&encode_event(&menu[3])).expect("appends");
+        assert_eq!(logged_events(&dir), menu[..4]);
+        assert_eq!(writes.get(), 1);
+        // Abort(2) is terminal too.
+        log.append_event(&encode_event(&menu[4])).expect("appends");
+        assert_eq!(logged_events(&dir), menu);
+        assert_eq!(writes.get(), 2);
+        assert_eq!(log.writer.offset(), 5);
+        drop(log);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `sync` writes what is staged before it fsyncs, and drop writes what
+    /// is left — the crash-shaped exit loses no accepted record.
+    #[test]
+    fn sync_and_drop_write_staged_records() {
+        let dir = tmp_dir("stage-sync");
+        let (mut log, writes) = staging_log(&dir, WalOptions::default());
+        let menu = event_menu();
+        log.append_event(&encode_event(&menu[0])).expect("stages");
+        log.writer.sync().expect("syncs");
+        assert_eq!(logged_events(&dir), menu[..1]);
+        assert_eq!(writes.get(), 1);
+        // A sync with nothing staged makes no write.
+        log.writer.sync().expect("syncs");
+        assert_eq!(writes.get(), 1);
+        log.append_event(&encode_event(&menu[1])).expect("stages");
+        log.append_event(&encode_event(&menu[2])).expect("stages");
+        assert_eq!(logged_events(&dir), menu[..1]);
+        drop(log);
+        assert_eq!(logged_events(&dir), menu[..3]);
+        assert_eq!(writes.get(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rotation writes (and fsyncs) the staged records into the segment
+    /// they were sized against before opening the next one.
+    #[test]
+    fn staged_records_survive_rotation_in_order() {
+        let dir = tmp_dir("stage-rotate");
+        let opts = WalOptions {
+            segment_bytes: 96,
+            fsync_commits: false,
+            ..WalOptions::default()
+        };
+        let (mut log, _) = staging_log(&dir, opts);
+        let menu = event_menu();
+        let non_terminal = [&menu[0], &menu[1], &menu[2], &menu[0], &menu[1]];
+        for e in non_terminal {
+            log.append_event(&encode_event(e)).expect("stages");
+        }
+        log.writer.sync().expect("syncs");
+        let scan = scan_log(&dir).expect("scans");
+        assert!(scan.last_seg_seq > 0, "the tiny budget rotated");
+        assert_eq!(scan.torn_bytes, 0);
+        let want: Vec<Event> = non_terminal.into_iter().cloned().collect();
+        assert_eq!(logged_events(&dir), want);
+        drop(log);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The public `append` writes before it returns: a scan sees the
+    /// record without a sync.
+    #[test]
+    fn public_append_is_visible_without_sync() {
+        let dir = tmp_dir("append-visible");
+        let mut w = WalWriter::create(&dir, WalOptions::default()).expect("creates");
+        let menu = event_menu();
+        w.append(&Record::Event(menu[0].clone())).expect("appends");
+        assert_eq!(logged_events(&dir), menu[..1]);
+        w.append(&Record::Event(menu[1].clone())).expect("appends");
+        assert_eq!(logged_events(&dir), menu[..2]);
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -187,6 +187,57 @@ fn history_bytes_gauge_grows_with_commits() {
         .contains(&format!("{} {after}\n", names::HISTORY_BYTES)));
 }
 
+/// A persisted one-worker server writes each transaction's WAL records
+/// with one `write(2)` at its terminal record: `store_wal_writes_total`
+/// stays within commits + aborts (+2 for the syncs of the genesis and
+/// shutdown checkpoints), where one write per record would be about
+/// three per transaction.
+#[test]
+fn wal_writes_are_one_per_transaction() {
+    let dir = tmp_dir("wal-writes");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(23, RELS, UNIVERSE, 0.4);
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(1)
+        .persist_with(
+            &dir,
+            WalOptions {
+                retain_segments: true,
+                ..WalOptions::default()
+            },
+        )
+        .build()
+        .expect("persisted server starts");
+    let jobs = workload::sharded_jobs(23, 1, 120, RELS, UNIVERSE);
+    workload::serve_chunked(&server, &jobs, 120);
+    let report = server.shutdown();
+    let m = &report.metrics;
+    let (commits, aborts) = (m.counter(names::TX_COMMITTED), m.counter(names::TX_ABORTED));
+    assert!(
+        commits > 0 && aborts > 0,
+        "a mixed stream: {commits} commits, {aborts} aborts"
+    );
+    assert_eq!(m.counter(names::TX_FAILED), 0);
+    let writes = m.counter(names::WAL_WRITES);
+    assert!(
+        writes <= commits + aborts + 2,
+        "{writes} WAL writes for {commits} commits + {aborts} aborts"
+    );
+    // Staging changes when records are written, not what is written: the
+    // log holds exactly the history's events, in its order.
+    let logged: Vec<_> = wal::scan_log(&dir)
+        .expect("scans")
+        .records
+        .into_iter()
+        .filter_map(|r| match r.record {
+            wal::Record::Event(e) => Some(e),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(logged, report.events);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The exec report's totals are the registry's counters whether or not the
 /// server retains per-transaction outcomes — and, when it does, they match
 /// the retained list.

@@ -210,6 +210,60 @@ fn drop_without_shutdown_replays_and_loses_no_acknowledged_commit() {
     assert_eq!(Some(r.root_hash), hash_at(&r.events, r.version));
 }
 
+/// The log stages a transaction's records until its terminal one. A
+/// persisted group-commit server dropped without `shutdown` — half its
+/// tickets waited, the rest still queued — loses nothing to that: every
+/// acknowledged commit (indeed every commit the drain published) is
+/// recovered, no record is torn, and the cold audit passes.
+#[test]
+fn dropped_group_commit_server_recovers_every_acknowledged_commit() {
+    let dir = tmp_dir("drop-staged");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(31, RELS, UNIVERSE, 0.5);
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(1)
+        .persist_with(
+            &dir,
+            WalOptions {
+                retain_segments: true,
+                ..WalOptions::default()
+            },
+        )
+        .build()
+        .expect("persisted server starts");
+    let jobs = workload::sharded_jobs(31, 1, 60, RELS, UNIVERSE);
+    let tickets: Vec<_> = {
+        let session = server.session();
+        jobs.iter().map(|j| session.submit(j.clone())).collect()
+    };
+    let committed = |t: &vpdt::store::TxTicket| match t.wait() {
+        TxOutcome::Committed { version } => Some(version),
+        _ => None,
+    };
+    let acknowledged: Vec<u64> = tickets[..30].iter().filter_map(committed).collect();
+    assert!(!acknowledged.is_empty(), "the first half commits");
+    drop(server); // crash-shaped: no clean checkpoint
+    let published: Vec<u64> = tickets.iter().filter_map(committed).collect();
+
+    let r = recover_and_audit(&dir);
+    assert_eq!(r.torn_bytes, 0, "whole records only");
+    assert!(r.commits_replayed > 0, "recovery replays the log");
+    let durable: std::collections::BTreeSet<u64> = r
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Commit { version, .. } => Some(*version),
+            _ => None,
+        })
+        .collect();
+    for v in &acknowledged {
+        assert!(durable.contains(v), "acknowledged commit {v} lost");
+    }
+    assert_eq!(Some(&r.version), published.iter().max());
+    assert_eq!(durable.len(), published.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The crash harness: truncate the log at **every byte boundary of the
 /// last record** and recover each time. Every cut must yield a
 /// prefix-consistent state whose cold audit passes; no cut may be a hard
