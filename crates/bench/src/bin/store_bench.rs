@@ -12,21 +12,17 @@
 //!   one thread, run each transaction, test `α` on the result, roll back
 //!   on violation;
 //! * **guarded-sessions, persisted** — the session path again, but with
-//!   the write-ahead log attached and one fsync per commit
-//!   (`GroupCommitPolicy { max_batch: 1 }`): what naive durability costs.
-//!   The run is verified by recovering the directory and checking the
-//!   recovered version and state hash against the live server's final
-//!   report. `--persist DIR` keeps the artifacts (CI's recovery smoke job
-//!   then runs `vpdtool audit --log DIR` on them); by default a temp
-//!   directory is used and removed;
-//! * **guarded-sessions, group commit** — durability again, but with the
-//!   durable phase batched: workers publish inside the commit critical
-//!   section, a shared flusher coalesces the fsyncs and resolves tickets
-//!   on the covering flush. Reported with the batch-size histogram,
-//!   fsyncs-per-commit, and ticket latency percentiles; gated on exact
-//!   recovery of the group-committed log (artifacts in `DIR-group` when
-//!   `--persist DIR` is given). Both persisted passes retain all segments
-//!   so the kept artifacts support a full from-genesis cold audit.
+//!   the write-ahead log attached and group commit: workers publish inside
+//!   the commit critical section, a shared flusher fsyncs once for every
+//!   pending commit and resolves tickets on the covering flush. Reported
+//!   with WAL writes per transaction, the batch-size histogram,
+//!   fsyncs-per-commit, and ticket latency percentiles. The run is
+//!   verified by recovering the directory and checking the recovered
+//!   version and state hash against the live server's final report. The
+//!   pass retains all segments, so `--persist DIR` keeps artifacts that
+//!   support a full from-genesis cold audit (CI's recovery smoke job runs
+//!   `vpdtool audit --log DIR` on them); by default a temp directory is
+//!   used and removed;
 //!
 //! It then audits the session history (replaying every commit through the
 //! check-and-rollback path) and writes `BENCH_store.json`. Exit code is
@@ -92,10 +88,7 @@ use vpdt_bench::json::Json;
 use vpdt_bench::obj;
 use vpdt_net::{names as net_names, NetClient, NetError, NetOptions, NetServer, WireOutcome};
 use vpdt_store::metrics::names;
-use vpdt_store::{
-    audit, run_serial_rollback, workload, GroupCommitPolicy, MetricsSnapshot, StoreBuilder,
-    WalOptions,
-};
+use vpdt_store::{audit, run_serial_rollback, workload, MetricsSnapshot, StoreBuilder, WalOptions};
 use vpdt_tx::program::Program;
 
 /// In-flight submissions per session: deep enough to keep the workers
@@ -861,21 +854,11 @@ fn run(cfg: Config) -> Result<bool, String> {
     let history_per_tx = history_bytes_per_tx(&alpha, &omega, &initial, &jobs)?;
     println!("history:            {history_per_tx:.1} bytes per transaction (one worker)");
 
-    // --- guarded-sessions, persisted (WAL + one fsync per commit) -----------
-    // Both persisted passes retain every segment: the kept artifacts are
-    // meant for a full from-genesis cold audit, which retention's
-    // checkpoint-time gc would (correctly, but unhelpfully here) shorten.
-    let per_commit_opts = WalOptions {
-        fsync_commits: true,
-        group_commit: GroupCommitPolicy {
-            max_batch: 1,
-            max_delay: std::time::Duration::ZERO,
-            target_batch: 0,
-        },
-        retain_segments: true,
-        ..WalOptions::default()
-    };
-    let group_opts = WalOptions {
+    // --- guarded-sessions, persisted (WAL + group commit) --------------------
+    // The pass retains every segment: the kept artifacts are meant for a
+    // full from-genesis cold audit, which retention's checkpoint-time gc
+    // would (correctly, but unhelpfully here) shorten.
+    let persisted_opts = WalOptions {
         fsync_commits: true,
         retain_segments: true,
         ..WalOptions::default()
@@ -887,26 +870,8 @@ fn run(cfg: Config) -> Result<bool, String> {
         .unwrap_or_else(|| {
             std::env::temp_dir().join(format!("vpdt-bench-wal-{}", std::process::id()))
         });
-    let group_dir = {
-        let mut name = persist_dir.as_os_str().to_owned();
-        name.push("-group");
-        std::path::PathBuf::from(name)
-    };
     let _ = std::fs::remove_dir_all(&persist_dir);
-    let _ = std::fs::remove_dir_all(&group_dir);
     let env = probe_env(&persist_dir)?;
-
-    // Recover a persisted pass and demand the recovered version, root
-    // hash, and full-encoding state hash match what the live server
-    // reported — durability verified end-to-end, not assumed.
-    let verify_recovery = |dir: &std::path::Path, run: &SessionsRun| -> Result<bool, String> {
-        let recovered =
-            vpdt_store::wal::recover(dir, &omega, vpdt_store::RecoveryOptions::default())
-                .map_err(|e| format!("recovering {}: {e}", dir.display()))?;
-        Ok(recovered.version == run.report.final_version
-            && recovered.root_hash == vpdt_store::history::root_hash(&run.report.final_db)
-            && recovered.state_hash == vpdt_store::history::state_hash(&run.report.final_db))
-    };
 
     let persisted = run_sessions_once(
         &cfg,
@@ -914,7 +879,7 @@ fn run(cfg: Config) -> Result<bool, String> {
         &omega,
         &initial,
         &jobs,
-        Some((&persist_dir, per_commit_opts)),
+        Some((&persist_dir, persisted_opts)),
     )?;
     let persisted_tps = persisted.report.exec.committed as f64 / persisted.secs;
     // Untimed and deterministic: the log writes a transaction's records at
@@ -922,11 +887,33 @@ fn run(cfg: Config) -> Result<bool, String> {
     // interleaving (one write per record would be about three).
     let wal_writes_per_tx =
         persisted.report.metrics.counter(names::WAL_WRITES) as f64 / jobs.len().max(1) as f64;
-    let recovered_ok = verify_recovery(&persist_dir, &persisted)?;
+    // Recover the directory and demand the recovered version, root hash,
+    // and full-encoding state hash match what the live server reported —
+    // durability verified end-to-end, not assumed.
+    let recovered =
+        vpdt_store::wal::recover(&persist_dir, &omega, vpdt_store::RecoveryOptions::default())
+            .map_err(|e| format!("recovering {}: {e}", persist_dir.display()))?;
+    let final_db = &persisted.report.final_db;
+    let recovered_ok = recovered.version == persisted.report.final_version
+        && recovered.root_hash == vpdt_store::history::root_hash(final_db)
+        && recovered.state_hash == vpdt_store::history::state_hash(final_db);
     let persisted_vs_memory = persisted_tps / sessions_tps;
+    let flush = persisted
+        .report
+        .flush
+        .clone()
+        .ok_or("persisted run reports no flush stats")?;
+    let fsyncs_per_commit = flush.fsyncs as f64 / persisted.report.exec.committed.max(1) as f64;
+    let (pp50, pp95, pp99) = {
+        let (a, b, c) = quantiles(&persisted.serving, names::TX_TOTAL);
+        (a / 1e3, b / 1e3, c / 1e3)
+    };
+    let max_batch_seen = flush.batch_sizes.keys().max().copied().unwrap_or(0);
     println!(
-        "guarded-sessions (persisted, fsync/commit): {} committed / {} aborted / {} failed \
-         in {:.3}s ({:.0} commits/s, {:.2}x of in-memory, {:.3} WAL writes/tx, recovery {})",
+        "guarded-sessions (persisted, group commit): {} committed / {} aborted / {} failed \
+         in {:.3}s ({:.0} commits/s, {:.2}x of in-memory, {:.3} WAL writes/tx, {} fsyncs = \
+         {:.4}/commit, largest batch {}, latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms, \
+         recovery {})",
         persisted.report.exec.committed,
         persisted.report.exec.aborted,
         persisted.report.exec.failed,
@@ -934,59 +921,18 @@ fn run(cfg: Config) -> Result<bool, String> {
         persisted_tps,
         persisted_vs_memory,
         wal_writes_per_tx,
-        if recovered_ok { "OK" } else { "MISMATCH" },
-    );
-
-    // --- guarded-sessions, group commit (publish/durable split) -------------
-    let group = run_sessions_once(
-        &cfg,
-        &alpha,
-        &omega,
-        &initial,
-        &jobs,
-        Some((&group_dir, group_opts)),
-    )?;
-    let group_tps = group.report.exec.committed as f64 / group.secs;
-    let group_recovered_ok = verify_recovery(&group_dir, &group)?;
-    let flush = group
-        .report
-        .flush
-        .clone()
-        .ok_or("group-commit run reports no flush stats")?;
-    let fsyncs_per_commit = flush.fsyncs as f64 / group.report.exec.committed.max(1) as f64;
-    let group_vs_persisted = group_tps / persisted_tps;
-    let (gp50, gp95, gp99) = {
-        let (a, b, c) = quantiles(&group.serving, names::TX_TOTAL);
-        (a / 1e3, b / 1e3, c / 1e3)
-    };
-    let max_batch_seen = flush.batch_sizes.keys().max().copied().unwrap_or(0);
-    println!(
-        "guarded-sessions (group commit): {} committed / {} aborted / {} failed in {:.3}s \
-         ({:.0} commits/s, {:.1}x of per-commit fsync, {} fsyncs = {:.4}/commit, largest \
-         batch {}, latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms, recovery {})",
-        group.report.exec.committed,
-        group.report.exec.aborted,
-        group.report.exec.failed,
-        group.secs,
-        group_tps,
-        group_vs_persisted,
         flush.fsyncs,
         fsyncs_per_commit,
         max_batch_seen,
-        gp50,
-        gp95,
-        gp99,
-        if group_recovered_ok { "OK" } else { "MISMATCH" },
+        pp50,
+        pp95,
+        pp99,
+        if recovered_ok { "OK" } else { "MISMATCH" },
     );
     if cfg.persist.is_none() {
         let _ = std::fs::remove_dir_all(&persist_dir);
-        let _ = std::fs::remove_dir_all(&group_dir);
     } else {
-        println!(
-            "persisted artifacts kept in {} (per-commit fsync) and {} (group commit)",
-            persist_dir.display(),
-            group_dir.display()
-        );
+        println!("persisted artifacts kept in {}", persist_dir.display());
     }
 
     // --- networked workload (--net): the front door over loopback -----------
@@ -1390,10 +1336,8 @@ fn run(cfg: Config) -> Result<bool, String> {
     let shape_bound =
         report.cache.shapes <= 2 * cfg.rels && report.cache.entries <= report.cache.shapes;
     // Durability must not drop or corrupt anything (speed is reported, not
-    // gated: fsync cost is the disk's, not the code's) — and the
-    // group-committed log must recover exactly too.
+    // gated: fsync cost is the disk's, not the code's).
     let persisted_ok = persisted.report.exec.failed == 0 && recovered_ok;
-    let group_ok = group.report.exec.failed == 0 && group_recovered_ok;
     // The scaled pass gates on the lock-hold bound: publish work must be
     // footprint-proportional, and a bounded p99 at a |DB| two orders of
     // magnitude above the standard workload is the observable form of
@@ -1436,7 +1380,6 @@ fn run(cfg: Config) -> Result<bool, String> {
         && beats_baseline
         && shape_bound
         && persisted_ok
-        && group_ok
         && scaled_ok
         && networked_ok
         && sharded_ok;
@@ -1606,30 +1549,17 @@ fn run(cfg: Config) -> Result<bool, String> {
             "aborted" => persisted.report.exec.aborted,
             "failed" => persisted.report.exec.failed,
             "fsync" => true,
-            "group_commit" => false,
             "secs" => secs(persisted.secs),
             "commits_per_sec" => tps(persisted_tps),
             "vs_memory" => ratio(persisted_vs_memory),
             "wal_writes_per_tx" => Json::fixed(wal_writes_per_tx, 3),
-            "recovered_ok" => recovered_ok,
-        },
-        "group_commit" => obj! {
-            "committed" => group.report.exec.committed,
-            "aborted" => group.report.exec.aborted,
-            "failed" => group.report.exec.failed,
-            "fsync" => true,
-            "max_batch" => GroupCommitPolicy::default().max_batch,
-            "secs" => secs(group.secs),
-            "commits_per_sec" => tps(group_tps),
-            "vs_persisted" => ratio(group_vs_persisted),
-            "vs_memory" => ratio(group_tps / sessions_tps),
             "fsyncs" => flush.fsyncs,
             "fsyncs_per_commit" => Json::fixed(fsyncs_per_commit, 6),
             "batch_sizes" => Json::Obj(batch_sizes),
-            "latency_p50_ms" => ms(gp50),
-            "latency_p95_ms" => ms(gp95),
-            "latency_p99_ms" => ms(gp99),
-            "recovered_ok" => group_recovered_ok,
+            "latency_p50_ms" => ms(pp50),
+            "latency_p95_ms" => ms(pp95),
+            "latency_p99_ms" => ms(pp99),
+            "recovered_ok" => recovered_ok,
         },
         "networked" => networked_json,
         "scaled" => scaled_json,
@@ -1637,7 +1567,6 @@ fn run(cfg: Config) -> Result<bool, String> {
         "stage_latencies" => obj! {
             "in_memory" => stage_latencies_json(&serving),
             "persisted" => stage_latencies_json(&persisted.serving),
-            "group_commit" => stage_latencies_json(&group.serving),
         },
         "speedup" => ratio(speedup),
         "history_bytes_per_tx" => Json::fixed(history_per_tx, 1),
@@ -1676,13 +1605,6 @@ fn run(cfg: Config) -> Result<bool, String> {
             "ACCEPTANCE: persisted run must recover to its reported state \
              ({} failed, recovery match: {recovered_ok})",
             persisted.report.exec.failed
-        );
-    }
-    if !group_ok {
-        eprintln!(
-            "ACCEPTANCE: group-commit run must recover to its reported state \
-             ({} failed, recovery match: {group_recovered_ok})",
-            group.report.exec.failed
         );
     }
     if !scaled_ok {

@@ -81,9 +81,9 @@
 //! * [`wal`] — the write-ahead log that makes history and state durable.
 //!   Commits run in two phases: **publish** (version advanced, record
 //!   appended — inside the commit critical section) and **durable** (the
-//!   record fsync'd by a shared group-commit flusher, which batches all
-//!   concurrently published commits into one fsync and only then resolves
-//!   their tickets — see [`GroupCommitPolicy`]);
+//!   record fsync'd by a shared group-commit flusher, which covers every
+//!   commit pending when it starts with one fsync and only then resolves
+//!   their tickets);
 //! * [`replay`] — the one replay kernel every recorded commit is
 //!   re-verified through, and crash recovery built on it;
 //! * [`audit`] — replays a history through the *rollback* path
@@ -133,9 +133,7 @@ pub use vpdt_obs::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceStage, TxTimeline,
     TxTrace,
 };
-pub use wal::{
-    FlushStats, GroupCommitPolicy, Recovered, RecoveryError, RecoveryOptions, WalError, WalOptions,
-};
+pub use wal::{FlushStats, Recovered, RecoveryError, RecoveryOptions, WalError, WalOptions};
 
 /// The durable name of the versioned store: `Store::recover(dir, &omega)`
 /// rebuilds one from a persisted directory, replaying snapshot + log tail

@@ -77,9 +77,6 @@ pub mod names {
     pub const STAGE_PUBLISH_TO_DURABLE: &str = "store_stage_publish_to_durable_us";
     /// Submit → final outcome, µs.
     pub const TX_TOTAL: &str = "store_tx_total_us";
-    /// The group-commit flusher's auto-tuned batching delay, µs (gauge;
-    /// zero when `GroupCommitPolicy::target_batch` is off).
-    pub const WAL_FLUSH_EFFECTIVE_DELAY: &str = "store_wal_flush_effective_delay_us";
     /// Cross-shard transactions committed by the 2PC coordinator.
     pub const CROSS_COMMITTED: &str = "store_cross_committed_total";
     /// Cross-shard transactions aborted (global guard failed).

@@ -287,14 +287,7 @@ impl StoreBuilder {
         // The durable phase exists exactly when commits must reach stable
         // storage before acknowledgment: persistence on, fsync policy on.
         let wants_flusher = self.wal_opts.fsync_commits;
-        let group_policy = self.wal_opts.group_commit.clone();
-        let group = {
-            let obs = obs.clone();
-            move |durable: bool| -> Option<Arc<GroupCommitFlusher>> {
-                durable
-                    .then(|| Arc::new(GroupCommitFlusher::new(group_policy.clone(), obs.clone())))
-            }
-        };
+        let group = || wants_flusher.then(|| Arc::new(GroupCommitFlusher::new(obs.clone())));
         let (store, cache, next_tx, group) = match self.source {
             Source::Fresh { initial, alpha } => {
                 let store = VersionedStore::new(initial);
@@ -308,7 +301,7 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let mut flusher = None;
                 if let Some(dir) = self.persist_dir {
-                    flusher = group(wants_flusher);
+                    flusher = group();
                     store.history().attach_wal(DurableLog::new(
                         WalWriter::create(&dir, self.wal_opts)?,
                         BTreeSet::new(),
@@ -353,7 +346,7 @@ impl StoreBuilder {
                 cache.seed_registry(&recovered.templates);
                 exec::check_base_case(&store, &cache)?;
                 let (writer, logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
-                let flusher = group(wants_flusher);
+                let flusher = group();
                 store.history().attach_wal(DurableLog::new(
                     writer,
                     logged_shapes,

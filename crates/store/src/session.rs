@@ -13,8 +13,7 @@
 //! On a durable server the ticket's life has **two phases**. A commit is
 //! first *published* — its version advanced and its log record appended,
 //! inside the commit critical section — and only later *durable*, when the
-//! group-commit flusher has fsync'd the record
-//! ([`GroupCommitPolicy`](crate::wal::GroupCommitPolicy)). The ticket
+//! group-commit flusher has fsync'd the record. The ticket
 //! tracks both: [`TxTicket::applied`] observes the publish phase,
 //! [`TxTicket::wait`] blocks for the durable resolution. In-memory
 //! servers (and aborts and failures everywhere) have no durable phase:
@@ -222,8 +221,8 @@ impl TxTicket {
 
     /// Blocks until the transaction's typed outcome is known. On a durable
     /// server a `Committed` outcome returned here is **durable**: its log
-    /// record was fsync'd (by the group-commit flusher, or inline under
-    /// `max_batch = 1`) before the ticket resolved.
+    /// record was fsync'd by the group-commit flusher before the ticket
+    /// resolved.
     pub fn wait(&self) -> TxOutcome {
         self.state.wait()
     }

@@ -21,15 +21,15 @@
 //!   **publish** phase, which fixes the serialization order on disk — but
 //!   the fsync happens outside it, in the **durable** phase: workers hand
 //!   their tickets (with the record's log offset) to a dedicated
-//!   [`GroupCommitFlusher`], which coalesces all pending offsets into one
-//!   fsync and resolves every ticket the flushed offset covers
-//!   ([`GroupCommitPolicy`]). A [`TxTicket`](crate::TxTicket) therefore
-//!   resolves only once its commit record is on stable storage — the
-//!   durability point of `wait` is unchanged — while the disk no longer
-//!   serializes the workers. `max_batch = 1` degenerates to one fsync per
-//!   commit; `fsync_commits: false` skips the durable phase entirely
-//!   (tickets resolve at publish; acknowledged commits then survive a
-//!   process kill but not necessarily power loss).
+//!   [`GroupCommitFlusher`], whose one rule is: fsync what is pending,
+//!   then resolve every ticket the fsync covers. A
+//!   [`TxTicket`](crate::TxTicket) therefore resolves only once its commit
+//!   record is on stable storage — the durability point of `wait` is
+//!   unchanged — while the disk no longer serializes the workers: whatever
+//!   publishes during one fsync is covered by the next.
+//!   `fsync_commits: false` skips the durable phase entirely (tickets
+//!   resolve at publish; acknowledged commits then survive a process kill
+//!   but not necessarily power loss).
 //! * **One write per transaction.** Appending only *stages* a record in
 //!   the writer's buffer; a transaction's `Begin`/`GuardEval` records (and
 //!   any first-use shape declaration) reach the segment together with its
@@ -68,7 +68,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 use vpdt_logic::{Elem, Formula, Schema};
 use vpdt_obs::{Counter, TraceStage};
 use vpdt_structure::Database;
@@ -633,51 +632,6 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 
 // --- the writer ------------------------------------------------------------
 
-/// How the group-commit flusher batches fsyncs across concurrent commits.
-///
-/// Workers *publish* commits (version advanced, record appended) without
-/// waiting for the disk; the flusher coalesces all pending commits into
-/// one fsync and resolves every covered ticket. The defaults give
-/// *natural* batching: the flusher syncs as soon as anything is pending,
-/// so under light load each commit is fsync'd immediately (per-commit
-/// latency), while under concurrent load everything that published during
-/// the previous fsync forms the next batch (per-batch throughput).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupCommitPolicy {
-    /// Most commits resolved by one fsync. `1` degenerates to one fsync
-    /// per commit — the pre-group-commit behavior, minus the critical
-    /// section it used to run in.
-    pub max_batch: usize,
-    /// How long the flusher may hold an under-full batch open waiting for
-    /// more commits. `Duration::ZERO` (the default) never waits: batches
-    /// form only from commits that published while the previous fsync was
-    /// in flight. With `target_batch > 0` this is the *ceiling* of the
-    /// auto-tuned wait — the bound on durable tail latency.
-    pub max_delay: Duration,
-    /// Auto-tune target: `0` (the default) disables it — the flusher
-    /// waits exactly `max_delay` as before. Non-zero makes the flusher
-    /// adapt an *effective* delay between zero and `max_delay` toward
-    /// fsync batches of about this size: each under-target batch grows
-    /// the wait (more coalescing next round), each over-target batch
-    /// shrinks it (the disk is the bottleneck; stop adding latency).
-    /// This is what keeps N shard flushers sharing one disk fair — a
-    /// lightly loaded shard converges to near-zero wait while a hot one
-    /// batches aggressively, instead of every shard pessimistically
-    /// holding batches open. The current effective delay is reported in
-    /// [`FlushStats::effective_delay_us`].
-    pub target_batch: usize,
-}
-
-impl Default for GroupCommitPolicy {
-    fn default() -> Self {
-        GroupCommitPolicy {
-            max_batch: 256,
-            max_delay: Duration::ZERO,
-            target_batch: 0,
-        }
-    }
-}
-
 /// Tunables of the durable log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalOptions {
@@ -686,14 +640,11 @@ pub struct WalOptions {
     /// Whether commit records are fsync'd before the commit is
     /// acknowledged. `true` (the default) makes
     /// [`TxTicket::wait`](crate::TxTicket::wait) a durability point that
-    /// survives power loss — the fsync runs in the durable phase, batched
-    /// across workers per [`GroupCommitPolicy`]; `false` trades that for
-    /// speed — acknowledged commits then survive a process kill (the bytes
-    /// are in the page cache) but not necessarily a machine crash.
+    /// survives power loss — the fsync runs in the durable phase, one
+    /// fsync for every commit pending when it starts; `false` trades that
+    /// for speed — acknowledged commits then survive a process kill (the
+    /// bytes are in the page cache) but not necessarily a machine crash.
     pub fsync_commits: bool,
-    /// How the durable phase batches fsyncs (only meaningful with
-    /// `fsync_commits: true`).
-    pub group_commit: GroupCommitPolicy,
     /// Keep segments whose records are entirely covered by a checkpoint.
     /// `false` (the default) deletes them at checkpoint time — recovery
     /// and serving never read them again; the price is that a later cold
@@ -707,7 +658,6 @@ impl Default for WalOptions {
         WalOptions {
             segment_bytes: 8 * 1024 * 1024,
             fsync_commits: true,
-            group_commit: GroupCommitPolicy::default(),
             retain_segments: false,
         }
     }
@@ -984,7 +934,6 @@ pub(crate) struct DurableLog {
     /// Ids of the decisions whose `Cross` records this log holds (or held
     /// before retention): what the next checkpoint records as covered.
     pub(crate) cross_decisions: BTreeSet<u64>,
-    fsync_commits: bool,
     /// The durable phase, when one is configured: commit appends tell the
     /// flusher how far the log has grown so its next fsync knows what it
     /// covers.
@@ -1000,12 +949,10 @@ impl DurableLog {
         writes: Counter,
     ) -> Self {
         writer.writes = Some(writes);
-        let fsync_commits = writer.opts.fsync_commits;
         DurableLog {
             writer,
             logged_shapes,
             cross_decisions,
-            fsync_commits,
             flusher,
         }
     }
@@ -1020,11 +967,8 @@ impl DurableLog {
     /// and every commit is in the file (page cache) once it publishes —
     /// what `fsync_commits: false` promises against a process kill. A
     /// commit record then advances the flusher's append watermark, so the
-    /// durable phase knows which fsync will cover it. (Without a flusher —
-    /// an embedding that attaches a log but runs no durable phase —
-    /// `fsync_commits` falls back to the old inline flush so the option's
-    /// contract still holds.) A cross-shard commit records its decision id
-    /// as applied.
+    /// durable phase knows which fsync will cover it. A cross-shard commit
+    /// records its decision id as applied.
     pub(crate) fn append_event(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(payload)?;
         if matches!(payload.first(), Some(&(TAG_COMMIT | TAG_CROSS | TAG_ABORT))) {
@@ -1043,8 +987,6 @@ impl DurableLog {
                         self.writer.current_path(),
                         self.writer.offset(),
                     );
-                } else if self.fsync_commits {
-                    self.writer.sync()?;
                 }
             }
             _ => {}
@@ -1084,11 +1026,6 @@ pub struct FlushStats {
     /// How many batches resolved exactly `k` tickets, by `k` — the
     /// batch-size histogram. `flushed_commits / fsyncs` is the mean.
     pub batch_sizes: BTreeMap<usize, u64>,
-    /// The auto-tuned effective batching delay, µs — what the flusher
-    /// currently waits before fsyncing an under-full batch. `0` unless
-    /// [`GroupCommitPolicy::target_batch`] enabled the auto-tune (and the
-    /// load has pushed the wait above zero).
-    pub effective_delay_us: u64,
 }
 
 /// One published commit awaiting its covering fsync.
@@ -1111,8 +1048,6 @@ pub(crate) struct PendingAck {
 
 struct FlushInner {
     pending: Vec<PendingAck>,
-    /// When the oldest pending ack arrived (drives `max_delay`).
-    first_at: Option<Instant>,
     closed: bool,
     /// The append watermark: the current segment file and the global
     /// offset the log has grown to, maintained by the publish phase
@@ -1131,25 +1066,16 @@ struct FlushInner {
 }
 
 /// The shared group-commit flusher: workers enqueue published commits
-/// (ticket + log offset), a dedicated thread coalesces all pending offsets
-/// into one fsync and resolves every covered ticket — the **durable**
-/// phase of the commit pipeline. Owned by the
+/// (ticket + log offset), a dedicated thread fsyncs once for everything
+/// pending and resolves every covered ticket — the **durable** phase of
+/// the commit pipeline. Owned by the
 /// [`StoreServer`](crate::StoreServer), which spawns the thread at build
 /// and drains it on shutdown *and* drop, so no acknowledged-or-pending
 /// commit is lost even on the crash-shaped exit.
 #[derive(Debug)]
 pub(crate) struct GroupCommitFlusher {
-    policy: GroupCommitPolicy,
     inner: Mutex<FlushInner>,
     ready: Condvar,
-    /// The auto-tuned batching delay, ns (see
-    /// [`GroupCommitPolicy::target_batch`]). Read by the run loop when
-    /// computing its deadline, written after every flush; both off the
-    /// batch lock.
-    effective_delay_ns: std::sync::atomic::AtomicU64,
-    /// [`names::WAL_FLUSH_EFFECTIVE_DELAY`], mirroring
-    /// `effective_delay_ns` in µs for exposition.
-    delay_gauge: vpdt_obs::Gauge,
     /// The server's metric handles: fsync/flush counters, the
     /// publish→durable and end-to-end histograms, and the trace ring.
     obs: StoreMetrics,
@@ -1168,17 +1094,10 @@ impl std::fmt::Debug for FlushInner {
 }
 
 impl GroupCommitFlusher {
-    pub(crate) fn new(policy: GroupCommitPolicy, obs: StoreMetrics) -> Self {
+    pub(crate) fn new(obs: StoreMetrics) -> Self {
         GroupCommitFlusher {
-            // Auto-tune starts eager (zero wait) and grows only when
-            // observed batches run under target — a lightly loaded store
-            // never pays latency for throughput it is not getting.
-            effective_delay_ns: std::sync::atomic::AtomicU64::new(0),
-            delay_gauge: obs.registry.gauge(names::WAL_FLUSH_EFFECTIVE_DELAY),
-            policy,
             inner: Mutex::new(FlushInner {
                 pending: Vec::new(),
-                first_at: None,
                 closed: false,
                 file: None,
                 appended: 0,
@@ -1188,44 +1107,6 @@ impl GroupCommitFlusher {
             }),
             ready: Condvar::new(),
             obs,
-        }
-    }
-
-    /// The wait the run loop grants an under-full batch: the fixed
-    /// `max_delay` without auto-tune, the adapted value (capped by
-    /// `max_delay`) with it.
-    fn batch_delay(&self) -> Duration {
-        if self.policy.target_batch == 0 {
-            return self.policy.max_delay;
-        }
-        Duration::from_nanos(
-            self.effective_delay_ns
-                .load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// One auto-tune step after a flush that resolved `resolved` tickets:
-    /// under-target batches grow the wait multiplicatively (plus a 10µs
-    /// floor-breaker so zero can grow at all), over-target batches shrink
-    /// it — multiplicative increase *and* decrease converges near the
-    /// target without oscillating to the rails, and the cap keeps
-    /// `max_delay` an honest tail-latency bound.
-    fn retune(&self, resolved: usize) {
-        use std::sync::atomic::Ordering;
-        let target = self.policy.target_batch;
-        if target == 0 {
-            return;
-        }
-        let cap = u64::try_from(self.policy.max_delay.as_nanos()).unwrap_or(u64::MAX);
-        let cur = self.effective_delay_ns.load(Ordering::Relaxed);
-        let next = match resolved.cmp(&target) {
-            std::cmp::Ordering::Less => (cur + cur / 2 + 10_000).min(cap),
-            std::cmp::Ordering::Greater => cur / 2,
-            std::cmp::Ordering::Equal => cur,
-        };
-        if next != cur {
-            self.effective_delay_ns.store(next, Ordering::Relaxed);
-            self.delay_gauge.set(next / 1_000);
         }
     }
 
@@ -1293,9 +1174,6 @@ impl GroupCommitFlusher {
             self.resolve_durable(ack);
             return;
         }
-        if g.pending.is_empty() {
-            g.first_at = Some(Instant::now());
-        }
         g.pending.push(ack);
         drop(g);
         self.ready.notify_all();
@@ -1329,7 +1207,6 @@ impl GroupCommitFlusher {
             flushed_commits: snap.counter(names::WAL_FLUSHED_COMMITS),
             flush_failures: snap.counter(names::WAL_FLUSH_FAILURES),
             batch_sizes,
-            effective_delay_us: snap.gauge(names::WAL_FLUSH_EFFECTIVE_DELAY),
         }
     }
 
@@ -1342,35 +1219,19 @@ impl GroupCommitFlusher {
             .inject_error = true;
     }
 
-    /// The flusher thread's loop: wait for published commits, batch them
-    /// per the policy, fsync once, resolve everything covered. Returns
-    /// when closed and drained.
+    /// The flusher thread's loop — the durable phase's one rule: wait
+    /// until something is pending, fsync up to the append watermark, then
+    /// resolve every pending ack that fsync covers. Returns when closed
+    /// and drained.
     pub(crate) fn run(&self) {
         loop {
-            let (batch, file, path, appended, inject) = {
+            let (file, path, appended, inject) = {
                 let mut g = self.inner.lock().expect("flusher lock poisoned");
-                loop {
-                    if !g.pending.is_empty() {
-                        let deadline =
-                            g.first_at.expect("first_at set with pending") + self.batch_delay();
-                        let now = Instant::now();
-                        if g.closed
-                            || g.failed.is_some()
-                            || g.pending.len() >= self.policy.max_batch.max(1)
-                            || now >= deadline
-                        {
-                            break;
-                        }
-                        let (next, _) = self
-                            .ready
-                            .wait_timeout(g, deadline - now)
-                            .expect("flusher lock poisoned");
-                        g = next;
-                    } else if g.closed {
+                while g.pending.is_empty() {
+                    if g.closed {
                         return;
-                    } else {
-                        g = self.ready.wait(g).expect("flusher lock poisoned");
                     }
+                    g = self.ready.wait(g).expect("flusher lock poisoned");
                 }
                 if let Some(err) = &g.failed {
                     // Fail-stop: anything that slipped in resolves with
@@ -1383,20 +1244,12 @@ impl GroupCommitFlusher {
                     }
                     continue;
                 }
-                g.pending.sort_by_key(|a| a.offset);
-                let take = g.pending.len().min(self.policy.max_batch.max(1));
-                let batch: Vec<PendingAck> = g.pending.drain(..take).collect();
-                g.first_at = if g.pending.is_empty() {
-                    None
-                } else {
-                    Some(Instant::now())
-                };
                 let (file, path) = g
                     .file
                     .clone()
                     .expect("a commit published before any ack was enqueued");
                 let inject = std::mem::take(&mut g.inject_error);
-                (batch, file, path, g.appended, inject)
+                (file, path, g.appended, inject)
             };
             // The fsync — off every lock, so publishes keep flowing while
             // the disk works.
@@ -1412,37 +1265,33 @@ impl GroupCommitFlusher {
                 Ok(()) => {
                     let mut g = self.inner.lock().expect("flusher lock poisoned");
                     g.durable = g.durable.max(appended);
-                    // The fsync covers every offset below the watermark —
-                    // including acks that overflowed `max_batch` and acks
-                    // enqueued while the fsync was in flight. Resolve them
-                    // all now rather than making already-durable commits
-                    // wait for (and trigger) another flush.
+                    // Every ack pending at the snapshot lies below the
+                    // watermark (its commit advanced it before the ack was
+                    // enqueued), and so may acks enqueued while the fsync
+                    // was in flight: resolve them all now rather than
+                    // making already-durable commits wait for another.
                     let durable = g.durable;
-                    let covered: Vec<PendingAck> = g
+                    let mut covered: Vec<PendingAck> = g
                         .pending
                         .extract_if(.., |ack| ack.offset < durable)
                         .collect();
-                    if g.pending.is_empty() {
-                        g.first_at = None;
-                    }
-                    let resolved = batch.len() + covered.len();
                     drop(g);
-                    self.retune(resolved);
+                    covered.sort_by_key(|a| a.offset);
                     self.obs.wal_fsyncs.inc();
-                    self.obs.wal_flushed_commits.add(resolved as u64);
-                    self.obs.batch_size_counter(resolved).inc();
-                    for ack in batch.into_iter().chain(covered) {
+                    self.obs.wal_flushed_commits.add(covered.len() as u64);
+                    self.obs.batch_size_counter(covered.len()).inc();
+                    for ack in covered {
                         self.resolve_durable(ack);
                     }
                 }
                 Err(err) => {
                     let mut g = self.inner.lock().expect("flusher lock poisoned");
                     g.failed = Some(err.clone());
-                    let rest: Vec<PendingAck> = g.pending.drain(..).collect();
+                    let covered: Vec<PendingAck> = g.pending.drain(..).collect();
                     drop(g);
                     self.obs.wal_flush_failures.inc();
                     let error = StoreError::Wal(err);
-                    for ack in batch.into_iter().chain(rest) {
+                    for ack in covered {
                         self.resolve_failed(ack, &error);
                     }
                 }
@@ -2547,6 +2396,76 @@ mod tests {
         let want: Vec<Event> = non_terminal.into_iter().cloned().collect();
         assert_eq!(logged_events(&dir), want);
         drop(log);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The durable phase's one rule, run on the test thread: one fsync
+    /// resolves every ack pending below the append watermark, in offset
+    /// order, and an ack
+    /// whose offset that fsync already covered (the flusher raced ahead of
+    /// its enqueue) resolves inside `enqueue`, with no further fsync.
+    #[test]
+    fn one_fsync_resolves_every_ack_below_the_watermark() {
+        const N: u64 = 6;
+        let dir = tmp_dir("flusher");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("segment");
+        let file = Arc::new(File::create(&path).expect("creates"));
+        let flusher = GroupCommitFlusher::new(StoreMetrics::new(0));
+        let ack = |offset: u64| {
+            let state = Arc::new(TicketState::default());
+            let ticket = crate::TxTicket::new(offset, 0, Arc::clone(&state));
+            let ack = PendingAck {
+                offset,
+                version: offset + 1,
+                ticket: state,
+                tx: offset,
+                enqueued_at_ns: 0,
+                published_at_ns: 0,
+            };
+            (ack, ticket)
+        };
+        // Commits at offsets 0..=N are published; N of their acks arrive,
+        // out of offset order.
+        flusher.note_append(file, path, N + 1);
+        let resolved = Arc::new(Mutex::new(Vec::new()));
+        let tickets: Vec<_> = (0..N)
+            .rev()
+            .map(|offset| {
+                let (ack, ticket) = ack(offset);
+                let resolved = Arc::clone(&resolved);
+                ticket.on_resolve(move |_| resolved.lock().expect("lock").push(offset));
+                flusher.enqueue(ack);
+                ticket
+            })
+            .collect();
+        flusher.close();
+        flusher.run();
+        let stats = flusher.stats();
+        assert_eq!(stats.fsyncs, 1, "{stats:?}");
+        assert_eq!(stats.flushed_commits, N);
+        assert_eq!(stats.batch_sizes, BTreeMap::from([(N as usize, 1)]));
+        let order: Vec<u64> = (0..N).collect();
+        assert_eq!(*resolved.lock().expect("lock"), order);
+        for ticket in &tickets {
+            assert_eq!(
+                ticket.try_outcome(),
+                Some(TxOutcome::Committed {
+                    version: ticket.id() + 1
+                })
+            );
+        }
+        // The last commit's ack arrives after the fsync that covered it.
+        let (late, ticket) = ack(N);
+        flusher.enqueue(late);
+        assert_eq!(
+            ticket.try_outcome(),
+            Some(TxOutcome::Committed { version: N + 1 })
+        );
+        let stats = flusher.stats();
+        assert_eq!(stats.fsyncs, 1);
+        assert_eq!(stats.flushed_commits, N + 1);
+        assert_eq!(stats.batch_sizes, BTreeMap::from([(N as usize, 1)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

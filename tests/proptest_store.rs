@@ -314,7 +314,6 @@ proptest! {
                     // the genesis-replay comparison needs the full log: a
                     // mid-run checkpoint must not garbage-collect it
                     retain_segments: true,
-                    ..WalOptions::default()
                 },
             )
             .build()

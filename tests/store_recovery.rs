@@ -39,7 +39,6 @@ fn fast_wal() -> WalOptions {
         segment_bytes: 1024,
         fsync_commits: false,
         retain_segments: true,
-        ..WalOptions::default()
     }
 }
 

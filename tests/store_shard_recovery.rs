@@ -308,7 +308,6 @@ fn checkpoint_retention_does_not_resurrect_an_applied_cross_branch() {
         fsync_commits: false,
         retain_segments: false,
         segment_bytes: 256,
-        ..WalOptions::default()
     };
     let initial = workload::sharded_initial(11, RELS, 6, 0.0);
     let alpha = workload::sharded_fd_constraint(RELS);
