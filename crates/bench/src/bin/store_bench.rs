@@ -128,12 +128,12 @@ const SCALED_BASELINE_MONOLITHIC_TPS: f64 = 2025.0;
 
 /// Acceptance floor for `--net`: loopback networked throughput as a
 /// fraction of the in-process session rate on the identical workload.
-/// Frame encode/decode, FNV checksums, and the reactor/writer-pool
+/// Frame encode/decode, FNV checksums, and the reactor-pool
 /// round trip (outbox stamping included) are the budget being gated.
 const NET_VS_SESSIONS_FLOOR: f64 = 0.5;
 
 /// Idle-connection fleet size for the `--net` connection-scaling probe.
-/// Multiplexed connections ride the fixed reactor/writer pools, so the
+/// Multiplexed connections ride the fixed reactor pool, so the
 /// probe's thread delta should stay O(1) however large this is; the old
 /// thread-per-connection design added two threads per socket.
 const NET_SCALING_IDLE_CONNS: usize = 128;
@@ -463,7 +463,7 @@ fn history_bytes_per_tx(
 /// a checksummed frame and every outcome returns with the committed
 /// version and commitment root. Latency samples are client clocks
 /// (submit → outcome), so unlike the in-process pass they include the
-/// wire, the codec, and the server's reactor/writer pools with their
+/// wire, the codec, and the server's reactor pool with its
 /// per-connection outboxes.
 struct NetRun {
     report: vpdt_store::ServerReport,
@@ -526,7 +526,7 @@ fn run_networked_once(
     // latency samples are untouched), park a fleet of idle connections
     // on the still-running server and read the process thread count
     // before and after. Multiplexed connections ride the fixed
-    // reactor/writer pools, so the delta stays O(1) regardless of
+    // reactor pool, so the delta stays O(1) regardless of
     // fleet size.
     let baseline_threads = os_thread_count();
     let mut fleet = Vec::with_capacity(NET_SCALING_IDLE_CONNS);
@@ -939,7 +939,7 @@ fn run(cfg: Config) -> Result<bool, String> {
     // The identical session workload once more, but through `vpdt-net`:
     // every submission framed and checksummed over TCP, every outcome
     // returning with version and commitment root. What it proves: the
-    // wire protocol and the reactor/writer pools keep the workers
+    // wire protocol and the reactor pool keep the workers
     // saturated — remote sessions are not a second-class path — and the
     // connection-scaling probe shows idle connections cost pool slots,
     // not threads.

@@ -517,7 +517,7 @@ pub fn e9() -> Result<(), String> {
     Ok(())
 }
 
-/// E10 — Theorem 8 / Proposition 3: the WPC[γ] algorithm at scale.
+/// E10 — Theorem 8 / Proposition 3: the WPC\[γ\] algorithm at scale.
 pub fn e10() -> Result<(), String> {
     banner("E10", "Theorem 8: WPC[γ] — correctness, growth, robustness");
     let schema = Schema::graph();

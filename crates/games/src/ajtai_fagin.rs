@@ -2,7 +2,7 @@
 //! `G = {G_{n,n}}` versus `Tree − G` — the heart of Theorem 3's proof that
 //! no same-generation query is verifiable over monadic Σ¹₁.
 //!
-//! The game (after [16], as quoted in the paper):
+//! The game (after \[16\], as quoted in the paper):
 //!
 //! 1. the duplicator selects `G ∈ G`;
 //! 2. the spoiler colors the nodes of `G` with `c` colors;

@@ -12,7 +12,7 @@
 //! structures with the same number of r-neighborhoods of every r-type for
 //! `r = 3^k` cannot be distinguished at quantifier rank `k`
 //! ([`fsv_radius`]); Nurmonen's analogue extends this to FO+counting
-//! (Theorem 3, "by the result of [30]").
+//! (Theorem 3, "by the result of \[30\]").
 
 use std::collections::BTreeMap;
 use vpdt_structure::iso::{CanonCode, ColoredDigraph};

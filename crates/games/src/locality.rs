@@ -1,7 +1,7 @@
 //! Degree counts and the bounded-degree property (Corollary 2).
 //!
 //! For a graph `G`, its *degree count* `dc(G)` is the number of different
-//! in- and out-degrees of nodes of `G` (after Libkin–Wong [27]). Every
+//! in- and out-degrees of nodes of `G` (after Libkin–Wong \[27\]). Every
 //! first-order query `q` has the *bounded degree property*: `dc(q(G))` is
 //! bounded by a constant depending only on `q` and the maximal degree of
 //! `G`. Corollary 2 shows `WPC(FO)` admits **no** characterization in these

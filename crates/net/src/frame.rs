@@ -156,6 +156,12 @@ impl FrameReader {
         &self.buf[self.start..self.end]
     }
 
+    /// Whether received bytes wait in the reader (a whole frame, or
+    /// part of one) — bytes a readiness poll on the stream cannot see.
+    pub(crate) fn has_buffered(&self) -> bool {
+        self.end > self.start
+    }
+
     /// Total bytes the frame being accumulated needs (header included),
     /// or the header size while the length prefix itself is incomplete.
     fn want(&self) -> usize {

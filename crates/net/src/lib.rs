@@ -16,13 +16,14 @@
 //!   a single `u32` in the mandatory `Hello`;
 //! * **server** ([`server`]) — a resident [`NetServer`] multiplexing
 //!   connections onto per-connection sessions backed by the existing
-//!   worker pool. A bounded reactor pool owns the (nonblocking) read
-//!   side, completion hooks
-//!   ([`TxTicket::on_resolve`](vpdt_store::TxTicket::on_resolve)) stamp
-//!   resolved outcomes into per-connection sequence-numbered outboxes,
-//!   and a shared writer pool flushes ready prefixes — so C mostly-idle
-//!   connections cost O(pool size) threads, and every response (stats
-//!   and checkpoints included) goes back in request order. A committed
+//!   worker pool. A bounded reactor pool blocks in `poll(2)` on the
+//!   (nonblocking) sockets and does their reads and writes, completion
+//!   hooks ([`TxTicket::on_resolve`](vpdt_store::TxTicket::on_resolve))
+//!   stamp resolved outcomes into per-connection sequence-numbered
+//!   outboxes and wake the owning reactor to write the ready prefix — so
+//!   C mostly-idle connections cost O(pool size) threads, and every
+//!   response (stats and checkpoints included) goes back in request
+//!   order. A committed
 //!   outcome carries the version's root hash, so a remote client holds
 //!   the same per-relation state commitment an in-process caller could
 //!   compute — and on a durable store an acknowledged commit is durable
@@ -41,6 +42,7 @@ pub mod client;
 pub mod frame;
 pub mod proto;
 pub mod server;
+mod sys;
 
 pub use client::NetClient;
 pub use frame::{FramePoll, FrameReader, FRAME_HEADER, MAX_FRAME_LEN};

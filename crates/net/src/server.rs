@@ -2,61 +2,61 @@
 //! sessions by a bounded reactor pool, with completion-driven writes.
 //!
 //! [`NetServer`] wraps a running [`StoreServer`] and a bound listener.
-//! [`NetServer::serve`] owns the accept loop and two small fixed pools —
-//! serving C connections costs O(pool size) threads, not O(C):
+//! [`NetServer::serve`] runs the accept loop on the calling thread and
+//! spawns a fixed pool of **reactors** ([`NetOptions::reactor_threads`],
+//! named `vpdt-net-reactor-{i}`), so C connections cost O(pool size)
+//! threads, not O(C). Each accepted socket is made nonblocking and
+//! owned by one reactor for life. A reactor blocks in `poll(2)` on its
+//! connections and a waker and does all their I/O: it reads and decodes
+//! requests, submits programs to the worker pool, and writes responses.
+//! No thread sleeps to find work or blocks on a socket or a ticket.
 //!
-//! * **reactors** ([`NetOptions::reactor_threads`]) own the read side.
-//!   Each accepted socket is made nonblocking and handed to one reactor,
-//!   which sweeps its connections for readable frames, decodes requests,
-//!   and submits programs to the worker pool. No reactor thread ever
-//!   blocks on a socket or a ticket.
-//! * **writers** ([`NetOptions::writer_threads`]) own the write side.
-//!   Every response is stamped into the connection's sequence-numbered
-//!   **outbox** — a slot per request, reserved at decode time in request
-//!   order — and a writer flushes each outbox's *ready prefix* strictly
-//!   in sequence order: the whole prefix is framed into one buffer and
-//!   written with **one** socket write, so a burst of resolved outcomes
-//!   wakes the client once, not once per response.
-//!
-//! The bridge between them is completion-driven: a `Submit`'s
+//! Every response is stamped into the connection's **outbox** at a
+//! sequence slot reserved at decode time, in request order. A `Submit`'s
 //! [`TxTicket`](vpdt_store::TxTicket) gets an
 //! [`on_resolve`](vpdt_store::TxTicket::on_resolve) hook that stamps the
-//! outcome into its reserved outbox slot when the ticket resolves (for
-//! commits on a persisted store: after the covering fsync). No thread
-//! parks per ticket.
+//! outcome when the ticket resolves (on a persisted store: after the
+//! covering fsync), on whichever store thread resolved it. If the
+//! outbox's *ready prefix* grew, the hook posts the connection to its
+//! reactor's ready list, writing a waker byte only when the list was
+//! empty; it never blocks. The reactor frames the ready prefix (until
+//! about [`MAX_FRAME_LEN`] bytes wait) and sends it with **one** socket
+//! write, so a burst of outcomes wakes the client once. Bytes the socket
+//! does not take wait for `POLLOUT`; a peer that takes none for
+//! [`NetOptions::write_timeout`] loses its connection, and no other
+//! connection waits on it.
 //!
-//! Because slots are reserved in request order and written in sequence
-//! order, responses on one connection arrive strictly in request order —
-//! for **every** request kind (`Stats` and `Checkpoint` ride the outbox
-//! like everything else) — and **an acknowledged networked commit is
-//! durable by construction**. `Wait` barriers, checkpoint offsets, and
-//! sync versions are *evaluated at write time*, after every earlier
-//! response on that connection has been written, which is exactly the
-//! barrier the protocol promises: when a writer meets such a deferred
-//! entry in a prefix, it first writes the responses framed before it,
-//! then realizes the entry and goes on framing.
+//! Since slots are reserved in request order and written in sequence
+//! order, responses on one connection arrive strictly in request order
+//! for **every** request kind, and **an acknowledged networked commit is
+//! durable by construction**. `Wait` versions, checkpoint offsets and
+//! stats are *realized at write time*, only once every byte framed
+//! before them went out — the barrier the protocol promises.
 //!
 //! A malformed frame (truncated, oversized, corrupt, undecodable) tears
-//! down *that connection only*: a typed [`Response::Error`] is stamped at
-//! the connection's next sequence slot, the outbox is end-marked, and the
-//! connection drains. Other connections never observe it — a bad client
-//! must never poison the server. Transient `accept` failures
-//! (`ECONNABORTED`, `EMFILE`, …) are counted and retried with bounded
-//! backoff; only the stop flag ends the accept loop.
+//! down *that connection only*: a typed [`Response::Error`] takes its
+//! next slot, the outbox is end-marked, and the connection drains.
+//! Transient `accept` failures (`ECONNABORTED`, `EMFILE`, …) are counted
+//! and retried with bounded backoff; only a stop ends the accept loop.
 //!
-//! Shutdown (the [`ServerHandle`] stop flag, or a permitted remote
-//! [`Request::Shutdown`]) stops accepting, stamps a `Bye` into every
-//! serving connection's outbox, lets the writers drain every owed
-//! response, then shuts the store down — the final [`ServerReport`]
-//! covers everything the front door acknowledged.
+//! A stop ([`ServerHandle::stop`], or a permitted remote
+//! [`Request::Shutdown`]) wakes the accept loop, which stops accepting
+//! and wakes the reactors. They give every serving connection a `Bye`,
+//! write every owed response, and exit; then the store shuts down, so
+//! the final [`ServerReport`] covers everything the front door
+//! acknowledged.
+//!
+//! [`MAX_FRAME_LEN`]: crate::MAX_FRAME_LEN
 
-use crate::frame::{frame_into, FramePoll, FrameReader};
+use crate::frame::{frame_into, FramePoll, FrameReader, MAX_FRAME_LEN};
 use crate::proto::{NetError, Request, Response, WireOutcome, PROTOCOL_VERSION};
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use crate::sys::{self, PollFd, Waker, POLLIN, POLLOUT, READABLE, WRITABLE};
+use std::collections::{BTreeMap, HashMap};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vpdt_obs::{Counter, Gauge, Histogram};
 use vpdt_store::{AbortReason, ServerReport, Session, StoreServer, TxOutcome};
@@ -68,20 +68,15 @@ pub struct NetOptions {
     /// remote peer should not be able to stop a server unless the
     /// operator opted in (`vpdtool serve --allow-shutdown`).
     pub allow_remote_shutdown: bool,
-    /// Reader threads. Each reactor owns a share of the connections and
-    /// sweeps them for readable frames; the thread cost of serving is
-    /// `reactor_threads + writer_threads`, independent of connection
-    /// count (`vpdtool serve --reactors`).
+    /// Reactor threads. Each owns a share of the connections and does
+    /// their reads and writes; the thread cost of serving is this plus
+    /// the accept loop, independent of connection count
+    /// (`vpdtool serve --reactors`).
     pub reactor_threads: usize,
-    /// Writer threads flushing ready outbox prefixes, shared by all
-    /// connections (`vpdtool serve --writers`).
-    pub writer_threads: usize,
-    /// How long an idle reactor sleeps between readiness sweeps — the
-    /// latency floor for noticing new frames and the stop flag.
-    pub sweep_interval: Duration,
-    /// How long a writer keeps retrying a back-pressured socket before
-    /// declaring the connection dead. Not a protocol deadline: it only
-    /// fires when the peer stops draining its receive buffer.
+    /// How long a connection's socket may take none of the bytes
+    /// waiting for it before the connection is declared dead. Not a
+    /// protocol deadline: it only fires when the peer stops draining its
+    /// receive buffer.
     pub write_timeout: Duration,
 }
 
@@ -90,8 +85,6 @@ impl Default for NetOptions {
         NetOptions {
             allow_remote_shutdown: false,
             reactor_threads: 2,
-            writer_threads: 2,
-            sweep_interval: Duration::from_millis(2),
             write_timeout: Duration::from_secs(30),
         }
     }
@@ -105,7 +98,6 @@ struct NetMetrics {
     connections_total: Counter,
     accept_errors: Counter,
     reactor_threads: Gauge,
-    writer_threads: Gauge,
     outbox_pending: Gauge,
     bytes_in: Counter,
     bytes_out: Counter,
@@ -124,17 +116,15 @@ pub mod names {
     pub const NET_CONNECTIONS_TOTAL: &str = "net_connections_total";
     /// Counter: transient `accept` failures retried with backoff.
     pub const NET_ACCEPT_ERRORS_TOTAL: &str = "net_accept_errors_total";
-    /// Gauge: reactor (read-side) pool threads while serving.
+    /// Gauge: reactor pool threads while serving.
     pub const NET_REACTOR_THREADS: &str = "net_reactor_threads";
-    /// Gauge: writer (write-side) pool threads while serving.
-    pub const NET_WRITER_THREADS: &str = "net_writer_threads";
     /// Gauge: responses reserved in outboxes but not yet written.
     pub const NET_OUTBOX_PENDING: &str = "net_outbox_pending";
     /// Counter: payload + framing bytes received.
     pub const NET_BYTES_IN_TOTAL: &str = "net_bytes_in_total";
     /// Counter: payload + framing bytes sent.
     pub const NET_BYTES_OUT_TOTAL: &str = "net_bytes_out_total";
-    /// Counter: socket `write` calls by the writer pool — about one per
+    /// Counter: socket `write` calls by the reactors — about one per
     /// ready prefix, however many responses it holds.
     pub const NET_SOCKET_WRITES_TOTAL: &str = "net_socket_writes_total";
     /// Counter: frames rejected as truncated/oversized/corrupt/undecodable.
@@ -162,7 +152,6 @@ impl NetMetrics {
             connections_total: registry.counter(names::NET_CONNECTIONS_TOTAL),
             accept_errors: registry.counter(names::NET_ACCEPT_ERRORS_TOTAL),
             reactor_threads: registry.gauge(names::NET_REACTOR_THREADS),
-            writer_threads: registry.gauge(names::NET_WRITER_THREADS),
             outbox_pending: registry.gauge(names::NET_OUTBOX_PENDING),
             bytes_in: registry.counter(names::NET_BYTES_IN_TOTAL),
             bytes_out: registry.counter(names::NET_BYTES_OUT_TOTAL),
@@ -204,11 +193,29 @@ impl NetMetrics {
     }
 }
 
+/// The stop request: a flag, plus the waker the accept loop polls.
+#[derive(Debug)]
+struct Stop {
+    flag: AtomicBool,
+    waker: Waker,
+}
+
+impl Stop {
+    fn fire(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
 /// A remote-stop handle: cheap to clone out of [`NetServer::handle`]
 /// before `serve` consumes the server.
 #[derive(Clone, Debug)]
 pub struct ServerHandle {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     addr: SocketAddr,
 }
 
@@ -221,7 +228,7 @@ impl ServerHandle {
     /// Asks the serve loop to stop: accepting ends, connections drain,
     /// the store shuts down, [`NetServer::serve`] returns.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.fire();
     }
 }
 
@@ -231,7 +238,8 @@ pub struct NetServer {
     store: StoreServer,
     listener: TcpListener,
     opts: NetOptions,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
+    reactors: Vec<Arc<Reactor>>,
 }
 
 impl NetServer {
@@ -239,11 +247,25 @@ impl NetServer {
     pub fn bind(store: StoreServer, addr: &str, opts: NetOptions) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr).map_err(NetError::io)?;
         listener.set_nonblocking(true).map_err(NetError::io)?;
+        let waker = Waker::new().map_err(NetError::io)?;
+        let reactors = (0..opts.reactor_threads.max(1))
+            .map(|_| {
+                let waker = Waker::new().map_err(NetError::io)?;
+                Ok(Arc::new(Reactor {
+                    mail: Mutex::default(),
+                    waker,
+                }))
+            })
+            .collect::<Result<_, NetError>>()?;
         Ok(NetServer {
             store,
             listener,
             opts,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::new(Stop {
+                flag: AtomicBool::new(false),
+                waker,
+            }),
+            reactors,
         })
     }
 
@@ -262,62 +284,60 @@ impl NetServer {
 
     /// Serves until stopped, then drains and shuts the store down.
     ///
-    /// Blocks the calling thread (which runs the accept loop). The
-    /// reactor and writer pools are spawned once, up front — accepted
-    /// connections are distributed round-robin over the reactors and
-    /// never get threads of their own. When the stop flag rises the
-    /// accept loop ends, every serving connection is given a `Bye` and
-    /// drains its owed responses through the writer pool, and the
-    /// wrapped store's [`shutdown`](StoreServer::shutdown) report —
-    /// front-door metrics included — is returned.
+    /// Blocks the calling thread, which runs the accept loop: it polls
+    /// the listener and the stop waker. The reactor pool is spawned
+    /// once, up front — accepted connections are distributed
+    /// round-robin over the reactors and never get threads of their
+    /// own. On a stop the accept loop ends and wakes the reactors, every
+    /// serving connection is given a `Bye` and drains its owed
+    /// responses, and the wrapped store's
+    /// [`shutdown`](StoreServer::shutdown) report — front-door metrics
+    /// included — is returned.
     pub fn serve(self) -> ServerReport {
         let NetServer {
             store,
             listener,
             opts,
             stop,
+            reactors,
         } = self;
         let metrics = NetMetrics::new(&store);
-        let reactors = opts.reactor_threads.max(1);
-        let writers = opts.writer_threads.max(1);
-        let pool = Arc::new(WriterPool::new(reactors));
-        let inboxes: Vec<Inbox> = (0..reactors).map(|_| Inbox::default()).collect();
-        metrics.reactor_threads.set(reactors as u64);
-        metrics.writer_threads.set(writers as u64);
+        let closing = AtomicBool::new(false);
+        metrics.reactor_threads.set(reactors.len() as u64);
 
         std::thread::scope(|s| {
-            for _ in 0..writers {
-                let pool = Arc::clone(&pool);
-                let store = &store;
-                let metrics = &metrics;
-                s.spawn(move || writer_loop(&pool, store, metrics));
-            }
-            for inbox in &inboxes {
+            for (i, reactor) in reactors.iter().enumerate() {
                 let ctx = Ctx {
                     store: &store,
                     opts: &opts,
                     stop: &stop,
+                    closing: &closing,
                     metrics: &metrics,
-                    pool: Arc::clone(&pool),
                 };
-                s.spawn(move || reactor_loop(ctx, inbox));
+                std::thread::Builder::new()
+                    .name(format!("vpdt-net-reactor-{i}"))
+                    .spawn_scoped(s, move || reactor_loop(&ctx, reactor))
+                    .expect("spawn a reactor thread");
             }
 
             // The accept loop. Transient failures (ECONNABORTED, EMFILE,
             // …) are counted and retried with bounded exponential
-            // backoff — only the stop flag ends the front door.
+            // backoff — only a stop ends the front door.
+            let mut fds = [
+                PollFd::new(listener.as_raw_fd(), POLLIN),
+                PollFd::new(stop.waker.fd(), POLLIN),
+            ];
             let mut next = 0usize;
             let mut backoff = ACCEPT_BACKOFF_FLOOR;
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.is_set() {
+                sys::wait(&mut fds, None);
                 match listener.accept() {
                     Ok((stream, _)) => {
                         backoff = ACCEPT_BACKOFF_FLOOR;
-                        inboxes[next % reactors].push(stream);
+                        reactors[next % reactors.len()].post(|mail| mail.streams.push(stream));
                         next += 1;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                     Err(_) => {
                         metrics.accept_errors.inc();
                         std::thread::sleep(backoff);
@@ -325,14 +345,14 @@ impl NetServer {
                     }
                 }
             }
-            // Scope exit joins the pools: reactors notice the stop flag
-            // within one sweep, drain their connections (every owed
-            // response written, via the writers), and count themselves
-            // out; writers exit once the last reactor is gone and the
-            // flush queue is empty.
+            // No stream is handed over after this: once a reactor sees
+            // `closing` it stops its connections, drains them, and exits.
+            closing.store(true, Ordering::SeqCst);
+            for reactor in &reactors {
+                reactor.waker.wake();
+            }
         });
         metrics.reactor_threads.set(0);
-        metrics.writer_threads.set(0);
         store.shutdown()
     }
 }
@@ -340,175 +360,137 @@ impl NetServer {
 const ACCEPT_BACKOFF_FLOOR: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_secs(1);
 
-/// Frames one reactor drains from one connection per sweep before moving
-/// on — a firehose client must not starve its reactor-mates.
+/// Frames one reactor drains from one connection per wake-up before
+/// moving on — a firehose client must not starve its reactor-mates.
 const MAX_FRAMES_PER_PUMP: usize = 32;
 
 /// Everything a reactor (and its connections) borrows from `serve`.
 struct Ctx<'a> {
     store: &'a StoreServer,
     opts: &'a NetOptions,
-    stop: &'a AtomicBool,
+    stop: &'a Stop,
+    /// Raised by the accept loop once it has stopped accepting.
+    closing: &'a AtomicBool,
     metrics: &'a NetMetrics,
-    pool: Arc<WriterPool>,
 }
 
-/// Hand-off slot from the accept loop to one reactor.
-#[derive(Default)]
-struct Inbox {
-    streams: Mutex<Vec<TcpStream>>,
+/// What other threads hand one reactor, and the waker that interrupts
+/// its poll.
+#[derive(Debug)]
+struct Reactor {
+    mail: Mutex<Mail>,
+    waker: Waker,
 }
 
-impl Inbox {
-    fn push(&self, stream: TcpStream) {
-        self.streams
-            .lock()
-            .expect("inbox lock poisoned")
-            .push(stream);
-    }
-
-    fn drain(&self) -> Vec<TcpStream> {
-        let mut g = self.streams.lock().expect("inbox lock poisoned");
-        std::mem::take(&mut *g)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.streams.lock().expect("inbox lock poisoned").is_empty()
-    }
+#[derive(Debug, Default)]
+struct Mail {
+    /// Accepted sockets to adopt.
+    streams: Vec<TcpStream>,
+    /// Tokens of connections whose outbox grew a ready prefix.
+    ready: Vec<u64>,
 }
 
-/// The shared flush queue: outboxes with a writable prefix, FIFO.
-struct WriterPool {
-    queue: Mutex<VecDeque<Arc<Outbox>>>,
-    ready: Condvar,
-    /// Reactors still running. Writers exit only after the last reactor
-    /// is gone (every connection finished, so no outbox will ever be
-    /// scheduled again) *and* the queue is empty.
-    reactors_live: AtomicUsize,
-}
-
-impl WriterPool {
-    fn new(reactors: usize) -> Self {
-        WriterPool {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            reactors_live: AtomicUsize::new(reactors),
+impl Reactor {
+    /// Adds to the mail, waking the reactor if the mail was empty (if
+    /// not, the wake-up for it is already owed). Never blocks.
+    fn post(&self, add: impl FnOnce(&mut Mail)) {
+        let was_empty = {
+            let mut mail = self.mail.lock().expect("reactor mail poisoned");
+            let was_empty = mail.streams.is_empty() && mail.ready.is_empty();
+            add(&mut mail);
+            was_empty
+        };
+        if was_empty {
+            self.waker.wake();
         }
     }
-
-    fn push(&self, outbox: Arc<Outbox>) {
-        self.queue
-            .lock()
-            .expect("writer queue poisoned")
-            .push_back(outbox);
-        self.ready.notify_one();
-    }
-
-    fn reactor_done(&self) {
-        self.reactors_live.fetch_sub(1, Ordering::SeqCst);
-        self.ready.notify_all();
-    }
 }
 
-/// One writer: pop an outbox with a ready prefix, flush it, repeat.
-fn writer_loop(pool: &WriterPool, store: &StoreServer, metrics: &NetMetrics) {
-    // Reused across outboxes: the framed burst and one response payload.
-    let mut frames = Vec::new();
+/// One reactor: block in `poll` on the connections and the waker; read
+/// the readable connections, adopt posted sockets, write the connections
+/// with ready responses or a writable socket, retire finished ones.
+/// Exits once the accept loop is closing and every connection drained.
+fn reactor_loop<'a>(ctx: &Ctx<'a>, me: &Arc<Reactor>) {
+    let mut conns: HashMap<u64, Conn<'a>> = HashMap::new();
+    let mut next_token = 0u64;
+    let (mut fds, mut tokens, mut flush) = (Vec::new(), Vec::new(), Vec::new());
+    // One response's payload, reused across responses.
     let mut payload = Vec::new();
+    let mut backlog = false;
     loop {
-        let outbox = {
-            let mut q = pool.queue.lock().expect("writer queue poisoned");
-            loop {
-                if let Some(outbox) = q.pop_front() {
-                    break Some(outbox);
-                }
-                if pool.reactors_live.load(Ordering::SeqCst) == 0 {
-                    break None;
-                }
-                // Timed wait: robust against a notification racing the
-                // last reactor's exit.
-                let (g, _) = pool
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("writer queue poisoned");
-                q = g;
-            }
-        };
-        match outbox {
-            Some(outbox) => drain_outbox(&outbox, store, metrics, &mut frames, &mut payload),
-            None => return,
+        // Poll until something is ready, the earliest write deadline
+        // passes, or — with frames still buffered — not at all.
+        fds.clear();
+        tokens.clear();
+        fds.push(PollFd::new(me.waker.fd(), POLLIN));
+        for (&token, conn) in &conns {
+            fds.push(conn.poll_fd());
+            tokens.push(token);
         }
-    }
-}
+        let deadline = conns.values().filter_map(|c| c.write_deadline).min();
+        let timeout = match deadline {
+            _ if backlog => Some(Duration::ZERO),
+            due => due.map(|d| d.saturating_duration_since(Instant::now())),
+        };
+        sys::wait(&mut fds, timeout);
 
-/// Flushes one outbox's ready prefix in sequence order, framing the
-/// whole prefix into `frames` and writing it with one call. Deferred
-/// entries (`Synced`, `Checkpoint`, `Stats`) are realized *here*, after
-/// every earlier response on the connection has been written — the
-/// bytes framed before one go out first — which is what makes them
-/// barriers.
-fn drain_outbox(
-    outbox: &Arc<Outbox>,
-    store: &StoreServer,
-    metrics: &NetMetrics,
-    frames: &mut Vec<u8>,
-    payload: &mut Vec<u8>,
-) {
-    loop {
-        let batch = {
-            let mut g = outbox.inner.lock().expect("outbox lock poisoned");
-            let mut batch = Vec::new();
-            loop {
-                let seq = g.next_write;
-                match g.ready.remove(&seq) {
-                    Some(slot) => {
-                        g.next_write += 1;
-                        batch.push(slot);
-                    }
-                    None => break,
-                }
+        // Reads. Every connection read from is written next: what it
+        // answered at once is stamped without posting.
+        backlog = false;
+        for (fd, token) in fds[1..].iter().zip(&tokens) {
+            let conn = conns.get_mut(token).expect("polled connections are live");
+            if fd.revents & READABLE != 0 || conn.backlog {
+                conn.pump(ctx);
+                backlog |= conn.backlog;
+                flush.push(*token);
+            } else if fd.revents & WRITABLE != 0 {
+                flush.push(*token);
             }
-            if batch.is_empty() {
-                g.scheduled = false;
-                if g.end == Some(g.next_write) {
-                    g.closed = true;
-                }
-                return;
-            }
-            batch
-        };
-        // `batch[..written]` is on the wire; `batch[written..framed]` is
-        // framed into `frames`, waiting for the next write.
-        let mut written = 0usize;
-        for (framed, slot) in batch.iter().enumerate() {
-            if slot.entry.is_deferred() && framed > written {
-                if outbox.write_frames(frames).is_err() {
-                    outbox.kill((batch.len() - written) as u64);
-                    return;
-                }
-                settle(outbox, metrics, &batch[written..framed]);
-                written = framed;
-            }
-            payload.clear();
-            realize(store, &slot.entry).encode(payload);
-            frame_into(frames, payload);
         }
-        if outbox.write_frames(frames).is_err() {
-            outbox.kill((batch.len() - written) as u64);
+
+        // The mail. Draining the waker before taking the mail loses no
+        // wake-up: a post after the take finds the mail empty and wakes.
+        if fds[0].revents != 0 {
+            me.waker.drain();
+        }
+        let mail = std::mem::take(&mut *me.mail.lock().expect("reactor mail poisoned"));
+        for stream in mail.streams {
+            if let Ok(conn) = Conn::adopt(stream, next_token, me, ctx) {
+                ctx.metrics.connections.inc();
+                ctx.metrics.connections_total.inc();
+                conns.insert(next_token, conn);
+                next_token += 1;
+            }
+        }
+        flush.extend(mail.ready);
+        let closing = ctx.closing.load(Ordering::SeqCst);
+        if closing {
+            for (&token, conn) in conns.iter_mut() {
+                conn.begin_stop();
+                flush.push(token);
+            }
+        }
+
+        // Writes.
+        for token in flush.drain(..) {
+            if let Some(conn) = conns.get_mut(&token) {
+                conn.flush(ctx, &mut payload);
+            }
+        }
+        let now = Instant::now();
+        conns.retain(|_, conn| {
+            if conn.write_deadline.is_some_and(|due| now >= due) {
+                conn.discard(ctx);
+            }
+            let retired = conn.closed && conn.out.is_empty();
+            if retired {
+                ctx.metrics.connections.dec();
+            }
+            !retired
+        });
+        if closing && conns.is_empty() {
             return;
         }
-        settle(outbox, metrics, &batch[written..]);
-    }
-}
-
-/// Accounts for responses just written: no longer pending, and their
-/// request latency observed.
-fn settle(outbox: &Outbox, metrics: &NetMetrics, slots: &[Slot]) {
-    outbox.pending.sub(slots.len() as u64);
-    for started in slots.iter().filter_map(|slot| slot.started) {
-        metrics
-            .request_us
-            .observe(started.elapsed().as_micros() as u64);
     }
 }
 
@@ -600,23 +582,33 @@ struct Slot {
     started: Option<Instant>,
 }
 
-/// The write half of one connection: a sequence-numbered response
-/// ledger plus the socket the writer pool flushes it to.
+/// What [`Outbox::take`] found at the next sequence slot to write.
+enum Take {
+    Slot(Slot),
+    /// A deferred entry, while bytes framed before it still wait.
+    Barrier,
+    /// Not completed yet.
+    Idle,
+    /// Every owed response was taken (or the connection was killed).
+    Closed,
+}
+
+/// The response ledger of one connection: sequence-numbered slots,
+/// shared between its reactor and the store threads that complete them.
 ///
 /// Sequence slots are **reserved** by the reactor at request-decode
 /// time (so reservation order is request order) and **completed** when
 /// the response is known — immediately for most requests, at ticket
-/// resolution for submits. Writers flush the contiguous ready prefix,
-/// so the wire order is the reservation order, always.
+/// resolution for submits. The reactor takes the contiguous ready
+/// prefix, so the wire order is the reservation order, always.
 struct Outbox {
-    stream: TcpStream,
-    write_timeout: Duration,
     inner: Mutex<OutboxInner>,
-    pool: Arc<WriterPool>,
+    /// The connection's key in its reactor's table: what a completion
+    /// posts to `reactor`.
+    token: u64,
+    reactor: Arc<Reactor>,
     /// The shared `net_outbox_pending` gauge (reserved, not yet written).
     pending: Gauge,
-    bytes_out: Counter,
-    socket_writes: Counter,
 }
 
 #[derive(Default)]
@@ -630,31 +622,15 @@ struct OutboxInner {
     /// One past the last sequence this connection will ever write; the
     /// outbox closes when `next_write` reaches it.
     end: Option<u64>,
-    /// A writer currently owns (or is queued to own) this outbox.
+    /// The token is posted, or the reactor is still writing this
+    /// outbox: a completion need not post it again.
     scheduled: bool,
-    /// Every owed response written (or the socket died): the connection
-    /// can be retired.
+    /// Every owed response taken (or the socket died); late completions
+    /// are no-ops.
     closed: bool,
 }
 
 impl Outbox {
-    fn new(
-        stream: TcpStream,
-        pool: Arc<WriterPool>,
-        metrics: &NetMetrics,
-        write_timeout: Duration,
-    ) -> Self {
-        Outbox {
-            stream,
-            write_timeout,
-            inner: Mutex::new(OutboxInner::default()),
-            pool,
-            pending: metrics.outbox_pending.clone(),
-            bytes_out: metrics.bytes_out.clone(),
-            socket_writes: metrics.socket_writes.clone(),
-        }
-    }
-
     /// Reserves the next sequence slot (request order). On a closed
     /// outbox the reservation is moot — the slot is handed out but no
     /// longer counts as pending.
@@ -668,178 +644,72 @@ impl Outbox {
         seq
     }
 
-    /// Stamps `slot` at `seq` and schedules a flush if the ready prefix
-    /// grew. Called from reactors (immediate responses) and from ticket
-    /// completions (whichever store thread resolved the ticket) — never
-    /// under any store lock. On a closed outbox this is a silent no-op.
-    fn complete(self: &Arc<Self>, seq: u64, slot: Slot) {
-        let schedule = {
+    /// Stamps `slot` at `seq`; a no-op on a closed outbox. With
+    /// `notify` — from whichever store thread resolved a ticket, never
+    /// under any store lock — the connection is posted to its reactor if
+    /// the ready prefix grew. The reactor's own stamps skip that: it
+    /// writes the connection before it polls again.
+    fn complete(&self, seq: u64, slot: Slot, notify: bool) {
+        let post = {
             let mut g = self.inner.lock().expect("outbox lock poisoned");
             if g.closed {
                 return;
             }
             g.ready.insert(seq, slot);
-            if !g.scheduled && g.ready.contains_key(&g.next_write) {
-                g.scheduled = true;
-                true
-            } else {
-                false
-            }
+            let post = notify && !g.scheduled && g.ready.contains_key(&g.next_write);
+            g.scheduled |= post;
+            post
         };
-        if schedule {
-            self.pool.push(Arc::clone(self));
+        if post {
+            self.reactor.post(|mail| mail.ready.push(self.token));
         }
     }
 
-    /// Declares `end` (one past the final sequence). If everything owed
-    /// is already written, the outbox closes on the spot.
-    fn set_end(&self, end: u64) {
-        let mut g = self.inner.lock().expect("outbox lock poisoned");
-        if g.closed {
-            return;
-        }
-        debug_assert!(g.end.is_none(), "a connection ends once");
-        g.end = Some(end);
-        if !g.scheduled && g.next_write == end {
-            g.closed = true;
-        }
-    }
-
-    /// Ends the outbox right after everything already reserved — the
-    /// orderly-EOF path, where no farewell frame is owed.
+    /// Ends the outbox right after everything already reserved.
     fn end_now(&self) {
         let mut g = self.inner.lock().expect("outbox lock poisoned");
-        if g.closed {
-            return;
-        }
-        debug_assert!(g.end.is_none(), "a connection ends once");
+        debug_assert!(g.closed || g.end.is_none(), "a connection ends once");
         g.end = Some(g.next_seq);
-        if !g.scheduled && g.next_write == g.next_seq {
-            g.closed = true;
+    }
+
+    /// Takes the slot at the write cursor. A deferred one is taken only
+    /// when `may_defer` (nothing framed before it still waits).
+    fn take(&self, may_defer: bool) -> Take {
+        let mut g = self.inner.lock().expect("outbox lock poisoned");
+        if g.closed {
+            return Take::Closed;
+        }
+        let seq = g.next_write;
+        match g.ready.get(&seq).map(|slot| slot.entry.is_deferred()) {
+            Some(true) if !may_defer => Take::Barrier,
+            Some(_) => {
+                g.next_write += 1;
+                Take::Slot(g.ready.remove(&seq).expect("just seen"))
+            }
+            None => {
+                g.scheduled = false;
+                g.closed = g.end == Some(seq);
+                if g.closed {
+                    Take::Closed
+                } else {
+                    Take::Idle
+                }
+            }
         }
     }
 
-    /// Declares the socket dead: everything reserved-but-unwritten is
-    /// abandoned (`extra` covers slots a writer had already popped when
-    /// the write failed). Late completions become no-ops.
-    fn kill(&self, extra: u64) {
+    /// Declares the socket dead: everything reserved but not taken is
+    /// abandoned. Late completions become no-ops.
+    fn kill(&self) {
         let mut g = self.inner.lock().expect("outbox lock poisoned");
         if g.closed {
             return;
         }
         g.closed = true;
-        let abandoned = g.next_seq - g.next_write + extra;
+        self.pending.sub(g.next_seq - g.next_write);
         g.next_write = g.next_seq;
         g.ready.clear();
-        self.pending.sub(abandoned);
     }
-
-    fn is_closed(&self) -> bool {
-        self.inner.lock().expect("outbox lock poisoned").closed
-    }
-
-    /// Writes the framed responses in `frames` with one `write_all`,
-    /// riding out `WouldBlock` (the socket is nonblocking — it is shared
-    /// with the read side) up to the write timeout, and empties `frames`.
-    fn write_frames(&self, frames: &mut Vec<u8>) -> Result<(), NetError> {
-        let mut w = PatientWriter {
-            stream: &self.stream,
-            deadline: Instant::now() + self.write_timeout,
-            bytes_out: &self.bytes_out,
-            writes: &self.socket_writes,
-        };
-        let written = w.write_all(frames);
-        frames.clear();
-        written.map_err(NetError::io)
-    }
-}
-
-/// A writer over a nonblocking socket that waits out transient
-/// back-pressure instead of failing, up to a deadline.
-struct PatientWriter<'a> {
-    stream: &'a TcpStream,
-    deadline: Instant,
-    bytes_out: &'a Counter,
-    /// `net_socket_writes_total`: one per successful `write` call.
-    writes: &'a Counter,
-}
-
-impl Write for PatientWriter<'_> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        loop {
-            let mut stream = self.stream;
-            match stream.write(buf) {
-                Ok(n) => {
-                    self.bytes_out.add(n as u64);
-                    self.writes.inc();
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= self.deadline {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "peer stopped draining its receive buffer",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut stream = self.stream;
-        stream.flush()
-    }
-}
-
-/// One reactor: adopt sockets from the inbox, sweep connections for
-/// readable frames, retire finished connections. Exits when the stop
-/// flag is up and every connection has drained.
-fn reactor_loop<'a>(ctx: Ctx<'a>, inbox: &Inbox) {
-    let mut conns: Vec<Conn<'a>> = Vec::new();
-    loop {
-        for stream in inbox.drain() {
-            match Conn::adopt(stream, &ctx) {
-                Ok(conn) => {
-                    ctx.metrics.connections.inc();
-                    ctx.metrics.connections_total.inc();
-                    conns.push(conn);
-                }
-                Err(_) => {
-                    // Socket setup failed before the connection existed
-                    // observably; nothing to account.
-                }
-            }
-        }
-        let stopping = ctx.stop.load(Ordering::SeqCst);
-        let mut progressed = false;
-        for conn in conns.iter_mut() {
-            if stopping {
-                conn.begin_stop();
-            }
-            progressed |= conn.pump(&ctx);
-        }
-        let before = conns.len();
-        conns.retain(|c| {
-            if c.outbox.is_closed() {
-                ctx.metrics.connections.dec();
-                false
-            } else {
-                true
-            }
-        });
-        progressed |= conns.len() != before;
-        if stopping && conns.is_empty() && inbox.is_empty() {
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(ctx.opts.sweep_interval);
-        }
-    }
-    ctx.pool.reactor_done();
 }
 
 /// Where a connection is in its life.
@@ -860,100 +730,119 @@ struct Conn<'a> {
     outbox: Arc<Outbox>,
     session: Session<'a>,
     phase: ConnPhase,
+    /// The last pump stopped at its frame cap with bytes buffered, which
+    /// no poll will announce: pump again without waiting.
+    backlog: bool,
+    /// Framed responses the socket has not taken yet.
+    out: Vec<u8>,
+    /// Decode times of the responses framed into `out` since it was
+    /// last empty, settled when it empties.
+    unsettled: Vec<Option<Instant>>,
+    /// While bytes wait: when the connection dies if the socket takes
+    /// none of them.
+    write_deadline: Option<Instant>,
+    /// The outbox closed: once `out` is written, the connection retires.
+    closed: bool,
 }
 
 impl<'a> Conn<'a> {
-    fn adopt(stream: TcpStream, ctx: &Ctx<'a>) -> Result<Self, NetError> {
+    fn adopt(
+        stream: TcpStream,
+        token: u64,
+        reactor: &Arc<Reactor>,
+        ctx: &Ctx<'a>,
+    ) -> Result<Self, NetError> {
         stream.set_nodelay(true).map_err(NetError::io)?;
         stream.set_nonblocking(true).map_err(NetError::io)?;
-        let write_half = stream.try_clone().map_err(NetError::io)?;
-        let outbox = Arc::new(Outbox::new(
-            write_half,
-            Arc::clone(&ctx.pool),
-            ctx.metrics,
-            ctx.opts.write_timeout,
-        ));
+        let outbox = Arc::new(Outbox {
+            inner: Mutex::default(),
+            token,
+            reactor: Arc::clone(reactor),
+            pending: ctx.metrics.outbox_pending.clone(),
+        });
         Ok(Conn {
             stream,
             frames: FrameReader::new(),
             outbox,
             session: ctx.store.session(),
             phase: ConnPhase::Hello,
+            backlog: false,
+            out: Vec::new(),
+            unsettled: Vec::new(),
+            write_deadline: None,
+            closed: false,
         })
+    }
+
+    /// What to poll this connection for: requests until it drains,
+    /// writability while bytes wait. With neither, it is left out (a
+    /// hang-up would otherwise be reported on every poll).
+    fn poll_fd(&self) -> PollFd {
+        let events = match (self.phase == ConnPhase::Draining, self.out.is_empty()) {
+            (true, true) => return PollFd::new(-1, 0),
+            (true, false) => POLLOUT,
+            (false, true) => POLLIN,
+            (false, false) => POLLIN | POLLOUT,
+        };
+        PollFd::new(self.stream.as_raw_fd(), events)
     }
 
     /// Server-initiated teardown: serving connections get a Bye; a
     /// connection still in handshake just closes.
     fn begin_stop(&mut self) {
         match self.phase {
-            ConnPhase::Serving => {
-                let seq = self.outbox.reserve();
-                self.outbox.complete(
-                    seq,
-                    Slot {
-                        entry: Entry::Ready(Response::Bye),
-                        started: None,
-                    },
-                );
-                self.outbox.set_end(seq + 1);
-                self.phase = ConnPhase::Draining;
-            }
-            ConnPhase::Hello => {
-                let seq = self.outbox.reserve();
-                self.fail(seq, &NetError::Protocol("server stopping".into()));
-            }
+            ConnPhase::Serving => self.finish(Response::Bye),
+            ConnPhase::Hello => self.fail(&NetError::Protocol("server stopping".into())),
             ConnPhase::Draining => {}
         }
     }
 
-    /// Drains readable frames (bounded per sweep). Returns whether any
-    /// progress was made.
-    fn pump(&mut self, ctx: &Ctx<'a>) -> bool {
+    /// Drains readable frames, at most [`MAX_FRAMES_PER_PUMP`].
+    fn pump(&mut self, ctx: &Ctx<'a>) {
+        self.backlog = false;
         if self.phase == ConnPhase::Draining {
-            return false;
+            return;
         }
-        let mut progressed = false;
         for _ in 0..MAX_FRAMES_PER_PUMP {
             let mut reader = CountingReader {
                 stream: &self.stream,
                 bytes_in: &ctx.metrics.bytes_in,
             };
             match self.frames.poll(&mut reader) {
-                Ok(FramePoll::Frame(payload)) => {
-                    progressed = true;
-                    self.handle_frame(&payload, ctx);
-                }
+                Ok(FramePoll::Frame(payload)) => self.handle_frame(&payload, ctx),
                 Ok(FramePoll::Eof) => {
-                    progressed = true;
                     self.outbox.end_now();
                     self.phase = ConnPhase::Draining;
                 }
-                Ok(FramePoll::Pending) => break,
+                Ok(FramePoll::Pending) => return,
                 Err(e) => {
-                    progressed = true;
                     ctx.metrics.note_error(&e);
-                    let seq = self.outbox.reserve();
-                    self.fail(seq, &e);
+                    self.fail(&e);
                 }
             }
             if self.phase == ConnPhase::Draining {
-                break;
+                return;
             }
         }
-        progressed
+        self.backlog = self.frames.has_buffered();
     }
 
-    /// Stamps a typed error at `seq`, ends the outbox there, drains.
-    fn fail(&mut self, seq: u64, e: &NetError) {
-        self.outbox.complete(
-            seq,
-            Slot {
-                entry: Entry::Ready(error_response(0, e)),
-                started: None,
-            },
-        );
-        self.outbox.set_end(seq + 1);
+    /// Reserves the next slot and stamps `entry` into it.
+    fn answer(&self, entry: Entry, started: Option<Instant>) {
+        let seq = self.outbox.reserve();
+        self.outbox.complete(seq, Slot { entry, started }, false);
+    }
+
+    /// Answers with `last`, ends the outbox after it, drains.
+    fn finish(&mut self, last: Response) {
+        self.answer(Entry::Ready(last), None);
+        self.outbox.end_now();
         self.phase = ConnPhase::Draining;
+    }
+
+    /// Answers with a typed error and drains.
+    fn fail(&mut self, e: &NetError) {
+        self.finish(error_response(0, e));
     }
 
     fn handle_frame(&mut self, payload: &[u8], ctx: &Ctx<'a>) {
@@ -963,54 +852,37 @@ impl<'a> Conn<'a> {
             Err(e) => {
                 let e = NetError::from(e);
                 ctx.metrics.note_error(&e);
-                let seq = self.outbox.reserve();
-                self.fail(seq, &e);
+                self.fail(&e);
                 return;
             }
         };
         ctx.metrics.requests(request.kind()).inc();
 
         if self.phase == ConnPhase::Hello {
-            let seq = self.outbox.reserve();
             match request {
                 Request::Hello { version, client: _ } if version == PROTOCOL_VERSION => {
-                    self.outbox.complete(
-                        seq,
-                        Slot {
-                            entry: Entry::Ready(Response::Welcome {
-                                version: PROTOCOL_VERSION,
-                                store_version: ctx.store.version(),
-                                session: self.session.id(),
-                            }),
-                            started: None,
-                        },
-                    );
+                    let welcome = Response::Welcome {
+                        version: PROTOCOL_VERSION,
+                        store_version: ctx.store.version(),
+                        session: self.session.id(),
+                    };
+                    self.answer(Entry::Ready(welcome), None);
                     self.phase = ConnPhase::Serving;
                 }
-                Request::Hello { version, .. } => {
-                    self.fail(
-                        seq,
-                        &NetError::Version {
-                            ours: PROTOCOL_VERSION,
-                            theirs: version,
-                        },
-                    );
-                }
-                other => {
-                    self.fail(
-                        seq,
-                        &NetError::Protocol(format!("expected Hello, got {}", other.kind())),
-                    );
-                }
+                Request::Hello { version, .. } => self.fail(&NetError::Version {
+                    ours: PROTOCOL_VERSION,
+                    theirs: version,
+                }),
+                other => self.fail(&NetError::Protocol(format!(
+                    "expected Hello, got {}",
+                    other.kind()
+                ))),
             }
             return;
         }
 
         match request {
-            Request::Hello { .. } => {
-                let seq = self.outbox.reserve();
-                self.fail(seq, &NetError::Protocol("repeated Hello".into()));
-            }
+            Request::Hello { .. } => self.fail(&NetError::Protocol("repeated Hello".into())),
             Request::Submit {
                 request_id,
                 program,
@@ -1022,90 +894,107 @@ impl<'a> Conn<'a> {
                 let tx = ticket.id();
                 let outbox = Arc::clone(&self.outbox);
                 ticket.on_resolve(move |outcome| {
-                    outbox.complete(
-                        seq,
-                        Slot {
-                            entry: Entry::Outcome {
-                                request_id,
-                                tx,
-                                outcome,
-                            },
-                            started: Some(started),
-                        },
-                    );
+                    let entry = Entry::Outcome {
+                        request_id,
+                        tx,
+                        outcome,
+                    };
+                    let started = Some(started);
+                    outbox.complete(seq, Slot { entry, started }, true);
                 });
             }
-            Request::Wait => {
-                let seq = self.outbox.reserve();
-                self.outbox.complete(
-                    seq,
-                    Slot {
-                        entry: Entry::Synced,
-                        started: Some(started),
-                    },
-                );
-            }
-            Request::Checkpoint => {
-                let seq = self.outbox.reserve();
-                self.outbox.complete(
-                    seq,
-                    Slot {
-                        entry: Entry::Checkpoint,
-                        started: Some(started),
-                    },
-                );
-            }
-            Request::Stats => {
-                let seq = self.outbox.reserve();
-                self.outbox.complete(
-                    seq,
-                    Slot {
-                        entry: Entry::Stats,
-                        started: Some(started),
-                    },
-                );
-            }
-            Request::Goodbye => {
-                let seq = self.outbox.reserve();
-                self.outbox.complete(
-                    seq,
-                    Slot {
-                        entry: Entry::Ready(Response::Bye),
-                        started: None,
-                    },
-                );
-                self.outbox.set_end(seq + 1);
-                self.phase = ConnPhase::Draining;
+            Request::Wait => self.answer(Entry::Synced, Some(started)),
+            Request::Checkpoint => self.answer(Entry::Checkpoint, Some(started)),
+            Request::Stats => self.answer(Entry::Stats, Some(started)),
+            Request::Goodbye => self.finish(Response::Bye),
+            Request::Shutdown if ctx.opts.allow_remote_shutdown => {
+                ctx.stop.fire();
+                self.finish(Response::Bye);
             }
             Request::Shutdown => {
-                if ctx.opts.allow_remote_shutdown {
-                    ctx.stop.store(true, Ordering::SeqCst);
-                    let seq = self.outbox.reserve();
-                    self.outbox.complete(
-                        seq,
-                        Slot {
-                            entry: Entry::Ready(Response::Bye),
-                            started: None,
-                        },
-                    );
-                    self.outbox.set_end(seq + 1);
-                    self.phase = ConnPhase::Draining;
-                } else {
-                    let seq = self.outbox.reserve();
-                    self.outbox.complete(
-                        seq,
-                        Slot {
-                            entry: Entry::Ready(Response::Error {
-                                request_id: 0,
-                                code: "forbidden".into(),
-                                detail: "server started without --allow-shutdown".into(),
-                            }),
-                            started: None,
-                        },
-                    );
-                }
+                let forbidden = Response::Error {
+                    request_id: 0,
+                    code: "forbidden".into(),
+                    detail: "server started without --allow-shutdown".into(),
+                };
+                self.answer(Entry::Ready(forbidden), None);
             }
         }
+    }
+
+    /// Writes the ready prefix: slots are taken in sequence order,
+    /// realized and framed until about [`MAX_FRAME_LEN`] bytes wait, and
+    /// what waits goes to the socket in one write. A deferred slot is
+    /// realized only once every byte framed before it was written —
+    /// which is what makes it a barrier. Returns when nothing more is
+    /// ready, or when the socket is full (the rest then waits for
+    /// `POLLOUT`).
+    fn flush(&mut self, ctx: &Ctx<'a>, payload: &mut Vec<u8>) {
+        loop {
+            while !self.closed && self.out.len() < MAX_FRAME_LEN as usize {
+                match self.outbox.take(self.out.is_empty()) {
+                    Take::Slot(slot) => {
+                        payload.clear();
+                        realize(ctx.store, &slot.entry).encode(payload);
+                        frame_into(&mut self.out, payload);
+                        self.unsettled.push(slot.started);
+                    }
+                    Take::Barrier | Take::Idle => break,
+                    Take::Closed => self.closed = true,
+                }
+            }
+            if self.out.is_empty() || !self.write(ctx) {
+                return;
+            }
+        }
+    }
+
+    /// One nonblocking write of the waiting bytes; whether all of them
+    /// went out.
+    fn write(&mut self, ctx: &Ctx<'a>) -> bool {
+        match (&self.stream).write(&self.out) {
+            Ok(n) if n > 0 => {
+                ctx.metrics.bytes_out.add(n as u64);
+                ctx.metrics.socket_writes.inc();
+                self.out.drain(..n);
+                self.write_deadline = None;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            _ => {
+                self.discard(ctx);
+                return false;
+            }
+        }
+        if !self.out.is_empty() {
+            let due = Instant::now() + ctx.opts.write_timeout;
+            self.write_deadline.get_or_insert(due);
+            return false;
+        }
+        self.settle(ctx, true);
+        true
+    }
+
+    /// Empties `out` and settles the responses framed into it: no longer
+    /// pending, and their request latency observed if they were
+    /// `written`.
+    fn settle(&mut self, ctx: &Ctx<'a>, written: bool) {
+        let metrics = ctx.metrics;
+        metrics.outbox_pending.sub(self.unsettled.len() as u64);
+        for started in self.unsettled.drain(..).flatten().filter(|_| written) {
+            metrics
+                .request_us
+                .observe(started.elapsed().as_micros() as u64);
+        }
+        self.out.clear();
+        self.write_deadline = None;
+    }
+
+    /// The socket is dead, or its peer took nothing for the write
+    /// timeout: drop what waits and abandon every owed response.
+    fn discard(&mut self, ctx: &Ctx<'a>) {
+        self.settle(ctx, false);
+        self.outbox.kill();
+        self.closed = true;
     }
 }
 

@@ -373,7 +373,7 @@ fn submits(ids: std::ops::Range<u64>, batch: &[Program]) -> Vec<Request> {
         .collect()
 }
 
-/// The writer frames a whole ready prefix into one socket write, but a
+/// The reactor frames a whole ready prefix into one socket write, but a
 /// barrier still answers in its FIFO slot and is evaluated only after
 /// every earlier response went out: each `Synced.version` covers every
 /// commit acknowledged before it, and each `Stats` counts them.

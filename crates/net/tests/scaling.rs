@@ -1,17 +1,20 @@
 //! Connection-scaling tests for the multiplexed front door: thread
 //! cost must be O(pool), not O(connections); responses must be FIFO
-//! per connection for *every* request kind; and idle connections dying
-//! mid-serve must never cost an acknowledged commit.
+//! per connection for *every* request kind; idle connections dying
+//! mid-serve must never cost an acknowledged commit; a peer that stops
+//! reading must stall no other connection; and an idle server must
+//! sleep, not sweep.
 //!
-//! The thread-count assertions read `/proc/self/status`, so this suite
-//! is Linux-only; the tests serialize on a process-local gate because
-//! a concurrent test's server pool would pollute the count.
+//! The thread-count and wake-up assertions read `/proc/self`, so this
+//! suite is Linux-only; the tests serialize on a process-local gate
+//! because a concurrent test's server pool would pollute the count.
 #![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 use vpdt_net::{
     names, FramePoll, FrameReader, NetClient, NetOptions, NetServer, Request, Response,
     WireOutcome, PROTOCOL_VERSION,
@@ -81,7 +84,7 @@ fn thread_count() -> u64 {
 
 /// 128 idle connections plus 8 active pipelined clients must not grow
 /// the process thread count: connections are multiplexed over the
-/// fixed reactor/writer pools, not given threads of their own.
+/// fixed reactor pool, not given threads of their own.
 #[test]
 fn idle_connections_cost_no_threads() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -132,7 +135,6 @@ fn idle_connections_cost_no_threads() {
     let stats = probe.stats().expect("remote stats");
     for name in [
         names::NET_REACTOR_THREADS,
-        names::NET_WRITER_THREADS,
         names::NET_OUTBOX_PENDING,
         names::NET_CONNECTIONS,
     ] {
@@ -300,4 +302,120 @@ fn killing_idle_connections_loses_no_acked_commit() {
     }
     recovered.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two peers pipeline a Hello and 20,000 `Stats` each and never read a
+/// response, so their sockets fill and their responses wait. Only their
+/// own connections may wait: a third client connects and commits within
+/// seconds, not after the write timeout.
+#[test]
+fn a_peer_that_stops_reading_stalls_no_other_connection() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, thread) = spawn_server(None, NetOptions::default());
+    let mut requests = vec![Request::Hello {
+        version: PROTOCOL_VERSION,
+        client: "never-reads".into(),
+    }];
+    requests.extend(std::iter::repeat_n(Request::Stats, 20_000));
+    let mut stalled = Vec::new();
+    for _ in 0..2 {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+        // Bounded, so a server that stops reading fails the test below
+        // instead of hanging it here.
+        stream
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .expect("write timeout");
+        for req in &requests {
+            send_request(&mut stream, req);
+        }
+        stalled.push(stream);
+    }
+    std::thread::sleep(Duration::from_secs(3));
+
+    let started = Instant::now();
+    let mut bystander = NetClient::connect(handle.addr(), "bystander").expect("connects");
+    bystander
+        .submit_sync(&programs(53, 1)[0])
+        .expect("round trip");
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "a connect and one commit took {took:?} beside two peers that stopped reading"
+    );
+
+    bystander.goodbye().expect("orderly close");
+    drop(stalled);
+    handle.stop();
+    let report = thread.join().expect("serve thread");
+    assert_eq!(report.metrics.gauge(names::NET_CONNECTIONS), 0);
+    assert_eq!(report.metrics.gauge(names::NET_OUTBOX_PENDING), 0);
+}
+
+/// Voluntary context switches of this process's front-door threads
+/// (named `vpdt-net-*`), and how many such threads there are.
+fn net_thread_switches() -> (u64, usize) {
+    let (mut switches, mut threads) = (0, 0);
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let Ok(status) = std::fs::read_to_string(task.expect("task entry").path().join("status"))
+        else {
+            continue; // the thread exited meanwhile
+        };
+        let field = |name: &str| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix(name))
+                .map(str::trim)
+        };
+        if field("Name:").is_some_and(|n| n.starts_with("vpdt-net-")) {
+            threads += 1;
+            switches += field("voluntary_ctxt_switches:")
+                .and_then(|v| v.parse::<u64>().ok())
+                .expect("voluntary_ctxt_switches field");
+        }
+    }
+    (switches, threads)
+}
+
+/// With one connection open and no traffic, the accept loop and the
+/// reactors block in `poll` until there is work: over half a second
+/// they wake (nearly) never, where a sweeping front door wakes
+/// hundreds of times.
+#[test]
+fn an_idle_server_sleeps() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(11, RELS, UNIVERSE, 0.5);
+    let store = StoreBuilder::new(initial, alpha)
+        .workers(2)
+        .build()
+        .expect("server starts");
+    let net = NetServer::bind(store, "127.0.0.1:0", NetOptions::default()).expect("binds");
+    let handle = net.handle();
+    // The accept loop runs on the thread that calls `serve`: name it
+    // like the reactors, so the count covers it too.
+    let thread = std::thread::Builder::new()
+        .name("vpdt-net-serve".into())
+        .spawn(move || net.serve())
+        .expect("serve thread");
+
+    let mut client = NetClient::connect(handle.addr(), "idle").expect("connects");
+    client.submit_sync(&programs(61, 1)[0]).expect("round trip");
+    std::thread::sleep(Duration::from_millis(100));
+    let (before, threads) = net_thread_switches();
+    std::thread::sleep(Duration::from_millis(500));
+    let (after, _) = net_thread_switches();
+    assert!(
+        after - before <= 5,
+        "an idle front door woke {} times in 500 ms",
+        after - before
+    );
+    assert_eq!(
+        threads,
+        1 + NetOptions::default().reactor_threads,
+        "the accept thread and every reactor carry a vpdt-net- name"
+    );
+
+    client.goodbye().expect("orderly close");
+    handle.stop();
+    thread.join().expect("serve thread");
 }

@@ -75,10 +75,10 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time reading of a whole [`MetricsRegistry`]
-/// (crate::MetricsRegistry). Counter values are **lifetime totals** since
-/// registry creation; subtract two snapshots with [`delta`](Self::delta)
-/// for a windowed reading.
+/// A point-in-time reading of a whole
+/// [`MetricsRegistry`](crate::MetricsRegistry). Counter values are
+/// **lifetime totals** since registry creation; subtract two snapshots
+/// with [`delta`](Self::delta) for a windowed reading.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.

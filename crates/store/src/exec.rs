@@ -2,7 +2,7 @@
 //! door.
 //!
 //! The resident [`StoreServer`](crate::StoreServer) worker pool runs
-//! [`worker_loop`]: work items arrive from
+//! `worker_loop`: work items arrive from
 //! [`Session::submit`](crate::Session::submit) over an MPMC submission
 //! queue and each worker, per transaction:
 //!
@@ -15,7 +15,7 @@
 //! 3. on pass, applies the program operationally and offers the result to
 //!    [`VersionedStore::try_commit`]; a relation-footprint conflict loops
 //!    back to step 1 under the server's
-//!    [`RetryPolicy`](crate::RetryPolicy) (the guard re-evaluates in tens
+//!    [`RetryPolicy`] (the guard re-evaluates in tens
 //!    of microseconds; the compilation never re-runs). A conflict on a
 //!    relation held by a cross-shard prepare first blocks until the 2PC
 //!    decision releases it, and does not count as a retry.

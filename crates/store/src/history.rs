@@ -24,7 +24,7 @@
 //! appended, so [`History::commit_root`] never decodes.
 //!
 //! A history can be made *durable* by attaching a write-ahead log
-//! ([`History::attach_wal`], done by
+//! (`History::attach_wal`, done by
 //! [`StoreBuilder::persist`](crate::StoreBuilder::persist)): every event is
 //! then appended to disk inside the same critical section that appends it
 //! to memory — the very bytes just written to the arena are framed onto
@@ -34,7 +34,7 @@
 //! of the two-phase commit pipeline: `record` returns the record's log
 //! offset and does **not** fsync — the **durable** phase (the fsync, and
 //! only then the ticket resolution) belongs to the group-commit flusher
-//! ([`crate::wal::GroupCommitFlusher`]), which coalesces the fsyncs of all
+//! (`wal::GroupCommitFlusher`), which coalesces the fsyncs of all
 //! concurrently published commits into one. A failed log write is
 //! fail-stop: a store that can no longer write its log must not keep
 //! acknowledging, so `record` panics (poisoning the store) rather than

@@ -86,7 +86,7 @@
 //!   their tickets);
 //! * [`replay`] — the one replay kernel every recorded commit is
 //!   re-verified through, and crash recovery built on it;
-//! * [`audit`] — replays a history through the *rollback* path
+//! * [`audit`](mod@audit) — replays a history through the *rollback* path
 //!   ([`vpdt_core::safe::RuntimeChecked`]), checking that the commit order
 //!   is a gapless serialization, that `α` holds at every committed version,
 //!   and that the guard path and the check-and-rollback path agreed on
@@ -173,7 +173,7 @@ pub enum StoreError {
         error: EvalError,
     },
     /// The transaction kept losing footprint validation and exhausted its
-    /// [`RetryPolicy`](crate::RetryPolicy) conflict budget.
+    /// [`RetryPolicy`] conflict budget.
     RetriesExhausted {
         /// Conflict retries performed before giving up.
         retries: u32,
@@ -192,7 +192,7 @@ pub enum StoreError {
     /// The write-ahead log failed (I/O, damaged files, format mismatch) —
     /// surfaced when persistence is being established or checkpointed; a
     /// failure while *serving* is fail-stop instead (see
-    /// [`history`](crate::history)).
+    /// [`history`]).
     Wal(WalError),
     /// Recovery refused the on-disk state (divergence, bad provenance, a
     /// hash mismatch) — surfaced by

@@ -329,7 +329,7 @@ pub struct Recovered {
     /// The recovered store version.
     pub version: u64,
     /// FNV-1a hash of the recovered state's full encoding (the
-    /// [`state_hash`](crate::history::state_hash) self-check value).
+    /// [`state_hash`] self-check value).
     pub state_hash: u64,
     /// [Root hash](crate::history::root_hash) of the recovered state —
     /// matches the last durable commit's recorded `root_hash`.

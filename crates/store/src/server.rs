@@ -8,8 +8,8 @@
 //! spawns the workers. From then on the server owns the execution layer:
 //! the submission queue (an MPMC queue sessions feed), the versioned
 //! store, the guard cache, and the lifecycle. Clients hold
-//! [`Session`](crate::Session) handles and receive
-//! [`TxTicket`](crate::TxTicket)s; nobody owns a batch.
+//! [`Session`] handles and receive
+//! [`TxTicket`]s; nobody owns a batch.
 //!
 //! [`StoreServer::shutdown`] closes the queue, lets the workers drain every
 //! already-submitted transaction (outstanding tickets all resolve), joins

@@ -1,7 +1,7 @@
 //! Per-client sessions and transaction tickets.
 //!
 //! A [`Session`] is a client's handle onto a running
-//! [`StoreServer`](crate::StoreServer): it stamps each submission with the
+//! [`StoreServer`]: it stamps each submission with the
 //! session's id (recorded as provenance on the history's `Begin` events)
 //! and hands back a [`TxTicket`] immediately. The ticket is the client's
 //! half of a one-shot completion slot that resolves with the typed

@@ -695,7 +695,7 @@ impl ShardedStore {
     }
 
     /// Submits one program under `session` provenance: classifies its
-    /// footprint (syntactically — see [`classify`](Self::classify)), then
+    /// footprint (syntactically — see `classify`), then
     /// either enqueues it on its single owning shard (returning the
     /// ticket) or runs the cross-shard two-phase commit inline (returning
     /// the resolved outcome). The single-shard fast path adds no work the

@@ -21,7 +21,7 @@
 //!   **publish** phase, which fixes the serialization order on disk — but
 //!   the fsync happens outside it, in the **durable** phase: workers hand
 //!   their tickets (with the record's log offset) to a dedicated
-//!   [`GroupCommitFlusher`], whose one rule is: fsync what is pending,
+//!   `GroupCommitFlusher`, whose one rule is: fsync what is pending,
 //!   then resolve every ticket the fsync covers. A
 //!   [`TxTicket`](crate::TxTicket) therefore resolves only once its commit
 //!   record is on stable storage — the durability point of `wait` is
@@ -1012,7 +1012,7 @@ impl DurableLog {
 ///
 /// Since the metrics unification this is a *view*: the counters live on
 /// the server's [`MetricsRegistry`](vpdt_obs::MetricsRegistry) (names
-/// `store_wal_*`), and [`GroupCommitFlusher`] reconstructs this struct
+/// `store_wal_*`), and `GroupCommitFlusher` reconstructs this struct
 /// from them on demand. Values are lifetime totals for the owning server.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlushStats {

@@ -10,7 +10,7 @@
 //!   operations), its evaluator, the RA→FO compiler, and the transactions
 //!   `T₁` (diagonal) and `T₂` (complete loopless graph) from the
 //!   undecidability proof of Proposition 1;
-//! * [`program`] — first-order update programs in the style of Qian [32]:
+//! * [`program`] — first-order update programs in the style of Qian \[32\]:
 //!   inserts, conditional deletes/inserts, parallel assignment, sequencing
 //!   and conditionals. These compile to prerelations in `vpdt-core`;
 //! * [`template`] — prepared statements: [`template::canonicalize`] splits a

@@ -1,4 +1,4 @@
-//! First-order update programs — the transaction language of Qian [32]
+//! First-order update programs — the transaction language of Qian \[32\]
 //! as used by the paper (insertions, deletions, assignments, sequencing,
 //! conditionals), with direct operational semantics.
 //!

@@ -4,7 +4,7 @@
 //! a simple while loop language" in general program verification [6, 9];
 //! and Theorem B applies to *any* transaction language expressing
 //! transitive closure — in particular to this one, the classical
-//! `while`-language of Abiteboul–Vianu ([1], "while queries"): relation
+//! `while`-language of Abiteboul–Vianu (\[1\], "while queries"): relation
 //! variables, RA assignments, and a loop that runs until the state stops
 //! changing.
 

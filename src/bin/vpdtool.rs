@@ -195,9 +195,10 @@ fn run(args: &[String]) -> Result<(), String> {
                  also prints the N slowest transaction timelines (default 5); --remote\n           \
                  fetches the exposition from a running `vpdtool serve` over the wire\n  \
                  serve    --addr HOST:PORT [--persist DIR] [--recover] [--workers N] [--rels N]\n           \
-                 [--universe N] [--seed N] [--allow-shutdown]\n           \
-                 resident network front door: accept framed TCP sessions onto a store and\n           \
-                 serve until killed (or until a client sends Shutdown, with --allow-shutdown)\n  \
+                 [--universe N] [--seed N] [--reactors N] [--allow-shutdown]\n           \
+                 resident network front door: accept framed TCP sessions onto a store, each\n           \
+                 read and written by one of N reactor threads (default 2), and serve until\n           \
+                 killed (or until a client sends Shutdown, with --allow-shutdown)\n  \
                  net drive --addr ADDR [--clients N] [--txs N] [--seed N] [--rels N]\n           \
                  [--universe N] [--window N]\n           \
                  drive pipelined remote sessions against a running serve and report outcomes\n  \
@@ -579,7 +580,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let mut recover = false;
     let mut allow_shutdown = false;
     let mut reactors = 2usize;
-    let mut writers = 2usize;
     let mut i = 0;
     while i < args.len() {
         let flag = &args[i];
@@ -604,7 +604,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--seed" => seed = value.parse().map_err(|_| "bad --seed")?,
             "--persist" => persist = Some(value.clone()),
             "--reactors" => reactors = value.parse().map_err(|_| "bad --reactors")?,
-            "--writers" => writers = value.parse().map_err(|_| "bad --writers")?,
             other => return Err(format!("unknown flag {other}")),
         }
         i += 2;
@@ -649,17 +648,15 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         NetOptions {
             allow_remote_shutdown: allow_shutdown,
             reactor_threads: reactors,
-            writer_threads: writers,
             ..NetOptions::default()
         },
     )
     .map_err(|e| format!("bind {addr} failed: {e}"))?;
     println!(
-        "serving on {} ({} workers, {} reactors, {} writers, {} relations over universe {}{}{})",
+        "serving on {} ({} workers, {} reactors, {} relations over universe {}{}{})",
         net.local_addr(),
         workers,
         reactors.max(1),
-        writers.max(1),
         rels,
         universe,
         persist
