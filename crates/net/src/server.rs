@@ -24,7 +24,10 @@
 //! write, so a burst of outcomes wakes the client once. Bytes the socket
 //! does not take wait for `POLLOUT`; a peer that takes none for
 //! [`NetOptions::write_timeout`] loses its connection, and no other
-//! connection waits on it.
+//! connection waits on it. While ready responses back up behind such
+//! bytes (about [`MAX_FRAME_LEN`] of them, or a barrier), the reactor
+//! stops reading that connection's requests, so a peer that never reads
+//! holds a bounded outbox; reading resumes once the bytes drain.
 //!
 //! Since slots are reserved in request order and written in sequence
 //! order, responses on one connection arrive strictly in request order
@@ -416,10 +419,11 @@ fn reactor_loop<'a>(ctx: &Ctx<'a>, me: &Arc<Reactor>) {
     let (mut fds, mut tokens, mut flush) = (Vec::new(), Vec::new(), Vec::new());
     // One response's payload, reused across responses.
     let mut payload = Vec::new();
-    let mut backlog = false;
     loop {
         // Poll until something is ready, the earliest write deadline
-        // passes, or — with frames still buffered — not at all.
+        // passes, or — with frames still buffered where reading may go
+        // on — not at all.
+        let backlog = conns.values().any(|c| c.backlog && !c.backed_up);
         fds.clear();
         tokens.clear();
         fds.push(PollFd::new(me.waker.fd(), POLLIN));
@@ -436,12 +440,10 @@ fn reactor_loop<'a>(ctx: &Ctx<'a>, me: &Arc<Reactor>) {
 
         // Reads. Every connection read from is written next: what it
         // answered at once is stamped without posting.
-        backlog = false;
         for (fd, token) in fds[1..].iter().zip(&tokens) {
             let conn = conns.get_mut(token).expect("polled connections are live");
-            if fd.revents & READABLE != 0 || conn.backlog {
+            if (fd.revents & READABLE != 0 || conn.backlog) && !conn.backed_up {
                 conn.pump(ctx);
-                backlog |= conn.backlog;
                 flush.push(*token);
             } else if fd.revents & WRITABLE != 0 {
                 flush.push(*token);
@@ -741,6 +743,12 @@ struct Conn<'a> {
     /// While bytes wait: when the connection dies if the socket takes
     /// none of them.
     write_deadline: Option<Instant>,
+    /// Ready responses wait behind bytes the socket refused: `out` holds
+    /// [`MAX_FRAME_LEN`] or more, or a barrier waits for it to empty.
+    /// Reading pauses while this holds, so a peer that sends requests but
+    /// never reads their responses cannot grow the outbox without bound;
+    /// it resumes once the peer reads and `out` drains.
+    backed_up: bool,
     /// The outbox closed: once `out` is written, the connection retires.
     closed: bool,
 }
@@ -770,19 +778,21 @@ impl<'a> Conn<'a> {
             out: Vec::new(),
             unsettled: Vec::new(),
             write_deadline: None,
+            backed_up: false,
             closed: false,
         })
     }
 
-    /// What to poll this connection for: requests until it drains,
-    /// writability while bytes wait. With neither, it is left out (a
-    /// hang-up would otherwise be reported on every poll).
+    /// What to poll this connection for: requests until it drains or
+    /// backs up, writability while bytes wait. With neither, it is left
+    /// out (a hang-up would otherwise be reported on every poll).
     fn poll_fd(&self) -> PollFd {
-        let events = match (self.phase == ConnPhase::Draining, self.out.is_empty()) {
-            (true, true) => return PollFd::new(-1, 0),
-            (true, false) => POLLOUT,
-            (false, true) => POLLIN,
-            (false, false) => POLLIN | POLLOUT,
+        let reading = self.phase != ConnPhase::Draining && !self.backed_up;
+        let events = match (reading, self.out.is_empty()) {
+            (false, true) => return PollFd::new(-1, 0),
+            (false, false) => POLLOUT,
+            (true, true) => POLLIN,
+            (true, false) => POLLIN | POLLOUT,
         };
         PollFd::new(self.stream.as_raw_fd(), events)
     }
@@ -928,10 +938,16 @@ impl<'a> Conn<'a> {
     /// realized only once every byte framed before it was written —
     /// which is what makes it a barrier. Returns when nothing more is
     /// ready, or when the socket is full (the rest then waits for
-    /// `POLLOUT`).
+    /// `POLLOUT`, and if ready responses wait behind it, the connection is
+    /// [backed up](Conn::backed_up)).
     fn flush(&mut self, ctx: &Ctx<'a>, payload: &mut Vec<u8>) {
         loop {
-            while !self.closed && self.out.len() < MAX_FRAME_LEN as usize {
+            self.backed_up = false;
+            while !self.closed {
+                if self.out.len() >= MAX_FRAME_LEN as usize {
+                    self.backed_up = true;
+                    break;
+                }
                 match self.outbox.take(self.out.is_empty()) {
                     Take::Slot(slot) => {
                         payload.clear();
@@ -939,7 +955,11 @@ impl<'a> Conn<'a> {
                         frame_into(&mut self.out, payload);
                         self.unsettled.push(slot.started);
                     }
-                    Take::Barrier | Take::Idle => break,
+                    Take::Barrier => {
+                        self.backed_up = true;
+                        break;
+                    }
+                    Take::Idle => break,
                     Take::Closed => self.closed = true,
                 }
             }

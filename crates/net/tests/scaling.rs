@@ -307,7 +307,9 @@ fn killing_idle_connections_loses_no_acked_commit() {
 /// Two peers pipeline a Hello and 20,000 `Stats` each and never read a
 /// response, so their sockets fill and their responses wait. Only their
 /// own connections may wait: a third client connects and commits within
-/// seconds, not after the write timeout.
+/// seconds, not after the write timeout. And the server stops reading a
+/// peer whose responses back up, so the owed responses stay bounded
+/// instead of growing with every request the peer sends.
 #[test]
 fn a_peer_that_stops_reading_stalls_no_other_connection() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -317,17 +319,21 @@ fn a_peer_that_stops_reading_stalls_no_other_connection() {
         client: "never-reads".into(),
     }];
     requests.extend(std::iter::repeat_n(Request::Stats, 20_000));
+    let mut pipeline = Vec::new();
+    for req in &requests {
+        let mut payload = Vec::new();
+        req.encode(&mut payload);
+        vpdt_net::frame::write_frame(&mut pipeline, &payload).expect("request frame");
+    }
     let mut stalled = Vec::new();
     for _ in 0..2 {
         let mut stream = TcpStream::connect(handle.addr()).expect("connects");
-        // Bounded, so a server that stops reading fails the test below
-        // instead of hanging it here.
+        // The server pauses reading once this peer's responses back up,
+        // so the pipeline may not fit: send what the sockets take.
         stream
-            .set_write_timeout(Some(Duration::from_secs(10)))
+            .set_write_timeout(Some(Duration::from_secs(1)))
             .expect("write timeout");
-        for req in &requests {
-            send_request(&mut stream, req);
-        }
+        let _ = stream.write_all(&pipeline);
         stalled.push(stream);
     }
     std::thread::sleep(Duration::from_secs(3));
@@ -342,12 +348,61 @@ fn a_peer_that_stops_reading_stalls_no_other_connection() {
         took < Duration::from_secs(5),
         "a connect and one commit took {took:?} beside two peers that stopped reading"
     );
+    let pending = gauge(
+        &bystander.stats().expect("remote stats"),
+        names::NET_OUTBOX_PENDING,
+    );
+    assert!(
+        pending <= 256,
+        "two peers that never read hold {pending} owed responses"
+    );
 
     bystander.goodbye().expect("orderly close");
     drop(stalled);
     handle.stop();
     let report = thread.join().expect("serve thread");
     assert_eq!(report.metrics.gauge(names::NET_CONNECTIONS), 0);
+    assert_eq!(report.metrics.gauge(names::NET_OUTBOX_PENDING), 0);
+}
+
+/// A gauge's value in a Prometheus exposition.
+fn gauge(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("exposition carries {name}"))
+}
+
+/// A `NetClient` that queues a window of more than 64 KiB of requests
+/// before it reads a response writes part of it while the server already
+/// answers; pausing reads on a backed-up connection must not deadlock it.
+#[test]
+fn a_pipelined_window_past_64_kib_completes() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, thread) = spawn_server(None, NetOptions::default());
+    let mut client = NetClient::connect(handle.addr(), "wide-window").expect("connects");
+    let window = programs(71, 4_000);
+    let mut request_bytes = 0;
+    for program in &window {
+        let mut payload = Vec::new();
+        Request::Submit {
+            request_id: 0,
+            program: program.clone(),
+        }
+        .encode(&mut payload);
+        request_bytes += payload.len() + vpdt_net::FRAME_HEADER;
+        client.submit(program).expect("queues");
+    }
+    assert!(request_bytes > 64 * 1024, "the window is {request_bytes} B");
+    let mut outcomes = 0;
+    client
+        .sync(|_req, _tx, _outcome| outcomes += 1)
+        .expect("the window completes");
+    assert_eq!(outcomes, window.len());
+
+    client.goodbye().expect("orderly close");
+    handle.stop();
+    let report = thread.join().expect("serve thread");
     assert_eq!(report.metrics.gauge(names::NET_OUTBOX_PENDING), 0);
 }
 

@@ -129,6 +129,8 @@ impl Drop for WorkItem {
 struct QueueState {
     items: VecDeque<WorkItem>,
     closed: bool,
+    /// Workers parked in [`WorkQueue::pop`]'s condvar wait.
+    parked: usize,
 }
 
 /// The multi-producer/multi-consumer submission queue. A deliberately
@@ -138,6 +140,11 @@ struct QueueState {
 /// siblings the way a shared blocking `Receiver` behind a mutex would),
 /// and closing is explicit, which is what gives shutdown its
 /// drain-then-stop semantics.
+///
+/// Parked workers are counted under the lock, and a push signals the
+/// condvar only when one is parked: a notify is a futex syscall even with
+/// nobody waiting, and a busy worker finds the item on its next pop
+/// anyway.
 pub(crate) struct WorkQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
@@ -149,6 +156,7 @@ impl WorkQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             ready: Condvar::new(),
         }
@@ -167,8 +175,11 @@ impl WorkQueue {
             return Err(item);
         }
         state.items.push_back(item);
+        let parked = state.parked > 0;
         drop(state);
-        self.ready.notify_one();
+        if parked {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
@@ -190,7 +201,9 @@ impl WorkQueue {
             if state.closed {
                 return None;
             }
+            state.parked += 1;
             state = self.ready.wait(state).expect("work queue poisoned");
+            state.parked -= 1;
         }
     }
 }

@@ -4,14 +4,24 @@
 //! Guard compilation — a Δ per conjunct, with prerelations and `wpc` only
 //! as the fallback — is work worth sharing. Keyed by ground
 //! program, a binary-insert workload would compile O(universe²) entries
-//! sharing a handful of shapes, so this cache keys by the program's
-//! canonicalized [`Template`]: a lookup splits the ground program
-//! into `(shape, bindings)`, compiles the shape once (placeholder terms flow
-//! through the whole pipeline, see `vpdt_core::safe::compile_guard_template`),
-//! and instantiates the compiled guard per transaction by a cheap binding
-//! substitution. Compilation cost is O(statement shapes) — independent of
-//! the domain — and entries are bounded by an LRU budget with per-shape
-//! hit/compile statistics.
+//! sharing a handful of shapes, so this cache compiles per canonicalized
+//! [`Template`] (placeholder terms flow through the whole pipeline, see
+//! `vpdt_core::safe::compile_guard_template`) and instantiates the
+//! compiled guard per transaction by a cheap binding substitution.
+//! Compilation cost is O(statement shapes) — independent of the domain —
+//! and entries are bounded by an LRU budget with per-shape hit/compile
+//! statistics.
+//!
+//! A lookup does not canonicalize. Live entries are keyed by the ground
+//! program's [`fingerprint`] — a structural hash that skips constants,
+//! computed in one borrow-only walk that also collects the bindings — and
+//! each holds the first program seen with that fingerprint. A hit is that
+//! walk, one probe and one [`same_shape`] check against the entry's
+//! program, so a hash collision costs a miss, never a wrong shape. Only a
+//! miss runs [`canonicalize`]: the canonical key resolves the shape id in
+//! the registry, and a live compilation of the same template is reused, so
+//! alpha-variant spellings of one statement get one entry each but share
+//! one shape id and one compilation.
 //!
 //! The instantiated guard is the compilation's *fast* guard: per conjunct
 //! of `α` the shape can disturb, the Section 6 residue Δ where one is
@@ -29,13 +39,13 @@ use crate::metrics::names;
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, Weak};
 use vpdt_core::safe::{compile_guard_template, GuardCompilation};
 use vpdt_eval::Omega;
 use vpdt_logic::{Elem, Formula, Schema};
 use vpdt_obs::{Counter, MetricsRegistry};
 use vpdt_tx::program::Program;
-use vpdt_tx::template::{canonicalize, Template};
+use vpdt_tx::template::{canonicalize, fingerprint, same_shape, Template};
 
 /// Default LRU budget: comfortably above any realistic statement menu, low
 /// enough that a pathological shape flood (e.g. one-off `InsertWhere`
@@ -107,7 +117,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries removed by the LRU bound.
     pub evictions: u64,
-    /// Live compiled entries (≤ capacity).
+    /// Live entries, one per spelling of a shape (≤ capacity).
     pub entries: usize,
     /// Distinct statement shapes ever seen (never shrinks).
     pub shapes: usize,
@@ -118,7 +128,7 @@ pub struct CacheStats {
 pub struct ShapeStat {
     /// The shape id.
     pub id: u64,
-    /// The shape's cache key (its debug form).
+    /// The shape's canonical key (`Template::key`, the registry's key).
     pub key: String,
     /// Lookups of this shape served from cache.
     pub hits: u64,
@@ -137,16 +147,40 @@ pub struct ShapeStat {
 #[derive(Default)]
 struct Registry {
     by_key: HashMap<String, u64>,
-    templates: Vec<Template>,
-    /// Shared with every [`PreparedShape`] of the same id, so hits are
-    /// counted without taking the registry lock.
-    hits: Vec<Arc<AtomicU64>>,
-    compiles: Vec<AtomicU64>,
-    /// Fast-guard size per shape; 0 until first compiled.
-    fast_nodes: Vec<AtomicUsize>,
+    shapes: Vec<Known>,
 }
 
+/// One registered shape.
+struct Known {
+    template: Template,
+    /// Shared with every [`PreparedShape`] of this id, so hits are counted
+    /// without taking the registry lock.
+    hits: Arc<AtomicU64>,
+    compiles: AtomicU64,
+    /// Fast-guard size; 0 until first compiled.
+    fast_nodes: AtomicUsize,
+    /// The compilation while any cache entry (or prepared transaction)
+    /// still holds it: how a new spelling of a live shape finds it without
+    /// compiling again.
+    live: Weak<PreparedShape>,
+}
+
+impl Known {
+    fn new(template: Template) -> Self {
+        Known {
+            template,
+            hits: Arc::new(AtomicU64::new(0)),
+            compiles: AtomicU64::new(0),
+            fast_nodes: AtomicUsize::new(0),
+            live: Weak::new(),
+        }
+    }
+}
+
+/// One live entry: a ground program as first seen, and its compiled shape.
+/// Programs that differ from `program` only in constants hit it.
 struct Entry {
+    program: Program,
     shape: Arc<PreparedShape>,
     last_used: AtomicU64,
 }
@@ -158,7 +192,12 @@ pub struct GuardCache {
     alpha: Formula,
     omega: Omega,
     capacity: usize,
-    map: RwLock<HashMap<String, Entry>>,
+    /// Live entries bucketed by [`fingerprint`]; one per spelling of a
+    /// shape. A bucket holds more than one entry only on a hash collision
+    /// (the fingerprint is unkeyed, so a client can craft one; a lookup
+    /// then pays one [`same_shape`] check per entry in the bucket, at most
+    /// `capacity`).
+    map: RwLock<HashMap<u64, Vec<Entry>>>,
     registry: RwLock<Registry>,
     tick: AtomicU64,
     // Aggregate counters live on a MetricsRegistry (the server's, via
@@ -175,7 +214,7 @@ impl GuardCache {
         Self::with_capacity(schema, alpha, omega, DEFAULT_CAPACITY)
     }
 
-    /// An empty cache bounded to `capacity` live compilations (≥ 1),
+    /// An empty cache bounded to `capacity` live entries (≥ 1),
     /// counting on a private metrics registry.
     pub fn with_capacity(schema: Schema, alpha: Formula, omega: Omega, capacity: usize) -> Self {
         Self::with_metrics(schema, alpha, omega, capacity, &MetricsRegistry::new())
@@ -241,12 +280,18 @@ impl GuardCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            entries: self.map.read().expect("guard cache poisoned").len(),
+            entries: self
+                .map
+                .read()
+                .expect("guard cache poisoned")
+                .values()
+                .map(Vec::len)
+                .sum(),
             shapes: self
                 .registry
                 .read()
                 .expect("shape registry poisoned")
-                .templates
+                .shapes
                 .len(),
         }
     }
@@ -254,15 +299,14 @@ impl GuardCache {
     /// Per-shape hit/compile counters, ordered by shape id.
     pub fn per_shape_stats(&self) -> Vec<ShapeStat> {
         let reg = self.registry.read().expect("shape registry poisoned");
-        reg.templates
-            .iter()
-            .enumerate()
-            .map(|(i, t)| ShapeStat {
-                id: i as u64,
-                key: t.key(),
-                hits: reg.hits[i].load(Ordering::Relaxed),
-                compiles: reg.compiles[i].load(Ordering::Relaxed),
-                fast_nodes: Some(reg.fast_nodes[i].load(Ordering::Relaxed)).filter(|&n| n > 0),
+        (0u64..)
+            .zip(&reg.shapes)
+            .map(|(id, known)| ShapeStat {
+                id,
+                key: known.template.key(),
+                hits: known.hits.load(Ordering::Relaxed),
+                compiles: known.compiles.load(Ordering::Relaxed),
+                fast_nodes: Some(known.fast_nodes.load(Ordering::Relaxed)).filter(|&n| n > 0),
             })
             .collect()
     }
@@ -272,10 +316,9 @@ impl GuardCache {
     /// events, including shapes whose compilations were evicted.
     pub fn templates(&self) -> BTreeMap<u64, Template> {
         let reg = self.registry.read().expect("shape registry poisoned");
-        reg.templates
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i as u64, t.clone()))
+        (0u64..)
+            .zip(&reg.shapes)
+            .map(|(id, known)| (id, known.template.clone()))
             .collect()
     }
 
@@ -295,53 +338,87 @@ impl GuardCache {
         for (id, template) in templates {
             assert_eq!(
                 *id as usize,
-                reg.templates.len(),
+                reg.shapes.len(),
                 "recovered shape ids must be contiguous"
             );
             reg.by_key.insert(template.key(), *id);
-            reg.templates.push(template.clone());
-            reg.hits.push(Arc::new(AtomicU64::new(0)));
-            reg.compiles.push(AtomicU64::new(0));
-            reg.fast_nodes.push(AtomicUsize::new(0));
+            reg.shapes.push(Known::new(template.clone()));
         }
     }
 
-    /// Prepares `program`: canonicalizes it to `(shape, bindings)`, fetches
-    /// or compiles the shape, and instantiates the guard. Concurrent first
-    /// sights may compile redundantly; the cache keeps one winner. The
-    /// per-call cost on a hit is the canonicalization plus one guard-sized
-    /// substitution — independent of the domain and of the universe.
+    /// Prepares `program`: finds or compiles its statement shape and
+    /// instantiates the guard with the program's constants. Concurrent
+    /// first sights may compile redundantly; the cache keeps one winner.
+    ///
+    /// A hit costs one borrow-only walk of the program ([`fingerprint`]:
+    /// a structural hash plus the bindings), one hash-table probe, one
+    /// [`same_shape`] comparison against the entry's program, and one
+    /// guard-sized substitution — independent of the domain and of the
+    /// universe. Only a miss [`canonicalize`]s: it resolves the template to
+    /// its shape id, reuses a live compilation of the same template (an
+    /// alpha-variant spelling), or compiles one, and then remembers the
+    /// program under its fingerprint.
     pub fn get_or_compile(&self, program: &Program) -> Result<PreparedTx, StoreError> {
+        let print = match fingerprint(program) {
+            Some((print, bindings)) => match self.lookup(print, program) {
+                Some(shape) => return Ok(Self::prepared(shape, bindings, true)),
+                None => Some(print),
+            },
+            // A program with placeholders: `canonicalize` refuses it.
+            None => None,
+        };
         let (template, bindings) = canonicalize(program)?;
         let key = template.key();
-
-        let (shape, cache_hit) = if let Some(shape) = self.lookup(&key) {
-            (shape, true)
-        } else {
-            (self.compile_shape(&key, template)?, false)
+        let (shape, cache_hit) = match self.live(&key) {
+            Some(shape) => (shape, true),
+            None => (self.compile_shape(&key, template)?, false),
         };
+        if let Some(print) = print {
+            self.remember(print, program, &shape);
+        }
+        Ok(Self::prepared(shape, bindings, cache_hit))
+    }
 
+    fn prepared(shape: Arc<PreparedShape>, bindings: Vec<Elem>, cache_hit: bool) -> PreparedTx {
         let guard = shape.compiled.instantiate_fast(&bindings);
-        Ok(PreparedTx {
+        PreparedTx {
             shape,
             bindings,
             guard,
             cache_hit,
-        })
+        }
     }
 
-    fn lookup(&self, key: &str) -> Option<Arc<PreparedShape>> {
+    /// The hit path: the entry under `print` whose program has the same
+    /// shape as `program`.
+    fn lookup(&self, print: u64, program: &Program) -> Option<Arc<PreparedShape>> {
         let map = self.map.read().expect("guard cache poisoned");
-        let entry = map.get(key)?;
+        let entry = map
+            .get(&print)?
+            .iter()
+            .find(|e| same_shape(&e.program, program))?;
         entry.last_used.store(
             self.tick.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
+        Some(self.hit(&entry.shape))
+    }
+
+    fn hit(&self, shape: &Arc<PreparedShape>) -> Arc<PreparedShape> {
         self.hits.inc();
-        // Per-shape hit counter is shared into the entry's shape, so no
-        // registry lock is needed on the hot path.
-        entry.shape.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.shape))
+        // Per-shape hit counter is shared into the shape, so no registry
+        // lock is needed on the hot path.
+        shape.hits.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(shape)
+    }
+
+    /// A live compilation of the template keyed `key`, if some entry (or
+    /// prepared transaction) still holds one.
+    fn live(&self, key: &str) -> Option<Arc<PreparedShape>> {
+        let reg = self.registry.read().expect("shape registry poisoned");
+        let id = *reg.by_key.get(key)?;
+        let shape = reg.shapes[id as usize].live.upgrade()?;
+        Some(self.hit(&shape))
     }
 
     fn compile_shape(
@@ -355,12 +432,6 @@ impl GuardCache {
         // registered, so the registry only ever holds usable statements.
         let compiled =
             compile_guard_template("store", &template, &self.alpha, &self.schema, &self.omega)?;
-        let (id, hits) = self.register(key, &template);
-        {
-            let reg = self.registry.read().expect("shape registry poisoned");
-            reg.compiles[id as usize].fetch_add(1, Ordering::Relaxed);
-            reg.fast_nodes[id as usize].store(compiled.fast.size(), Ordering::Relaxed);
-        }
         let reads = if compiled.domain_independent {
             compiled.reads.clone()
         } else {
@@ -371,58 +442,65 @@ impl GuardCache {
                 .map(|(name, _)| name.to_string())
                 .collect()
         };
+
+        let mut reg = self.registry.write().expect("shape registry poisoned");
+        let id = match reg.by_key.get(key) {
+            Some(&id) => id,
+            None => {
+                let id = reg.shapes.len() as u64;
+                reg.by_key.insert(key.to_string(), id);
+                reg.shapes.push(Known::new(template.clone()));
+                id
+            }
+        };
+        let known = &mut reg.shapes[id as usize];
+        known.compiles.fetch_add(1, Ordering::Relaxed);
+        known
+            .fast_nodes
+            .store(compiled.fast.size(), Ordering::Relaxed);
+        if let Some(winner) = known.live.upgrade() {
+            // A concurrent first sight compiled it too; keep theirs.
+            return Ok(winner);
+        }
         let shape = Arc::new(PreparedShape {
             id,
             template,
             compiled,
             reads,
-            hits,
+            hits: Arc::clone(&known.hits),
         });
-
-        let mut map = self.map.write().expect("guard cache poisoned");
-        let winner = match map.entry(key.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(&e.get().shape),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Entry {
-                    shape: Arc::clone(&shape),
-                    last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-                });
-                shape
-            }
-        };
-        while map.len() > self.capacity {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-                .expect("map over capacity is non-empty");
-            map.remove(&oldest);
-            self.evictions.inc();
-        }
-        Ok(winner)
+        known.live = Arc::downgrade(&shape);
+        Ok(shape)
     }
 
-    /// Gets or assigns the permanent id of a shape; returns the id plus the
-    /// shared hit counter for the compiled shape to hold.
-    fn register(&self, key: &str, template: &Template) -> (u64, Arc<AtomicU64>) {
-        {
-            let reg = self.registry.read().expect("shape registry poisoned");
-            if let Some(&id) = reg.by_key.get(key) {
-                return (id, Arc::clone(&reg.hits[id as usize]));
+    /// Enters `program` under `print`, unless a concurrent first sight
+    /// already did, and evicts the least recently used entry if that puts
+    /// the cache over capacity.
+    fn remember(&self, print: u64, program: &Program, shape: &Arc<PreparedShape>) {
+        let mut map = self.map.write().expect("guard cache poisoned");
+        let bucket = map.entry(print).or_default();
+        if bucket.iter().any(|e| same_shape(&e.program, program)) {
+            return;
+        }
+        bucket.push(Entry {
+            program: program.clone(),
+            shape: Arc::clone(shape),
+            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
+        });
+        if map.values().map(Vec::len).sum::<usize>() > self.capacity {
+            let (oldest, at) = map
+                .iter()
+                .flat_map(|(&print, bucket)| (0..).zip(bucket).map(move |(at, e)| (print, at, e)))
+                .min_by_key(|(_, _, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(print, at, _)| (print, at))
+                .expect("a cache over capacity is non-empty");
+            let bucket = map.get_mut(&oldest).expect("just seen");
+            bucket.swap_remove(at);
+            if bucket.is_empty() {
+                map.remove(&oldest);
             }
+            self.evictions.inc();
         }
-        let mut reg = self.registry.write().expect("shape registry poisoned");
-        if let Some(&id) = reg.by_key.get(key) {
-            return (id, Arc::clone(&reg.hits[id as usize]));
-        }
-        let id = reg.templates.len() as u64;
-        let hits = Arc::new(AtomicU64::new(0));
-        reg.by_key.insert(key.to_string(), id);
-        reg.templates.push(template.clone());
-        reg.hits.push(Arc::clone(&hits));
-        reg.compiles.push(AtomicU64::new(0));
-        reg.fast_nodes.push(AtomicUsize::new(0));
-        (id, hits)
     }
 }
 
@@ -517,6 +595,62 @@ mod tests {
         );
         // identities survive eviction: every shape is still resolvable
         assert_eq!(c.templates().len(), 3);
+    }
+
+    /// Spellings that differ only in variable names get one entry each but
+    /// one shape id and one compilation: the miss path finds the live
+    /// compilation through the canonical key.
+    #[test]
+    fn alpha_variants_share_one_compilation() {
+        let c = cache();
+        let spelled = |u: &str, w: &str, a: u64, b: u64| Program::DeleteWhere {
+            rel: "E".into(),
+            vars: vec![vpdt_logic::Var::new(u), vpdt_logic::Var::new(w)],
+            cond: Formula::and([
+                Formula::eq(vpdt_logic::Term::var(u), vpdt_logic::Term::cst(a)),
+                Formula::eq(vpdt_logic::Term::var(w), vpdt_logic::Term::cst(b)),
+            ]),
+        };
+        let a = c
+            .get_or_compile(&spelled("d0", "d1", 1, 4))
+            .expect("compiles");
+        let b = c
+            .get_or_compile(&spelled("v0", "v1", 2, 5))
+            .expect("compiles");
+        let again = c
+            .get_or_compile(&spelled("v0", "v1", 3, 3))
+            .expect("compiles");
+        assert!(Arc::ptr_eq(&a.shape, &b.shape));
+        assert!(Arc::ptr_eq(&a.shape, &again.shape));
+        assert_eq!(b.bindings, vec![Elem(2), Elem(5)]);
+        assert!(!a.cache_hit && b.cache_hit && again.cache_hit);
+        let stats = c.cache_stats();
+        assert_eq!((stats.entries, stats.shapes), (2, 1));
+        assert_eq!(c.per_shape_stats()[0].compiles, 1);
+        assert_eq!(c.stats(), (2, 1));
+    }
+
+    /// An entry whose program has another shape, found under a program's
+    /// fingerprint (a hash collision), is passed over: the program gets an
+    /// entry of its own in the same bucket, and the right shape.
+    #[test]
+    fn a_fingerprint_collision_is_a_miss_not_a_wrong_shape() {
+        let c = cache();
+        let insert = Program::insert_consts("E", [1, 4]);
+        let delete = Program::delete_consts("E", [1, 4]);
+        let inserted = c.get_or_compile(&insert).expect("compiles");
+        let (print, _) = fingerprint(&delete).expect("ground");
+        c.remember(print, &insert, &inserted.shape);
+        for k in 0..3 {
+            let got = c
+                .get_or_compile(&Program::delete_consts("E", [k, 4]))
+                .expect("compiles");
+            assert!(!Arc::ptr_eq(&got.shape, &inserted.shape));
+            assert_eq!(got.shape.template, canonicalize(&delete).expect("ground").0);
+            assert_eq!(got.bindings, vec![Elem(k), Elem(4)]);
+        }
+        assert_eq!(c.per_shape_stats()[1].compiles, 1);
+        assert_eq!(c.cache_stats().entries, 3);
     }
 
     /// A client cannot smuggle placeholder terms into a submitted program:

@@ -63,8 +63,10 @@
 //!   store. Readers share immutable [`Snapshot`]s behind `Arc`; commits are
 //!   validated optimistically at *relation granularity*, so transactions
 //!   with disjoint footprints commit concurrently without interfering;
-//! * [`guard::GuardCache`] — canonicalizes each program into a prepared
-//!   statement (`vpdt_tx::template`: a constant-free *shape* plus bindings),
+//! * [`guard::GuardCache`] — splits each program into a prepared
+//!   statement (`vpdt_tx::template`: a constant-free *shape* plus bindings;
+//!   a cache hit matches the shape by a structural fingerprint and
+//!   canonicalizes only on a miss),
 //!   compiles each distinct **shape** once into a
 //!   [`vpdt_core::safe::GuardCompilation`] (the Section 6 Δ per conjunct,
 //!   `wpc` only where none applies), instantiates guards per

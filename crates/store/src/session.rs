@@ -61,6 +61,11 @@ type Completion = Box<dyn FnOnce(TxOutcome) + Send>;
 struct SlotState {
     phase: Phase,
     completion: Option<Completion>,
+    /// Threads blocked in [`TicketState::wait`]. [`TicketState::resolve`]
+    /// signals the condvar only when there is one: a notify is a futex
+    /// syscall even with nobody waiting, and most tickets resolve before
+    /// anyone waits on them, or are never waited on at all.
+    waiters: usize,
 }
 
 impl fmt::Debug for SlotState {
@@ -68,6 +73,7 @@ impl fmt::Debug for SlotState {
         f.debug_struct("SlotState")
             .field("phase", &self.phase)
             .field("completion", &self.completion.is_some())
+            .field("waiters", &self.waiters)
             .finish()
     }
 }
@@ -95,7 +101,9 @@ impl TicketState {
                 "a ticket resolves exactly once"
             );
             slot.phase = Phase::Done(outcome.clone());
-            self.done.notify_all();
+            if slot.waiters > 0 {
+                self.done.notify_all();
+            }
             slot.completion.take()
         };
         if let Some(completion) = completion {
@@ -164,7 +172,9 @@ impl TicketState {
             if let Phase::Done(outcome) = &slot.phase {
                 return outcome.clone();
             }
+            slot.waiters += 1;
             slot = self.done.wait(slot).expect("ticket lock poisoned");
+            slot.waiters -= 1;
         }
     }
 

@@ -170,6 +170,321 @@ pub fn canonicalize(p: &Program) -> Result<(Template, Vec<Elem>), TxError> {
     ))
 }
 
+/// The fast half of a cache lookup: a structural hash of `p` that ignores
+/// its constants, plus the constants themselves — in the order
+/// [`canonicalize`] lifts them — walked by reference with no intermediate
+/// program.
+///
+/// Element constants ([`Term::Const`]) and numeric literals
+/// ([`NumTerm::Lit`]) are left out of the hash and collected as the
+/// bindings; everything else — statement kinds, relation, function and
+/// predicate names, connectives, and variable names as spelled — is
+/// hashed. Two programs that differ only in constants therefore hash
+/// alike, and [`same_shape`] confirms it. They also canonicalize to one
+/// template, because `canonicalize` never branches on a constant's value:
+/// for such a pair `canonicalize(p).1` equals the bindings returned here.
+/// Alpha-variants hash apart; a cache keyed by this hash holds one entry
+/// per spelling, which [`canonicalize`] on the miss path ties to one shape.
+///
+/// Returns `None` when `p` contains a placeholder: such programs must reach
+/// `canonicalize`, which refuses them.
+pub fn fingerprint(p: &Program) -> Option<(u64, Vec<Elem>)> {
+    let mut walk = ShapeWalk {
+        hash: ShapeHasher::default(),
+        bindings: Vec::new(),
+    };
+    walk.program(p)?;
+    Some((walk.hash.0, walk.bindings))
+}
+
+/// Whether `a` and `b` have the same shape: structurally equal, with any
+/// two element constants (and any two numeric literals) treated as equal.
+/// Variable names must match as spelled — this is the check that makes a
+/// [`fingerprint`] collision cost a cache miss, never a wrong shape.
+pub fn same_shape(a: &Program, b: &Program) -> bool {
+    use Program as P;
+    match (a, b) {
+        (P::Skip, P::Skip) => true,
+        (P::Insert { rel, tuple }, P::Insert { rel: r, tuple: t }) => {
+            rel == r && same_terms(tuple, t)
+        }
+        (
+            P::DeleteWhere { rel, vars, cond },
+            P::DeleteWhere {
+                rel: r,
+                vars: v,
+                cond: c,
+            },
+        )
+        | (
+            P::InsertWhere { rel, vars, cond },
+            P::InsertWhere {
+                rel: r,
+                vars: v,
+                cond: c,
+            },
+        )
+        | (
+            P::Assign {
+                rel,
+                vars,
+                body: cond,
+            },
+            P::Assign {
+                rel: r,
+                vars: v,
+                body: c,
+            },
+        ) => rel == r && vars == v && same_formula(cond, c),
+        (P::Seq(ps), P::Seq(qs)) => {
+            ps.len() == qs.len() && ps.iter().zip(qs).all(|(p, q)| same_shape(p, q))
+        }
+        (
+            P::If {
+                cond,
+                then_p,
+                else_p,
+            },
+            P::If {
+                cond: c,
+                then_p: t,
+                else_p: e,
+            },
+        ) => same_formula(cond, c) && same_shape(then_p, t) && same_shape(else_p, e),
+        _ => false,
+    }
+}
+
+fn same_terms(a: &[Term], b: &[Term]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(s, t)| same_term(s, t))
+}
+
+fn same_term(a: &Term, b: &Term) -> bool {
+    match (a, b) {
+        (Term::Const(_), Term::Const(_)) => true,
+        (Term::Var(x), Term::Var(y)) => x == y,
+        (Term::App(f, xs), Term::App(g, ys)) => f == g && same_terms(xs, ys),
+        _ => false,
+    }
+}
+
+fn same_num(a: &NumTerm, b: &NumTerm) -> bool {
+    matches!((a, b), (NumTerm::Lit(_), NumTerm::Lit(_))) || a == b
+}
+
+fn same_formula(a: &Formula, b: &Formula) -> bool {
+    use Formula as F;
+    match (a, b) {
+        (F::True, F::True) | (F::False, F::False) => true,
+        (F::Rel(r, ts), F::Rel(s, us)) => r == s && same_terms(ts, us),
+        (F::Pred(p, ts), F::Pred(q, us)) => p == q && same_terms(ts, us),
+        (F::Eq(a1, a2), F::Eq(b1, b2)) => same_term(a1, b1) && same_term(a2, b2),
+        (F::Not(g), F::Not(h)) => same_formula(g, h),
+        (F::And(gs), F::And(hs)) | (F::Or(gs), F::Or(hs)) => {
+            gs.len() == hs.len() && gs.iter().zip(hs).all(|(g, h)| same_formula(g, h))
+        }
+        (F::Implies(a1, a2), F::Implies(b1, b2)) | (F::Iff(a1, a2), F::Iff(b1, b2)) => {
+            same_formula(a1, b1) && same_formula(a2, b2)
+        }
+        (F::Exists(v, g), F::Exists(w, h))
+        | (F::Forall(v, g), F::Forall(w, h))
+        | (F::NumExists(v, g), F::NumExists(w, h))
+        | (F::NumForall(v, g), F::NumForall(w, h)) => v == w && same_formula(g, h),
+        (F::CountGe(i, v, g), F::CountGe(j, w, h)) => {
+            same_num(i, j) && v == w && same_formula(g, h)
+        }
+        (F::NumLe(a1, a2), F::NumLe(b1, b2))
+        | (F::NumEq(a1, a2), F::NumEq(b1, b2))
+        | (F::Bit(a1, a2), F::Bit(b1, b2)) => same_num(a1, b1) && same_num(a2, b2),
+        _ => false,
+    }
+}
+
+/// A small Fx-style hasher for [`fingerprint`], written here so the hash
+/// needs no dependency: one rotate, xor and multiply per word.
+#[derive(Default)]
+struct ShapeHasher(u64);
+
+impl ShapeHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// The state of one [`fingerprint`] walk. It visits term positions in the
+/// order [`map_program_terms`] and `map_terms_full` rewrite them, so the
+/// bindings come out in `canonicalize`'s lifting order. Each node hashes a
+/// distinct tag first, so differently nested programs hash apart.
+struct ShapeWalk {
+    hash: ShapeHasher,
+    bindings: Vec<Elem>,
+}
+
+impl ShapeWalk {
+    fn program(&mut self, p: &Program) -> Option<()> {
+        match p {
+            Program::Skip => self.hash.word(0),
+            Program::Insert { rel, tuple } => {
+                self.hash.word(1);
+                self.hash.str(rel);
+                self.terms(tuple)?;
+            }
+            Program::DeleteWhere { rel, vars, cond } => self.statement(2, rel, vars, cond)?,
+            Program::InsertWhere { rel, vars, cond } => self.statement(3, rel, vars, cond)?,
+            Program::Assign { rel, vars, body } => self.statement(4, rel, vars, body)?,
+            Program::Seq(ps) => {
+                self.hash.word(5);
+                self.hash.word(ps.len() as u64);
+                for q in ps {
+                    self.program(q)?;
+                }
+            }
+            Program::If {
+                cond,
+                then_p,
+                else_p,
+            } => {
+                self.hash.word(6);
+                self.formula(cond)?;
+                self.program(then_p)?;
+                self.program(else_p)?;
+            }
+        }
+        Some(())
+    }
+
+    fn statement(&mut self, tag: u64, rel: &str, vars: &[Var], cond: &Formula) -> Option<()> {
+        self.hash.word(tag);
+        self.hash.str(rel);
+        self.hash.word(vars.len() as u64);
+        for v in vars {
+            self.hash.str(v.name());
+        }
+        self.formula(cond)
+    }
+
+    fn terms(&mut self, ts: &[Term]) -> Option<()> {
+        self.hash.word(ts.len() as u64);
+        ts.iter().try_for_each(|t| self.term(t))
+    }
+
+    fn term(&mut self, t: &Term) -> Option<()> {
+        match t {
+            Term::Var(v) => {
+                self.hash.word(10);
+                self.hash.str(v.name());
+            }
+            Term::Const(e) => {
+                self.hash.word(11);
+                self.bindings.push(*e);
+            }
+            Term::App(f, args) => {
+                if t.as_param().is_some() {
+                    return None;
+                }
+                self.hash.word(12);
+                self.hash.str(f.name());
+                self.terms(args)?;
+            }
+        }
+        Some(())
+    }
+
+    fn num(&mut self, t: &NumTerm) -> Option<()> {
+        match t {
+            NumTerm::Var(v) => {
+                self.hash.word(20);
+                self.hash.str(v.name());
+            }
+            NumTerm::One => self.hash.word(21),
+            NumTerm::Max => self.hash.word(22),
+            NumTerm::Lit(n) => {
+                self.hash.word(23);
+                self.bindings.push(Elem(*n));
+            }
+            NumTerm::Param(_) => return None,
+        }
+        Some(())
+    }
+
+    fn formula(&mut self, f: &Formula) -> Option<()> {
+        match f {
+            Formula::True => self.hash.word(30),
+            Formula::False => self.hash.word(31),
+            Formula::Rel(name, ts) => {
+                self.hash.word(32);
+                self.hash.str(name);
+                self.terms(ts)?;
+            }
+            Formula::Pred(p, ts) => {
+                self.hash.word(33);
+                self.hash.str(p.name());
+                self.terms(ts)?;
+            }
+            Formula::Eq(a, b) => {
+                self.hash.word(34);
+                self.term(a)?;
+                self.term(b)?;
+            }
+            Formula::Not(g) => {
+                self.hash.word(35);
+                self.formula(g)?;
+            }
+            Formula::And(gs) => self.junction(36, gs)?,
+            Formula::Or(gs) => self.junction(37, gs)?,
+            Formula::Implies(a, b) => self.pair(38, a, b)?,
+            Formula::Iff(a, b) => self.pair(39, a, b)?,
+            Formula::Exists(v, g) => self.binder(40, v, g)?,
+            Formula::Forall(v, g) => self.binder(41, v, g)?,
+            Formula::NumExists(v, g) => self.binder(42, v, g)?,
+            Formula::NumForall(v, g) => self.binder(43, v, g)?,
+            Formula::CountGe(i, v, g) => {
+                // `map_terms_full` rewrites the bound before the body.
+                self.hash.word(44);
+                self.num(i)?;
+                self.binder(44, v, g)?;
+            }
+            Formula::NumLe(a, b) => self.nums(45, a, b)?,
+            Formula::NumEq(a, b) => self.nums(46, a, b)?,
+            Formula::Bit(a, b) => self.nums(47, a, b)?,
+        }
+        Some(())
+    }
+
+    fn junction(&mut self, tag: u64, gs: &[Formula]) -> Option<()> {
+        self.hash.word(tag);
+        self.hash.word(gs.len() as u64);
+        gs.iter().try_for_each(|g| self.formula(g))
+    }
+
+    fn pair(&mut self, tag: u64, a: &Formula, b: &Formula) -> Option<()> {
+        self.hash.word(tag);
+        self.formula(a)?;
+        self.formula(b)
+    }
+
+    fn binder(&mut self, tag: u64, v: &Var, g: &Formula) -> Option<()> {
+        self.hash.word(tag);
+        self.hash.str(v.name());
+        self.formula(g)
+    }
+
+    fn nums(&mut self, tag: u64, a: &NumTerm, b: &NumTerm) -> Option<()> {
+        self.hash.word(tag);
+        self.num(a)?;
+        self.num(b)
+    }
+}
+
 /// Canonically renames the program's variables: statement binders become
 /// `v0, v1, …` positionally, quantified variables in every condition
 /// formula become `b0, b1, …` by nesting depth (via
@@ -660,6 +975,114 @@ mod tests {
         assert_eq!(t.shape().touched_relations(), p.touched_relations());
         assert_eq!(t.shape().read_relations(), p.read_relations());
         assert_eq!(t.shape().enumerates_domain(), p.enumerates_domain());
+    }
+
+    /// The borrow-only walk collects exactly `canonicalize`'s bindings,
+    /// in its lifting order, and hashes programs that differ only in
+    /// constants alike.
+    #[test]
+    fn fingerprint_agrees_with_canonicalize() {
+        let guarded = |n: u64, e: u64, name: &str| Program::If {
+            cond: Formula::count_ge(
+                NumTerm::Lit(n),
+                name,
+                Formula::rel("E", [Term::var(name), Term::cst(e)]),
+            ),
+            then_p: Box::new(Program::delete_consts("E", [e, e])),
+            else_p: Box::new(Program::Insert {
+                rel: "E".into(),
+                tuple: vec![Term::cst(1u64), Term::app("succ", [Term::cst(e)])],
+            }),
+        };
+        let programs = [
+            Program::Skip,
+            Program::insert_consts("E", [3, 3]),
+            Program::delete_consts("E", [0, 7]),
+            Program::seq([
+                Program::insert_consts("E", [1, 2]),
+                Program::delete_consts("F", [3, 4]),
+            ]),
+            guarded(2, 4, "x"),
+            Program::DeleteWhere {
+                rel: "E".into(),
+                vars: vec![Var::new("x"), Var::new("y")],
+                cond: Formula::and([
+                    Formula::NumLe(NumTerm::One, NumTerm::Max),
+                    Formula::NumEq(NumTerm::Lit(3), NumTerm::Lit(3)),
+                    Formula::eq(Term::var("y"), Term::cst(8u64)),
+                ]),
+            },
+        ];
+        for p in &programs {
+            let (_, bindings) = canonicalize(p).expect("canonicalizes");
+            let (_, fast) = fingerprint(p).expect("ground");
+            assert_eq!(fast, bindings, "{p:?}");
+            assert!(same_shape(p, p));
+        }
+        let (a, _) = fingerprint(&guarded(2, 4, "x")).expect("ground");
+        let (b, bb) = fingerprint(&guarded(9, 5, "x")).expect("ground");
+        assert_eq!(a, b, "constants do not enter the hash");
+        assert_eq!(
+            bb,
+            vec![Elem(9), Elem(5), Elem(5), Elem(5), Elem(1), Elem(5)]
+        );
+        assert!(same_shape(&guarded(2, 4, "x"), &guarded(9, 5, "x")));
+        // an alpha-variant is another spelling: it hashes apart
+        let (c, _) = fingerprint(&guarded(2, 4, "q")).expect("ground");
+        assert_ne!(a, c);
+        assert!(!same_shape(&guarded(2, 4, "x"), &guarded(2, 4, "q")));
+    }
+
+    /// `same_shape` tells statement kinds, relations, connectives and
+    /// constant-versus-variable positions apart.
+    #[test]
+    fn same_shape_distinguishes_structure() {
+        let shapes = [
+            Program::insert_consts("E", [3, 4]),
+            Program::insert_consts("F", [3, 4]),
+            Program::delete_consts("E", [3, 4]),
+            Program::Insert {
+                rel: "E".into(),
+                tuple: vec![Term::cst(3u64), Term::app("succ", [Term::cst(4u64)])],
+            },
+            Program::seq([Program::insert_consts("E", [3, 4])]),
+            Program::seq([Program::insert_consts("E", [3, 4]), Program::Skip]),
+            Program::DeleteWhere {
+                rel: "E".into(),
+                vars: vec![Var::new("d0"), Var::new("d1")],
+                cond: Formula::eq(Term::var("d0"), Term::var("d1")),
+            },
+            Program::DeleteWhere {
+                rel: "E".into(),
+                vars: vec![Var::new("d0"), Var::new("d1")],
+                cond: Formula::eq(Term::var("d0"), Term::cst(1u64)),
+            },
+        ];
+        for (i, p) in shapes.iter().enumerate() {
+            for (j, q) in shapes.iter().enumerate() {
+                assert_eq!(same_shape(p, q), i == j, "{p:?} vs {q:?}");
+                let (hp, _) = fingerprint(p).expect("ground");
+                let (hq, _) = fingerprint(q).expect("ground");
+                assert_eq!(hp == hq, i == j, "{p:?} vs {q:?}");
+            }
+        }
+    }
+
+    /// Programs with placeholders do not fingerprint: they must reach
+    /// `canonicalize`, which refuses them.
+    #[test]
+    fn placeholders_do_not_fingerprint() {
+        let nested = Program::Insert {
+            rel: "E".into(),
+            tuple: vec![Term::cst(1u64), Term::app("succ", [Term::param(0)])],
+        };
+        assert!(fingerprint(&nested).is_none());
+        let num = Program::DeleteWhere {
+            rel: "E".into(),
+            vars: vec![Var::new("x"), Var::new("y")],
+            cond: Formula::NumLe(NumTerm::Param(0), NumTerm::Max),
+        };
+        assert!(fingerprint(&num).is_none());
     }
 
     #[test]

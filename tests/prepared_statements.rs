@@ -8,12 +8,13 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vpdt::core::safe::{compile_guard, exact_wpc};
 use vpdt::eval::{holds, Omega};
+use vpdt::logic::formula::NumTerm;
 use vpdt::logic::subst::instantiate_params;
-use vpdt::logic::{Elem, Formula, Schema};
-use vpdt::store::{audit, workload, Event, StoreBuilder, TxOutcome};
+use vpdt::logic::{Elem, Formula, Schema, Term, Var};
+use vpdt::store::{audit, workload, Event, GuardCache, StoreBuilder, TxOutcome};
 use vpdt::structure::Database;
 use vpdt::tx::program::{Program, ProgramTransaction};
-use vpdt::tx::template::canonicalize;
+use vpdt::tx::template::{canonicalize, fingerprint};
 use vpdt::tx::traits::Transaction;
 
 fn schema2() -> Schema {
@@ -110,6 +111,223 @@ proptest! {
                 prop_assert_eq!(fast_template, fast_ground, "fast guards diverge on {:?}", db);
                 prop_assert_eq!(fast_template, truth, "accept/abort decision wrong on {:?}", db);
             }
+        }
+    }
+}
+
+/// Builds a random program over {E, F} from three independent inputs: the
+/// `structure` seed picks statements, connectives and relations; the
+/// `consts` seed picks every element constant and numeric literal (from a
+/// small range, so constants repeat); `names` spells the three variables.
+/// Nesting stays one level deep (an `If` or `Seq` of single statements):
+/// deeper conditionals take the guard compiler seconds.
+/// Programs equal in `structure` are one shape; equal in `structure` and
+/// `names`, they differ only in constants. With `poison = Some(k)`, the
+/// `k`-th constant becomes a placeholder instead.
+struct ProgramGen {
+    structure: u64,
+    consts: u64,
+    names: [&'static str; 3],
+    poison: Option<usize>,
+    drawn: usize,
+}
+
+fn xorshift(z: &mut u64) -> u64 {
+    *z ^= *z << 13;
+    *z ^= *z >> 7;
+    *z ^= *z << 17;
+    *z
+}
+
+impl ProgramGen {
+    fn new(structure: u64, consts: u64, names: [&'static str; 3], poison: Option<usize>) -> Self {
+        ProgramGen {
+            structure: structure.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            consts: consts.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1,
+            names,
+            poison,
+            drawn: 0,
+        }
+    }
+
+    fn pick(&mut self, n: u64) -> u64 {
+        xorshift(&mut self.structure) % n
+    }
+
+    /// Whether the next constant is the poisoned one (and counts it).
+    fn poisoned(&mut self) -> bool {
+        self.drawn += 1;
+        self.poison == Some(self.drawn - 1)
+    }
+
+    fn elem(&mut self) -> Term {
+        let value = xorshift(&mut self.consts) % 3;
+        if self.poisoned() {
+            Term::param(0)
+        } else {
+            Term::cst(value)
+        }
+    }
+
+    fn lit(&mut self) -> NumTerm {
+        let value = 1 + xorshift(&mut self.consts) % 3;
+        if self.poisoned() {
+            NumTerm::Param(0)
+        } else {
+            NumTerm::Lit(value)
+        }
+    }
+
+    fn rel(&mut self) -> &'static str {
+        ["E", "F"][self.pick(2) as usize]
+    }
+
+    fn var(&self, i: usize) -> Term {
+        Term::var(self.names[i])
+    }
+
+    /// A condition over the two statement variables.
+    fn condition(&mut self) -> Formula {
+        let (x, y) = (self.var(0), self.var(1));
+        match self.pick(3) {
+            0 => Formula::and([Formula::eq(x, self.elem()), Formula::eq(y, self.elem())]),
+            1 => {
+                let rel = self.rel();
+                let z = self.names[2];
+                Formula::and([
+                    Formula::eq(y, self.elem()),
+                    Formula::exists(
+                        z,
+                        Formula::and([
+                            Formula::rel(rel, [x, Term::var(z)]),
+                            Formula::neq(Term::var(z), self.elem()),
+                        ]),
+                    ),
+                ])
+            }
+            _ => {
+                let rel = self.rel();
+                Formula::and([
+                    Formula::NumLe(self.lit(), NumTerm::Max),
+                    Formula::rel(rel, [x.clone(), y]),
+                    Formula::eq(x, self.elem()),
+                ])
+            }
+        }
+    }
+
+    /// A sentence for an `If`: a counting or an existential test.
+    fn sentence(&mut self) -> Formula {
+        let rel = self.rel();
+        let z = self.names[2];
+        if self.pick(2) == 0 {
+            let bound = self.lit();
+            Formula::count_ge(bound, z, Formula::rel(rel, [Term::var(z), self.elem()]))
+        } else {
+            Formula::exists(z, Formula::rel(rel, [self.elem(), Term::var(z)]))
+        }
+    }
+
+    fn program(&mut self, depth: u32) -> Program {
+        match self.pick(if depth == 0 { 2 } else { 4 }) {
+            0 => {
+                let rel = self.rel();
+                Program::Insert {
+                    rel: rel.into(),
+                    tuple: vec![self.elem(), self.elem()],
+                }
+            }
+            1 => {
+                let rel = self.rel();
+                Program::DeleteWhere {
+                    rel: rel.into(),
+                    vars: vec![Var::new(self.names[0]), Var::new(self.names[1])],
+                    cond: self.condition(),
+                }
+            }
+            2 => Program::seq([self.program(depth - 1), self.program(depth - 1)]),
+            _ => Program::If {
+                cond: self.sentence(),
+                then_p: Box::new(self.program(depth - 1)),
+                else_p: Box::new(self.program(depth - 1)),
+            },
+        }
+    }
+}
+
+/// A cache whose constraint constrains only `G`, which the random
+/// programs never touch: every guard compiles to `true` at once, so the
+/// property below exercises the lookup, not the guard compiler (which
+/// the property above covers).
+fn lookup_cache() -> GuardCache {
+    GuardCache::new(
+        Schema::new([("E", 2), ("F", 2), ("G", 2)]),
+        vpdt::logic::parse_formula("forall x y z. G(x, y) & G(x, z) -> y = z").expect("parses"),
+        Omega::empty(),
+    )
+}
+
+fn random_program(
+    structure: u64,
+    consts: u64,
+    names: [&'static str; 3],
+    poison: Option<usize>,
+) -> Program {
+    ProgramGen::new(structure, consts, names, poison).program(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cache's fast lookup agrees with `canonicalize` over random
+    /// programs with `If`, `Seq`, counting literals, repeated constants and
+    /// alpha-variant spellings: the same bindings, the shape id the
+    /// registry holds for the canonical template, one compilation per
+    /// shape however it is spelled, and placeholders still refused.
+    #[test]
+    fn fast_lookup_agrees_with_canonicalize(structure in 0u64..1_000_000, c1 in 0u64..1_000_000, c2 in 0u64..1_000_000) {
+        let cache = lookup_cache();
+        let spelled = random_program(structure, c1, ["x", "y", "z"], None);
+        let programs = [
+            spelled.clone(),
+            // the same spelling with other constants: a hit on its entry
+            random_program(structure, c2, ["x", "y", "z"], None),
+            // an alpha-variant: its own entry, the same compilation
+            random_program(structure, c2, ["p", "q", "r"], None),
+            // the first program again
+            spelled,
+        ];
+        let mut ids = Vec::new();
+        for program in &programs {
+            let (template, bindings) = canonicalize(program).expect("canonicalizes");
+            let (_, fast) = fingerprint(program).expect("a ground program fingerprints");
+            prop_assert_eq!(&fast, &bindings, "fingerprint bindings of {:?}", program);
+            // Some shapes have no guard (a counting condition before a
+            // later step); that is decided by the shape, for every spelling.
+            let Ok(prepared) = cache.get_or_compile(program) else {
+                ids.push(None);
+                continue;
+            };
+            prop_assert_eq!(&prepared.bindings, &bindings);
+            prop_assert_eq!(&cache.templates()[&prepared.shape.id], &template);
+            prop_assert_eq!(&prepared.shape.template, &template);
+            ids.push(Some(prepared.shape.id));
+        }
+        prop_assert!(ids.iter().all(|&id| id == ids[0]), "one shape: {:?}", ids);
+        let stats = cache.per_shape_stats();
+        if ids[0].is_some() {
+            prop_assert_eq!(stats.len(), 1);
+            prop_assert_eq!(stats[0].compiles, 1, "alpha-variants share one compilation");
+            prop_assert_eq!(cache.stats(), (3, 1));
+        } else {
+            prop_assert_eq!(stats.len(), 0, "a shape that does not compile is not registered");
+        }
+
+        let constants = canonicalize(&programs[0]).expect("canonicalizes").1.len();
+        if constants > 0 {
+            let poisoned = random_program(structure, c1, ["x", "y", "z"], Some(c2 as usize % constants));
+            prop_assert!(fingerprint(&poisoned).is_none());
+            prop_assert!(cache.get_or_compile(&poisoned).is_err(), "placeholder accepted in {:?}", poisoned);
         }
     }
 }
