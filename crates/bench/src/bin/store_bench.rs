@@ -859,7 +859,6 @@ fn run(cfg: Config) -> Result<bool, String> {
     // full from-genesis cold audit, which retention's checkpoint-time gc
     // would (correctly, but unhelpfully here) shorten.
     let persisted_opts = WalOptions {
-        fsync_commits: true,
         retain_segments: true,
         ..WalOptions::default()
     };
@@ -1199,7 +1198,6 @@ fn run(cfg: Config) -> Result<bool, String> {
         };
         let _ = std::fs::remove_dir_all(&sharded_dir);
         let sharded_opts = WalOptions {
-            fsync_commits: true,
             retain_segments: true,
             ..WalOptions::default()
         };

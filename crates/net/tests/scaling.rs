@@ -19,7 +19,7 @@ use vpdt_net::{
     names, FramePoll, FrameReader, NetClient, NetOptions, NetServer, Request, Response,
     WireOutcome, PROTOCOL_VERSION,
 };
-use vpdt_store::{workload, StoreBuilder, WalOptions};
+use vpdt_store::{workload, StoreBuilder};
 use vpdt_tx::program::Program;
 
 const RELS: usize = 3;
@@ -52,13 +52,7 @@ fn spawn_server(
     let initial = workload::sharded_initial(11, RELS, UNIVERSE, 0.5);
     let mut builder = StoreBuilder::new(initial, alpha).workers(2);
     if let Some(dir) = persist {
-        builder = builder.persist_with(
-            dir,
-            WalOptions {
-                fsync_commits: false,
-                ..WalOptions::default()
-            },
-        );
+        builder = builder.persist(dir);
     }
     let store = builder.build().expect("server starts");
     let net = NetServer::bind(store, "127.0.0.1:0", opts).expect("binds loopback");

@@ -399,3 +399,85 @@ fn check_provenance(
         )),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::history::root_hash;
+    use vpdt_logic::parse_formula;
+    use vpdt_tx::template::canonicalize;
+
+    /// A transaction that began and passed its guard but never reached a
+    /// terminal record (its worker was still running, or it died) is a
+    /// legal, incomplete run: the audit verifies the commits around it and
+    /// raises nothing about it.
+    #[test]
+    fn begun_and_guarded_without_a_terminal_record_is_accepted() {
+        let alpha = parse_formula("forall x y z. E(x, y) & E(x, z) -> y = z").expect("parses");
+        let initial = Database::graph([(0, 1)]);
+        let insert = |a, b| Program::insert_consts("E", [a, b]);
+        let (template, b0) = canonicalize(&insert(1, 2)).expect("canonicalizes");
+        let (_, b1) = canonicalize(&insert(2, 3)).expect("canonicalizes");
+        let templates = BTreeMap::from([(0, template)]);
+        let after = insert(1, 2).run(&initial, &Omega::empty()).expect("runs");
+        let events = vec![
+            Event::Begin {
+                tx: 0,
+                session: 1,
+                version: 0,
+                shape: 0,
+                bindings: b0.clone(),
+            },
+            Event::GuardEval {
+                tx: 0,
+                version: 0,
+                pass: true,
+            },
+            // tx 1 begins and passes its guard, then nothing.
+            Event::Begin {
+                tx: 1,
+                session: 1,
+                version: 0,
+                shape: 0,
+                bindings: b1.clone(),
+            },
+            Event::GuardEval {
+                tx: 1,
+                version: 0,
+                pass: true,
+            },
+            Event::Commit {
+                tx: 0,
+                based_on: 0,
+                version: 1,
+                writes: vec!["E".to_string()],
+                shape: 0,
+                bindings: b0,
+                root_hash: root_hash(&after),
+            },
+        ];
+        let programs = BTreeMap::from([(0, insert(1, 2)), (1, insert(2, 3))]);
+        let report = audit(
+            &alpha,
+            &Omega::empty(),
+            &initial,
+            &after,
+            &events,
+            &programs,
+            &templates,
+        );
+        assert!(report.ok(), "{report}");
+        assert_eq!(report.commits_checked, 1);
+        // The cold audit, which replays without the submitted programs,
+        // accepts it too.
+        let cold = cold_audit(
+            &alpha,
+            &Omega::empty(),
+            &initial,
+            &after,
+            &events,
+            &templates,
+        );
+        assert!(cold.ok(), "{cold}");
+    }
+}

@@ -14,11 +14,11 @@
 //!    where derivable) and instantiated with the transaction's bindings,
 //! 3. on pass, applies the program operationally and offers the result to
 //!    [`VersionedStore::try_commit`]; a relation-footprint conflict loops
-//!    back to step 1 under the server's
-//!    [`RetryPolicy`] (the guard re-evaluates in tens
-//!    of microseconds; the compilation never re-runs). A conflict on a
-//!    relation held by a cross-shard prepare first blocks until the 2PC
-//!    decision releases it, and does not count as a retry.
+//!    back to step 1 until the transaction commits (the guard re-evaluates
+//!    in tens of microseconds; the compilation never re-runs). The loop
+//!    makes progress: a conflict means another transaction committed. A
+//!    conflict on a relation held by a cross-shard prepare first blocks
+//!    until the 2PC decision releases it.
 //!
 //! `try_commit` returns the **publish**-phase outcome: on a durable server
 //! that fsyncs commits, the worker does *not* resolve the ticket — it
@@ -44,7 +44,6 @@
 use crate::guard::GuardCache;
 use crate::history::Event;
 use crate::metrics::StoreMetrics;
-use crate::server::RetryPolicy;
 use crate::session::TicketState;
 use crate::snapshot::{CommitOutcome, CommitRequest, VersionedStore};
 use crate::wal::{GroupCommitFlusher, PendingAck};
@@ -266,7 +265,6 @@ impl OutcomeSink {
 pub(crate) fn worker_loop(
     store: &VersionedStore,
     cache: &GuardCache,
-    retry: &RetryPolicy,
     queue: &WorkQueue,
     sink: &OutcomeSink,
     obs: &StoreMetrics,
@@ -277,7 +275,7 @@ pub(crate) fn worker_loop(
         obs.queue_wait
             .observe(dequeued_at_ns.saturating_sub(item.enqueued_at_ns) / 1_000);
         obs.trace(item.tx, TraceStage::Dequeued);
-        let (outcome, wal_offset) = execute_one(store, cache, retry, &item, obs);
+        let (outcome, wal_offset) = execute_one(store, cache, &item, obs);
         match &outcome {
             TxOutcome::Committed { .. } => obs.committed.inc(),
             TxOutcome::Aborted { .. } => obs.aborted.inc(),
@@ -317,15 +315,15 @@ pub(crate) fn worker_loop(
 }
 
 /// Executes one transaction: prepare (fetch-or-compile the statement
-/// shape), guard, apply, offer to commit; on footprint conflict, retry
-/// under the policy. The compilation is shared per statement shape; the
-/// per-transaction work is one binding substitution plus evaluations.
+/// shape), guard, apply, offer to commit; on footprint conflict,
+/// re-validate on a fresh snapshot. The compilation is shared per
+/// statement shape; the per-transaction work is one binding substitution
+/// plus evaluations.
 /// Returns the publish-phase outcome plus, for a commit on a persisted
 /// store, the commit record's log offset — what the durable phase needs.
 pub(crate) fn execute_one(
     store: &VersionedStore,
     cache: &GuardCache,
-    retry: &RetryPolicy,
     item: &WorkItem,
     obs: &StoreMetrics,
 ) -> (TxOutcome, Option<u64>) {
@@ -340,7 +338,6 @@ pub(crate) fn execute_one(
     // for shapes already on disk.
     history.declare_shape(prepared.shape.id, &prepared.shape.template);
     let mut first = true;
-    let mut retries = 0u32;
     loop {
         let snap = store.snapshot();
         if first {
@@ -435,30 +432,10 @@ pub(crate) fn execute_one(
                 obs.conflicts.inc();
                 obs.trace(item.tx, TraceStage::ConflictRetried { version });
                 // A relation held by an in-flight cross-shard prepare is
-                // not a lost race: wait for the decision to release it,
-                // then re-validate without spending a retry.
+                // not a lost race: wait for the decision to release it
+                // before re-validating.
                 let footprint = prepared.reads().iter().chain(prepared.writes());
-                if store.wait_unheld(footprint, || obs.hold_waits.inc()) {
-                    continue;
-                }
-                if !retry.may_retry(retries) {
-                    return (
-                        TxOutcome::Failed {
-                            error: StoreError::RetriesExhausted {
-                                retries,
-                                version,
-                                relations: prepared
-                                    .reads()
-                                    .union(prepared.writes())
-                                    .cloned()
-                                    .collect(),
-                            },
-                        },
-                        None,
-                    );
-                }
-                retries += 1;
-                retry.backoff(retries);
+                store.wait_unheld(footprint, || obs.hold_waits.inc());
             }
         }
     }

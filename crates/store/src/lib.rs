@@ -42,8 +42,8 @@
 //! ```
 //!
 //! * [`StoreBuilder`] configures the constraint `α`, the Ω interpretation,
-//!   the guard-cache capacity, the worker-pool size, and the
-//!   [`RetryPolicy`], then spawns a resident [`StoreServer`]. The guard
+//!   the guard-cache capacity, the worker-pool size, and persistence, then
+//!   spawns a resident [`StoreServer`]. The guard
 //!   soundness base case — `α` holds at admission — is established once per
 //!   server, in `build()`;
 //! * [`Session`]s are per-client handles. [`Session::submit`] enqueues a
@@ -124,7 +124,7 @@ pub use exec::{run_serial_rollback, ExecReport, TxOutcome};
 pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
 pub use history::{Event, History};
 pub use metrics::StoreMetrics;
-pub use server::{RetryPolicy, ServerReport, StoreBuilder, StoreServer};
+pub use server::{ServerReport, StoreBuilder, StoreServer};
 pub use session::{Session, TxTicket};
 pub use shard::{
     cold_audit_sharded, is_sharded_layout, CrossOutcome, Routed, ShardedAuditReport,
@@ -174,16 +174,6 @@ pub enum StoreError {
         /// The evaluation error.
         error: EvalError,
     },
-    /// The transaction kept losing footprint validation and exhausted its
-    /// [`RetryPolicy`] conflict budget.
-    RetriesExhausted {
-        /// Conflict retries performed before giving up.
-        retries: u32,
-        /// The store version at the final rejection.
-        version: u64,
-        /// The footprint relations that kept conflicting (reads ∪ writes).
-        relations: Vec<String>,
-    },
     /// The server is shut down; the submission was not accepted.
     ShutDown,
     /// The work item died without producing an outcome — its executing
@@ -226,7 +216,6 @@ impl StoreError {
             StoreError::Eval(_) => "eval",
             StoreError::GuardUnsound { .. } => "guard_unsound",
             StoreError::ConstraintUnevaluable { .. } => "constraint_unevaluable",
-            StoreError::RetriesExhausted { .. } => "retries_exhausted",
             StoreError::ShutDown => "shutdown",
             StoreError::WorkerLost => "worker_lost",
             StoreError::Wal(_) => "wal",
@@ -256,15 +245,6 @@ impl std::fmt::Display for StoreError {
                     "constraint does not evaluate on the store state: {error}"
                 )
             }
-            StoreError::RetriesExhausted {
-                retries,
-                version,
-                relations,
-            } => write!(
-                f,
-                "commit conflicted {retries} times on {relations:?} \
-                 (last at version {version}); retry budget exhausted"
-            ),
             StoreError::ShutDown => write!(f, "store server is shut down"),
             StoreError::WorkerLost => {
                 write!(f, "transaction abandoned: its executing worker terminated")

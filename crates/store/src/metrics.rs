@@ -28,7 +28,7 @@ pub mod names {
     pub const TX_CONFLICTS: &str = "store_tx_conflicts_total";
     /// Conflicts on a relation held by a cross-shard prepare, each waited
     /// out until the 2PC decision released the hold (a subset of
-    /// [`TX_CONFLICTS`]; such waits do not count against the retry bound).
+    /// [`TX_CONFLICTS`]).
     pub const TX_HOLD_WAITS: &str = "store_tx_hold_waits_total";
     /// Guard-cache lookups served by a live compiled shape.
     pub const GUARD_CACHE_HITS: &str = "store_guard_cache_hits_total";
@@ -81,7 +81,8 @@ pub mod names {
     pub const CROSS_COMMITTED: &str = "store_cross_committed_total";
     /// Cross-shard transactions aborted (global guard failed).
     pub const CROSS_ABORTED: &str = "store_cross_aborted_total";
-    /// Prepare rounds retried because a shard's footprint was held.
+    /// Shard prepares that had to wait for another decision's holds to
+    /// release: at most one per touched shard per cross-shard transaction.
     pub const CROSS_PREPARE_RETRIES: &str = "store_cross_prepare_retries_total";
     /// 2PC prepare phase (all shards held + union snapshot), µs.
     pub const CROSS_STAGE_PREPARE: &str = "store_cross_prepare_us";

@@ -2,14 +2,18 @@
 //! long-lived client sessions.
 //!
 //! [`StoreBuilder`] collects a configuration — constraint `α`, the Ω
-//! interpretation, guard-cache capacity, worker-pool size, and a
-//! [`RetryPolicy`] — and [`StoreBuilder::build`] establishes the guard
+//! interpretation, guard-cache capacity, worker-pool size, persistence —
+//! and [`StoreBuilder::build`] establishes the guard
 //! soundness base case (`α` holds at admission) **once per server**, then
 //! spawns the workers. From then on the server owns the execution layer:
 //! the submission queue (an MPMC queue sessions feed), the versioned
 //! store, the guard cache, and the lifecycle. Clients hold
 //! [`Session`] handles and receive
-//! [`TxTicket`]s; nobody owns a batch.
+//! [`TxTicket`]s; nobody owns a batch. A worker whose commit loses
+//! footprint validation re-validates on a fresh snapshot until it
+//! commits: a conflict means another transaction committed, so the loop
+//! always makes progress, and a conflict on a relation held by a
+//! cross-shard prepare first waits for the release.
 //!
 //! [`StoreServer::shutdown`] closes the queue, lets the workers drain every
 //! already-submitted transaction (outstanding tickets all resolve), joins
@@ -31,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 use vpdt_eval::Omega;
 use vpdt_logic::{Formula, Schema};
 use vpdt_obs::{MetricsSnapshot, TraceStage, TxTimeline};
@@ -46,66 +49,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
 /// How many of the slowest traced transactions a [`ServerReport`] keeps.
 const SLOWEST_IN_REPORT: usize = 16;
-
-/// How the workers respond to commit-footprint conflicts: how many times a
-/// transaction may re-validate, and how long to back off between attempts
-/// (linear: attempt `k` sleeps `k × backoff`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    max_retries: Option<u32>,
-    backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// Retry forever, immediately — the classical optimistic loop (and the
-    /// default). Progress is guaranteed: a counted conflict means some
-    /// *other* transaction committed. A conflict on a relation held by a
-    /// cross-shard prepare is not a retry under any policy: the worker
-    /// waits for the 2PC decision to release the hold, then re-validates.
-    pub fn unbounded() -> Self {
-        RetryPolicy {
-            max_retries: None,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Give up (with [`StoreError::RetriesExhausted`]) after `max_retries`
-    /// failed re-validations, sleeping `attempt × backoff` between them.
-    /// Waits on cross-shard holds are not counted.
-    pub fn bounded(max_retries: u32, backoff: Duration) -> Self {
-        RetryPolicy {
-            max_retries: Some(max_retries),
-            backoff,
-        }
-    }
-
-    /// The retry bound, if any.
-    pub fn max_retries(&self) -> Option<u32> {
-        self.max_retries
-    }
-
-    /// Whether a transaction that has already retried `done` times may try
-    /// again.
-    pub(crate) fn may_retry(&self, done: u32) -> bool {
-        match self.max_retries {
-            None => true,
-            Some(max) => done < max,
-        }
-    }
-
-    /// Sleeps the linear backoff for retry number `attempt` (1-based).
-    pub(crate) fn backoff(&self, attempt: u32) {
-        if !self.backoff.is_zero() {
-            std::thread::sleep(self.backoff * attempt);
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::unbounded()
-    }
-}
 
 /// Where a server's state comes from: a fresh initial database, or a
 /// persisted directory to recover.
@@ -134,7 +77,6 @@ pub struct StoreBuilder {
     omega: Omega,
     cache_capacity: usize,
     workers: usize,
-    retry: RetryPolicy,
     retain_outcomes: bool,
     persist_dir: Option<PathBuf>,
     wal_opts: WalOptions,
@@ -178,7 +120,6 @@ impl StoreBuilder {
             omega: Omega::empty(),
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
             workers: 4,
-            retry: RetryPolicy::unbounded(),
             retain_outcomes: true,
             persist_dir: None,
             wal_opts: WalOptions::default(),
@@ -206,19 +147,13 @@ impl StoreBuilder {
         self
     }
 
-    /// The conflict [`RetryPolicy`] (default: unbounded, no backoff).
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Makes the server durable: every history event is written ahead to a
     /// segmented, checksummed log in `dir` (created fresh — building fails
     /// with [`WalError::AlreadyExists`](crate::wal::WalError::AlreadyExists)
     /// if `dir` already holds a log; use [`StoreBuilder::recover`] for
     /// those). Commit records reach the log *before* the commit is
-    /// published or acknowledged, and are fsync'd under the default
-    /// [`WalOptions`], so an outcome observed through
+    /// published, and are fsync'd before it is acknowledged, so an
+    /// outcome observed through
     /// [`TxTicket::wait`](crate::TxTicket::wait) is durable. A genesis
     /// checkpoint is written at build; a clean checkpoint at
     /// [`shutdown`](StoreServer::shutdown). Ignored by the recover path
@@ -229,7 +164,7 @@ impl StoreBuilder {
     }
 
     /// [`persist`](StoreBuilder::persist) with explicit [`WalOptions`]
-    /// (segment size, fsync policy). The options also govern the resumed
+    /// (segment size, retention). The options also govern the resumed
     /// log of the [`recover`](StoreBuilder::recover) path.
     pub fn persist_with(mut self, dir: impl Into<PathBuf>, opts: WalOptions) -> Self {
         self.persist_dir = Some(dir.into());
@@ -284,10 +219,9 @@ impl StoreBuilder {
         // One registry per server: the guard cache, the workers, and the
         // flusher all count on it, so every reading comes from one place.
         let obs = StoreMetrics::new(self.trace_capacity);
-        // The durable phase exists exactly when commits must reach stable
-        // storage before acknowledgment: persistence on, fsync policy on.
-        let wants_flusher = self.wal_opts.fsync_commits;
-        let group = || wants_flusher.then(|| Arc::new(GroupCommitFlusher::new(obs.clone())));
+        // The durable phase exists exactly when the server is persisted:
+        // commits then reach stable storage before acknowledgment.
+        let new_flusher = || Arc::new(GroupCommitFlusher::new(obs.clone()));
         let (store, cache, next_tx, group) = match self.source {
             Source::Fresh { initial, alpha } => {
                 let store = VersionedStore::new(initial);
@@ -301,14 +235,15 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let mut flusher = None;
                 if let Some(dir) = self.persist_dir {
-                    flusher = group();
+                    let group = new_flusher();
                     store.history().attach_wal(DurableLog::new(
                         WalWriter::create(&dir, self.wal_opts)?,
                         BTreeSet::new(),
                         BTreeSet::new(),
-                        flusher.clone(),
+                        Arc::clone(&group),
                         obs.wal_writes.clone(),
                     ));
+                    flusher = Some(group);
                     // The genesis checkpoint: recovery's first floor.
                     store.checkpoint_now(cache.templates(), 0, cache.alpha())?;
                     obs.checkpoints.inc();
@@ -346,15 +281,15 @@ impl StoreBuilder {
                 cache.seed_registry(&recovered.templates);
                 exec::check_base_case(&store, &cache)?;
                 let (writer, logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
-                let flusher = group();
+                let flusher = new_flusher();
                 store.history().attach_wal(DurableLog::new(
                     writer,
                     logged_shapes,
                     recovered.cross_decisions,
-                    flusher.clone(),
+                    Arc::clone(&flusher),
                     obs.wal_writes.clone(),
                 ));
-                (store, cache, recovered.next_tx, flusher)
+                (store, cache, recovered.next_tx, Some(flusher))
             }
         };
         obs.version.set(store.version());
@@ -362,7 +297,6 @@ impl StoreBuilder {
         let shared = Arc::new(Shared {
             store,
             cache,
-            retry: self.retry,
             queue: WorkQueue::new(),
             sink: OutcomeSink::new(self.retain_outcomes),
             obs,
@@ -384,7 +318,6 @@ impl StoreBuilder {
                         exec::worker_loop(
                             &shared.store,
                             &shared.cache,
-                            &shared.retry,
                             &shared.queue,
                             &shared.sink,
                             &shared.obs,
@@ -428,7 +361,6 @@ fn checkpoint(shared: &Shared, next_tx: u64) -> Result<u64, wal::WalError> {
 struct Shared {
     store: VersionedStore,
     cache: GuardCache,
-    retry: RetryPolicy,
     queue: WorkQueue,
     sink: OutcomeSink,
     /// The server's metrics registry + transaction trace ring. Every
@@ -436,7 +368,7 @@ struct Shared {
     /// here; [`StoreServer::metrics`] and [`ServerReport::metrics`] read
     /// it out.
     obs: StoreMetrics,
-    /// The durable phase (persisted servers with `fsync_commits` only):
+    /// The durable phase (`Some` exactly when the server is persisted):
     /// workers enqueue published commits here; the flusher thread batches
     /// the fsyncs and resolves the tickets.
     group: Option<Arc<GroupCommitFlusher>>,
@@ -519,19 +451,6 @@ impl StoreServer {
     /// this shard's recoveries).
     pub(crate) fn cache(&self) -> &GuardCache {
         &self.shared.cache
-    }
-
-    /// Flushes the shard's write-ahead log to stable storage now. The
-    /// cross-shard commit path calls this after `commit_prepared`: `Cross`
-    /// records bypass the group-commit flusher's watermark (which only
-    /// tracks ordinary commits), so the coordinator owns their fsync.
-    /// No-op on an in-memory shard.
-    pub(crate) fn sync_wal(&self) -> Result<(), wal::WalError> {
-        self.shared
-            .store
-            .history()
-            .with_wal(|log| log.writer.sync())
-            .unwrap_or(Ok(()))
     }
 
     /// The store's schema.
@@ -637,9 +556,8 @@ impl StoreServer {
     }
 
     /// Counters of the durable phase — fsyncs issued, commits resolved
-    /// per fsync (the batch-size histogram), flush failures. `None` on a
-    /// server without a group-commit flusher (in-memory, or
-    /// `fsync_commits: false`).
+    /// per fsync (the batch-size histogram), flush failures. `None` on an
+    /// in-memory server, which has no group-commit flusher.
     pub fn flush_stats(&self) -> Option<FlushStats> {
         self.shared.group.as_ref().map(|g| g.stats())
     }

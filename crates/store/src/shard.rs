@@ -22,9 +22,12 @@
 //!   shard-local delta on each written shard (an atomic
 //!   [`Event::Cross`] record carrying the decision id). A single-shard
 //!   commit that meets a held relation blocks until the decision releases
-//!   it; the coordinator itself never waits on a hold (it releases what it
-//!   took, backs off and retries), and never waits on a shard worker while
-//!   it holds, so the blocking cannot deadlock.
+//!   it, and so does a coordinator whose prepare meets another's hold.
+//!   That cannot deadlock: a coordinator takes each shard's slice of its
+//!   footprint all at once and the shards in ascending order, so it only
+//!   ever waits for a shard above every shard it holds, and a cycle of
+//!   waiting coordinators would need one waiting below a shard it holds.
+//!   Workers wait holding nothing, and no coordinator waits on a worker.
 //!
 //! ## Why the split is sound
 //!
@@ -54,7 +57,14 @@
 //! | shard commit                     | rolled forward into its shard WAL  |
 //! | between shard commits            | missing branches rolled forward;   |
 //! |                                  | present ones verified as-is        |
-//! | after all shard commits          | nothing to do                      |
+//! | after all shard commits          | branches a power loss dropped      |
+//! |                                  | rolled forward; nothing else to do |
+//!
+//! Branch `Cross` records are not fsync'd inline: the durable decision is
+//! the commit point, so a branch only has to reach its shard's disk
+//! eventually — at the shard's next group-commit fsync, segment rotation,
+//! checkpoint or shutdown. Until then a power loss may drop it, and
+//! roll-forward re-applies it like a branch that never committed.
 //!
 //! Roll-forward recovers each shard once, re-applies each missing
 //! decision's ground delta program to the recovered state, verifies the
@@ -77,17 +87,21 @@
 //! survives in the shard's log *or* a shard checkpoint lists it: every
 //! checkpoint carries the ids of the decisions applied at or before it, so
 //! segment retention can never make an applied decision look pending. The
-//! `decisions/applied-through` watermark (written at clean shutdown,
-//! *before* the shard checkpoints GC their segments) records the decision
-//! id below which every branch is known applied; recovery never
-//! re-examines those, and resumed shards stop listing them. A missing
+//! `decisions/applied-through` watermark records the decision id below
+//! which every branch is known applied and durable; recovery never
+//! re-examines those, and resumed shards stop listing them. The invariant:
+//! **the watermark never passes a branch that is not durable on its
+//! shard.** Clean shutdown keeps it by writing the watermark only after
+//! every shard's clean checkpoint has synced its log (and recorded the
+//! decisions it covers); a crash between the two leaves the old watermark,
+//! and the checkpoints still show every branch as applied. A missing
 //! watermark means 0; an unreadable or unparsable one is a typed error.
 
 use crate::audit::{cold_audit_dir, AuditReport};
 use crate::guard::PreparedTx;
 use crate::history::{root_hash, Event};
 use crate::replay::Replayer;
-use crate::server::{RetryPolicy, ServerReport, StoreBuilder, StoreServer};
+use crate::server::{ServerReport, StoreBuilder, StoreServer};
 use crate::session::TxTicket;
 use crate::snapshot::{CommitRequest, Snapshot};
 use crate::wal::{
@@ -203,7 +217,6 @@ pub struct ShardedBuilder {
     omega: Omega,
     workers_per_shard: usize,
     cache_capacity: usize,
-    retry: RetryPolicy,
     wal_opts: WalOptions,
     trace_capacity: usize,
 }
@@ -236,7 +249,6 @@ impl ShardedBuilder {
             omega: Omega::empty(),
             workers_per_shard: 4,
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
-            retry: RetryPolicy::unbounded(),
             wal_opts: WalOptions::default(),
             trace_capacity: 0,
         }
@@ -257,15 +269,6 @@ impl ShardedBuilder {
     /// Per-shard guard-cache LRU budget.
     pub fn guard_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// The conflict [`RetryPolicy`], used by every shard's workers *and*
-    /// by the coordinator's prepare loop when a footprint is held. A shard
-    /// worker whose commit meets a hold waits for its release instead,
-    /// without spending a retry.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -323,7 +326,6 @@ impl ShardedBuilder {
         b.omega(self.omega.clone())
             .workers(self.workers_per_shard)
             .guard_cache_capacity(self.cache_capacity)
-            .retry_policy(self.retry.clone())
             .trace_capacity(self.trace_capacity)
             .wal_options(self.wal_opts.clone())
     }
@@ -379,7 +381,6 @@ impl ShardedBuilder {
             alpha,
             self.omega,
             self.cache_capacity,
-            self.retry,
             decisions,
             persist_root,
             0,
@@ -439,7 +440,6 @@ impl ShardedBuilder {
             alpha,
             self.omega,
             self.cache_capacity,
-            self.retry,
             Some(Mutex::new(writer)),
             Some(root),
             next_decision,
@@ -525,7 +525,6 @@ pub struct ShardedStore {
     /// over the full schema and the unpartitioned `α`.
     router: GuardCache,
     omega: Omega,
-    retry: RetryPolicy,
     /// The coordinator's decision log (`None` on an in-memory store).
     decisions: Option<Mutex<WalWriter>>,
     root: Option<PathBuf>,
@@ -555,7 +554,6 @@ impl ShardedStore {
         alpha: Formula,
         omega: Omega,
         cache_capacity: usize,
-        retry: RetryPolicy,
         decisions: Option<Mutex<WalWriter>>,
         root: Option<PathBuf>,
         next_decision: u64,
@@ -575,7 +573,6 @@ impl ShardedStore {
             schema,
             router,
             omega,
-            retry,
             decisions,
             root,
             next_decision: AtomicU64::new(next_decision),
@@ -741,42 +738,19 @@ impl ShardedStore {
                 .insert(rel.clone());
         }
 
-        // Prepare: hold every shard's slice of the footprint, ascending
-        // shard order, all-or-release (non-blocking holds cannot
-        // deadlock; a busy footprint backs off under the retry policy).
+        // Prepare: hold every shard's slice of the footprint, in ascending
+        // shard order, waiting out any other coordinator's holds (see the
+        // module docs for why this cannot deadlock).
         let prepare_started = self.registry.now_ns();
-        let mut snaps: BTreeMap<usize, Snapshot> = BTreeMap::new();
-        let mut retries = 0u32;
-        loop {
-            let mut blocked = false;
-            for (&s, rels) in &footprint {
-                match self.shards[s].store().prepare_hold(decision, rels) {
-                    Some(snap) => {
-                        snaps.insert(s, snap);
-                    }
-                    None => {
-                        blocked = true;
-                        break;
-                    }
-                }
-            }
-            if !blocked {
-                break;
-            }
-            self.release_all(decision, &snaps);
-            snaps.clear();
-            self.cross_prepare_retries.inc();
-            if !self.retry.may_retry(retries) {
-                return Err(StoreError::RetriesExhausted {
-                    retries,
-                    version: 0,
-                    relations: footprint.values().flatten().cloned().collect(),
+        let snaps: BTreeMap<usize, Snapshot> = footprint
+            .iter()
+            .map(|(&s, rels)| {
+                let snap = self.shards[s].store().prepare_hold(decision, rels, || {
+                    self.cross_prepare_retries.inc();
                 });
-            }
-            retries += 1;
-            self.retry.backoff(retries);
-            std::thread::yield_now();
-        }
+                (s, snap)
+            })
+            .collect();
         if self.crash_at(CrossCrashPoint::AfterPrepare) {
             return Err(StoreError::DebugCrashPoint);
         }
@@ -938,8 +912,9 @@ impl ShardedStore {
             }
         }
 
-        // Commit each branch: one atomic Cross record per shard, fsync'd
-        // inline (Cross records bypass the group-commit watermark).
+        // Commit each branch: one atomic Cross record per shard. No fsync
+        // here: the decision record is the commit point, and a branch
+        // record a power loss drops is rolled forward on recovery.
         let mut versions = Vec::with_capacity(planned.len());
         for (i, b) in planned.into_iter().enumerate() {
             let req = CommitRequest {
@@ -953,9 +928,6 @@ impl ShardedStore {
                 encoded: None,
             };
             let (version, _offset) = self.shards[b.shard].store().commit_prepared(decision, req);
-            self.shards[b.shard]
-                .sync_wal()
-                .expect("shard log fsync failed after a cross-shard commit");
             versions.push((b.shard as u32, version));
             if i == 0 && self.crash_at(CrossCrashPoint::BetweenShardCommits) {
                 return Err(StoreError::DebugCrashPoint);
@@ -971,10 +943,12 @@ impl ShardedStore {
     }
 
     /// Shuts every shard down (drain, join, clean checkpoint) and closes
-    /// the coordinator. The watermark advances *before* the shard
-    /// checkpoints can GC any segment, so recovery never confuses a
-    /// retired `Cross` record with a missing one. Consuming `self`
-    /// guarantees no cross-shard commit is in flight.
+    /// the coordinator. The watermark advances only *after* the shard
+    /// checkpoints: each one syncs its shard's log and records the
+    /// decisions it covers, so the watermark never passes a branch that is
+    /// not durable on its shard, and recovery never confuses a retired
+    /// `Cross` record with a missing one. Consuming `self` guarantees no
+    /// cross-shard commit is in flight.
     ///
     /// # Panics
     ///
@@ -997,11 +971,11 @@ impl ShardedStore {
                 .sync()
                 .expect("decision log flush at shutdown failed");
         }
+        let shards: Vec<ServerReport> = self.shards.into_iter().map(|s| s.shutdown()).collect();
         if let (Some(root), Some(_)) = (&self.root, &self.decisions) {
             write_watermark(&root.join("decisions"), decisions_issued)
                 .expect("writing the applied-through watermark failed");
         }
-        let shards: Vec<ServerReport> = self.shards.into_iter().map(|s| s.shutdown()).collect();
         ShardedReport {
             shards,
             coordinator: self.registry.snapshot(),
@@ -1495,23 +1469,22 @@ mod tests {
     }
 
     /// A single-shard commit that runs into a 2PC hold waits for the
-    /// release instead of spending its retry budget: with one retry and
-    /// no backoff, a spinning worker would exhaust the bound long before
-    /// the decision lands.
+    /// release, then commits: the worker neither fails nor spins while the
+    /// decision is outstanding.
     #[test]
     fn hold_conflicts_wait_without_spending_retries() {
         let (initial, alpha) = fd2();
         let store = ShardedBuilder::new(initial, alpha, 2)
             .workers_per_shard(1)
-            .retry_policy(RetryPolicy::bounded(1, std::time::Duration::ZERO))
             .build()
             .expect("builds");
         let decision = 77;
         store
             .shard(0)
             .store()
-            .prepare_hold(decision, &BTreeSet::from(["R0".to_string()]))
-            .expect("R0 is free");
+            .prepare_hold(decision, &BTreeSet::from(["R0".to_string()]), || {
+                panic!("R0 is free")
+            });
         let Routed::Single { ticket, .. } = store
             .submit(ROUTED_SESSION, Program::insert_consts("R0", [500, 501]))
             .expect("routes")
@@ -1530,7 +1503,7 @@ mod tests {
         store.shard(0).store().abort_prepared(decision);
         assert!(
             matches!(ticket.wait(), TxOutcome::Committed { .. }),
-            "a hold must not exhaust the retry bound"
+            "a hold must delay the commit, not fail it"
         );
         assert!(store
             .shard(0)
@@ -1540,6 +1513,69 @@ mod tests {
         let report = store.shutdown();
         assert_eq!(report.shards[0].metrics.counter(names::TX_HOLD_WAITS), 1);
         assert_eq!(report.shards[0].exec.failed, 0);
+    }
+
+    /// A coordinator whose prepare meets another decision's hold blocks
+    /// until that decision releases, then commits; the wait is counted
+    /// once, as a prepare that had to wait.
+    #[test]
+    fn held_relation_blocks_a_cross_submit_until_released() {
+        let (initial, alpha) = fd2();
+        let store = ShardedBuilder::new(initial, alpha, 2)
+            .workers_per_shard(1)
+            .build()
+            .expect("builds");
+        let decision = u64::MAX;
+        store
+            .shard(1)
+            .store()
+            .prepare_hold(decision, &BTreeSet::from(["R1".to_string()]), || {
+                panic!("R1 is free")
+            });
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                let routed = store
+                    .submit(
+                        ROUTED_SESSION,
+                        Program::seq([
+                            Program::insert_consts("R0", [600, 601]),
+                            Program::insert_consts("R1", [600, 602]),
+                        ]),
+                    )
+                    .expect("commits");
+                done.store(true, Ordering::SeqCst);
+                routed
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while store.metrics().counter(names::CROSS_PREPARE_RETRIES) == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the coordinator never waited on the hold"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(
+                !done.load(Ordering::SeqCst),
+                "the cross submit returned while R1 was held"
+            );
+            assert_eq!(store.shard(1).version(), 0);
+            store.shard(1).store().abort_prepared(decision);
+            let routed = submitter.join().expect("submitter");
+            assert!(
+                matches!(routed, Routed::Cross(CrossOutcome::Committed { .. })),
+                "{routed:?}"
+            );
+        });
+        assert!(store
+            .shard(1)
+            .snapshot()
+            .db
+            .contains("R1", &[Elem(600), Elem(602)]));
+        let report = store.shutdown();
+        assert_eq!(report.coordinator.counter(names::CROSS_PREPARE_RETRIES), 1);
+        assert_eq!(report.coordinator.counter(names::CROSS_COMMITTED), 1);
     }
 
     /// The router reports each cross-shard shape's fast-guard size: a

@@ -98,9 +98,10 @@ struct State {
     /// A held relation blocks every ordinary commit that touches it
     /// (reported as a [`CommitOutcome::Conflict`]; the worker then waits
     /// for the release in [`VersionedStore::wait_unheld`] before it
-    /// re-validates) and blocks a second prepare from holding it. Holds
-    /// are in-memory only: a crash drops them, which is exactly
-    /// presumed-abort — an undecided prepare must leak nothing durable.
+    /// re-validates) and makes a second prepare wait for the release
+    /// before it holds it. Holds are in-memory only: a crash drops them,
+    /// which is exactly presumed-abort — an undecided prepare must leak
+    /// nothing durable.
     held: BTreeMap<String, u64>,
 }
 
@@ -110,8 +111,9 @@ pub struct VersionedStore {
     state: RwLock<State>,
     history: History,
     /// Hold-release generation: bumped (and broadcast) each time a
-    /// cross-shard decision releases its holds, so workers blocked on a
-    /// held relation wake to re-check instead of spinning.
+    /// cross-shard decision releases its holds, so workers and
+    /// coordinators blocked on a held relation wake to re-check instead of
+    /// spinning.
     releases: Mutex<u64>,
     released: Condvar,
 }
@@ -251,7 +253,28 @@ impl VersionedStore {
             let outcome = CommitOutcome::Conflict { version: s.version };
             return (outcome, held.elapsed());
         }
+        let (version, wal_offset) = self.publish(&mut s, based_on, &writes, new_db, &mut payload);
+        let outcome = CommitOutcome::Committed {
+            version,
+            wal_offset,
+        };
+        (outcome, held.elapsed())
+    }
 
+    /// The publish step both commit paths share, run under the state
+    /// write lock once validation has passed: merges the computed state
+    /// into the current one, assigns the next version, stamps the written
+    /// relations with it, and records the commit payload (patched with
+    /// the version and root hash) in the history. Returns the new version
+    /// plus the record's log offset.
+    fn publish(
+        &self,
+        s: &mut State,
+        based_on: u64,
+        writes: &BTreeSet<String>,
+        new_db: Database,
+        payload: &mut [u8],
+    ) -> (u64, Option<u64>) {
         let merged = if s.version == based_on {
             // Fast path: nothing moved at all; the computed state is the
             // next state verbatim.
@@ -276,7 +299,7 @@ impl VersionedStore {
 
         s.version += 1;
         let version = s.version;
-        for rel in &writes {
+        for rel in writes {
             s.rel_versions.insert(rel.clone(), version);
         }
         // The commitment root: an O(#relations) combine over the cached
@@ -286,38 +309,48 @@ impl VersionedStore {
         // mutation time, outside this lock.
         let hash = root_hash(&merged);
         s.db = Arc::new(merged);
-        crate::wal::patch_commit_payload(&mut payload, version, hash);
-        let wal_offset = self.history.record_commit(&payload);
-        let outcome = CommitOutcome::Committed {
-            version,
-            wal_offset,
-        };
-        (outcome, held.elapsed())
+        crate::wal::patch_commit_payload(payload, version, hash);
+        (version, self.history.record_commit(payload))
     }
 
-    /// Phase one of a cross-shard two-phase commit: atomically checks that
-    /// none of `rels` is already held by another prepare, records them as
-    /// held by `decision`, and returns the current snapshot — the shard's
-    /// contribution to the coordinator's union snapshot. Because the hold
-    /// is taken under the same write lock that assigns commit versions,
-    /// the returned snapshot *is* the prepare's `based_on`: no commit can
-    /// touch a held relation until the decision releases it, so the
-    /// coordinator never validates against a stale read. Returns `None`
-    /// (try again) when any relation is already held. Non-blocking by
-    /// design — the caller backs off and retries, so two coordinators
-    /// can never deadlock on overlapping footprints.
-    pub(crate) fn prepare_hold(&self, decision: u64, rels: &BTreeSet<String>) -> Option<Snapshot> {
-        let mut s = self.state.write().expect("store lock poisoned");
-        if rels.iter().any(|rel| s.held.contains_key(rel)) {
-            return None;
+    /// Phase one of a cross-shard two-phase commit: records every
+    /// relation of `rels` as held by `decision` and returns the current
+    /// snapshot — the shard's contribution to the coordinator's union
+    /// snapshot. Because the holds are taken under the same write lock
+    /// that assigns commit versions, the returned snapshot *is* the
+    /// prepare's `based_on`: no commit can touch a held relation until the
+    /// decision releases it, so the coordinator never validates against a
+    /// stale read. When another prepare holds any of `rels`, blocks in
+    /// [`wait_unheld`](Self::wait_unheld) until it releases, then tries
+    /// again; `on_wait` runs once, before the first wait. The holds are
+    /// all-or-nothing, and a coordinator prepares its shards in ascending
+    /// order, so no cycle of waiting coordinators can form.
+    pub(crate) fn prepare_hold(
+        &self,
+        decision: u64,
+        rels: &BTreeSet<String>,
+        on_wait: impl FnOnce(),
+    ) -> Snapshot {
+        let mut on_wait = Some(on_wait);
+        loop {
+            {
+                let mut s = self.state.write().expect("store lock poisoned");
+                if !rels.iter().any(|rel| s.held.contains_key(rel)) {
+                    for rel in rels {
+                        s.held.insert(rel.clone(), decision);
+                    }
+                    return Snapshot {
+                        version: s.version,
+                        db: Arc::clone(&s.db),
+                    };
+                }
+            }
+            self.wait_unheld(rels.iter(), || {
+                if let Some(f) = on_wait.take() {
+                    f();
+                }
+            });
         }
-        for rel in rels {
-            s.held.insert(rel.clone(), decision);
-        }
-        Some(Snapshot {
-            version: s.version,
-            db: Arc::clone(&s.db),
-        })
     }
 
     /// Phase two, commit side: applies a decided cross-shard delta. The
@@ -356,26 +389,7 @@ impl VersionedStore {
                 .all(|rel| s.rel_versions.get(rel).copied().unwrap_or(0) <= based_on),
             "a held relation moved between prepare and commit"
         );
-        let merged = if s.version == based_on {
-            new_db
-        } else {
-            let mut out = new_db;
-            for (rel, _) in self.schema.iter() {
-                if !writes.contains(rel) {
-                    out.set_rel_handle(rel, s.db.rel_handle(rel));
-                }
-            }
-            normalize_domain(out)
-        };
-        s.version += 1;
-        let version = s.version;
-        for rel in &writes {
-            s.rel_versions.insert(rel.clone(), version);
-        }
-        let hash = root_hash(&merged);
-        s.db = Arc::new(merged);
-        crate::wal::patch_commit_payload(&mut payload, version, hash);
-        let wal_offset = self.history.record_commit(&payload);
+        let (version, wal_offset) = self.publish(&mut s, based_on, &writes, new_db, &mut payload);
         s.held.retain(|_, d| *d != decision);
         drop(s);
         self.signal_release();
@@ -402,25 +416,26 @@ impl VersionedStore {
     }
 
     /// Blocks until no relation of `footprint` is held by a cross-shard
-    /// prepare. Returns `false` at once when none was held on entry, and
-    /// `true` when the call had to wait — the caller's conflict was then a
-    /// hold, not a lost race with another commit; `on_wait` runs once,
-    /// just before the first wait. The release generation is locked
+    /// prepare; returns at once when none is held on entry. `on_wait` runs
+    /// once, just before the first wait. The release generation is locked
     /// *before* `held` is read, so a release landing between the check
-    /// and the wait still wakes the waiter. Cannot deadlock: a coordinator
-    /// holding relations never waits on a shard worker.
+    /// and the wait still wakes the waiter. Workers call this holding
+    /// nothing; a coordinator calls it (from
+    /// [`prepare_hold`](Self::prepare_hold)) holding only relations of
+    /// lower shards, and the holder it waits for never waits on a worker,
+    /// so the waits cannot deadlock.
     pub(crate) fn wait_unheld<'a>(
         &self,
         footprint: impl Iterator<Item = &'a String> + Clone,
         on_wait: impl FnOnce(),
-    ) -> bool {
+    ) {
         let is_held = || {
             let s = self.state.read().expect("store lock poisoned");
             !s.held.is_empty() && footprint.clone().any(|rel| s.held.contains_key(rel))
         };
         let mut generation = self.releases.lock().expect("release signal poisoned");
         if !is_held() {
-            return false;
+            return;
         }
         on_wait();
         loop {
@@ -432,7 +447,7 @@ impl VersionedStore {
                     .expect("release signal poisoned");
             }
             if !is_held() {
-                return true;
+                return;
             }
         }
     }

@@ -26,10 +26,10 @@
 //!   [`TxTicket`](crate::TxTicket) therefore resolves only once its commit
 //!   record is on stable storage — the durability point of `wait` is
 //!   unchanged — while the disk no longer serializes the workers: whatever
-//!   publishes during one fsync is covered by the next.
-//!   `fsync_commits: false` skips the durable phase entirely (tickets
-//!   resolve at publish; acknowledged commits then survive a process kill
-//!   but not necessarily power loss).
+//!   publishes during one fsync is covered by the next. Cross-shard
+//!   `Cross` records ride along: nothing waits for them, and the next
+//!   fsync, rotation, checkpoint or shutdown makes them durable (their
+//!   commit point is the coordinator's decision record).
 //! * **One write per transaction.** Appending only *stages* a record in
 //!   the writer's buffer; a transaction's `Begin`/`GuardEval` records (and
 //!   any first-use shape declaration) reach the segment together with its
@@ -637,14 +637,6 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 pub struct WalOptions {
     /// Rotate to a new segment once the current one reaches this size.
     pub segment_bytes: u64,
-    /// Whether commit records are fsync'd before the commit is
-    /// acknowledged. `true` (the default) makes
-    /// [`TxTicket::wait`](crate::TxTicket::wait) a durability point that
-    /// survives power loss — the fsync runs in the durable phase, one
-    /// fsync for every commit pending when it starts; `false` trades that
-    /// for speed — acknowledged commits then survive a process kill (the
-    /// bytes are in the page cache) but not necessarily a machine crash.
-    pub fsync_commits: bool,
     /// Keep segments whose records are entirely covered by a checkpoint.
     /// `false` (the default) deletes them at checkpoint time — recovery
     /// and serving never read them again; the price is that a later cold
@@ -657,7 +649,6 @@ impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
             segment_bytes: 8 * 1024 * 1024,
-            fsync_commits: true,
             retain_segments: false,
         }
     }
@@ -934,10 +925,9 @@ pub(crate) struct DurableLog {
     /// Ids of the decisions whose `Cross` records this log holds (or held
     /// before retention): what the next checkpoint records as covered.
     pub(crate) cross_decisions: BTreeSet<u64>,
-    /// The durable phase, when one is configured: commit appends tell the
-    /// flusher how far the log has grown so its next fsync knows what it
-    /// covers.
-    flusher: Option<Arc<GroupCommitFlusher>>,
+    /// The durable phase: commit appends tell the flusher how far the log
+    /// has grown so its next fsync knows what it covers.
+    flusher: Arc<GroupCommitFlusher>,
 }
 
 impl DurableLog {
@@ -945,7 +935,7 @@ impl DurableLog {
         mut writer: WalWriter,
         logged_shapes: BTreeSet<u64>,
         cross_decisions: BTreeSet<u64>,
-        flusher: Option<Arc<GroupCommitFlusher>>,
+        flusher: Arc<GroupCommitFlusher>,
         writes: Counter,
     ) -> Self {
         writer.writes = Some(writes);
@@ -964,11 +954,11 @@ impl DurableLog {
     /// is encoded twice. A `Begin` or `GuardEval` record is only staged;
     /// a terminal record (`Commit`, `Cross`, `Abort`) writes everything
     /// staged so far in one `write(2)`, so a transaction costs one write,
-    /// and every commit is in the file (page cache) once it publishes —
-    /// what `fsync_commits: false` promises against a process kill. A
-    /// commit record then advances the flusher's append watermark, so the
-    /// durable phase knows which fsync will cover it. A cross-shard commit
-    /// records its decision id as applied.
+    /// and every commit is in the file (page cache) once it publishes,
+    /// where a process kill cannot lose it. A commit record then advances
+    /// the flusher's append watermark, so the durable phase knows which
+    /// fsync will cover it. A cross-shard commit records its decision id
+    /// as applied; the next fsync of the segment covers it too.
     pub(crate) fn append_event(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let offset = self.writer.append_payload(payload)?;
         if matches!(payload.first(), Some(&(TAG_COMMIT | TAG_CROSS | TAG_ABORT))) {
@@ -980,15 +970,11 @@ impl DurableLog {
                 self.cross_decisions
                     .insert(u64::from_le_bytes(decision.try_into().expect("8 bytes")));
             }
-            Some(&TAG_COMMIT) => {
-                if let Some(flusher) = &self.flusher {
-                    flusher.note_append(
-                        self.writer.current_file(),
-                        self.writer.current_path(),
-                        self.writer.offset(),
-                    );
-                }
-            }
+            Some(&TAG_COMMIT) => self.flusher.note_append(
+                self.writer.current_file(),
+                self.writer.current_path(),
+                self.writer.offset(),
+            ),
             _ => {}
         }
         Ok(offset)
@@ -2009,7 +1995,6 @@ mod tests {
             &dir,
             WalOptions {
                 segment_bytes: 96, // tiny: forces several segments
-                fsync_commits: false,
                 ..WalOptions::default()
             },
         )
@@ -2043,7 +2028,6 @@ mod tests {
             &dir,
             WalOptions {
                 segment_bytes: 96,
-                fsync_commits: false,
                 ..WalOptions::default()
             },
         )
@@ -2059,7 +2043,6 @@ mod tests {
             &dir,
             WalOptions {
                 segment_bytes: u64::MAX,
-                fsync_commits: false,
                 ..WalOptions::default()
             },
         )
@@ -2242,7 +2225,6 @@ mod tests {
         let dir = tmp_dir("headerless");
         let opts = WalOptions {
             segment_bytes: u64::MAX,
-            fsync_commits: false,
             ..WalOptions::default()
         };
         let mut w = WalWriter::create(&dir, opts.clone()).expect("creates");
@@ -2311,7 +2293,7 @@ mod tests {
             writer,
             BTreeSet::new(),
             BTreeSet::new(),
-            None,
+            Arc::new(GroupCommitFlusher::new(StoreMetrics::new(0))),
             writes.clone(),
         );
         (log, writes)
@@ -2322,11 +2304,7 @@ mod tests {
     #[test]
     fn staged_records_reach_the_file_at_a_terminal_record() {
         let dir = tmp_dir("stage-terminal");
-        let opts = WalOptions {
-            fsync_commits: false,
-            ..WalOptions::default()
-        };
-        let (mut log, writes) = staging_log(&dir, opts);
+        let (mut log, writes) = staging_log(&dir, WalOptions::default());
         let menu = event_menu();
         // Begin(1), GuardEval(1), GuardEval(2): nothing terminal yet.
         for e in &menu[..3] {
@@ -2380,7 +2358,6 @@ mod tests {
         let dir = tmp_dir("stage-rotate");
         let opts = WalOptions {
             segment_bytes: 96,
-            fsync_commits: false,
             ..WalOptions::default()
         };
         let (mut log, _) = staging_log(&dir, opts);

@@ -310,7 +310,6 @@ proptest! {
                 &dir,
                 WalOptions {
                     segment_bytes: 2048,
-                    fsync_commits: false,
                     // the genesis-replay comparison needs the full log: a
                     // mid-run checkpoint must not garbage-collect it
                     retain_segments: true,

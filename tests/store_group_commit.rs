@@ -38,12 +38,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Real group commit: fsync on, batching across workers, small segments so
+/// Real group commit: batching across workers, small segments so
 /// rotation is exercised, retention off unless a test opts in.
 fn group_wal() -> WalOptions {
     WalOptions {
         segment_bytes: 1024,
-        fsync_commits: true,
         retain_segments: true,
     }
 }

@@ -286,7 +286,6 @@ fn checkpoint_gc_deletes_superseded_files() {
     let initial = workload::sharded_initial(17, RELS, UNIVERSE, 0.4);
     let opts = WalOptions {
         segment_bytes: 512, // rotate aggressively so old segments can go
-        fsync_commits: false,
         ..WalOptions::default()
     };
     let server = StoreBuilder::new(initial, alpha)

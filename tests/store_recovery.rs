@@ -29,15 +29,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Test-speed log options: no per-commit fsync (truncation, not power
-/// loss, is what these tests model), small segments so rotation is
-/// exercised, and full retention — these tests compare against
-/// from-genesis replays, so checkpoints must not garbage-collect covered
-/// segments (retention has its own tests in `store_group_commit.rs`).
+/// Log options for these tests: small segments so rotation is exercised,
+/// and full retention — these tests compare against from-genesis replays,
+/// so checkpoints must not garbage-collect covered segments (retention has
+/// its own tests in `store_group_commit.rs`).
 fn fast_wal() -> WalOptions {
     WalOptions {
         segment_bytes: 1024,
-        fsync_commits: false,
         retain_segments: true,
     }
 }

@@ -1,12 +1,10 @@
 //! Session semantics of the `StoreServer` front door: ticket resolution
 //! across shutdown, session drops losing nothing, compilation sharing
-//! between sessions, retry-policy exhaustion, and audits over
-//! session-produced histories.
+//! between sessions, and audits over session-produced histories.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 use vpdt::eval::Omega;
-use vpdt::store::{audit, workload, Event, RetryPolicy, StoreBuilder, StoreError, TxOutcome};
+use vpdt::store::{audit, workload, Event, StoreBuilder, TxOutcome};
 use vpdt::tx::program::Program;
 
 const RELS: usize = 2;
@@ -193,113 +191,6 @@ fn sessions_share_one_compilation_per_shape() {
     );
     assert_eq!(report.cache.misses, 1, "compiled exactly once");
     assert_eq!(report.cache.hits, 3, "everything after is a hit");
-}
-
-/// A bounded retry policy surfaces exhaustion as the typed
-/// `RetriesExhausted` error carrying the conflicting footprint. Conflicts
-/// are forced by pre-committing to the same relation between the guard
-/// evaluation and the commit offer — here simulated by a zero-budget
-/// policy under heavy same-relation contention.
-#[test]
-fn bounded_retry_policy_reports_exhaustion() {
-    let alpha = workload::sharded_fd_constraint(1);
-    let initial = workload::sharded_initial(7, 1, UNIVERSE, 0.0);
-    // Conflicts require a real race (another commit between a
-    // transaction's guard evaluation and its commit offer), which on a
-    // small machine depends on preemption timing — so hammer one relation
-    // hard: many oversubscribed workers, many sessions pipelining
-    // same-footprint writes, fresh servers until the race happens.
-    for round in 0.. {
-        assert!(round < 25, "no conflict in 25 contended rounds");
-        let server = StoreBuilder::new(initial.clone(), alpha.clone())
-            .workers(8)
-            .retry_policy(RetryPolicy::bounded(0, Duration::ZERO))
-            .build()
-            .expect("consistent initial state");
-        std::thread::scope(|scope| {
-            for c in 0..8u64 {
-                let session = server.session();
-                scope.spawn(move || {
-                    // pipeline (don't wait per-tx) so several R0 writes
-                    // are genuinely in flight at once
-                    let tickets: Vec<_> = (0..150u64)
-                        .map(|i| {
-                            let a = (c + i) % UNIVERSE;
-                            let b = (c + i + 1) % UNIVERSE;
-                            session.submit(Program::insert_consts("R0", [a, b]))
-                        })
-                        .collect();
-                    for t in &tickets {
-                        t.wait();
-                    }
-                });
-            }
-        });
-        let report = server.shutdown();
-        let exhausted: Vec<&TxOutcome> = report
-            .exec
-            .outcomes
-            .iter()
-            .map(|(_, o)| o)
-            .filter(|o| {
-                matches!(
-                    o,
-                    TxOutcome::Failed {
-                        error: StoreError::RetriesExhausted { .. }
-                    }
-                )
-            })
-            .collect();
-        if exhausted.is_empty() {
-            continue;
-        }
-        if let TxOutcome::Failed {
-            error:
-                StoreError::RetriesExhausted {
-                    retries, relations, ..
-                },
-        } = exhausted[0]
-        {
-            assert_eq!(*retries, 0, "a zero budget never retries");
-            assert_eq!(
-                relations,
-                &vec!["R0".to_string()],
-                "the error names the conflicting footprint"
-            );
-        }
-        // ...and the audit still verifies what did commit: exhausted
-        // transactions left a Begin and a passing guard eval but no
-        // commit, which is a legal (incomplete) run
-        let programs: BTreeMap<u64, Program> = report
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Begin {
-                    tx,
-                    shape,
-                    bindings,
-                    ..
-                } => Some((
-                    *tx,
-                    report.templates[shape]
-                        .instantiate(bindings)
-                        .expect("provenance instantiates"),
-                )),
-                _ => None,
-            })
-            .collect();
-        let verdict = audit(
-            &alpha,
-            &Omega::empty(),
-            &initial,
-            &report.final_db,
-            &report.events,
-            &programs,
-            &report.templates,
-        );
-        assert!(verdict.ok(), "{verdict}");
-        return;
-    }
 }
 
 /// With outcome retention off (the flat-memory mode for resident servers),

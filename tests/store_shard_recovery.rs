@@ -22,6 +22,8 @@
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::logic::Elem;
+use vpdt::store::history::root_hash;
+use vpdt::store::metrics::names;
 use vpdt::store::replay;
 use vpdt::store::shard::{CrossCrashPoint, ROUTED_SESSION};
 use vpdt::store::wal::{self, DecisionBranch, DecisionRecord, Record, WalError, WalWriter};
@@ -46,12 +48,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Test-speed log options: no per-commit fsync (the crash these tests
-/// model is a killed process, not power loss — written bytes survive),
-/// full retention so the final cold audit replays from genesis.
+/// Log options for these tests: full retention, so the final cold audit
+/// replays from genesis.
 fn fast_wal() -> WalOptions {
     WalOptions {
-        fsync_commits: false,
         retain_segments: true,
         ..WalOptions::default()
     }
@@ -305,7 +305,6 @@ fn acknowledged_cross_commits_survive_an_unclean_exit() {
 fn checkpoint_retention_does_not_resurrect_an_applied_cross_branch() {
     let dir = tmp_dir("retention-resurrect");
     let wal = WalOptions {
-        fsync_commits: false,
         retain_segments: false,
         segment_bytes: 256,
     };
@@ -439,4 +438,221 @@ fn each_shard_log_is_replayed_once() {
     let before = replay::commits_replayed_on_this_thread();
     audit_ok(&dir);
     assert_eq!(replay::commits_replayed_on_this_thread() - before, 12);
+}
+
+/// The byte offset where the last `Cross` record of `segment` starts,
+/// walking the documented framing `[u32 len][u64 fnv1a][payload]`.
+fn last_cross_start(segment: &Path) -> usize {
+    let bytes = std::fs::read(segment).expect("reads segment");
+    let mut pos = 0;
+    let mut last = None;
+    while pos + 12 <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        let payload = &bytes[pos + 12..pos + 12 + len];
+        if let Ok(Event::Cross { .. }) = wal::decode_event(payload) {
+            last = Some(pos);
+        }
+        pos += 12 + len;
+    }
+    last.expect("the segment holds a Cross record")
+}
+
+fn last_segment(dir: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("reads dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".log"))
+        })
+        .collect();
+    segs.sort();
+    segs.pop().expect("at least one segment")
+}
+
+/// Each shard's (version, root hash of its state).
+fn shard_heads(store: &ShardedStore) -> Vec<(u64, u64)> {
+    (0..store.num_shards())
+        .map(|s| {
+            let snap = store.shard(s).snapshot();
+            (snap.version, root_hash(&snap.db))
+        })
+        .collect()
+}
+
+/// Coordinators whose footprints overlap wait for each other's holds
+/// instead of spinning: four threads moving tuples back and forth between
+/// the same two relations all finish, each shard prepare waits at most
+/// once, and what they committed survives a clean shutdown and recovery
+/// and passes the sharded cold audit. The moves mix deletes and inserts
+/// over a small universe, so some of them fail the fd guard and abort.
+#[test]
+fn contended_cross_moves_block_instead_of_spinning() {
+    const THREADS: u64 = 4;
+    const MOVES: u64 = 50;
+    let dir = tmp_dir("contended");
+    let store = std::sync::Arc::new(fresh(&dir));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let store = std::sync::Arc::clone(&store);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..MOVES {
+                    let (a, b) = ((t + i) % 4, (t * 7 + i) % 3);
+                    let (from, to) = if (t + i) % 2 == 0 {
+                        ("R0", "R1")
+                    } else {
+                        ("R1", "R0")
+                    };
+                    let mv = Program::seq([
+                        Program::delete_consts(from, [a, b]),
+                        Program::insert_consts(to, [a, b]),
+                    ]);
+                    let routed = store.submit(ROUTED_SESSION, mv).expect("cross move runs");
+                    assert!(matches!(routed, Routed::Cross(_)), "{routed:?}");
+                }
+                done_tx.send(t).expect("reports");
+            })
+        })
+        .collect();
+    drop(done_tx);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    for _ in 0..THREADS {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        done_rx
+            .recv_timeout(left)
+            .expect("every cross submit returns within the 60 s watchdog");
+    }
+    for w in workers {
+        w.join().expect("mover thread");
+    }
+    let store = std::sync::Arc::into_inner(store).expect("movers joined");
+
+    let coordinator = store.metrics();
+    let committed = coordinator.counter(names::CROSS_COMMITTED);
+    let aborted = coordinator.counter(names::CROSS_ABORTED);
+    let crosses = committed + aborted;
+    assert_eq!(crosses, THREADS * MOVES);
+    assert!(committed > 0 && aborted > 0, "{committed} / {aborted}");
+    let waits = coordinator.counter(names::CROSS_PREPARE_RETRIES);
+    assert!(
+        waits <= 2 * crosses,
+        "{waits} prepare waits for {crosses} two-shard crosses: the coordinator spun"
+    );
+
+    let heads = shard_heads(&store);
+    store.shutdown();
+    let recovered = recover(&dir);
+    assert_eq!(shard_heads(&recovered), heads);
+    recovered.shutdown();
+    audit_ok(&dir);
+}
+
+/// A branch `Cross` record is not fsync'd when it commits: until the
+/// shard's next fsync, a power loss may drop it. Cutting the shard's log
+/// back to just before its last `Cross` record models exactly that loss;
+/// the decision record is durable, so recovery rolls the branch forward
+/// and the acknowledged state is whole.
+#[test]
+fn a_branch_lost_with_the_unsynced_tail_rolls_forward() {
+    let dir = tmp_dir("lost-branch");
+    let store = fresh(&dir);
+    let mut acked = Vec::new();
+    for i in 0..4u64 {
+        let routed = store
+            .submit(ROUTED_SESSION, cross(i, 10 + i, i, 20 + i))
+            .expect("cross commit");
+        let Routed::Cross(CrossOutcome::Committed { versions, .. }) = routed else {
+            panic!("expected a cross commit, got {routed:?}");
+        };
+        acked = versions;
+    }
+    let heads = shard_heads(&store);
+    drop(store); // no shutdown: no checkpoint syncs the tail
+
+    let seg = last_segment(&dir.join("shard-1"));
+    let cut = last_cross_start(&seg);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg)
+        .expect("opens segment")
+        .set_len(cut as u64)
+        .expect("truncates");
+
+    let recovered = recover(&dir);
+    assert!(recovered.shard(1).snapshot().db.contains("R1", &t(3, 23)));
+    for &(shard, version) in &acked {
+        assert_eq!(recovered.shard(shard as usize).version(), version);
+    }
+    assert_eq!(shard_heads(&recovered), heads);
+    recovered.shutdown();
+    audit_ok(&dir);
+}
+
+/// Clean shutdown writes the applied-through watermark only after every
+/// shard's clean checkpoint. A crash between the two leaves the previous
+/// watermark (here: the first shutdown's) behind, while the checkpoints
+/// have already retired the segments holding the newer `Cross` records.
+/// The checkpoints record those decisions as applied, so recovery neither
+/// loses nor re-applies a branch.
+#[test]
+fn crash_between_shard_checkpoints_and_watermark_loses_no_branch() {
+    let dir = tmp_dir("watermark-window");
+    let wal = WalOptions {
+        retain_segments: false,
+        segment_bytes: 256,
+    };
+    let initial = workload::sharded_initial(11, RELS, 6, 0.0);
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let store = ShardedBuilder::new(initial, alpha, SHARDS)
+        .workers_per_shard(1)
+        .persist_with(&dir, wal.clone())
+        .build()
+        .expect("sharded store builds");
+    store
+        .submit(ROUTED_SESSION, cross(1, 2, 3, 4))
+        .expect("cross commit");
+    store.shutdown();
+    let watermark = dir.join("decisions").join("applied-through");
+    let first = std::fs::read(&watermark).expect("first watermark");
+
+    let reopen = || {
+        ShardedBuilder::recover(&dir)
+            .workers_per_shard(1)
+            .wal_options(wal.clone())
+            .build()
+            .expect("sharded store recovers")
+    };
+    let store = reopen();
+    for i in 0..6u64 {
+        store
+            .submit(ROUTED_SESSION, cross(10 + i, i, 10 + i, i))
+            .expect("cross commit");
+    }
+    // Undo one branch with a later single-shard commit: re-applying its
+    // decision would bring the tuple back.
+    let Routed::Single { ticket, .. } = store
+        .submit(ROUTED_SESSION, Program::delete_consts("R0", [10, 0]))
+        .expect("routes")
+    else {
+        panic!("single-relation program must route to one shard");
+    };
+    assert!(matches!(ticket.wait(), TxOutcome::Committed { .. }));
+    let heads = shard_heads(&store);
+    store.shutdown();
+    assert_ne!(std::fs::read(&watermark).expect("second watermark"), first);
+    // The crash: the second watermark never reached the disk.
+    std::fs::write(&watermark, &first).expect("restores the first watermark");
+
+    let recovered = reopen();
+    assert_eq!(
+        shard_heads(&recovered),
+        heads,
+        "no branch lost or re-applied"
+    );
+    assert!(!recovered.shard(0).snapshot().db.contains("R0", &t(10, 0)));
+    recovered.shutdown();
+    audit_ok(&dir);
 }
