@@ -49,6 +49,7 @@ use crate::snapshot::{CommitOutcome, CommitRequest, VersionedStore};
 use crate::wal::{GroupCommitFlusher, PendingAck};
 use crate::{AbortReason, StoreError};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::{holds, Omega};
@@ -275,7 +276,14 @@ pub(crate) fn worker_loop(
         obs.queue_wait
             .observe(dequeued_at_ns.saturating_sub(item.enqueued_at_ns) / 1_000);
         obs.trace(item.tx, TraceStage::Dequeued);
-        let (outcome, wal_offset) = execute_one(store, cache, &item, obs);
+        // A panic — a failed log write is fail-stop and poisons the store
+        // — costs the item (its drop guard resolves the ticket), not the
+        // worker: every later item then fails the same way at once rather
+        // than queueing for workers that are gone.
+        let run = AssertUnwindSafe(|| execute_one(store, cache, &item, obs));
+        let Ok((outcome, wal_offset)) = std::panic::catch_unwind(run) else {
+            continue;
+        };
         match &outcome {
             TxOutcome::Committed { .. } => obs.committed.inc(),
             TxOutcome::Aborted { .. } => obs.aborted.inc(),

@@ -40,6 +40,9 @@
 //! acknowledging, so `record` panics (poisoning the store) rather than
 //! dropping events silently; a failed *flush* is reported to every covered
 //! ticket as a typed [`StoreError::Wal`](crate::StoreError::Wal) instead.
+//! A failed flush is never retried: the segment latches the error, so the
+//! next write to it fails too and the store stops at its next publish
+//! (see the [`wal`] module docs).
 
 use crate::wal::{self, DurableLog};
 use std::fmt::Display;
@@ -295,6 +298,13 @@ impl History {
         let inner = self.lock();
         let idx = version.checked_sub(inner.root_base + 1)?;
         inner.roots.get(idx as usize).copied()
+    }
+
+    /// The log offset just past the last commit record (0 without a log):
+    /// once the log is durable through it, every commit recorded so far
+    /// is.
+    pub(crate) fn commit_offset(&self) -> u64 {
+        self.lock().durable.as_ref().map_or(0, |log| log.committed)
     }
 
     /// Whether a write-ahead log is attached.

@@ -107,6 +107,7 @@
 //! property fall back to whole-store footprints and hence serial validation.
 
 pub mod audit;
+mod disk;
 pub mod exec;
 pub mod guard;
 pub mod history;
@@ -182,9 +183,13 @@ pub enum StoreError {
     /// client fails instead of hanging.
     WorkerLost,
     /// The write-ahead log failed (I/O, damaged files, format mismatch) —
-    /// surfaced when persistence is being established or checkpointed; a
-    /// failure while *serving* is fail-stop instead (see
-    /// [`history`]).
+    /// surfaced when persistence is being established, recovered or
+    /// checkpointed, to every ticket a failed flush covered, and to a
+    /// cross-shard transaction whose prepared shard can no longer flush.
+    /// A failed write or fsync is never retried: every later write or
+    /// sync of that file fails with the same error, so a failed
+    /// write-ahead log stops the server rather than acknowledging again
+    /// (see [`history`] and [`wal`]).
     Wal(WalError),
     /// Recovery refused the on-disk state (divergence, bad provenance, a
     /// hash mismatch) — surfaced by
@@ -198,12 +203,6 @@ pub enum StoreError {
         /// What exactly was refused.
         detail: String,
     },
-    /// A debug crash point fired inside the cross-shard commit path (see
-    /// `ShardedStore::debug_set_crash_point`): the store stopped exactly
-    /// where a crash would have, so recovery tests can exercise each 2PC
-    /// window deterministically. Never produced outside tests.
-    #[doc(hidden)]
-    DebugCrashPoint,
 }
 
 impl StoreError {
@@ -221,7 +220,6 @@ impl StoreError {
             StoreError::Wal(_) => "wal",
             StoreError::Recovery(_) => "recovery",
             StoreError::Unshardable { .. } => "unshardable",
-            StoreError::DebugCrashPoint => "debug_crash_point",
         }
     }
 }
@@ -254,7 +252,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Unshardable { detail } => {
                 write!(f, "configuration cannot be sharded: {detail}")
             }
-            StoreError::DebugCrashPoint => write!(f, "debug crash point fired"),
         }
     }
 }
@@ -331,6 +328,9 @@ impl std::fmt::Display for AbortReason {
         }
     }
 }
+
+#[cfg(test)]
+mod crash;
 
 #[cfg(test)]
 mod tests {

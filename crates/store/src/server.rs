@@ -19,6 +19,7 @@
 //! already-submitted transaction (outstanding tickets all resolve), joins
 //! the pool, and returns the final [`ServerReport`].
 
+use crate::disk::{self, Dir, Disk};
 use crate::exec::{self, ExecReport, OutcomeSink, TxOutcome, WorkItem, WorkQueue};
 use crate::guard::{CacheStats, GuardCache};
 use crate::history::{Event, History};
@@ -81,6 +82,7 @@ pub struct StoreBuilder {
     persist_dir: Option<PathBuf>,
     wal_opts: WalOptions,
     trace_capacity: usize,
+    disk: Arc<dyn Disk>,
 }
 
 impl StoreBuilder {
@@ -124,7 +126,14 @@ impl StoreBuilder {
             persist_dir: None,
             wal_opts: WalOptions::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
+            disk: disk::std_disk(),
         }
+    }
+
+    /// The disk the log lives on (default: `std::fs`).
+    pub(crate) fn on_disk(mut self, disk: Arc<dyn Disk>) -> Self {
+        self.disk = disk;
+        self
     }
 
     /// The Ω interpretation guards and programs evaluate under
@@ -237,7 +246,7 @@ impl StoreBuilder {
                 if let Some(dir) = self.persist_dir {
                     let group = new_flusher();
                     store.history().attach_wal(DurableLog::new(
-                        WalWriter::create(&dir, self.wal_opts)?,
+                        WalWriter::create_in(Dir::new(self.disk, dir), self.wal_opts)?,
                         BTreeSet::new(),
                         BTreeSet::new(),
                         Arc::clone(&group),
@@ -280,7 +289,8 @@ impl StoreBuilder {
                 );
                 cache.seed_registry(&recovered.templates);
                 exec::check_base_case(&store, &cache)?;
-                let (writer, logged_shapes) = WalWriter::resume(&dir, self.wal_opts)?;
+                let (writer, logged_shapes) =
+                    WalWriter::resume_in(Dir::new(self.disk, dir), self.wal_opts)?;
                 let flusher = new_flusher();
                 store.history().attach_wal(DurableLog::new(
                     writer,
@@ -562,14 +572,12 @@ impl StoreServer {
         self.shared.group.as_ref().map(|g| g.stats())
     }
 
-    /// Test hook: make the flusher's next fsync fail as if the disk had,
-    /// so the fail-stop fan-out (every covered ticket resolves with a
-    /// typed [`StoreError::Wal`]) can be exercised without a faulty
-    /// device. No-op on a server without a flusher.
-    #[doc(hidden)]
-    pub fn debug_inject_flush_error(&self) {
-        if let Some(g) = &self.shared.group {
-            g.inject_flush_error();
+    /// Blocks until the log is durable through `offset` (see
+    /// [`VersionedStore::prepare_hold`]); at once on an in-memory server.
+    pub(crate) fn wait_durable(&self, offset: u64) -> Result<(), StoreError> {
+        match &self.shared.group {
+            Some(g) => g.wait_durable(offset).map_err(StoreError::Wal),
+            None => Ok(()),
         }
     }
 
@@ -703,4 +711,13 @@ pub struct ServerReport {
     /// The slowest complete traced transactions (up to 16), slowest
     /// first. Empty when tracing was disabled.
     pub slowest: Vec<TxTimeline>,
+}
+
+#[cfg(test)]
+impl StoreServer {
+    /// Whether a [`wait_durable`](Self::wait_durable) caller is waiting
+    /// for the flusher.
+    pub(crate) fn durability_awaited(&self) -> bool {
+        self.shared.group.as_ref().is_some_and(|g| g.awaited())
+    }
 }

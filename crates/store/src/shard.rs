@@ -51,14 +51,27 @@
 //!
 //! | crash window                     | recovery outcome                   |
 //! |----------------------------------|------------------------------------|
-//! | after prepare, before decision   | holds vanish; nothing durable —    |
-//! |                                  | the transaction aborted            |
+//! | after prepare, before the        | holds vanish; nothing durable —    |
+//! | decision's fsync                 | the transaction aborted            |
 //! | after decision fsync, before any | decision log wins: every branch is |
 //! | shard commit                     | rolled forward into its shard WAL  |
 //! | between shard commits            | missing branches rolled forward;   |
 //! |                                  | present ones verified as-is        |
 //! | after all shard commits          | branches a power loss dropped      |
 //! |                                  | rolled forward; nothing else to do |
+//!
+//! The table is checked, not just argued: the store's crash harness runs a
+//! two-shard workload on a disk that records what is durable, crashes it
+//! after every single file operation (and fails every write and sync),
+//! and recovers each image through [`ShardedBuilder::recover`] and
+//! [`cold_audit_sharded`].
+//!
+//! Before the decision is appended, the coordinator waits until every
+//! prepared shard — read-only ones too, since the guard read them — is
+//! durable through the last commit its snapshot includes (usually at
+//! once; otherwise the shard's group-commit flusher fsyncs). A decision
+//! therefore never outlives the state it was decided on: roll-forward
+//! re-applies a branch only on the base the coordinator saw.
 //!
 //! Branch `Cross` records are not fsync'd inline: the durable decision is
 //! the commit point, so a branch only has to reach its shard's disk
@@ -98,6 +111,7 @@
 //! watermark means 0; an unreadable or unparsable one is a typed error.
 
 use crate::audit::{cold_audit_dir, AuditReport};
+use crate::disk::{self, Dir, Disk};
 use crate::guard::PreparedTx;
 use crate::history::{root_hash, Event};
 use crate::replay::Replayer;
@@ -111,7 +125,7 @@ use crate::wal::{
 use crate::{metrics::names, AbortReason, GuardCache, ShapeStat, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vpdt_eval::{holds, Omega};
 use vpdt_logic::{domain::is_domain_independent, Elem, Formula, Schema};
@@ -219,6 +233,7 @@ pub struct ShardedBuilder {
     cache_capacity: usize,
     wal_opts: WalOptions,
     trace_capacity: usize,
+    disk: Arc<dyn Disk>,
 }
 
 impl ShardedBuilder {
@@ -251,6 +266,7 @@ impl ShardedBuilder {
             cache_capacity: crate::guard::DEFAULT_CAPACITY,
             wal_opts: WalOptions::default(),
             trace_capacity: 0,
+            disk: disk::std_disk(),
         }
     }
 
@@ -328,6 +344,7 @@ impl ShardedBuilder {
             .guard_cache_capacity(self.cache_capacity)
             .trace_capacity(self.trace_capacity)
             .wal_options(self.wal_opts.clone())
+            .on_disk(Arc::clone(&self.disk))
     }
 
     fn build_fresh(
@@ -369,8 +386,10 @@ impl ShardedBuilder {
             servers.push(builder.build()?);
         }
         let decisions = persist_root
-            .as_ref()
-            .map(|root| WalWriter::create(root.join("decisions"), self.wal_opts.clone()))
+            .map(|root| {
+                let dir = Dir::new(Arc::clone(&self.disk), root.join("decisions"));
+                WalWriter::create_in(dir, self.wal_opts.clone())
+            })
             .transpose()?
             .map(Mutex::new);
 
@@ -382,7 +401,6 @@ impl ShardedBuilder {
             self.omega,
             self.cache_capacity,
             decisions,
-            persist_root,
             0,
             0,
         ))
@@ -398,7 +416,8 @@ impl ShardedBuilder {
 
         let mut servers = Vec::with_capacity(dirs.len());
         for (s, dir) in dirs.iter().enumerate() {
-            let mut rec = roll_forward_shard(dir, s as u32, &pending, &self.omega, &self.wal_opts)?;
+            let log = Dir::new(Arc::clone(&self.disk), dir);
+            let mut rec = roll_forward_shard(log, s as u32, &pending, &self.omega, &self.wal_opts)?;
             // Decisions below the watermark are applied everywhere; the
             // shard's checkpoints need not carry them any further.
             rec.cross_decisions.retain(|&d| d >= watermark);
@@ -421,7 +440,10 @@ impl ShardedBuilder {
         let schema = Schema::new(rels);
         let alpha = Formula::and(servers.iter().map(|s| s.alpha().clone()));
 
-        let (writer, _) = WalWriter::resume(&decisions_dir, self.wal_opts.clone())?;
+        let (writer, _) = WalWriter::resume_in(
+            Dir::new(Arc::clone(&self.disk), decisions_dir),
+            self.wal_opts.clone(),
+        )?;
         // `decisions` is in append order, and neither ids nor tx ids are
         // monotone in it (both are allocated before the log lock), so take
         // explicit maxima rather than trusting the tail record.
@@ -441,7 +463,6 @@ impl ShardedBuilder {
             self.omega,
             self.cache_capacity,
             Some(Mutex::new(writer)),
-            Some(root),
             next_decision,
             next_cross_tx,
         ))
@@ -485,22 +506,6 @@ pub enum CrossOutcome {
     },
 }
 
-/// Debug crash points inside the cross-shard commit path (test hook): the
-/// coordinator returns [`StoreError::DebugCrashPoint`] at the chosen
-/// window, leaving exactly the state a crash there would.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrossCrashPoint {
-    /// No injection (the default).
-    None = 0,
-    /// After every shard is prepared (held), before the decision append.
-    AfterPrepare = 1,
-    /// After the decision record is durable, before any shard commit.
-    AfterDecision = 2,
-    /// After the first branch commit, before the remaining ones.
-    BetweenShardCommits = 3,
-}
-
 /// One cross-shard branch, fully planned before the decision is appended.
 struct PlannedBranch {
     shard: usize,
@@ -527,7 +532,6 @@ pub struct ShardedStore {
     omega: Omega,
     /// The coordinator's decision log (`None` on an in-memory store).
     decisions: Option<Mutex<WalWriter>>,
-    root: Option<PathBuf>,
     next_decision: AtomicU64,
     next_cross_tx: AtomicU64,
     next_session: AtomicU64,
@@ -538,11 +542,6 @@ pub struct ShardedStore {
     cross_prepare_us: Histogram,
     cross_decide_us: Histogram,
     cross_total_us: Histogram,
-    crash_point: AtomicU8,
-    /// Whether a debug crash point actually fired: the store may then hold
-    /// a durable-but-unapplied decision, and [`shutdown`](Self::shutdown)
-    /// must refuse to advance the watermark over it.
-    crash_fired: AtomicBool,
 }
 
 impl ShardedStore {
@@ -555,7 +554,6 @@ impl ShardedStore {
         omega: Omega,
         cache_capacity: usize,
         decisions: Option<Mutex<WalWriter>>,
-        root: Option<PathBuf>,
         next_decision: u64,
         next_cross_tx: u64,
     ) -> Self {
@@ -574,7 +572,6 @@ impl ShardedStore {
             router,
             omega,
             decisions,
-            root,
             next_decision: AtomicU64::new(next_decision),
             next_cross_tx: AtomicU64::new(next_cross_tx),
             next_session: AtomicU64::new(1),
@@ -584,8 +581,6 @@ impl ShardedStore {
             cross_prepare_us: registry.histogram(names::CROSS_STAGE_PREPARE),
             cross_decide_us: registry.histogram(names::CROSS_STAGE_DECIDE),
             cross_total_us: registry.histogram(names::CROSS_TOTAL),
-            crash_point: AtomicU8::new(CrossCrashPoint::None as u8),
-            crash_fired: AtomicBool::new(false),
             registry,
         }
     }
@@ -673,24 +668,6 @@ impl ShardedStore {
         })
     }
 
-    /// Test hook: make the next cross-shard commit stop at `point` as if
-    /// the process had crashed there (holds left held, later phases
-    /// skipped). One-shot per set; `CrossCrashPoint::None` disarms. Once a
-    /// point has *fired*, the store must be dropped and recovered, not
-    /// [`shutdown`](Self::shutdown) — see there.
-    #[doc(hidden)]
-    pub fn debug_set_crash_point(&self, point: CrossCrashPoint) {
-        self.crash_point.store(point as u8, Ordering::Relaxed);
-    }
-
-    fn crash_at(&self, point: CrossCrashPoint) -> bool {
-        let fires = self.crash_point.load(Ordering::Relaxed) == point as u8;
-        if fires {
-            self.crash_fired.store(true, Ordering::Relaxed);
-        }
-        fires
-    }
-
     /// Submits one program under `session` provenance: classifies its
     /// footprint (syntactically — see `classify`), then
     /// either enqueues it on its single owning shard (returning the
@@ -742,18 +719,17 @@ impl ShardedStore {
         // shard order, waiting out any other coordinator's holds (see the
         // module docs for why this cannot deadlock).
         let prepare_started = self.registry.now_ns();
+        let mut offsets = Vec::with_capacity(footprint.len());
         let snaps: BTreeMap<usize, Snapshot> = footprint
             .iter()
             .map(|(&s, rels)| {
-                let snap = self.shards[s].store().prepare_hold(decision, rels, || {
+                let (snap, offset) = self.shards[s].store().prepare_hold(decision, rels, || {
                     self.cross_prepare_retries.inc();
                 });
+                offsets.push((s, offset));
                 (s, snap)
             })
             .collect();
-        if self.crash_at(CrossCrashPoint::AfterPrepare) {
-            return Err(StoreError::DebugCrashPoint);
-        }
 
         // The union snapshot: the full schema with every touched shard's
         // relation handles swapped in (untouched shards' relations stay
@@ -874,6 +850,18 @@ impl ShardedStore {
             });
         }
 
+        // The decision may only become durable once the state it was
+        // decided on is: every prepared shard — read-only ones too, since
+        // the guard read them — must be durable through its snapshot's
+        // last commit, or a power loss could keep the decision and drop a
+        // commit its branches were based on.
+        for &(s, offset) in &offsets {
+            if let Err(e) = self.shards[s].wait_durable(offset) {
+                self.release_all(decision, &snaps);
+                return Err(e);
+            }
+        }
+
         // The commit point: the decision record reaches stable storage.
         // Failures here are fail-stop, like any serving-path log failure.
         if let Some(log) = &self.decisions {
@@ -900,9 +888,6 @@ impl ShardedStore {
         }
         self.cross_decide_us
             .observe(self.registry.now_ns().saturating_sub(decide_started) / 1_000);
-        if self.crash_at(CrossCrashPoint::AfterDecision) {
-            return Err(StoreError::DebugCrashPoint);
-        }
 
         // Decided: read-only shards have nothing to apply — release them
         // now so their traffic resumes while the written shards commit.
@@ -916,7 +901,7 @@ impl ShardedStore {
         // here: the decision record is the commit point, and a branch
         // record a power loss drops is rolled forward on recovery.
         let mut versions = Vec::with_capacity(planned.len());
-        for (i, b) in planned.into_iter().enumerate() {
+        for b in planned {
             let req = CommitRequest {
                 tx: b.tx,
                 based_on: b.based_on,
@@ -929,9 +914,6 @@ impl ShardedStore {
             };
             let (version, _offset) = self.shards[b.shard].store().commit_prepared(decision, req);
             versions.push((b.shard as u32, version));
-            if i == 0 && self.crash_at(CrossCrashPoint::BetweenShardCommits) {
-                return Err(StoreError::DebugCrashPoint);
-            }
         }
         Ok(CrossOutcome::Committed { decision, versions })
     }
@@ -949,21 +931,7 @@ impl ShardedStore {
     /// not durable on its shard, and recovery never confuses a retired
     /// `Cross` record with a missing one. Consuming `self` guarantees no
     /// cross-shard commit is in flight.
-    ///
-    /// # Panics
-    ///
-    /// After a [`CrossCrashPoint`] has fired, the store may hold a
-    /// durable decision whose branches never applied; advancing the
-    /// watermark (and letting the shard checkpoints GC segments) would
-    /// mark it applied forever, so this refuses. Drop the store and
-    /// [`ShardedBuilder::recover`] from its root instead — exactly what a
-    /// real crash requires.
     pub fn shutdown(self) -> ShardedReport {
-        assert!(
-            !self.crash_fired.load(Ordering::Relaxed),
-            "shutdown() after a DebugCrashPoint would mark a durable-but-unapplied \
-             decision as applied; drop the store and recover from its root instead"
-        );
         let decisions_issued = self.next_decision.load(Ordering::Relaxed);
         if let Some(log) = &self.decisions {
             log.lock()
@@ -972,8 +940,9 @@ impl ShardedStore {
                 .expect("decision log flush at shutdown failed");
         }
         let shards: Vec<ServerReport> = self.shards.into_iter().map(|s| s.shutdown()).collect();
-        if let (Some(root), Some(_)) = (&self.root, &self.decisions) {
-            write_watermark(&root.join("decisions"), decisions_issued)
+        if let Some(log) = &self.decisions {
+            let log = log.lock().expect("decision log poisoned");
+            write_watermark(log.disk_dir(), decisions_issued)
                 .expect("writing the applied-through watermark failed");
         }
         ShardedReport {
@@ -1076,15 +1045,10 @@ fn read_watermark(dir: &Path) -> Result<u64, StoreError> {
     })
 }
 
-/// Atomically (write + fsync + rename + dir fsync) records that every
-/// decision below `through` is applied on every shard.
-fn write_watermark(dir: &Path, through: u64) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{WATERMARK_FILE}.tmp"));
-    std::fs::write(&tmp, format!("{through}\n"))?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, dir.join(WATERMARK_FILE))?;
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
+/// Atomically ([`Dir::replace`]) records that every decision below
+/// `through` is applied on every shard.
+fn write_watermark(dir: &Dir, through: u64) -> Result<PathBuf, WalError> {
+    dir.replace(WATERMARK_FILE, format!("{through}\n").as_bytes())
 }
 
 /// Recovers `shard`'s log and rolls decided-but-unapplied branches
@@ -1099,13 +1063,13 @@ fn write_watermark(dir: &Path, through: u64) -> std::io::Result<()> {
 /// contradicts it. Returns the recovery extended by the rolled-forward
 /// commits, for the shard server to resume from.
 fn roll_forward_shard(
-    dir: &Path,
+    dir: Dir,
     shard: u32,
     pending: &[&DecisionRecord],
     omega: &Omega,
     wal_opts: &WalOptions,
 ) -> Result<Recovered, StoreError> {
-    let mut rec = wal::recover(dir, omega, RecoveryOptions::default())?;
+    let mut rec = wal::recover(dir.path(), omega, RecoveryOptions::default())?;
     let todo: Vec<(u64, &DecisionBranch)> = pending
         .iter()
         .filter(|d| !rec.cross_decisions.contains(&d.id))
@@ -1120,7 +1084,7 @@ fn roll_forward_shard(
         return Ok(rec);
     }
 
-    let (mut writer, _logged_shapes) = WalWriter::resume(dir, wal_opts.clone())?;
+    let (mut writer, _logged_shapes) = WalWriter::resume_in(dir, wal_opts.clone())?;
     let mut replay = Replayer::new(
         rec.alpha.clone(),
         omega.clone(),
@@ -1298,9 +1262,20 @@ pub fn cold_audit_sharded(root: &Path, omega: &Omega) -> Result<ShardedAuditRepo
 }
 
 #[cfg(test)]
+impl ShardedBuilder {
+    /// The disk every shard log and the decision log live on (default:
+    /// `std::fs`).
+    pub(crate) fn on_disk(mut self, disk: Arc<dyn Disk>) -> Self {
+        self.disk = disk;
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::TxOutcome;
+    use std::sync::atomic::AtomicBool;
     use vpdt_logic::parse_formula;
 
     fn fd2() -> (Database, Formula) {

@@ -316,11 +316,14 @@ impl VersionedStore {
     /// Phase one of a cross-shard two-phase commit: records every
     /// relation of `rels` as held by `decision` and returns the current
     /// snapshot — the shard's contribution to the coordinator's union
-    /// snapshot. Because the holds are taken under the same write lock
-    /// that assigns commit versions, the returned snapshot *is* the
-    /// prepare's `based_on`: no commit can touch a held relation until the
-    /// decision releases it, so the coordinator never validates against a
-    /// stale read. When another prepare holds any of `rels`, blocks in
+    /// snapshot — plus the log offset just past the last commit that
+    /// snapshot includes (0 on an in-memory store). Because the holds are
+    /// taken under the same write lock that assigns commit versions, the
+    /// returned snapshot *is* the prepare's `based_on`: no commit can
+    /// touch a held relation until the decision releases it, so the
+    /// coordinator never validates against a stale read. The offset is
+    /// read under that lock too, so once the log is durable through it,
+    /// so is the snapshot. When another prepare holds any of `rels`, blocks in
     /// [`wait_unheld`](Self::wait_unheld) until it releases, then tries
     /// again; `on_wait` runs once, before the first wait. The holds are
     /// all-or-nothing, and a coordinator prepares its shards in ascending
@@ -330,7 +333,7 @@ impl VersionedStore {
         decision: u64,
         rels: &BTreeSet<String>,
         on_wait: impl FnOnce(),
-    ) -> Snapshot {
+    ) -> (Snapshot, u64) {
         let mut on_wait = Some(on_wait);
         loop {
             {
@@ -339,10 +342,11 @@ impl VersionedStore {
                     for rel in rels {
                         s.held.insert(rel.clone(), decision);
                     }
-                    return Snapshot {
+                    let snap = Snapshot {
                         version: s.version,
                         db: Arc::clone(&s.db),
                     };
+                    return (snap, self.history.commit_offset());
                 }
             }
             self.wait_unheld(rels.iter(), || {
@@ -472,7 +476,7 @@ impl VersionedStore {
                 log.writer.sync()?;
                 let offset = log.writer.offset();
                 crate::wal::write_checkpoint_covering(
-                    log.writer.dir(),
+                    log.writer.disk_dir(),
                     &crate::wal::Checkpoint {
                         offset,
                         version: s.version,
@@ -489,18 +493,12 @@ impl VersionedStore {
                 // Retention: segments the fresh checkpoint fully covers are
                 // dead weight — recovery will never read them again — and
                 // so are the checkpoint files the new one supersedes.
-                // Best-effort: the checkpoint itself succeeded, and a file
-                // that survives a failed unlink only costs disk until the
-                // next pass retries.
                 let mut segments_deleted = 0;
                 let mut checkpoints_deleted = 0;
                 if !log.writer.options().retain_segments {
-                    segments_deleted = crate::wal::gc_segments(log.writer.dir(), offset)
-                        .map(|d| d.len())
-                        .unwrap_or(0);
-                    checkpoints_deleted = crate::wal::gc_checkpoints(log.writer.dir())
-                        .map(|d| d.len())
-                        .unwrap_or(0);
+                    let dir = log.writer.disk_dir();
+                    segments_deleted = crate::wal::gc_segments_in(dir, offset)?.len();
+                    checkpoints_deleted = crate::wal::gc_checkpoints_in(dir)?.len();
                 }
                 Ok(CheckpointGc {
                     offset,

@@ -30,6 +30,16 @@
 //!   `Cross` records ride along: nothing waits for them, and the next
 //!   fsync, rotation, checkpoint or shutdown makes them durable (their
 //!   commit point is the coordinator's decision record).
+//! * **Fail-stop, never retried.** Every file operation goes through the
+//!   crate's storage seam (`disk.rs`). The first failed write or fsync of
+//!   a segment latches: the flusher resolves every covered ticket with a
+//!   typed error, and every later write or sync of that segment —
+//!   rotation, [`StoreServer::checkpoint`](crate::StoreServer::checkpoint),
+//!   the clean checkpoint at shutdown — fails with the same error instead
+//!   of fsyncing again over pages the kernel may have dropped. A new
+//!   segment's directory entry is fsync'd before any record lands in it,
+//!   and a checkpoint becomes visible by rename plus directory fsync; a
+//!   failed directory fsync is an error like any other.
 //! * **One write per transaction.** Appending only *stages* a record in
 //!   the writer's buffer; a transaction's `Begin`/`GuardEval` records (and
 //!   any first-use shape declaration) reach the segment together with its
@@ -56,6 +66,7 @@
 //!   [`WalError::Corrupt`] — that log was tampered with or the disk is
 //!   lying, and no prefix of it should be trusted silently.
 
+use crate::disk::{self, Dir, Handle};
 use crate::exec::TxOutcome;
 use crate::history::{fnv1a_64, Event};
 use crate::metrics::{names, StoreMetrics};
@@ -64,7 +75,6 @@ use crate::session::TicketState;
 use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -654,8 +664,12 @@ impl Default for WalOptions {
     }
 }
 
+fn segment_name(seq: u64) -> String {
+    format!("wal-{seq:08}.log")
+}
+
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq:08}.log"))
+    dir.join(segment_name(seq))
 }
 
 /// The append half of the log: owned by the server's
@@ -663,13 +677,13 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 /// write the clean checkpoint.
 #[derive(Debug)]
 pub struct WalWriter {
-    dir: PathBuf,
+    dir: Dir,
     opts: WalOptions,
     /// The current segment, shared with the group-commit flusher: appends
     /// go through the writer (under the history lock), fsyncs go through a
     /// clone of this handle (outside it), so a flush never blocks a
     /// publish.
-    file: Arc<File>,
+    file: Arc<Handle>,
     seg_seq: u64,
     /// Bytes of the current segment, staged records included.
     seg_len: u64,
@@ -693,20 +707,19 @@ impl WalWriter {
     /// here, where it is cheap to explain. Recover existing logs instead
     /// of shadowing them.
     pub fn create(dir: impl Into<PathBuf>, opts: WalOptions) -> Result<Self, WalError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let entries = std::fs::read_dir(&dir).map_err(|e| io_err(&dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let is_segment = name.starts_with("wal-") && name.ends_with(".log");
-            let is_checkpoint = name.starts_with("checkpoint-") && name.ends_with(".ckpt");
-            if is_segment || is_checkpoint {
-                return Err(WalError::AlreadyExists {
-                    dir: dir.display().to_string(),
-                });
-            }
+        Self::create_in(Dir::std(dir), opts)
+    }
+
+    /// [`create`](Self::create) in `dir` on its disk.
+    pub(crate) fn create_in(dir: Dir, opts: WalOptions) -> Result<Self, WalError> {
+        dir.create()?;
+        let names = dir.list()?;
+        if !disk::numbered(&names, "wal-", ".log").is_empty()
+            || !disk::numbered(&names, "checkpoint-", ".ckpt").is_empty()
+        {
+            return Err(WalError::AlreadyExists {
+                dir: dir.path().display().to_string(),
+            });
         }
         let (file, seg_len) = open_segment(&dir, 0, 0)?;
         Ok(WalWriter {
@@ -729,30 +742,26 @@ impl WalWriter {
         dir: impl Into<PathBuf>,
         opts: WalOptions,
     ) -> Result<(Self, BTreeSet<u64>), WalError> {
-        let dir = dir.into();
-        let scan = scan_log(&dir)?;
-        let path = segment_path(&dir, scan.last_seg_seq);
-        // Append mode: every write lands at the (post-truncation) end of
-        // the file, never over the header.
-        let mut file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
+        Self::resume_in(Dir::std(dir), opts)
+    }
+
+    /// [`resume`](Self::resume) in `dir` on its disk.
+    pub(crate) fn resume_in(dir: Dir, opts: WalOptions) -> Result<(Self, BTreeSet<u64>), WalError> {
+        let scan = scan_log(dir.path())?;
         // Physically drop the torn tail so new records append cleanly after
         // the last valid one.
-        file.set_len(scan.last_seg_valid_len)
-            .map_err(|e| io_err(&path, e))?;
+        let file = dir.open_file(&segment_name(scan.last_seg_seq), scan.last_seg_valid_len)?;
         // A crash between segment creation and its header write leaves a
         // last segment with no valid header (valid length 0). Rewrite the
         // header before appending — otherwise the appended records would
         // start a header-less segment no later scan could read.
         let next_offset = scan.base_offset + scan.records.len() as u64;
         let seg_len = if scan.last_seg_valid_len == 0 {
-            write_segment_header(&mut file, &path, scan.last_seg_seq, next_offset)?
+            write_segment_header(&file, scan.last_seg_seq, next_offset)?
         } else {
             scan.last_seg_valid_len
         };
-        file.sync_data().map_err(|e| io_err(&path, e))?;
+        file.sync()?;
         let shapes = scan
             .records
             .iter()
@@ -778,6 +787,11 @@ impl WalWriter {
 
     /// The log directory.
     pub fn dir(&self) -> &Path {
+        self.dir.path()
+    }
+
+    /// The log directory on its disk.
+    pub(crate) fn disk_dir(&self) -> &Dir {
         &self.dir
     }
 
@@ -795,13 +809,8 @@ impl WalWriter {
 
     /// A shared handle on the current segment file — what the flusher
     /// fsyncs without holding the history lock.
-    pub(crate) fn current_file(&self) -> Arc<File> {
+    pub(crate) fn current_file(&self) -> Arc<Handle> {
         Arc::clone(&self.file)
-    }
-
-    /// The current segment's path (for error reporting).
-    pub(crate) fn current_path(&self) -> PathBuf {
-        segment_path(&self.dir, self.seg_seq)
     }
 
     /// Appends one record, rotating segments at the size budget, and
@@ -839,20 +848,19 @@ impl WalWriter {
         if self.staged.is_empty() {
             return Ok(());
         }
-        let written = (&*self.file).write_all(&self.staged);
+        let written = self.file.write(&self.staged);
         self.staged.clear();
         if let Some(writes) = &self.writes {
             writes.inc();
         }
-        written.map_err(|e| io_err(&self.current_path(), e))
+        written
     }
 
     /// Writes the staged records, then flushes everything appended to
     /// stable storage.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.write_staged()?;
-        let path = segment_path(&self.dir, self.seg_seq);
-        self.file.sync_data().map_err(|e| io_err(&path, e))
+        self.file.sync()
     }
 
     fn rotate(&mut self) -> Result<(), WalError> {
@@ -879,38 +887,25 @@ impl Drop for WalWriter {
 }
 
 /// Writes a segment header record to `file`; returns its length.
-fn write_segment_header(
-    file: &mut File,
-    path: &Path,
-    seq: u64,
-    base_offset: u64,
-) -> Result<u64, WalError> {
+fn write_segment_header(file: &Handle, seq: u64, base_offset: u64) -> Result<u64, WalError> {
     let mut payload = vec![TAG_SEGMENT];
     codec::put_u32(&mut payload, FORMAT_VERSION);
     codec::put_u64(&mut payload, seq);
     codec::put_u64(&mut payload, base_offset);
     let framed = frame(&payload);
-    file.write_all(&framed).map_err(|e| io_err(path, e))?;
+    file.write(&framed)?;
     Ok(framed.len() as u64)
 }
 
 /// Creates segment `seq` and writes its header record. The file data and
-/// (best-effort) the directory entry are fsync'd before any record lands
-/// in the segment — a commit record fsync'd into a file whose directory
-/// entry is not durable would not survive power loss.
-fn open_segment(dir: &Path, seq: u64, base_offset: u64) -> Result<(File, u64), WalError> {
-    let path = segment_path(dir, seq);
-    let mut file = OpenOptions::new()
-        .create_new(true)
-        .write(true)
-        .open(&path)
-        .map_err(|e| io_err(&path, e))?;
-    let len = write_segment_header(&mut file, &path, seq, base_offset)?;
-    file.sync_data().map_err(|e| io_err(&path, e))?;
-    // Non-fatal on filesystems that cannot open directories.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// the directory entry are fsync'd before any record lands in the segment
+/// — a commit record fsync'd into a file whose directory entry is not
+/// durable would not survive power loss.
+fn open_segment(dir: &Dir, seq: u64, base_offset: u64) -> Result<(Handle, u64), WalError> {
+    let file = dir.create_file(&segment_name(seq))?;
+    let len = write_segment_header(&file, seq, base_offset)?;
+    file.sync()?;
+    dir.sync()?;
     Ok((file, len))
 }
 
@@ -925,6 +920,10 @@ pub(crate) struct DurableLog {
     /// Ids of the decisions whose `Cross` records this log holds (or held
     /// before retention): what the next checkpoint records as covered.
     pub(crate) cross_decisions: BTreeSet<u64>,
+    /// The log offset just past the last commit record: what the durable
+    /// phase must reach before a state that includes that commit is
+    /// durable.
+    pub(crate) committed: u64,
     /// The durable phase: commit appends tell the flusher how far the log
     /// has grown so its next fsync knows what it covers.
     flusher: Arc<GroupCommitFlusher>,
@@ -943,6 +942,7 @@ impl DurableLog {
             writer,
             logged_shapes,
             cross_decisions,
+            committed: 0,
             flusher,
         }
     }
@@ -970,11 +970,11 @@ impl DurableLog {
                 self.cross_decisions
                     .insert(u64::from_le_bytes(decision.try_into().expect("8 bytes")));
             }
-            Some(&TAG_COMMIT) => self.flusher.note_append(
-                self.writer.current_file(),
-                self.writer.current_path(),
-                self.writer.offset(),
-            ),
+            Some(&TAG_COMMIT) => {
+                self.committed = self.writer.offset();
+                self.flusher
+                    .note_append(self.writer.current_file(), self.committed);
+            }
             _ => {}
         }
         Ok(offset)
@@ -1040,15 +1040,16 @@ struct FlushInner {
     /// ([`DurableLog::append_event`]). Fsyncing `file` makes every record
     /// below `appended` durable — earlier segments were synced at
     /// rotation.
-    file: Option<(Arc<File>, PathBuf)>,
+    file: Option<Arc<Handle>>,
     appended: u64,
     /// Everything below this offset is on stable storage.
     durable: u64,
+    /// The largest offset a [`wait_durable`](GroupCommitFlusher::wait_durable)
+    /// caller needs durable.
+    wanted: u64,
     /// Fail-stop state: the error every covered and subsequent ticket
     /// resolves with.
     failed: Option<WalError>,
-    /// Test hook: makes the next flush fail without touching the disk.
-    inject_error: bool,
 }
 
 /// The shared group-commit flusher: workers enqueue published commits
@@ -1088,8 +1089,8 @@ impl GroupCommitFlusher {
                 file: None,
                 appended: 0,
                 durable: 0,
+                wanted: 0,
                 failed: None,
-                inject_error: false,
             }),
             ready: Condvar::new(),
             obs,
@@ -1136,9 +1137,9 @@ impl GroupCommitFlusher {
     /// Advances the append watermark — called by the publish phase, under
     /// the history lock, after every commit append. Deliberately tiny: the
     /// flush lock is only ever held for bookkeeping, never across I/O.
-    pub(crate) fn note_append(&self, file: Arc<File>, path: PathBuf, appended: u64) {
+    pub(crate) fn note_append(&self, file: Arc<Handle>, appended: u64) {
         let mut g = self.inner.lock().expect("flusher lock poisoned");
-        g.file = Some((file, path));
+        g.file = Some(file);
         g.appended = g.appended.max(appended);
     }
 
@@ -1196,24 +1197,37 @@ impl GroupCommitFlusher {
         }
     }
 
-    /// Test hook: the next flush fails as if the disk had, exercising the
-    /// fail-stop fan-out without needing a faulty device.
-    pub(crate) fn inject_flush_error(&self) {
-        self.inner
-            .lock()
-            .expect("flusher lock poisoned")
-            .inject_error = true;
+    /// Blocks until every record below `offset` is on stable storage —
+    /// what a cross-shard coordinator needs of each shard it prepared
+    /// before its decision may become durable. Returns at once, with no
+    /// fsync, when the log is already durable through `offset`; otherwise
+    /// the flusher's next fsync covers it. Fails with the flusher's
+    /// fail-stop error.
+    pub(crate) fn wait_durable(&self, offset: u64) -> Result<(), WalError> {
+        let mut g = self.inner.lock().expect("flusher lock poisoned");
+        loop {
+            if let Some(err) = &g.failed {
+                return Err(err.clone());
+            }
+            if g.durable >= offset {
+                return Ok(());
+            }
+            g.wanted = g.wanted.max(offset);
+            self.ready.notify_all();
+            g = self.ready.wait(g).expect("flusher lock poisoned");
+        }
     }
 
     /// The flusher thread's loop — the durable phase's one rule: wait
-    /// until something is pending, fsync up to the append watermark, then
-    /// resolve every pending ack that fsync covers. Returns when closed
-    /// and drained.
+    /// until something is pending (an ack, or a
+    /// [`wait_durable`](Self::wait_durable) caller), fsync up to the
+    /// append watermark, then resolve every pending ack that fsync covers.
+    /// Returns when closed and drained.
     pub(crate) fn run(&self) {
         loop {
-            let (file, path, appended, inject) = {
+            let (file, appended) = {
                 let mut g = self.inner.lock().expect("flusher lock poisoned");
-                while g.pending.is_empty() {
+                while g.pending.is_empty() && g.wanted <= g.durable {
                     if g.closed {
                         return;
                     }
@@ -1221,8 +1235,10 @@ impl GroupCommitFlusher {
                 }
                 if let Some(err) = &g.failed {
                     // Fail-stop: anything that slipped in resolves with
-                    // the same typed error; no further I/O is attempted.
+                    // the same typed error; no further I/O is attempted,
+                    // and waiters see the error instead of a flush.
                     let error = StoreError::Wal(err.clone());
+                    g.wanted = g.durable;
                     let orphans: Vec<PendingAck> = g.pending.drain(..).collect();
                     drop(g);
                     for ack in orphans {
@@ -1230,26 +1246,20 @@ impl GroupCommitFlusher {
                     }
                     continue;
                 }
-                let (file, path) = g
+                let file = g
                     .file
                     .clone()
-                    .expect("a commit published before any ack was enqueued");
-                let inject = std::mem::take(&mut g.inject_error);
-                (file, path, g.appended, inject)
+                    .expect("a commit published before anything waited on it");
+                (file, g.appended)
             };
             // The fsync — off every lock, so publishes keep flowing while
             // the disk works.
-            let result = if inject {
-                Err(WalError::Io {
-                    path: path.display().to_string(),
-                    message: "injected flush failure".to_string(),
-                })
-            } else {
-                file.sync_data().map_err(|e| io_err(&path, e))
-            };
-            match result {
+            match file.sync() {
                 Ok(()) => {
                     let mut g = self.inner.lock().expect("flusher lock poisoned");
+                    // A coordinator waits for this fsync only when it
+                    // wanted more than was durable before it.
+                    let waiter = g.wanted > g.durable;
                     g.durable = g.durable.max(appended);
                     // Every ack pending at the snapshot lies below the
                     // watermark (its commit advanced it before the ack was
@@ -1262,10 +1272,15 @@ impl GroupCommitFlusher {
                         .extract_if(.., |ack| ack.offset < durable)
                         .collect();
                     drop(g);
+                    if waiter {
+                        self.ready.notify_all();
+                    }
                     covered.sort_by_key(|a| a.offset);
                     self.obs.wal_fsyncs.inc();
-                    self.obs.wal_flushed_commits.add(covered.len() as u64);
-                    self.obs.batch_size_counter(covered.len()).inc();
+                    if !covered.is_empty() {
+                        self.obs.wal_flushed_commits.add(covered.len() as u64);
+                        self.obs.batch_size_counter(covered.len()).inc();
+                    }
                     for ack in covered {
                         self.resolve_durable(ack);
                     }
@@ -1275,6 +1290,7 @@ impl GroupCommitFlusher {
                     g.failed = Some(err.clone());
                     let covered: Vec<PendingAck> = g.pending.drain(..).collect();
                     drop(g);
+                    self.ready.notify_all();
                     self.obs.wal_flush_failures.inc();
                     let error = StoreError::Wal(err);
                     for ack in covered {
@@ -1321,26 +1337,16 @@ pub struct LogScan {
 /// reported; damage anywhere else is a hard [`WalError::Corrupt`].
 pub fn scan_log(dir: impl AsRef<Path>) -> Result<LogScan, WalError> {
     let dir = dir.as_ref();
-    let mut seqs: Vec<u64> = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
-        }
-    }
+    let names = Dir::std(dir).list()?;
+    let seqs: Vec<u64> = disk::numbered(&names, "wal-", ".log")
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
     if seqs.is_empty() {
         return Err(WalError::NoLog {
             dir: dir.display().to_string(),
         });
     }
-    seqs.sort_unstable();
     let first_seq = seqs[0];
     for (i, &seq) in seqs.iter().enumerate() {
         if seq != first_seq + i as u64 {
@@ -1519,7 +1525,7 @@ fn read_segment_base(path: &Path) -> Result<u64, WalError> {
         offset: 0,
         detail,
     };
-    let mut f = File::open(path).map_err(|e| io_err(path, e))?;
+    let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
     let mut framing = [0u8; FRAME_HEADER];
     f.read_exact(&mut framing)
         .map_err(|_| corrupt("segment shorter than record framing".to_string()))?;
@@ -1558,47 +1564,27 @@ fn read_segment_base(path: &Path) -> Result<u64, WalError> {
 /// `covered` (so every record it holds is checkpoint-covered) — the last
 /// segment is never deleted. Returns the deleted paths.
 pub fn gc_segments(dir: impl AsRef<Path>, covered: u64) -> Result<Vec<PathBuf>, WalError> {
-    let dir = dir.as_ref();
-    let seqs = list_segment_seqs(dir)?;
-    let mut deleted = Vec::new();
-    for pair in seqs.windows(2) {
-        let (seq, next) = (pair[0], pair[1]);
-        let next_base = read_segment_base(&segment_path(dir, next))?;
-        if next_base > covered {
-            break;
-        }
-        let path = segment_path(dir, seq);
-        std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-        deleted.push(path);
-    }
-    if !deleted.is_empty() {
-        // Make the deletions themselves durable (best-effort, as for
-        // segment creation).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(deleted)
+    gc_segments_in(&Dir::std(dir.as_ref()), covered)
 }
 
-/// The WAL segment sequence numbers present in `dir`, sorted ascending.
-fn list_segment_seqs(dir: &Path) -> Result<Vec<u64>, WalError> {
-    let mut seqs: Vec<u64> = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
+/// [`gc_segments`] in `dir` on its disk. The deletions are made durable
+/// before it returns.
+pub(crate) fn gc_segments_in(dir: &Dir, covered: u64) -> Result<Vec<PathBuf>, WalError> {
+    let names = dir.list()?;
+    let segs = disk::numbered(&names, "wal-", ".log");
+    let mut deleted = Vec::new();
+    for pair in segs.windows(2) {
+        let ((_, name), (_, next)) = (pair[0], pair[1]);
+        if read_segment_base(&dir.path().join(next))? > covered {
+            break;
         }
+        dir.remove(name)?;
+        deleted.push(dir.path().join(name));
     }
-    seqs.sort_unstable();
-    Ok(seqs)
+    if !deleted.is_empty() {
+        dir.sync()?;
+    }
+    Ok(deleted)
 }
 
 /// Deletes superseded `checkpoint-*.ckpt` files, keeping exactly what
@@ -1616,37 +1602,40 @@ fn list_segment_seqs(dir: &Path) -> Result<Vec<u64>, WalError> {
 /// forward). Returns the deleted paths; deleting nothing is not an
 /// error.
 pub fn gc_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, WalError> {
-    let dir = dir.as_ref();
-    let cks = list_checkpoints(dir)?;
+    gc_checkpoints_in(&Dir::std(dir.as_ref()))
+}
+
+/// [`gc_checkpoints`] in `dir` on its disk. The deletions are made
+/// durable before it returns.
+pub(crate) fn gc_checkpoints_in(dir: &Dir) -> Result<Vec<PathBuf>, WalError> {
+    let names = dir.list()?;
+    let cks = disk::numbered(&names, "checkpoint-", ".ckpt");
     if cks.len() <= 1 {
         return Ok(Vec::new());
     }
-    let base = match list_segment_seqs(dir)?.first() {
-        Some(&seq) => read_segment_base(&segment_path(dir, seq))?,
+    let base = match disk::numbered(&names, "wal-", ".log").first() {
+        Some((_, name)) => read_segment_base(&dir.path().join(name))?,
         // No segments at all: nothing constrains the floor; keep genesis
         // semantics by treating the base as 0.
         None => 0,
     };
+    let newest = cks[cks.len() - 1].1;
     let floor = cks
         .iter()
         .find(|(off, _)| *off >= base)
-        .map(|(_, p)| p.clone())
-        // Every checkpoint is below the surviving log (should not happen:
-        // segment GC keeps a covering segment) — keep the newest only.
-        .unwrap_or_else(|| cks[cks.len() - 1].1.clone());
-    let newest = cks[cks.len() - 1].1.clone();
+        .map_or(newest, |(_, name)| *name);
+    // (No floor means every checkpoint is below the surviving log, which
+    // segment GC never leaves: keep the newest only.)
     let mut deleted = Vec::new();
-    for (_, path) in &cks {
-        if *path == floor || *path == newest {
+    for &(_, name) in &cks {
+        if name == floor || name == newest {
             continue;
         }
-        std::fs::remove_file(path).map_err(|e| io_err(path, e))?;
-        deleted.push(path.clone());
+        dir.remove(name)?;
+        deleted.push(dir.path().join(name));
     }
     if !deleted.is_empty() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        dir.sync()?;
     }
     Ok(deleted)
 }
@@ -1682,22 +1671,19 @@ pub struct Checkpoint {
     pub templates: BTreeMap<u64, Template>,
 }
 
-fn checkpoint_path(dir: &Path, offset: u64) -> PathBuf {
-    dir.join(format!("checkpoint-{offset:020}.ckpt"))
-}
-
-/// Writes a checkpoint file atomically (temp + fsync + rename) and returns
-/// its path. It records no covered cross-shard decisions — right for a
-/// genesis checkpoint; a serving store records the decisions its log has
-/// applied.
+/// Writes a checkpoint file atomically (temp + fsync + rename + directory
+/// fsync) and returns its path. It records no covered cross-shard
+/// decisions — right for a genesis checkpoint; a serving store records the
+/// decisions its log has applied.
 pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> Result<PathBuf, WalError> {
-    write_checkpoint_covering(dir, ck, &BTreeSet::new())
+    write_checkpoint_covering(&Dir::std(dir), ck, &BTreeSet::new())
 }
 
-/// [`write_checkpoint`], recording `cross_decisions` — the ids of the
-/// cross-shard decisions applied at or before the checkpoint — as covered.
+/// [`write_checkpoint`] in `dir` on its disk, recording `cross_decisions`
+/// — the ids of the cross-shard decisions applied at or before the
+/// checkpoint — as covered.
 pub(crate) fn write_checkpoint_covering(
-    dir: &Path,
+    dir: &Dir,
     ck: &Checkpoint,
     cross_decisions: &BTreeSet<u64>,
 ) -> Result<PathBuf, WalError> {
@@ -1720,22 +1706,10 @@ pub(crate) fn write_checkpoint_covering(
     for id in cross_decisions {
         codec::put_u64(&mut payload, *id);
     }
-    let framed = frame(&payload);
-
-    let tmp = dir.join(".checkpoint.tmp");
-    let path = checkpoint_path(dir, ck.offset);
-    {
-        let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(&framed).map_err(|e| io_err(&tmp, e))?;
-        f.sync_data().map_err(|e| io_err(&tmp, e))?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-    // Durability of the rename itself; non-fatal on filesystems that do
-    // not support opening directories.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(path)
+    dir.replace(
+        &format!("checkpoint-{:020}.ckpt", ck.offset),
+        &frame(&payload),
+    )
 }
 
 /// Reads and verifies one checkpoint file.
@@ -1828,22 +1802,11 @@ pub(crate) fn read_checkpoint_covering(
 /// The checkpoints present in `dir`, as `(offset, path)` sorted by offset.
 pub fn list_checkpoints(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, WalError> {
     let dir = dir.as_ref();
-    let mut out = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(off) = name
-            .strip_prefix("checkpoint-")
-            .and_then(|s| s.strip_suffix(".ckpt"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            out.push((off, entry.path()));
-        }
-    }
-    out.sort_unstable_by_key(|(off, _)| *off);
-    Ok(out)
+    let names = Dir::std(dir).list()?;
+    Ok(disk::numbered(&names, "checkpoint-", ".ckpt")
+        .into_iter()
+        .map(|(off, name)| (off, dir.join(name)))
+        .collect())
 }
 
 /// Reads the genesis checkpoint (offset 0) — the initial state a cold
@@ -1856,6 +1819,16 @@ pub fn read_genesis(dir: impl AsRef<Path>) -> Result<Checkpoint, WalError> {
         _ => Err(WalError::NoCheckpoint {
             dir: dir.display().to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+impl GroupCommitFlusher {
+    /// Whether a [`wait_durable`](Self::wait_durable) caller wants more
+    /// than is durable.
+    pub(crate) fn awaited(&self) -> bool {
+        let g = self.inner.lock().expect("flusher lock poisoned");
+        g.wanted > g.durable
     }
 }
 
@@ -2145,7 +2118,7 @@ mod tests {
         let (_, covered) = read_checkpoint_covering(&path).expect("reads");
         assert!(covered.is_empty());
         let decisions = BTreeSet::from([3, 9, 40]);
-        let path = write_checkpoint_covering(&dir, &ck, &decisions).expect("writes");
+        let path = write_checkpoint_covering(&Dir::std(&dir), &ck, &decisions).expect("writes");
         let (back, covered) = read_checkpoint_covering(&path).expect("reads");
         assert_eq!(covered, decisions);
         assert_eq!(back.db, ck.db);
@@ -2386,8 +2359,7 @@ mod tests {
         const N: u64 = 6;
         let dir = tmp_dir("flusher");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("segment");
-        let file = Arc::new(File::create(&path).expect("creates"));
+        let file = Arc::new(Dir::std(&dir).create_file("segment").expect("creates"));
         let flusher = GroupCommitFlusher::new(StoreMetrics::new(0));
         let ack = |offset: u64| {
             let state = Arc::new(TicketState::default());
@@ -2404,7 +2376,7 @@ mod tests {
         };
         // Commits at offsets 0..=N are published; N of their acks arrive,
         // out of offset order.
-        flusher.note_append(file, path, N + 1);
+        flusher.note_append(file, N + 1);
         let resolved = Arc::new(Mutex::new(Vec::new()));
         let tickets: Vec<_> = (0..N)
             .rev()

@@ -1,23 +1,23 @@
 //! Cross-shard two-phase commit under crash fire.
 //!
-//! Each test drives a `ShardedStore` into a specific crash window via the
-//! coordinator's debug crash points, abandons it without a clean shutdown
-//! (no checkpoint, no watermark — exactly what a killed process leaves
-//! behind), recovers from the shard WALs plus the decision log, and then
-//! demands the recovery-semantics table from the `shard` module docs:
+//! Each test abandons a `ShardedStore` without a clean shutdown (no
+//! checkpoint, no watermark — exactly what a killed process leaves
+//! behind), and some then cut a shard's log back to what a power loss
+//! could leave of it: branch `Cross` records are not fsync'd when they
+//! commit, so any of them may be missing. The tests recover from the
+//! shard WALs plus the decision log and demand the recovery-semantics
+//! table from the `shard` module docs:
 //!
-//! * killed **after prepare** (no decision record): nothing is durable,
-//!   and the crashed coordinator's in-memory holds leak into nothing —
-//!   the recovered store immediately accepts a new transaction on the
-//!   same footprint;
-//! * killed **after the decision fsync** (no branch applied): recovery
+//! * lost **after the decision fsync** (no branch applied): recovery
 //!   rolls every branch forward;
-//! * killed **between shard commits** (first branch applied): the missing
+//! * lost **between shard commits** (first branch applied): the missing
 //!   branch is completed and the applied one is not duplicated;
 //! * every *acknowledged* cross-shard commit survives;
 //!
 //! and after each recovery the sharded cold audit (per-shard replay plus
-//! decision-log cross-checks) passes on the final artifacts.
+//! decision-log cross-checks) passes on the final artifacts. Every other
+//! window — and a crash after each single file operation of a sharded run
+//! — is enumerated by the store crate's crash harness.
 
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
@@ -25,7 +25,7 @@ use vpdt::logic::Elem;
 use vpdt::store::history::root_hash;
 use vpdt::store::metrics::names;
 use vpdt::store::replay;
-use vpdt::store::shard::{CrossCrashPoint, ROUTED_SESSION};
+use vpdt::store::shard::ROUTED_SESSION;
 use vpdt::store::wal::{self, DecisionBranch, DecisionRecord, Record, WalError, WalWriter};
 use vpdt::store::{
     cold_audit_sharded, workload, CrossOutcome, Event, Routed, ShardedBuilder, ShardedStore,
@@ -95,54 +95,21 @@ fn t(a: u64, b: u64) -> [Elem; 2] {
 }
 
 #[test]
-fn crash_after_prepare_leaves_nothing_durable_and_no_leaked_holds() {
-    let dir = tmp_dir("after-prepare");
-    let store = fresh(&dir);
-    // One acknowledged cross commit first, so recovery has real history.
-    let acked = store
-        .submit(ROUTED_SESSION, cross(10, 11, 12, 13))
-        .expect("first cross commit");
-    assert!(matches!(
-        acked,
-        Routed::Cross(CrossOutcome::Committed { .. })
-    ));
-    store.debug_set_crash_point(CrossCrashPoint::AfterPrepare);
-    let err = store
-        .submit(ROUTED_SESSION, cross(20, 21, 22, 23))
-        .unwrap_err();
-    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
-    drop(store); // the crash: holds vanish with the process
-
-    let recovered = recover(&dir);
-    assert!(recovered.shard(0).snapshot().db.contains("R0", &t(10, 11)));
-    // No decision record was written, so the prepared transaction never
-    // existed as far as durability is concerned.
-    assert!(!recovered.shard(0).snapshot().db.contains("R0", &t(20, 21)));
-    assert!(!recovered.shard(1).snapshot().db.contains("R1", &t(22, 23)));
-    // And the undecided prepare leaked no footprint: the same relations
-    // accept a new cross transaction immediately, no backoff needed.
-    let again = recovered
-        .submit(ROUTED_SESSION, cross(20, 21, 22, 23))
-        .expect("footprint is free after recovery");
-    assert!(
-        matches!(again, Routed::Cross(CrossOutcome::Committed { .. })),
-        "{again:?}"
-    );
-    recovered.shutdown();
-    audit_ok(&dir);
-}
-
-#[test]
 fn crash_after_decision_rolls_every_branch_forward() {
     let dir = tmp_dir("after-decision");
     let store = fresh(&dir);
-    store.debug_set_crash_point(CrossCrashPoint::AfterDecision);
-    let err = store.submit(ROUTED_SESSION, cross(1, 2, 3, 4)).unwrap_err();
-    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
-    // Decided but not applied anywhere yet.
-    assert!(!store.shard(0).snapshot().db.contains("R0", &t(1, 2)));
-    assert!(!store.shard(1).snapshot().db.contains("R1", &t(3, 4)));
+    let routed = store
+        .submit(ROUTED_SESSION, cross(1, 2, 3, 4))
+        .expect("cross commit");
+    assert!(matches!(
+        routed,
+        Routed::Cross(CrossOutcome::Committed { .. })
+    ));
     drop(store);
+    // Decided but applied nowhere: neither branch reached its disk.
+    for s in 0..SHARDS {
+        cut_last_cross(&dir.join(format!("shard-{s}")));
+    }
 
     let recovered = recover(&dir);
     // The decision is durable, so recovery must roll it forward on both
@@ -157,14 +124,13 @@ fn crash_after_decision_rolls_every_branch_forward() {
 fn crash_between_shard_commits_completes_the_missing_branch() {
     let dir = tmp_dir("between-commits");
     let store = fresh(&dir);
-    store.debug_set_crash_point(CrossCrashPoint::BetweenShardCommits);
-    let err = store.submit(ROUTED_SESSION, cross(5, 6, 7, 8)).unwrap_err();
-    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
-    // Branches commit in ascending shard order, so shard 0 applied and
-    // shard 1 did not.
-    assert!(store.shard(0).snapshot().db.contains("R0", &t(5, 6)));
-    assert!(!store.shard(1).snapshot().db.contains("R1", &t(7, 8)));
+    store
+        .submit(ROUTED_SESSION, cross(5, 6, 7, 8))
+        .expect("cross commit");
     drop(store);
+    // Branches commit in ascending shard order: shard 0's reached its
+    // disk, shard 1's did not.
+    cut_last_cross(&dir.join("shard-1"));
 
     let recovered = recover(&dir);
     assert!(recovered.shard(0).snapshot().db.contains("R0", &t(5, 6)));
@@ -242,20 +208,6 @@ fn roll_forward_replays_decisions_in_append_order_not_id_order() {
     assert_eq!(recovered.shard(0).version(), 2, "both branches applied");
     recovered.shutdown();
     audit_ok(&dir);
-}
-
-/// After a crash point has fired, the store may hold a durable decision
-/// whose branches never applied; `shutdown()` would stamp the watermark
-/// over it and the decision would never roll forward. It must refuse.
-#[test]
-#[should_panic(expected = "DebugCrashPoint")]
-fn shutdown_refuses_after_a_fired_crash_point() {
-    let dir = tmp_dir("shutdown-after-crash");
-    let store = fresh(&dir);
-    store.debug_set_crash_point(CrossCrashPoint::AfterDecision);
-    let err = store.submit(ROUTED_SESSION, cross(1, 2, 3, 4)).unwrap_err();
-    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
-    store.shutdown(); // must panic: the decision is durable but unapplied
 }
 
 #[test]
@@ -420,12 +372,14 @@ fn each_shard_log_is_replayed_once() {
             .submit(ROUTED_SESSION, cross(2 * i, 2 * i + 1, 2 * i, 2 * i + 1))
             .expect("cross commit");
     }
-    store.debug_set_crash_point(CrossCrashPoint::AfterDecision);
-    let err = store
+    store
         .submit(ROUTED_SESSION, cross(50, 51, 52, 53))
-        .unwrap_err();
-    assert!(matches!(err, StoreError::DebugCrashPoint), "{err}");
+        .expect("cross commit");
     drop(store); // no checkpoint: every commit is in the log tail
+                 // The last decision's branches were lost with the unsynced tails.
+    for s in 0..SHARDS {
+        cut_last_cross(&dir.join(format!("shard-{s}")));
+    }
 
     // Five logged commits per shard plus one rolled-forward branch each.
     let before = replay::commits_replayed_on_this_thread();
@@ -438,6 +392,20 @@ fn each_shard_log_is_replayed_once() {
     let before = replay::commits_replayed_on_this_thread();
     audit_ok(&dir);
     assert_eq!(replay::commits_replayed_on_this_thread() - before, 12);
+}
+
+/// Cuts the last segment of the shard log in `dir` back to just before
+/// its last `Cross` record: what a power loss leaves when that branch
+/// record had not been fsync'd yet.
+fn cut_last_cross(dir: &Path) {
+    let seg = last_segment(dir);
+    let cut = last_cross_start(&seg);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg)
+        .expect("opens segment")
+        .set_len(cut as u64)
+        .expect("truncates");
 }
 
 /// The byte offset where the last `Cross` record of `segment` starts,
@@ -572,14 +540,7 @@ fn a_branch_lost_with_the_unsynced_tail_rolls_forward() {
     let heads = shard_heads(&store);
     drop(store); // no shutdown: no checkpoint syncs the tail
 
-    let seg = last_segment(&dir.join("shard-1"));
-    let cut = last_cross_start(&seg);
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(&seg)
-        .expect("opens segment")
-        .set_len(cut as u64)
-        .expect("truncates");
+    cut_last_cross(&dir.join("shard-1"));
 
     let recovered = recover(&dir);
     assert!(recovered.shard(1).snapshot().db.contains("R1", &t(3, 23)));
