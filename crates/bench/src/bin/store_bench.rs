@@ -88,7 +88,10 @@ use vpdt_bench::json::Json;
 use vpdt_bench::obj;
 use vpdt_net::{names as net_names, NetClient, NetError, NetOptions, NetServer, WireOutcome};
 use vpdt_store::metrics::names;
-use vpdt_store::{audit, run_serial_rollback, workload, MetricsSnapshot, StoreBuilder, WalOptions};
+use vpdt_store::{
+    audit_from, run_serial_rollback, workload, AuditReport, MetricsSnapshot, ServerReport,
+    StoreBuilder, WalOptions,
+};
 use vpdt_tx::program::Program;
 
 /// In-flight submissions per session: deep enough to keep the workers
@@ -281,6 +284,33 @@ fn main() -> std::process::ExitCode {
 /// p50/p95/p99 of a registry histogram from a snapshot, in the
 /// histogram's own unit (µs here). Zeros when the histogram is absent or
 /// empty (e.g. `publish_to_durable` on an in-memory pass).
+/// Audits a served run as a whole, from version 0. A history that
+/// re-anchored mid-run holds only a suffix of it, which this refuses to
+/// audit in the run's place.
+fn audit_whole(
+    alpha: &vpdt_logic::Formula,
+    omega: &vpdt_eval::Omega,
+    report: &ServerReport,
+    programs: &BTreeMap<u64, Program>,
+) -> Result<AuditReport, String> {
+    if report.base_version != 0 {
+        return Err(format!(
+            "the history re-anchored at version {}: a whole-run audit needs every event",
+            report.base_version
+        ));
+    }
+    Ok(audit_from(
+        alpha,
+        omega,
+        report.base_version,
+        &report.initial,
+        &report.final_db,
+        &report.events,
+        programs,
+        &report.templates,
+    ))
+}
+
 fn quantiles(snap: &MetricsSnapshot, name: &str) -> (f64, f64, f64) {
     match snap.histogram(name) {
         Some(h) => (
@@ -1041,15 +1071,7 @@ fn run(cfg: Config) -> Result<bool, String> {
         let tps = run.report.exec.committed as f64 / run.secs;
         let (lock_p50, lock_p95, lock_p99) = quantiles(&run.serving, names::STAGE_PUBLISH_LOCK);
         let audit_start = Instant::now();
-        let sc_verdict = audit(
-            &sc_alpha,
-            &omega,
-            &sc_initial,
-            &run.report.final_db,
-            &run.report.events,
-            &run.programs,
-            &run.report.templates,
-        );
+        let sc_verdict = audit_whole(&sc_alpha, &omega, &run.report, &run.programs)?;
         let audit_secs = audit_start.elapsed().as_secs_f64();
         for problem in sc_verdict.problems.iter().take(5) {
             eprintln!("scaled audit: {problem}");
@@ -1306,15 +1328,7 @@ fn run(cfg: Config) -> Result<bool, String> {
 
     // --- audit (of the session history) -------------------------------------
     let t3 = Instant::now();
-    let verdict = audit(
-        &alpha,
-        &omega,
-        &initial,
-        &report.final_db,
-        &report.events,
-        &programs,
-        &report.templates,
-    );
+    let verdict = audit_whole(&alpha, &omega, &report, &programs)?;
     let audit_secs = t3.elapsed().as_secs_f64();
     println!("{verdict} ({audit_secs:.3}s)");
 

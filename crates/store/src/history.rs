@@ -8,43 +8,46 @@
 //! commitments — which is what lets the audit detect a tampered or
 //! reordered log without re-encoding the whole database on every commit.
 //!
-//! **Representation: one codec for memory and disk.** The log does not
-//! keep [`Event`] values. It keeps each event as its write-ahead-log
-//! payload ([`crate::wal::encode_event_into`]), appended to a byte arena:
-//! payloads are self-delimiting (a tag, fixed-width fields, counted
-//! write sets and bindings, length-prefixed strings), so they are simply
-//! concatenated, with no per-event length or allocation. The arena grows
-//! in chunks of 256 KiB; a full chunk is sealed behind an `Arc`
-//! and never written again. A transaction costs ~130 bytes this way,
-//! against ~430 as a `Vec<Event>` of enums with their own heap
-//! allocations — and the audit, which replays the whole history, needs
-//! every byte of it kept. [`History::events`] decodes on demand:
-//! under the lock it only clones the sealed chunks' handles and copies the
-//! open chunk. Commit root hashes are also indexed by version as they are
-//! appended, so [`History::commit_root`] never decodes.
+//! **Representation: an anchor plus a tail.** The guard is sound on any
+//! state that satisfies `α` (Section 6), so serving never needs the past;
+//! only the audit does, and it can start from any verified state
+//! ([`audit_from`](crate::audit::audit_from)). A history is an *anchor* —
+//! a version and the store's state there — plus a *tail*, the events
+//! since; [`History::events`] returns the tail. In memory, the tail is its
+//! events' write-ahead-log payloads ([`crate::wal::encode_event_into`]),
+//! concatenated (they are self-delimiting: ~130 bytes a transaction,
+//! against ~430 as `Event` values) in 256 KiB chunks; a full chunk is
+//! sealed behind an `Arc`, so `events` copies at most one chunk under the
+//! lock and decodes after it. **The anchor rule:** a commit at version `v`
+//! that finds the tail at the log's default segment size (8 MiB) makes the
+//! state it replaces — version `v − 1`, an `Arc` clone — the new anchor,
+//! drops the tail and the root hashes below it, and opens the new tail.
+//! So a tail starts with the commit at the anchor's version plus one, and
+//! holds at most 8 MiB plus the events since the last commit (aborts alone
+//! do not re-anchor). A persisted history keeps no tail in memory: its
+//! log's segments are the tail, its floor checkpoint the anchor. Either
+//! way, the root hashes of the commits above the anchor are indexed by
+//! version, so [`History::commit_root`] never decodes.
 //!
-//! A history can be made *durable* by attaching a write-ahead log
-//! (`History::attach_wal`, done by
-//! [`StoreBuilder::persist`](crate::StoreBuilder::persist)): every event is
-//! then appended to disk inside the same critical section that appends it
-//! to memory — the very bytes just written to the arena are framed onto
-//! disk, so nothing is encoded twice — and the on-disk order equals the
-//! in-memory order equals (for commits) the serialization order. That
-//! append is the **publish** phase
+//! A history is made *durable* by attaching a write-ahead log (done by
+//! [`StoreBuilder::persist`](crate::StoreBuilder::persist)): each event's
+//! payload is then encoded straight into the log's staging buffer inside
+//! the critical section that orders it, so the on-disk order equals (for
+//! commits) the serialization order. That append is the **publish** phase
 //! of the two-phase commit pipeline: `record` returns the record's log
 //! offset and does **not** fsync — the **durable** phase (the fsync, and
-//! only then the ticket resolution) belongs to the group-commit flusher
-//! (`wal::GroupCommitFlusher`), which coalesces the fsyncs of all
-//! concurrently published commits into one. A failed log write is
-//! fail-stop: a store that can no longer write its log must not keep
-//! acknowledging, so `record` panics (poisoning the store) rather than
-//! dropping events silently; a failed *flush* is reported to every covered
-//! ticket as a typed [`StoreError::Wal`](crate::StoreError::Wal) instead.
-//! A failed flush is never retried: the segment latches the error, so the
-//! next write to it fails too and the store stops at its next publish
-//! (see the [`wal`] module docs).
+//! only then the ticket resolution) belongs to the group-commit flusher,
+//! which coalesces the fsyncs of all concurrently published commits into
+//! one. A failed log write is fail-stop: a store that can no longer write
+//! its log must not keep acknowledging, so `record` panics (poisoning the
+//! store) rather than dropping events silently; a failed *flush* is
+//! reported to every covered ticket as a typed
+//! [`StoreError::Wal`](crate::StoreError::Wal) instead. A failed flush is
+//! never retried: the segment latches the error, so the next write to it
+//! fails too and the store stops at its next publish (see the [`wal`]
+//! module docs).
 
-use crate::wal::{self, DurableLog};
+use crate::wal::{self, DurableLog, RecoveryError};
 use std::fmt::Display;
 use std::sync::{Arc, Mutex, MutexGuard};
 use vpdt_logic::Elem;
@@ -143,61 +146,67 @@ pub enum Event {
 
 /// Bytes an open arena chunk holds before it is sealed. Small enough that
 /// [`History::events`] copies at most this much under the lock, large
-/// enough that a long history is a few hundred chunks.
-const CHUNK_BYTES: usize = 256 * 1024;
+/// enough that a tail is a few dozen chunks. (The unit tests shrink it
+/// and [`TAIL_BYTES`], so they cross many anchors quickly.)
+const CHUNK_BYTES: usize = if cfg!(test) { 16 * 1024 } else { 256 * 1024 };
 /// Room a fresh chunk reserves past [`CHUNK_BYTES`], so the event that
 /// crosses the line does not reallocate it.
 const CHUNK_SLACK: usize = 16 * 1024;
+/// Tail bytes at which a commit re-anchors an in-memory history: the log's
+/// default segment size (8 MiB; 64 KiB in the unit tests).
+const TAIL_BYTES: usize = if cfg!(test) {
+    64 * 1024
+} else {
+    wal::SEGMENT_BYTES as usize
+};
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Full arena chunks: concatenated event payloads, never written
-    /// again, shared with [`History::events`] readers by reference count.
+    /// Full chunks of an in-memory tail: concatenated event payloads,
+    /// never written again, shared with [`History::events`] readers by
+    /// reference count.
     sealed: Vec<Arc<Vec<u8>>>,
     /// Total length of the sealed chunks.
     sealed_bytes: usize,
     /// The chunk events are appended to. An event never straddles two
     /// chunks, so each chunk decodes on its own.
     open: Vec<u8>,
-    /// Number of events in the arena.
+    /// Number of events in the in-memory tail.
+    tail: usize,
+    /// Number of events ever recorded, recovered ones included.
     count: usize,
     durable: Option<DurableLog>,
+    /// The state at version `base` an in-memory tail starts from (a
+    /// persisted history reads its floor checkpoint instead).
+    anchor: Option<Arc<Database>>,
+    base: u64,
     /// Commit root hashes by version: `roots[i]` is the root hash recorded
-    /// at version `root_base + 1 + i`. Commit versions are gapless, so a
-    /// flat vector indexes them O(1) — what lets a networked outcome carry
-    /// its state commitment without scanning the event log per commit.
+    /// at version `base + 1 + i`. Commit versions are gapless, so a flat
+    /// vector indexes them O(1) — what lets a networked outcome carry its
+    /// state commitment without scanning the event log per commit.
     roots: Vec<u64>,
-    /// The version just before the first indexed root (non-zero on a
-    /// server recovered from a retention-truncated log).
-    root_base: u64,
 }
 
 impl Inner {
-    /// Appends one event: `encode` writes its WAL payload at the end of
-    /// the open chunk; the same bytes then index the commit root, go to
-    /// the attached log (if any), and stay in memory. Returns the
-    /// record's log offset on a durable history.
-    ///
-    /// # Panics
-    /// Panics if the attached log fails to append (fail-stop).
+    /// Appends one event: `encode` writes its WAL payload into the open
+    /// chunk, or into the attached log (returning the record's offset),
+    /// and a commit's root hash is indexed. Panics if the log fails.
     fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
-        let start = self.open.len();
-        encode(&mut self.open);
-        let payload = &self.open[start..];
-        // Commit versions are assigned gaplessly under the exec lock, so
-        // each new commit lands exactly one past the end of the index.
-        if let Some((version, root)) = wal::commit_stamp(payload) {
-            if self.roots.is_empty() {
-                self.root_base = version - 1;
-            }
-            debug_assert_eq!(version, self.root_base + self.roots.len() as u64 + 1);
-            self.roots.push(root);
-        }
-        let offset = self.durable.as_mut().map(|log| {
-            log.append_event(payload)
-                .expect("write-ahead log append failed; refusing to continue non-durably")
-        });
         self.count += 1;
+        let (offset, stamp) = match self.durable.as_mut() {
+            Some(log) => {
+                let (offset, stamp) = log
+                    .append_event(encode)
+                    .expect("write-ahead log append failed; refusing to continue non-durably");
+                (Some(offset), stamp)
+            }
+            None => {
+                let start = self.open.len();
+                encode(&mut self.open);
+                self.tail += 1;
+                (None, wal::commit_stamp(&self.open[start..]))
+            }
+        };
         if self.open.len() >= CHUNK_BYTES {
             let full = std::mem::replace(
                 &mut self.open,
@@ -206,46 +215,75 @@ impl Inner {
             self.sealed_bytes += full.len();
             self.sealed.push(Arc::new(full));
         }
+        // Commit versions are assigned gaplessly under the exec lock, so
+        // each new commit lands exactly one past the end of the index.
+        if let Some((version, root)) = stamp {
+            debug_assert_eq!(version, self.base + self.roots.len() as u64 + 1);
+            self.roots.push(root);
+        }
         offset
     }
 }
 
 /// An append-only, thread-safe event log, optionally backed by a
 /// write-ahead log on disk (see the module docs for the representation,
-/// the ordering and the durability contract).
+/// the anchor rule, the ordering and the durability contract).
 #[derive(Debug, Default)]
 pub struct History {
     inner: Mutex<Inner>,
 }
 
 impl History {
-    /// An empty log.
+    /// An empty log anchored at version 0, with no state.
     pub fn new() -> Self {
         History::default()
+    }
+
+    fn with(inner: Inner) -> Self {
+        History {
+            inner: Mutex::new(inner),
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("history lock poisoned")
     }
 
-    /// A log seeded with recovered events (the durable-recovery path: the
-    /// resumed server's history continues where the on-disk log ends).
-    pub(crate) fn with_events(events: Vec<Event>) -> Self {
-        let mut inner = Inner::default();
-        for e in &events {
-            inner.append(|out| wal::encode_event_into(e, out));
-        }
-        History {
-            inner: Mutex::new(inner),
-        }
+    /// An empty in-memory tail anchored at `state`, the store at
+    /// `version`, after `count` earlier events.
+    pub(crate) fn anchored(version: u64, state: Arc<Database>, count: usize) -> Self {
+        History::with(Inner {
+            anchor: Some(state),
+            base: version,
+            count,
+            ..Inner::default()
+        })
     }
 
-    /// Attaches a write-ahead log: every subsequent [`History::record`]
-    /// appends to disk before it returns.
+    /// A recovered store's history, before its log is attached: `events`
+    /// are the log's from its floor checkpoint, at `base_version`, on.
+    /// Only their number and their commits' root hashes are kept.
+    pub(crate) fn resumed(base_version: u64, events: &[Event]) -> Self {
+        let roots = events.iter().filter_map(|e| match e {
+            Event::Commit { root_hash, .. } | Event::Cross { root_hash, .. } => Some(*root_hash),
+            _ => None,
+        });
+        History::with(Inner {
+            base: base_version,
+            roots: roots.collect(),
+            count: events.len(),
+            ..Inner::default()
+        })
+    }
+
+    /// Attaches a write-ahead log, before any event: every subsequent
+    /// [`History::record`] appends to disk before it returns, and the log
+    /// is the tail.
     pub(crate) fn attach_wal(&self, log: DurableLog) {
         let mut inner = self.lock();
-        debug_assert!(inner.durable.is_none(), "a history has at most one log");
+        debug_assert!(inner.durable.is_none() && inner.tail == 0);
         inner.durable = Some(log);
+        inner.anchor = None;
     }
 
     /// Runs `f` with exclusive access to the attached log, if any — the
@@ -267,7 +305,7 @@ impl History {
     }
 
     /// Appends an [`Event::Abort`] whose reason is formatted straight into
-    /// the arena — the abort path never renders its reason to a `String`.
+    /// the tail — the abort path never renders its reason to a `String`.
     pub(crate) fn record_abort(&self, tx: u64, version: u64, reason: &dyn Display) -> Option<u64> {
         self.lock()
             .append(|out| wal::encode_abort_into(tx, version, reason, out))
@@ -277,26 +315,37 @@ impl History {
     /// payload, already encoded *outside* the commit critical section and
     /// patched with its version and root hash (see
     /// [`crate::wal::patch_commit_payload`]): the lock only copies the
-    /// bytes into the arena and, when a log is attached, frames them onto
-    /// disk.
+    /// bytes into the tail. `replaced` is the state the commit replaces;
+    /// a full in-memory tail re-anchors there (the module docs' anchor
+    /// rule).
     ///
     /// # Panics
     /// Panics if the attached log fails to append (fail-stop: see the
     /// module docs).
-    pub(crate) fn record_commit(&self, payload: &[u8]) -> Option<u64> {
-        debug_assert!(wal::commit_stamp(payload).is_some(), "not a commit payload");
-        self.lock().append(|out| out.extend_from_slice(payload))
+    pub(crate) fn record_commit(&self, payload: &[u8], replaced: &Arc<Database>) -> Option<u64> {
+        let (version, _) = wal::commit_stamp(payload).expect("not a commit payload");
+        let mut inner = self.lock();
+        if inner.durable.is_none() && inner.sealed_bytes + inner.open.len() >= TAIL_BYTES {
+            debug_assert_eq!(inner.base + inner.roots.len() as u64 + 1, version);
+            inner.sealed.clear();
+            inner.sealed_bytes = 0;
+            inner.open.clear();
+            inner.tail = 0;
+            inner.roots.clear();
+            inner.base = version - 1;
+            inner.anchor = Some(Arc::clone(replaced));
+        }
+        inner.append(|out| out.extend_from_slice(payload))
     }
 
     /// The [root hash](root_hash) the commit at `version` recorded — the
-    /// per-relation state commitment of the post-state. `None` for version
-    /// 0 (genesis has no commit event), for versions not yet committed,
-    /// and for versions retired by segment retention on a recovered
-    /// server. O(1): commit versions are gapless, so the index is a flat
-    /// vector.
+    /// per-relation state commitment of the post-state. `None` at or below
+    /// the anchor (genesis has no commit event; older commits left the
+    /// tail) and for versions not yet committed. O(1): commit versions are
+    /// gapless, so the index is a flat vector.
     pub fn commit_root(&self, version: u64) -> Option<u64> {
         let inner = self.lock();
-        let idx = version.checked_sub(inner.root_base + 1)?;
+        let idx = version.checked_sub(inner.base + 1)?;
         inner.roots.get(idx as usize).copied()
     }
 
@@ -326,22 +375,44 @@ impl History {
         }
     }
 
-    /// A point-in-time copy of the log, decoded. Under the lock this only
-    /// clones the sealed chunks' handles and copies the open chunk; the
-    /// decoding runs after the lock is released.
+    /// The tail, decoded: every event since the anchor, in log order.
+    ///
+    /// # Panics
+    /// Panics if a persisted history's log cannot be written or read back.
     pub fn events(&self) -> Vec<Event> {
-        let (sealed, open, count) = {
-            let inner = self.lock();
-            (inner.sealed.clone(), inner.open.clone(), inner.count)
-        };
-        let mut out = Vec::with_capacity(count);
-        for chunk in sealed.iter().map(|c| c.as_slice()).chain([open.as_slice()]) {
-            wal::decode_events(chunk, &mut out).expect("the history arena holds whole payloads");
-        }
-        out
+        self.anchored_events().2
     }
 
-    /// Number of events recorded so far. O(1).
+    /// The anchor's version and state (a persisted history's floor
+    /// checkpoint) and the tail: what [`audit_from`](crate::audit::audit_from)
+    /// starts from. A persisted tail is read under the lock, staged records
+    /// written first; an in-memory one is decoded after it.
+    ///
+    /// # Panics
+    /// Panics if a persisted history's log cannot be written or read back.
+    pub fn anchored_events(&self) -> (u64, Option<Arc<Database>>, Vec<Event>) {
+        let (base, anchor, chunks, tail) = {
+            let mut inner = self.lock();
+            if let Some(log) = inner.durable.as_mut() {
+                let read = log.writer.write_staged().map_err(RecoveryError::Wal);
+                let (rec, _) = read
+                    .and_then(|()| crate::replay::open(log.writer.dir(), true))
+                    .expect("reading back the write-ahead log failed");
+                return (rec.base_version, Some(Arc::new(rec.initial)), rec.events);
+            }
+            let mut chunks = inner.sealed.clone();
+            chunks.push(Arc::new(inner.open.clone()));
+            (inner.base, inner.anchor.clone(), chunks, inner.tail)
+        };
+        let mut out = Vec::with_capacity(tail);
+        for chunk in &chunks {
+            wal::decode_events(chunk, &mut out).expect("the history arena holds whole payloads");
+        }
+        (base, anchor, out)
+    }
+
+    /// Number of events recorded over the history's life, recovered ones
+    /// included. O(1).
     pub fn len(&self) -> usize {
         self.lock().count
     }
@@ -351,8 +422,8 @@ impl History {
         self.len() == 0
     }
 
-    /// Bytes the in-memory log occupies: the total length of its event
-    /// payloads (what `store_history_bytes` reports).
+    /// Bytes of the in-memory tail: the total length of its event payloads
+    /// (what `store_history_bytes` reports). 0 on a persisted history.
     pub fn bytes(&self) -> usize {
         let inner = self.lock();
         inner.sealed_bytes + inner.open.len()
@@ -639,7 +710,7 @@ mod tests {
                         *tx, decision, *based_on, *shape, &writes, bindings,
                     );
                     wal::patch_commit_payload(&mut payload, *version, *root_hash);
-                    h.record_commit(&payload);
+                    h.record_commit(&payload, &Arc::new(Database::graph([])));
                 }
                 Event::Abort {
                     tx,
@@ -660,22 +731,6 @@ mod tests {
             direct.record(e.clone());
         }
         assert_eq!(direct.bytes(), h.bytes());
-    }
-
-    #[test]
-    fn with_events_round_trips() {
-        let events = every_variant();
-        let h = History::with_events(events.clone());
-        assert_holds(&h, &events);
-        // and keeps appending where the seed ended
-        let next = Event::GuardEval {
-            tx: 9,
-            version: 4,
-            pass: true,
-        };
-        h.record(next.clone());
-        assert_eq!(h.events().last(), Some(&next));
-        assert_eq!(h.len(), events.len() + 1);
     }
 
     #[test]
@@ -718,6 +773,134 @@ mod tests {
         assert_eq!(h.len(), expected.len());
         assert_eq!(h.commit_root(version), Some(0xdead_beef ^ version));
         assert_eq!(h.commit_root(1), Some(u64::MAX ^ 1));
+    }
+
+    /// Over ten times the bound, in-memory: the tail stays within the
+    /// bound plus a chunk plus an event, every event is still counted,
+    /// the tail is exactly the events since the last anchor and starts
+    /// with the commit just above it, the anchor is the state the
+    /// anchoring commit replaced, and the root index covers the tail only.
+    #[test]
+    fn the_tail_stays_bounded_across_anchors() {
+        const BOUND: usize = TAIL_BYTES;
+        let h = History::anchored(0, Arc::new(Database::graph([])), 0);
+        let menu = every_variant();
+        let largest = menu.iter().map(|e| wal::encode_event(e).len()).max();
+        let (mut tail, mut count, mut recorded) = (Vec::new(), 0, 0);
+        let (mut version, mut base, mut anchors) = (0, 0, 0);
+        let mut anchor = Arc::new(Database::graph([]));
+        while recorded < 10 * BOUND {
+            for e in &menu {
+                let e = match e.clone() {
+                    Event::Commit {
+                        writes, root_hash, ..
+                    } => {
+                        version += 1;
+                        let replaced = Arc::new(Database::graph([(version, version)]));
+                        if h.bytes() >= BOUND {
+                            (tail, base, anchors) = (Vec::new(), version - 1, anchors + 1);
+                            anchor = Arc::clone(&replaced);
+                        }
+                        let e = Event::Commit {
+                            tx: version,
+                            based_on: version - 1,
+                            version,
+                            writes,
+                            shape: 0,
+                            bindings: vec![],
+                            root_hash: root_hash ^ version,
+                        };
+                        h.record_commit(&wal::encode_event(&e), &replaced);
+                        e
+                    }
+                    Event::Cross { .. } => continue,
+                    e => {
+                        h.record(e.clone());
+                        e
+                    }
+                };
+                recorded += wal::encode_event(&e).len();
+                count += 1;
+                tail.push(e);
+                assert!(h.bytes() <= BOUND + CHUNK_BYTES + largest.unwrap());
+                assert_eq!(h.len(), count);
+            }
+        }
+        assert!(anchors >= 5, "{anchors} anchors over ten bounds");
+        let (at, state, events) = h.anchored_events();
+        assert_eq!((at, &events), (base, &tail));
+        assert!(
+            Arc::ptr_eq(&state.unwrap(), &anchor),
+            "the replaced state anchors"
+        );
+        assert!(matches!(events[0], Event::Commit { version, .. } if version == base + 1));
+        for (version, root) in tail.iter().filter_map(root_of) {
+            assert_eq!(h.commit_root(version), Some(root), "root of v{version}");
+        }
+        assert_eq!(h.commit_root(base), None);
+        assert_eq!(h.commit_root(base - 1), None);
+        assert_eq!(h.commit_root(version + 1), None);
+    }
+
+    /// A real one-worker run over several anchors. The commit that crosses
+    /// the line always has its `Begin` and `GuardEval` before the anchor,
+    /// and the tail still audits clean from the anchor; a tail with one
+    /// commit dropped, or one root flipped, does not.
+    #[test]
+    fn a_tail_audits_from_its_anchor() {
+        use crate::exec::{execute_one, WorkItem};
+        use crate::{audit_from, workload, GuardCache, StoreMetrics, VersionedStore};
+        let alpha = workload::sharded_fd_constraint(2);
+        let omega = vpdt_eval::Omega::empty();
+        let store = VersionedStore::new(workload::sharded_initial(3, 2, 40, 0.1));
+        let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
+        let obs = StoreMetrics::new(0);
+        let jobs = workload::sharded_jobs(3, 1, 4000, 2, 40);
+        let mut programs = std::collections::BTreeMap::new();
+        for (tx, program) in jobs.into_iter().enumerate() {
+            let item = WorkItem {
+                tx: tx as u64,
+                session: 1,
+                program: program.clone(),
+                ticket: None,
+                enqueued_at_ns: 0,
+            };
+            execute_one(&store, &cache, &item, &obs);
+            programs.insert(item.tx, program);
+            // Several anchors behind, and a few commits into a tail.
+            if tx >= 2000 && store.version() >= store.history().lock().base + 3 {
+                break;
+            }
+        }
+        let (base, initial, events) = store.history().anchored_events();
+        let initial = initial.expect("a store's history is anchored");
+        assert!(base > 0 && store.history().bytes() <= TAIL_BYTES + CHUNK_BYTES);
+        let Some(&Event::Commit { tx, .. }) = events.first() else {
+            panic!("the tail starts with a commit: {:?}", events.first());
+        };
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, Event::Begin { tx: t, .. } if *t == tx)));
+        let audit = |events: &[Event]| {
+            let final_db = store.snapshot().db;
+            let templates = cache.templates();
+            audit_from(
+                &alpha, &omega, base, &initial, &final_db, events, &programs, &templates,
+            )
+        };
+        assert!(audit(&events).ok(), "{}", audit(&events));
+        let commits: Vec<usize> = (0..events.len())
+            .filter(|&i| matches!(events[i], Event::Commit { .. }))
+            .collect();
+        assert!(commits.len() > 2, "the tail holds several commits");
+        let mut dropped = events.clone();
+        dropped.remove(commits[1]);
+        assert!(!audit(&dropped).ok(), "a dropped commit is reported");
+        let mut flipped = events.clone();
+        if let Event::Commit { root_hash, .. } = &mut flipped[commits[1]] {
+            *root_hash ^= 1;
+        }
+        assert!(!audit(&flipped).ok(), "a flipped root is reported");
     }
 
     #[test]

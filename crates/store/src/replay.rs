@@ -20,13 +20,14 @@
 //! newest checkpoint. [`cold_audit_dir`](crate::audit::cold_audit_dir) runs
 //! the same checks and then one collect-all pass from the floor checkpoint.
 
-use crate::history::{root_hash, state_hash, Event};
+use crate::history::{root_hash, state_hash, Event, History};
 use crate::snapshot::VersionedStore;
 use crate::wal::{self, Checkpoint, Record, WalError};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 use vpdt_core::safe::RuntimeChecked;
 use vpdt_eval::Omega;
 use vpdt_logic::{Elem, Formula, Schema};
@@ -348,11 +349,13 @@ pub struct Recovered {
     pub schema: Schema,
     /// The floor checkpoint's state — what a cold audit replays
     /// [`events`](Recovered::events) from (the genesis state for a full
-    /// log).
+    /// log). A server's report carries the same anchor
+    /// ([`ServerReport::initial`](crate::ServerReport::initial)).
     pub initial: Database,
     /// The floor checkpoint's version: `initial` is the store at this
     /// version, and the first event in [`events`](Recovered::events)
-    /// commits at `base_version + 1`. Zero for a full log.
+    /// commits at `base_version + 1`. Zero for a full log. As in
+    /// [`ServerReport::base_version`](crate::ServerReport::base_version).
     pub base_version: u64,
     /// Each relation's last-writer version, reconstructed from the
     /// replayed commit footprints (relations not written since the floor
@@ -619,20 +622,18 @@ impl VersionedStore {
     /// [`VersionedStore::new`] (the crate re-exports `VersionedStore` as
     /// [`Store`](crate::Store)). Replays snapshot + log tail with full
     /// hash and provenance verification — see [`recover`] — and returns
-    /// the live store (history seeded with the recovered events) together
-    /// with the recovery report. To resume *serving*, hand the directory to
+    /// the live, in-memory store (its history anchored at the recovered
+    /// state, counting the recovered events) together with the recovery
+    /// report. To resume *serving*, hand the directory to
     /// [`StoreBuilder::recover`](crate::StoreBuilder::recover) instead.
     pub fn recover(
         dir: impl AsRef<Path>,
         omega: &Omega,
     ) -> Result<(VersionedStore, Recovered), RecoveryError> {
         let r = recover(dir, omega, RecoveryOptions::default())?;
-        let store = VersionedStore::resume(
-            r.db.clone(),
-            r.version,
-            crate::history::History::with_events(r.events.clone()),
-            r.rel_versions.clone(),
-        );
+        let db = Arc::new(r.db.clone());
+        let history = History::anchored(r.version, Arc::clone(&db), r.events.len());
+        let store = VersionedStore::resume(db, r.version, history, r.rel_versions.clone());
         Ok((store, r))
     }
 }

@@ -275,9 +275,9 @@ impl StoreBuilder {
                     }
                 }
                 let store = VersionedStore::resume(
-                    recovered.db,
+                    Arc::new(recovered.db),
                     recovered.version,
-                    History::with_events(recovered.events),
+                    History::resumed(recovered.base_version, &recovered.events),
                     recovered.rel_versions,
                 );
                 let cache = GuardCache::with_metrics(
@@ -488,22 +488,21 @@ impl StoreServer {
         self.shared.store.version()
     }
 
-    /// A point-in-time copy of the history log, decoded from its in-memory
-    /// WAL payloads.
+    /// A point-in-time copy of the history's events since its anchor (see
+    /// [`History::events`]).
     pub fn history_events(&self) -> Vec<Event> {
         self.shared.store.history().events()
     }
 
-    /// Number of events in the history log — O(1), unlike
-    /// `history_events().len()`, which copies and decodes the whole log.
+    /// Number of events the history has recorded over its life — O(1).
     pub fn history_len(&self) -> usize {
         self.shared.store.history().len()
     }
 
     /// The root hash the commit at `version` recorded — the per-relation
     /// state commitment a remote client pairs with its committed version.
-    /// `None` for version 0, uncommitted versions, and versions retired by
-    /// segment retention on a recovered server. O(1) per call.
+    /// `None` at or below the history's anchor and for uncommitted
+    /// versions (see [`History::commit_root`]). O(1) per call.
     pub fn commit_root(&self, version: u64) -> Option<u64> {
         self.shared.store.history().commit_root(version)
     }
@@ -618,6 +617,10 @@ impl StoreServer {
         let shared = Arc::clone(&self.shared);
         drop(self); // Drop sees an empty worker list and an already-closed queue
         let shared = Arc::into_inner(shared).expect("workers joined, no other owners");
+        // Read before the clean checkpoint, whose retention pass may move
+        // a persisted log's floor past everything served.
+        let (base_version, initial, events) = shared.store.history().anchored_events();
+        let initial = initial.expect("a store's history is anchored");
         if shared.store.history().is_durable() {
             checkpoint(&shared, next_tx).expect("clean checkpoint at shutdown failed");
         }
@@ -634,7 +637,9 @@ impl StoreServer {
         let slowest = shared.obs.trace.slowest(SLOWEST_IN_REPORT);
         ServerReport {
             exec,
-            events: shared.store.history().events(),
+            initial,
+            base_version,
+            events,
             final_db: snap.db,
             final_version: snap.version,
             templates: shared.cache.templates(),
@@ -681,14 +686,23 @@ impl std::fmt::Debug for StoreServer {
 }
 
 /// Everything a shut-down server leaves behind: the aggregated execution
-/// report, the full history, the final state, and the statement templates —
-/// exactly the inputs [`audit`](crate::audit::audit) needs (callers supply
-/// their own `programs` map, since only they know what they submitted).
+/// report, the history's anchor and its events since, the final state, and
+/// the statement templates — exactly the inputs
+/// [`audit_from`](crate::audit::audit_from) needs (callers supply their own
+/// `programs` map, since only they know what they submitted). An audit
+/// of the whole run needs `base_version == 0`.
 #[derive(Clone, Debug)]
 pub struct ServerReport {
     /// Per-transaction outcomes and pipeline counters.
     pub exec: ExecReport,
-    /// The complete history log.
+    /// The history's anchor (see [`History`]), as in
+    /// [`Recovered::initial`]: the state at `base_version` — the initial
+    /// state until the history re-anchors; a persisted server's floor
+    /// checkpoint.
+    pub initial: Arc<Database>,
+    /// The anchor's version, as in [`Recovered::base_version`].
+    pub base_version: u64,
+    /// The events since the anchor, read before the clean checkpoint.
     pub events: Vec<Event>,
     /// The final state.
     pub final_db: Arc<Database>,

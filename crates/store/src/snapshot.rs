@@ -119,25 +119,11 @@ pub struct VersionedStore {
 }
 
 impl VersionedStore {
-    /// Ingests an initial state as version 0.
+    /// Ingests an initial state as version 0, which anchors the history.
     pub fn new(initial: Database) -> Self {
-        let schema = initial.schema().clone();
-        let rel_versions = schema
-            .iter()
-            .map(|(name, _)| (name.to_string(), 0))
-            .collect();
-        VersionedStore {
-            schema,
-            state: RwLock::new(State {
-                version: 0,
-                db: Arc::new(initial),
-                rel_versions,
-                held: BTreeMap::new(),
-            }),
-            history: History::new(),
-            releases: Mutex::new(0),
-            released: Condvar::new(),
-        }
+        let db = Arc::new(initial);
+        let history = History::anchored(0, Arc::clone(&db), 0);
+        VersionedStore::resume(db, 0, history, BTreeMap::new())
     }
 
     /// Resumes a store at a recovered state and version, with a pre-seeded
@@ -149,7 +135,7 @@ impl VersionedStore {
     /// only *reject* commits a finer record would have accepted, never
     /// accept one it would have rejected).
     pub(crate) fn resume(
-        db: Database,
+        db: Arc<Database>,
         version: u64,
         history: History,
         rel_seed: BTreeMap<String, u64>,
@@ -166,7 +152,7 @@ impl VersionedStore {
             schema,
             state: RwLock::new(State {
                 version,
-                db: Arc::new(db),
+                db,
                 rel_versions,
                 held: BTreeMap::new(),
             }),
@@ -265,8 +251,9 @@ impl VersionedStore {
     /// write lock once validation has passed: merges the computed state
     /// into the current one, assigns the next version, stamps the written
     /// relations with it, and records the commit payload (patched with
-    /// the version and root hash) in the history. Returns the new version
-    /// plus the record's log offset.
+    /// the version and root hash) in the history, handing it the replaced
+    /// state for the history's anchor rule. Returns the new version plus
+    /// the record's log offset.
     fn publish(
         &self,
         s: &mut State,
@@ -308,9 +295,9 @@ impl VersionedStore {
         // rehashes a tuple — the per-tuple work happened incrementally at
         // mutation time, outside this lock.
         let hash = root_hash(&merged);
-        s.db = Arc::new(merged);
+        let replaced = std::mem::replace(&mut s.db, Arc::new(merged));
         crate::wal::patch_commit_payload(payload, version, hash);
-        (version, self.history.record_commit(payload))
+        (version, self.history.record_commit(payload, &replaced))
     }
 
     /// Phase one of a cross-shard two-phase commit: records every

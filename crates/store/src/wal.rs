@@ -256,18 +256,17 @@ pub struct DecisionRecord {
     pub branches: Vec<DecisionBranch>,
 }
 
-fn encode_decision(d: &DecisionRecord) -> Vec<u8> {
-    let mut out = vec![TAG_DECISION];
-    codec::put_u64(&mut out, d.id);
-    codec::put_u64(&mut out, d.tx);
-    codec::put_u32(&mut out, d.branches.len() as u32);
+fn encode_decision_into(d: &DecisionRecord, out: &mut Vec<u8>) {
+    out.push(TAG_DECISION);
+    codec::put_u64(out, d.id);
+    codec::put_u64(out, d.tx);
+    codec::put_u32(out, d.branches.len() as u32);
     for b in &d.branches {
-        codec::put_u32(&mut out, b.shard);
-        codec::put_u64(&mut out, b.tx);
-        codec::put_u64(&mut out, b.based_on);
-        codec::encode_program(&b.program, &mut out);
+        codec::put_u32(out, b.shard);
+        codec::put_u64(out, b.tx);
+        codec::put_u64(out, b.based_on);
+        codec::encode_program(&b.program, out);
     }
-    out
 }
 
 fn decode_decision(bytes: &[u8]) -> Result<DecisionRecord, String> {
@@ -590,17 +589,18 @@ fn decode_event_body(c: &mut Cursor<'_>) -> Result<Event, CodecError> {
     }
 }
 
-fn encode_record(r: &Record) -> Vec<u8> {
+fn encode_record_into(r: &Record, out: &mut Vec<u8>) {
     match r {
-        Record::Event(e) => encode_event(e),
-        Record::Shape { id, template } => {
-            let mut out = vec![TAG_SHAPE];
-            codec::put_u64(&mut out, *id);
-            codec::encode_program(template.shape(), &mut out);
-            out
-        }
-        Record::Decision(d) => encode_decision(d),
+        Record::Event(e) => encode_event_into(e, out),
+        Record::Shape { id, template } => put_shape(out, *id, template),
+        Record::Decision(d) => encode_decision_into(d, out),
     }
+}
+
+fn put_shape(out: &mut Vec<u8>, id: u64, template: &Template) {
+    out.push(TAG_SHAPE);
+    codec::put_u64(out, id);
+    codec::encode_program(template.shape(), out);
 }
 
 /// Decodes a record payload (an event, a shape declaration, or a
@@ -629,18 +629,29 @@ fn decode_record(bytes: &[u8]) -> Result<Record, String> {
 /// back to back into one buffer and written with one call.
 pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.reserve(FRAME_HEADER + payload.len());
-    codec::put_u32(out, payload.len() as u32);
-    codec::put_u64(out, fnv1a_64(payload));
-    out.extend_from_slice(payload);
+    frame_with(out, |out| out.extend_from_slice(payload));
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame_into(&mut out, payload);
-    out
+/// Appends the record whose payload `encode` writes, framed, to `out`:
+/// the framing is reserved, the payload written after it in place, and
+/// the framing filled in. Returns where the payload starts.
+fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let start = at + FRAME_HEADER;
+    let len = (out.len() - start) as u32;
+    let sum = fnv1a_64(&out[start..]);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..start].copy_from_slice(&sum.to_le_bytes());
+    start
 }
 
 // --- the writer ------------------------------------------------------------
+
+/// The default [`WalOptions::segment_bytes`], 8 MiB — also the tail an
+/// in-memory [`History`](crate::History) keeps before it re-anchors.
+pub(crate) const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Tunables of the durable log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -658,7 +669,7 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
-            segment_bytes: 8 * 1024 * 1024,
+            segment_bytes: SEGMENT_BYTES,
             retain_segments: false,
         }
     }
@@ -818,26 +829,30 @@ impl WalWriter {
     /// returning — a reader scanning the directory sees it at once.
     /// Returns the record's global offset. Does not fsync.
     pub fn append(&mut self, record: &Record) -> Result<u64, WalError> {
-        let offset = self.append_payload(&encode_record(record))?;
+        let (offset, _) = self.append_with(|out| encode_record_into(record, out))?;
         self.write_staged()?;
         Ok(offset)
     }
 
-    /// Stages one already-encoded record payload — the hot path, which
-    /// runs inside the commit critical section and must not clone events
-    /// just to wrap them. The framed record is only copied into the
-    /// staging buffer; [`write_staged`](Self::write_staged) puts it on
-    /// the segment.
-    pub(crate) fn append_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+    /// Stages one record whose payload `encode` writes straight into the
+    /// staging buffer, framed — the hot path, which runs inside the commit
+    /// critical section: the payload is written once, where it will be
+    /// written to the segment from. [`write_staged`](Self::write_staged)
+    /// puts it on the segment. Returns the record's global offset and its
+    /// payload.
+    pub(crate) fn append_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(u64, &[u8]), WalError> {
         if self.seg_len >= self.opts.segment_bytes {
             self.rotate()?;
         }
         let before = self.staged.len();
-        frame_into(&mut self.staged, payload);
+        let start = frame_with(&mut self.staged, encode);
         self.seg_len += (self.staged.len() - before) as u64;
         let offset = self.next_offset;
         self.next_offset += 1;
-        Ok(offset)
+        Ok((offset, &self.staged[start..]))
     }
 
     /// Writes every staged record to the current segment in one
@@ -888,11 +903,13 @@ impl Drop for WalWriter {
 
 /// Writes a segment header record to `file`; returns its length.
 fn write_segment_header(file: &Handle, seq: u64, base_offset: u64) -> Result<u64, WalError> {
-    let mut payload = vec![TAG_SEGMENT];
-    codec::put_u32(&mut payload, FORMAT_VERSION);
-    codec::put_u64(&mut payload, seq);
-    codec::put_u64(&mut payload, base_offset);
-    let framed = frame(&payload);
+    let mut framed = Vec::new();
+    frame_with(&mut framed, |payload| {
+        payload.push(TAG_SEGMENT);
+        codec::put_u32(payload, FORMAT_VERSION);
+        codec::put_u64(payload, seq);
+        codec::put_u64(payload, base_offset);
+    });
     file.write(&framed)?;
     Ok(framed.len() as u64)
 }
@@ -947,11 +964,12 @@ impl DurableLog {
         }
     }
 
-    /// Appends an encoded event payload and returns its global offset —
-    /// the **publish** half of durability: this runs inside the commit
-    /// critical section and never fsyncs there. The payload is the very
-    /// bytes the in-memory history just appended to its arena, so nothing
-    /// is encoded twice. A `Begin` or `GuardEval` record is only staged;
+    /// Appends the event payload `encode` writes and returns its global
+    /// offset, plus the `(version, root_hash)` of a commit — the
+    /// **publish** half of durability: this runs inside the commit
+    /// critical section and never fsyncs there. The payload is encoded
+    /// straight into the writer's staging buffer, so nothing is encoded or
+    /// copied twice. A `Begin` or `GuardEval` record is only staged;
     /// a terminal record (`Commit`, `Cross`, `Abort`) writes everything
     /// staged so far in one `write(2)`, so a transaction costs one write,
     /// and every commit is in the file (page cache) once it publishes,
@@ -959,34 +977,33 @@ impl DurableLog {
     /// the flusher's append watermark, so the durable phase knows which
     /// fsync will cover it. A cross-shard commit records its decision id
     /// as applied; the next fsync of the segment covers it too.
-    pub(crate) fn append_event(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        let offset = self.writer.append_payload(payload)?;
-        if matches!(payload.first(), Some(&(TAG_COMMIT | TAG_CROSS | TAG_ABORT))) {
+    pub(crate) fn append_event(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(u64, Option<(u64, u64)>), WalError> {
+        let (offset, payload) = self.writer.append_with(encode)?;
+        let (tag, stamp) = (payload.first().copied(), commit_stamp(payload));
+        let decision = payload
+            .get(CROSS_DECISION_OFFSET..CROSS_DECISION_OFFSET + 8)
+            .filter(|_| tag == Some(TAG_CROSS))
+            .map(|id| u64::from_le_bytes(id.try_into().expect("8 bytes")));
+        if matches!(tag, Some(TAG_COMMIT | TAG_CROSS | TAG_ABORT)) {
             self.writer.write_staged()?;
         }
-        match payload.first() {
-            Some(&TAG_CROSS) => {
-                let decision = &payload[CROSS_DECISION_OFFSET..CROSS_DECISION_OFFSET + 8];
-                self.cross_decisions
-                    .insert(u64::from_le_bytes(decision.try_into().expect("8 bytes")));
-            }
-            Some(&TAG_COMMIT) => {
-                self.committed = self.writer.offset();
-                self.flusher
-                    .note_append(self.writer.current_file(), self.committed);
-            }
-            _ => {}
+        self.cross_decisions.extend(decision);
+        if tag == Some(TAG_COMMIT) {
+            self.committed = self.writer.offset();
+            self.flusher
+                .note_append(self.writer.current_file(), self.committed);
         }
-        Ok(offset)
+        Ok((offset, stamp))
     }
 
     /// Logs a shape declaration the first time the shape is used durably.
     pub(crate) fn declare_shape(&mut self, id: u64, template: &Template) -> Result<(), WalError> {
         if self.logged_shapes.insert(id) {
-            let mut payload = vec![TAG_SHAPE];
-            codec::put_u64(&mut payload, id);
-            codec::encode_program(template.shape(), &mut payload);
-            self.writer.append_payload(&payload)?;
+            self.writer
+                .append_with(|out| put_shape(out, id, template))?;
         }
         Ok(())
     }
@@ -1425,24 +1442,7 @@ pub fn scan_log(dir: impl AsRef<Path>) -> Result<LogScan, WalError> {
             if first {
                 // Every segment must open with a matching header record.
                 first = false;
-                let mut c = Cursor::new(payload);
-                let header = (|| -> Result<(u32, u64, u64), CodecError> {
-                    let at = c.pos();
-                    let tag = c.u8("segment tag")?;
-                    if tag != TAG_SEGMENT {
-                        return Err(CodecError::BadTag {
-                            at,
-                            what: "segment header",
-                            tag,
-                        });
-                    }
-                    let v = c.u32("format version")?;
-                    let s = c.u64("segment seq")?;
-                    let b = c.u64("base offset")?;
-                    c.finish()?;
-                    Ok((v, s, b))
-                })();
-                match header {
+                match decode_segment_header(payload) {
                     Ok((v, _, _)) if v != FORMAT_VERSION => {
                         return Err(WalError::Version {
                             found: v,
@@ -1537,24 +1537,27 @@ fn read_segment_base(path: &Path) -> Result<u64, WalError> {
     if fnv1a_64(&payload) != sum {
         return Err(corrupt("header checksum mismatch".to_string()));
     }
-    let mut c = Cursor::new(&payload);
-    (|| -> Result<u64, CodecError> {
-        let at = c.pos();
-        let tag = c.u8("segment tag")?;
-        if tag != TAG_SEGMENT {
-            return Err(CodecError::BadTag {
-                at,
-                what: "segment header",
-                tag,
-            });
-        }
-        let _version = c.u32("format version")?;
-        let _seq = c.u64("segment seq")?;
-        let base = c.u64("base offset")?;
-        c.finish()?;
-        Ok(base)
-    })()
-    .map_err(|e| corrupt(format!("bad segment header: {e}")))
+    decode_segment_header(&payload)
+        .map(|(_, _, base)| base)
+        .map_err(|e| corrupt(format!("bad segment header: {e}")))
+}
+
+/// Decodes a segment header record's payload: the format version, the
+/// segment's sequence number and the global offset of its first record.
+fn decode_segment_header(payload: &[u8]) -> Result<(u32, u64, u64), CodecError> {
+    let mut c = Cursor::new(payload);
+    let tag = c.u8("segment tag")?;
+    if tag != TAG_SEGMENT {
+        let (at, what) = (0, "segment header");
+        return Err(CodecError::BadTag { at, what, tag });
+    }
+    let header = (
+        c.u32("format version")?,
+        c.u64("segment seq")?,
+        c.u64("base offset")?,
+    );
+    c.finish()?;
+    Ok(header)
 }
 
 /// Deletes every segment whose records are *entirely* below `covered` —
@@ -1687,29 +1690,29 @@ pub(crate) fn write_checkpoint_covering(
     ck: &Checkpoint,
     cross_decisions: &BTreeSet<u64>,
 ) -> Result<PathBuf, WalError> {
-    let mut payload = vec![TAG_CHECKPOINT];
-    codec::put_u32(&mut payload, FORMAT_VERSION);
-    codec::put_u64(&mut payload, ck.offset);
-    codec::put_u64(&mut payload, ck.version);
-    codec::put_u64(&mut payload, ck.next_tx);
-    codec::put_u64(&mut payload, ck.state_hash);
-    codec::put_u64(&mut payload, ck.root_hash);
-    codec::encode_formula(&ck.alpha, &mut payload);
-    codec::put_str(&mut payload, &ck.schema.encode());
-    codec::put_str(&mut payload, &ck.db.encode());
-    codec::put_u32(&mut payload, ck.templates.len() as u32);
-    for (id, t) in &ck.templates {
-        codec::put_u64(&mut payload, *id);
-        codec::encode_program(t.shape(), &mut payload);
-    }
-    codec::put_u32(&mut payload, cross_decisions.len() as u32);
-    for id in cross_decisions {
-        codec::put_u64(&mut payload, *id);
-    }
-    dir.replace(
-        &format!("checkpoint-{:020}.ckpt", ck.offset),
-        &frame(&payload),
-    )
+    let mut framed = Vec::new();
+    frame_with(&mut framed, |payload| {
+        payload.push(TAG_CHECKPOINT);
+        codec::put_u32(payload, FORMAT_VERSION);
+        codec::put_u64(payload, ck.offset);
+        codec::put_u64(payload, ck.version);
+        codec::put_u64(payload, ck.next_tx);
+        codec::put_u64(payload, ck.state_hash);
+        codec::put_u64(payload, ck.root_hash);
+        codec::encode_formula(&ck.alpha, payload);
+        codec::put_str(payload, &ck.schema.encode());
+        codec::put_str(payload, &ck.db.encode());
+        codec::put_u32(payload, ck.templates.len() as u32);
+        for (id, t) in &ck.templates {
+            codec::put_u64(payload, *id);
+            codec::encode_program(t.shape(), payload);
+        }
+        codec::put_u32(payload, cross_decisions.len() as u32);
+        for id in cross_decisions {
+            codec::put_u64(payload, *id);
+        }
+    });
+    dir.replace(&format!("checkpoint-{:020}.ckpt", ck.offset), &framed)
 }
 
 /// Reads and verifies one checkpoint file.
@@ -2236,7 +2239,9 @@ mod tests {
         codec::put_u32(&mut payload, 99);
         codec::put_u64(&mut payload, 0);
         codec::put_u64(&mut payload, 0);
-        std::fs::write(segment_path(&dir, 0), frame(&payload)).expect("writes");
+        let mut framed = Vec::new();
+        frame_into(&mut framed, &payload);
+        std::fs::write(segment_path(&dir, 0), framed).expect("writes");
         assert_eq!(
             scan_log(&dir),
             Err(WalError::Version {
@@ -2281,7 +2286,8 @@ mod tests {
         let menu = event_menu();
         // Begin(1), GuardEval(1), GuardEval(2): nothing terminal yet.
         for e in &menu[..3] {
-            log.append_event(&encode_event(e)).expect("stages");
+            log.append_event(|out| encode_event_into(e, out))
+                .expect("stages");
         }
         assert!(
             logged_events(&dir).is_empty(),
@@ -2289,11 +2295,13 @@ mod tests {
         );
         assert_eq!(writes.get(), 0);
         // Commit(1) writes the burst.
-        log.append_event(&encode_event(&menu[3])).expect("appends");
+        log.append_event(|out| encode_event_into(&menu[3], out))
+            .expect("appends");
         assert_eq!(logged_events(&dir), menu[..4]);
         assert_eq!(writes.get(), 1);
         // Abort(2) is terminal too.
-        log.append_event(&encode_event(&menu[4])).expect("appends");
+        log.append_event(|out| encode_event_into(&menu[4], out))
+            .expect("appends");
         assert_eq!(logged_events(&dir), menu);
         assert_eq!(writes.get(), 2);
         assert_eq!(log.writer.offset(), 5);
@@ -2308,15 +2316,18 @@ mod tests {
         let dir = tmp_dir("stage-sync");
         let (mut log, writes) = staging_log(&dir, WalOptions::default());
         let menu = event_menu();
-        log.append_event(&encode_event(&menu[0])).expect("stages");
+        log.append_event(|out| encode_event_into(&menu[0], out))
+            .expect("stages");
         log.writer.sync().expect("syncs");
         assert_eq!(logged_events(&dir), menu[..1]);
         assert_eq!(writes.get(), 1);
         // A sync with nothing staged makes no write.
         log.writer.sync().expect("syncs");
         assert_eq!(writes.get(), 1);
-        log.append_event(&encode_event(&menu[1])).expect("stages");
-        log.append_event(&encode_event(&menu[2])).expect("stages");
+        log.append_event(|out| encode_event_into(&menu[1], out))
+            .expect("stages");
+        log.append_event(|out| encode_event_into(&menu[2], out))
+            .expect("stages");
         assert_eq!(logged_events(&dir), menu[..1]);
         drop(log);
         assert_eq!(logged_events(&dir), menu[..3]);
@@ -2337,7 +2348,8 @@ mod tests {
         let menu = event_menu();
         let non_terminal = [&menu[0], &menu[1], &menu[2], &menu[0], &menu[1]];
         for e in non_terminal {
-            log.append_event(&encode_event(e)).expect("stages");
+            log.append_event(|out| encode_event_into(e, out))
+                .expect("stages");
         }
         log.writer.sync().expect("syncs");
         let scan = scan_log(&dir).expect("scans");

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 use vpdt::eval::Omega;
-use vpdt::store::{audit, run_serial_rollback, workload, StoreBuilder};
+use vpdt::store::{audit_from, run_serial_rollback, workload, StoreBuilder};
 
 fn main() {
     const RELS: usize = 4;
@@ -75,7 +75,7 @@ fn main() {
     // same programs in transaction-id order.
     let serial_programs: Vec<_> = programs.values().cloned().collect();
     let t1 = Instant::now();
-    let (_, serial) = run_serial_rollback(initial.clone(), &serial_programs, &alpha, &omega);
+    let (_, serial) = run_serial_rollback(initial, &serial_programs, &alpha, &omega);
     let serial_time = t1.elapsed();
     assert_eq!(serial.failed, 0, "the baseline never errors, it rolls back");
     assert_eq!(serial.committed + serial.aborted, jobs.len());
@@ -89,11 +89,13 @@ fn main() {
     );
 
     // Audit: replay the committed history through RuntimeChecked and
-    // cross-check every guard decision.
-    let verdict = audit(
+    // cross-check every guard decision — the whole run, from version 0.
+    assert_eq!(report.base_version, 0, "the history re-anchored mid-run");
+    let verdict = audit_from(
         &alpha,
         &omega,
-        &initial,
+        report.base_version,
+        &report.initial,
         &report.final_db,
         &report.events,
         &programs,

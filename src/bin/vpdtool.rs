@@ -352,11 +352,11 @@ fn run_store(args: &[String]) -> Result<(), String> {
         );
     }
 
-    use vpdt::store::{audit, workload, StoreBuilder};
+    use vpdt::store::{audit_from, workload, StoreBuilder};
     let omega = Omega::empty();
-    // The fresh in-memory path is the only consumer of (initial, α) — a
+    // The fresh in-memory path is the only consumer of α here — a
     // persisted run is audited cold, from its own files.
-    let (server, mem_audit_inputs) = if recover {
+    let (server, mem_alpha) = if recover {
         let dir = persist.clone().expect("checked above");
         let server = StoreBuilder::recover(&dir)
             .omega(omega.clone())
@@ -372,7 +372,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
     } else {
         let alpha = workload::sharded_fd_constraint(rels);
         let initial = workload::sharded_initial(seed, rels, universe, 0.5);
-        let mut builder = StoreBuilder::new(initial.clone(), alpha.clone())
+        let mut builder = StoreBuilder::new(initial, alpha.clone())
             .omega(omega.clone())
             .workers(workers);
         if let Some(dir) = &persist {
@@ -381,7 +381,7 @@ fn run_store(args: &[String]) -> Result<(), String> {
         let server = builder
             .build()
             .map_err(|e| format!("server refused to start: {e}"))?;
-        (server, Some((initial, alpha)))
+        (server, Some(alpha))
     };
 
     let jobs = workload::sharded_jobs(seed, clients, txs, rels, universe);
@@ -413,11 +413,19 @@ fn run_store(args: &[String]) -> Result<(), String> {
     let verdict = if let Some(dir) = &persist {
         cold_audit_dir(dir, &omega)?
     } else {
-        let (initial, alpha) = mem_audit_inputs.expect("fresh unpersisted run");
-        audit(
+        let alpha = mem_alpha.expect("fresh unpersisted run");
+        if report.base_version != 0 {
+            return Err(format!(
+                "the in-memory history re-anchored at version {}: the run is too long for \
+                 a whole-run audit",
+                report.base_version
+            ));
+        }
+        audit_from(
             &alpha,
             &omega,
-            &initial,
+            report.base_version,
+            &report.initial,
             &report.final_db,
             &report.events,
             &programs,

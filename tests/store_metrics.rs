@@ -4,6 +4,7 @@
 //! contract, checkpoint-file GC accounting, and the report's metrics view
 //! staying consistent with the legacy counters it mirrors.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
 use vpdt::store::metrics::names;
@@ -340,6 +341,82 @@ fn checkpoint_gc_deletes_superseded_files() {
         .expect("recovery after checkpoint GC");
     assert_eq!(recovered.version(), final_version);
     cleanup(&dir);
+}
+
+/// A persisted server keeps no history in memory — its log is the tail —
+/// so `store_history_bytes` is 0 and stays 0 while it commits, and its
+/// report anchors the events at the log's floor checkpoint (genesis here).
+#[test]
+fn persisted_history_bytes_stay_zero() {
+    let dir = tmp_dir("persisted-tail");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(31, RELS, UNIVERSE, 0.4);
+    let server = StoreBuilder::new(initial.clone(), alpha)
+        .workers(2)
+        .persist(&dir)
+        .build()
+        .expect("persisted server starts");
+    let jobs = workload::sharded_jobs(31, 2, 60, RELS, UNIVERSE);
+    for half in jobs.chunks(60) {
+        workload::serve_chunked(&server, half, 30);
+        let m = server.metrics();
+        assert!(m.counter(names::TX_COMMITTED) > 0);
+        assert_eq!(m.gauge(names::HISTORY_BYTES), 0);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.metrics.gauge(names::HISTORY_BYTES), 0);
+    assert_eq!((report.base_version, &*report.initial), (0, &initial));
+    assert!(report.events.len() >= jobs.len() * 3);
+    cleanup(&dir);
+}
+
+/// Served past at least three anchors, an in-memory server's
+/// `store_history_bytes` never exceeds the tail bound (the log's default
+/// segment size) plus a chunk and an event, and the report audits clean
+/// from its anchor. Release only, ignored by default: CI runs it with
+/// `cargo test --release -q --test store_metrics -- --ignored`.
+#[test]
+#[ignore = "serves ~260k transactions; run in release with --ignored"]
+fn bounded_history_over_many_anchors() {
+    const RELS: usize = 8;
+    const ROUND: usize = 5_000;
+    let (alpha, omega) = (workload::sharded_fd_constraint(RELS), Omega::empty());
+    let server = StoreBuilder::new(workload::sharded_initial(5, RELS, 6, 0.5), alpha.clone())
+        .workers(2)
+        .trace_capacity(0)
+        .retain_outcomes(false)
+        .build()
+        .expect("consistent initial state");
+    let tail_bound = WalOptions::default().segment_bytes;
+    let (mut programs, mut peak, mut anchors, mut last) = (BTreeMap::new(), 0, 0, 0);
+    for round in 0..52 {
+        let jobs = workload::sharded_jobs(round, 4, ROUND / 4, RELS, 6);
+        programs.append(&mut workload::serve_chunked(&server, &jobs, ROUND / 4));
+        // The tail only shrinks when it re-anchors; keep the programs its
+        // commits may come from (a tail holds ~62k transactions).
+        let served = (round + 1) * ROUND as u64;
+        programs.retain(|&tx, _| tx + 100_000 >= served);
+        let bytes = server.metrics().gauge(names::HISTORY_BYTES);
+        anchors += u32::from(bytes < last);
+        (peak, last) = (peak.max(bytes), bytes);
+    }
+    let report = server.shutdown();
+    assert!(anchors >= 3, "{anchors} anchors");
+    assert!(report.base_version > 0);
+    let largest = report.events.iter().map(|e| wal::encode_event(e).len());
+    let limit = tail_bound + 256 * 1024 + largest.max().expect("a tail") as u64;
+    assert!(peak <= limit, "history bytes peaked at {peak} > {limit}");
+    let audit = vpdt::store::audit_from(
+        &alpha,
+        &omega,
+        report.base_version,
+        &report.initial,
+        &report.final_db,
+        &report.events,
+        &programs,
+        &report.templates,
+    );
+    assert!(audit.ok(), "{audit}");
 }
 
 fn cleanup(dir: &Path) {
