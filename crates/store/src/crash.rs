@@ -393,9 +393,15 @@ fn found_window(
         return (Some(ticket), None);
     }
     // The flusher's sync of the delete reaches the hold before the cross
-    // starts, so the order of what follows does not depend on timing.
-    while !disk.holding() {
+    // starts, so the order of what follows does not depend on timing —
+    // unless the flusher's write of the delete failed, which resolves the
+    // applied delete as failed instead.
+    while !disk.holding() && ticket.try_outcome().is_none() {
         std::thread::yield_now();
+    }
+    if !disk.holding() {
+        disk.release();
+        return (Some(ticket), None);
     }
     let routed = std::thread::scope(|s| {
         let coordinator = s.spawn(|| catch(|| store.submit(ROUTED_SESSION, cross(1, 3, 5, 6))));
@@ -736,5 +742,140 @@ fn flush_error_fans_out_to_every_covered_ticket() {
     }
     assert!(disk.resynced().is_empty(), "{:?}", disk.resynced());
     drop(server); // drains cleanly even in the failed state
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed *write* is fail-stop like a failed fsync. The flusher holds
+/// at a first commit's fsync while eight more publish: they are staged,
+/// not written, so the flusher's next write carries them all, and it
+/// fails. The first commit resolves durable; every held ticket, and
+/// every later commit, fails with a typed error; nothing reaches the disk
+/// after the failed write.
+#[test]
+fn write_error_fans_out_to_every_held_ticket() {
+    let dir = tmp_dir("writeerr");
+    let disk = TestDisk::new(Plan::Record);
+    let server = StoreBuilder::new(
+        workload::sharded_initial(7, 2, 4, 0.5),
+        workload::sharded_fd_constraint(2),
+    )
+    .workers(2)
+    .persist(&dir) // one segment: no rotation writes behind the hold
+    .on_disk(Arc::clone(&disk) as _)
+    .build()
+    .expect("starts");
+    disk.hold_syncs(&dir);
+    let session = server.session();
+    // Deletes always preserve the fd, so each reaches the durable phase.
+    let delete = |a: u64| Program::delete_consts(format!("R{}", a % 2), [a / 2, a / 2]);
+    let first = session.submit(delete(0));
+    while !disk.holding() {
+        std::thread::yield_now();
+    }
+    let held: Vec<TxTicket> = (1..9u64).map(|a| session.submit(delete(a))).collect();
+    for ticket in &held {
+        while ticket.applied().is_none() {
+            std::thread::yield_now();
+        }
+    }
+    // The held fsync is the next operation; the write after it fails.
+    let failing = disk.op_count() + 2;
+    disk.set_plan(Plan::Fail(failing, Fault::Eio));
+    disk.release();
+    assert!(matches!(first.wait(), TxOutcome::Committed { .. }));
+    for ticket in &held {
+        match ticket.wait() {
+            TxOutcome::Failed {
+                error: StoreError::Wal(_),
+            } => {}
+            other => panic!(
+                "ticket {} must fail with a Wal error, got {other:?}",
+                ticket.id()
+            ),
+        }
+    }
+    for a in 0..4 {
+        match session.submit_sync(Program::delete_consts("R0", [a, 0])) {
+            TxOutcome::Failed {
+                error: StoreError::Wal(_),
+            } => {}
+            other => panic!("a later commit must fail with a Wal error, got {other:?}"),
+        }
+    }
+    drop(server); // drains cleanly even in the failed state
+    let ops = disk.ops();
+    let failed = disk.failed().expect("the write failed");
+    assert_eq!((failed.kind, ops.len() >= failing), (OpKind::Write, true));
+    let after: Vec<_> = ops[failing..]
+        .iter()
+        .filter(|op| matches!(op.kind, OpKind::Write | OpKind::Sync))
+        .collect();
+    assert!(after.is_empty(), "I/O after the failed write: {after:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed write on the publish path poisons the history, and the
+/// flusher still resolves what was pending. The flusher holds at a first
+/// commit's fsync while a stream of commits fills the staging buffer;
+/// the write-through that empties it fails, and the worker stops
+/// (fail-stop). The first commit resolves durable; every other ticket
+/// resolves, and none commits.
+#[test]
+fn a_failed_write_through_fails_the_pending_tickets() {
+    let dir = tmp_dir("througherr");
+    let disk = TestDisk::new(Plan::Record);
+    let server = StoreBuilder::new(
+        workload::sharded_initial(7, 2, 4, 0.5),
+        workload::sharded_fd_constraint(2),
+    )
+    .workers(1)
+    .persist(&dir) // one segment: the only write behind the hold is the write-through
+    .on_disk(Arc::clone(&disk) as _)
+    .build()
+    .expect("starts");
+    disk.hold_syncs(&dir);
+    let session = server.session();
+    // Deletes always preserve the fd, so each reaches the durable phase.
+    let delete = |a: u64| Program::delete_consts(format!("R{}", a % 2), [a / 2 % 4, a % 4]);
+    let first = session.submit(delete(0));
+    while !disk.holding() {
+        std::thread::yield_now();
+    }
+    disk.set_plan(Plan::Fail(disk.op_count() + 1, Fault::Eio));
+    // Well past the 64 KiB staging bound at ~200 bytes a transaction.
+    let rest: Vec<TxTicket> = (1..1_000u64).map(|a| session.submit(delete(a))).collect();
+    while disk.failed().is_none() {
+        std::thread::yield_now();
+    }
+    disk.release();
+    assert!(matches!(first.wait(), TxOutcome::Committed { .. }));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut failed_durable = 0;
+    for ticket in &rest {
+        let outcome = loop {
+            if let Some(outcome) = ticket.try_outcome() {
+                break outcome;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ticket {} hangs",
+                ticket.id()
+            );
+            std::thread::yield_now();
+        };
+        match outcome {
+            TxOutcome::Failed {
+                error: StoreError::Wal(_),
+            } => failed_durable += 1,
+            TxOutcome::Failed { .. } => {}
+            other => panic!("ticket {} must fail, got {other:?}", ticket.id()),
+        }
+    }
+    assert!(
+        failed_durable > 0,
+        "published commits were pending at the failure"
+    );
+    assert_eq!(disk.failed().map(|op| op.kind), Some(OpKind::Write));
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,8 +23,9 @@
 //! `try_commit` returns the **publish**-phase outcome: on a durable server
 //! that fsyncs commits, the worker does *not* resolve the ticket — it
 //! marks it applied and hands it, with the commit record's log offset, to
-//! the group-commit flusher, which fsyncs once for every pending commit
-//! and resolves all the tickets the flush covers (the **durable** phase).
+//! the group-commit flusher, which writes the staged records of every
+//! pending commit and fsyncs them once, then resolves all the tickets the
+//! flush covers (the **durable** phase).
 //! Aborts, failures, and in-memory servers have no durable phase: the
 //! worker resolves those tickets on the spot.
 //!

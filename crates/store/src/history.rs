@@ -35,21 +35,22 @@
 //! the critical section that orders it, so the on-disk order equals (for
 //! commits) the serialization order. That append is the **publish** phase
 //! of the two-phase commit pipeline: `record` returns the record's log
-//! offset and does **not** fsync — the **durable** phase (the fsync, and
-//! only then the ticket resolution) belongs to the group-commit flusher,
-//! which coalesces the fsyncs of all concurrently published commits into
-//! one. A failed log write is fail-stop: a store that can no longer write
-//! its log must not keep acknowledging, so `record` panics (poisoning the
-//! store) rather than dropping events silently; a failed *flush* is
-//! reported to every covered ticket as a typed
-//! [`StoreError::Wal`](crate::StoreError::Wal) instead. A failed flush is
-//! never retried: the segment latches the error, so the next write to it
-//! fails too and the store stops at its next publish (see the [`wal`]
-//! module docs).
+//! offset and makes no system call — the **durable** phase (the write,
+//! the fsync, and only then the ticket resolution) belongs to the
+//! group-commit flusher, which writes and fsyncs the records of all
+//! concurrently published transactions at once. A failed write or fsync
+//! there is reported to every pending ticket, and every later one, as a
+//! typed [`StoreError::Wal`](crate::StoreError::Wal), and is never retried:
+//! the segment latches the error. A failed append on the publish path
+//! (a rotation, or a write-through of a full staging buffer) is fail-stop
+//! too: a store that can no longer write its log must not keep
+//! acknowledging, so `record` panics (poisoning the store) rather than
+//! dropping events silently (see the [`wal`] module docs).
 
+use crate::disk::Handle;
 use crate::wal::{self, DurableLog, RecoveryError};
 use std::fmt::Display;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vpdt_logic::Elem;
 use vpdt_structure::Database;
 use vpdt_tx::template::Template;
@@ -291,6 +292,21 @@ impl History {
     /// so the log offset it observes is exact.
     pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut DurableLog) -> R) -> Option<R> {
         self.lock().durable.as_mut().map(f)
+    }
+
+    /// The group-commit flusher's step, [`DurableLog::pull`], under the
+    /// history lock. A lock poisoned by a failed append is pulled all the
+    /// same, so the flusher still resolves its tickets: an append fails
+    /// before it frames a record, so the log is whole, and a segment whose
+    /// write or fsync failed fails every later one with the error it
+    /// latched.
+    pub(crate) fn pull_wal(&self) -> Result<(Arc<Handle>, u64), wal::WalError> {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let log = inner
+            .durable
+            .as_mut()
+            .expect("the flusher serves a persisted history");
+        log.pull()
     }
 
     /// Appends an event — durably first, when a log is attached. Returns

@@ -82,10 +82,10 @@
 //!   session provenance;
 //! * [`wal`] — the write-ahead log that makes history and state durable.
 //!   Commits run in two phases: **publish** (version advanced, record
-//!   appended — inside the commit critical section) and **durable** (the
-//!   record fsync'd by a shared group-commit flusher, which covers every
-//!   commit pending when it starts with one fsync and only then resolves
-//!   their tickets);
+//!   staged — inside the commit critical section) and **durable** (the
+//!   record written and fsync'd by a shared group-commit flusher, which
+//!   covers every commit pending when it starts with one write and one
+//!   fsync and only then resolves their tickets);
 //! * [`replay`] — the one replay kernel every recorded commit is
 //!   re-verified through, and crash recovery built on it;
 //! * [`audit`](mod@audit) — replays a history through the *rollback* path

@@ -42,8 +42,9 @@ pub mod names {
     pub const WAL_FLUSHED_COMMITS: &str = "store_wal_flushed_commits_total";
     /// Flush errors (fail-stop: the flusher stops serving after the first).
     pub const WAL_FLUSH_FAILURES: &str = "store_wal_flush_failures_total";
-    /// Segment `write(2)` calls of staged WAL records — about one per
-    /// transaction, since a burst is written at its terminal record.
+    /// Segment `write(2)` calls of staged WAL records — at most one per
+    /// flusher fsync, plus one per rotation, checkpoint or full staging
+    /// buffer that found records staged.
     pub const WAL_WRITES: &str = "store_wal_writes_total";
     /// Flush batches by exact size; rendered as
     /// `store_wal_flush_batches_total{size="k"}`.

@@ -230,7 +230,7 @@ impl StoreBuilder {
         let obs = StoreMetrics::new(self.trace_capacity);
         // The durable phase exists exactly when the server is persisted:
         // commits then reach stable storage before acknowledgment.
-        let new_flusher = || Arc::new(GroupCommitFlusher::new(obs.clone()));
+        let new_flusher = || GroupCommitFlusher::new(obs.clone());
         let (store, cache, next_tx, group) = match self.source {
             Source::Fresh { initial, alpha } => {
                 let store = VersionedStore::new(initial);
@@ -244,15 +244,13 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let mut flusher = None;
                 if let Some(dir) = self.persist_dir {
-                    let group = new_flusher();
                     store.history().attach_wal(DurableLog::new(
                         WalWriter::create_in(Dir::new(self.disk, dir), self.wal_opts)?,
                         BTreeSet::new(),
                         BTreeSet::new(),
-                        Arc::clone(&group),
                         obs.wal_writes.clone(),
                     ));
-                    flusher = Some(group);
+                    flusher = Some(new_flusher());
                     // The genesis checkpoint: recovery's first floor.
                     store.checkpoint_now(cache.templates(), 0, cache.alpha())?;
                     obs.checkpoints.inc();
@@ -291,15 +289,13 @@ impl StoreBuilder {
                 exec::check_base_case(&store, &cache)?;
                 let (writer, logged_shapes) =
                     WalWriter::resume_in(Dir::new(self.disk, dir), self.wal_opts)?;
-                let flusher = new_flusher();
                 store.history().attach_wal(DurableLog::new(
                     writer,
                     logged_shapes,
                     recovered.cross_decisions,
-                    Arc::clone(&flusher),
                     obs.wal_writes.clone(),
                 ));
-                (store, cache, recovered.next_tx, Some(flusher))
+                (store, cache, recovered.next_tx, Some(new_flusher()))
             }
         };
         obs.version.set(store.version());
@@ -312,11 +308,16 @@ impl StoreBuilder {
             obs,
             group,
         });
-        let flusher_thread = shared.group.as_ref().map(|g| {
-            let g = Arc::clone(g);
+        // The flusher pulls the log itself: it writes what the workers
+        // staged, under the history lock, before each fsync.
+        let flusher_thread = shared.group.is_some().then(|| {
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("vpdt-store-flusher".to_string())
-                .spawn(move || g.run())
+                .spawn(move || {
+                    let group = shared.group.as_ref().expect("a persisted server");
+                    group.run(|| shared.store.history().pull_wal());
+                })
                 .expect("spawning the group-commit flusher")
         });
         let workers = (0..self.workers)
@@ -331,7 +332,7 @@ impl StoreBuilder {
                             &shared.queue,
                             &shared.sink,
                             &shared.obs,
-                            shared.group.as_deref(),
+                            shared.group.as_ref(),
                         );
                     })
                     .expect("spawning a store worker")
@@ -381,7 +382,7 @@ struct Shared {
     /// The durable phase (`Some` exactly when the server is persisted):
     /// workers enqueue published commits here; the flusher thread batches
     /// the fsyncs and resolves the tickets.
-    group: Option<Arc<GroupCommitFlusher>>,
+    group: Option<GroupCommitFlusher>,
 }
 
 /// A resident, session-oriented transaction server — the front door of

@@ -20,9 +20,10 @@
 //! critical section, so log order = serialization order. That append is
 //! where [`VersionedStore::try_commit`]'s responsibility ends: it returns
 //! the **publish**-phase outcome — the new version plus the commit
-//! record's log offset — and the **durable** phase (the fsync, batched
-//! across workers by the [`GroupCommitFlusher`](crate::wal), and only then
-//! the ticket resolution) happens outside the critical section.
+//! record's log offset — and the **durable** phase (the write and the
+//! fsync, batched across workers by the
+//! [`GroupCommitFlusher`](crate::wal), and only then the ticket
+//! resolution) happens outside the critical section.
 
 use crate::history::{root_hash, state_hash, History};
 use std::collections::{BTreeMap, BTreeSet};

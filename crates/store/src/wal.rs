@@ -19,10 +19,10 @@
 //! * **Two-phase durability: publish, then durable.** Commit records are
 //!   *appended* inside the store's commit critical section — the
 //!   **publish** phase, which fixes the serialization order on disk — but
-//!   the fsync happens outside it, in the **durable** phase: workers hand
-//!   their tickets (with the record's log offset) to a dedicated
-//!   `GroupCommitFlusher`, whose one rule is: fsync what is pending,
-//!   then resolve every ticket the fsync covers. A
+//!   the I/O happens in the **durable** phase: workers hand their tickets
+//!   (with the record's log offset) to a dedicated `GroupCommitFlusher`,
+//!   whose one rule is: write what is staged and fsync it, then resolve
+//!   every ticket the fsync covers. A
 //!   [`TxTicket`](crate::TxTicket) therefore resolves only once its commit
 //!   record is on stable storage — the durability point of `wait` is
 //!   unchanged — while the disk no longer serializes the workers: whatever
@@ -32,22 +32,24 @@
 //!   commit point is the coordinator's decision record).
 //! * **Fail-stop, never retried.** Every file operation goes through the
 //!   crate's storage seam (`disk.rs`). The first failed write or fsync of
-//!   a segment latches: the flusher resolves every covered ticket with a
-//!   typed error, and every later write or sync of that segment —
+//!   a segment latches: the flusher resolves every pending ticket, and
+//!   every later one, with a typed error, and every later write or sync of
+//!   that segment —
 //!   rotation, [`StoreServer::checkpoint`](crate::StoreServer::checkpoint),
 //!   the clean checkpoint at shutdown — fails with the same error instead
 //!   of fsyncing again over pages the kernel may have dropped. A new
 //!   segment's directory entry is fsync'd before any record lands in it,
 //!   and a checkpoint becomes visible by rename plus directory fsync; a
 //!   failed directory fsync is an error like any other.
-//! * **One write per transaction.** Appending only *stages* a record in
-//!   the writer's buffer; a transaction's `Begin`/`GuardEval` records (and
-//!   any first-use shape declaration) reach the segment together with its
-//!   terminal `Commit`, `Cross` or `Abort` record, in one `write(2)`. The
-//!   write happens at publish, before the flusher learns of the commit,
-//!   and every sync, rotation, checkpoint and drop writes what is staged
-//!   first — so the durability contract above is unchanged, and so are
-//!   the bytes on disk and their order.
+//! * **One write per group.** Appending only *stages* a record in the
+//!   writer's buffer; publishing makes no system call. The flusher writes
+//!   everything staged — the records of every transaction published since
+//!   its last write, aborts included — in one `write(2)` under the history
+//!   lock, then fsyncs outside it. Every sync, rotation, checkpoint and
+//!   drop writes what is staged first, and a buffer that reaches 64 KiB is
+//!   written through at the next append — so a ticket still resolves only after
+//!   the fsync that follows its record's write, and the bytes on disk and
+//!   their order are unchanged.
 //! * **Checkpoints.** A checkpoint file is one checksummed record holding
 //!   the full database encoding, the guard cache's shape identities, the
 //!   constraint, the log offset it covers, and the ids of the cross-shard
@@ -653,6 +655,10 @@ fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
 /// in-memory [`History`](crate::History) keeps before it re-anchors.
 pub(crate) const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
+/// Staged bytes at which the next append writes the staging buffer
+/// through, flusher or not.
+const STAGE_BYTES: usize = 64 * 1024;
+
 /// Tunables of the durable log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalOptions {
@@ -690,9 +696,9 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 pub struct WalWriter {
     dir: Dir,
     opts: WalOptions,
-    /// The current segment, shared with the group-commit flusher: appends
+    /// The current segment, shared with the group-commit flusher: writes
     /// go through the writer (under the history lock), fsyncs go through a
-    /// clone of this handle (outside it), so a flush never blocks a
+    /// clone of this handle (outside it), so an fsync never blocks a
     /// publish.
     file: Arc<Handle>,
     seg_seq: u64,
@@ -700,10 +706,11 @@ pub struct WalWriter {
     seg_len: u64,
     next_offset: u64,
     /// Framed records appended but not yet written to the segment. They
-    /// reach the file in one `write(2)` at the next terminal record
-    /// ([`DurableLog::append_event`]), [`sync`](WalWriter::sync),
-    /// rotation or drop — so it holds at most the shape, begin and
-    /// guard-evaluation records of transactions still in flight.
+    /// reach the file in one `write(2)` at the flusher's next pull
+    /// ([`DurableLog::pull`]), [`sync`](WalWriter::sync), rotation or
+    /// drop, and at the next append once they reach [`STAGE_BYTES`] — so
+    /// it holds the records published since the flusher's last write, and
+    /// a stream of aborts that never wakes the flusher stays bounded.
     staged: Vec<u8>,
     /// Counts segment writes of staged bytes (`store_wal_writes_total`)
     /// when the writer serves a store.
@@ -818,12 +825,6 @@ impl WalWriter {
         &self.opts
     }
 
-    /// A shared handle on the current segment file — what the flusher
-    /// fsyncs without holding the history lock.
-    pub(crate) fn current_file(&self) -> Arc<Handle> {
-        Arc::clone(&self.file)
-    }
-
     /// Appends one record, rotating segments at the size budget, and
     /// writes it (with anything staged before it) to the segment before
     /// returning — a reader scanning the directory sees it at once.
@@ -838,14 +839,16 @@ impl WalWriter {
     /// staging buffer, framed — the hot path, which runs inside the commit
     /// critical section: the payload is written once, where it will be
     /// written to the segment from. [`write_staged`](Self::write_staged)
-    /// puts it on the segment. Returns the record's global offset and its
-    /// payload.
+    /// puts it on the segment; a buffer already at [`STAGE_BYTES`] is
+    /// written first. Returns the record's global offset and its payload.
     pub(crate) fn append_with(
         &mut self,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(u64, &[u8]), WalError> {
         if self.seg_len >= self.opts.segment_bytes {
             self.rotate()?;
+        } else if self.staged.len() >= STAGE_BYTES {
+            self.write_staged()?;
         }
         let before = self.staged.len();
         let start = frame_with(&mut self.staged, encode);
@@ -892,9 +895,8 @@ impl WalWriter {
 }
 
 /// A writer dropped with staged records (say, a server dropped without
-/// shutdown while a transaction was between its guard evaluation and its
-/// terminal record) still writes them, so every record it accepted
-/// reaches the file. Best effort — no fsync.
+/// shutdown after aborts the flusher never wrote) still writes them, so
+/// every record it accepted reaches the file. Best effort — no fsync.
 impl Drop for WalWriter {
     fn drop(&mut self) {
         let _ = self.write_staged();
@@ -928,8 +930,8 @@ fn open_segment(dir: &Dir, seq: u64, base_offset: u64) -> Result<(Handle, u64), 
 
 /// The durable attachment a persisted [`History`](crate::History) carries:
 /// the writer plus the bookkeeping of which shapes are already declared on
-/// disk, which cross-shard decisions the log has applied, and how commits
-/// reach stable storage.
+/// disk, which cross-shard decisions the log has applied, and how far the
+/// commits reach.
 #[derive(Debug)]
 pub(crate) struct DurableLog {
     pub(crate) writer: WalWriter,
@@ -939,11 +941,8 @@ pub(crate) struct DurableLog {
     pub(crate) cross_decisions: BTreeSet<u64>,
     /// The log offset just past the last commit record: what the durable
     /// phase must reach before a state that includes that commit is
-    /// durable.
+    /// durable — the watermark the flusher reads at each [`pull`](Self::pull).
     pub(crate) committed: u64,
-    /// The durable phase: commit appends tell the flusher how far the log
-    /// has grown so its next fsync knows what it covers.
-    flusher: Arc<GroupCommitFlusher>,
 }
 
 impl DurableLog {
@@ -951,7 +950,6 @@ impl DurableLog {
         mut writer: WalWriter,
         logged_shapes: BTreeSet<u64>,
         cross_decisions: BTreeSet<u64>,
-        flusher: Arc<GroupCommitFlusher>,
         writes: Counter,
     ) -> Self {
         writer.writes = Some(writes);
@@ -960,23 +958,18 @@ impl DurableLog {
             logged_shapes,
             cross_decisions,
             committed: 0,
-            flusher,
         }
     }
 
-    /// Appends the event payload `encode` writes and returns its global
+    /// Stages the event payload `encode` writes and returns its global
     /// offset, plus the `(version, root_hash)` of a commit — the
     /// **publish** half of durability: this runs inside the commit
-    /// critical section and never fsyncs there. The payload is encoded
-    /// straight into the writer's staging buffer, so nothing is encoded or
-    /// copied twice. A `Begin` or `GuardEval` record is only staged;
-    /// a terminal record (`Commit`, `Cross`, `Abort`) writes everything
-    /// staged so far in one `write(2)`, so a transaction costs one write,
-    /// and every commit is in the file (page cache) once it publishes,
-    /// where a process kill cannot lose it. A commit record then advances
-    /// the flusher's append watermark, so the durable phase knows which
-    /// fsync will cover it. A cross-shard commit records its decision id
-    /// as applied; the next fsync of the segment covers it too.
+    /// critical section and makes no system call there (short of a
+    /// rotation or a full staging buffer). The payload is encoded straight
+    /// into the writer's staging buffer, so nothing is encoded or copied
+    /// twice, and the flusher's next [`pull`](Self::pull) writes it. A
+    /// commit record advances the commit watermark; a cross-shard commit
+    /// records its decision id as applied.
     pub(crate) fn append_event(
         &mut self,
         encode: impl FnOnce(&mut Vec<u8>),
@@ -987,16 +980,20 @@ impl DurableLog {
             .get(CROSS_DECISION_OFFSET..CROSS_DECISION_OFFSET + 8)
             .filter(|_| tag == Some(TAG_CROSS))
             .map(|id| u64::from_le_bytes(id.try_into().expect("8 bytes")));
-        if matches!(tag, Some(TAG_COMMIT | TAG_CROSS | TAG_ABORT)) {
-            self.writer.write_staged()?;
-        }
         self.cross_decisions.extend(decision);
         if tag == Some(TAG_COMMIT) {
             self.committed = self.writer.offset();
-            self.flusher
-                .note_append(self.writer.current_file(), self.committed);
         }
         Ok((offset, stamp))
+    }
+
+    /// The flusher's step under the history lock: writes everything
+    /// staged in one `write(2)`, and returns the current segment and the
+    /// commit watermark. Fsyncing that segment makes every commit below
+    /// the watermark durable — earlier segments were synced at rotation.
+    pub(crate) fn pull(&mut self) -> Result<(Arc<Handle>, u64), WalError> {
+        self.writer.write_staged()?;
+        Ok((Arc::clone(&self.writer.file), self.committed))
     }
 
     /// Logs a shape declaration the first time the shape is used durably.
@@ -1052,14 +1049,12 @@ pub(crate) struct PendingAck {
 struct FlushInner {
     pending: Vec<PendingAck>,
     closed: bool,
-    /// The append watermark: the current segment file and the global
-    /// offset the log has grown to, maintained by the publish phase
-    /// ([`DurableLog::append_event`]). Fsyncing `file` makes every record
-    /// below `appended` durable — earlier segments were synced at
-    /// rotation.
-    file: Option<Arc<Handle>>,
-    appended: u64,
-    /// Everything below this offset is on stable storage.
+    /// Whether the flusher thread is parked in [`GroupCommitFlusher::run`]'s
+    /// condvar wait and not yet signalled: an enqueue signals only then,
+    /// and clears it, so the enqueues that follow before the flusher runs
+    /// make no syscall.
+    parked: bool,
+    /// Every commit below this offset is on stable storage.
     durable: u64,
     /// The largest offset a [`wait_durable`](GroupCommitFlusher::wait_durable)
     /// caller needs durable.
@@ -1070,9 +1065,10 @@ struct FlushInner {
 }
 
 /// The shared group-commit flusher: workers enqueue published commits
-/// (ticket + log offset), a dedicated thread fsyncs once for everything
-/// pending and resolves every covered ticket — the **durable** phase of
-/// the commit pipeline. Owned by the
+/// (ticket + log offset), a dedicated thread writes everything staged,
+/// fsyncs once for it, and resolves every covered ticket — the
+/// **durable** phase of the commit pipeline, which owns the log's I/O.
+/// Owned by the
 /// [`StoreServer`](crate::StoreServer), which spawns the thread at build
 /// and drains it on shutdown *and* drop, so no acknowledged-or-pending
 /// commit is lost even on the crash-shaped exit.
@@ -1089,7 +1085,7 @@ impl std::fmt::Debug for FlushInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlushInner")
             .field("pending", &self.pending.len())
-            .field("appended", &self.appended)
+            .field("parked", &self.parked)
             .field("durable", &self.durable)
             .field("closed", &self.closed)
             .field("failed", &self.failed)
@@ -1103,8 +1099,7 @@ impl GroupCommitFlusher {
             inner: Mutex::new(FlushInner {
                 pending: Vec::new(),
                 closed: false,
-                file: None,
-                appended: 0,
+                parked: false,
                 durable: 0,
                 wanted: 0,
                 failed: None,
@@ -1151,19 +1146,15 @@ impl GroupCommitFlusher {
         });
     }
 
-    /// Advances the append watermark — called by the publish phase, under
-    /// the history lock, after every commit append. Deliberately tiny: the
-    /// flush lock is only ever held for bookkeeping, never across I/O.
-    pub(crate) fn note_append(&self, file: Arc<Handle>, appended: u64) {
-        let mut g = self.inner.lock().expect("flusher lock poisoned");
-        g.file = Some(file);
-        g.appended = g.appended.max(appended);
-    }
-
-    /// Hands a published commit to the durable phase. If a covering fsync
-    /// already happened (the flusher raced ahead), the ticket resolves on
-    /// the spot; after a flush failure, it resolves with the typed error
-    /// (fail-stop: the log can no longer promise durability).
+    /// Hands a published commit to the durable phase — the publish path's
+    /// one visit to the flush lock, which is only ever held for
+    /// bookkeeping, never across I/O. If a covering fsync already happened
+    /// (the flusher raced ahead), the ticket resolves on the spot; after a
+    /// flush failure, it resolves with the typed error (fail-stop: the log
+    /// can no longer promise durability). The flusher is signalled only
+    /// when it is parked and not yet signalled: a notify is a futex
+    /// syscall even with nobody waiting, and a busy or already woken
+    /// flusher finds the ack when it next looks.
     pub(crate) fn enqueue(&self, ack: PendingAck) {
         let mut g = self.inner.lock().expect("flusher lock poisoned");
         if let Some(err) = &g.failed {
@@ -1179,8 +1170,11 @@ impl GroupCommitFlusher {
             return;
         }
         g.pending.push(ack);
+        let parked = std::mem::take(&mut g.parked);
         drop(g);
-        self.ready.notify_all();
+        if parked {
+            self.ready.notify_all();
+        }
     }
 
     /// Closes the flusher: the run loop drains what is pending (one final
@@ -1237,18 +1231,23 @@ impl GroupCommitFlusher {
 
     /// The flusher thread's loop — the durable phase's one rule: wait
     /// until something is pending (an ack, or a
-    /// [`wait_durable`](Self::wait_durable) caller), fsync up to the
-    /// append watermark, then resolve every pending ack that fsync covers.
+    /// [`wait_durable`](Self::wait_durable) caller); `pull` the log — under
+    /// the history lock, write everything staged and read the current
+    /// segment and the commit watermark ([`DurableLog::pull`]); fsync that
+    /// segment off every lock; then resolve every pending ack below the
+    /// watermark. A failed write latches exactly like a failed fsync.
     /// Returns when closed and drained.
-    pub(crate) fn run(&self) {
+    pub(crate) fn run(&self, pull: impl Fn() -> Result<(Arc<Handle>, u64), WalError>) {
         loop {
-            let (file, appended) = {
+            {
                 let mut g = self.inner.lock().expect("flusher lock poisoned");
                 while g.pending.is_empty() && g.wanted <= g.durable {
                     if g.closed {
                         return;
                     }
+                    g.parked = true;
                     g = self.ready.wait(g).expect("flusher lock poisoned");
+                    g.parked = false;
                 }
                 if let Some(err) = &g.failed {
                     // Fail-stop: anything that slipped in resolves with
@@ -1263,22 +1262,17 @@ impl GroupCommitFlusher {
                     }
                     continue;
                 }
-                let file = g
-                    .file
-                    .clone()
-                    .expect("a commit published before anything waited on it");
-                (file, g.appended)
-            };
-            // The fsync — off every lock, so publishes keep flowing while
-            // the disk works.
-            match file.sync() {
-                Ok(()) => {
+            }
+            // Only the write holds the history lock; the fsync runs off
+            // every lock, so publishes keep flowing while the disk works.
+            match pull().and_then(|(file, committed)| file.sync().map(|()| committed)) {
+                Ok(committed) => {
                     let mut g = self.inner.lock().expect("flusher lock poisoned");
                     // A coordinator waits for this fsync only when it
                     // wanted more than was durable before it.
                     let waiter = g.wanted > g.durable;
-                    g.durable = g.durable.max(appended);
-                    // Every ack pending at the snapshot lies below the
+                    g.durable = g.durable.max(committed);
+                    // Every ack pending at the pull lies below the
                     // watermark (its commit advanced it before the ack was
                     // enqueued), and so may acks enqueued while the fsync
                     // was in flight: resolve them all now rather than
@@ -2267,44 +2261,61 @@ mod tests {
     fn staging_log(dir: &Path, opts: WalOptions) -> (DurableLog, Counter) {
         let writes = vpdt_obs::MetricsRegistry::new().counter(names::WAL_WRITES);
         let writer = WalWriter::create(dir, opts).expect("creates");
-        let log = DurableLog::new(
-            writer,
-            BTreeSet::new(),
-            BTreeSet::new(),
-            Arc::new(GroupCommitFlusher::new(StoreMetrics::new(0))),
-            writes.clone(),
-        );
+        let log = DurableLog::new(writer, BTreeSet::new(), BTreeSet::new(), writes.clone());
         (log, writes)
     }
 
-    /// `Begin` and `GuardEval` are only staged; the transaction's terminal
-    /// record writes all three in one `write(2)`, in append order.
+    /// Publishing stages every record, terminal ones included; the
+    /// flusher's pull writes them all in one `write(2)`, in append order,
+    /// before the fsync it returns the watermark for. Drop writes what is
+    /// left.
     #[test]
-    fn staged_records_reach_the_file_at_a_terminal_record() {
-        let dir = tmp_dir("stage-terminal");
+    fn staged_records_reach_the_file_before_their_fsync() {
+        let dir = tmp_dir("stage-pull");
         let (mut log, writes) = staging_log(&dir, WalOptions::default());
         let menu = event_menu();
-        // Begin(1), GuardEval(1), GuardEval(2): nothing terminal yet.
-        for e in &menu[..3] {
+        // Begin(1), GuardEval(1), GuardEval(2), Commit(1): a commit
+        // leaves the file untouched too.
+        for e in &menu[..4] {
             log.append_event(|out| encode_event_into(e, out))
                 .expect("stages");
         }
-        assert!(
-            logged_events(&dir).is_empty(),
-            "nothing written before a terminal record"
-        );
-        assert_eq!(writes.get(), 0);
-        // Commit(1) writes the burst.
-        log.append_event(|out| encode_event_into(&menu[3], out))
-            .expect("appends");
+        assert!(logged_events(&dir).is_empty(), "publishing writes nothing");
+        assert_eq!((writes.get(), log.committed), (0, 4));
+        let (file, committed) = log.pull().expect("pulls");
         assert_eq!(logged_events(&dir), menu[..4]);
-        assert_eq!(writes.get(), 1);
-        // Abort(2) is terminal too.
+        assert_eq!((writes.get(), committed), (1, 4));
+        file.sync().expect("syncs");
+        // Abort(2) is staged like any record, and drop writes what no
+        // pull did.
         log.append_event(|out| encode_event_into(&menu[4], out))
-            .expect("appends");
+            .expect("stages");
+        assert_eq!(logged_events(&dir), menu[..4]);
+        drop(log);
         assert_eq!(logged_events(&dir), menu);
         assert_eq!(writes.get(), 2);
-        assert_eq!(log.writer.offset(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stream of aborts never wakes the flusher, so the staging buffer
+    /// writes itself through once it reaches its bound.
+    #[test]
+    fn aborts_alone_keep_the_staging_buffer_bounded() {
+        const ABORTS: usize = 10_000;
+        let dir = tmp_dir("stage-bound");
+        let (mut log, _) = staging_log(&dir, WalOptions::default());
+        let abort = &event_menu()[4];
+        let record = FRAME_HEADER + encode_event(abort).len();
+        for _ in 0..ABORTS {
+            log.append_event(|out| encode_event_into(abort, out))
+                .expect("stages");
+            assert!(log.writer.staged.len() <= STAGE_BYTES + record);
+        }
+        assert_eq!(log.committed, 0);
+        log.writer.sync().expect("syncs");
+        let logged = logged_events(&dir);
+        assert_eq!(logged.len(), ABORTS);
+        assert!(logged.iter().all(|e| e == abort));
         drop(log);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2361,9 +2372,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The durable phase's one rule, run on the test thread: one fsync
-    /// resolves every ack pending below the append watermark, in offset
-    /// order, and an ack
+    /// The durable phase's one rule, run on the test thread: one pull and
+    /// fsync resolve every ack pending below the commit watermark, in
+    /// offset order, and an ack
     /// whose offset that fsync already covered (the flusher raced ahead of
     /// its enqueue) resolves inside `enqueue`, with no further fsync.
     #[test]
@@ -2388,7 +2399,6 @@ mod tests {
         };
         // Commits at offsets 0..=N are published; N of their acks arrive,
         // out of offset order.
-        flusher.note_append(file, N + 1);
         let resolved = Arc::new(Mutex::new(Vec::new()));
         let tickets: Vec<_> = (0..N)
             .rev()
@@ -2401,7 +2411,7 @@ mod tests {
             })
             .collect();
         flusher.close();
-        flusher.run();
+        flusher.run(|| Ok((Arc::clone(&file), N + 1)));
         let stats = flusher.stats();
         assert_eq!(stats.fsyncs, 1, "{stats:?}");
         assert_eq!(stats.flushed_commits, N);
@@ -2427,6 +2437,87 @@ mod tests {
         assert_eq!(stats.fsyncs, 1);
         assert_eq!(stats.flushed_commits, N + 1);
         assert_eq!(stats.batch_sizes, BTreeMap::from([(N as usize, 1)]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An enqueue signals a parked flusher and clears `parked`, so the
+    /// enqueues that follow before the flusher runs make no syscall; and
+    /// every ack still resolves over repeated park/wake rounds.
+    #[test]
+    fn an_enqueue_signals_a_parked_flusher_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::time::{Duration, Instant};
+        let ack = |offset: u64| {
+            let state = Arc::new(TicketState::default());
+            let ticket = crate::TxTicket::new(offset, 0, Arc::clone(&state));
+            let ack = PendingAck {
+                offset,
+                version: offset + 1,
+                ticket: state,
+                tx: offset,
+                enqueued_at_ns: 0,
+                published_at_ns: 0,
+            };
+            (ack, ticket)
+        };
+
+        // No thread: the first enqueue consumes the park, the second finds
+        // the flusher already signalled.
+        let flusher = GroupCommitFlusher::new(StoreMetrics::new(0));
+        flusher.inner.lock().expect("lock").parked = true;
+        let (first, _t0) = ack(0);
+        flusher.enqueue(first);
+        assert!(!flusher.inner.lock().expect("lock").parked);
+        let (second, _t1) = ack(1);
+        flusher.enqueue(second);
+        assert!(!flusher.inner.lock().expect("lock").parked);
+        assert_eq!(flusher.inner.lock().expect("lock").pending.len(), 2);
+
+        // A running flusher: each round waits for it to park, then
+        // publishes three commits; all of them resolve.
+        let dir = tmp_dir("flusher-wake");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let file = Arc::new(Dir::std(&dir).create_file("segment").expect("creates"));
+        let flusher = Arc::new(GroupCommitFlusher::new(StoreMetrics::new(0)));
+        let committed = Arc::new(AtomicU64::new(0));
+        let thread = {
+            let (flusher, committed) = (Arc::clone(&flusher), Arc::clone(&committed));
+            std::thread::spawn(move || {
+                flusher.run(|| Ok((Arc::clone(&file), committed.load(Ordering::SeqCst))))
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        };
+        for round in 0..50u64 {
+            wait_for("the flusher to park", &|| {
+                flusher.inner.lock().expect("lock").parked
+            });
+            let tickets: Vec<_> = (round * 3..round * 3 + 3)
+                .map(|offset| {
+                    committed.store(offset + 1, Ordering::SeqCst);
+                    let (ack, ticket) = ack(offset);
+                    flusher.enqueue(ack);
+                    ticket
+                })
+                .collect();
+            for ticket in &tickets {
+                wait_for("a durable ack", &|| ticket.try_outcome().is_some());
+                assert_eq!(
+                    ticket.try_outcome(),
+                    Some(TxOutcome::Committed {
+                        version: ticket.id() + 1
+                    })
+                );
+            }
+        }
+        flusher.close();
+        thread.join().expect("the flusher exits");
+        assert_eq!(flusher.stats().flushed_commits, 150);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,9 @@
 //!   (property-tested over seeds, worker counts and truncation points);
 //! * segment retention deletes checkpoint-covered segments (opt-out via
 //!   `WalOptions::retain_segments`) and the floor-based cold audit still
-//!   verifies what survives.
+//!   verifies what survives;
+//! * segment rotation interleaves with the flusher's writes without a gap
+//!   or a reordering in the log.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -331,6 +333,50 @@ fn checkpoint_retention_deletes_covered_segments() {
         server.shutdown();
         recover_and_audit(&dir);
     }
+}
+
+/// Rotation against flusher writes: four workers publish while the
+/// flusher writes staged groups, and 4 KiB segments rotate under both.
+/// Recovery reproduces the served version and root, the cold audit passes,
+/// and the log's offsets run contiguously across every segment.
+#[test]
+fn rotation_interleaves_with_flusher_writes() {
+    let dir = tmp_dir("rotate");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(31, RELS, UNIVERSE, 0.5);
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(4)
+        .persist_with(
+            &dir,
+            WalOptions {
+                segment_bytes: 4096,
+                retain_segments: true,
+            },
+        )
+        .build()
+        .expect("starts");
+    let jobs = workload::sharded_jobs(31, 4, 500, RELS, UNIVERSE);
+    workload::serve_chunked(&server, &jobs, 500);
+    let version = server.version();
+    assert!(version > 0, "the workload commits");
+    let root = server.commit_root(version).expect("the served root");
+    drop(server); // crash-shaped: recovery replays every segment
+
+    let r = recover_and_audit(&dir);
+    assert_eq!((r.version, r.root_hash), (version, root));
+    let scan = wal::scan_log(&dir).expect("scans");
+    assert!(scan.last_seg_seq > 10, "{} segments", scan.last_seg_seq + 1);
+    assert_eq!((scan.base_offset, scan.torn_bytes), (0, 0));
+    for (i, record) in scan.records.iter().enumerate() {
+        assert_eq!(record.offset, i as u64, "offsets are contiguous");
+    }
+    let served = scan
+        .records
+        .iter()
+        .filter(|r| matches!(r.record, wal::Record::Event(Event::Begin { .. })))
+        .count();
+    assert_eq!(served, jobs.len(), "every transaction is in the log");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -731,10 +731,13 @@ fn recovery_and_cold_audit_agree_on_every_tamper() {
     }
 }
 
-/// The in-memory history and the write-ahead log hold the same events:
-/// a persisted server's `history_events()` (decoded from its in-memory
-/// payload arena) equals what a genesis recovery decodes from disk —
-/// commits, cross-checked guard evaluations and aborts alike.
+/// A serving history reads back what a cold recovery reads: a persisted
+/// server's `history_events()` — its log read back from the floor
+/// checkpoint while it serves, staged records written first — equals what
+/// a genesis recovery decodes after the server is dropped: commits,
+/// cross-checked guard evaluations and aborts alike. Both sides come from
+/// the same log, so this checks the live read-back against the cold
+/// reader, not memory against disk.
 #[test]
 fn in_memory_history_equals_the_recovered_log() {
     let dir = tmp_dir("arena");
