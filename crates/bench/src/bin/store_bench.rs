@@ -89,8 +89,8 @@ use vpdt_bench::obj;
 use vpdt_net::{names as net_names, NetClient, NetError, NetOptions, NetServer, WireOutcome};
 use vpdt_store::metrics::names;
 use vpdt_store::{
-    audit_from, run_serial_rollback, workload, AuditReport, MetricsSnapshot, ServerReport,
-    StoreBuilder, WalOptions,
+    audit, run_serial_rollback, workload, AuditReport, HistorySegment, MetricsSnapshot,
+    ServerReport, StoreBuilder, WalOptions,
 };
 use vpdt_tx::program::Program;
 
@@ -284,28 +284,23 @@ fn main() -> std::process::ExitCode {
 /// p50/p95/p99 of a registry histogram from a snapshot, in the
 /// histogram's own unit (µs here). Zeros when the histogram is absent or
 /// empty (e.g. `publish_to_durable` on an in-memory pass).
-/// Audits a served run as a whole, from version 0. A history that
-/// re-anchored mid-run holds only a suffix of it, which this refuses to
-/// audit in the run's place.
+/// Audits a served run as a whole, from its genesis state `initial`: the
+/// segments its history sink received, then the report's final tail
+/// (refused if any is missing).
 fn audit_whole(
     alpha: &vpdt_logic::Formula,
     omega: &vpdt_eval::Omega,
+    initial: &vpdt_structure::Database,
     report: &ServerReport,
+    segments: &[HistorySegment],
     programs: &BTreeMap<u64, Program>,
 ) -> Result<AuditReport, String> {
-    if report.base_version != 0 {
-        return Err(format!(
-            "the history re-anchored at version {}: a whole-run audit needs every event",
-            report.base_version
-        ));
-    }
-    Ok(audit_from(
+    Ok(audit(
         alpha,
         omega,
-        report.base_version,
-        &report.initial,
+        initial,
         &report.final_db,
-        &report.events,
+        &report.whole_run(segments)?,
         programs,
         &report.templates,
     ))
@@ -351,6 +346,8 @@ fn stage_latencies_json(serving: &MetricsSnapshot) -> Json {
 /// `initial`, one session per client, windowed pipelining.
 struct SessionsRun {
     report: vpdt_store::ServerReport,
+    /// The finished tails of an in-memory pass's history, in order.
+    segments: Vec<HistorySegment>,
     programs: BTreeMap<u64, Program>,
     /// Metrics over the serving window only: the final snapshot delta'd
     /// against a post-warm-up baseline, so `prepare` traffic is excluded.
@@ -377,9 +374,11 @@ fn run_sessions_once(
         // throughput on this workload, so the measured passes run
         // untraced (the default server leaves it on).
         .trace_capacity(0);
-    if let Some((dir, opts)) = persist {
-        builder = builder.persist_with(dir, opts);
-    }
+    let (sink, segments) = std::sync::mpsc::channel();
+    builder = match persist {
+        Some((dir, opts)) => builder.persist_with(dir, opts),
+        None => builder.history_sink(sink),
+    };
     let server = builder
         .build()
         .map_err(|e| format!("server refused to start: {e}"))?;
@@ -454,6 +453,7 @@ fn run_sessions_once(
     let serving = report.metrics.delta(&warm);
     Ok(SessionsRun {
         report,
+        segments: segments.try_iter().collect(),
         programs,
         serving,
         secs,
@@ -461,21 +461,24 @@ fn run_sessions_once(
     })
 }
 
-/// Bytes the in-memory history holds per transaction (the
-/// `store_history_bytes` gauge over the job count) after serving `jobs`
-/// from one session on one worker. Untimed and deterministic: one worker
-/// draining one submitter's FIFO records the same events on every run.
+/// Bytes the in-memory history recorded per transaction after serving
+/// `jobs` from one session on one worker: the finished tails its sink
+/// received plus the final tail (the `store_history_bytes` gauge), over
+/// the job count. Untimed and deterministic: one worker draining one
+/// submitter's FIFO records the same events on every run.
 fn history_bytes_per_tx(
     alpha: &vpdt_logic::Formula,
     omega: &vpdt_eval::Omega,
     initial: &vpdt_structure::Database,
     jobs: &[Program],
 ) -> Result<f64, String> {
+    let (sink, segments) = std::sync::mpsc::channel();
     let server = StoreBuilder::new(initial.clone(), alpha.clone())
         .omega(omega.clone())
         .workers(1)
         .trace_capacity(0)
         .retain_outcomes(false)
+        .history_sink(sink)
         .build()
         .map_err(|e| format!("server refused to start: {e}"))?;
     let session = server.session();
@@ -483,8 +486,9 @@ fn history_bytes_per_tx(
     for ticket in tickets {
         ticket.wait();
     }
-    let bytes = server.metrics().gauge(names::HISTORY_BYTES);
+    let tail = server.metrics().gauge(names::HISTORY_BYTES) as usize;
     drop(server.shutdown());
+    let bytes = tail + segments.try_iter().map(|s| s.bytes()).sum::<usize>();
     Ok(bytes as f64 / jobs.len().max(1) as f64)
 }
 
@@ -834,6 +838,7 @@ fn run(cfg: Config) -> Result<bool, String> {
     // The audited artifacts come from the last session round.
     let SessionsRun {
         report,
+        segments,
         programs,
         serving,
         secs: sessions_secs,
@@ -1071,7 +1076,14 @@ fn run(cfg: Config) -> Result<bool, String> {
         let tps = run.report.exec.committed as f64 / run.secs;
         let (lock_p50, lock_p95, lock_p99) = quantiles(&run.serving, names::STAGE_PUBLISH_LOCK);
         let audit_start = Instant::now();
-        let sc_verdict = audit_whole(&sc_alpha, &omega, &run.report, &run.programs)?;
+        let sc_verdict = audit_whole(
+            &sc_alpha,
+            &omega,
+            &sc_initial,
+            &run.report,
+            &run.segments,
+            &run.programs,
+        )?;
         let audit_secs = audit_start.elapsed().as_secs_f64();
         for problem in sc_verdict.problems.iter().take(5) {
             eprintln!("scaled audit: {problem}");
@@ -1328,7 +1340,7 @@ fn run(cfg: Config) -> Result<bool, String> {
 
     // --- audit (of the session history) -------------------------------------
     let t3 = Instant::now();
-    let verdict = audit_whole(&alpha, &omega, &report, &programs)?;
+    let verdict = audit_whole(&alpha, &omega, &initial, &report, &segments, &programs)?;
     let audit_secs = t3.elapsed().as_secs_f64();
     println!("{verdict} ({audit_secs:.3}s)");
 

@@ -33,6 +33,7 @@ use crate::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vpdt_eval::Omega;
 use vpdt_logic::Elem;
 use vpdt_tx::program::Program;
@@ -47,6 +48,19 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Yields until `done` holds.
+///
+/// # Panics
+/// Panics naming the wait, `what`, when `done` still fails after 60 s: a
+/// liveness regression fails the harness instead of hanging it.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
 }
 
 fn catch<R>(f: impl FnOnce() -> R) -> Option<R> {
@@ -385,9 +399,9 @@ fn found_window(
         disk.release();
         return (None, None);
     };
-    while ticket.applied().is_none() && ticket.try_outcome().is_none() {
-        std::thread::yield_now();
-    }
+    wait_until("the delete to apply or resolve", || {
+        ticket.applied().is_some() || ticket.try_outcome().is_some()
+    });
     if ticket.applied().is_none() {
         disk.release();
         return (Some(ticket), None);
@@ -396,18 +410,18 @@ fn found_window(
     // starts, so the order of what follows does not depend on timing —
     // unless the flusher's write of the delete failed, which resolves the
     // applied delete as failed instead.
-    while !disk.holding() && ticket.try_outcome().is_none() {
-        std::thread::yield_now();
-    }
+    wait_until("the delete's sync to hold or the delete to resolve", || {
+        disk.holding() || ticket.try_outcome().is_some()
+    });
     if !disk.holding() {
         disk.release();
         return (Some(ticket), None);
     }
     let routed = std::thread::scope(|s| {
         let coordinator = s.spawn(|| catch(|| store.submit(ROUTED_SESSION, cross(1, 3, 5, 6))));
-        while !coordinator.is_finished() && !store.shard(0).durability_awaited() {
-            std::thread::yield_now();
-        }
+        wait_until("the coordinator to finish or await durability", || {
+            coordinator.is_finished() || store.shard(0).durability_awaited()
+        });
         disk.release();
         coordinator.join().expect("the coordinator thread returns")
     });
@@ -717,11 +731,9 @@ fn flush_error_fans_out_to_every_covered_ticket() {
             ))
         })
         .collect();
-    for ticket in &tickets {
-        while ticket.applied().is_none() {
-            std::thread::yield_now();
-        }
-    }
+    wait_until("every commit to publish", || {
+        tickets.iter().all(|t| t.applied().is_some())
+    });
     // Every commit is published; the held fsync that covers them fails.
     disk.set_plan(Plan::Fail(disk.op_count() + 1, Fault::Eio));
     disk.release();
@@ -769,15 +781,11 @@ fn write_error_fans_out_to_every_held_ticket() {
     // Deletes always preserve the fd, so each reaches the durable phase.
     let delete = |a: u64| Program::delete_consts(format!("R{}", a % 2), [a / 2, a / 2]);
     let first = session.submit(delete(0));
-    while !disk.holding() {
-        std::thread::yield_now();
-    }
+    wait_until("the first sync to hold", || disk.holding());
     let held: Vec<TxTicket> = (1..9u64).map(|a| session.submit(delete(a))).collect();
-    for ticket in &held {
-        while ticket.applied().is_none() {
-            std::thread::yield_now();
-        }
-    }
+    wait_until("the held commits to publish", || {
+        held.iter().all(|t| t.applied().is_some())
+    });
     // The held fsync is the next operation; the write after it fails.
     let failing = disk.op_count() + 2;
     disk.set_plan(Plan::Fail(failing, Fault::Eio));
@@ -838,32 +846,19 @@ fn a_failed_write_through_fails_the_pending_tickets() {
     // Deletes always preserve the fd, so each reaches the durable phase.
     let delete = |a: u64| Program::delete_consts(format!("R{}", a % 2), [a / 2 % 4, a % 4]);
     let first = session.submit(delete(0));
-    while !disk.holding() {
-        std::thread::yield_now();
-    }
+    wait_until("the first sync to hold", || disk.holding());
     disk.set_plan(Plan::Fail(disk.op_count() + 1, Fault::Eio));
     // Well past the 64 KiB staging bound at ~200 bytes a transaction.
     let rest: Vec<TxTicket> = (1..1_000u64).map(|a| session.submit(delete(a))).collect();
-    while disk.failed().is_none() {
-        std::thread::yield_now();
-    }
+    wait_until("the planned write to fail", || disk.failed().is_some());
     disk.release();
     assert!(matches!(first.wait(), TxOutcome::Committed { .. }));
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    wait_until("every pending ticket to resolve", || {
+        rest.iter().all(|t| t.try_outcome().is_some())
+    });
     let mut failed_durable = 0;
     for ticket in &rest {
-        let outcome = loop {
-            if let Some(outcome) = ticket.try_outcome() {
-                break outcome;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "ticket {} hangs",
-                ticket.id()
-            );
-            std::thread::yield_now();
-        };
-        match outcome {
+        match ticket.try_outcome().expect("resolved") {
             TxOutcome::Failed {
                 error: StoreError::Wal(_),
             } => failed_durable += 1,

@@ -13,21 +13,31 @@
 //! only the audit does, and it can start from any verified state
 //! ([`audit_from`](crate::audit::audit_from)). A history is an *anchor* —
 //! a version and the store's state there — plus a *tail*, the events
-//! since; [`History::events`] returns the tail. In memory, the tail is its
-//! events' write-ahead-log payloads ([`crate::wal::encode_event_into`]),
-//! concatenated (they are self-delimiting: ~130 bytes a transaction,
-//! against ~430 as `Event` values) in 256 KiB chunks; a full chunk is
-//! sealed behind an `Arc`, so `events` copies at most one chunk under the
-//! lock and decodes after it. **The anchor rule:** a commit at version `v`
-//! that finds the tail at the log's default segment size (8 MiB) makes the
-//! state it replaces — version `v − 1`, an `Arc` clone — the new anchor,
-//! drops the tail and the root hashes below it, and opens the new tail.
-//! So a tail starts with the commit at the anchor's version plus one, and
-//! holds at most 8 MiB plus the events since the last commit (aborts alone
-//! do not re-anchor). A persisted history keeps no tail in memory: its
-//! log's segments are the tail, its floor checkpoint the anchor. Either
-//! way, the root hashes of the commits above the anchor are indexed by
-//! version, so [`History::commit_root`] never decodes.
+//! since; [`History::events`] returns the tail. In memory, the tail is one
+//! buffer of its events' write-ahead-log payloads
+//! ([`crate::wal::encode_event_into`]), concatenated (they are
+//! self-delimiting: ~130 bytes a transaction, against ~430 as `Event`
+//! values), allocated on the first append; `events` copies it under the
+//! lock and decodes after it. **The anchor rule:** any append — an abort
+//! as much as a commit — that finds the tail at [`TAIL_BYTES`] (512 KiB)
+//! first re-anchors at the latest committed state (an `Arc` the store
+//! holds anyway), so a commit at version `v` that crosses the line leaves
+//! the anchor at `v − 1` and opens the new tail. A tail therefore holds at
+//! most [`TAIL_BYTES`] plus one event. The finished tail goes to the
+//! history's *sink*, if one is attached
+//! ([`StoreBuilder::history_sink`](crate::StoreBuilder::history_sink)), as
+//! a [`HistorySegment`]; without one, the buffer is cleared and reused.
+//! The segments a sink received, followed by the final tail, are the
+//! whole run from genesis. A missing segment that held a commit shows as
+//! a gap in the commit versions, which the audit rejects; one that held
+//! none (a run of aborts) leaves no gap, so a chain is also checked
+//! against the count of events recorded
+//! ([`ServerReport::whole_run`](crate::ServerReport::whole_run)). A persisted history keeps no tail in
+//! memory and never re-anchors: its log's segments are the tail, its floor
+//! checkpoint the anchor. Either way, the root hashes of recent commits
+//! are indexed by version, so [`History::commit_root`] never decodes; an
+//! in-memory index trims one re-anchor late, so it still covers the
+//! previous tail.
 //!
 //! A history is made *durable* by attaching a write-ahead log (done by
 //! [`StoreBuilder::persist`](crate::StoreBuilder::persist)): each event's
@@ -50,6 +60,7 @@
 use crate::disk::Handle;
 use crate::wal::{self, DurableLog, RecoveryError};
 use std::fmt::Display;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vpdt_logic::Elem;
 use vpdt_structure::Database;
@@ -145,32 +156,49 @@ pub enum Event {
     },
 }
 
-/// Bytes an open arena chunk holds before it is sealed. Small enough that
-/// [`History::events`] copies at most this much under the lock, large
-/// enough that a tail is a few dozen chunks. (The unit tests shrink it
-/// and [`TAIL_BYTES`], so they cross many anchors quickly.)
-const CHUNK_BYTES: usize = if cfg!(test) { 16 * 1024 } else { 256 * 1024 };
-/// Room a fresh chunk reserves past [`CHUNK_BYTES`], so the event that
+/// Tail bytes at which an append re-anchors an in-memory history: the
+/// bound on its one tail buffer (512 KiB; 64 KiB in the unit tests, so
+/// they cross many anchors quickly).
+pub const TAIL_BYTES: usize = if cfg!(test) { 64 * 1024 } else { 512 * 1024 };
+/// Room the tail buffer reserves past [`TAIL_BYTES`], so the event that
 /// crosses the line does not reallocate it.
-const CHUNK_SLACK: usize = 16 * 1024;
-/// Tail bytes at which a commit re-anchors an in-memory history: the log's
-/// default segment size (8 MiB; 64 KiB in the unit tests).
-const TAIL_BYTES: usize = if cfg!(test) {
-    64 * 1024
-} else {
-    wal::SEGMENT_BYTES as usize
-};
+const TAIL_SLACK: usize = 16 * 1024;
+
+/// A finished in-memory tail, handed to the history's sink when an append
+/// re-anchors past it (see the module docs): the events recorded after
+/// the anchor at [`base_version`](Self::base_version), up to the next
+/// anchor. Concatenating a run's segments in the order the sink received
+/// them, then the final tail, gives every event since genesis.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistorySegment {
+    base: u64,
+    /// The events' payloads, concatenated as in the tail.
+    payloads: Vec<u8>,
+}
+
+impl HistorySegment {
+    /// The version of the anchor the segment's events follow.
+    pub fn base_version(&self) -> u64 {
+        self.base
+    }
+
+    /// Bytes the segment's events took in the tail.
+    pub fn bytes(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// The segment's events, decoded, in log order.
+    pub fn events(&self) -> Vec<Event> {
+        let mut out = Vec::new();
+        wal::decode_events(&self.payloads, &mut out).expect("a segment holds whole payloads");
+        out
+    }
+}
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Full chunks of an in-memory tail: concatenated event payloads,
-    /// never written again, shared with [`History::events`] readers by
-    /// reference count.
-    sealed: Vec<Arc<Vec<u8>>>,
-    /// Total length of the sealed chunks.
-    sealed_bytes: usize,
-    /// The chunk events are appended to. An event never straddles two
-    /// chunks, so each chunk decodes on its own.
+    /// The in-memory tail: its events' payloads, concatenated. Empty
+    /// until the first append allocates it.
     open: Vec<u8>,
     /// Number of events in the in-memory tail.
     tail: usize,
@@ -181,16 +209,25 @@ struct Inner {
     /// persisted history reads its floor checkpoint instead).
     anchor: Option<Arc<Database>>,
     base: u64,
+    /// The state at the in-memory tail's last commit (the anchor before
+    /// one): where the next re-anchor lands.
+    latest: Option<Arc<Database>>,
+    /// Where finished in-memory tails go; without it, they are dropped.
+    sink: Option<Sender<HistorySegment>>,
     /// Commit root hashes by version: `roots[i]` is the root hash recorded
-    /// at version `base + 1 + i`. Commit versions are gapless, so a flat
-    /// vector indexes them O(1) — what lets a networked outcome carry its
-    /// state commitment without scanning the event log per commit.
+    /// at version `roots_base + 1 + i`. Commit versions are gapless, so a
+    /// flat vector indexes them O(1) — what lets a networked outcome carry
+    /// its state commitment without scanning the event log per commit.
+    /// `roots_base` is the anchor before `base`, so a late reader still
+    /// finds the previous tail's roots.
     roots: Vec<u64>,
+    roots_base: u64,
 }
 
 impl Inner {
-    /// Appends one event: `encode` writes its WAL payload into the open
-    /// chunk, or into the attached log (returning the record's offset),
+    /// Appends one event: `encode` writes its WAL payload into the tail
+    /// (re-anchoring first when the tail is full: the module docs' anchor
+    /// rule), or into the attached log (returning the record's offset),
     /// and a commit's root hash is indexed. Panics if the log fails.
     fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
         self.count += 1;
@@ -202,27 +239,49 @@ impl Inner {
                 (Some(offset), stamp)
             }
             None => {
+                if self.open.len() >= TAIL_BYTES {
+                    self.reanchor();
+                }
+                if self.open.capacity() == 0 {
+                    self.open.reserve_exact(TAIL_BYTES + TAIL_SLACK);
+                }
                 let start = self.open.len();
                 encode(&mut self.open);
                 self.tail += 1;
                 (None, wal::commit_stamp(&self.open[start..]))
             }
         };
-        if self.open.len() >= CHUNK_BYTES {
-            let full = std::mem::replace(
-                &mut self.open,
-                Vec::with_capacity(CHUNK_BYTES + CHUNK_SLACK),
-            );
-            self.sealed_bytes += full.len();
-            self.sealed.push(Arc::new(full));
-        }
         // Commit versions are assigned gaplessly under the exec lock, so
         // each new commit lands exactly one past the end of the index.
         if let Some((version, root)) = stamp {
-            debug_assert_eq!(version, self.base + self.roots.len() as u64 + 1);
+            debug_assert_eq!(version, self.roots_base + self.roots.len() as u64 + 1);
             self.roots.push(root);
         }
         offset
+    }
+
+    /// Makes the latest committed state the anchor and starts an empty
+    /// tail, handing the finished one to the sink (or reusing its buffer),
+    /// and trims the root index to the finished tail and the new one. The
+    /// send never blocks: the channel is unbounded.
+    fn reanchor(&mut self) {
+        let version = self.roots_base + self.roots.len() as u64;
+        match &self.sink {
+            Some(sink) => {
+                let payloads = std::mem::take(&mut self.open);
+                // A dropped receiver only means nobody audits the run.
+                let _ = sink.send(HistorySegment {
+                    base: self.base,
+                    payloads,
+                });
+            }
+            None => self.open.clear(),
+        }
+        self.tail = 0;
+        self.roots.drain(..(self.base - self.roots_base) as usize);
+        self.roots_base = self.base;
+        self.base = version;
+        self.anchor = self.latest.clone();
     }
 }
 
@@ -254,8 +313,10 @@ impl History {
     /// `version`, after `count` earlier events.
     pub(crate) fn anchored(version: u64, state: Arc<Database>, count: usize) -> Self {
         History::with(Inner {
+            latest: Some(Arc::clone(&state)),
             anchor: Some(state),
             base: version,
+            roots_base: version,
             count,
             ..Inner::default()
         })
@@ -271,6 +332,7 @@ impl History {
         });
         History::with(Inner {
             base: base_version,
+            roots_base: base_version,
             roots: roots.collect(),
             count: events.len(),
             ..Inner::default()
@@ -285,6 +347,15 @@ impl History {
         debug_assert!(inner.durable.is_none() && inner.tail == 0);
         inner.durable = Some(log);
         inner.anchor = None;
+        inner.latest = None;
+    }
+
+    /// Attaches the sink finished in-memory tails go to, before any event
+    /// (see the module docs).
+    pub(crate) fn attach_sink(&self, sink: Sender<HistorySegment>) {
+        let mut inner = self.lock();
+        debug_assert!(inner.durable.is_none() && inner.count == 0);
+        inner.sink = Some(sink);
     }
 
     /// Runs `f` with exclusive access to the attached log, if any — the
@@ -312,12 +383,19 @@ impl History {
     /// Appends an event — durably first, when a log is attached. Returns
     /// the record's global log offset (`None` for in-memory histories):
     /// the handle the durable phase needs to know which fsync covers it.
+    /// An in-memory history takes its commits through `record_commit`,
+    /// with the state its next re-anchor lands on.
     ///
     /// # Panics
     /// Panics if the attached log fails to append (fail-stop: see the
     /// module docs).
     pub fn record(&self, e: Event) -> Option<u64> {
-        self.lock().append(|out| wal::encode_event_into(&e, out))
+        let mut inner = self.lock();
+        debug_assert!(
+            inner.durable.is_some() || !matches!(e, Event::Commit { .. } | Event::Cross { .. }),
+            "an in-memory commit comes with its state"
+        );
+        inner.append(|out| wal::encode_event_into(&e, out))
     }
 
     /// Appends an [`Event::Abort`] whose reason is formatted straight into
@@ -331,37 +409,31 @@ impl History {
     /// payload, already encoded *outside* the commit critical section and
     /// patched with its version and root hash (see
     /// [`crate::wal::patch_commit_payload`]): the lock only copies the
-    /// bytes into the tail. `replaced` is the state the commit replaces;
-    /// a full in-memory tail re-anchors there (the module docs' anchor
+    /// bytes into the tail. `state` is the committed state, where an
+    /// in-memory history's next re-anchor lands (the module docs' anchor
     /// rule).
     ///
     /// # Panics
     /// Panics if the attached log fails to append (fail-stop: see the
     /// module docs).
-    pub(crate) fn record_commit(&self, payload: &[u8], replaced: &Arc<Database>) -> Option<u64> {
-        let (version, _) = wal::commit_stamp(payload).expect("not a commit payload");
+    pub(crate) fn record_commit(&self, payload: &[u8], state: &Arc<Database>) -> Option<u64> {
         let mut inner = self.lock();
-        if inner.durable.is_none() && inner.sealed_bytes + inner.open.len() >= TAIL_BYTES {
-            debug_assert_eq!(inner.base + inner.roots.len() as u64 + 1, version);
-            inner.sealed.clear();
-            inner.sealed_bytes = 0;
-            inner.open.clear();
-            inner.tail = 0;
-            inner.roots.clear();
-            inner.base = version - 1;
-            inner.anchor = Some(Arc::clone(replaced));
+        let offset = inner.append(|out| out.extend_from_slice(payload));
+        if inner.durable.is_none() {
+            inner.latest = Some(Arc::clone(state));
         }
-        inner.append(|out| out.extend_from_slice(payload))
+        offset
     }
 
     /// The [root hash](root_hash) the commit at `version` recorded — the
-    /// per-relation state commitment of the post-state. `None` at or below
-    /// the anchor (genesis has no commit event; older commits left the
-    /// tail) and for versions not yet committed. O(1): commit versions are
-    /// gapless, so the index is a flat vector.
+    /// per-relation state commitment of the post-state. `None` for
+    /// versions not yet committed and for those older than the tail
+    /// before the current one (genesis has no commit event; an in-memory
+    /// history drops a tail's roots one re-anchor after the tail itself).
+    /// O(1): commit versions are gapless, so the index is a flat vector.
     pub fn commit_root(&self, version: u64) -> Option<u64> {
         let inner = self.lock();
-        let idx = version.checked_sub(inner.base + 1)?;
+        let idx = version.checked_sub(inner.roots_base + 1)?;
         inner.roots.get(idx as usize).copied()
     }
 
@@ -407,7 +479,7 @@ impl History {
     /// # Panics
     /// Panics if a persisted history's log cannot be written or read back.
     pub fn anchored_events(&self) -> (u64, Option<Arc<Database>>, Vec<Event>) {
-        let (base, anchor, chunks, tail) = {
+        let (base, anchor, open, tail) = {
             let mut inner = self.lock();
             if let Some(log) = inner.durable.as_mut() {
                 let read = log.writer.write_staged().map_err(RecoveryError::Wal);
@@ -416,14 +488,15 @@ impl History {
                     .expect("reading back the write-ahead log failed");
                 return (rec.base_version, Some(Arc::new(rec.initial)), rec.events);
             }
-            let mut chunks = inner.sealed.clone();
-            chunks.push(Arc::new(inner.open.clone()));
-            (inner.base, inner.anchor.clone(), chunks, inner.tail)
+            (
+                inner.base,
+                inner.anchor.clone(),
+                inner.open.clone(),
+                inner.tail,
+            )
         };
         let mut out = Vec::with_capacity(tail);
-        for chunk in &chunks {
-            wal::decode_events(chunk, &mut out).expect("the history arena holds whole payloads");
-        }
+        wal::decode_events(&open, &mut out).expect("the tail holds whole payloads");
         (base, anchor, out)
     }
 
@@ -441,8 +514,7 @@ impl History {
     /// Bytes of the in-memory tail: the total length of its event payloads
     /// (what `store_history_bytes` reports). 0 on a persisted history.
     pub fn bytes(&self) -> usize {
-        let inner = self.lock();
-        inner.sealed_bytes + inner.open.len()
+        self.lock().open.len()
     }
 }
 
@@ -544,6 +616,14 @@ pub fn root_hash(db: &Database) -> u64 {
         h.update(&e.0.to_le_bytes());
     }
     h.finish()
+}
+
+#[cfg(test)]
+impl History {
+    /// The anchor's version.
+    fn base(&self) -> u64 {
+        self.lock().base
+    }
 }
 
 #[cfg(test)]
@@ -680,12 +760,21 @@ mod tests {
         assert_eq!(h.commit_root(5), None);
     }
 
+    /// Records `e` as the store would: a commit with a state, through
+    /// `record_commit`, encoded whole.
+    fn record_directly(h: &History, e: &Event) -> Option<u64> {
+        match root_of(e) {
+            Some(_) => h.record_commit(&wal::encode_event(e), &Arc::new(Database::graph([]))),
+            None => h.record(e.clone()),
+        }
+    }
+
     #[test]
     fn every_variant_round_trips_through_record() {
         let events = every_variant();
         let h = History::new();
         for e in &events {
-            assert_eq!(h.record(e.clone()), None, "in-memory: no log offset");
+            assert_eq!(record_directly(&h, e), None, "in-memory: no log offset");
         }
         assert_holds(&h, &events);
     }
@@ -744,79 +833,41 @@ mod tests {
         // The stub path writes exactly the bytes the direct encoding does.
         let direct = History::new();
         for e in &events {
-            direct.record(e.clone());
+            record_directly(&direct, e);
         }
         assert_eq!(direct.bytes(), h.bytes());
     }
 
-    #[test]
-    fn events_survive_chunk_sealing_in_order() {
-        let h = History::new();
-        let mut expected = Vec::new();
-        let mut version = 0;
-        while h.bytes() < 3 * CHUNK_BYTES {
-            for e in every_variant() {
-                let e = match e {
-                    Event::Commit {
-                        tx,
-                        based_on,
-                        writes,
-                        shape,
-                        bindings,
-                        root_hash,
-                        ..
-                    } => {
-                        version += 1;
-                        Event::Commit {
-                            tx,
-                            based_on,
-                            version,
-                            writes,
-                            shape,
-                            bindings,
-                            root_hash: root_hash ^ version,
-                        }
-                    }
-                    Event::Cross { .. } => continue,
-                    e => e,
-                };
-                h.record(e.clone());
-                expected.push(e);
-            }
-        }
-        assert!(h.lock().sealed.len() >= 2, "the test must cross chunks");
-        assert_eq!(h.events(), expected);
-        assert_eq!(h.len(), expected.len());
-        assert_eq!(h.commit_root(version), Some(0xdead_beef ^ version));
-        assert_eq!(h.commit_root(1), Some(u64::MAX ^ 1));
-    }
-
-    /// Over ten times the bound, in-memory: the tail stays within the
-    /// bound plus a chunk plus an event, every event is still counted,
-    /// the tail is exactly the events since the last anchor and starts
-    /// with the commit just above it, the anchor is the state the
-    /// anchoring commit replaced, and the root index covers the tail only.
+    /// Over ten times the bound, in-memory, with a sink: every append —
+    /// aborts and guard events as much as commits — re-anchors on a full
+    /// tail, so the tail stays within the bound plus an event; every event
+    /// is counted; the tail is exactly the events since the last anchor,
+    /// which is the state of the last commit before it; and the segments
+    /// the sink received, then the tail, are every event in order, each
+    /// segment based where the one before it ended.
     #[test]
     fn the_tail_stays_bounded_across_anchors() {
-        const BOUND: usize = TAIL_BYTES;
         let h = History::anchored(0, Arc::new(Database::graph([])), 0);
+        let (sink, segments) = std::sync::mpsc::channel();
+        h.attach_sink(sink);
         let menu = every_variant();
         let largest = menu.iter().map(|e| wal::encode_event(e).len()).max();
-        let (mut tail, mut count, mut recorded) = (Vec::new(), 0, 0);
-        let (mut version, mut base, mut anchors) = (0, 0, 0);
-        let mut anchor = Arc::new(Database::graph([]));
-        while recorded < 10 * BOUND {
+        let (mut all, mut tail, mut recorded) = (Vec::new(), Vec::new(), 0);
+        let (mut version, mut base, mut bases) = (0, 0, vec![0]);
+        let mut latest = Arc::new(Database::graph([]));
+        let mut anchor = Arc::clone(&latest);
+        while recorded < 10 * TAIL_BYTES {
             for e in &menu {
+                if h.bytes() >= TAIL_BYTES {
+                    (tail, base, anchor) = (Vec::new(), version, Arc::clone(&latest));
+                    bases.push(base);
+                }
                 let e = match e.clone() {
                     Event::Commit {
                         writes, root_hash, ..
                     } => {
                         version += 1;
-                        let replaced = Arc::new(Database::graph([(version, version)]));
-                        if h.bytes() >= BOUND {
-                            (tail, base, anchors) = (Vec::new(), version - 1, anchors + 1);
-                            anchor = Arc::clone(&replaced);
-                        }
+                        latest = Arc::new(Database::graph([(version, version)]));
                         let e = Event::Commit {
                             tx: version,
                             based_on: version - 1,
@@ -826,7 +877,7 @@ mod tests {
                             bindings: vec![],
                             root_hash: root_hash ^ version,
                         };
-                        h.record_commit(&wal::encode_event(&e), &replaced);
+                        h.record_commit(&wal::encode_event(&e), &latest);
                         e
                     }
                     Event::Cross { .. } => continue,
@@ -836,40 +887,125 @@ mod tests {
                     }
                 };
                 recorded += wal::encode_event(&e).len();
-                count += 1;
+                all.push(e.clone());
                 tail.push(e);
-                assert!(h.bytes() <= BOUND + CHUNK_BYTES + largest.unwrap());
-                assert_eq!(h.len(), count);
+                assert!(h.bytes() <= TAIL_BYTES + largest.unwrap());
+                assert_eq!(h.len(), all.len());
             }
         }
-        assert!(anchors >= 5, "{anchors} anchors over ten bounds");
+        assert!(
+            bases.len() > 5,
+            "{} anchors over ten bounds",
+            bases.len() - 1
+        );
         let (at, state, events) = h.anchored_events();
         assert_eq!((at, &events), (base, &tail));
         assert!(
             Arc::ptr_eq(&state.unwrap(), &anchor),
-            "the replaced state anchors"
+            "the last commit's state anchors"
         );
-        assert!(matches!(events[0], Event::Commit { version, .. } if version == base + 1));
+        let segments: Vec<HistorySegment> = segments.try_iter().collect();
+        let chained: Vec<u64> = segments.iter().map(|s| s.base_version()).collect();
+        assert_eq!(chained, bases[..bases.len() - 1]);
+        let mut whole: Vec<Event> = segments.iter().flat_map(|s| s.events()).collect();
+        whole.extend(events);
+        assert_eq!(whole, all);
         for (version, root) in tail.iter().filter_map(root_of) {
             assert_eq!(h.commit_root(version), Some(root), "root of v{version}");
         }
-        assert_eq!(h.commit_root(base), None);
-        assert_eq!(h.commit_root(base - 1), None);
         assert_eq!(h.commit_root(version + 1), None);
     }
 
-    /// A real one-worker run over several anchors. The commit that crosses
-    /// the line always has its `Begin` and `GuardEval` before the anchor,
-    /// and the tail still audits clean from the anchor; a tail with one
-    /// commit dropped, or one root flipped, does not.
+    /// A stream of aborts re-anchors without any commit: the anchor stays
+    /// at the last committed state, and the tail stays bounded.
     #[test]
-    fn a_tail_audits_from_its_anchor() {
+    fn aborts_alone_re_anchor() {
+        let genesis = Arc::new(Database::graph([]));
+        let h = History::anchored(0, Arc::clone(&genesis), 0);
+        let (sink, segments) = std::sync::mpsc::channel();
+        h.attach_sink(sink);
+        let committed = Arc::new(Database::graph([(1, 1)]));
+        let commit = Event::Commit {
+            tx: 0,
+            based_on: 0,
+            version: 1,
+            writes: vec!["E".into()],
+            shape: 0,
+            bindings: vec![],
+            root_hash: 7,
+        };
+        h.record_commit(&wal::encode_event(&commit), &committed);
+        // An abort payload takes more than 16 bytes: over four tails.
+        for tx in 1..(4 * TAIL_BYTES / 16) as u64 {
+            h.record_abort(tx, 1, &"the guard fails");
+            assert!(h.bytes() <= TAIL_BYTES + 64);
+        }
+        assert!(segments.try_iter().count() >= 4);
+        let (base, anchor, events) = h.anchored_events();
+        assert_eq!(base, 1);
+        assert!(Arc::ptr_eq(&anchor.unwrap(), &committed));
+        assert!(events.iter().all(|e| matches!(e, Event::Abort { .. })));
+    }
+
+    /// The root index trims one re-anchor late: a version of the previous
+    /// tail still answers after one re-anchor, and no longer after two.
+    #[test]
+    fn commit_roots_outlive_their_tail_by_one_anchor() {
+        let state = Arc::new(Database::graph([]));
+        let h = History::anchored(0, Arc::clone(&state), 0);
+        let mut version = 0;
+        let mut commit_until_anchor = || {
+            let base = h.base();
+            while h.base() == base {
+                assert!(version < (TAIL_BYTES as u64), "no re-anchor");
+                version += 1;
+                let e = Event::Commit {
+                    tx: version,
+                    based_on: version - 1,
+                    version,
+                    writes: vec!["E".into()],
+                    shape: 0,
+                    bindings: vec![],
+                    root_hash: version ^ 0xabc,
+                };
+                h.record_commit(&wal::encode_event(&e), &state);
+            }
+        };
+        commit_until_anchor();
+        let first = h.base();
+        assert!(first > 1);
+        for v in [1, first] {
+            assert_eq!(h.commit_root(v), Some(v ^ 0xabc), "v{v}, previous tail");
+        }
+        commit_until_anchor();
+        for v in [1, first] {
+            assert_eq!(h.commit_root(v), None, "v{v}, two anchors back");
+        }
+        for v in [first + 1, h.base(), h.base() + 1] {
+            assert_eq!(h.commit_root(v), Some(v ^ 0xabc), "v{v}");
+        }
+    }
+
+    /// A real one-worker run over several anchors, with or without a sink:
+    /// the store, its guard cache, its programs by transaction id.
+    fn served_run(
+        sink: Option<std::sync::mpsc::Sender<HistorySegment>>,
+    ) -> (
+        crate::VersionedStore,
+        crate::GuardCache,
+        std::collections::BTreeMap<u64, vpdt_tx::program::Program>,
+        Database,
+    ) {
         use crate::exec::{execute_one, WorkItem};
-        use crate::{audit_from, workload, GuardCache, StoreMetrics, VersionedStore};
+        use crate::{workload, GuardCache, StoreMetrics, VersionedStore};
         let alpha = workload::sharded_fd_constraint(2);
         let omega = vpdt_eval::Omega::empty();
-        let store = VersionedStore::new(workload::sharded_initial(3, 2, 40, 0.1));
-        let cache = GuardCache::new(store.schema().clone(), alpha.clone(), omega.clone());
+        let initial = workload::sharded_initial(3, 2, 40, 0.1);
+        let store = VersionedStore::new(initial.clone());
+        if let Some(sink) = sink {
+            store.history().attach_sink(sink);
+        }
+        let cache = GuardCache::new(store.schema().clone(), alpha, omega);
         let obs = StoreMetrics::new(0);
         let jobs = workload::sharded_jobs(3, 1, 4000, 2, 40);
         let mut programs = std::collections::BTreeMap::new();
@@ -884,19 +1020,26 @@ mod tests {
             execute_one(&store, &cache, &item, &obs);
             programs.insert(item.tx, program);
             // Several anchors behind, and a few commits into a tail.
-            if tx >= 2000 && store.version() >= store.history().lock().base + 3 {
+            if tx >= 2000 && store.version() >= store.history().base() + 3 {
                 break;
             }
         }
+        (store, cache, programs, initial)
+    }
+
+    /// A tail audits clean from its anchor; a tail with one commit
+    /// dropped, or one root flipped, does not.
+    #[test]
+    fn a_tail_audits_from_its_anchor() {
+        use crate::{audit_from, workload};
+        let (store, cache, programs, _) = served_run(None);
+        let (alpha, omega) = (
+            workload::sharded_fd_constraint(2),
+            vpdt_eval::Omega::empty(),
+        );
         let (base, initial, events) = store.history().anchored_events();
         let initial = initial.expect("a store's history is anchored");
-        assert!(base > 0 && store.history().bytes() <= TAIL_BYTES + CHUNK_BYTES);
-        let Some(&Event::Commit { tx, .. }) = events.first() else {
-            panic!("the tail starts with a commit: {:?}", events.first());
-        };
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, Event::Begin { tx: t, .. } if *t == tx)));
+        assert!(base > 0 && store.history().bytes() <= TAIL_BYTES + TAIL_SLACK);
         let audit = |events: &[Event]| {
             let final_db = store.snapshot().db;
             let templates = cache.templates();
@@ -917,6 +1060,63 @@ mod tests {
             *root_hash ^= 1;
         }
         assert!(!audit(&flipped).ok(), "a flipped root is reported");
+    }
+
+    /// With a sink, the segments plus the final tail audit clean from
+    /// genesis; the chain fails with one segment dropped, and with one
+    /// byte of a middle segment's commit root flipped.
+    #[test]
+    fn chained_segments_audit_from_genesis() {
+        use crate::{audit, workload};
+        let (sink, received) = std::sync::mpsc::channel();
+        let (store, cache, programs, initial) = served_run(Some(sink));
+        let (alpha, omega) = (
+            workload::sharded_fd_constraint(2),
+            vpdt_eval::Omega::empty(),
+        );
+        let segments: Vec<HistorySegment> = received.try_iter().collect();
+        assert!(segments.len() >= 3, "{} segments", segments.len());
+        let tail = store.history().events();
+        let chained = |segments: &[HistorySegment]| {
+            let mut events: Vec<Event> = segments.iter().flat_map(|s| s.events()).collect();
+            events.extend(tail.iter().cloned());
+            let final_db = store.snapshot().db;
+            audit(
+                &alpha,
+                &omega,
+                &initial,
+                &final_db,
+                &events,
+                &programs,
+                &cache.templates(),
+            )
+        };
+        let whole = chained(&segments);
+        assert!(whole.ok(), "{whole}");
+        assert_eq!(whole.commits_checked as u64, store.version());
+
+        let mut dropped = segments.clone();
+        dropped.remove(1);
+        assert!(!chained(&dropped).ok(), "a dropped segment is reported");
+
+        let mut tampered = segments.clone();
+        let middle = &mut tampered[1];
+        let mut at = 0;
+        for e in middle.events() {
+            let len = wal::encode_event(&e).len();
+            if let Event::Commit { root_hash, .. } = e {
+                let payload = &middle.payloads[at..at + len];
+                let needle = root_hash.to_le_bytes();
+                let i = (0..len - 7)
+                    .rfind(|&i| payload[i..i + 8] == needle)
+                    .expect("the payload holds its root");
+                middle.payloads[at + i] ^= 1;
+                break;
+            }
+            at += len;
+        }
+        assert_ne!(tampered[1], segments[1]);
+        assert!(!chained(&tampered).ok(), "a tampered segment is reported");
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub mod workload;
 pub use audit::{audit, audit_from, cold_audit, cold_audit_dir, cold_audit_from, AuditReport};
 pub use exec::{run_serial_rollback, ExecReport, TxOutcome};
 pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
-pub use history::{Event, History};
+pub use history::{Event, History, HistorySegment};
 pub use metrics::StoreMetrics;
 pub use server::{ServerReport, StoreBuilder, StoreServer};
 pub use session::{Session, TxTicket};
@@ -203,6 +203,10 @@ pub enum StoreError {
         /// What exactly was refused.
         detail: String,
     },
+    /// A persisted server was given a history sink: its log already is
+    /// its history, so there are no finished tails to hand over. Surfaced
+    /// by [`StoreBuilder::build`](crate::StoreBuilder::build).
+    PersistedSink,
 }
 
 impl StoreError {
@@ -220,6 +224,7 @@ impl StoreError {
             StoreError::Wal(_) => "wal",
             StoreError::Recovery(_) => "recovery",
             StoreError::Unshardable { .. } => "unshardable",
+            StoreError::PersistedSink => "persisted_sink",
         }
     }
 }
@@ -252,6 +257,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Unshardable { detail } => {
                 write!(f, "configuration cannot be sharded: {detail}")
             }
+            StoreError::PersistedSink => write!(
+                f,
+                "a history sink needs an in-memory server: a persisted server's log is its \
+                 history"
+            ),
         }
     }
 }

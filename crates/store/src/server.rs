@@ -22,7 +22,7 @@
 use crate::disk::{self, Dir, Disk};
 use crate::exec::{self, ExecReport, OutcomeSink, TxOutcome, WorkItem, WorkQueue};
 use crate::guard::{CacheStats, GuardCache};
-use crate::history::{Event, History};
+use crate::history::{Event, History, HistorySegment};
 use crate::metrics::StoreMetrics;
 use crate::session::{Session, TicketState, TxTicket};
 use crate::snapshot::{Snapshot, VersionedStore};
@@ -34,6 +34,7 @@ use crate::StoreError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use vpdt_eval::Omega;
@@ -82,6 +83,7 @@ pub struct StoreBuilder {
     persist_dir: Option<PathBuf>,
     wal_opts: WalOptions,
     trace_capacity: usize,
+    history_sink: Option<Sender<HistorySegment>>,
     disk: Arc<dyn Disk>,
 }
 
@@ -126,6 +128,7 @@ impl StoreBuilder {
             persist_dir: None,
             wal_opts: WalOptions::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
+            history_sink: None,
             disk: disk::std_disk(),
         }
     }
@@ -211,6 +214,21 @@ impl StoreBuilder {
         self
     }
 
+    /// Where an in-memory server's history sends each finished tail
+    /// (default: nowhere — the tail's buffer is reused). The history keeps
+    /// one bounded tail either way (see [`History`]); with a sink, the
+    /// [`HistorySegment`]s received, followed by the report's
+    /// [`events`](ServerReport::events), are every event since genesis,
+    /// which is what a whole-run [`audit`](crate::audit::audit) needs.
+    /// The send never blocks and runs under the history lock, so drain
+    /// the receiver after [`shutdown`](StoreServer::shutdown) (or as the
+    /// server runs). A persisted server's log is its history: building
+    /// one with a sink fails with [`StoreError::PersistedSink`].
+    pub fn history_sink(mut self, sink: Sender<HistorySegment>) -> Self {
+        self.history_sink = Some(sink);
+        self
+    }
+
     /// Establishes the guard-soundness base case — `α` must hold (and
     /// evaluate) on the initial state — and spawns the worker pool. A
     /// server is only ever handed out consistent, so every guard it
@@ -225,6 +243,10 @@ impl StoreBuilder {
     /// where the log left off, and the log is reopened for appending (its
     /// torn tail, if any, physically truncated).
     pub fn build(self) -> Result<StoreServer, StoreError> {
+        let persisted = self.persist_dir.is_some() || matches!(self.source, Source::Recover { .. });
+        if persisted && self.history_sink.is_some() {
+            return Err(StoreError::PersistedSink);
+        }
         // One registry per server: the guard cache, the workers, and the
         // flusher all count on it, so every reading comes from one place.
         let obs = StoreMetrics::new(self.trace_capacity);
@@ -234,6 +256,9 @@ impl StoreBuilder {
         let (store, cache, next_tx, group) = match self.source {
             Source::Fresh { initial, alpha } => {
                 let store = VersionedStore::new(initial);
+                if let Some(sink) = self.history_sink {
+                    store.history().attach_sink(sink);
+                }
                 let cache = GuardCache::with_metrics(
                     store.schema().clone(),
                     alpha,
@@ -502,8 +527,9 @@ impl StoreServer {
 
     /// The root hash the commit at `version` recorded — the per-relation
     /// state commitment a remote client pairs with its committed version.
-    /// `None` at or below the history's anchor and for uncommitted
-    /// versions (see [`History::commit_root`]). O(1) per call.
+    /// `None` for uncommitted versions and, in memory, for those older
+    /// than the tail before the current one (see
+    /// [`History::commit_root`]). O(1) per call.
     pub fn commit_root(&self, version: u64) -> Option<u64> {
         self.shared.store.history().commit_root(version)
     }
@@ -622,6 +648,7 @@ impl StoreServer {
         // a persisted log's floor past everything served.
         let (base_version, initial, events) = shared.store.history().anchored_events();
         let initial = initial.expect("a store's history is anchored");
+        let history_len = shared.store.history().len();
         if shared.store.history().is_durable() {
             checkpoint(&shared, next_tx).expect("clean checkpoint at shutdown failed");
         }
@@ -641,6 +668,7 @@ impl StoreServer {
             initial,
             base_version,
             events,
+            history_len,
             final_db: snap.db,
             final_version: snap.version,
             templates: shared.cache.templates(),
@@ -691,7 +719,9 @@ impl std::fmt::Debug for StoreServer {
 /// the statement templates — exactly the inputs
 /// [`audit_from`](crate::audit::audit_from) needs (callers supply their own
 /// `programs` map, since only they know what they submitted). An audit
-/// of the whole run needs `base_version == 0`.
+/// of the whole run needs `base_version == 0`, or the segments an
+/// in-memory server's [`history_sink`](StoreBuilder::history_sink)
+/// received before `events` (see [`ServerReport::whole_run`]).
 #[derive(Clone, Debug)]
 pub struct ServerReport {
     /// Per-transaction outcomes and pipeline counters.
@@ -705,6 +735,9 @@ pub struct ServerReport {
     pub base_version: u64,
     /// The events since the anchor, read before the clean checkpoint.
     pub events: Vec<Event>,
+    /// Number of events the history recorded over its life, as
+    /// [`StoreServer::history_len`], read with `events`.
+    pub history_len: usize,
     /// The final state.
     pub final_db: Arc<Database>,
     /// The final store version.
@@ -726,6 +759,30 @@ pub struct ServerReport {
     /// The slowest complete traced transactions (up to 16), slowest
     /// first. Empty when tracing was disabled.
     pub slowest: Vec<TxTimeline>,
+}
+
+impl ServerReport {
+    /// The whole run from genesis: the finished tails an in-memory
+    /// server's [`history_sink`](StoreBuilder::history_sink) received, in
+    /// order, then [`events`](Self::events) — what a whole-run
+    /// [`audit`](crate::audit::audit) replays. Refused unless they hold
+    /// every event the history recorded ([`history_len`](Self::history_len)):
+    /// a dropped segment, even one without a commit (which leaves no gap
+    /// in the commit versions), or a history that re-anchored without a
+    /// sink.
+    pub fn whole_run(&self, segments: &[HistorySegment]) -> Result<Vec<Event>, String> {
+        let mut events: Vec<Event> = segments.iter().flat_map(HistorySegment::events).collect();
+        events.extend_from_slice(&self.events);
+        if events.len() != self.history_len {
+            return Err(format!(
+                "the history recorded {} events, but its finished tails and the last hold {}: \
+                 a whole-run audit needs every tail",
+                self.history_len,
+                events.len()
+            ));
+        }
+        Ok(events)
+    }
 }
 
 #[cfg(test)]

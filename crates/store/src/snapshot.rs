@@ -252,7 +252,7 @@ impl VersionedStore {
     /// write lock once validation has passed: merges the computed state
     /// into the current one, assigns the next version, stamps the written
     /// relations with it, and records the commit payload (patched with
-    /// the version and root hash) in the history, handing it the replaced
+    /// the version and root hash) in the history, handing it the new
     /// state for the history's anchor rule. Returns the new version plus
     /// the record's log offset.
     fn publish(
@@ -296,9 +296,9 @@ impl VersionedStore {
         // rehashes a tuple — the per-tuple work happened incrementally at
         // mutation time, outside this lock.
         let hash = root_hash(&merged);
-        let replaced = std::mem::replace(&mut s.db, Arc::new(merged));
+        s.db = Arc::new(merged);
         crate::wal::patch_commit_payload(payload, version, hash);
-        (version, self.history.record_commit(payload, &replaced))
+        (version, self.history.record_commit(payload, &s.db))
     }
 
     /// Phase one of a cross-shard two-phase commit: records every

@@ -651,8 +651,7 @@ fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
 
 // --- the writer ------------------------------------------------------------
 
-/// The default [`WalOptions::segment_bytes`], 8 MiB — also the tail an
-/// in-memory [`History`](crate::History) keeps before it re-anchors.
+/// The default [`WalOptions::segment_bytes`], 8 MiB.
 pub(crate) const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Staged bytes at which the next append writes the staging buffer

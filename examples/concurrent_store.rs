@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 use vpdt::eval::Omega;
-use vpdt::store::{audit_from, run_serial_rollback, workload, StoreBuilder};
+use vpdt::store::{audit, run_serial_rollback, workload, StoreBuilder};
 
 fn main() {
     const RELS: usize = 4;
@@ -30,9 +30,13 @@ fn main() {
 
     // The server owns the queue, the guard cache, and the worker pool; the
     // soundness base case (α holds at admission) is established here, once.
+    // Its history keeps one bounded tail and sends each finished one to
+    // `segments`, so the audit below still sees the whole run.
+    let (sink, segments) = std::sync::mpsc::channel();
     let server = StoreBuilder::new(initial.clone(), alpha.clone())
         .omega(omega.clone())
         .workers(WORKERS)
+        .history_sink(sink)
         .build()
         .expect("initial state satisfies α");
 
@@ -75,7 +79,7 @@ fn main() {
     // same programs in transaction-id order.
     let serial_programs: Vec<_> = programs.values().cloned().collect();
     let t1 = Instant::now();
-    let (_, serial) = run_serial_rollback(initial, &serial_programs, &alpha, &omega);
+    let (_, serial) = run_serial_rollback(initial.clone(), &serial_programs, &alpha, &omega);
     let serial_time = t1.elapsed();
     assert_eq!(serial.failed, 0, "the baseline never errors, it rolls back");
     assert_eq!(serial.committed + serial.aborted, jobs.len());
@@ -89,15 +93,18 @@ fn main() {
     );
 
     // Audit: replay the committed history through RuntimeChecked and
-    // cross-check every guard decision — the whole run, from version 0.
-    assert_eq!(report.base_version, 0, "the history re-anchored mid-run");
-    let verdict = audit_from(
+    // cross-check every guard decision — the whole run, from version 0:
+    // the finished tails the sink received, then the last one.
+    let segments: Vec<_> = segments.try_iter().collect();
+    let events = report
+        .whole_run(&segments)
+        .expect("the sink received every finished tail");
+    let verdict = audit(
         &alpha,
         &omega,
-        report.base_version,
-        &report.initial,
+        &initial,
         &report.final_db,
-        &report.events,
+        &events,
         &programs,
         &report.templates,
     );
@@ -105,11 +112,8 @@ fn main() {
     assert!(verdict.ok(), "the audit must verify the run");
 
     // A glimpse of the history log — note the session provenance on Begin.
-    println!(
-        "\nfirst events of the {}-entry history:",
-        report.events.len()
-    );
-    for e in report.events.iter().take(6) {
+    println!("\nfirst events of the {}-entry history:", events.len());
+    for e in events.iter().take(6) {
         println!("  {e:?}");
     }
 }

@@ -352,11 +352,13 @@ fn run_store(args: &[String]) -> Result<(), String> {
         );
     }
 
-    use vpdt::store::{audit_from, workload, StoreBuilder};
+    use vpdt::store::{audit, workload, HistorySegment, StoreBuilder};
     let omega = Omega::empty();
-    // The fresh in-memory path is the only consumer of α here — a
-    // persisted run is audited cold, from its own files.
-    let (server, mem_alpha) = if recover {
+    // The fresh in-memory path is the only consumer of α and the genesis
+    // state here — a persisted run is audited cold, from its own files.
+    // Its history hands each finished tail to `segments`.
+    let (sink, segments) = std::sync::mpsc::channel();
+    let (server, genesis) = if recover {
         let dir = persist.clone().expect("checked above");
         let server = StoreBuilder::recover(&dir)
             .omega(omega.clone())
@@ -372,16 +374,17 @@ fn run_store(args: &[String]) -> Result<(), String> {
     } else {
         let alpha = workload::sharded_fd_constraint(rels);
         let initial = workload::sharded_initial(seed, rels, universe, 0.5);
-        let mut builder = StoreBuilder::new(initial, alpha.clone())
+        let builder = StoreBuilder::new(initial.clone(), alpha.clone())
             .omega(omega.clone())
             .workers(workers);
-        if let Some(dir) = &persist {
-            builder = builder.persist(dir);
-        }
+        let builder = match &persist {
+            Some(dir) => builder.persist(dir),
+            None => builder.history_sink(sink),
+        };
         let server = builder
             .build()
             .map_err(|e| format!("server refused to start: {e}"))?;
-        (server, Some(alpha))
+        (server, Some((alpha, initial)))
     };
 
     let jobs = workload::sharded_jobs(seed, clients, txs, rels, universe);
@@ -413,21 +416,21 @@ fn run_store(args: &[String]) -> Result<(), String> {
     let verdict = if let Some(dir) = &persist {
         cold_audit_dir(dir, &omega)?
     } else {
-        let alpha = mem_alpha.expect("fresh unpersisted run");
-        if report.base_version != 0 {
-            return Err(format!(
-                "the in-memory history re-anchored at version {}: the run is too long for \
-                 a whole-run audit",
-                report.base_version
-            ));
-        }
-        audit_from(
+        let (alpha, initial) = genesis.expect("fresh unpersisted run");
+        // The whole run from genesis: every finished tail, then the last.
+        let finished: Vec<HistorySegment> = segments.try_iter().collect();
+        let events = report.whole_run(&finished)?;
+        println!(
+            "history: {} finished tails plus the last, {} events audited from genesis",
+            finished.len(),
+            events.len()
+        );
+        audit(
             &alpha,
             &omega,
-            report.base_version,
-            &report.initial,
+            &initial,
             &report.final_db,
-            &report.events,
+            &events,
             &programs,
             &report.templates,
         )

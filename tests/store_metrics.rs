@@ -7,8 +7,11 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use vpdt::eval::Omega;
+use vpdt::logic::Elem;
+use vpdt::store::history::{HistorySegment, TAIL_BYTES};
 use vpdt::store::metrics::names;
-use vpdt::store::{wal, workload, StoreBuilder, TraceStage, TxOutcome, WalOptions};
+use vpdt::store::{wal, workload, StoreBuilder, StoreError, TraceStage, TxOutcome, WalOptions};
+use vpdt::tx::program::Program;
 
 const RELS: usize = 2;
 const UNIVERSE: u64 = 4;
@@ -370,53 +373,131 @@ fn persisted_history_bytes_stay_zero() {
     cleanup(&dir);
 }
 
-/// Served past at least three anchors, an in-memory server's
-/// `store_history_bytes` never exceeds the tail bound (the log's default
-/// segment size) plus a chunk and an event, and the report audits clean
-/// from its anchor. Release only, ignored by default: CI runs it with
+/// Served past many anchors, an in-memory server's `store_history_bytes`
+/// never exceeds the tail bound plus an event, nor does any finished tail
+/// its sink received, and those tails, then the report's, audit clean
+/// from genesis. Release only, ignored by default: CI runs it with
 /// `cargo test --release -q --test store_metrics -- --ignored`.
 #[test]
-#[ignore = "serves ~260k transactions; run in release with --ignored"]
+#[ignore = "serves 60k transactions; run in release with --ignored"]
 fn bounded_history_over_many_anchors() {
     const RELS: usize = 8;
     const ROUND: usize = 5_000;
     let (alpha, omega) = (workload::sharded_fd_constraint(RELS), Omega::empty());
-    let server = StoreBuilder::new(workload::sharded_initial(5, RELS, 6, 0.5), alpha.clone())
+    let initial = workload::sharded_initial(5, RELS, 6, 0.5);
+    let (sink, received) = std::sync::mpsc::channel();
+    let server = StoreBuilder::new(initial.clone(), alpha.clone())
         .workers(2)
         .trace_capacity(0)
         .retain_outcomes(false)
+        .history_sink(sink)
         .build()
         .expect("consistent initial state");
-    let tail_bound = WalOptions::default().segment_bytes;
-    let (mut programs, mut peak, mut anchors, mut last) = (BTreeMap::new(), 0, 0, 0);
-    for round in 0..52 {
+    let (mut programs, mut peak) = (BTreeMap::new(), 0);
+    for round in 0..12 {
         let jobs = workload::sharded_jobs(round, 4, ROUND / 4, RELS, 6);
         programs.append(&mut workload::serve_chunked(&server, &jobs, ROUND / 4));
-        // The tail only shrinks when it re-anchors; keep the programs its
-        // commits may come from (a tail holds ~62k transactions).
-        let served = (round + 1) * ROUND as u64;
-        programs.retain(|&tx, _| tx + 100_000 >= served);
-        let bytes = server.metrics().gauge(names::HISTORY_BYTES);
-        anchors += u32::from(bytes < last);
-        (peak, last) = (peak.max(bytes), bytes);
+        peak = peak.max(server.metrics().gauge(names::HISTORY_BYTES));
     }
     let report = server.shutdown();
-    assert!(anchors >= 3, "{anchors} anchors");
+    let segments: Vec<HistorySegment> = received.try_iter().collect();
+    // ~7.8 MB of history against a 512 KiB tail: about fifteen anchors.
+    assert!(segments.len() >= 10, "{} anchors", segments.len());
     assert!(report.base_version > 0);
-    let largest = report.events.iter().map(|e| wal::encode_event(e).len());
-    let limit = tail_bound + 256 * 1024 + largest.max().expect("a tail") as u64;
-    assert!(peak <= limit, "history bytes peaked at {peak} > {limit}");
-    let audit = vpdt::store::audit_from(
+    let events = report.whole_run(&segments).expect("every tail");
+    let largest = events.iter().map(|e| wal::encode_event(e).len()).max();
+    let limit = TAIL_BYTES + largest.expect("a history");
+    assert!(
+        peak as usize <= limit,
+        "history bytes peaked at {peak} > {limit}"
+    );
+    for segment in &segments {
+        assert!(segment.bytes() <= limit, "a {} B tail", segment.bytes());
+    }
+    let audit = vpdt::store::audit(
         &alpha,
         &omega,
-        report.base_version,
-        &report.initial,
+        &initial,
         &report.final_db,
-        &report.events,
+        &events,
         &programs,
         &report.templates,
     );
     assert!(audit.ok(), "{audit}");
+    assert_eq!(audit.commits_checked as u64, report.final_version);
+}
+
+/// A stream of aborts alone — every insert violates the functional
+/// dependency — re-anchors too: across at least three tails,
+/// `store_history_bytes` stays within the bound plus an event. Its tails
+/// hold no commit, so dropping one leaves no version gap: the whole-run
+/// chain refuses it by its event count.
+#[test]
+fn an_abort_only_stream_stays_bounded() {
+    let alpha = workload::sharded_fd_constraint(1);
+    let mut initial = vpdt::structure::Database::empty(workload::sharded_schema(1));
+    for k in 0..8 {
+        initial.insert("R0", vec![Elem(k), Elem(0)]);
+    }
+    let (sink, received) = std::sync::mpsc::channel();
+    let server = StoreBuilder::new(initial, alpha)
+        .workers(1)
+        .trace_capacity(0)
+        .retain_outcomes(false)
+        .history_sink(sink)
+        .build()
+        .expect("consistent initial state");
+    let session = server.session();
+    let (mut peak, mut tails, mut tx) = (0, Vec::new(), 0u64);
+    // ~120 B a transaction: three 512 KiB tails take ~13k of them.
+    for _ in 0..40 {
+        let tickets: Vec<_> = (0..1000)
+            .map(|_| {
+                tx += 1;
+                session.submit(Program::insert_consts("R0", [tx % 8, 1 + tx % 5]))
+            })
+            .collect();
+        for ticket in tickets {
+            assert!(matches!(ticket.wait(), TxOutcome::Aborted { .. }));
+        }
+        peak = peak.max(server.metrics().gauge(names::HISTORY_BYTES));
+        tails.extend(received.try_iter());
+        if tails.len() >= 3 {
+            break;
+        }
+    }
+    assert!(tails.len() >= 3, "{} tails over {tx} aborts", tails.len());
+    let report = server.shutdown();
+    assert_eq!(report.final_version, 0, "nothing committed");
+    assert!(report.whole_run(&tails).is_ok());
+    let mut dropped = tails.clone();
+    dropped.remove(1);
+    assert!(report.whole_run(&dropped).is_err(), "a dropped tail");
+    let largest = report.events.iter().map(|e| wal::encode_event(e).len());
+    let limit = TAIL_BYTES + largest.max().expect("a tail");
+    assert!(
+        peak as usize <= limit,
+        "history bytes peaked at {peak} > {limit}"
+    );
+}
+
+/// A persisted server's log already is its history: a sink is refused.
+#[test]
+fn a_history_sink_is_refused_on_a_persisted_server() {
+    let dir = tmp_dir("persisted-sink");
+    let alpha = workload::sharded_fd_constraint(RELS);
+    let initial = workload::sharded_initial(37, RELS, UNIVERSE, 0.4);
+    let (sink, _received) = std::sync::mpsc::channel();
+    let built = StoreBuilder::new(initial, alpha)
+        .persist(&dir)
+        .history_sink(sink.clone())
+        .build();
+    assert_eq!(built.err(), Some(StoreError::PersistedSink));
+    assert!(!dir.exists(), "nothing was created");
+    // A recovering builder is persisted too.
+    let refused = StoreBuilder::recover(&dir).history_sink(sink).build();
+    assert_eq!(refused.err(), Some(StoreError::PersistedSink));
+    cleanup(&dir);
 }
 
 fn cleanup(dir: &Path) {
