@@ -9,7 +9,10 @@
 //! owned by one reactor for life. A reactor blocks in `poll(2)` on its
 //! connections and a waker and does all their I/O: it reads and decodes
 //! requests, submits programs to the worker pool, and writes responses.
-//! No thread sleeps to find work or blocks on a socket or a ticket.
+//! No thread sleeps to find work or blocks on a socket or a ticket, and
+//! a reactor never executes a transaction itself
+//! ([`Session::submit_queued`](vpdt_store::Session::submit_queued)): one
+//! slow transaction would stall every connection it serves.
 //!
 //! Every response is stamped into the connection's **outbox** at a
 //! sequence slot reserved at decode time, in request order. A `Submit`'s
@@ -900,18 +903,26 @@ impl<'a> Conn<'a> {
                 // Reserve *before* submitting: the completion must have
                 // its slot no matter how fast the ticket resolves.
                 let seq = self.outbox.reserve();
-                let ticket = self.session.submit(program);
+                // Queued, never run here: a slow transaction would stall
+                // every connection this reactor serves.
+                let ticket = self.session.submit_queued(program);
                 let tx = ticket.id();
-                let outbox = Arc::clone(&self.outbox);
-                ticket.on_resolve(move |outcome| {
-                    let entry = Entry::Outcome {
+                let stamp = move |outcome| Slot {
+                    entry: Entry::Outcome {
                         request_id,
                         tx,
                         outcome,
-                    };
-                    let started = Some(started);
-                    outbox.complete(seq, Slot { entry, started }, true);
-                });
+                    },
+                    started: Some(started),
+                };
+                // A ticket a worker has resolved already is stamped here,
+                // without posting this reactor to itself.
+                if let Some(outcome) = ticket.try_outcome() {
+                    self.outbox.complete(seq, stamp(outcome), false);
+                } else {
+                    let outbox = Arc::clone(&self.outbox);
+                    ticket.on_resolve(move |outcome| outbox.complete(seq, stamp(outcome), true));
+                }
             }
             Request::Wait => self.answer(Entry::Synced, Some(started)),
             Request::Checkpoint => self.answer(Entry::Checkpoint, Some(started)),

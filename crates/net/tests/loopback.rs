@@ -65,6 +65,23 @@ fn programs(seed: u64, n: usize) -> Vec<Program> {
     workload::sharded_jobs(seed, 1, n, RELS, UNIVERSE)
 }
 
+/// A reactor queues every submission for the store's workers, even on
+/// an in-memory store where a session's `submit` could run it in place:
+/// one slow transaction would stall every connection the reactor serves.
+#[test]
+fn reactors_never_execute_transactions() {
+    let (handle, thread) = spawn_server(None, false);
+    let mut client = NetClient::connect(handle.addr(), "queued").expect("connects");
+    for p in programs(9, 20) {
+        client.submit_sync(&p).expect("round trip");
+    }
+    client.goodbye().expect("orderly close");
+    handle.stop();
+    let report = thread.join().expect("serve thread");
+    assert_eq!(report.metrics.counter("store_tx_submitted_total"), 20);
+    assert_eq!(report.metrics.counter("store_tx_inline_total"), 0);
+}
+
 #[test]
 fn sync_round_trips_carry_version_and_root_hash() {
     let (handle, thread) = spawn_server(None, false);

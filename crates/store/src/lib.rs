@@ -46,9 +46,13 @@
 //!   spawns a resident [`StoreServer`]. The guard
 //!   soundness base case — `α` holds at admission — is established once per
 //!   server, in `build()`;
-//! * [`Session`]s are per-client handles. [`Session::submit`] enqueues a
-//!   program on the server's submission queue and returns a [`TxTicket`]
-//!   immediately; [`TxTicket::wait`] blocks for the typed [`TxOutcome`].
+//! * [`Session`]s are per-client handles. [`Session::submit`] returns a
+//!   [`TxTicket`]; [`TxTicket::wait`] blocks for the typed [`TxOutcome`].
+//!   On an unsharded in-memory server with an execution slot free, the
+//!   transaction runs on the submitting thread before `submit` returns, so
+//!   the ticket is already resolved; otherwise (and always for
+//!   [`Session::submit_queued`]) it is queued for the worker pool and the
+//!   ticket returns at once.
 //!   Tickets outlive their session — dropping a session mid-flight loses
 //!   nothing;
 //! * [`StoreServer::shutdown`] closes the queue, drains every in-flight
@@ -74,9 +78,9 @@
 //!   LRU eviction — so compilation cost is O(statement shapes), independent
 //!   of the universe. Two sessions submitting the same statement shape share
 //!   one compilation;
-//! * [`exec`] — the one worker loop behind the one front door (the
-//!   resident server pool every [`Session`] submits to), plus the serial
-//!   check-and-rollback baseline it displaces;
+//! * [`exec`] — the one per-item execution path behind the one front
+//!   door (run by the resident worker pool, or inline by the submitting
+//!   thread), plus the serial check-and-rollback baseline it displaces;
 //! * [`history`] — a begin/guard-eval/commit/abort event log with snapshot
 //!   versions, per-relation commitment root hashes, and per-transaction
 //!   session provenance;

@@ -16,8 +16,13 @@ use vpdt_obs::{
 /// The store's metric names, in one place so exposition, tests, and docs
 /// cannot drift apart.
 pub mod names {
-    /// Programs accepted onto the submission queue.
+    /// Programs submitted (run inline or queued).
     pub const TX_SUBMITTED: &str = "store_tx_submitted_total";
+    /// Submissions executed on the submitting thread, not by a worker:
+    /// [`Session::submit`](crate::Session::submit)s to an unsharded
+    /// in-memory store that found nothing queued and an execution slot
+    /// free (a subset of [`TX_SUBMITTED`]).
+    pub const TX_INLINE: &str = "store_tx_inline_total";
     /// Transactions committed (published; durable too when persistence is on).
     pub const TX_COMMITTED: &str = "store_tx_committed_total";
     /// Transactions deliberately aborted (guard failed).
@@ -103,6 +108,8 @@ pub struct StoreMetrics {
     pub trace: Arc<TxTrace>,
     /// [`names::TX_SUBMITTED`].
     pub submitted: Counter,
+    /// [`names::TX_INLINE`].
+    pub inline: Counter,
     /// [`names::TX_COMMITTED`].
     pub committed: Counter,
     /// [`names::TX_ABORTED`].
@@ -157,6 +164,7 @@ impl StoreMetrics {
         let trace = Arc::new(TxTrace::new(trace_capacity));
         StoreMetrics {
             submitted: registry.counter(names::TX_SUBMITTED),
+            inline: registry.counter(names::TX_INLINE),
             committed: registry.counter(names::TX_COMMITTED),
             aborted: registry.counter(names::TX_ABORTED),
             failed: registry.counter(names::TX_FAILED),

@@ -20,7 +20,7 @@
 //! the pool, and returns the final [`ServerReport`].
 
 use crate::disk::{self, Dir, Disk};
-use crate::exec::{self, ExecReport, OutcomeSink, TxOutcome, WorkItem, WorkQueue};
+use crate::exec::{self, ExecReport, OutcomeSink, Shared, TxOutcome, WorkItem, WorkQueue};
 use crate::guard::{CacheStats, GuardCache};
 use crate::history::{Event, History, HistorySegment};
 use crate::metrics::StoreMetrics;
@@ -85,6 +85,9 @@ pub struct StoreBuilder {
     trace_capacity: usize,
     history_sink: Option<Sender<HistorySegment>>,
     disk: Arc<dyn Disk>,
+    /// Whether the server is one shard of a [`ShardedStore`](crate::ShardedStore),
+    /// whose cross-shard prepares can hold its relations.
+    shard: bool,
 }
 
 impl StoreBuilder {
@@ -130,12 +133,20 @@ impl StoreBuilder {
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             history_sink: None,
             disk: disk::std_disk(),
+            shard: false,
         }
     }
 
     /// The disk the log lives on (default: `std::fs`).
     pub(crate) fn on_disk(mut self, disk: Arc<dyn Disk>) -> Self {
         self.disk = disk;
+        self
+    }
+
+    /// Builds the server as a shard: its submissions always queue, so only
+    /// its workers ever wait out a cross-shard hold.
+    pub(crate) fn sharded(mut self) -> Self {
+        self.shard = true;
         self
     }
 
@@ -153,7 +164,9 @@ impl StoreBuilder {
         self
     }
 
-    /// Worker threads in the resident pool (default: 4, minimum 1).
+    /// Worker threads in the resident pool (default: 4, minimum 1). At
+    /// most this many transactions execute at once, counting those run on
+    /// submitting threads (see [`Session::submit`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -328,9 +341,10 @@ impl StoreBuilder {
         let shared = Arc::new(Shared {
             store,
             cache,
-            queue: WorkQueue::new(),
+            queue: WorkQueue::new(self.workers),
             sink: OutcomeSink::new(self.retain_outcomes),
             obs,
+            inline: group.is_none() && !self.shard,
             group,
         });
         // The flusher pulls the log itself: it writes what the workers
@@ -350,16 +364,7 @@ impl StoreBuilder {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vpdt-store-worker-{i}"))
-                    .spawn(move || {
-                        exec::worker_loop(
-                            &shared.store,
-                            &shared.cache,
-                            &shared.queue,
-                            &shared.sink,
-                            &shared.obs,
-                            shared.group.as_ref(),
-                        );
-                    })
+                    .spawn(move || shared.worker_loop())
                     .expect("spawning a store worker")
             })
             .collect();
@@ -392,24 +397,6 @@ fn checkpoint(shared: &Shared, next_tx: u64) -> Result<u64, wal::WalError> {
     Ok(gc.offset)
 }
 
-/// State shared between the server handle, its worker threads, and the
-/// group-commit flusher.
-struct Shared {
-    store: VersionedStore,
-    cache: GuardCache,
-    queue: WorkQueue,
-    sink: OutcomeSink,
-    /// The server's metrics registry + transaction trace ring. Every
-    /// counter, gauge, histogram, and trace event in the pipeline lands
-    /// here; [`StoreServer::metrics`] and [`ServerReport::metrics`] read
-    /// it out.
-    obs: StoreMetrics,
-    /// The durable phase (`Some` exactly when the server is persisted):
-    /// workers enqueue published commits here; the flusher thread batches
-    /// the fsyncs and resolves the tickets.
-    group: Option<GroupCommitFlusher>,
-}
-
 /// A resident, session-oriented transaction server — the front door of
 /// `vpdt-store` (see the crate docs for the full tour and an example).
 ///
@@ -434,9 +421,16 @@ impl StoreServer {
         Session::new(self, self.next_session.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Enqueues one submission (the internal half of
-    /// [`Session::submit`](crate::Session::submit)).
-    pub(crate) fn enqueue(&self, session: u64, program: Program) -> TxTicket {
+    /// Accepts one submission (the internal half of
+    /// [`Session::submit`](crate::Session::submit) and
+    /// [`Session::submit_queued`](crate::Session::submit_queued)). If
+    /// `may_run_here`, on an unsharded in-memory server with nothing
+    /// queued and fewer than [`workers`](StoreBuilder::workers)
+    /// transactions executing, the transaction runs to completion on the
+    /// calling thread, and the returned ticket has already resolved.
+    /// Otherwise it is queued for the worker pool and the ticket returns
+    /// at once.
+    pub(crate) fn enqueue(&self, session: u64, program: Program, may_run_here: bool) -> TxTicket {
         let tx = self.next_tx.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(TicketState::default());
         self.shared.obs.submitted.inc();
@@ -448,7 +442,7 @@ impl StoreServer {
             ticket: Some(Arc::clone(&state)),
             enqueued_at_ns: self.shared.obs.now_ns(),
         };
-        if let Err(refused) = self.shared.queue.push(item) {
+        if let Err(refused) = self.shared.submit(item, may_run_here) {
             // Unreachable through a `Session` (shutdown consumes the
             // server while sessions borrow it), but kept total: resolve
             // the ticket rather than strand it. Resolving before the

@@ -3,8 +3,9 @@
 //! A [`Session`] is a client's handle onto a running
 //! [`StoreServer`]: it stamps each submission with the
 //! session's id (recorded as provenance on the history's `Begin` events)
-//! and hands back a [`TxTicket`] immediately. The ticket is the client's
-//! half of a one-shot completion slot that resolves with the typed
+//! and hands back a [`TxTicket`] — already resolved when the transaction
+//! ran on the submitting thread (see [`Session::submit`]). The ticket is
+//! the client's half of a one-shot completion slot that resolves with the typed
 //! [`TxOutcome`] — so a session can pipeline many submissions and collect
 //! outcomes later (blocking via [`TxTicket::wait`], or push-style via
 //! [`TxTicket::on_resolve`]), or use [`Session::submit_sync`] for the
@@ -197,7 +198,7 @@ impl TicketState {
 
 /// A claim on one submitted transaction's outcome.
 ///
-/// Returned immediately by [`Session::submit`]; [`TxTicket::wait`] blocks
+/// Returned by [`Session::submit`]; [`TxTicket::wait`] blocks
 /// until the transaction's *final* outcome is known — for a commit on a
 /// durable server, until the covering group fsync has made it durable.
 /// [`TxTicket::on_resolve`] is the non-blocking dual: a completion
@@ -300,10 +301,27 @@ impl<'a> Session<'a> {
         self.id
     }
 
-    /// Enqueues a program for execution and returns its ticket immediately.
-    /// The transaction id is assigned here, in submission order.
+    /// Submits a program for execution and returns its ticket. The
+    /// transaction id is assigned here, in submission order.
+    ///
+    /// On an unsharded in-memory server with nothing queued and an
+    /// execution slot free (fewer than
+    /// [`workers`](crate::StoreBuilder::workers) transactions executing),
+    /// the transaction runs to completion on the calling thread before
+    /// `submit` returns, so the ticket has already resolved. Otherwise —
+    /// on a persisted server or a shard always — it is queued for the
+    /// worker pool and the ticket returns at once.
     pub fn submit(&self, program: Program) -> TxTicket {
-        self.server.enqueue(self.id, program)
+        self.server.enqueue(self.id, program, true)
+    }
+
+    /// Like [`submit`](Session::submit), but the transaction always goes
+    /// to the worker pool and the ticket returns at once: for a thread
+    /// that serves many clients, such as a network reactor, where one
+    /// slow transaction run in place would stall every other client it
+    /// serves.
+    pub fn submit_queued(&self, program: Program) -> TxTicket {
+        self.server.enqueue(self.id, program, false)
     }
 
     /// The one-call convenience path: submit, then block for the outcome.

@@ -345,6 +345,7 @@ impl ShardedBuilder {
             .trace_capacity(self.trace_capacity)
             .wal_options(self.wal_opts.clone())
             .on_disk(Arc::clone(&self.disk))
+            .sharded()
     }
 
     fn build_fresh(
@@ -678,7 +679,8 @@ impl ShardedStore {
     /// Use [`ROUTED_SESSION`] when sessions don't matter.
     pub fn submit(&self, session: u64, program: Program) -> Result<Routed, StoreError> {
         if let Some(shard) = self.classify(&program)? {
-            let ticket = self.shards[shard].enqueue(session, program);
+            // A shard queues every submission (see `StoreBuilder::sharded`).
+            let ticket = self.shards[shard].enqueue(session, program, false);
             return Ok(Routed::Single { shard, ticket });
         }
         // Cross-shard: only now is the *global* guard needed — wpc of the
@@ -1488,6 +1490,34 @@ mod tests {
         let report = store.shutdown();
         assert_eq!(report.shards[0].metrics.counter(names::TX_HOLD_WAITS), 1);
         assert_eq!(report.shards[0].exec.failed, 0);
+    }
+
+    /// A shard queues every submission for its workers, in memory too,
+    /// whether routed or made on a session of the shard itself: a
+    /// submitter running its transaction itself could block on a hold
+    /// that only its own thread would release (as above).
+    #[test]
+    fn a_shard_never_runs_a_submission_on_the_submitting_thread() {
+        let (initial, alpha) = fd2();
+        let store = ShardedBuilder::new(initial, alpha, 2)
+            .workers_per_shard(1)
+            .build()
+            .expect("builds");
+        let Routed::Single { ticket, .. } = store
+            .submit(ROUTED_SESSION, Program::insert_consts("R0", [700, 701]))
+            .expect("routes")
+        else {
+            panic!("single-relation program must route to one shard");
+        };
+        assert!(matches!(ticket.wait(), TxOutcome::Committed { .. }));
+        let direct = store
+            .shard(0)
+            .session()
+            .submit(Program::insert_consts("R0", [702, 703]));
+        assert!(matches!(direct.wait(), TxOutcome::Committed { .. }));
+        let report = store.shutdown();
+        assert_eq!(report.shards[0].metrics.counter(names::TX_INLINE), 0);
+        assert_eq!(report.shards[0].metrics.counter(names::TX_SUBMITTED), 2);
     }
 
     /// A coordinator whose prepare meets another decision's hold blocks

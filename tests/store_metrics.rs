@@ -80,6 +80,94 @@ fn trace_events_are_monotone_per_transaction() {
         .all(|w| w[0].span_ns() >= w[1].span_ns()));
 }
 
+/// One session on an in-memory store runs every transaction on its own
+/// thread, so each ticket has resolved by the time `submit` returns;
+/// `submit_queued`, and any submission to a persisted store, go to the
+/// workers.
+#[test]
+fn one_session_runs_inline_in_memory_unless_queued_or_persisted() {
+    let dir = tmp_dir("inline");
+    let jobs = workload::sharded_jobs(29, 1, 200, RELS, UNIVERSE);
+    for (persisted, queued) in [(false, false), (false, true), (true, false)] {
+        let alpha = workload::sharded_fd_constraint(RELS);
+        let initial = workload::sharded_initial(29, RELS, UNIVERSE, 0.4);
+        let mut builder = StoreBuilder::new(initial, alpha).workers(2);
+        if persisted {
+            builder = builder.persist(&dir);
+        }
+        let server = builder.build().expect("server starts");
+        let session = server.session();
+        let inline = !persisted && !queued;
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let ticket = if queued {
+                    session.submit_queued(job.clone())
+                } else {
+                    session.submit(job.clone())
+                };
+                assert!(!inline || ticket.try_outcome().is_some());
+                ticket
+            })
+            .collect();
+        for ticket in &tickets {
+            assert!(!matches!(ticket.wait(), TxOutcome::Failed { .. }));
+        }
+        let report = server.shutdown();
+        let m = &report.metrics;
+        assert_eq!(m.counter(names::TX_SUBMITTED), jobs.len() as u64);
+        assert_eq!(
+            m.counter(names::TX_INLINE),
+            if inline { jobs.len() as u64 } else { 0 },
+            "persisted: {persisted}, queued: {queued}"
+        );
+        // Inline or not, every transaction is dequeued once.
+        let waits = m.histogram(names::STAGE_QUEUE_WAIT).expect("queue waits");
+        assert_eq!(waits.count, jobs.len() as u64);
+    }
+    cleanup(&dir);
+}
+
+/// Eight sessions on eight threads against two workers: submitters run
+/// inline while a slot is free and queue once both are taken, every
+/// ticket resolves, and the whole run audits clean.
+#[test]
+fn sessions_beyond_the_workers_queue_and_audit_clean() {
+    let (alpha, omega) = (workload::sharded_fd_constraint(RELS), Omega::empty());
+    let initial = workload::sharded_initial(37, RELS, UNIVERSE, 0.4);
+    let (sink, received) = std::sync::mpsc::channel();
+    let server = StoreBuilder::new(initial.clone(), alpha.clone())
+        .workers(2)
+        .history_sink(sink)
+        .build()
+        .expect("consistent initial state");
+    let jobs = workload::sharded_jobs(37, 8, 400, RELS, UNIVERSE);
+    let programs = workload::serve_chunked(&server, &jobs, 400);
+    let report = server.shutdown();
+    let m = &report.metrics;
+    let inline = m.counter(names::TX_INLINE);
+    assert!(
+        inline > 0 && inline < jobs.len() as u64,
+        "{inline} of {} ran inline",
+        jobs.len()
+    );
+    assert_eq!(report.exec.failed, 0);
+    assert_eq!(report.exec.committed + report.exec.aborted, jobs.len());
+    let segments: Vec<HistorySegment> = received.try_iter().collect();
+    let events = report.whole_run(&segments).expect("every tail");
+    let audit = vpdt::store::audit(
+        &alpha,
+        &omega,
+        &initial,
+        &report.final_db,
+        &events,
+        &programs,
+        &report.templates,
+    );
+    assert!(audit.ok(), "{audit}");
+    assert_eq!(audit.commits_checked as u64, report.final_version);
+}
+
 /// The counter contract (satellite of the docs-drift fix): everything on
 /// a server is a lifetime total — warm-up and serving traffic accumulate
 /// — and a window is measured by delta'ing two snapshots, never by the
