@@ -53,9 +53,11 @@
 //! The report gains a `networked` section (commits/s, client-observed
 //! latency percentiles, connection/byte counters, and a
 //! `connection_scaling` probe: the process thread delta from parking a
-//! fleet of idle connections on the running server) and the run is
-//! gated on networked throughput holding at least half the in-process
-//! session rate on the identical workload.
+//! fleet of idle connections on the running server). The networked pass
+//! runs three times, each right after an in-process round of its own, and
+//! the run is gated on the median pass's throughput holding at least half
+//! the rate of its in-process round on the identical workload; every
+//! pass's ratio is reported (`vs_sessions_passes`).
 //!
 //! With `--shards N` (N ≥ 2), three more passes measure horizontal
 //! scale-out over relation-partitioned `ShardedStore`s: a single-shard
@@ -134,6 +136,15 @@ const SCALED_BASELINE_MONOLITHIC_TPS: f64 = 2025.0;
 /// Frame encode/decode, FNV checksums, and the reactor-pool
 /// round trip (outbox stamping included) are the budget being gated.
 const NET_VS_SESSIONS_FLOOR: f64 = 0.5;
+
+/// Networked passes per `--net` run; the floor gates their median ratio.
+/// Four workers, two reactors and the loopback clients share the host's
+/// cores, so one pass's ratio follows the scheduler as much as the code:
+/// on a 2-vCPU host single passes of one binary read 0.35–0.93×. Each
+/// pass is divided by an in-process round run just before it, so both
+/// halves of a ratio see the same host speed (on that host the 5-round
+/// in-process median itself varied 1.7× from run to run).
+const NET_PASSES: usize = 3;
 
 /// Idle-connection fleet size for the `--net` connection-scaling probe.
 /// Multiplexed connections ride the fixed reactor pool, so the
@@ -978,48 +989,76 @@ fn run(cfg: Config) -> Result<bool, String> {
     // connection-scaling probe shows idle connections cost pool slots,
     // not threads.
     struct Networked {
+        /// The median pass by `vs_sessions`: its counters and latencies
+        /// are the ones reported.
         run: NetRun,
         tps: f64,
         vs_sessions: f64,
+        /// Every pass's `vs_sessions`, in run order.
+        pass_ratios: Vec<f64>,
+        /// Failed transactions over all passes.
+        pass_failed: u64,
     }
     let networked: Option<Networked> = if cfg.net {
-        let run = run_networked_once(&cfg, &alpha, &omega, &initial, &jobs)?;
-        let tps = run.committed as f64 / run.secs;
-        let vs_sessions = tps / sessions_tps;
-        println!(
-            "networked (loopback, {} clients, window {}): {} committed / {} aborted / \
-             {} failed in {:.3}s ({:.0} commits/s, {:.2}x of in-process sessions, \
-             latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms)",
-            cfg.clients,
-            PIPELINE_WINDOW,
-            run.committed,
-            run.aborted,
-            run.failed,
-            run.secs,
-            tps,
-            vs_sessions,
-            sample_quantile_ms(&run.latencies_us, 0.50),
-            sample_quantile_ms(&run.latencies_us, 0.95),
-            sample_quantile_ms(&run.latencies_us, 0.99),
-        );
-        match run.scaling_thread_delta {
-            Some(delta) => println!(
-                "connection scaling: {} idle connections cost {} extra threads \
-                 ({:.3} threads/connection)",
-                run.scaling_idle_conns,
-                delta,
-                delta as f64 / run.scaling_idle_conns.max(1) as f64,
-            ),
-            None => println!(
-                "connection scaling: {} idle connections parked (thread count \
-                 unavailable on this platform)",
-                run.scaling_idle_conns,
-            ),
+        let mut passes = Vec::with_capacity(NET_PASSES);
+        for _ in 0..NET_PASSES {
+            let local = run_sessions_once(&cfg, &alpha, &omega, &initial, &jobs, None)?;
+            let local_tps = local.report.exec.committed as f64 / local.secs;
+            let run = run_networked_once(&cfg, &alpha, &omega, &initial, &jobs)?;
+            let tps = run.committed as f64 / run.secs;
+            let vs_sessions = tps / local_tps;
+            println!(
+                "networked (loopback, {} clients, window {}): {} committed / {} aborted / \
+                 {} failed in {:.3}s ({:.0} commits/s, {:.2}x of the {:.0} commits/s of an \
+                 in-process round just before, latency p50 {:.3}ms p95 {:.3}ms p99 {:.3}ms)",
+                cfg.clients,
+                PIPELINE_WINDOW,
+                run.committed,
+                run.aborted,
+                run.failed,
+                run.secs,
+                tps,
+                vs_sessions,
+                local_tps,
+                sample_quantile_ms(&run.latencies_us, 0.50),
+                sample_quantile_ms(&run.latencies_us, 0.95),
+                sample_quantile_ms(&run.latencies_us, 0.99),
+            );
+            match run.scaling_thread_delta {
+                Some(delta) => println!(
+                    "connection scaling: {} idle connections cost {} extra threads \
+                     ({:.3} threads/connection)",
+                    run.scaling_idle_conns,
+                    delta,
+                    delta as f64 / run.scaling_idle_conns.max(1) as f64,
+                ),
+                None => println!(
+                    "connection scaling: {} idle connections parked (thread count \
+                     unavailable on this platform)",
+                    run.scaling_idle_conns,
+                ),
+            }
+            passes.push((run, tps, vs_sessions));
         }
+        let pass_ratios: Vec<f64> = passes.iter().map(|p| p.2).collect();
+        let pass_failed = passes.iter().map(|p| p.0.failed).sum();
+        passes.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite ratio"));
+        let (run, tps, vs_sessions) = passes.swap_remove(NET_PASSES / 2);
+        println!(
+            "networked: median of {NET_PASSES} passes {vs_sessions:.2}x of in-process \
+             sessions (passes {})",
+            pass_ratios
+                .iter()
+                .map(|r| format!("{r:.2}x"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
         Some(Networked {
             run,
             tps,
             vs_sessions,
+            pass_ratios,
+            pass_failed,
         })
     } else {
         None
@@ -1379,7 +1418,7 @@ fn run(cfg: Config) -> Result<bool, String> {
     // gate): crossing the loopback front door must not halve the
     // pipeline.
     let networked_ok = networked.as_ref().is_none_or(|n| {
-        n.run.failed == 0
+        n.pass_failed == 0
             && n.run.committed > 0
             && (cfg.smoke || n.vs_sessions >= NET_VS_SESSIONS_FLOOR)
     });
@@ -1458,6 +1497,7 @@ fn run(cfg: Config) -> Result<bool, String> {
             "secs" => secs(n.run.secs),
             "commits_per_sec" => tps(n.tps),
             "vs_sessions" => ratio(n.vs_sessions),
+            "vs_sessions_passes" => Json::Arr(n.pass_ratios.iter().map(|r| ratio(*r)).collect()),
             "vs_sessions_floor" => Json::fixed(NET_VS_SESSIONS_FLOOR, 2),
             "latency_p50_ms" => ms(sample_quantile_ms(lat, 0.50)),
             "latency_p95_ms" => ms(sample_quantile_ms(lat, 0.95)),
@@ -1650,10 +1690,11 @@ fn run(cfg: Config) -> Result<bool, String> {
             .as_ref()
             .expect("networked gate only fails when run");
         eprintln!(
-            "ACCEPTANCE: networked pass must hold >= {NET_VS_SESSIONS_FLOOR}x of the \
-             in-process session rate ({} failed, {} committed, {:.0}/s over the wire \
-             vs {:.0}/s in-process = {:.2}x)",
-            n.run.failed, n.run.committed, n.tps, sessions_tps, n.vs_sessions
+            "ACCEPTANCE: networked passes must hold >= {NET_VS_SESSIONS_FLOOR}x of the \
+             in-process session rate at their median ({} failed over {NET_PASSES} passes; \
+             median pass {} committed, {:.0}/s over the wire = {:.2}x of its in-process \
+             round; passes {:?})",
+            n.pass_failed, n.run.committed, n.tps, n.vs_sessions, n.pass_ratios
         );
     }
     if !sharded_ok {

@@ -17,6 +17,8 @@ pub enum Json {
     Int(u64),
     /// A float rendered with a fixed number of decimals.
     Fixed(f64, usize),
+    /// An array, rendered on one line.
+    Arr(Vec<Json>),
     /// An object.
     Obj(Vec<(String, Json)>),
 }
@@ -59,6 +61,16 @@ impl Json {
             Json::Bool(b) => write!(out, "{b}").expect("writing to a String"),
             Json::Int(i) => write!(out, "{i}").expect("writing to a String"),
             Json::Fixed(x, d) => write!(out, "{x:.d$}").expect("writing to a String"),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write(out, depth);
+                }
+                out.push(']');
+            }
             Json::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
             Json::Obj(pairs) => {
                 out.push('{');
@@ -149,6 +161,15 @@ mod tests {
         assert_eq!(Json::fixed(2.4, 0).render(), "2\n");
         assert_eq!(Json::fixed(1234.5678, 1).render(), "1234.6\n");
         assert_eq!(Json::fixed(-0.25, 4).render(), "-0.2500\n");
+    }
+
+    #[test]
+    fn renders_arrays_on_one_line() {
+        assert_eq!(Json::Arr(Vec::new()).render(), "[]\n");
+        let doc = crate::obj! {
+            "xs" => Json::Arr(vec![Json::fixed(0.5, 2), Json::Int(3), Json::Null]),
+        };
+        assert_eq!(doc.render(), "{\n  \"xs\": [0.50, 3, null]\n}\n");
     }
 
     #[test]

@@ -196,22 +196,37 @@ impl<'a> TupleCondition<'a> {
     /// Whether the condition holds with `vars` bound, position by
     /// position, to `tuple`.
     pub fn holds_at(&mut self, tuple: &[Elem]) -> Result<bool, EvalError> {
-        let env = match &mut self.env {
+        let (db, omega, cond) = (self.db, self.omega, self.cond);
+        let env = self.bind(tuple)?;
+        eval_checked(db, omega, cond, env)
+    }
+
+    /// Runs the well-formedness walk with `vars` bound to `tuple`, without
+    /// evaluating. The walk never depends on the values, so a caller that
+    /// evaluates only some of a relation's tuples can still fail exactly
+    /// when testing every tuple would: check at any one tuple first.
+    pub fn check_at(&mut self, tuple: &[Elem]) -> Result<(), EvalError> {
+        self.bind(tuple).map(drop)
+    }
+
+    /// The reused [`Env`] with `vars` bound to `tuple`, after the
+    /// well-formedness walk (run at the first call only).
+    fn bind(&mut self, tuple: &[Elem]) -> Result<&mut Env, EvalError> {
+        match &mut self.env {
             Some(env) => {
                 // drop whatever a failed evaluation left pushed
                 env.elems.truncate(self.vars.len());
                 for (slot, e) in env.elems.iter_mut().zip(tuple) {
                     slot.1 = *e;
                 }
-                env
             }
             None => {
                 let env = Env::of(self.vars.iter().cloned().zip(tuple.iter().copied()));
                 check(self.db, self.cond, &env, &mut Vec::new(), &mut Vec::new())?;
-                self.env.insert(env)
+                self.env = Some(env);
             }
-        };
-        eval_checked(self.db, self.omega, self.cond, env)
+        }
+        Ok(self.env.as_mut().expect("bound above"))
     }
 }
 

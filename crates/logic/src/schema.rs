@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A relation symbol: a name together with its arity.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,11 +25,32 @@ impl fmt::Debug for RelSym {
 }
 
 /// A relational schema: an ordered list of relation symbols with unique names.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Schema {
+///
+/// Cloning shares one symbol table: the names and the name index sit
+/// behind a single [`Arc`], so a clone (every `Database` clone makes one)
+/// is a reference-count bump, not a copy of every name. Building a schema
+/// ([`Schema::extended`]) copies the table only when it is shared.
+#[derive(Clone)]
+pub struct Schema(Arc<Symbols>);
+
+/// The symbol table a [`Schema`] shares: the relations in declaration
+/// order, and each name's position among them.
+#[derive(Clone)]
+struct Symbols {
     rels: Vec<RelSym>,
     index: BTreeMap<String, usize>,
 }
+
+/// Equal schemas list the same symbols in the same order (the index is
+/// derived from the list); two handles on one table are equal without
+/// comparing it.
+impl PartialEq for Schema {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.rels == other.0.rels
+    }
+}
+
+impl Eq for Schema {}
 
 impl Schema {
     /// Builds a schema from `(name, arity)` pairs.
@@ -37,10 +59,7 @@ impl Schema {
     /// Panics if a name repeats or an arity is zero — both are schema bugs,
     /// not runtime conditions.
     pub fn new<N: Into<String>>(rels: impl IntoIterator<Item = (N, usize)>) -> Self {
-        let mut out = Schema {
-            rels: Vec::new(),
-            index: BTreeMap::new(),
-        };
+        let mut out = Schema::empty();
         for (name, arity) in rels {
             out.push(name.into(), arity);
         }
@@ -52,45 +71,53 @@ impl Schema {
         Schema::new([("E", 2)])
     }
 
+    fn empty() -> Self {
+        Schema(Arc::new(Symbols {
+            rels: Vec::new(),
+            index: BTreeMap::new(),
+        }))
+    }
+
     fn push(&mut self, name: String, arity: usize) {
         assert!(arity > 0, "relation {name} must have positive arity");
         assert!(
-            !self.index.contains_key(&name),
+            !self.contains(&name),
             "duplicate relation name {name} in schema"
         );
-        self.index.insert(name.clone(), self.rels.len());
-        self.rels.push(RelSym { name, arity });
+        let table = Arc::make_mut(&mut self.0);
+        table.index.insert(name.clone(), table.rels.len());
+        table.rels.push(RelSym { name, arity });
     }
 
     /// The relation symbols, in declaration order.
     pub fn rels(&self) -> &[RelSym] {
-        &self.rels
+        &self.0.rels
     }
 
     /// Number of relation symbols.
     pub fn len(&self) -> usize {
-        self.rels.len()
+        self.0.rels.len()
     }
 
     /// Whether the schema has no relations (degenerate; [`Schema::new`] with
     /// an empty iterator produces it, useful only in tests).
     pub fn is_empty(&self) -> bool {
-        self.rels.is_empty()
+        self.0.rels.is_empty()
     }
 
     /// Index of the relation with the given name, if present.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        self.0.index.get(name).copied()
     }
 
     /// Arity of the relation with the given name, if present.
     pub fn arity_of(&self, name: &str) -> Option<usize> {
-        self.index_of(name).map(|i| self.rels[i].arity)
+        self.index_of(name).map(|i| self.0.rels[i].arity)
     }
 
     /// Whether the schema contains a relation with this name.
     pub fn contains(&self, name: &str) -> bool {
-        self.index.contains_key(name)
+        self.0.index.contains_key(name)
     }
 
     /// A new schema extending this one with additional relations.
@@ -107,7 +134,7 @@ impl Schema {
 
     /// Iterates over `(name, arity)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.rels.iter().map(|r| (r.name.as_str(), r.arity))
+        self.0.rels.iter().map(|r| (r.name.as_str(), r.arity))
     }
 
     /// A stable textual encoding, `R:2,S:1` in declaration order — the same
@@ -115,7 +142,8 @@ impl Schema {
     /// durable checkpoints record so a cold recovery can rebuild the schema
     /// without any out-of-band knowledge. [`Schema::decode`] inverts it.
     pub fn encode(&self) -> String {
-        self.rels
+        self.0
+            .rels
             .iter()
             .map(|r| format!("{}:{}", r.name, r.arity))
             .collect::<Vec<_>>()
@@ -126,10 +154,7 @@ impl Schema {
     /// than panicking like [`Schema::new`]) on malformed items, duplicate
     /// names, or zero arities — decode input is data, not source code.
     pub fn decode(s: &str) -> Result<Schema, String> {
-        let mut out = Schema {
-            rels: Vec::new(),
-            index: BTreeMap::new(),
-        };
+        let mut out = Schema::empty();
         for part in s.split(',').filter(|p| !p.is_empty()) {
             let (name, arity) = part
                 .split_once(':')
@@ -142,7 +167,7 @@ impl Schema {
             if arity == 0 {
                 return Err(format!("relation {name} must have positive arity"));
             }
-            if out.index.contains_key(name) {
+            if out.contains(name) {
                 return Err(format!("duplicate relation name {name}"));
             }
             out.push(name.to_string(), arity);
@@ -153,7 +178,7 @@ impl Schema {
 
 impl fmt::Debug for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Schema{:?}", self.rels)
+        write!(f, "Schema{:?}", self.0.rels)
     }
 }
 
@@ -196,6 +221,24 @@ mod tests {
         assert_eq!(s.index_of("E"), Some(0));
         assert_eq!(s.index_of("A"), Some(1));
         assert_eq!(s.arity_of("B"), Some(1));
+    }
+
+    /// A clone is a second handle on the same table; extending a shared
+    /// schema copies the table and leaves the original as it was.
+    #[test]
+    fn clones_share_one_table() {
+        let s = Schema::new([("R", 2), ("S", 1)]);
+        let c = s.clone();
+        assert!(Arc::ptr_eq(&s.0, &c.0));
+        assert_eq!(s, c);
+        let e = c.extended([("T", 3)]);
+        assert!(!Arc::ptr_eq(&s.0, &e.0));
+        assert_eq!((s.len(), e.len()), (2, 3));
+        assert_eq!(s.index_of("T"), None);
+        assert_ne!(s, e);
+        // equality compares contents across distinct tables
+        assert_eq!(s, Schema::new([("R", 2), ("S", 1)]));
+        assert_ne!(s, Schema::new([("S", 1), ("R", 2)]));
     }
 
     #[test]

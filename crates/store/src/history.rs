@@ -589,7 +589,8 @@ const ROOT_DOMAIN_SEP: &[u8] = b"vpdt-root-v2";
 /// [`Relation`](vpdt_structure::Relation) maintains incrementally, plus
 /// the domain elements not implied by any tuple.
 ///
-/// Per relation in schema order the combine folds in the name, a `0`
+/// Per relation in schema order (walked by position, with no name lookup)
+/// the combine folds in the name, a `0`
 /// separator byte, and the arity, tuple count, and cached
 /// [`content_hash`](vpdt_structure::Relation::content_hash) as
 /// little-endian `u64`s; then the count and sorted values of
@@ -602,9 +603,8 @@ const ROOT_DOMAIN_SEP: &[u8] = b"vpdt-root-v2";
 pub fn root_hash(db: &Database) -> u64 {
     let mut h = Fnv64::new();
     h.update(ROOT_DOMAIN_SEP);
-    for (name, _) in db.schema().iter() {
-        let rel = db.rel(name);
-        h.update(name.as_bytes());
+    for (sym, rel) in db.schema().rels().iter().zip(db.relations()) {
+        h.update(sym.name.as_bytes());
         h.update(&[0u8]);
         h.update(&(rel.arity() as u64).to_le_bytes());
         h.update(&(rel.len() as u64).to_le_bytes());

@@ -12,6 +12,15 @@
 //! set only on first read — so re-normalizing after a merge (or after any
 //! transaction) is O(1), and the O(distinct elements) set construction is
 //! paid at most once per state, by its first reader.
+//!
+//! Removal keeps that promise lazy too. Removing a tuple never shrinks the
+//! domain, so the elements of a removed tuple must stay in it even when no
+//! tuple holds them any more; a deferred domain records them in a small
+//! *pinned* set (domain = active domain ∪ pinned) instead of materializing
+//! the flat set. A one-tuple delete therefore costs O(tuple), not
+//! O(distinct elements), and the normalization after it drops the pins in
+//! O(1). Cloning a database copies one `Vec` of relation handles: the
+//! [`Schema`] is a shared handle and an unread domain holds no set.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -187,9 +196,10 @@ impl fmt::Debug for Relation {
 ///
 /// Internally the domain has two representations. `Explicit` stores the set
 /// outright (needed when the domain strictly exceeds the active domain, e.g.
-/// isolated graph nodes). `Active` records only *"the domain is the active
-/// domain"* and materializes the flat set lazily, on first read, from the
-/// relations' incrementally-maintained caches — so
+/// isolated graph nodes added by hand). `Active` records only *"the domain
+/// is the active domain, plus the elements removals pinned"* and
+/// materializes the flat set lazily, on first read, from the relations'
+/// incrementally-maintained caches — so
 /// [`Database::shrink_domain_to_active`] (and hence every transaction's
 /// output normalization and every disjoint commit merge in the versioned
 /// store) is O(1) instead of O(distinct elements). States that are never
@@ -203,13 +213,19 @@ pub struct Database {
 }
 
 /// How the domain is held: an explicit set, or the deferred promise that it
-/// equals the union of the relations' active domains.
+/// equals the union of the relations' active domains and `pinned`.
 #[derive(Clone, Debug)]
 enum DomainRepr {
     Explicit(BTreeSet<Elem>),
-    /// `domain = active domain` of the current relations; the cell caches
-    /// the materialized set once some reader asks for it.
-    Active(OnceLock<BTreeSet<Elem>>),
+    /// `domain = active domain ∪ pinned` over the current relations.
+    /// `cell` caches the materialized set once some reader asks for it;
+    /// from then on the cached set is the domain and `pinned` is no longer
+    /// extended. `pinned` holds the elements of tuples removed while the
+    /// set was unmaterialized (empty after every normalization).
+    Active {
+        cell: OnceLock<BTreeSet<Elem>>,
+        pinned: BTreeSet<Elem>,
+    },
 }
 
 /// Equality compares the *contents*: schema, relations, and the (possibly
@@ -272,36 +288,46 @@ impl Database {
     pub fn domain(&self) -> &BTreeSet<Elem> {
         match &self.domain {
             DomainRepr::Explicit(set) => set,
-            DomainRepr::Active(cell) => cell.get_or_init(|| self.active_domain()),
+            DomainRepr::Active { cell, pinned } => cell.get_or_init(|| {
+                let mut set = self.active_domain();
+                set.extend(pinned);
+                set
+            }),
         }
     }
 
     /// Whether `e` is in the domain, without materializing a deferred
     /// active-domain view: an explicit or already materialized set answers
-    /// directly, and an unread view probes each relation's incremental
-    /// active-domain cache — O(relations × log distinct elements) instead
-    /// of the O(distinct elements) set construction
-    /// [`domain`](Database::domain) would pay on a fresh state. The
-    /// evaluator's equality candidates (`∃x. x = c`) rely on it.
+    /// directly, and an unread view probes its pinned elements and then
+    /// each relation's incremental active-domain cache — O(relations × log
+    /// distinct elements) instead of the O(distinct elements) set
+    /// construction [`domain`](Database::domain) would pay on a fresh
+    /// state. The evaluator's equality candidates (`∃x. x = c`) rely on it.
     pub fn domain_contains(&self, e: &Elem) -> bool {
         match &self.domain {
             DomainRepr::Explicit(set) => set.contains(e),
-            DomainRepr::Active(cell) => match cell.get() {
+            DomainRepr::Active { cell, pinned } => match cell.get() {
                 Some(set) => set.contains(e),
-                None => self.rels.iter().any(|r| r.adom.contains_key(e)),
+                None => pinned.contains(e) || self.in_active_domain(e),
             },
         }
+    }
+
+    /// Whether `e` occurs in some tuple: a probe of each relation's
+    /// active-domain cache.
+    fn in_active_domain(&self, e: &Elem) -> bool {
+        self.rels.iter().any(|r| r.adom.contains_key(e))
     }
 
     /// The domain as an explicit, mutable set — materializing it first if it
     /// is currently the deferred active-domain view.
     fn domain_mut(&mut self) -> &mut BTreeSet<Elem> {
-        if let DomainRepr::Active(_) = &self.domain {
+        if let DomainRepr::Active { .. } = &self.domain {
             self.domain = DomainRepr::Explicit(self.domain().clone());
         }
         match &mut self.domain {
             DomainRepr::Explicit(set) => set,
-            DomainRepr::Active(_) => unreachable!("just materialized"),
+            DomainRepr::Active { .. } => unreachable!("just materialized"),
         }
     }
 
@@ -328,16 +354,23 @@ impl Database {
 
     /// The domain elements occurring in **no** tuple — what the domain
     /// holds beyond the active domain (isolated nodes, elements pinned by
-    /// a removal). For a freshly normalized database
-    /// ([`shrink_domain_to_active`](Database::shrink_domain_to_active)
-    /// with the flat set not yet materialized) this is empty by
-    /// definition and answered in O(1) without materializing anything —
-    /// the versioned store's commit path relies on that, since every
-    /// transaction output is normalized.
+    /// a removal). On a deferred domain whose flat set is not materialized
+    /// this is the pinned elements no tuple holds any more, answered
+    /// without materializing anything: O(pinned × relations), and O(1)
+    /// for a freshly normalized database
+    /// ([`shrink_domain_to_active`](Database::shrink_domain_to_active)),
+    /// which pins nothing — the versioned store's commit path relies on
+    /// that, since every transaction output is normalized.
     pub fn domain_excess(&self) -> BTreeSet<Elem> {
         let set = match &self.domain {
-            DomainRepr::Active(cell) => match cell.get() {
-                None => return BTreeSet::new(),
+            DomainRepr::Active { cell, pinned } => match cell.get() {
+                None => {
+                    return pinned
+                        .iter()
+                        .filter(|e| !self.in_active_domain(e))
+                        .copied()
+                        .collect()
+                }
                 Some(set) => set,
             },
             DomainRepr::Explicit(set) => set,
@@ -347,11 +380,16 @@ impl Database {
     }
 
     /// Restricts the domain to the active domain, dropping isolated
-    /// elements. O(1): the flat set is not rebuilt here — the domain merely
-    /// switches to the deferred active-domain view, and materializes from
-    /// the relations' cached domains only if someone reads it.
+    /// elements and whatever removals pinned. O(1) apart from dropping the
+    /// old set: the flat set is not rebuilt here — the domain merely
+    /// switches to the deferred active-domain view with nothing pinned, and
+    /// materializes from the relations' cached domains only if someone
+    /// reads it.
     pub fn shrink_domain_to_active(&mut self) {
-        self.domain = DomainRepr::Active(OnceLock::new());
+        self.domain = DomainRepr::Active {
+            cell: OnceLock::new(),
+            pinned: BTreeSet::new(),
+        };
     }
 
     /// The relation interpreting `name`.
@@ -382,7 +420,7 @@ impl Database {
             .unwrap_or_else(|| panic!("relation {name} not in schema"));
         let cached = match &mut self.domain {
             DomainRepr::Explicit(set) => Some(set),
-            DomainRepr::Active(cell) => cell.get_mut(),
+            DomainRepr::Active { cell, .. } => cell.get_mut(),
         };
         if let Some(set) = cached {
             set.extend(tuple.iter().copied());
@@ -391,16 +429,38 @@ impl Database {
     }
 
     /// Removes a tuple from `name` (the domain is left unchanged).
+    ///
+    /// O(tuple) on either domain representation, and an absent tuple does
+    /// not unshare the relation. Removal must leave the domain as it was,
+    /// but a deferred active-domain view read *after* the removal would
+    /// miss the removed elements, so a view whose flat set is not yet
+    /// materialized pins them lazily (the domain becomes active domain ∪
+    /// pinned) instead of materializing the whole set. A materialized set
+    /// already holds them, and an explicit one is left alone.
+    ///
+    /// # Panics
+    /// Panics if `name` is not in the schema.
     pub fn remove(&mut self, name: &str, tuple: &[Elem]) -> bool {
-        // Pin the domain before shrinking the relation: a deferred
-        // active-domain view recomputed *after* the removal would drop the
-        // removed elements, but removal must leave the domain as it was.
-        self.domain_mut();
         let i = self
             .schema
             .index_of(name)
             .unwrap_or_else(|| panic!("relation {name} not in schema"));
+        if !self.rels[i].contains(tuple) {
+            return false;
+        }
+        if let DomainRepr::Active { cell, pinned } = &mut self.domain {
+            if cell.get().is_none() {
+                pinned.extend(tuple.iter().copied());
+            }
+        }
         Arc::make_mut(&mut self.rels[i]).remove(tuple)
+    }
+
+    /// The relations in schema declaration order, positionally aligned with
+    /// [`schema().rels()`](Schema::rels): a walk over every relation that
+    /// needs no name lookup.
+    pub fn relations(&self) -> impl ExactSizeIterator<Item = &Relation> {
+        self.rels.iter().map(|r| &**r)
     }
 
     /// The shared handle of one relation (cheap: clones an `Arc`). Together
@@ -776,15 +836,19 @@ mod tests {
         assert!(i.domain_excess().is_empty());
         assert_eq!(i.domain(), &i.active_domain());
         // insert, remove, shrink on a view no reader has materialized: the
-        // insert keeps the view deferred, the removal pins the domain with
-        // the inserted elements, and the shrink drops what became isolated
+        // insert keeps the view deferred, the removal pins the inserted
+        // elements without materializing the view, and the shrink drops
+        // what became isolated
         let mut v = Database::graph([(0, 1)]);
         v.shrink_domain_to_active();
         v.insert("E", vec![Elem(2), Elem(3)]);
-        assert!(matches!(&v.domain, DomainRepr::Active(c) if c.get().is_none()));
+        assert!(matches!(&v.domain, DomainRepr::Active { cell, .. } if cell.get().is_none()));
         assert!(v.domain_excess().is_empty());
         assert!(v.domain_contains(&Elem(3)) && !v.domain_contains(&Elem(4)));
         v.remove("E", &[Elem(2), Elem(3)]);
+        assert!(
+            matches!(&v.domain, DomainRepr::Active { cell, pinned } if cell.get().is_none() && pinned.len() == 2)
+        );
         assert_eq!(v.domain_excess(), BTreeSet::from([Elem(2), Elem(3)]));
         assert!(v.domain_contains(&Elem(3)));
         v.shrink_domain_to_active();
@@ -804,7 +868,9 @@ mod tests {
         for e in (0..12).map(Elem) {
             assert_eq!(explicit.domain_contains(&e), explicit.domain().contains(&e));
             let probed = deferred.domain_contains(&e);
-            assert!(matches!(&deferred.domain, DomainRepr::Active(c) if c.get().is_none()));
+            assert!(
+                matches!(&deferred.domain, DomainRepr::Active { cell, .. } if cell.get().is_none())
+            );
             assert_eq!(probed, materialized.domain().contains(&e));
             assert_eq!(probed, materialized.domain_contains(&e));
         }

@@ -1,7 +1,8 @@
 //! Property-based tests for databases, canonical forms and enumeration.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use vpdt_logic::Elem;
 use vpdt_structure::iso::{graph_code, graphs_isomorphic};
 use vpdt_structure::{families, Database, Graph, Schema};
@@ -11,8 +12,118 @@ fn random_db(seed: u64, n: usize) -> Database {
     families::random_graph(n, 0.4, &mut rng)
 }
 
+/// The explicit model of a database over `R/2, S/1`: tuple sets and the
+/// domain as a plain set, with removal leaving the domain alone and
+/// normalization cutting it to the elements some tuple holds.
+#[derive(Default)]
+struct Model {
+    rels: [BTreeSet<Vec<Elem>>; 2],
+    domain: BTreeSet<Elem>,
+}
+
+impl Model {
+    const NAMES: [&'static str; 2] = ["R", "S"];
+
+    fn active(&self) -> BTreeSet<Elem> {
+        self.rels.iter().flatten().flatten().copied().collect()
+    }
+
+    /// The same state built outright, with an explicit domain.
+    fn database(&self) -> Database {
+        let mut db = Database::empty(Schema::new([("R", 2), ("S", 1)]));
+        for (name, tuples) in Self::NAMES.iter().zip(&self.rels) {
+            for t in tuples {
+                db.insert(name, t.clone());
+            }
+        }
+        for e in &self.domain {
+            db.add_domain_elem(*e);
+        }
+        db
+    }
+
+    /// Checks every domain read against the model. The reads that must
+    /// not materialize a deferred domain (`domain_contains`,
+    /// `domain_excess`) go to `db` itself; `domain()` and `==` go to a
+    /// clone, so the next step still sees `db` as it was.
+    fn agrees(&self, db: &Database) -> Result<(), String> {
+        for e in (0..9).map(Elem) {
+            if db.domain_contains(&e) != self.domain.contains(&e) {
+                return Err(format!("domain_contains({e}) on {db:?}"));
+            }
+        }
+        let excess: BTreeSet<Elem> = self.domain.difference(&self.active()).copied().collect();
+        if db.domain_excess() != excess {
+            return Err(format!(
+                "domain_excess {:?} != {excess:?}",
+                db.domain_excess()
+            ));
+        }
+        let probe = db.clone();
+        if probe.domain() != &self.domain {
+            return Err(format!("domain {:?} != {:?}", probe.domain(), self.domain));
+        }
+        let explicit = self.database();
+        if probe != explicit || explicit != probe {
+            return Err(format!("{probe:?} != {explicit:?}"));
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Lazy domain equals the explicit model: random sequences of inserts,
+    /// removals (mostly of present tuples), normalizations, clones,
+    /// materializing reads and added isolated elements leave `domain()`,
+    /// `domain_contains`, `domain_excess` and `==` agreeing with a model
+    /// that holds the domain as a plain set, after every step.
+    #[test]
+    fn lazy_domain_equals_the_explicit_model(seed in 0u64..1_000_000_000) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut db = Database::empty(Schema::new([("R", 2), ("S", 1)]));
+        let mut model = Model::default();
+        if rng.gen_bool(0.5) {
+            db.shrink_domain_to_active();
+        }
+        for step in 0..40 {
+            let r = rng.gen_range(0..2usize);
+            let name = Model::NAMES[r];
+            let drawn: Vec<Elem> = (0..2 - r).map(|_| Elem(rng.gen_range(0u64..8))).collect();
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let t = drawn;
+                    model.domain.extend(t.iter().copied());
+                    let new = model.rels[r].insert(t.clone());
+                    prop_assert_eq!(db.insert(name, t), new);
+                }
+                4..=5 => {
+                    let t = match model.rels[r].iter().next() {
+                        Some(t) if rng.gen_bool(0.75) => t.clone(),
+                        _ => drawn,
+                    };
+                    let present = model.rels[r].remove(&t);
+                    prop_assert_eq!(db.remove(name, &t), present);
+                }
+                6 => {
+                    db.shrink_domain_to_active();
+                    model.domain = model.active();
+                }
+                7 => db = db.clone(),
+                8 => {
+                    let _ = db.domain();
+                }
+                _ => {
+                    let e = Elem(rng.gen_range(0u64..9));
+                    prop_assert_eq!(db.add_domain_elem(e), model.domain.insert(e));
+                }
+            }
+            if let Err(e) = model.agrees(&db) {
+                panic!("step {step} of seed {seed}: {e}");
+            }
+        }
+    }
 
     /// Canonical codes are invariant under relabeling of the universe.
     #[test]

@@ -9,7 +9,7 @@
 use crate::traits::{normalize_domain, Transaction, TxError};
 use vpdt_eval::fo::TupleCondition;
 use vpdt_eval::{eval_term, holds, Env, Omega};
-use vpdt_logic::{Formula, Term, Var};
+use vpdt_logic::{Elem, Formula, Term, Var};
 use vpdt_structure::Database;
 
 /// An update program.
@@ -25,6 +25,12 @@ pub enum Program {
         tuple: Vec<Term>,
     },
     /// Deletes every tuple `x̄` of `rel` with `D ⊨ cond(x̄)`.
+    ///
+    /// [`Program::run`] seeks the tuples a condition can hold at: the
+    /// leading columns that top-level conjuncts `dᵢ = c` (either way round,
+    /// `c` a constant) pin form a key prefix, and only the tuples extending
+    /// it are tested. Deleting one constant tuple is therefore a seek, not
+    /// a scan of the relation.
     DeleteWhere {
         /// Target relation.
         rel: String,
@@ -99,6 +105,13 @@ impl Program {
     /// Applies the program to a database state (domain evolves with inserts
     /// but is *not* normalized — [`Transaction::apply`] on
     /// [`ProgramTransaction`] does the final normalization).
+    ///
+    /// A [`DeleteWhere`](Program::DeleteWhere) seeks the key prefix its
+    /// condition pins to constants on leading columns, visits only the
+    /// tuples extending it, and tests the whole condition on each of them,
+    /// so the result — errors included — is the one a test of every tuple
+    /// would give. An empty prefix is the whole relation: one loop, not a
+    /// seek path and a scan path.
     pub fn run(&self, db: &Database, omega: &Omega) -> Result<Database, TxError> {
         match self {
             Program::Skip => Ok(db.clone()),
@@ -120,8 +133,16 @@ impl Program {
             Program::DeleteWhere { rel, vars, cond } => {
                 check_cond(vars, cond)?;
                 let mut out = db.clone();
+                let tuples = db.rel(rel);
+                let prefix = pinned_prefix(vars, cond, tuples.arity());
                 let mut cond = TupleCondition::new(db, omega, cond, vars);
-                for t in db.rel(rel).iter() {
+                // Testing every tuple fails at the first one when the
+                // condition is ill-formed; the seek may visit no tuple, so
+                // the well-formedness walk runs at the first one anyway.
+                if let Some(first) = tuples.iter().next() {
+                    cond.check_at(first)?;
+                }
+                for t in tuples.prefix_range(&prefix) {
                     if cond.holds_at(t)? {
                         out.remove(rel, t);
                     }
@@ -299,6 +320,55 @@ fn check_cond(vars: &[Var], cond: &Formula) -> Result<(), TxError> {
         }
     }
     Ok(())
+}
+
+/// The key prefix a deletion condition pins: `c₀ … c_{k-1}` when, for each
+/// leading column `i < k`, a top-level conjunct of `cond` is `dᵢ = cᵢ` or
+/// `cᵢ = dᵢ` with `dᵢ` the column's variable and `cᵢ` a constant. Every
+/// tuple off the prefix falsifies one of those conjuncts, so `cond` is
+/// false there.
+///
+/// Only conjuncts before the first one that mentions an Ω symbol or a
+/// counting construct count: evaluation runs the conjuncts in order, and
+/// such a conjunct may fail (an unknown Ω symbol, an un-instantiated
+/// placeholder) where the earlier ones hold, so a tuple off the prefix
+/// must reach no such conjunct before a false pin. The conjuncts the rule
+/// does read (first-order with constants) cannot fail once the
+/// well-formedness walk has passed. A column whose variable repeats later
+/// in `vars` is bound to the later column, so it ends the prefix; so do
+/// `App` terms and pins on a non-leading column. An empty prefix is the
+/// whole relation.
+fn pinned_prefix(vars: &[Var], cond: &Formula, arity: usize) -> Vec<Elem> {
+    let conjuncts = match cond {
+        Formula::And(gs) => gs.as_slice(),
+        other => std::slice::from_ref(other),
+    };
+    let safe = conjuncts
+        .iter()
+        .position(|g| !g.is_fo_c())
+        .unwrap_or(conjuncts.len());
+    let pin = |v: &Var| {
+        conjuncts[..safe].iter().find_map(|g| match g {
+            Formula::Eq(Term::Var(w), Term::Const(c))
+            | Formula::Eq(Term::Const(c), Term::Var(w))
+                if w == v =>
+            {
+                Some(*c)
+            }
+            _ => None,
+        })
+    };
+    let mut prefix = Vec::new();
+    for (i, v) in vars.iter().enumerate().take(arity) {
+        if vars[i + 1..].contains(v) {
+            break;
+        }
+        match pin(v) {
+            Some(c) => prefix.push(c),
+            None => break,
+        }
+    }
+    prefix
 }
 
 fn all_tuples(db: &Database, arity: usize) -> Vec<Vec<vpdt_logic::Elem>> {
@@ -484,6 +554,41 @@ mod tests {
         let without = Database::graph([(0, 1)]);
         let added = pt(p).apply(&without).expect("applies");
         assert!(added.contains("E", &[vpdt_logic::Elem(0), vpdt_logic::Elem(0)]));
+    }
+
+    /// The seek prefix reads leading-column pins from top-level conjuncts
+    /// in either orientation, and ends at the first unpinned column, an
+    /// `App` term, a repeated variable, or a conjunct mentioning Ω.
+    #[test]
+    fn pinned_prefix_reads_leading_constant_pins() {
+        let xyz = [Var::new("x"), Var::new("y"), Var::new("z")];
+        let prefix = |vars: &[Var], cond: &str| -> Vec<u64> {
+            let cond = parse_formula(cond).expect("parses");
+            pinned_prefix(vars, &cond, 3).iter().map(|e| e.0).collect()
+        };
+        for (cond, want) in [
+            ("x = 1 & 2 = y & z = 3", vec![1, 2, 3]),
+            ("y = 2 & E(x, y) & x = 1", vec![1, 2]),
+            ("x = 1", vec![1]),
+            ("x = 1 & z = 3", vec![1]),
+            ("x = 1 & x = 2", vec![1]),
+            ("y = 2 & z = 3", vec![]),
+            ("x = 1 | y = 2", vec![]),
+            ("x = y & y = 2", vec![]),
+            ("x = succ(1) & y = 2", vec![]),
+            ("x = 1 & y = succ(1)", vec![1]),
+            ("x = 1 & succ(z) = z & y = 2", vec![1]),
+            ("x = 1 & @lt(x, y) & y = 2", vec![1]),
+            ("true", vec![]),
+        ] {
+            assert_eq!(prefix(&xyz, cond), want, "{cond}");
+        }
+        // a variable bound twice takes its later column's value
+        let xyx = [Var::new("x"), Var::new("y"), Var::new("x")];
+        assert_eq!(prefix(&xyx, "x = 1 & y = 2"), Vec::<u64>::new());
+        // never longer than the relation's arity
+        let cond = parse_formula("x = 1 & y = 2 & z = 3").expect("parses");
+        assert_eq!(pinned_prefix(&xyz, &cond, 2).len(), 2);
     }
 
     #[test]
