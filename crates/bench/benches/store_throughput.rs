@@ -80,11 +80,37 @@ fn bench_guard_eval(c: &mut Criterion) {
     );
     let wpc = exact_wpc(&program, &alpha, initial.schema(), &omega).expect("translates");
 
-    // instantiation: the per-transaction cost of a warm prepared statement
-    g.bench_with_input(BenchmarkId::new("instantiate", RELS), &program, |b, p| {
-        b.iter(|| cache.get_or_compile(std::hint::black_box(p)).expect("hits"));
-    });
-    // Δ (what the executor runs) vs reduced wpc (one conjunct) vs full wpc
+    // What a worker pays per transaction: the shape lookup, then the
+    // shape's compiled guard plan run with the transaction's bindings.
+    g.bench_with_input(
+        BenchmarkId::new("bind_and_plan", RELS),
+        &initial,
+        |b, db| {
+            b.iter(|| {
+                cache
+                    .bind(std::hint::black_box(&program))
+                    .expect("hits")
+                    .guard_holds(std::hint::black_box(db), &omega)
+                    .expect("evaluates")
+            });
+        },
+    );
+    // The same verdict through the ground guard: the lookup plus the
+    // guard instantiated with the bindings, then evaluated from scratch.
+    g.bench_with_input(
+        BenchmarkId::new("instantiate_and_holds", RELS),
+        &initial,
+        |b, db| {
+            b.iter(|| {
+                let prepared = cache
+                    .get_or_compile(std::hint::black_box(&program))
+                    .expect("hits");
+                vpdt_eval::holds(std::hint::black_box(db), &omega, &prepared.guard)
+                    .expect("evaluates")
+            });
+        },
+    );
+    // Δ vs reduced wpc (one conjunct) vs full wpc, each as a ground formula
     g.bench_with_input(BenchmarkId::new("delta_fast", RELS), &initial, |b, db| {
         b.iter(|| {
             vpdt_eval::holds(std::hint::black_box(db), &omega, &prepared.guard).expect("evaluates")

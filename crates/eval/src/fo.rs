@@ -9,16 +9,43 @@
 //! The numeric sort of `FOcount` is `{1..n}` where `n = |dom(D)|`
 //! (Section 2), with constants `1` and `max`, the order, and `bit(i,j)`.
 //!
+//! # Compile once, evaluate many
+//!
+//! Evaluation is split in two. [`Plan::compile`] does, once per formula
+//! and schema, everything that does not depend on a database or on the
+//! values bound:
+//!
+//! * the well-formedness check (see *Errors*);
+//! * every relation name resolved to its schema position;
+//! * every variable resolved to a slot: the free variables first, then one
+//!   slot per quantifier nesting depth, so an inner binder of the same
+//!   name shadows by taking a deeper slot;
+//! * every placeholder `?i` and `?i#` resolved to position `i` of the
+//!   binding vector the plan is run with;
+//! * each quantifier's *candidate source* (next section).
+//!
+//! [`Plan::eval`] then walks the compiled tree with the values in slots of
+//! reused, per-thread scratch space. A run resolves no name, clones no
+//! variable and, once its scratch has grown to the plan's needs, allocates
+//! nothing. What stays dynamic is what only a run can know: term values,
+//! the database's contents and domain, and Ω symbols, which are still
+//! looked up (and so checked) only when evaluation applies them.
+//!
+//! [`holds`], [`eval`] and [`TupleCondition`] are this compile + run. A
+//! statement shape compiles its guard's plan once and runs it with each
+//! transaction's bindings: the same verdict as substituting the bindings
+//! into the guard and evaluating that, without building the substituted
+//! formula.
+//!
 //! # Range-restricted quantifiers
 //!
 //! `∃v. φ` only needs the elements where `φ` can be **true**, and `∀v. φ`
 //! only those where it can be **false**: every other element leaves the
-//! verdict alone. Before looping, each quantifier asks its matrix for a
-//! superset of those *candidates*, read off `φ`'s own atoms, and loops
-//! over them instead of the domain when it gets one. "pos" below means
-//! the subformula must hold, "neg" that it must fail; a term is
-//! *evaluable* when it mentions neither `v` nor a variable quantified
-//! between `v` and the term (those are *wildcards*):
+//! verdict alone. Each quantifier reads off `φ`'s own atoms a superset of
+//! those *candidates* and loops over them instead of the domain when it
+//! gets one. "pos" below means the subformula must hold, "neg" that it must
+//! fail; a term is *evaluable* when it mentions neither `v` nor a variable
+//! quantified between `v` and the term (those are *wildcards*):
 //!
 //! * `R(t̄)` in pos, with `v` among the arguments: the value at `v`'s
 //!   position over the tuples of `R` that match every evaluable argument
@@ -41,24 +68,34 @@
 //! `R`'s first column and `y`, `z` over the tuples with that first column:
 //! an index join over `R` instead of |dom|³ lookups.
 //!
+//! **Why the rules are fixed at compile time.** Whether a rule applies
+//! depends only on the formula: its connectives, the polarity, which
+//! binder a variable refers to, and hence which terms are evaluable. None
+//! of that changes with the database or the bindings, so the compiler
+//! picks each quantifier's source once — which conjunct, which atom
+//! positions form the seek prefix, which are filters — and a run only
+//! evaluates the source's terms and reads the relation. A term that fails
+//! to evaluate (an unknown Ω symbol, an unbound placeholder) is the one
+//! dynamic outcome: the run falls back to the domain loop, as before.
+//!
 //! **Why this is exact.** Each rule yields a superset of the elements at
 //! which its subformula takes the wanted value, whatever the wildcards
 //! are bound to, so an element outside the candidates makes `φ` false
 //! (under `∃`) or true (under `∀`) and cannot change the verdict. Every
 //! candidate is in the domain: tuple elements always are, and equality
-//! candidates are membership-checked. The verdict therefore equals the
-//! whole-domain loop's on every database and binding — no
-//! domain-independence precondition, no second code path to select.
-//! The analysis is one walk over the quantifier's matrix; a term it cannot
-//! evaluate sends the quantifier back to the domain loop.
+//! candidates are membership-checked. Candidates are visited in ascending
+//! order, as the domain is. The verdict therefore equals the whole-domain
+//! loop's on every database and binding — no domain-independence
+//! precondition, no second code path to select.
 //!
 //! # Errors
 //!
-//! [`holds`] and [`eval`] check once, before evaluating, that every
-//! relation is in the schema at its arity and every free variable is
-//! bound, so ill-formed input is an [`EvalError`] on every database, not
-//! only where a loop happens to reach the bad atom. Ω symbols are checked
-//! lazily, when evaluation applies them.
+//! Compilation checks that every relation is in the schema at its arity
+//! and every free variable is bound, so ill-formed input is an
+//! [`EvalError`] on every database, not only where a loop happens to reach
+//! the bad atom. Ω symbols are checked lazily, when evaluation applies
+//! them, and so is a placeholder with no binding. A plan run on a database
+//! over another schema is an error, never a verdict.
 //!
 //! The whole-domain evaluator is kept unchanged in
 //! [`reference`](mod@reference), as the oracle the tests compare these
@@ -68,8 +105,9 @@
 
 pub mod reference;
 
+use std::cell::RefCell;
 use std::fmt;
-use vpdt_logic::{Elem, Formula, NumTerm, Term, Var};
+use vpdt_logic::{Elem, Formula, FuncSym, NumTerm, PredSym, Schema, Term, Var};
 use vpdt_structure::Database;
 
 use crate::omega::Omega;
@@ -147,8 +185,7 @@ impl Env {
 
 /// Evaluates a sentence: `D ⊨ α` with Ω-symbols interpreted by `omega`.
 pub fn holds(db: &Database, omega: &Omega, sentence: &Formula) -> Result<bool, EvalError> {
-    let mut env = Env::new();
-    eval(db, omega, sentence, &mut env)
+    with_scratch(|s| once(db, omega, sentence, &[], &[], s))
 }
 
 /// Evaluates a sentence with the empty Ω (FO / FOc / FOcount).
@@ -162,23 +199,42 @@ pub fn holds_pure(db: &Database, sentence: &Formula) -> Result<bool, EvalError> 
 /// schema or used at the wrong arity, or a free variable is unbound in
 /// `env` (see the module docs).
 pub fn eval(db: &Database, omega: &Omega, f: &Formula, env: &mut Env) -> Result<bool, EvalError> {
-    check(db, f, env, &mut Vec::new(), &mut Vec::new())?;
-    eval_checked(db, omega, f, env)
+    let vars: Vec<Var> = env.elems.iter().map(|(v, _)| v.clone()).collect();
+    let values: Vec<Elem> = env.elems.iter().map(|(_, e)| *e).collect();
+    with_scratch(|s| once(db, omega, f, &vars, &values, s))
+}
+
+/// Compiles `f` into the scratch space's spare code buffers, runs it, and
+/// keeps the buffers for the next one-off evaluation on this thread.
+fn once(
+    db: &Database,
+    omega: &Omega,
+    f: &Formula,
+    vars: &[Var],
+    values: &[Elem],
+    s: &mut Scratch,
+) -> Result<bool, EvalError> {
+    let Scratch { space, spare } = s;
+    let layout = compile(db.schema(), f, vars, spare)?;
+    run(spare, layout, db, omega, &[], values, space)
 }
 
 /// A condition over the free variables `vars`, evaluated at many tuples —
 /// [`eval`] per tuple without repeating its work per tuple.
 ///
-/// The well-formedness walk depends on the schema and on *which*
-/// variables are bound, never on their values, so it runs once, at the
-/// first tuple: a condition never tested never errs, as with [`eval`].
-/// One [`Env`] is reused throughout.
+/// The condition is compiled once, at the first tuple (so a condition
+/// never tested never errs, as with [`eval`]), and every tuple runs the
+/// one plan in the thread's scratch space, which goes back to the thread
+/// when the condition is dropped: a condition allocates nothing per tuple.
 pub struct TupleCondition<'a> {
     db: &'a Database,
     omega: &'a Omega,
     cond: &'a Formula,
     vars: &'a [Var],
-    env: Option<Env>,
+    /// The thread's scratch space, held from the compilation on; the
+    /// condition's code is compiled into its spare buffers.
+    scratch: Option<Box<Scratch>>,
+    layout: Option<Layout>,
 }
 
 impl<'a> TupleCondition<'a> {
@@ -189,385 +245,890 @@ impl<'a> TupleCondition<'a> {
             omega,
             cond,
             vars,
-            env: None,
+            scratch: None,
+            layout: None,
         }
     }
 
     /// Whether the condition holds with `vars` bound, position by
     /// position, to `tuple`.
     pub fn holds_at(&mut self, tuple: &[Elem]) -> Result<bool, EvalError> {
-        let (db, omega, cond) = (self.db, self.omega, self.cond);
-        let env = self.bind(tuple)?;
-        eval_checked(db, omega, cond, env)
+        self.check_at(tuple)?;
+        let (Some(layout), Some(s)) = (self.layout, self.scratch.as_mut()) else {
+            unreachable!("compiled by check_at");
+        };
+        let values = tuple.get(..layout.free).ok_or_else(|| {
+            EvalError(format!(
+                "{} values bound to a condition over {} variables",
+                tuple.len(),
+                layout.free
+            ))
+        })?;
+        run(
+            &s.spare,
+            layout,
+            self.db,
+            self.omega,
+            &[],
+            values,
+            &mut s.space,
+        )
     }
 
-    /// Runs the well-formedness walk with `vars` bound to `tuple`, without
-    /// evaluating. The walk never depends on the values, so a caller that
-    /// evaluates only some of a relation's tuples can still fail exactly
-    /// when testing every tuple would: check at any one tuple first.
+    /// Compiles the condition, at the first call, over as many of `vars`
+    /// as `tuple` binds, without evaluating. Compilation never depends on
+    /// the values, so a caller that evaluates only some of a relation's
+    /// tuples can still fail exactly when testing every tuple would: check
+    /// at any one tuple first.
     pub fn check_at(&mut self, tuple: &[Elem]) -> Result<(), EvalError> {
-        self.bind(tuple).map(drop)
-    }
-
-    /// The reused [`Env`] with `vars` bound to `tuple`, after the
-    /// well-formedness walk (run at the first call only).
-    fn bind(&mut self, tuple: &[Elem]) -> Result<&mut Env, EvalError> {
-        match &mut self.env {
-            Some(env) => {
-                // drop whatever a failed evaluation left pushed
-                env.elems.truncate(self.vars.len());
-                for (slot, e) in env.elems.iter_mut().zip(tuple) {
-                    slot.1 = *e;
-                }
-            }
-            None => {
-                let env = Env::of(self.vars.iter().cloned().zip(tuple.iter().copied()));
-                check(self.db, self.cond, &env, &mut Vec::new(), &mut Vec::new())?;
-                self.env = Some(env);
-            }
+        if self.layout.is_none() {
+            let s = self.scratch.get_or_insert_with(take_scratch);
+            let bound = &self.vars[..self.vars.len().min(tuple.len())];
+            self.layout = Some(compile(self.db.schema(), self.cond, bound, &mut s.spare)?);
         }
-        Ok(self.env.as_mut().expect("bound above"))
+        Ok(())
     }
 }
 
-/// The well-formedness walk behind [`eval`]: `elems` and `nums` are the
-/// variables bound by quantifiers enclosing the current subformula.
-fn check<'f>(
-    db: &Database,
-    f: &'f Formula,
-    env: &Env,
-    elems: &mut Vec<&'f Var>,
-    nums: &mut Vec<&'f Var>,
-) -> Result<(), EvalError> {
-    match f {
-        Formula::True | Formula::False => Ok(()),
-        Formula::Rel(name, ts) => {
-            let arity = db
-                .schema()
-                .arity_of(name)
-                .ok_or_else(|| EvalError(format!("relation {name} not in schema")))?;
-            if arity != ts.len() {
-                return Err(EvalError(format!(
-                    "relation {name} has arity {arity}, atom has {} arguments",
-                    ts.len()
-                )));
-            }
-            ts.iter().try_for_each(|t| check_term(t, env, elems))
-        }
-        Formula::Eq(a, b) => check_term(a, env, elems).and_then(|()| check_term(b, env, elems)),
-        Formula::Pred(_, ts) => ts.iter().try_for_each(|t| check_term(t, env, elems)),
-        Formula::Not(g) => check(db, g, env, elems, nums),
-        Formula::And(gs) | Formula::Or(gs) => {
-            gs.iter().try_for_each(|g| check(db, g, env, elems, nums))
-        }
-        Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            check(db, a, env, elems, nums)?;
-            check(db, b, env, elems, nums)
-        }
-        Formula::Exists(v, g) | Formula::Forall(v, g) | Formula::CountGe(_, v, g) => {
-            if let Formula::CountGe(i, _, _) = f {
-                check_numterm(i, env, nums)?;
-            }
-            elems.push(v);
-            let r = check(db, g, env, elems, nums);
-            elems.pop();
-            r
-        }
-        Formula::NumExists(v, g) | Formula::NumForall(v, g) => {
-            nums.push(v);
-            let r = check(db, g, env, elems, nums);
-            nums.pop();
-            r
-        }
-        Formula::NumLe(a, b) | Formula::NumEq(a, b) | Formula::Bit(a, b) => {
-            check_numterm(a, env, nums)?;
-            check_numterm(b, env, nums)
+impl Drop for TupleCondition<'_> {
+    fn drop(&mut self) {
+        if let Some(s) = self.scratch.take() {
+            put_scratch(s);
         }
     }
 }
 
-/// The variables of `t` are bound, by an enclosing quantifier (`elems`)
-/// or by `env`.
-fn check_term(t: &Term, env: &Env, elems: &[&Var]) -> Result<(), EvalError> {
-    match t {
-        Term::Var(v) if !elems.contains(&v) && env.elem(v).is_none() => {
-            Err(EvalError(format!("unbound variable {v}")))
-        }
-        Term::App(_, args) => args.iter().try_for_each(|a| check_term(a, env, elems)),
-        _ => Ok(()),
+/// A formula compiled against a schema (see the module docs): evaluated
+/// by [`Plan::eval`] against any database over that schema, with the
+/// values of its placeholders given per run.
+#[derive(Clone, Debug)]
+pub struct Plan {
+    schema: Schema,
+    code: Code,
+    layout: Layout,
+}
+
+/// Where a compiled formula starts and how much slot space it needs.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    root: u32,
+    /// Number of free variables: slots `0..free`.
+    free: usize,
+    /// First-sort slots: the free variables, then one per nesting depth.
+    slots: usize,
+    /// Numeric slots: one per numeric nesting depth.
+    nums: usize,
+}
+
+/// A compiled formula, flat: nodes, terms and candidate sources refer to
+/// each other by index, so compiling into buffers that already have the
+/// room allocates nothing.
+#[derive(Clone, Debug, Default)]
+struct Code {
+    nodes: Vec<Node>,
+    terms: Vec<Slotted>,
+    sources: Vec<Source>,
+    args: Vec<Arg>,
+    /// Child lists: of `∧`/`∨` nodes, and of source unions.
+    kids: Vec<u32>,
+}
+
+/// A run of `len` entries of one of [`Code`]'s lists, from `start`.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
-/// The numeric variable of `t`, if any, is bound, by an enclosing numeric
-/// quantifier (`nums`) or by `env`.
-fn check_numterm(t: &NumTerm, env: &Env, nums: &[&Var]) -> Result<(), EvalError> {
-    match t {
-        NumTerm::Var(v) if !nums.contains(&v) && env.num(v).is_none() => {
-            Err(EvalError(format!("unbound numeric variable {v}")))
+/// A compiled subformula; `u32`s are node indices unless named otherwise.
+#[derive(Clone, Debug)]
+enum Node {
+    True,
+    False,
+    /// `R(t̄)`: `R`'s schema position, its argument terms.
+    Rel(u32, Span),
+    /// Two term indices.
+    Eq(u32, u32),
+    Pred(PredSym, Span),
+    Not(u32),
+    /// Children in `kids`.
+    And(Span),
+    Or(Span),
+    Implies(u32, u32),
+    Iff(u32, u32),
+    /// `∃`/`∀` over the domain, binding `slot`; `source` indexes
+    /// `sources`, or is [`NO_SOURCE`].
+    Quant {
+        exists: bool,
+        slot: u32,
+        source: u32,
+        body: u32,
+    },
+    CountGe {
+        bound: NumSlotted,
+        slot: u32,
+        body: u32,
+    },
+    /// A numeric `∃`/`∀` over `1..=|dom|`, binding numeric `slot`.
+    NumQuant {
+        exists: bool,
+        slot: u32,
+        body: u32,
+    },
+    NumLe(NumSlotted, NumSlotted),
+    NumEq(NumSlotted, NumSlotted),
+    Bit(NumSlotted, NumSlotted),
+}
+
+/// A quantifier whose matrix names no candidates.
+const NO_SOURCE: u32 = u32::MAX;
+
+/// A compiled first-sort term.
+#[derive(Clone, Debug)]
+enum Slotted {
+    Slot(u32),
+    Const(Elem),
+    /// The placeholder `?i`; the symbol is what a run applies when the
+    /// bindings have no position `i`, as an un-substituted `?i` would be.
+    Param(usize, FuncSym),
+    /// Arguments in `terms`.
+    App(FuncSym, Span),
+}
+
+/// A compiled numeric term.
+#[derive(Clone, Debug)]
+enum NumSlotted {
+    Slot(u32),
+    One,
+    Max,
+    Lit(u64),
+    Param(usize),
+}
+
+/// Where a quantifier's candidates come from (rules in the module docs).
+#[derive(Clone, Debug)]
+enum Source {
+    /// `true` in neg, `false` in pos: none.
+    Empty,
+    /// `R(t̄)` in pos: the value at position `at` over the tuples of
+    /// relation `rel` that match the pattern `args` (in [`Code::args`]),
+    /// whose first `prefix` positions are all [`Arg::Bound`] and form the
+    /// seek key.
+    Atom {
+        rel: u32,
+        args: Span,
+        at: u32,
+        prefix: u32,
+    },
+    /// `v = t` in pos (a term index): `⟦t⟧` when it is in the domain.
+    Eq(u32),
+    /// Every part's candidates (source indices in `kids`).
+    Union(Span),
+}
+
+/// One argument of a [`Source::Atom`] pattern.
+#[derive(Clone, Copy, Debug)]
+enum Arg {
+    /// An evaluable term (its index): the tuple must hold its value.
+    Bound(u32),
+    /// The quantified variable: the tuple must repeat the value at `at`.
+    Quantified,
+    /// A term with a wildcard: anything matches.
+    Wild,
+}
+
+impl Code {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.terms.clear();
+        self.sources.clear();
+        self.args.clear();
+        self.kids.clear();
+    }
+
+    /// Whether term `t` reads only slots bound outside the quantifier
+    /// binding `slot` (deeper slots are its wildcards).
+    fn evaluable(&self, t: u32, slot: u32) -> bool {
+        match &self.terms[t as usize] {
+            Slotted::Slot(s) => *s < slot,
+            Slotted::Const(_) | Slotted::Param(..) => true,
+            Slotted::App(_, args) => args.range().all(|a| self.evaluable(a as u32, slot)),
         }
-        _ => Ok(()),
     }
 }
 
-/// [`eval`] on a formula [`check`] accepted under `env`'s bindings.
-fn eval_checked(
+/// The next index of a list, as the `u32` the code stores.
+fn next(len: usize) -> u32 {
+    u32::try_from(len).expect("a formula of fewer than 2³² parts")
+}
+
+impl Plan {
+    /// Compiles `f` against `schema`, with `free_vars` bound, in order, to
+    /// the values a run supplies ([`Plan::eval_at`]); a name bound twice
+    /// takes its last position. Fails when a relation is missing from the
+    /// schema or used at the wrong arity, or a variable is bound neither by
+    /// a quantifier nor in `free_vars` — on every database.
+    pub fn compile(schema: &Schema, f: &Formula, free_vars: &[Var]) -> Result<Plan, EvalError> {
+        let mut code = Code::default();
+        let layout = compile(schema, f, free_vars, &mut code)?;
+        Ok(Plan {
+            schema: schema.clone(),
+            code,
+            layout,
+        })
+    }
+
+    /// The schema the plan was compiled against.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// `D ⊨ f` with each placeholder `?i` (and `?i#`) read as
+    /// `bindings[i]`: the verdict, and the error, of evaluating `f` with
+    /// the bindings substituted. For a plan with no free variables.
+    pub fn eval(&self, db: &Database, omega: &Omega, bindings: &[Elem]) -> Result<bool, EvalError> {
+        self.eval_at(db, omega, bindings, &[])
+    }
+
+    /// [`eval`](Self::eval) with the free variables bound, in compile
+    /// order, to `free`.
+    pub fn eval_at(
+        &self,
+        db: &Database,
+        omega: &Omega,
+        bindings: &[Elem],
+        free: &[Elem],
+    ) -> Result<bool, EvalError> {
+        with_scratch(|s| self.run(db, omega, bindings, free, &mut s.space))
+    }
+
+    fn run(
+        &self,
+        db: &Database,
+        omega: &Omega,
+        bindings: &[Elem],
+        free: &[Elem],
+        s: &mut Space,
+    ) -> Result<bool, EvalError> {
+        if db.schema() != &self.schema {
+            return Err(EvalError(format!(
+                "plan compiled for {:?} run on a database over {:?}",
+                self.schema,
+                db.schema()
+            )));
+        }
+        run(&self.code, self.layout, db, omega, bindings, free, s)
+    }
+}
+
+/// Compiles `f` against `schema` into `code` (cleared first), with
+/// `free_vars` bound, in order, to the values a run supplies.
+fn compile(
+    schema: &Schema,
+    f: &Formula,
+    free_vars: &[Var],
+    code: &mut Code,
+) -> Result<Layout, EvalError> {
+    code.clear();
+    let mut c = Compiler {
+        schema,
+        free: free_vars,
+        elems: Vec::new(),
+        nums: Vec::new(),
+        slots: free_vars.len(),
+        num_slots: 0,
+        code,
+    };
+    let root = c.node(f)?;
+    Ok(Layout {
+        root,
+        free: free_vars.len(),
+        slots: c.slots,
+        nums: c.num_slots,
+    })
+}
+
+/// Runs code compiled against `db`'s schema, with `bindings` for its
+/// placeholders and `free` for its free variables.
+fn run(
+    code: &Code,
+    layout: Layout,
     db: &Database,
     omega: &Omega,
-    f: &Formula,
-    env: &mut Env,
+    bindings: &[Elem],
+    free: &[Elem],
+    s: &mut Space,
 ) -> Result<bool, EvalError> {
-    match f {
-        Formula::True => Ok(true),
-        Formula::False => Ok(false),
-        Formula::Rel(name, ts) => {
-            let mut tuple = Vec::with_capacity(ts.len());
-            for t in ts {
-                tuple.push(eval_term(omega, t, env)?);
+    if free.len() != layout.free {
+        return Err(EvalError(format!(
+            "{} values bound to a plan over {} free variables",
+            free.len(),
+            layout.free
+        )));
+    }
+    s.slots.clear();
+    s.slots.extend_from_slice(free);
+    s.slots.resize(layout.slots, Elem(0));
+    s.nums.clear();
+    s.nums.resize(layout.nums, 0);
+    s.stack.clear();
+    s.cands.clear();
+    Run {
+        db,
+        omega,
+        bindings,
+        code,
+    }
+    .node(layout.root, s)
+}
+
+/// The compile-time scope (the binders enclosing the current subformula)
+/// and the code compiled so far.
+struct Compiler<'f, 'c> {
+    schema: &'f Schema,
+    free: &'f [Var],
+    /// Enclosing first-sort binders; the one at depth `d` has slot
+    /// `free.len() + d`.
+    elems: Vec<&'f Var>,
+    /// Enclosing numeric binders; the one at depth `d` has numeric slot `d`.
+    nums: Vec<&'f Var>,
+    slots: usize,
+    num_slots: usize,
+    code: &'c mut Code,
+}
+
+impl<'f> Compiler<'f, '_> {
+    /// Compiles `f`, checking it in the order its parts are written, and
+    /// returns its node's index.
+    fn node(&mut self, f: &'f Formula) -> Result<u32, EvalError> {
+        let node = match f {
+            Formula::True => Node::True,
+            Formula::False => Node::False,
+            Formula::Rel(name, ts) => {
+                let rel = self
+                    .schema
+                    .index_of(name)
+                    .ok_or_else(|| EvalError(format!("relation {name} not in schema")))?;
+                let arity = self.schema.rels()[rel].arity;
+                if arity != ts.len() {
+                    return Err(EvalError(format!(
+                        "relation {name} has arity {arity}, atom has {} arguments",
+                        ts.len()
+                    )));
+                }
+                Node::Rel(next(rel), self.terms(ts)?)
             }
-            Ok(db.contains(name, &tuple))
-        }
-        Formula::Eq(a, b) => Ok(eval_term(omega, a, env)? == eval_term(omega, b, env)?),
-        Formula::Pred(p, ts) => {
-            let mut args = Vec::with_capacity(ts.len());
-            for t in ts {
-                args.push(eval_term(omega, t, env)?);
-            }
-            omega.eval_pred(p.name(), &args).map_err(EvalError)
-        }
-        Formula::Not(g) => Ok(!eval_checked(db, omega, g, env)?),
-        Formula::And(gs) => {
-            for g in gs {
-                if !eval_checked(db, omega, g, env)? {
-                    return Ok(false);
+            Formula::Eq(a, b) => Node::Eq(self.term(a)?, self.term(b)?),
+            Formula::Pred(p, ts) => Node::Pred(p.clone(), self.terms(ts)?),
+            Formula::Not(g) => Node::Not(self.node(g)?),
+            Formula::And(gs) => Node::And(self.nodes(gs)?),
+            Formula::Or(gs) => Node::Or(self.nodes(gs)?),
+            Formula::Implies(a, b) => Node::Implies(self.node(a)?, self.node(b)?),
+            Formula::Iff(a, b) => Node::Iff(self.node(a)?, self.node(b)?),
+            Formula::Exists(v, g) | Formula::Forall(v, g) => {
+                let exists = matches!(f, Formula::Exists(..));
+                let (slot, body) = self.bound(v, g)?;
+                let source = self.source(g, body, exists, v, slot).unwrap_or(NO_SOURCE);
+                Node::Quant {
+                    exists,
+                    slot,
+                    source,
+                    body,
                 }
             }
-            Ok(true)
-        }
-        Formula::Or(gs) => {
-            for g in gs {
-                if eval_checked(db, omega, g, env)? {
-                    return Ok(true);
+            Formula::CountGe(i, v, g) => {
+                let bound = self.num_term(i)?;
+                let (slot, body) = self.bound(v, g)?;
+                Node::CountGe { bound, slot, body }
+            }
+            Formula::NumExists(v, g) | Formula::NumForall(v, g) => {
+                let slot = self.nums.len();
+                self.num_slots = self.num_slots.max(slot + 1);
+                self.nums.push(v);
+                let body = self.node(g);
+                self.nums.pop();
+                Node::NumQuant {
+                    exists: matches!(f, Formula::NumExists(..)),
+                    slot: next(slot),
+                    body: body?,
                 }
             }
-            Ok(false)
+            Formula::NumLe(a, b) => Node::NumLe(self.num_term(a)?, self.num_term(b)?),
+            Formula::NumEq(a, b) => Node::NumEq(self.num_term(a)?, self.num_term(b)?),
+            Formula::Bit(a, b) => Node::Bit(self.num_term(a)?, self.num_term(b)?),
+        };
+        self.code.nodes.push(node);
+        Ok(next(self.code.nodes.len() - 1))
+    }
+
+    /// Compiles `gs` into a child list.
+    fn nodes(&mut self, gs: &'f [Formula]) -> Result<Span, EvalError> {
+        let start = self.code.kids.len();
+        self.code.kids.resize(start + gs.len(), 0);
+        for (i, g) in gs.iter().enumerate() {
+            self.code.kids[start + i] = self.node(g)?;
         }
-        Formula::Implies(a, b) => {
-            Ok(!eval_checked(db, omega, a, env)? || eval_checked(db, omega, b, env)?)
+        Ok(Span {
+            start: next(start),
+            len: next(gs.len()),
+        })
+    }
+
+    /// `g` compiled under a first-sort binder of `v`, and `v`'s slot.
+    fn bound(&mut self, v: &'f Var, g: &'f Formula) -> Result<(u32, u32), EvalError> {
+        let slot = self.free.len() + self.elems.len();
+        self.slots = self.slots.max(slot + 1);
+        self.elems.push(v);
+        let body = self.node(g);
+        self.elems.pop();
+        Ok((next(slot), body?))
+    }
+
+    /// Compiles `ts` into consecutive terms.
+    fn terms(&mut self, ts: &[Term]) -> Result<Span, EvalError> {
+        let start = self.code.terms.len();
+        self.code.terms.resize(start + ts.len(), Slotted::Slot(0));
+        for (i, t) in ts.iter().enumerate() {
+            self.code.terms[start + i] = self.slotted(t)?;
         }
-        Formula::Iff(a, b) => {
-            Ok(eval_checked(db, omega, a, env)? == eval_checked(db, omega, b, env)?)
+        Ok(Span {
+            start: next(start),
+            len: next(ts.len()),
+        })
+    }
+
+    /// Compiles `t` and returns its term's index.
+    fn term(&mut self, t: &Term) -> Result<u32, EvalError> {
+        let t = self.slotted(t)?;
+        self.code.terms.push(t);
+        Ok(next(self.code.terms.len() - 1))
+    }
+
+    fn slotted(&mut self, t: &Term) -> Result<Slotted, EvalError> {
+        Ok(match t {
+            Term::Var(v) => Slotted::Slot(next(match self.elems.iter().rposition(|w| *w == v) {
+                Some(depth) => self.free.len() + depth,
+                None => self
+                    .free
+                    .iter()
+                    .rposition(|w| w == v)
+                    .ok_or_else(|| EvalError(format!("unbound variable {v}")))?,
+            })),
+            Term::Const(c) => Slotted::Const(*c),
+            Term::App(f, args) => match t.as_param() {
+                Some(i) => Slotted::Param(i, f.clone()),
+                None => Slotted::App(f.clone(), self.terms(args)?),
+            },
+        })
+    }
+
+    fn num_term(&self, t: &NumTerm) -> Result<NumSlotted, EvalError> {
+        Ok(match t {
+            NumTerm::Var(v) => NumSlotted::Slot(next(
+                self.nums
+                    .iter()
+                    .rposition(|w| *w == v)
+                    .ok_or_else(|| EvalError(format!("unbound numeric variable {v}")))?,
+            )),
+            NumTerm::One => NumSlotted::One,
+            NumTerm::Max => NumSlotted::Max,
+            NumTerm::Lit(n) => NumSlotted::Lit(*n),
+            NumTerm::Param(i) => NumSlotted::Param(*i),
+        })
+    }
+
+    /// The candidate source of a quantifier binding `v` at `slot`, read off
+    /// its matrix `f` (compiled as node `n`) when `f` must take the value
+    /// `want` (rules in the module docs): the source's index, or `None`
+    /// when the rules give none — which leaves nothing behind.
+    fn source(&mut self, f: &Formula, n: u32, want: bool, v: &Var, slot: u32) -> Option<u32> {
+        let mark = (
+            self.code.sources.len(),
+            self.code.args.len(),
+            self.code.kids.len(),
+        );
+        let found = self.source_of(f, n, want, v, slot);
+        if found.is_none() {
+            self.code.sources.truncate(mark.0);
+            self.code.args.truncate(mark.1);
+            self.code.kids.truncate(mark.2);
         }
-        Formula::Exists(v, g) => quantify(db, omega, v, g, env, true),
-        Formula::Forall(v, g) => quantify(db, omega, v, g, env, false),
-        Formula::CountGe(i, v, g) => {
-            let bound = eval_numterm(db, i, env)?;
-            if bound == 0 {
-                return Ok(true);
+        found
+    }
+
+    fn source_of(&mut self, f: &Formula, n: u32, want: bool, v: &Var, slot: u32) -> Option<u32> {
+        let is_v =
+            |code: &Code, t: u32| matches!(code.terms[t as usize], Slotted::Slot(s) if s == slot);
+        let source = match (f, self.code.nodes[n as usize].clone(), want) {
+            (Formula::True, _, false) | (Formula::False, _, true) => Source::Empty,
+            (Formula::Rel(..), Node::Rel(rel, ts), true) => {
+                let at = ts.range().position(|t| is_v(self.code, next(t)))?;
+                let start = self.code.args.len();
+                for t in ts.range().map(next) {
+                    let arg = if self.code.evaluable(t, slot) {
+                        Arg::Bound(t)
+                    } else if is_v(self.code, t) {
+                        Arg::Quantified
+                    } else {
+                        Arg::Wild
+                    };
+                    self.code.args.push(arg);
+                }
+                let prefix = self.code.args[start..]
+                    .iter()
+                    .take_while(|a| matches!(a, Arg::Bound(_)))
+                    .count();
+                Source::Atom {
+                    rel,
+                    args: Span {
+                        start: next(start),
+                        len: ts.len,
+                    },
+                    at: next(at),
+                    prefix: next(prefix),
+                }
             }
-            let mut count: u64 = 0;
-            for &e in db.domain() {
-                env.push_elem(v.clone(), e);
-                let r = eval_checked(db, omega, g, env)?;
-                env.pop_elem();
-                if r {
-                    count += 1;
-                    if count >= bound {
+            (Formula::Eq(..), Node::Eq(a, b), true) => {
+                let t = match (a, b) {
+                    (w, t) | (t, w) if is_v(self.code, w) => t,
+                    _ => return None,
+                };
+                if !self.code.evaluable(t, slot) {
+                    return None;
+                }
+                Source::Eq(t)
+            }
+            (Formula::Not(g), Node::Not(k), _) => return self.source(g, k, !want, v, slot),
+            (Formula::And(gs), Node::And(ks), true) | (Formula::Or(gs), Node::Or(ks), false) => {
+                return gs.iter().zip(ks.range()).find_map(|(g, k)| {
+                    let k = self.code.kids[k];
+                    self.source(g, k, want, v, slot)
+                });
+            }
+            (Formula::Or(gs), Node::Or(ks), true) | (Formula::And(gs), Node::And(ks), false) => {
+                let start = self.code.kids.len();
+                self.code.kids.resize(start + gs.len(), 0);
+                for (i, (g, k)) in gs.iter().zip(ks.range()).enumerate() {
+                    let k = self.code.kids[k];
+                    self.code.kids[start + i] = self.source(g, k, want, v, slot)?;
+                }
+                Source::Union(Span {
+                    start: next(start),
+                    len: next(gs.len()),
+                })
+            }
+            (Formula::Implies(a, b), Node::Implies(ka, kb), false) => {
+                return self
+                    .source(a, ka, true, v, slot)
+                    .or_else(|| self.source(b, kb, false, v, slot));
+            }
+            (Formula::Exists(w, g), Node::Quant { body, .. }, true)
+            | (Formula::Forall(w, g), Node::Quant { body, .. }, false)
+                if w != v =>
+            {
+                return self.source(g, body, want, v, slot);
+            }
+            _ => return None,
+        };
+        self.code.sources.push(source);
+        Some(next(self.code.sources.len() - 1))
+    }
+}
+
+/// Reused run-time space: the slots, a stack for term arguments and
+/// candidate patterns, and the candidates of the enclosing quantifiers
+/// (each quantifier's above its parent's).
+#[derive(Default)]
+struct Space {
+    slots: Vec<Elem>,
+    nums: Vec<u64>,
+    stack: Vec<Elem>,
+    cands: Vec<Elem>,
+}
+
+/// A thread's reusable evaluation state: run-time space, and spare code
+/// buffers for one-off compilations ([`holds`], [`eval`],
+/// [`TupleCondition`]).
+#[derive(Default)]
+struct Scratch {
+    space: Space,
+    spare: Code,
+}
+
+thread_local! {
+    /// The thread's scratch, kept from one evaluation to the next (boxed,
+    /// so that lending it to a [`TupleCondition`] moves a pointer).
+    static SCRATCH: RefCell<Option<Box<Scratch>>> = const { RefCell::new(None) };
+}
+
+/// Takes the thread's scratch (a fresh one when it is out — lent to a
+/// [`TupleCondition`], or in use by an evaluation an Ω function started).
+fn take_scratch() -> Box<Scratch> {
+    SCRATCH
+        .try_with(|c| c.try_borrow_mut().ok().and_then(|mut s| s.take()))
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Gives the thread its scratch back.
+fn put_scratch(s: Box<Scratch>) {
+    let _ = SCRATCH.try_with(|c| {
+        if let Ok(mut slot) = c.try_borrow_mut() {
+            *slot = Some(s);
+        }
+    });
+}
+
+/// Runs `f` on the thread's scratch, in place (on a fresh one when it is
+/// in use).
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut f = Some(f);
+    let done = SCRATCH.try_with(|c| {
+        let mut slot = c.try_borrow_mut().ok()?;
+        let s = slot.get_or_insert_with(Box::default);
+        Some((f.take().expect("called once"))(s))
+    });
+    match done {
+        Ok(Some(out)) => out,
+        _ => (f.take().expect("not called"))(&mut Scratch::default()),
+    }
+}
+
+/// One run of a plan.
+struct Run<'a> {
+    db: &'a Database,
+    omega: &'a Omega,
+    bindings: &'a [Elem],
+    code: &'a Code,
+}
+
+impl Run<'_> {
+    fn node(&self, n: u32, s: &mut Space) -> Result<bool, EvalError> {
+        match &self.code.nodes[n as usize] {
+            Node::True => Ok(true),
+            Node::False => Ok(false),
+            Node::Rel(rel, ts) => {
+                let base = self.push_terms(*ts, s)?;
+                let hit = self.db.rel_at(*rel as usize).contains(&s.stack[base..]);
+                s.stack.truncate(base);
+                Ok(hit)
+            }
+            Node::Eq(a, b) => Ok(self.term(*a, s)? == self.term(*b, s)?),
+            Node::Pred(p, ts) => {
+                let base = self.push_terms(*ts, s)?;
+                let r = self.omega.eval_pred(p.name(), &s.stack[base..]);
+                s.stack.truncate(base);
+                r.map_err(EvalError)
+            }
+            Node::Not(g) => Ok(!self.node(*g, s)?),
+            Node::And(gs) => {
+                for k in gs.range() {
+                    if !self.node(self.code.kids[k], s)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Node::Or(gs) => {
+                for k in gs.range() {
+                    if self.node(self.code.kids[k], s)? {
                         return Ok(true);
                     }
                 }
+                Ok(false)
             }
-            Ok(false)
-        }
-        Formula::NumExists(v, g) => {
-            let n = db.domain_size() as u64;
-            for k in 1..=n {
-                env.push_num(v.clone(), k);
-                let r = eval_checked(db, omega, g, env)?;
-                env.pop_num();
-                if r {
+            Node::Implies(a, b) => Ok(!self.node(*a, s)? || self.node(*b, s)?),
+            Node::Iff(a, b) => Ok(self.node(*a, s)? == self.node(*b, s)?),
+            &Node::Quant {
+                exists,
+                slot,
+                source,
+                body,
+            } => self.quantify(exists, slot as usize, source, body, s),
+            Node::CountGe { bound, slot, body } => {
+                let bound = self.num(bound, s)?;
+                if bound == 0 {
                     return Ok(true);
                 }
-            }
-            Ok(false)
-        }
-        Formula::NumForall(v, g) => {
-            let n = db.domain_size() as u64;
-            for k in 1..=n {
-                env.push_num(v.clone(), k);
-                let r = eval_checked(db, omega, g, env)?;
-                env.pop_num();
-                if !r {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Formula::NumLe(a, b) => Ok(eval_numterm(db, a, env)? <= eval_numterm(db, b, env)?),
-        Formula::NumEq(a, b) => Ok(eval_numterm(db, a, env)? == eval_numterm(db, b, env)?),
-        Formula::Bit(a, b) => {
-            let i = eval_numterm(db, a, env)?;
-            let j = eval_numterm(db, b, env)?;
-            // bit positions are 1-indexed from the least significant bit
-            Ok((1..=64).contains(&j) && (i >> (j - 1)) & 1 == 1)
-        }
-    }
-}
-
-/// `∃v. g` (`exists`) or `∀v. g`: the first element at which `g` takes the
-/// decisive value (`true` for `∃`, `false` for `∀`) settles the verdict, so
-/// only the candidates for that value are visited when the matrix names
-/// them, and the whole domain otherwise.
-fn quantify(
-    db: &Database,
-    omega: &Omega,
-    v: &Var,
-    g: &Formula,
-    env: &mut Env,
-    exists: bool,
-) -> Result<bool, EvalError> {
-    let candidates = Candidates {
-        db,
-        omega,
-        env,
-        wild: vec![v],
-    }
-    .of(g, exists);
-    let decided = |env: &mut Env, e: Elem| -> Result<bool, EvalError> {
-        env.push_elem(v.clone(), e);
-        let r = eval_checked(db, omega, g, env)?;
-        env.pop_elem();
-        Ok(r == exists)
-    };
-    match candidates {
-        Ok(Some(mut elems)) => {
-            elems.sort_unstable();
-            elems.dedup();
-            for e in elems {
-                if decided(env, e)? {
-                    return Ok(exists);
-                }
-            }
-        }
-        _ => {
-            for &e in db.domain() {
-                if decided(env, e)? {
-                    return Ok(exists);
-                }
-            }
-        }
-    }
-    Ok(!exists)
-}
-
-/// The candidate analysis of one quantifier (rules in the module docs).
-/// `wild[0]` is the quantified variable; the rest are the variables
-/// quantified between it and the subformula being analysed.
-struct Candidates<'a> {
-    db: &'a Database,
-    omega: &'a Omega,
-    env: &'a Env,
-    wild: Vec<&'a Var>,
-}
-
-impl<'a> Candidates<'a> {
-    /// A superset (possibly with repeats) of the domain elements at which
-    /// `f` can evaluate to `want` with `wild[0]` bound to them, or `None`
-    /// when the rules give none. `Err` means a term could not be
-    /// evaluated: the caller falls back to the domain loop.
-    fn of(&mut self, f: &'a Formula, want: bool) -> Result<Option<Vec<Elem>>, EvalError> {
-        match (f, want) {
-            (Formula::True, false) | (Formula::False, true) => Ok(Some(Vec::new())),
-            (Formula::Rel(name, ts), true) => self.atom(name, ts),
-            (Formula::Eq(a, b), true) => {
-                let t = match (a, b) {
-                    (Term::Var(w), t) | (t, Term::Var(w)) if w == self.wild[0] => t,
-                    _ => return Ok(None),
-                };
-                if !self.evaluable(t) {
-                    return Ok(None);
-                }
-                let e = eval_term(self.omega, t, self.env)?;
-                Ok(Some(if self.db.domain_contains(&e) {
-                    vec![e]
-                } else {
-                    Vec::new()
-                }))
-            }
-            (Formula::Not(g), _) => self.of(g, !want),
-            (Formula::And(gs), true) | (Formula::Or(gs), false) => {
-                for g in gs {
-                    if let Some(c) = self.of(g, want)? {
-                        return Ok(Some(c));
+                let mut count: u64 = 0;
+                for &e in self.db.domain() {
+                    s.slots[*slot as usize] = e;
+                    if self.node(*body, s)? {
+                        count += 1;
+                        if count >= bound {
+                            return Ok(true);
+                        }
                     }
                 }
-                Ok(None)
+                Ok(false)
             }
-            (Formula::Or(gs), true) | (Formula::And(gs), false) => {
-                let mut union = Vec::new();
-                for g in gs {
-                    match self.of(g, want)? {
-                        Some(c) => union.extend(c),
-                        None => return Ok(None),
+            &Node::NumQuant { exists, slot, body } => {
+                for k in 1..=self.db.domain_size() as u64 {
+                    s.nums[slot as usize] = k;
+                    if self.node(body, s)? == exists {
+                        return Ok(exists);
                     }
                 }
-                Ok(Some(union))
+                Ok(!exists)
             }
-            (Formula::Implies(a, b), false) => match self.of(a, true)? {
-                Some(c) => Ok(Some(c)),
-                None => self.of(b, false),
+            Node::NumLe(a, b) => Ok(self.num(a, s)? <= self.num(b, s)?),
+            Node::NumEq(a, b) => Ok(self.num(a, s)? == self.num(b, s)?),
+            Node::Bit(a, b) => {
+                let i = self.num(a, s)?;
+                let j = self.num(b, s)?;
+                // bit positions are 1-indexed from the least significant bit
+                Ok((1..=64).contains(&j) && (i >> (j - 1)) & 1 == 1)
+            }
+        }
+    }
+
+    /// `∃`/`∀` over `slot`: the first element at which `body` takes the
+    /// decisive value (`true` for `∃`, `false` for `∀`) settles the
+    /// verdict, so only the source's candidates are visited when it has
+    /// some, and the whole domain otherwise.
+    fn quantify(
+        &self,
+        exists: bool,
+        slot: usize,
+        source: u32,
+        body: u32,
+        s: &mut Space,
+    ) -> Result<bool, EvalError> {
+        if source != NO_SOURCE {
+            let (start, base) = (s.cands.len(), s.stack.len());
+            if self.candidates(source, s).is_ok() {
+                s.cands[start..].sort_unstable();
+                let mut end = start;
+                for i in start..s.cands.len() {
+                    if end == start || s.cands[i] != s.cands[end - 1] {
+                        s.cands[end] = s.cands[i];
+                        end += 1;
+                    }
+                }
+                s.cands.truncate(end);
+                for i in start..end {
+                    s.slots[slot] = s.cands[i];
+                    if self.node(body, s)? == exists {
+                        s.cands.truncate(start);
+                        return Ok(exists);
+                    }
+                }
+                s.cands.truncate(start);
+                return Ok(!exists);
+            }
+            // a term the source needs failed to evaluate: loop the domain
+            s.cands.truncate(start);
+            s.stack.truncate(base);
+        }
+        for &e in self.db.domain() {
+            s.slots[slot] = e;
+            if self.node(body, s)? == exists {
+                return Ok(exists);
+            }
+        }
+        Ok(!exists)
+    }
+
+    /// Appends source `i`'s candidates (possibly with repeats) to
+    /// `s.cands`.
+    fn candidates(&self, i: u32, s: &mut Space) -> Result<(), EvalError> {
+        match self.code.sources[i as usize] {
+            Source::Empty => {}
+            Source::Atom {
+                rel,
+                args,
+                at,
+                prefix,
+            } => {
+                let args = &self.code.args[args.range()];
+                let (at, prefix) = (at as usize, prefix as usize);
+                let base = s.stack.len();
+                for a in args {
+                    let e = match *a {
+                        Arg::Bound(t) => self.term(t, s)?,
+                        Arg::Quantified | Arg::Wild => Elem(0),
+                    };
+                    s.stack.push(e);
+                }
+                let pattern = &s.stack[base..];
+                for tuple in self
+                    .db
+                    .rel_at(rel as usize)
+                    .prefix_range(&pattern[..prefix])
+                {
+                    let v = tuple[at];
+                    let fits = (prefix..args.len()).all(|i| match args[i] {
+                        Arg::Bound(_) => tuple[i] == pattern[i],
+                        Arg::Quantified => tuple[i] == v,
+                        Arg::Wild => true,
+                    });
+                    if fits {
+                        s.cands.push(v);
+                    }
+                }
+                s.stack.truncate(base);
+            }
+            Source::Eq(t) => {
+                let e = self.term(t, s)?;
+                if self.db.domain_contains(&e) {
+                    s.cands.push(e);
+                }
+            }
+            Source::Union(parts) => {
+                for k in parts.range() {
+                    self.candidates(self.code.kids[k], s)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Pushes the values of the terms `ts` onto the stack and returns
+    /// where they start.
+    fn push_terms(&self, ts: Span, s: &mut Space) -> Result<usize, EvalError> {
+        let base = s.stack.len();
+        for t in ts.range() {
+            let e = self.term(next(t), s)?;
+            s.stack.push(e);
+        }
+        Ok(base)
+    }
+
+    fn term(&self, t: u32, s: &mut Space) -> Result<Elem, EvalError> {
+        match &self.code.terms[t as usize] {
+            Slotted::Slot(i) => Ok(s.slots[*i as usize]),
+            Slotted::Const(c) => Ok(*c),
+            Slotted::Param(i, sym) => match self.bindings.get(*i) {
+                Some(e) => Ok(*e),
+                None => self.omega.eval_func(sym.name(), &[]).map_err(EvalError),
             },
-            (Formula::Exists(w, g), true) | (Formula::Forall(w, g), false) if w != self.wild[0] => {
-                self.wild.push(w);
-                let r = self.of(g, want);
-                self.wild.pop();
-                r
+            Slotted::App(f, args) => {
+                let base = self.push_terms(*args, s)?;
+                let r = self.omega.eval_func(f.name(), &s.stack[base..]);
+                s.stack.truncate(base);
+                r.map_err(EvalError)
             }
-            _ => Ok(None),
         }
     }
 
-    /// `R(t̄)` in pos: the values at the quantified variable's positions
-    /// over the tuples of `R` matching every evaluable argument.
-    fn atom(&self, name: &str, ts: &[Term]) -> Result<Option<Vec<Elem>>, EvalError> {
-        let v = self.wild[0];
-        let is_v = |t: &Term| matches!(t, Term::Var(w) if w == v);
-        let Some(at) = ts.iter().position(is_v) else {
-            return Ok(None);
-        };
-        let mut pattern = Vec::with_capacity(ts.len());
-        for t in ts {
-            pattern.push(if self.evaluable(t) {
-                Some(eval_term(self.omega, t, self.env)?)
-            } else {
-                None
-            });
-        }
-        let prefix: Vec<Elem> = pattern.iter().map_while(|p| *p).collect();
-        let out = self
-            .db
-            .rel(name)
-            .prefix_range(&prefix)
-            .filter(|tuple| {
-                ts.iter()
-                    .zip(&pattern)
-                    .zip(tuple.iter())
-                    .all(|((t, p), e)| match p {
-                        Some(bound) => bound == e,
-                        None => !is_v(t) || *e == tuple[at],
-                    })
-            })
-            .map(|tuple| tuple[at])
-            .collect();
-        Ok(Some(out))
-    }
-
-    /// Whether `t` mentions no wildcard, so [`eval_term`] can evaluate it
-    /// under the current bindings.
-    fn evaluable(&self, t: &Term) -> bool {
+    fn num(&self, t: &NumSlotted, s: &Space) -> Result<u64, EvalError> {
         match t {
-            Term::Var(w) => !self.wild.contains(&w),
-            Term::Const(_) => true,
-            Term::App(_, args) => args.iter().all(|a| self.evaluable(a)),
+            NumSlotted::Slot(i) => Ok(s.nums[*i as usize]),
+            NumSlotted::One => Ok(1),
+            NumSlotted::Max => Ok(self.db.domain_size() as u64),
+            NumSlotted::Lit(n) => Ok(*n),
+            NumSlotted::Param(i) => self
+                .bindings
+                .get(*i)
+                .map(|e| e.0)
+                .ok_or_else(|| EvalError(format!("un-instantiated numeric placeholder ?{i}#"))),
         }
     }
 }
@@ -586,20 +1147,6 @@ pub fn eval_term(omega: &Omega, t: &Term, env: &Env) -> Result<Elem, EvalError> 
             }
             omega.eval_func(f.name(), &vals).map_err(EvalError)
         }
-    }
-}
-
-fn eval_numterm(db: &Database, t: &NumTerm, env: &Env) -> Result<u64, EvalError> {
-    match t {
-        NumTerm::Var(v) => env
-            .num(v)
-            .ok_or_else(|| EvalError(format!("unbound numeric variable {v}"))),
-        NumTerm::One => Ok(1),
-        NumTerm::Max => Ok(db.domain_size() as u64),
-        NumTerm::Lit(n) => Ok(*n),
-        NumTerm::Param(i) => Err(EvalError(format!(
-            "un-instantiated numeric placeholder ?{i}#"
-        ))),
     }
 }
 
@@ -731,23 +1278,30 @@ mod tests {
         assert_eq!(eval(&db, &Omega::empty(), &f, &mut env), Ok(true));
     }
 
-    /// The candidates a quantifier's matrix names, sorted and deduped.
+    /// The candidates the source of a quantified formula's outer
+    /// quantifier names, sorted and deduped, with `env`'s variables free.
     fn candidates_of(db: &Database, s: &str, env: &Env) -> Option<Vec<Elem>> {
         let f = parse_formula(s).expect("parses");
-        let (v, g, exists) = match &f {
-            Formula::Exists(v, g) => (v, g, true),
-            Formula::Forall(v, g) => (v, g, false),
-            _ => panic!("{s} is not quantified"),
+        let vars: Vec<Var> = env.elems.iter().map(|(v, _)| v.clone()).collect();
+        let plan = Plan::compile(db.schema(), &f, &vars).expect("compiles");
+        let Node::Quant { source, .. } = plan.code.nodes[plan.layout.root as usize] else {
+            panic!("{s} is not quantified");
         };
+        if source == NO_SOURCE {
+            return None;
+        }
         let omega = Omega::empty();
-        let mut c = Candidates {
+        let mut scratch = Space::default();
+        scratch.slots = env.elems.iter().map(|(_, e)| *e).collect();
+        let run = Run {
             db,
             omega: &omega,
-            env,
-            wild: vec![v],
-        }
-        .of(g, exists)
-        .expect("terms evaluate")?;
+            bindings: &[],
+            code: &plan.code,
+        };
+        run.candidates(source, &mut scratch)
+            .expect("terms evaluate");
+        let mut c = scratch.cands;
         c.sort_unstable();
         c.dedup();
         Some(c)

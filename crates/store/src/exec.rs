@@ -455,11 +455,11 @@ impl Shared {
     }
 }
 
-/// Executes one transaction: prepare (fetch-or-compile the statement
-/// shape), guard, apply, offer to commit; on footprint conflict,
-/// re-validate on a fresh snapshot. The compilation is shared per
-/// statement shape; the per-transaction work is one binding substitution
-/// plus evaluations.
+/// Executes one transaction: bind (fetch-or-compile the statement shape),
+/// guard, apply, offer to commit; on footprint conflict, re-validate on a
+/// fresh snapshot. The compilation, guard plan included, is shared per
+/// statement shape; the per-transaction work is running that plan with the
+/// transaction's bindings, plus the program.
 /// Returns the publish-phase outcome plus, for a commit on a persisted
 /// store, the commit record's log offset — what the durable phase needs.
 pub(crate) fn execute_one(
@@ -468,7 +468,7 @@ pub(crate) fn execute_one(
     item: &WorkItem,
     obs: &StoreMetrics,
 ) -> (TxOutcome, Option<u64>) {
-    let prepared = match cache.get_or_compile(&item.program) {
+    let prepared = match cache.bind(&item.program) {
         Ok(p) => p,
         Err(error) => return (TxOutcome::Failed { error }, None),
     };
@@ -492,7 +492,7 @@ pub(crate) fn execute_one(
             first = false;
         }
         let guard_started_ns = obs.now_ns();
-        let pass = match holds(&snap.db, cache.omega(), &prepared.guard) {
+        let pass = match prepared.guard_holds(&snap.db, cache.omega()) {
             Ok(p) => p,
             Err(e) => {
                 return (

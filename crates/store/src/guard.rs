@@ -1,13 +1,16 @@
 //! The shape-keyed guard cache: compile once per *statement shape*,
-//! instantiate everywhere.
+//! evaluate everywhere.
 //!
 //! Guard compilation — a Δ per conjunct, with prerelations and `wpc` only
 //! as the fallback — is work worth sharing. Keyed by ground
 //! program, a binary-insert workload would compile O(universe²) entries
 //! sharing a handful of shapes, so this cache compiles per canonicalized
 //! [`Template`] (placeholder terms flow through the whole pipeline, see
-//! `vpdt_core::safe::compile_guard_template`) and instantiates the
-//! compiled guard per transaction by a cheap binding substitution.
+//! `vpdt_core::safe::compile_guard_template`). Each compiled shape also
+//! compiles its guard into an evaluation [`Plan`] once, and a transaction
+//! runs that plan against its own bindings ([`BoundTx::guard_holds`]):
+//! nothing is substituted, no name is looked up and, on the Δ residues,
+//! nothing is allocated per transaction.
 //! Compilation cost is O(statement shapes) — independent of the domain —
 //! and entries are bounded by an LRU budget with per-shape hit/compile
 //! statistics.
@@ -23,13 +26,20 @@
 //! alpha-variant spellings of one statement get one entry each but share
 //! one shape id and one compilation.
 //!
-//! The instantiated guard is the compilation's *fast* guard: per conjunct
+//! The evaluated guard is the compilation's *fast* guard: per conjunct
 //! of `α` the shape can disturb, the Section 6 residue Δ where one is
 //! derivable — including for multi-statement shapes, whose per-step Δs
 //! compose when exactly one step writes the conjunct's relations — and,
-//! only where none is, the exact wpc conjunct.
-//! Its size is what a cache hit pays twice (substitution, then
-//! evaluation), so each shape's [`ShapeStat::fast_nodes`] is reported.
+//! only where none is, the exact wpc conjunct. Its size bounds what a
+//! transaction's evaluation walks, so each shape's
+//! [`ShapeStat::fast_nodes`] is reported.
+//!
+//! Two lookups serve two kinds of caller. [`GuardCache::bind`] is the
+//! worker's: the shape and the bindings, nothing else. A caller that wants
+//! the guard as a formula — a layer-by-layer replay, a bench, a test —
+//! calls [`GuardCache::get_or_compile`], which is that lookup plus
+//! [`GuardCompilation::instantiate_fast`]: the ground guard it returns has
+//! the verdict the plan gives with the same bindings.
 //!
 //! Shape *identities* (ids and templates) are never evicted: they are what
 //! the history log records and the audit replays, so an audit must be able
@@ -41,9 +51,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, Weak};
 use vpdt_core::safe::{compile_guard_template, GuardCompilation};
-use vpdt_eval::Omega;
+use vpdt_eval::fo::Plan;
+use vpdt_eval::{EvalError, Omega};
 use vpdt_logic::{Elem, Formula, Schema};
 use vpdt_obs::{Counter, MetricsRegistry};
+use vpdt_structure::Database;
 use vpdt_tx::program::Program;
 use vpdt_tx::template::{canonicalize, fingerprint, same_shape, Template};
 
@@ -71,28 +83,93 @@ pub struct PreparedShape {
     /// to the whole schema when the guard could not be shown exact under
     /// disjoint interleaving (see `GuardCompilation::domain_independent`).
     pub reads: BTreeSet<String>,
+    /// The fast guard compiled against the cache's schema, or the error
+    /// compiling it raised — which every evaluation then reports, as
+    /// evaluating the instantiated guard would.
+    plan: Result<Plan, EvalError>,
     /// This shape's hit counter, shared with the registry so cache hits
     /// bump it through the entry they already hold — no registry lock on
     /// the hot path — and the count survives eviction.
     hits: Arc<AtomicU64>,
 }
 
-/// A fully prepared transaction: a shared compiled shape plus this
-/// transaction's bindings and instantiated guard. The executor applies the
-/// ground program it already holds (direct operational semantics), so a
-/// cache hit allocates nothing beyond the bindings and the substituted
-/// guard.
+impl PreparedShape {
+    /// Whether the shape's fast guard holds on `db` with its placeholders
+    /// bound to `bindings`: its compiled plan, run with no substitution.
+    /// `db` must be over the cache's schema; any other is an error.
+    pub fn guard_holds(
+        &self,
+        db: &Database,
+        omega: &Omega,
+        bindings: &[Elem],
+    ) -> Result<bool, EvalError> {
+        match &self.plan {
+            Ok(plan) => plan.eval(db, omega, bindings),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// A transaction matched to its statement shape: the shared compiled shape
+/// plus this transaction's bindings — what the worker evaluates. The
+/// executor applies the ground program it already holds (direct
+/// operational semantics), so a cache hit allocates nothing beyond the
+/// bindings.
+#[derive(Clone, Debug)]
+pub struct BoundTx {
+    /// The compiled shape (shared across threads and transactions).
+    pub shape: Arc<PreparedShape>,
+    /// The constants this transaction binds the shape's placeholders to.
+    pub bindings: Vec<Elem>,
+    /// Whether the shape came from the cache (`true`) or was compiled for
+    /// this lookup (`false`) — recorded in the transaction's trace.
+    pub cache_hit: bool,
+}
+
+impl BoundTx {
+    /// Whether the cheapest sound guard holds on `db` for this
+    /// transaction's bindings (see [`PreparedShape::guard_holds`]).
+    pub fn guard_holds(&self, db: &Database, omega: &Omega) -> Result<bool, EvalError> {
+        self.shape.guard_holds(db, omega, &self.bindings)
+    }
+
+    /// Relations the commit validation must cover.
+    pub fn reads(&self) -> &BTreeSet<String> {
+        &self.shape.reads
+    }
+
+    /// Relations the program may modify.
+    pub fn writes(&self) -> &BTreeSet<String> {
+        &self.shape.compiled.writes
+    }
+
+    /// The lookup with its guard instantiated as a ground formula.
+    pub fn instantiate(self) -> PreparedTx {
+        let guard = self.shape.compiled.instantiate_fast(&self.bindings);
+        PreparedTx {
+            shape: self.shape,
+            bindings: self.bindings,
+            guard,
+            cache_hit: self.cache_hit,
+        }
+    }
+}
+
+/// A [`BoundTx`] plus its ground guard, for callers that want the guard
+/// as a formula: a layer-by-layer replay, a bench, a test. The worker does
+/// not build one; it runs the shape's plan ([`BoundTx::guard_holds`]).
 #[derive(Clone, Debug)]
 pub struct PreparedTx {
     /// The compiled shape (shared across threads and transactions).
     pub shape: Arc<PreparedShape>,
     /// The constants this transaction binds the shape's placeholders to.
     pub bindings: Vec<Elem>,
-    /// The cheapest sound guard, instantiated with [`bindings`](Self::bindings):
-    /// what the executor evaluates per transaction.
+    /// The cheapest sound guard, instantiated with
+    /// [`bindings`](Self::bindings): the formula whose verdict the shape's
+    /// plan gives with the same bindings.
     pub guard: Formula,
     /// Whether the shape came from the cache (`true`) or was compiled for
-    /// this preparation (`false`) — recorded in the transaction's trace.
+    /// this preparation (`false`).
     pub cache_hit: bool,
 }
 
@@ -136,7 +213,7 @@ pub struct ShapeStat {
     /// back, or raced on first sight).
     pub compiles: u64,
     /// Size ([`Formula::size`]) of the shape's fast guard — what each
-    /// transaction instantiates and evaluates; `None` until the shape is
+    /// transaction's evaluation walks; `None` until the shape is
     /// compiled (a recovered registry seeds identities only). A
     /// deterministic proxy for per-transaction guard cost.
     pub fast_nodes: Option<usize>,
@@ -346,22 +423,29 @@ impl GuardCache {
         }
     }
 
-    /// Prepares `program`: finds or compiles its statement shape and
-    /// instantiates the guard with the program's constants. Concurrent
-    /// first sights may compile redundantly; the cache keeps one winner.
+    /// Matches `program` to its statement shape, finding or compiling it,
+    /// and collects the program's constants as the bindings: the worker's
+    /// lookup. Concurrent first sights may compile redundantly; the cache
+    /// keeps one winner.
     ///
     /// A hit costs one borrow-only walk of the program ([`fingerprint`]:
-    /// a structural hash plus the bindings), one hash-table probe, one
-    /// [`same_shape`] comparison against the entry's program, and one
-    /// guard-sized substitution — independent of the domain and of the
-    /// universe. Only a miss [`canonicalize`]s: it resolves the template to
-    /// its shape id, reuses a live compilation of the same template (an
-    /// alpha-variant spelling), or compiles one, and then remembers the
-    /// program under its fingerprint.
-    pub fn get_or_compile(&self, program: &Program) -> Result<PreparedTx, StoreError> {
+    /// a structural hash plus the bindings), one hash-table probe and one
+    /// [`same_shape`] comparison against the entry's program — independent
+    /// of the domain and of the universe — and allocates only the bindings.
+    /// Only a miss [`canonicalize`]s: it resolves the template to its shape
+    /// id, reuses a live compilation of the same template (an alpha-variant
+    /// spelling), or compiles one, and then remembers the program under its
+    /// fingerprint.
+    pub fn bind(&self, program: &Program) -> Result<BoundTx, StoreError> {
         let print = match fingerprint(program) {
             Some((print, bindings)) => match self.lookup(print, program) {
-                Some(shape) => return Ok(Self::prepared(shape, bindings, true)),
+                Some(shape) => {
+                    return Ok(BoundTx {
+                        shape,
+                        bindings,
+                        cache_hit: true,
+                    })
+                }
                 None => Some(print),
             },
             // A program with placeholders: `canonicalize` refuses it.
@@ -376,17 +460,17 @@ impl GuardCache {
         if let Some(print) = print {
             self.remember(print, program, &shape);
         }
-        Ok(Self::prepared(shape, bindings, cache_hit))
-    }
-
-    fn prepared(shape: Arc<PreparedShape>, bindings: Vec<Elem>, cache_hit: bool) -> PreparedTx {
-        let guard = shape.compiled.instantiate_fast(&bindings);
-        PreparedTx {
+        Ok(BoundTx {
             shape,
             bindings,
-            guard,
             cache_hit,
-        }
+        })
+    }
+
+    /// [`bind`](Self::bind) plus the guard instantiated with the program's
+    /// constants, for callers that want the ground guard as a formula.
+    pub fn get_or_compile(&self, program: &Program) -> Result<PreparedTx, StoreError> {
+        self.bind(program).map(BoundTx::instantiate)
     }
 
     /// The hit path: the entry under `print` whose program has the same
@@ -442,6 +526,7 @@ impl GuardCache {
                 .map(|(name, _)| name.to_string())
                 .collect()
         };
+        let plan = Plan::compile(&self.schema, &compiled.fast, &[]);
 
         let mut reg = self.registry.write().expect("shape registry poisoned");
         let id = match reg.by_key.get(key) {
@@ -467,6 +552,7 @@ impl GuardCache {
             template,
             compiled,
             reads,
+            plan,
             hits: Arc::clone(&known.hits),
         });
         known.live = Arc::downgrade(&shape);
@@ -670,6 +756,7 @@ mod tests {
     fn prepared_transactions_cross_threads() {
         fn assert_bounds<T: Send + Sync>() {}
         assert_bounds::<PreparedTx>();
+        assert_bounds::<BoundTx>();
         assert_bounds::<PreparedShape>();
         assert_bounds::<GuardCache>();
     }

@@ -126,7 +126,7 @@ pub mod workload;
 
 pub use audit::{audit, audit_from, cold_audit, cold_audit_dir, cold_audit_from, AuditReport};
 pub use exec::{run_serial_rollback, ExecReport, TxOutcome};
-pub use guard::{CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
+pub use guard::{BoundTx, CacheStats, GuardCache, PreparedShape, PreparedTx, ShapeStat};
 pub use history::{Event, History, HistorySegment};
 pub use metrics::StoreMetrics;
 pub use server::{ServerReport, StoreBuilder, StoreServer};

@@ -225,8 +225,9 @@ impl StoreMetrics {
     }
 
     /// The labeled counter for flush batches of exactly `size` commits
-    /// (`store_wal_flush_batches_total{size="k"}`). Takes a registry lock
-    /// on first sight of a size; the flusher caches handles per size.
+    /// (`store_wal_flush_batches_total{size="k"}`). Formats the name and
+    /// takes the registry lock on every call, so the flusher calls it once
+    /// per size and keeps the handle.
     pub fn batch_size_counter(&self, size: usize) -> Counter {
         self.registry
             .counter(&format!("{}{{size=\"{size}\"}}", names::WAL_FLUSH_BATCHES))

@@ -459,7 +459,7 @@ impl StoreServer {
     /// anything: canonicalize, compile the shape if unseen. Useful to take
     /// compilation off the serving path after a deploy.
     pub fn prepare(&self, program: &Program) -> Result<(), StoreError> {
-        self.shared.cache.get_or_compile(program).map(|_| ())
+        self.shared.cache.bind(program).map(|_| ())
     }
 
     /// Reserves a transaction id without enqueueing anything — the

@@ -112,7 +112,7 @@
 
 use crate::audit::{cold_audit_dir, AuditReport};
 use crate::disk::{self, Dir, Disk};
-use crate::guard::PreparedTx;
+use crate::guard::BoundTx;
 use crate::history::{root_hash, Event};
 use crate::replay::Replayer;
 use crate::server::{ServerReport, StoreBuilder, StoreServer};
@@ -127,7 +127,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vpdt_eval::{holds, Omega};
+use vpdt_eval::Omega;
 use vpdt_logic::{domain::is_domain_independent, Elem, Formula, Schema};
 use vpdt_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use vpdt_structure::Database;
@@ -637,7 +637,7 @@ impl ShardedStore {
     pub fn prepare(&self, program: &Program) -> Result<(), StoreError> {
         match self.classify(program)? {
             Some(shard) => self.shards[shard].prepare(program),
-            None => self.router.get_or_compile(program).map(|_| ()),
+            None => self.router.bind(program).map(|_| ()),
         }
     }
 
@@ -686,7 +686,7 @@ impl ShardedStore {
         // Cross-shard: only now is the *global* guard needed — wpc of the
         // whole program against the whole constraint, evaluated on the
         // union snapshot during the decide phase.
-        let prepared = self.router.get_or_compile(&program)?;
+        let prepared = self.router.bind(&program)?;
         let started_ns = self.registry.now_ns();
         let outcome = self.commit_cross(program, &prepared);
         match &outcome {
@@ -706,7 +706,7 @@ impl ShardedStore {
     fn commit_cross(
         &self,
         program: Program,
-        prepared: &PreparedTx,
+        prepared: &BoundTx,
     ) -> Result<CrossOutcome, StoreError> {
         let decision = self.next_decision.fetch_add(1, Ordering::Relaxed);
         let mut footprint: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
@@ -751,7 +751,7 @@ impl ShardedStore {
         // Decide: global guard on the union, then run, then the durable
         // decision record.
         let decide_started = self.registry.now_ns();
-        let pass = match holds(&union, &self.omega, &prepared.guard) {
+        let pass = match prepared.guard_holds(&union, &self.omega) {
             Ok(p) => p,
             Err(e) => {
                 self.release_all(decision, &snaps);
@@ -818,7 +818,7 @@ impl ShardedStore {
                     return Err(StoreError::Tx(e));
                 }
             };
-            let shard_prep = match self.shards[s].cache().get_or_compile(&delta) {
+            let shard_prep = match self.shards[s].cache().bind(&delta) {
                 Ok(p) => p,
                 Err(e) => {
                     self.release_all(decision, &snaps);

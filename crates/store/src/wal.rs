@@ -1237,6 +1237,9 @@ impl GroupCommitFlusher {
     /// watermark. A failed write latches exactly like a failed fsync.
     /// Returns when closed and drained.
     pub(crate) fn run(&self, pull: impl Fn() -> Result<(Arc<Handle>, u64), WalError>) {
+        // The labeled batch-size counters, by size: each is registered on
+        // the first flush of its size and then bumped through its handle.
+        let mut batch_counters: Vec<Option<Counter>> = Vec::new();
         loop {
             {
                 let mut g = self.inner.lock().expect("flusher lock poisoned");
@@ -1289,7 +1292,13 @@ impl GroupCommitFlusher {
                     self.obs.wal_fsyncs.inc();
                     if !covered.is_empty() {
                         self.obs.wal_flushed_commits.add(covered.len() as u64);
-                        self.obs.batch_size_counter(covered.len()).inc();
+                        let size = covered.len();
+                        if batch_counters.len() <= size {
+                            batch_counters.resize(size + 1, None);
+                        }
+                        batch_counters[size]
+                            .get_or_insert_with(|| self.obs.batch_size_counter(size))
+                            .inc();
                     }
                     for ack in covered {
                         self.resolve_durable(ack);

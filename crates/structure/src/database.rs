@@ -456,6 +456,16 @@ impl Database {
         Arc::make_mut(&mut self.rels[i]).remove(tuple)
     }
 
+    /// The relation at position `i` of the schema ([`Schema::index_of`]):
+    /// what a formula compiled against the schema reads, with no name
+    /// lookup.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a position of the schema.
+    pub fn rel_at(&self, i: usize) -> &Relation {
+        &self.rels[i]
+    }
+
     /// The relations in schema declaration order, positionally aligned with
     /// [`schema().rels()`](Schema::rels): a walk over every relation that
     /// needs no name lookup.

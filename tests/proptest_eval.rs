@@ -10,14 +10,21 @@
 //!   repeated variables and Ω terms inside atoms;
 //! * ill-formed input — an unbound free variable, an unknown relation, an
 //!   arity mismatch — is an `Err` from the production evaluator on empty
-//!   and non-empty databases alike.
+//!   and non-empty databases alike;
+//! * a compiled [`Plan`] run with bindings gives the reference's verdict
+//!   on the formula with the bindings substituted — on random formulas
+//!   with placeholders of both sorts, repeated, and constants outside the
+//!   domain — and one plan reused across states and bindings agrees with
+//!   a fresh compile each time; a plan run on a database over another
+//!   schema is an `Err`.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use vpdt::core::workload::random_sentence;
-use vpdt::eval::fo::{self, reference};
+use vpdt::eval::fo::{self, reference, Plan};
 use vpdt::eval::{Env, Omega};
-use vpdt::logic::{parse_formula, Elem, Formula, Schema, Var};
+use vpdt::logic::subst::instantiate_params;
+use vpdt::logic::{parse_formula, Elem, Formula, NumTerm, Schema, Term, Var};
 use vpdt::structure::{families, Database};
 
 /// A random graph on `0..n` (isolated nodes stay in the domain), with one
@@ -97,6 +104,84 @@ fn shapes(c: u64, d: u64) -> Vec<Formula> {
     .iter()
     .map(|s| parse(s))
     .collect()
+}
+
+/// How many placeholders the random formulas draw from: `?0`..`?2`, so
+/// most formulas repeat one.
+const PARAMS: usize = 3;
+
+/// A first-sort term over the variables in scope, constants in and out of
+/// `two_relation_state`'s domain, and placeholders.
+fn random_term(rng: &mut impl Rng, scope: &[Var]) -> Term {
+    match rng.gen_range(0..5) {
+        0 | 1 if !scope.is_empty() => Term::Var(scope[rng.gen_range(0..scope.len())].clone()),
+        0..=2 => Term::param(rng.gen_range(0..PARAMS)),
+        _ => Term::cst(rng.gen_range(0u64..8)),
+    }
+}
+
+/// A numeric term: `1`, `max`, a literal or a numeric placeholder `?i#`.
+fn random_num(rng: &mut impl Rng) -> NumTerm {
+    match rng.gen_range(0..4) {
+        0 => NumTerm::One,
+        1 => NumTerm::Max,
+        2 => NumTerm::Lit(rng.gen_range(0..6)),
+        _ => NumTerm::Param(rng.gen_range(0..PARAMS)),
+    }
+}
+
+/// A random formula over `R0`/`R1` whose variables are bound by its own
+/// quantifiers or listed in `scope`. Binders reuse three names, so inner
+/// quantifiers often shadow outer ones.
+fn random_formula(rng: &mut impl Rng, depth: usize, scope: &mut Vec<Var>) -> Formula {
+    if depth == 0 || rng.gen_bool(0.2) {
+        return match rng.gen_range(0..8) {
+            0..=3 => Formula::rel(
+                if rng.gen_bool(0.5) { "R0" } else { "R1" },
+                [random_term(rng, scope), random_term(rng, scope)],
+            ),
+            4 | 5 => Formula::eq(random_term(rng, scope), random_term(rng, scope)),
+            6 => Formula::NumLe(random_num(rng), random_num(rng)),
+            _ => {
+                if rng.gen_bool(0.5) {
+                    Formula::True
+                } else {
+                    Formula::False
+                }
+            }
+        };
+    }
+    let sub = |rng: &mut _, scope: &mut Vec<Var>| random_formula(rng, depth - 1, scope);
+    match rng.gen_range(0..9) {
+        0 => Formula::not(sub(rng, scope)),
+        1 => Formula::and([sub(rng, scope), sub(rng, scope)]),
+        2 => Formula::or([sub(rng, scope), sub(rng, scope)]),
+        3 => Formula::implies(sub(rng, scope), sub(rng, scope)),
+        4 => Formula::iff(sub(rng, scope), sub(rng, scope)),
+        k => {
+            let v = Var::new(["x", "y", "z"][rng.gen_range(0..3)]);
+            scope.push(v.clone());
+            let body = sub(rng, scope);
+            scope.pop();
+            match k {
+                5 | 6 => Formula::exists(v, body),
+                7 => Formula::forall(v, body),
+                _ => Formula::CountGe(random_num(rng), v, Box::new(body)),
+            }
+        }
+    }
+}
+
+/// `PARAMS` bindings, in and out of `two_relation_state`'s domain.
+fn random_bindings(rng: &mut impl Rng) -> Vec<Elem> {
+    (0..PARAMS).map(|_| Elem(rng.gen_range(0..8))).collect()
+}
+
+/// The reference's verdict on `f` with `bindings` substituted.
+fn reference_verdict(db: &Database, f: &Formula, bindings: &[Elem], env: &Env) -> bool {
+    let ground = instantiate_params(f, bindings);
+    reference::eval(db, &Omega::empty(), &ground, &mut env.clone())
+        .unwrap_or_else(|e| panic!("reference, {ground} on {db:?}: {e}"))
 }
 
 proptest! {
@@ -206,5 +291,78 @@ proptest! {
                     "{} evaluated on {:?}", f, db);
             }
         }
+    }
+
+    /// A plan run with bindings decides like the reference on the
+    /// substituted formula, with and without free variables.
+    #[test]
+    fn plans_with_bindings_agree_with_the_substituted_formula(fseed in 0u64..100_000,
+                                                              sseed in 0u64..100_000,
+                                                              a in 0u64..9) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(fseed ^ 0x91a7);
+        let db = two_relation_state(sseed);
+        let omega = Omega::empty();
+        let bindings = random_bindings(&mut rng);
+        let sentence = random_formula(&mut rng, 4, &mut Vec::new());
+        let plan = Plan::compile(db.schema(), &sentence, &[]).expect("well-formed");
+        let open = random_formula(&mut rng, 4, &mut vec![Var::new("w")]);
+        let open_plan = Plan::compile(db.schema(), &open, &[Var::new("w")]).expect("well-formed");
+        let env = Env::of([(Var::new("w"), Elem(a))]);
+        for db in [&db, &deferred(&db)] {
+            let got = plan.eval(db, &omega, &bindings).expect("evaluates");
+            let want = reference_verdict(db, &sentence, &bindings, &Env::new());
+            prop_assert_eq!(got, want, "{} with {:?} on {:?}", sentence, bindings, db);
+            let got = open_plan.eval_at(db, &omega, &bindings, &[Elem(a)]).expect("evaluates");
+            let want = reference_verdict(db, &open, &bindings, &env);
+            prop_assert_eq!(got, want, "{} with {:?}, w={} on {:?}", open, bindings, a, db);
+        }
+    }
+
+    /// One plan, compiled once, run across many states and bindings,
+    /// decides like a fresh compile of the formula on each state — over
+    /// an equal schema that is not the same handle — and like the
+    /// instantiated formula through `holds`.
+    #[test]
+    fn a_reused_plan_agrees_with_a_fresh_compile(fseed in 0u64..100_000) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(fseed ^ 0x3c5d);
+        let f = random_formula(&mut rng, 4, &mut Vec::new());
+        let plan = Plan::compile(&Schema::new([("R0", 2), ("R1", 2)]), &f, &[])
+            .expect("well-formed");
+        let omega = Omega::empty();
+        for _ in 0..8 {
+            let db = two_relation_state(rng.gen_range(0..100_000));
+            let bindings = random_bindings(&mut rng);
+            let reused = plan.eval(&db, &omega, &bindings).expect("evaluates");
+            let fresh = Plan::compile(db.schema(), &f, &[])
+                .and_then(|p| p.eval(&db, &omega, &bindings))
+                .expect("evaluates");
+            prop_assert_eq!(reused, fresh, "{} with {:?} on {:?}", f, bindings, db);
+            let ground = fo::holds(&db, &omega, &instantiate_params(&f, &bindings))
+                .expect("evaluates");
+            prop_assert_eq!(reused, ground, "{} with {:?} on {:?}", f, bindings, db);
+        }
+    }
+
+    /// A plan run on a database over another schema — other names, other
+    /// arities, another order — is an error, never a verdict.
+    #[test]
+    fn a_schema_mismatch_is_an_error(fseed in 0u64..100_000, gseed in 0u64..100_000) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(fseed ^ 0x77);
+        let f = random_formula(&mut rng, 3, &mut Vec::new());
+        let db = two_relation_state(gseed);
+        let plan = Plan::compile(db.schema(), &f, &[]).expect("well-formed");
+        let omega = Omega::empty();
+        let bindings = random_bindings(&mut rng);
+        for schema in [
+            Schema::graph(),
+            Schema::new([("R1", 2), ("R0", 2)]),
+            Schema::new([("R0", 2), ("R1", 3)]),
+            Schema::new([("R0", 2), ("R1", 2), ("R2", 2)]),
+        ] {
+            let other = Database::empty(schema);
+            prop_assert!(plan.eval(&other, &omega, &bindings).is_err(),
+                "{} ran on {:?}", f, other);
+        }
+        prop_assert!(plan.eval(&db, &omega, &bindings).is_ok());
     }
 }
